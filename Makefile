@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench-ledger bench-ledger-check bench-fleet figures loadtest loadtest-short loadtest-ramp sweep sweep-short fuzz-short bench-wire loadtest-wire duel recover-test durability bench-wal
+.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench bench-smoke bench-fleet figures loadtest loadtest-ramp fuzz-short bench-wire loadtest-wire recover-test bench-wal
 
 build:
 	$(GO) build ./...
@@ -24,55 +24,41 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
-## check: the full local gate — formatting, vet, the race-enabled suite, and
-## the wire codec's zero-allocation proof (bench-wire asserts 0 allocs/op)
-check: fmt vet race test bench-wire
+## check: the full local gate — formatting, vet, the race-enabled suite, the
+## wire codec's zero-allocation proof (bench-wire asserts 0 allocs/op), and the
+## benchmark's own vet and smoke test
+check: fmt vet race test bench-wire bench-smoke
+
+## bench: the repository's one benchmark (bench/README.md) — two sets of the
+## four workloads, each metric compared against its bound in BENCHMARK.json;
+## writes bench/out/report.json
+bench:
+	$(GO) run -C bench dbp/bench -sets 2
+
+## bench-smoke: vet the nested bench module and run its unit tests and its
+## 1/100-scale smoke of every workload and the layer ladder
+bench-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench -count=1 ./...
 
 ## serve: launch the allocation daemon with sensible defaults (HTTP on
 ## :8080, binary wire protocol on :9090)
 serve:
 	$(GO) run ./cmd/dbpserved -addr :8080 -wire-addr :9090 -algo firstfit
 
-## loadtest: benchmark a running dbpserved (start one with `make serve`) over
-## HTTP at a fixed open-loop rate; writes BENCH_serve.json
+## loadtest: load a running dbpserved (start one with `make serve`) over
+## HTTP at a fixed open-loop rate and print the latency summary
 loadtest:
-	$(GO) run ./cmd/dbpload -target http -addr localhost:8080 -mode open -rate 5000 -warmup 2s -measure 10s -o BENCH_serve.json
-
-## loadtest-short: ~5s in-process smoke benchmark (no daemon needed) — the CI
-## tier; writes BENCH_serve.json
-loadtest-short:
-	$(GO) run ./cmd/dbpload -target inproc -mode open -rate 2000 -warmup 1s -measure 3s -jobs 20000 -o BENCH_serve.json
+	$(GO) run ./cmd/dbpload -target http -addr localhost:8080 -mode open -rate 5000 -warmup 2s -measure 10s
 
 ## loadtest-ramp: find the max rate a running dbpserved sustains under a 5ms p99 SLO
 loadtest-ramp:
-	$(GO) run ./cmd/dbpload -target http -addr localhost:8080 -ramp -slo-p99 5ms -o BENCH_serve.json
+	$(GO) run ./cmd/dbpload -target http -addr localhost:8080 -ramp -slo-p99 5ms
 
-## loadtest-wire: benchmark a running dbpserved (start one with `make serve`)
+## loadtest-wire: load a running dbpserved (start one with `make serve`)
 ## over the binary wire protocol at a fixed open-loop rate
 loadtest-wire:
-	$(GO) run ./cmd/dbpload -target wire -wire-addr localhost:9090 -mode open -rate 100000 -warmup 2s -measure 10s -o BENCH_serve.json
-
-## duel: regenerate the HTTP-vs-wire transport curve in BENCH_serve.json
-## against a running `make serve` daemon
-duel:
-	$(GO) run ./cmd/dbpload -duel -addr localhost:8080 -wire-addr localhost:9090 \
-		-duel-rates 2000,5000,10000,20000,50000,100000 -warmup 1s -measure 5s -o BENCH_serve.json
-
-## sweep: regenerate BENCH_scale.json — the shards × GOMAXPROCS × rate
-## scaling surface of the in-process dispatcher
-sweep:
-	$(GO) run ./cmd/dbpload -target inproc -sweep -sweep-shards 1,2,4 -sweep-procs 1,2,4 \
-		-sweep-rates 50000,200000,800000 -warmup 1s -measure 3s -jobs 100000 -o BENCH_scale.json
-
-## sweep-short: seconds-scale sweep diffed against the committed baseline;
-## exits 2 on a per-configuration throughput regression. The grid covers the
-## same shards × procs configurations as the baseline (CompareScale treats a
-## missing configuration as a failure) with a trimmed rate axis; the wide
-## tolerance absorbs CI machine noise while catching a contention-class slip.
-sweep-short:
-	$(GO) run ./cmd/dbpload -target inproc -sweep -sweep-shards 1,2,4 -sweep-procs 1,2,4 \
-		-sweep-rates 20000,200000 -warmup 300ms -measure 1s -jobs 50000 \
-		-o BENCH_scale.new.json -compare BENCH_scale.json -tolerance 60
+	$(GO) run ./cmd/dbpload -target wire -wire-addr localhost:9090 -mode open -rate 100000 -warmup 2s -measure 10s
 
 ## equivalence: the cross-engine oracle (indexed vs linear, every policy,
 ## Run and Stream paths) under the race detector
@@ -88,19 +74,9 @@ scenarios-check:
 	$(GO) test -count=1 ./internal/workload/
 	$(GO) test -count=1 -run 'TestEnginesEquivalent' ./internal/packing/
 
-## bench-ledger: regenerate BENCH_ledger.json (per-event engine cost vs
-## fleet size, per policy, indexed and linear)
-bench-ledger:
-	$(GO) run ./cmd/dbpbench -o BENCH_ledger.json
-
-## bench-ledger-check: one-rep regeneration diffed against the committed
-## baseline; exits 2 on a ns/event or scaling-ratio regression. The wide
-## tolerance absorbs machine differences while still catching a
-## complexity-class slip (an O(B) path shows up as ~900% at 10x size).
-bench-ledger-check:
-	$(GO) run ./cmd/dbpbench -reps 1 -o BENCH_ledger.new.json -compare BENCH_ledger.json -tolerance 300
-
-## bench-fleet: run the large-fleet Go benchmarks once each
+## bench-fleet: run the large-fleet Go benchmarks once each — among them
+## BenchmarkLargeFleetKeepAliveScaling, ns/event per policy × engine at 10k
+## and 100k jobs (an O(B) path shows as a ~10x ratio at 10x size)
 bench-fleet:
 	$(GO) test -run '^$$' -bench LargeFleet -benchtime 1x .
 
@@ -122,12 +98,6 @@ fuzz-short:
 ## accounting, bit-identical journal replay, restart idempotence, meta guard)
 recover-test:
 	$(GO) test -run 'CrashRecovery|DataDirConfigGuard' -count=1 -v ./cmd/dbpserved/
-
-## durability: regenerate the fsync-policy cost curve in BENCH_serve.json —
-## the same in-process workload under -fsync none/off/interval/always
-durability:
-	$(GO) run ./cmd/dbpload -fsync-duel -mode open -rate 3000 -warmup 1s -measure 5s \
-		-jobs 60000 -snapshot-every 10000 -o BENCH_serve.json
 
 ## bench-wal: the WAL append hot path; TestAppendZeroAlloc asserts 0 allocs/op
 ## with fsync off

@@ -205,10 +205,10 @@ func BenchmarkLargeFleetFirstFitIndexedKeepAlive1M(b *testing.B) {
 	benchLargeFleet(b, FirstFit, packing.EngineIndexed, 1_000_000, 0.5)
 }
 
-// The scaling shape behind the BENCH_ledger.json criterion: ns/event of a
-// 100k-job keep-alive run must stay within ~2.5x of the 10k-job run for
-// the indexed engine under firstfit, bestfit, and worstfit (cmd/dbpbench
-// emits the machine-readable version).
+// The scaling shape of the indexed engine: ns/event of a 100k-job
+// keep-alive run must stay within ~2.5x of the 10k-job run under
+// firstfit, bestfit, and worstfit, while the linear engine's ratio tracks
+// the fleet size (make bench-fleet; DESIGN.md §8).
 func BenchmarkLargeFleetKeepAliveScaling(b *testing.B) {
 	policies := []struct {
 		name string

@@ -1,12 +1,15 @@
-// dbpload is the YCSB-style load generator and latency harness for the
-// allocation service: it replays generated arrive/depart workloads
-// through either a running dbpserved (HTTP/JSON) or an in-process
-// dispatcher, in open-loop (fixed ops/s, coordinated-omission-free) or
-// closed-loop (N users with think time) mode, and writes the
-// BENCH_serve.json results file every serving-perf PR is judged
-// against.
+// dbpload is the operator's load generator for the allocation service:
+// it replays generated arrive/depart workloads through an in-process
+// dispatcher or a running dbpserved (HTTP/JSON or the binary wire
+// protocol), in open-loop (fixed ops/s, coordinated-omission-free) or
+// closed-loop (N users with think time) mode, and prints a latency and
+// throughput summary. It gates nothing: performance claims are judged by
+// the repository's benchmark (bench/, BENCHMARK.json).
 //
-//	# benchmark a local daemon at 5000 ops/s
+//	# in-process smoke run (no daemon needed)
+//	dbpload -target inproc -measure 3s
+//
+//	# drive a local daemon at 5000 ops/s over HTTP
 //	dbpserved -addr :8080 &
 //	dbpload -target http -addr localhost:8080 -mode open -rate 5000
 //
@@ -14,35 +17,19 @@
 //	dbpserved -addr :8080 -wire-addr :9090 &
 //	dbpload -target wire -wire-addr localhost:9090 -rate 100000 -conns 4 -batch 64
 //
-//	# HTTP-vs-wire transport curve against one daemon
-//	dbpload -duel -addr localhost:8080 -wire-addr localhost:9090 -duel-rates 2000,10000,50000
-//
-//	# durability curve: what fsync=always costs over off at p99
-//	dbpload -fsync-duel -rate 20000 -measure 5s -o BENCH_serve.json
-//
-//	# in-process smoke run (no daemon needed), then regression-check
-//	dbpload -target inproc -measure 3s -o BENCH_serve.json
-//	dbpload -target inproc -measure 3s -compare BENCH_serve.json
-//
 //	# find the max rate sustaining a 5ms p99
 //	dbpload -target http -addr localhost:8080 -ramp -slo-p99 5ms
 //
-//	# multi-core scaling sweep: shards × GOMAXPROCS × rate over the
-//	# in-process dispatcher → BENCH_scale.json, gated like the ledger
-//	dbpload -sweep -sweep-shards 1,2,4 -sweep-procs 1,2,4 -sweep-rates 50000,400000
-//	dbpload -sweep -compare BENCH_scale.json
-//
-// Exit codes: 0 success, 1 usage/run error, 2 regression detected by
-// -compare.
+//	# keep the full report (percentiles, server stats, ramp probes) as JSON
+//	dbpload -target inproc -measure 3s -o run.json
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"dbp/internal/cliutil"
@@ -52,176 +39,79 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatalf("dbpload: %v", err)
+	}
+}
+
+// run is main with its inputs explicit: it parses args, drives one load
+// run (or ramp search), prints the summary to out, and writes the JSON
+// report only when -o names a file.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("dbpload", flag.ExitOnError)
 	var (
-		target  = flag.String("target", "inproc", "transport: inproc (own dispatcher), http, or wire (running dbpserved)")
-		addr    = flag.String("addr", "localhost:8080", "dbpserved host:port for -target http")
-		mode    = flag.String("mode", "open", "pacing: open (fixed rate) or closed (clients + think time)")
-		rate    = flag.Float64("rate", 5000, "open-loop target ops/s (arrivals + departures)")
-		clients = flag.Int("clients", 0, "concurrent load clients (0 = mode default)")
-		think   = flag.Duration("think", 0, "closed-loop think time between a client's ops")
-		warmup  = flag.Duration("warmup", 2*time.Second, "warmup phase (measured ops excluded)")
-		measure = flag.Duration("measure", 10*time.Second, "measurement window")
-		drain   = flag.Duration("drain", 30*time.Second, "max time to depart jobs still active at measure end")
+		target  = fs.String("target", "inproc", "transport: inproc (own dispatcher), http, or wire (running dbpserved)")
+		addr    = fs.String("addr", "localhost:8080", "dbpserved host:port for -target http")
+		mode    = fs.String("mode", "open", "pacing: open (fixed rate) or closed (clients + think time)")
+		rate    = fs.Float64("rate", 5000, "open-loop target ops/s (arrivals + departures)")
+		clients = fs.Int("clients", 0, "concurrent load clients (0 = mode default)")
+		think   = fs.Duration("think", 0, "closed-loop think time between a client's ops")
+		warmup  = fs.Duration("warmup", 2*time.Second, "warmup phase (measured ops excluded)")
+		measure = fs.Duration("measure", 10*time.Second, "measurement window")
+		drain   = fs.Duration("drain", 30*time.Second, "max time to depart jobs still active at measure end")
 
-		wl        = flag.String("workload", "uniform", "workload scenario spec: name or name:key=value,... (see -list-workloads)")
-		listWl    = flag.Bool("list-workloads", false, "print every registered workload scenario with its parameter schema and exit")
-		jobs      = flag.Int("jobs", 50000, "jobs per script epoch (the script loops under fresh IDs)")
-		mu        = flag.Float64("mu", 10, "duration ratio of the workload")
-		traceRate = flag.Float64("trace-rate", 50, "script arrival rate; with mean duration this sets the active-population level")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		dim       = flag.Int("dim", 1, "demand dimensionality (>1 = vector jobs)")
+		wl        = fs.String("workload", "uniform", "workload scenario spec: name or name:key=value,... (see -list-workloads)")
+		listWl    = fs.Bool("list-workloads", false, "print every registered workload scenario with its parameter schema and exit")
+		jobs      = fs.Int("jobs", 50000, "jobs per script epoch (the script loops under fresh IDs)")
+		mu        = fs.Float64("mu", 10, "duration ratio of the workload")
+		traceRate = fs.Float64("trace-rate", 50, "script arrival rate; with mean duration this sets the active-population level")
+		seed      = fs.Int64("seed", 1, "workload seed")
+		dim       = fs.Int("dim", 1, "demand dimensionality (>1 = vector jobs)")
 
-		algo       = flag.String("algo", "firstfit", "inproc: packing policy")
-		shards     = flag.Int("shards", 0, "inproc: dispatcher shards (0 = GOMAXPROCS)")
-		keepAlive  = flag.Float64("keepalive", 0, "inproc: keep emptied servers open this many time units")
-		queueDepth = flag.Int("queue-depth", 0, "inproc: per-shard request queue depth (0 = default)")
+		algo       = fs.String("algo", "firstfit", "inproc: packing policy")
+		shards     = fs.Int("shards", 0, "inproc: dispatcher shards (0 = GOMAXPROCS)")
+		keepAlive  = fs.Float64("keepalive", 0, "inproc: keep emptied servers open this many time units")
+		queueDepth = fs.Int("queue-depth", 0, "inproc: per-shard request queue depth (0 = default)")
 
-		dataDir       = flag.String("data-dir", "", "inproc: durable WAL directory (empty = in-memory only)")
-		fsync         = flag.String("fsync", "off", "inproc: WAL durability policy for -data-dir: always, interval, or off")
-		snapshotEvery = flag.Int("snapshot-every", 10000, "inproc: durable snapshot every N events per shard")
+		dataDir       = fs.String("data-dir", "", "inproc: durable WAL directory (empty = in-memory only)")
+		fsync         = fs.String("fsync", "off", "inproc: WAL durability policy for -data-dir: always, interval, or off")
+		snapshotEvery = fs.Int("snapshot-every", 10000, "inproc: durable snapshot every N events per shard")
 
-		fsyncDuel     = flag.Bool("fsync-duel", false, "drive the durability curve over the in-process dispatcher: the same rate under each -fsync-duel-policies WAL policy, journaling to a throwaway directory")
-		fsyncPolicies = flag.String("fsync-duel-policies", "none,off,interval,always", "fsync-duel: comma-separated WAL policies (none = durability off)")
+		outPath = fs.String("o", "", "write the full JSON report to this file (empty = print the summary only)")
 
-		out     = flag.String("o", "", "results file to write (default BENCH_serve.json, or BENCH_scale.json with -sweep)")
-		compare = flag.String("compare", "", "baseline results file; exit 2 if p99/throughput regress past -tolerance")
-		tol     = flag.Float64("tolerance", 25, "regression tolerance for -compare, percent")
+		ramp      = fs.Bool("ramp", false, "run the max-sustainable-throughput search instead of a single rate")
+		sloP99    = fs.Duration("slo-p99", 5*time.Millisecond, "ramp: p99 latency SLO")
+		rampStart = fs.Float64("ramp-start", 500, "ramp: starting rate, ops/s")
+		rampMax   = fs.Float64("ramp-max", 512000, "ramp: rate ceiling, ops/s")
+		rampProbe = fs.Duration("ramp-probe", 3*time.Second, "ramp: measure window per probe")
 
-		ramp      = flag.Bool("ramp", false, "run the max-sustainable-throughput search instead of a single rate")
-		sloP99    = flag.Duration("slo-p99", 5*time.Millisecond, "ramp: p99 latency SLO")
-		rampStart = flag.Float64("ramp-start", 500, "ramp: starting rate, ops/s")
-		rampMax   = flag.Float64("ramp-max", 512000, "ramp: rate ceiling, ops/s")
-		rampProbe = flag.Duration("ramp-probe", 3*time.Second, "ramp: measure window per probe")
-
-		sweep       = flag.Bool("sweep", false, "run the shards × GOMAXPROCS × rate scaling sweep (in-process target)")
-		sweepShards = flag.String("sweep-shards", "1,2,4", "sweep: comma-separated shard counts")
-		sweepProcs  = flag.String("sweep-procs", "1,2,4", "sweep: comma-separated GOMAXPROCS values")
-		sweepRates  = flag.String("sweep-rates", "50000,200000,800000", "sweep: comma-separated open-loop rates, ops/s")
-
-		wireAddr = flag.String("wire-addr", "localhost:9090", "dbpserved wire address for -target wire and -duel")
-		conns    = flag.Int("conns", 4, "wire: persistent connections in the client pool")
-		window   = flag.Int("window", 32, "wire: pipelined batches in flight per connection")
-		batch    = flag.Int("batch", 64, "wire: max ops coalesced into one batch frame")
-		flush    = flag.Duration("flush", 0, "wire: max extra latency the writer waits to fill a batch (0 = send immediately)")
-
-		duel      = flag.Bool("duel", false, "drive the HTTP-vs-wire transport curve against one daemon (-addr + -wire-addr); the report carries every point plus the final wire run")
-		duelRates = flag.String("duel-rates", "2000,5000,10000,20000,50000,100000", "duel: comma-separated open-loop rates tried per transport")
+		wireAddr = fs.String("wire-addr", "localhost:9090", "dbpserved wire address for -target wire")
+		conns    = fs.Int("conns", 4, "wire: persistent connections in the client pool")
+		window   = fs.Int("window", 32, "wire: pipelined batches in flight per connection")
+		batch    = fs.Int("batch", 64, "wire: max ops coalesced into one batch frame")
+		flush    = fs.Duration("flush", 0, "wire: max extra latency the writer waits to fill a batch (0 = send immediately)")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: usage and exit 2 on a bad flag, exit 0 on -h
 	if *listWl {
-		cliutil.ListScenarios(os.Stdout)
-		return
+		cliutil.ListScenarios(out)
+		return nil
 	}
-	if *out == "" {
-		if *sweep {
-			*out = "BENCH_scale.json"
-		} else {
-			*out = "BENCH_serve.json"
-		}
-	}
+	logf := log.New(out, "", 0).Printf
 
 	script, err := load.GenerateScript(*wl, *jobs, *traceRate, *mu, *seed, *dim)
 	if err != nil {
-		log.Fatal(err)
-	}
-	workloadLabel := fmt.Sprintf("%s jobs=%d mu=%g trace-rate=%g seed=%d dim=%d",
-		*wl, *jobs, *mu, *traceRate, *seed, *dim)
-
-	if *sweep {
-		if *target != "inproc" {
-			log.Fatalf("dbpload: -sweep measures the in-process dispatcher; -target %q is not supported", *target)
-		}
-		shardsList, err := parseInts(*sweepShards)
-		if err != nil {
-			log.Fatalf("dbpload: -sweep-shards: %v", err)
-		}
-		procsList, err := parseInts(*sweepProcs)
-		if err != nil {
-			log.Fatalf("dbpload: -sweep-procs: %v", err)
-		}
-		ratesList, err := parseFloats(*sweepRates)
-		if err != nil {
-			log.Fatalf("dbpload: -sweep-rates: %v", err)
-		}
-		rep, err := load.RunSweep(load.SweepOptions{
-			Shards:        shardsList,
-			Procs:         procsList,
-			Rates:         ratesList,
-			Algorithm:     *algo,
-			Dim:           *dim,
-			KeepAlive:     *keepAlive,
-			QueueDepth:    *queueDepth,
-			Script:        script,
-			Warmup:        *warmup,
-			Measure:       *measure,
-			Drain:         *drain,
-			Clients:       *clients,
-			WorkloadLabel: workloadLabel,
-			Logf:          log.Printf,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("dbpload: scaling (baseline %.0f ops/s at 1 shard / 1 proc, %d cpus):",
-			rep.BaselineOpsPerSec, rep.Config.NumCPU)
-		for _, p := range rep.Scaling {
-			log.Printf("  shards=%-2d procs=%-2d best %8.0f ops/s  efficiency %.2f (over %d effective cores)",
-				p.Shards, p.Procs, p.BestOpsPerSec, p.Efficiency, p.EffectiveCores)
-		}
-		if *out != "" {
-			if err := rep.WriteFile(*out); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("dbpload: wrote %s", *out)
-		}
-		if *compare != "" {
-			base, err := load.ReadScaleReport(*compare)
-			if err != nil {
-				log.Fatal(err)
-			}
-			// A baseline from different hardware cannot gate this run:
-			// scaling throughput tracks the core count, so warn and skip
-			// rather than report a phantom regression (or pass).
-			if why := load.ScaleComparable(base, rep); why != "" {
-				log.Printf("dbpload: WARNING: skipping comparison vs %s: %s", *compare, why)
-				return
-			}
-			if bad := load.CompareScale(base, rep, *tol); len(bad) > 0 {
-				for _, b := range bad {
-					log.Printf("dbpload: REGRESSION vs %s: %s", *compare, b)
-				}
-				os.Exit(2)
-			}
-			log.Printf("dbpload: no regression vs %s (tolerance %g%%)", *compare, *tol)
-		}
-		return
-	}
-
-	wireOpts := wire.Options{Conns: *conns, Window: *window, MaxBatch: *batch, Flush: *flush}
-
-	inprocCfg := serve.Config{
-		Algorithm: *algo, Shards: *shards, Dim: *dim, KeepAlive: *keepAlive, QueueDepth: *queueDepth,
-		DataDir: *dataDir, Fsync: *fsync, SnapshotEvery: *snapshotEvery,
-	}
-
-	if *fsyncDuel {
-		runFsyncDuel(inprocCfg, *fsyncPolicies, script, workloadLabel,
-			*rate, *clients, *warmup, *measure, *drain, *out, *compare, *tol)
-		return
-	}
-
-	if *duel {
-		runDuel(*addr, *wireAddr, *duelRates, wireOpts, script, workloadLabel,
-			*clients, *warmup, *measure, *drain, *out, *compare, *tol)
-		return
+		return err
 	}
 
 	var tgt load.Target
 	switch *target {
 	case "inproc":
-		d, err := serve.New(inprocCfg)
+		d, err := serve.New(serve.Config{
+			Algorithm: *algo, Shards: *shards, Dim: *dim, KeepAlive: *keepAlive, QueueDepth: *queueDepth,
+			DataDir: *dataDir, Fsync: *fsync, SnapshotEvery: *snapshotEvery,
+		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer d.Close()
 		tgt = &load.InProc{D: d}
@@ -232,285 +122,87 @@ func main() {
 		}
 		tgt = load.NewHTTP("http://"+*addr, nc, 30*time.Second)
 	case "wire":
-		wt, err := load.NewWire(*wireAddr, wireOpts)
+		wt, err := load.NewWire(*wireAddr, wire.Options{Conns: *conns, Window: *window, MaxBatch: *batch, Flush: *flush})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer wt.Close()
 		tgt = wt
 	default:
-		log.Fatalf("dbpload: unknown -target %q (want inproc, http, or wire)", *target)
+		return fmt.Errorf("unknown -target %q (want inproc, http, or wire)", *target)
 	}
 
 	opts := load.Options{
-		Target:        tgt,
-		Script:        script,
-		Mode:          load.Mode(*mode),
-		Rate:          *rate,
-		Clients:       *clients,
-		Think:         *think,
-		Warmup:        *warmup,
-		Measure:       *measure,
-		Drain:         *drain,
-		WorkloadLabel: workloadLabel,
+		Target:  tgt,
+		Script:  script,
+		Mode:    load.Mode(*mode),
+		Rate:    *rate,
+		Clients: *clients,
+		Think:   *think,
+		Warmup:  *warmup,
+		Measure: *measure,
+		Drain:   *drain,
+		WorkloadLabel: fmt.Sprintf("%s jobs=%d mu=%g trace-rate=%g seed=%d dim=%d",
+			*wl, *jobs, *mu, *traceRate, *seed, *dim),
 	}
 
 	var rep *load.Report
 	if *ramp {
-		log.Printf("dbpload: ramp search on %s target, SLO p99 %s, %g..%g ops/s",
+		logf("dbpload: ramp search on %s target, SLO p99 %s, %g..%g ops/s",
 			tgt.Name(), *sloP99, *rampStart, *rampMax)
 		rr, err := load.RampSearch(opts, load.RampOptions{
 			Start: *rampStart, Max: *rampMax, SLOp99: *sloP99, Probe: *rampProbe,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, p := range rr.Probes {
 			status := "ok"
 			if !p.OK {
 				status = "FAIL: " + p.Why
 			}
-			log.Printf("  probe %7.0f ops/s: achieved %7.0f, worst p99 %8.0fus — %s",
+			logf("  probe %7.0f ops/s: achieved %7.0f, worst p99 %8.0fus — %s",
 				p.Rate, p.Achieved, p.P99US, status)
 		}
-		log.Printf("dbpload: max sustainable rate under %s p99 SLO: %.0f ops/s", *sloP99, rr.MaxSustainable)
-		// The final report re-measures at the sustained rate so the
-		// results file carries real percentiles, with the search
-		// trajectory attached.
+		logf("dbpload: max sustainable rate under %s p99 SLO: %.0f ops/s", *sloP99, rr.MaxSustainable)
+		// The final report re-measures at the sustained rate so it
+		// carries real percentiles, with the search trajectory attached.
 		if rr.MaxSustainable > 0 {
 			opts.Rate = rr.MaxSustainable
 			opts.Mode = load.ModeOpen
 			opts.IDBase = int64(len(rr.Probes)+1) * 1_000_000_000_000
 			rep, err = load.Run(opts)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 		} else {
-			rep = &load.Report{Schema: load.Schema}
+			rep = &load.Report{}
 		}
 		rep.Ramp = rr
 	} else {
-		log.Printf("dbpload: %s %s run, %s warmup + %s measure (workload %s)",
+		logf("dbpload: %s %s run, %s warmup + %s measure (workload %s)",
 			*mode, tgt.Name(), *warmup, *measure, opts.WorkloadLabel)
 		rep, err = load.Run(opts)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
-	summarize(rep)
+	summarize(logf, rep)
 
-	if *out != "" {
-		if err := rep.WriteFile(*out); err != nil {
-			log.Fatal(err)
+	if *outPath != "" {
+		if err := rep.WriteFile(*outPath); err != nil {
+			return err
 		}
-		log.Printf("dbpload: wrote %s", *out)
+		logf("dbpload: wrote %s", *outPath)
 	}
-
-	if *compare != "" {
-		base, err := load.ReadReport(*compare)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if bad := load.Compare(base, rep, *tol); len(bad) > 0 {
-			for _, b := range bad {
-				log.Printf("dbpload: REGRESSION vs %s: %s", *compare, b)
-			}
-			os.Exit(2)
-		}
-		log.Printf("dbpload: no regression vs %s (tolerance %g%%)", *compare, *tol)
-	}
-}
-
-// runDuel drives both transports against one daemon at every rate in
-// ratesCSV (open loop, shared workload shape, disjoint ID ranges) and
-// writes a single report: the final wire run's full digest with the
-// complete HTTP-vs-wire curve attached as Transports.
-func runDuel(addr, wireAddr, ratesCSV string, wireOpts wire.Options, script *load.Script,
-	workloadLabel string, clients int, warmup, measure, drain time.Duration,
-	out, compare string, tol float64) {
-	rates, err := parseFloats(ratesCSV)
-	if err != nil {
-		log.Fatalf("dbpload: -duel-rates: %v", err)
-	}
-	var points []load.TransportPoint
-	var final *load.Report
-	run := 0
-	for _, transport := range []string{"http", "wire"} {
-		for _, rate := range rates {
-			var tgt load.Target
-			var wt *load.WireTarget
-			if transport == "http" {
-				nc := clients
-				if nc <= 0 {
-					nc = 128
-				}
-				tgt = load.NewHTTP("http://"+addr, nc, 30*time.Second)
-			} else {
-				wt, err = load.NewWire(wireAddr, wireOpts)
-				if err != nil {
-					log.Fatalf("dbpload: dial wire %s: %v", wireAddr, err)
-				}
-				tgt = wt
-			}
-			run++
-			rep, err := load.Run(load.Options{
-				Target:        tgt,
-				Script:        script,
-				Mode:          load.ModeOpen,
-				Rate:          rate,
-				Clients:       clients,
-				Warmup:        warmup,
-				Measure:       measure,
-				Drain:         drain,
-				IDBase:        int64(run) * 1_000_000_000_000, // runs share one daemon; IDs must not collide
-				WorkloadLabel: workloadLabel,
-			})
-			if wt != nil {
-				wt.Close()
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
-			p := load.PointOf(rep)
-			points = append(points, p)
-			log.Printf("dbpload: duel %-4s @ %8.0f ops/s: achieved %8.0f, arrive p50=%.0fus p99=%.0fus",
-				transport, rate, p.AchievedRate, p.ArriveP50US, p.ArriveP99US)
-			if transport == "wire" {
-				final = rep
-			}
-		}
-	}
-	final.Transports = points
-	summarize(final)
-	if out != "" {
-		if err := final.WriteFile(out); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("dbpload: wrote %s", out)
-	}
-	if compare != "" {
-		base, err := load.ReadReport(compare)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if bad := load.Compare(base, final, tol); len(bad) > 0 {
-			for _, b := range bad {
-				log.Printf("dbpload: REGRESSION vs %s: %s", compare, b)
-			}
-			os.Exit(2)
-		}
-		log.Printf("dbpload: no regression vs %s (tolerance %g%%)", compare, tol)
-	}
-}
-
-// runFsyncDuel drives the durability curve: the same workload and rate
-// through a fresh in-process dispatcher per WAL policy ("none" runs
-// without a data dir — the in-memory baseline), each journaling to a
-// throwaway directory. The report is the final policy's full digest
-// with the whole curve attached as Durability, so BENCH_serve.json
-// records what fsync=always costs over fsync=off at p99.
-func runFsyncDuel(baseCfg serve.Config, policiesCSV string, script *load.Script,
-	workloadLabel string, rate float64, clients int, warmup, measure, drain time.Duration,
-	out, compare string, tol float64) {
-	policies := strings.Split(policiesCSV, ",")
-	var points []load.DurabilityPoint
-	var final *load.Report
-	for run, policy := range policies {
-		policy = strings.TrimSpace(policy)
-		cfg := baseCfg
-		cfg.DataDir, cfg.Fsync = "", ""
-		if policy != "none" {
-			dir, err := os.MkdirTemp("", "dbpload-fsync-*")
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			cfg.DataDir, cfg.Fsync = dir, policy
-		}
-		d, err := serve.New(cfg)
-		if err != nil {
-			log.Fatalf("dbpload: fsync-duel %s: %v", policy, err)
-		}
-		rep, err := load.Run(load.Options{
-			Target:        &load.InProc{D: d},
-			Script:        script,
-			Mode:          load.ModeOpen,
-			Rate:          rate,
-			Clients:       clients,
-			Warmup:        warmup,
-			Measure:       measure,
-			Drain:         drain,
-			IDBase:        int64(run+1) * 1_000_000_000_000, // policies must not share job IDs
-			WorkloadLabel: workloadLabel,
-		})
-		if err != nil {
-			d.Close()
-			log.Fatal(err)
-		}
-		d.Close()
-		if derr := d.DurabilityErr(); derr != nil {
-			log.Fatalf("dbpload: fsync-duel %s: durability failure: %v", policy, derr)
-		}
-		p := load.DurabilityPointOf(rep, policy)
-		points = append(points, p)
-		log.Printf("dbpload: fsync-duel %-8s @ %8.0f ops/s: achieved %8.0f, arrive p50=%.0fus p99=%.0fus fsync p99=%.0fus",
-			policy, rate, p.AchievedRate, p.ArriveP50US, p.ArriveP99US, p.FsyncP99US)
-		final = rep
-	}
-	final.Durability = points
-	summarize(final)
-	if out != "" {
-		if err := final.WriteFile(out); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("dbpload: wrote %s", out)
-	}
-	if compare != "" {
-		base, err := load.ReadReport(compare)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if bad := load.Compare(base, final, tol); len(bad) > 0 {
-			for _, b := range bad {
-				log.Printf("dbpload: REGRESSION vs %s: %s", compare, b)
-			}
-			os.Exit(2)
-		}
-		log.Printf("dbpload: no regression vs %s (tolerance %g%%)", compare, tol)
-	}
-}
-
-// parseInts parses a comma-separated list of positive integers.
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", f, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// parseFloats parses a comma-separated list of rates.
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", f, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return nil
 }
 
 // summarize prints the human-readable digest of a run.
-func summarize(rep *load.Report) {
+func summarize(logf func(string, ...any), rep *load.Report) {
 	if m, ok := rep.Phases["measure"]; ok {
-		log.Printf("dbpload: measure: %d ops in %.1fs = %.0f ops/s (requested %.0f)",
+		logf("dbpload: measure: %d ops in %.1fs = %.0f ops/s (requested %.0f)",
 			m.Ops, m.DurationSec, m.Throughput, rep.RequestedRate)
 	}
 	for _, op := range []string{"arrive", "depart"} {
@@ -519,20 +211,20 @@ func summarize(rep *load.Report) {
 			continue
 		}
 		l := o.Latency
-		log.Printf("dbpload: %-6s n=%-8d p50=%.0fus p90=%.0fus p99=%.0fus p99.9=%.0fus max=%.0fus errors=%v",
+		logf("dbpload: %-6s n=%-8d p50=%.0fus p90=%.0fus p99=%.0fus p99.9=%.0fus max=%.0fus errors=%v",
 			op, l.Count, l.P50US, l.P90US, l.P99US, l.P999US, l.MaxUS, o.Errors)
 	}
 	if d, ok := rep.Phases["drain"]; ok && (d.Ops > 0 || d.Leaked > 0) {
-		log.Printf("dbpload: drain: %d departs in %.2fs, %d leaked", d.Ops, d.DurationSec, d.Leaked)
+		logf("dbpload: drain: %d departs in %.2fs, %d leaked", d.Ops, d.DurationSec, d.Leaked)
 	}
 	if sk := rep.ShardSkew; sk != nil {
-		log.Printf("dbpload: shard skew: %d shards, events min/mean/max = %d/%.0f/%d, imbalance %.3f, cv %.3f",
+		logf("dbpload: shard skew: %d shards, events min/mean/max = %d/%.0f/%d, imbalance %.3f, cv %.3f",
 			sk.Shards, sk.MinEvents, sk.MeanEvents, sk.MaxEvents, sk.Imbalance, sk.CV)
 	}
 	if srv := rep.Server; srv != nil {
 		for _, op := range []string{"arrive", "depart"} {
 			if l, ok := srv.Latency[op]; ok && l.Count > 0 {
-				log.Printf("dbpload: server-side %-6s p50=%.1fus p99=%.1fus (n=%d)", op, l.P50US, l.P99US, l.Count)
+				logf("dbpload: server-side %-6s p50=%.1fus p99=%.1fus (n=%d)", op, l.P50US, l.P99US, l.Count)
 			}
 		}
 	}

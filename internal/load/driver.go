@@ -1,11 +1,11 @@
-// Package load is the YCSB-style benchmark harness for the allocation
-// service: it replays arrive/depart scripts from the workload
-// generators through a pluggable Target transport (in-process
-// dispatcher or HTTP against a running dbpserved), paces them in open
-// or closed loop, measures per-op-type latency into mergeable
-// log-bucketed histograms (internal/load/hist), and writes a
-// deterministic JSON results file (BENCH_serve.json) that later PRs
-// are regression-checked against.
+// Package load is the YCSB-style load generator behind cmd/dbpload: it
+// replays arrive/depart scripts from the workload generators through a
+// pluggable Target transport (in-process dispatcher, or HTTP or the
+// binary wire protocol against a running dbpserved), paces them in open
+// or closed loop, searches for the highest rate that holds a p99 SLO
+// (RampSearch), and measures per-op-type latency into mergeable
+// log-bucketed histograms (internal/load/hist). It is an operator's
+// tool; the repository's benchmark is bench/, which imports none of it.
 package load
 
 import (
@@ -179,10 +179,10 @@ func (r *runner) client(c int, res *clientResult) {
 		pc = &closedPacer{think: r.o.Think}
 	}
 
-	// active tracks this client's in-flight jobs (for the drain);
-	// failed marks jobs whose arrive was rejected, so the matching
-	// scripted depart is skipped instead of producing a guaranteed
-	// unknown_job error.
+	// active tracks the jobs this client put on the service and has not
+	// seen depart (for the drain); failed marks jobs whose arrive was
+	// rejected, so the matching scripted depart is skipped instead of
+	// producing a guaranteed unknown_job error.
 	active := make(map[item.ID]struct{})
 	failed := make(map[item.ID]struct{})
 	epoch, i, k := 0, 0, 0
@@ -236,18 +236,20 @@ func (r *runner) client(c int, res *clientResult) {
 				active[id] = struct{}{}
 			case op.Kind == OpArrive:
 				failed[id] = struct{}{}
-			default:
+			case err == nil:
+				// Only a depart that succeeded: a refused one leaves the
+				// job on the service, so it stays in active for the drain.
 				delete(active, id)
 			}
 		}
 		i++
 		k++
 		if i == len(script) {
-			// The script is self-contained, so all jobs have departed;
-			// start over under fresh IDs.
+			// The script is self-contained, so every job has been sent
+			// its depart; start over under fresh IDs. What is still in
+			// active is a job whose depart failed: it stays for the drain.
 			i = 0
 			epoch++
-			clear(active)
 			clear(failed)
 		}
 	}

@@ -203,7 +203,7 @@ func (h *Hist) Quantile(q float64) int64 {
 
 // Summary is the standard percentile digest of a histogram, in
 // microseconds (floats, so sub-microsecond latencies stay visible).
-// It is the unit both BENCH_serve.json and GET /v1/stats report.
+// It is the unit both a dbpload report and GET /v1/stats carry.
 type Summary struct {
 	Count  uint64  `json:"count"`
 	MeanUS float64 `json:"mean_us"`

@@ -2,6 +2,7 @@ package load
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,5 +139,79 @@ func TestDrainCountsFailedDeparts(t *testing.T) {
 	// scheduling slack), not a per-client figure that can exceed it.
 	if d.DurationSec > 2*0.5 {
 		t.Errorf("drain duration %.3fs far exceeds the 0.5s budget", d.DurationSec)
+	}
+}
+
+// flakyDepartTarget refuses the first `refusals` departs of one job and
+// accepts everything else, recording every depart attempt on that job.
+type flakyDepartTarget struct {
+	job      item.ID
+	refusals int
+
+	mu       sync.Mutex
+	attempts int
+}
+
+func (*flakyDepartTarget) Arrive(item.ID, float64, []float64, *float64) error { return nil }
+func (f *flakyDepartTarget) Depart(id item.ID, _ *float64) error {
+	if id != f.job {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.attempts++
+	if f.attempts <= f.refusals {
+		return errStuck
+	}
+	return nil
+}
+func (*flakyDepartTarget) Stats() (serve.Stats, error) { return serve.Stats{}, nil }
+func (*flakyDepartTarget) Name() string                { return "flakydepart" }
+
+// TestFailedScriptedDepartIsDrained is the regression test for the
+// measure-loop half of the drain accounting bug: a job whose scripted
+// depart fails mid-run is still on the service, so it must stay in the
+// active set — across script epochs — for the drain to retry, and count
+// as leaked if the retry fails too (pre-fix the measure loop dropped it
+// on any depart, so the drain never saw it and Leaked stayed 0).
+func TestFailedScriptedDepartIsDrained(t *testing.T) {
+	script := testScript(t, 50)
+	var job item.ID
+	for _, op := range script.Ops {
+		if op.Kind == OpDepart {
+			job = op.ID // epoch 0, IDBase 0: the ID goes out unshifted
+			break
+		}
+	}
+	for _, tc := range []struct {
+		name         string
+		refusals     int
+		wantAttempts int // scripted depart + drain retry
+		wantLeaked   int
+	}{
+		{"retry succeeds", 1, 2, 0},
+		{"retry fails", 2, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tgt := &flakyDepartTarget{job: job, refusals: tc.refusals}
+			rep, err := Run(Options{
+				Target:  tgt,
+				Script:  script,
+				Mode:    ModeClosed,
+				Clients: 1,
+				Measure: 50 * time.Millisecond, // 100 ops per epoch: the script wraps many times
+				Drain:   time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tgt.attempts != tc.wantAttempts {
+				t.Errorf("job %d saw %d depart attempts, want %d (scripted + drain retry)",
+					job, tgt.attempts, tc.wantAttempts)
+			}
+			if d := rep.Phases["drain"]; d.Leaked != tc.wantLeaked {
+				t.Errorf("drain leaked %d jobs, want %d", d.Leaked, tc.wantLeaked)
+			}
+		})
 	}
 }

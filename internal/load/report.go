@@ -2,7 +2,6 @@ package load
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"os"
 	"runtime"
@@ -11,10 +10,6 @@ import (
 	"dbp/internal/load/hist"
 	"dbp/internal/serve"
 )
-
-// Schema identifies the BENCH_serve.json layout; bump on breaking
-// changes so -compare refuses to diff incompatible files.
-const Schema = "dbp-load/v1"
 
 // ReportConfig echoes the run configuration into the results file.
 type ReportConfig struct {
@@ -40,68 +35,6 @@ type TransportConfig struct {
 	Window   int     `json:"window,omitempty"`
 	MaxBatch int     `json:"max_batch,omitempty"`
 	FlushMS  float64 `json:"flush_ms,omitempty"`
-}
-
-// TransportPoint is one point of the HTTP-vs-wire transport curve
-// written by dbpload -duel: both transports driven at the same
-// requested rate against one daemon, digested to the numbers the
-// comparison turns on.
-type TransportPoint struct {
-	Transport     string  `json:"transport"`
-	RequestedRate float64 `json:"requested_rate"`
-	AchievedRate  float64 `json:"achieved_rate"`
-	ArriveP50US   float64 `json:"arrive_p50_us"`
-	ArriveP99US   float64 `json:"arrive_p99_us"`
-	DepartP99US   float64 `json:"depart_p99_us"`
-}
-
-// PointOf digests a finished run into its transport-curve point.
-func PointOf(rep *Report) TransportPoint {
-	return TransportPoint{
-		Transport:     rep.Config.Target,
-		RequestedRate: rep.RequestedRate,
-		AchievedRate:  rep.AchievedRate,
-		ArriveP50US:   rep.Ops["arrive"].Latency.P50US,
-		ArriveP99US:   rep.Ops["arrive"].Latency.P99US,
-		DepartP99US:   rep.Ops["depart"].Latency.P99US,
-	}
-}
-
-// DurabilityPoint is one fsync-policy probe of the durability curve
-// written by dbpload -fsync-duel: the same workload and rate driven
-// through an in-process dispatcher journaling to disk under each WAL
-// policy ("none" = durability off, the in-memory baseline), digested
-// to what the durable-ack premium turns on.
-type DurabilityPoint struct {
-	Fsync         string  `json:"fsync"`
-	RequestedRate float64 `json:"requested_rate"`
-	AchievedRate  float64 `json:"achieved_rate"`
-	ArriveP50US   float64 `json:"arrive_p50_us"`
-	ArriveP99US   float64 `json:"arrive_p99_us"`
-	DepartP99US   float64 `json:"depart_p99_us"`
-	// FsyncP99US is the server-side fsync latency digest (zero when the
-	// policy never syncs on the append path); WalBytes the journal
-	// footprint at run end.
-	FsyncP99US float64 `json:"fsync_p99_us,omitempty"`
-	WalBytes   int64   `json:"wal_bytes,omitempty"`
-}
-
-// DurabilityPointOf digests a finished run into its durability-curve
-// point. fsync names the policy the run's dispatcher journaled under.
-func DurabilityPointOf(rep *Report, fsync string) DurabilityPoint {
-	p := DurabilityPoint{
-		Fsync:         fsync,
-		RequestedRate: rep.RequestedRate,
-		AchievedRate:  rep.AchievedRate,
-		ArriveP50US:   rep.Ops["arrive"].Latency.P50US,
-		ArriveP99US:   rep.Ops["arrive"].Latency.P99US,
-		DepartP99US:   rep.Ops["depart"].Latency.P99US,
-	}
-	if rep.Server != nil && rep.Server.Durability != nil {
-		p.FsyncP99US = rep.Server.Durability.FsyncLatency.P99US
-		p.WalBytes = rep.Server.Durability.WalBytes
-	}
-	return p
 }
 
 // PhaseReport is the throughput accounting of one run phase.
@@ -135,10 +68,9 @@ type ShardSkew struct {
 	CV        float64 `json:"cv"`
 }
 
-// Report is the BENCH_serve.json document: everything a later PR
-// needs to decide whether it regressed the service.
+// Report is everything one load run measured; dbpload -o writes it as
+// JSON.
 type Report struct {
-	Schema string       `json:"schema"`
 	Config ReportConfig `json:"config"`
 
 	Phases map[string]PhaseReport `json:"phases"`
@@ -157,13 +89,7 @@ type Report struct {
 	ShardSkew *ShardSkew   `json:"shard_skew,omitempty"`
 	Server    *serve.Stats `json:"server,omitempty"`
 	Ramp      *RampResult  `json:"ramp,omitempty"`
-	// Transports is the HTTP-vs-wire curve from a -duel run: every
-	// (transport, rate) probe, in run order.
-	Transports []TransportPoint `json:"transports,omitempty"`
-	// Durability is the fsync-policy curve from a -fsync-duel run: the
-	// same rate driven under each WAL policy, in run order.
-	Durability []DurabilityPoint `json:"durability,omitempty"`
-	Notes      []string          `json:"notes,omitempty"`
+	Notes     []string     `json:"notes,omitempty"`
 }
 
 // report assembles the Report from per-client results.
@@ -216,7 +142,6 @@ func (r *runner) report(results []*clientResult) *Report {
 		measSec += over.Seconds()
 	}
 	rep := &Report{
-		Schema: Schema,
 		Config: ReportConfig{
 			Target:     o.Target.Name(),
 			Mode:       string(o.Mode),
@@ -313,58 +238,4 @@ func (r *Report) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// ReadReport loads a results file written by WriteFile.
-func ReadReport(path string) (*Report, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(buf, &r); err != nil {
-		return nil, fmt.Errorf("load: %s: %w", path, err)
-	}
-	if r.Schema != Schema {
-		return nil, fmt.Errorf("load: %s: schema %q, want %q", path, r.Schema, Schema)
-	}
-	return &r, nil
-}
-
-// Compare diffs a new report against an old baseline and returns one
-// violation string per regression beyond tolPct percent: per-op-type
-// p99 latency, and measure-phase throughput. Improvements and
-// sub-threshold noise return nil.
-func Compare(old, new *Report, tolPct float64) []string {
-	var bad []string
-	regress := func(oldV, newV float64, higherWorse bool) (float64, bool) {
-		if oldV <= 0 {
-			return 0, false
-		}
-		var pct float64
-		if higherWorse {
-			pct = (newV - oldV) / oldV * 100
-		} else {
-			pct = (oldV - newV) / oldV * 100
-		}
-		return pct, pct > tolPct
-	}
-	for op, o := range old.Ops {
-		n, ok := new.Ops[op]
-		if !ok || n.Latency.Count == 0 {
-			bad = append(bad, fmt.Sprintf("%s: no measurements in new report", op))
-			continue
-		}
-		if pct, r := regress(o.Latency.P99US, n.Latency.P99US, true); r {
-			bad = append(bad, fmt.Sprintf("%s p99 regressed %.1f%%: %.1fus -> %.1fus (tolerance %g%%)",
-				op, pct, o.Latency.P99US, n.Latency.P99US, tolPct))
-		}
-	}
-	oldThr := old.Phases["measure"].Throughput
-	newThr := new.Phases["measure"].Throughput
-	if pct, r := regress(oldThr, newThr, false); r {
-		bad = append(bad, fmt.Sprintf("measure throughput regressed %.1f%%: %.0f -> %.0f ops/s (tolerance %g%%)",
-			pct, oldThr, newThr, tolPct))
-	}
-	return bad
 }

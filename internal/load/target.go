@@ -54,7 +54,7 @@ func Classify(err error) string {
 
 // InProc drives a serve.Dispatcher directly — no sockets, no JSON.
 // This measures the allocation core itself (shard routing, locking,
-// stream work) and is the CI smoke target.
+// stream work) and needs no daemon.
 type InProc struct {
 	D *serve.Dispatcher
 }

@@ -16,7 +16,8 @@ const (
 	EngineIndexed EngineKind = "indexed"
 	// EngineLinear answers the same queries with O(B) scans of identical
 	// exact semantics. It is the executable reference the equivalence
-	// suite pins the index against, and the baseline dbpbench measures.
+	// suite pins the index against, and the baseline of
+	// BenchmarkLargeFleetKeepAliveScaling (make bench-fleet).
 	EngineLinear EngineKind = "linear"
 )
 

@@ -6,8 +6,8 @@ import "dbp/internal/bins"
 // ledger-maintained bins.Index (O(log B)); linearFleet answers the same
 // queries by scanning the open list (O(B)) with identical exact
 // semantics. The linear backend is the executable specification the
-// indexed one is tested against, and the baseline cmd/dbpbench measures
-// the index against.
+// indexed one is tested against, and the baseline the large-fleet
+// benchmarks (make bench-fleet) measure the index against.
 
 type indexedFleet struct {
 	ledger *bins.Ledger

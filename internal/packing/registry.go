@@ -29,7 +29,7 @@ func Standard() map[string]Algorithm {
 // Vector returns a fresh instance of every DVBP (vector bin packing)
 // policy, keyed by a stable short name. They are kept out of Standard
 // so the scalar experiment sweeps keep their historical policy set, but
-// they are selectable everywhere ByName is (dbpserved -algo, dbpbench,
+// they are selectable everywhere ByName is (dbpserved -algo, dbpload -algo,
 // dbpverify). All accept scalar workloads too, degenerating to their
 // 1-D classical counterparts.
 func Vector() map[string]Algorithm {
