@@ -9,7 +9,7 @@
 //	tracegen -gen uniform -n 1000 -rate 4 -mu 16 -o jobs.csv
 //	tracegen -gen zipfian:alpha=1.3 -n 2000 -rate 1 -o skewed.csv.gz
 //	tracegen -gen gaming -n 2000 -rate 1 -format json -o sessions.json
-//	tracegen -adv nextfit -advn 64 -mu 8 -o adversary.csv
+//	tracegen -gen nextfit-adv -n 64 -mu 8 -o adversary.csv
 package main
 
 import (
@@ -30,13 +30,10 @@ func main() {
 
 	var (
 		gen    = flag.String("gen", "", "workload scenario spec: name or name:key=value,... (see -list-workloads)")
-		adv    = flag.String("adv", "", "adversarial shorthand: nextfit, anyfittrap, bestfitrelay (aliases for the registry scenarios)")
-		n      = flag.Int("n", 500, "number of jobs (with -gen)")
-		rate   = flag.Float64("rate", 2, "arrival rate (with -gen)")
+		n      = flag.Int("n", 500, "number of jobs (the size parameter of an adversarial scenario)")
+		rate   = flag.Float64("rate", 2, "arrival rate")
 		mu     = flag.Float64("mu", 8, "duration ratio")
 		seed   = flag.Int64("seed", 1, "random seed")
-		advN   = flag.Int("advn", 64, "adversary size parameter (n pairs / victims)")
-		rounds = flag.Int("rounds", 6, "relay rounds (bestfitrelay)")
 		format = flag.String("format", "csv", "stdout format: csv or json (files are named by extension, .gz transparent)")
 		out    = flag.String("o", "", "output file (default stdout)")
 		stats  = flag.Bool("stats", false, "print trace statistics to stderr")
@@ -48,24 +45,10 @@ func main() {
 		return
 	}
 
-	// The legacy -adv shorthands are aliases for registry scenarios, with
-	// -advn carried as the instance size.
-	spec, jobCount := *gen, *n
-	switch *adv {
-	case "":
-	case "nextfit":
-		spec, jobCount = "nextfit-adv", *advN
-	case "anyfittrap":
-		spec, jobCount = "anyfit-trap", *advN
-	case "bestfitrelay":
-		spec, jobCount = fmt.Sprintf("bestfit-relay:victims=%d,rounds=%d", *advN, *rounds), *advN
-	default:
-		log.Fatalf("unknown -adv %q (nextfit, anyfittrap, bestfitrelay)", *adv)
+	if *gen == "" {
+		log.Fatalf("pass -gen SCENARIO; registered scenarios:\n%s", workload.Describe())
 	}
-	if spec == "" {
-		log.Fatalf("pass -gen SCENARIO or -adv {nextfit,anyfittrap,bestfitrelay}; registered scenarios:\n%s", workload.Describe())
-	}
-	jobs, err := workload.FromSpec(spec, jobCount, *rate, *mu, *seed, 1)
+	jobs, err := workload.FromSpec(*gen, *n, *rate, *mu, *seed, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,10 +13,15 @@ import (
 // statistics (total usage time, maximum number of concurrently open bins —
 // the classical DBP objective the paper contrasts with, Sec. II).
 //
-// Every per-event operation is O(log B) in the number of open bins B:
-// placements and openings are O(1), Remove locates the bin's open-list
+// The ledger's own per-event work is O(log B) in the number of open bins
+// B: placements and openings are O(1), Remove locates the bin's open-list
 // slot by binary search, and keep-alive expiries are driven by a min-heap
-// of pending closures instead of a scan of the fleet (DESIGN.md §8).
+// of pending closures instead of a scan of the fleet (DESIGN.md §8). The
+// event as a whole is not O(log B) yet: Bin.Remove scans the bin's
+// placements, which keep every item the bin ever held, so cost grows
+// with history — the benchmark's engine_soak reads tail_over_head ≈ 3.8
+// and its bare-ledger replay 878 → 3781 ns/event from the first to the
+// last decile of 1M events (ROADMAP item 1).
 type Ledger struct {
 	capacity  float64
 	dim       int

@@ -272,6 +272,23 @@ func TestRegistry(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown name must error")
 	}
+	// Names is exactly Standard plus Vector (the experiments' 12-policy
+	// sweep set must not drift), and the clairvoyant baselines stay
+	// unreachable by name.
+	std, vec := Standard(), Vector()
+	if len(std) != 12 || len(names) != len(std)+len(vec) {
+		t.Fatalf("%d standard + %d vector policies but %d names", len(std), len(vec), len(names))
+	}
+	for _, n := range names {
+		if std[n] == nil && vec[n] == nil {
+			t.Errorf("name %q is in neither Standard nor Vector", n)
+		}
+	}
+	for n := range Clairvoyant() {
+		if _, err := ByName(n); err == nil {
+			t.Errorf("clairvoyant policy %q resolves through ByName", n)
+		}
+	}
 }
 
 func TestHybridPanicsOnBadK(t *testing.T) {

@@ -6,25 +6,64 @@ import (
 	"strings"
 )
 
+// family groups the registered policies: the standard set the
+// experiments sweep, the DVBP vector-scoring policies, and the
+// departure-aware baselines.
+type family uint8
+
+const (
+	familyStandard family = iota
+	familyVector
+	familyClairvoyant
+)
+
+// registry is the one table of named policies; Standard, Vector,
+// Clairvoyant, Names and ByName all derive from it. Each entry builds a
+// fresh instance, so callers can run policies concurrently. First Fit on
+// vector demands is firstfit itself, not a separate entry (THEORY.md).
+var registry = []struct {
+	name   string
+	family family
+	build  func() Algorithm
+}{
+	{"firstfit", familyStandard, func() Algorithm { return NewFirstFit() }},
+	{"bestfit", familyStandard, func() Algorithm { return NewBestFit() }},
+	{"worstfit", familyStandard, func() Algorithm { return NewWorstFit() }},
+	{"lastfit", familyStandard, func() Algorithm { return NewLastFit() }},
+	{"nextfit", familyStandard, func() Algorithm { return NewNextFit() }},
+	{"randomfit", familyStandard, func() Algorithm { return NewRandomFit(1) }},
+	{"hybridff", familyStandard, func() Algorithm { return NewHybridFirstFit(2) }},
+	{"hybridff3", familyStandard, func() Algorithm { return NewHybridFirstFit(3) }},
+	{"hybridnextfit", familyStandard, func() Algorithm { return NewHybridNextFit(2) }},
+	{"almostworstfit", familyStandard, func() Algorithm { return NewAlmostWorstFit() }},
+	{"next2fit", familyStandard, func() Algorithm { return NewNextKFit(2) }},
+	{"next4fit", familyStandard, func() Algorithm { return NewNextKFit(4) }},
+
+	{"vectorbestfit", familyVector, func() Algorithm { return NewVectorBestFit() }},
+	{"dotfit", familyVector, func() Algorithm { return NewDotProductFit() }},
+	{"normfit", familyVector, func() Algorithm { return NewNormBestFit() }},
+	{"drworstfit", familyVector, func() Algorithm { return NewDRWorstFit() }},
+
+	{"alignfit", familyClairvoyant, func() Algorithm { return NewAlignFit() }},
+	{"noextendfit", familyClairvoyant, func() Algorithm { return NewNoExtendFit() }},
+}
+
+// instances returns a fresh instance of every policy of one family,
+// keyed by its stable short name.
+func instances(fam family) map[string]Algorithm {
+	m := make(map[string]Algorithm)
+	for _, e := range registry {
+		if e.family == fam {
+			m[e.name] = e.build()
+		}
+	}
+	return m
+}
+
 // Standard returns a fresh instance of every standard policy studied in
 // the experiments, keyed by a stable short name. The map is newly built on
 // each call so callers can run the policies concurrently.
-func Standard() map[string]Algorithm {
-	return map[string]Algorithm{
-		"firstfit":       NewFirstFit(),
-		"bestfit":        NewBestFit(),
-		"worstfit":       NewWorstFit(),
-		"lastfit":        NewLastFit(),
-		"nextfit":        NewNextFit(),
-		"randomfit":      NewRandomFit(1),
-		"hybridff":       NewHybridFirstFit(2),
-		"hybridff3":      NewHybridFirstFit(3),
-		"hybridnextfit":  NewHybridNextFit(2),
-		"almostworstfit": NewAlmostWorstFit(),
-		"next2fit":       NewNextKFit(2),
-		"next4fit":       NewNextKFit(4),
-	}
-}
+func Standard() map[string]Algorithm { return instances(familyStandard) }
 
 // Vector returns a fresh instance of every DVBP (vector bin packing)
 // policy, keyed by a stable short name. They are kept out of Standard
@@ -32,36 +71,21 @@ func Standard() map[string]Algorithm {
 // they are selectable everywhere ByName is (dbpserved -algo, dbpload -algo,
 // dbpverify). All accept scalar workloads too, degenerating to their
 // 1-D classical counterparts.
-func Vector() map[string]Algorithm {
-	return map[string]Algorithm{
-		"vectorfirstfit": NewVectorFirstFit(),
-		"vectorbestfit":  NewVectorBestFit(),
-		"dotfit":         NewDotProductFit(),
-		"normfit":        NewNormBestFit(),
-		"drworstfit":     NewDRWorstFit(),
-	}
-}
+func Vector() map[string]Algorithm { return instances(familyVector) }
 
 // Clairvoyant returns the departure-aware baselines; they must be run
 // with Options.Clairvoyant and are not part of Standard (they are not
 // online algorithms in the paper's model).
-func Clairvoyant() map[string]Algorithm {
-	return map[string]Algorithm{
-		"alignfit":    NewAlignFit(),
-		"noextendfit": NewNoExtendFit(),
-	}
-}
+func Clairvoyant() map[string]Algorithm { return instances(familyClairvoyant) }
 
 // Names returns the sorted short names of the standard and vector
 // policies.
 func Names() []string {
-	m := Standard()
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for k := range Vector() {
-		out = append(out, k)
+	var out []string
+	for _, e := range registry {
+		if e.family != familyClairvoyant {
+			out = append(out, e.name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -70,11 +94,11 @@ func Names() []string {
 // ByName returns a fresh instance of the named standard or vector
 // policy (case-insensitive), or an error listing the valid names.
 func ByName(name string) (Algorithm, error) {
-	if a, ok := Standard()[strings.ToLower(name)]; ok {
-		return a, nil
-	}
-	if a, ok := Vector()[strings.ToLower(name)]; ok {
-		return a, nil
+	key := strings.ToLower(name)
+	for _, e := range registry {
+		if e.family != familyClairvoyant && e.name == key {
+			return e.build(), nil
+		}
 	}
 	return nil, fmt.Errorf("packing: unknown algorithm %q (valid: %s)", name, strings.Join(Names(), ", "))
 }

@@ -13,7 +13,7 @@ import "dbp/internal/bins"
 // capacities (gaps); scalar jobs degenerate to the corresponding 1-D
 // classical rule.
 //
-// All five are stateless Any Fit policies — they never open a new server
+// All four are stateless Any Fit policies — they never open a new server
 // while some open server fits — and engine-agnostic: they place through
 // the Fleet's vector queries, which the indexed engine answers from the
 // d-dimensional bins.Index (pruned per-dimension max-gap descent and the
@@ -21,35 +21,6 @@ import "dbp/internal/bins"
 // scans. Ties always break toward the earliest-opened server, the same
 // lexicographic rule as the scalar policies, so cross-engine packings
 // are bit-identical.
-
-// VectorFirstFit is First Fit on vector demands: the earliest-opened
-// server that fits the demand in every dimension. It is the DVBP
-// anchor policy — the rule whose MinUsageTime behaviour the paper's
-// scalar FF analysis is closest to — named explicitly so vector
-// experiment configurations can select the family uniformly. Its
-// placements coincide with FirstFit's (which handles vector demands by
-// the same rule); both run on the d-dimensional index.
-type VectorFirstFit struct{}
-
-// NewVectorFirstFit returns a vector First Fit policy.
-func NewVectorFirstFit() *VectorFirstFit { return &VectorFirstFit{} }
-
-// Name implements Algorithm.
-func (*VectorFirstFit) Name() string { return "VectorFirstFit" }
-
-// Place returns the lowest-indexed open server fitting every dimension.
-func (*VectorFirstFit) Place(a Arrival, f Fleet) *bins.Bin {
-	if len(a.Sizes) == 0 {
-		return f.FirstFitting(a.need())
-	}
-	return f.FirstFittingVec(a.Sizes)
-}
-
-// BinOpened implements Algorithm; stateless.
-func (*VectorFirstFit) BinOpened(*bins.Bin) {}
-
-// Reset implements Algorithm; stateless.
-func (*VectorFirstFit) Reset() {}
 
 // VectorBestFit is Best Fit under the total-residual scalarization:
 // among fitting servers it minimizes the SUM of per-dimension gaps (the

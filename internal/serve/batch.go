@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -14,8 +15,10 @@ import (
 type BatchOp struct {
 	Depart bool
 	ID     item.ID
-	Size   float64
-	Sizes  []float64
+	// Size and Sizes are an arrival's demand; on a departure they are
+	// ignored.
+	Size  float64
+	Sizes []float64
 	// HasTime marks an explicit event time; otherwise the op is
 	// stamped with the service clock, read once per batch.
 	HasTime bool
@@ -32,52 +35,87 @@ type BatchResult struct {
 	Err    error
 }
 
-// batchEntry is one op routed into a shard's batch envelope, with its
-// position in the caller's results slice.
+// batchEntry is one op as routed into a shard's envelope, with its
+// position in the caller's results slice. Its Sizes are the
+// dispatcher's own copy; an op the caller left unstamped carries the
+// service clock in Time and keeps HasTime false, which is what lets the
+// shard guard clamp it.
 type batchEntry struct {
-	depart   bool
-	id       item.ID
-	size     float64
-	sizes    []float64
-	at       float64
-	assigned bool
-	pos      int
+	BatchOp
+	pos int
 }
 
-// batchPlan is the reusable scratch of one ApplyBatch call: the
-// per-shard envelope table and the order shards were first touched in.
+// batchPlan is the reusable scratch of one dispatch call: the per-shard
+// envelope table, the order shards were first touched in, and the
+// result slot of a single-op call (results outlive the call's stack
+// frame in the envelope, so a batch of one keeps its slot here).
 type batchPlan struct {
 	envs  []*request
 	order []int
+	one   [1]BatchResult
 }
 
 var planPool = sync.Pool{New: func() any { return &batchPlan{} }}
 
 // ApplyBatch applies ops against the dispatcher and scatters each op's
-// outcome into results (len(results) must be >= len(ops); results[i]
-// answers ops[i]). Ops are grouped by shard preserving their relative
-// order, one envelope is enqueued per involved shard, and each shard
-// owner applies its sub-batch sequentially — so two ops on the same
-// job in one batch keep their order, and per-shard semantics are
+// outcome into results (results[i] answers ops[i]; it panics if results
+// is shorter than ops). Ops are grouped by shard preserving their
+// relative order, one envelope is enqueued per involved shard, and each
+// shard owner applies its sub-batch sequentially — so two ops on the
+// same job in one batch keep their order, and per-shard semantics are
 // exactly those of the equivalent single-op calls. Unstamped ops share
-// one service-clock read. Safe for concurrent use.
+// one service-clock read; a fully stamped batch reads no clock. Safe
+// for concurrent use.
 func (d *Dispatcher) ApplyBatch(ops []BatchOp, results []BatchResult) {
+	if len(results) < len(ops) {
+		// Checked here, in the caller's goroutine: the scatter happens in
+		// the shard owners, where an out-of-range write would take the
+		// whole process down.
+		panic(fmt.Sprintf("serve: ApplyBatch: %d results for %d ops", len(results), len(ops)))
+	}
 	if len(ops) == 0 {
 		return
 	}
-	start := time.Now()
-	now := d.clock()
-
 	plan := planPool.Get().(*batchPlan)
+	d.dispatch(plan, ops, results)
+	planPool.Put(plan)
+	d.metrics.batches.Add(1)
+	d.metrics.batchOps.Add(uint64(len(ops)))
+}
+
+// dispatchOne is Arrive's and Depart's batch of one: the op rides the
+// same routing, gate, enqueue and collect code as an ApplyBatch entry.
+// A nil t leaves the op unstamped.
+func (d *Dispatcher) dispatchOne(op BatchOp, t *float64) BatchResult {
+	if t != nil {
+		op.HasTime, op.Time = true, *t
+	}
+	ops := [1]BatchOp{op}
+	plan := planPool.Get().(*batchPlan)
+	d.dispatch(plan, ops[:], plan.one[:])
+	res := plan.one[0]
+	plan.one[0] = BatchResult{}
+	planPool.Put(plan)
+	return res
+}
+
+// dispatch is the one op path: route each op into its shard's envelope,
+// pass every envelope through the shard gate, wait for the owners, and
+// record each op's service time. len(results) >= len(ops).
+func (d *Dispatcher) dispatch(plan *batchPlan, ops []BatchOp, results []BatchResult) {
+	start := time.Now()
 	if cap(plan.envs) < len(d.shards) {
 		plan.envs = make([]*request, len(d.shards))
 	}
 	envs := plan.envs[:len(d.shards)]
 	order := plan.order[:0]
 
+	// The service clock is read at most once, and only if some op lacks
+	// an explicit time.
+	var now float64
+	stamped := false
 	for i := range ops {
-		op := &ops[i]
-		si := d.ShardFor(op.ID)
+		si := d.ShardFor(ops[i].ID)
 		req := envs[si]
 		if req == nil {
 			req = reqPool.Get().(*request)
@@ -86,41 +124,38 @@ func (d *Dispatcher) ApplyBatch(ops []BatchOp, results []BatchResult) {
 			envs[si] = req
 			order = append(order, si)
 		}
-		at, assigned := op.Time, false
-		if !op.HasTime {
-			at, assigned = now, true
+		e := batchEntry{BatchOp: ops[i], pos: i}
+		if !e.HasTime {
+			if !stamped {
+				now, stamped = d.clock(), true
+			}
+			e.Time = now
 		}
-		sizes := op.Sizes
-		if len(sizes) > 0 {
-			// Copy at the API boundary, exactly like Arrive: the ledger
-			// and journal retain the vector, and transports reuse their
-			// decode buffers.
-			sizes = append([]float64(nil), sizes...)
+		if e.Depart {
+			e.Size, e.Sizes = 0, nil
+		} else if len(e.Sizes) > 0 {
+			// Copy once at the API boundary: the stream's ledger and the
+			// journal both retain the demand vector beyond this call, and
+			// callers (transports above all) reuse theirs.
+			e.Sizes = append([]float64(nil), e.Sizes...)
 		}
-		req.bops = append(req.bops, batchEntry{
-			depart: op.Depart, id: op.ID, size: op.Size, sizes: sizes,
-			at: at, assigned: assigned, pos: i,
-		})
+		req.bops = append(req.bops, e)
 	}
 
 	// Enqueue every shard's envelope first, then collect replies: the
 	// shards run their sub-batches concurrently, and a full queue only
 	// delays its own shard's hand-off.
 	for _, si := range order {
-		req, sh := envs[si], d.shards[si]
-		sh.inflight.Add(1)
-		if sh.closed.Load() {
-			sh.inflight.Add(-1)
-			for _, e := range req.bops {
-				results[e.pos] = BatchResult{Err: ErrClosed}
-				d.metrics.reject(ErrClosed)
-			}
-			putRequest(req)
-			envs[si] = nil // answered here; skip the reply wait
+		req := envs[si]
+		if d.shards[si].enqueue(req) {
 			continue
 		}
-		sh.reqs <- req
-		sh.inflight.Add(-1)
+		for _, e := range req.bops {
+			results[e.pos] = BatchResult{Err: ErrClosed}
+			d.metrics.reject(ErrClosed)
+		}
+		putRequest(req)
+		envs[si] = nil // answered here; skip the reply wait
 	}
 	for _, si := range order {
 		req := envs[si]
@@ -131,9 +166,10 @@ func (d *Dispatcher) ApplyBatch(ops []BatchOp, results []BatchResult) {
 		putRequest(req)
 		envs[si] = nil
 	}
+	plan.order = order[:0]
 
-	// Per-op service-time accounting, so batched and single-op
-	// traffic share one latency ledger; plus the batch-shape counters.
+	// Per-op service-time accounting: batched and single-op traffic
+	// share one latency ledger.
 	for i := range ops {
 		if ops[i].Depart {
 			d.metrics.observeDepart(start)
@@ -141,40 +177,4 @@ func (d *Dispatcher) ApplyBatch(ops []BatchOp, results []BatchResult) {
 			d.metrics.observeArrive(start)
 		}
 	}
-	d.metrics.batches.Add(1)
-	d.metrics.batchOps.Add(uint64(len(ops)))
-
-	plan.order = order[:0]
-	planPool.Put(plan)
-}
-
-// ArriveBatch places a batch of arrivals (grouped by shard, one
-// envelope per shard) and returns one result per request, positionally.
-// It is the batch analogue of Arrive; mixed arrive/depart batches use
-// ApplyBatch directly.
-func (d *Dispatcher) ArriveBatch(reqs []ArriveRequest) []BatchResult {
-	ops := make([]BatchOp, len(reqs))
-	for i, r := range reqs {
-		ops[i] = BatchOp{ID: r.ID, Size: r.Size, Sizes: r.Sizes}
-		if r.Time != nil {
-			ops[i].HasTime, ops[i].Time = true, *r.Time
-		}
-	}
-	results := make([]BatchResult, len(ops))
-	d.ApplyBatch(ops, results)
-	return results
-}
-
-// DepartBatch reports a batch of departures; see ArriveBatch.
-func (d *Dispatcher) DepartBatch(reqs []DepartRequest) []BatchResult {
-	ops := make([]BatchOp, len(reqs))
-	for i, r := range reqs {
-		ops[i] = BatchOp{Depart: true, ID: r.ID}
-		if r.Time != nil {
-			ops[i].HasTime, ops[i].Time = true, *r.Time
-		}
-	}
-	results := make([]BatchResult, len(ops))
-	d.ApplyBatch(ops, results)
-	return results
 }

@@ -136,7 +136,7 @@ func TestBatchCounters(t *testing.T) {
 
 // TestApplyBatchAfterClose: a batch against a draining dispatcher gets
 // ErrClosed on every op — counted once each in the rejection metrics —
-// and never hangs.
+// and never hangs; a single Arrive is refused and counted the same way.
 func TestApplyBatchAfterClose(t *testing.T) {
 	d := newBatchDispatcher(t, 2)
 	d.Close()
@@ -153,43 +153,112 @@ func TestApplyBatchAfterClose(t *testing.T) {
 	if got := d.Stats().Rejected["shutting_down"]; got != uint64(len(ops)) {
 		t.Fatalf("shutting_down rejections = %d, want %d", got, len(ops))
 	}
+	if _, err := d.Arrive(9, 0.5, nil, nil); !errors.Is(err, serve.ErrClosed) {
+		t.Fatalf("single arrive err = %v, want ErrClosed", err)
+	}
+	if got := d.Stats().Rejected["shutting_down"]; got != uint64(len(ops))+1 {
+		t.Fatalf("shutting_down rejections = %d after a single arrive, want %d", got, len(ops)+1)
+	}
 }
 
-// TestArriveDepartBatchWrappers exercises the typed wrappers end to
-// end: positional results, explicit times honored, servers reused.
-func TestArriveDepartBatchWrappers(t *testing.T) {
-	d := newBatchDispatcher(t, 1)
-	t0, t1 := 0.0, 1.0
-	res := d.ArriveBatch([]serve.ArriveRequest{
-		{ID: 1, Size: 0.6, Time: &t0},
-		{ID: 2, Size: 0.6, Time: &t0},
-		{ID: 3, Size: 0.3, Time: &t1},
-	})
-	if len(res) != 3 {
-		t.Fatalf("got %d results", len(res))
+// TestApplyBatchShortResults: a results slice shorter than ops is the
+// caller's bug and must surface in the caller's goroutine — not as an
+// out-of-range write inside a shard owner, which would take down every
+// shard. The dispatcher keeps serving afterwards.
+func TestApplyBatchShortResults(t *testing.T) {
+	d := newBatchDispatcher(t, 2)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("ApplyBatch with 1 result for 3 ops did not panic")
+			}
+		}()
+		d.ApplyBatch([]serve.BatchOp{
+			{ID: 1, Size: 0.1}, {ID: 2, Size: 0.1}, {ID: 3, Size: 0.1},
+		}, make([]serve.BatchResult, 1))
+	}()
+	if _, err := d.Arrive(1, 0.5, nil, nil); err != nil {
+		t.Fatalf("arrive after the refused batch: %v", err)
 	}
-	want := []struct {
-		server int
-		opened bool
-	}{{0, true}, {1, true}, {0, false}}
-	for i, w := range want {
-		if res[i].Err != nil || res[i].Server != w.server || res[i].Flag != w.opened {
-			t.Fatalf("arrive %d = %+v, want server %d opened %v", i, res[i], w.server, w.opened)
+	if st := d.Stats(); st.Arrivals != 1 || st.Batches != 0 {
+		t.Fatalf("refused batch left a trace: arrivals=%d batches=%d", st.Arrivals, st.Batches)
+	}
+}
+
+// TestSingleOpAllocs pins what a batch of one costs: a steady-state
+// Arrive+Depart pair beside one long-lived job (so no server opens or
+// closes) allocates 4 times — the figure measured at the commit before
+// Arrive/Depart became a batch of one, all of it in the stream and the
+// owner's gauge republish. The ops and results of a single call must
+// stay on the stack or in pooled memory.
+func TestSingleOpAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is unreliable under -race")
+	}
+	d, err := serve.New(serve.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	now := 0.0
+	if _, err := d.Arrive(1, 0.5, nil, &now); err != nil {
+		t.Fatal(err)
+	}
+	pair := func() {
+		now++
+		if _, err := d.Arrive(2, 0.25, nil, &now); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Depart(2, &now); err != nil {
+			t.Fatal(err)
 		}
 	}
-	t2 := 2.0
-	dres := d.DepartBatch([]serve.DepartRequest{
-		{ID: 2, Time: &t2}, // empties server 1
-		{ID: 9, Time: &t2}, // unknown
-	})
-	if dres[0].Err != nil || dres[0].Server != 1 || !dres[0].Flag {
-		t.Fatalf("depart 2 = %+v, want closed server 1", dres[0])
+	pair() // fill the envelope and plan pools
+	if got := testing.AllocsPerRun(2000, pair); got > 4 {
+		t.Fatalf("Arrive+Depart pair allocates %v times, want <= 4", got)
 	}
-	if !errors.Is(dres[1].Err, packing.ErrUnknownJob) {
-		t.Fatalf("depart 9 err = %v, want ErrUnknownJob", dres[1].Err)
+}
+
+// TestExplicitTimeSkipsClock: an op that carries its own time must not
+// read the service clock, whichever front door it came through, and a
+// batch with any unstamped op reads it exactly once.
+func TestExplicitTimeSkipsClock(t *testing.T) {
+	reads := 0
+	d, err := serve.New(serve.Config{Shards: 2, Clock: func() float64 { reads++; return 5 }})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res[0].Time != 0 || dres[0].Time != 2 {
-		t.Fatalf("explicit times not honored: %+v %+v", res[0], dres[0])
+	defer d.Close()
+	t0 := 0.0
+	if _, err := d.Arrive(1, 0.5, nil, &t0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Depart(1, &t0); err != nil {
+		t.Fatal(err)
+	}
+	results := make([]serve.BatchResult, 3)
+	d.ApplyBatch([]serve.BatchOp{
+		{ID: 2, Size: 0.5, HasTime: true, Time: 1},
+		{Depart: true, ID: 2, HasTime: true, Time: 1},
+	}, results)
+	if reads != 0 {
+		t.Fatalf("explicitly timed ops read the service clock %d times", reads)
+	}
+	d.ApplyBatch([]serve.BatchOp{
+		{ID: 3, Size: 0.1, HasTime: true, Time: 2},
+		{ID: 4, Size: 0.1},
+		{ID: 5, Size: 0.1},
+	}, results)
+	if reads != 1 {
+		t.Fatalf("a batch with two unstamped ops read the service clock %d times, want 1", reads)
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("op %d: %v", i, r.Err)
+		}
+	}
+	if results[0].Time != 2 || results[1].Time != 5 || results[2].Time != 5 {
+		t.Fatalf("applied times %v %v %v, want 2 5 5", results[0].Time, results[1].Time, results[2].Time)
 	}
 }
 

@@ -120,39 +120,29 @@ type Departure struct {
 type opKind uint8
 
 const (
-	opArrive opKind = iota
-	opDepart
-	opBatch    // a shard's slice of one ApplyBatch call
-	opSnapshot // control: deep-copy the shard's stream state
+	opBatch    opKind = iota // a shard's slice of one call's ops
+	opSnapshot               // control: deep-copy the shard's stream state
 )
 
 // request is one envelope on a shard's queue. The reply channel has
 // capacity 1, so the owner never blocks answering; envelopes (and
 // their reply channels) are pooled.
 type request struct {
-	kind     opKind
-	id       item.ID
-	size     float64
-	sizes    []float64 // dispatcher-owned copy, safe to retain
-	at       float64
-	assigned bool // at came from the service clock (guard may clamp)
-	reply    chan response
+	kind  opKind
+	reply chan response
 
-	// Batch envelopes (kind opBatch): the shard's slice of one
-	// ApplyBatch call. bops is applied in order; each entry's result
-	// lands at out[entry.pos] — shards of one batch write disjoint
-	// positions, so the scatter needs no lock.
+	// opBatch: the shard's slice of one dispatch call — a single
+	// Arrive/Depart is a batch of one. bops is applied in order; each
+	// entry's result lands at out[entry.pos] — shards of one batch write
+	// disjoint positions, so the scatter needs no lock.
 	bops []batchEntry
 	out  []BatchResult
 }
 
-// response is the owner's answer to one envelope.
+// response is the owner's answer to one envelope; an opBatch answer is
+// empty (its results are already in request.out).
 type response struct {
-	server int
-	flag   bool // opened (arrive) / closed (depart)
-	at     float64
-	err    error
-	snap   packing.Snapshot // opSnapshot only
+	snap packing.Snapshot // opSnapshot only
 }
 
 var reqPool = sync.Pool{
@@ -453,42 +443,24 @@ func (d *Dispatcher) ShardFor(id item.ID) int {
 	return int(splitmix64(uint64(id)) % uint64(len(d.shards)))
 }
 
-// resolveTime picks the event time: the caller's explicit timestamp if
-// t is non-nil, else the service clock. assigned reports the latter, in
-// which case the shard guard may clamp it forward (service-clock reads
-// racing into the shard queue may arrive out of order); explicit caller
-// timestamps are never silently rewritten — a regression there is the
-// caller's error and surfaces as packing.ErrTimeRegression.
-func (d *Dispatcher) resolveTime(t *float64) (float64, bool) {
-	if t != nil {
-		return *t, false
-	}
-	return d.clock(), true
-}
-
-// submit enqueues an envelope on the shard and waits for the owner's
-// reply. The inflight/closed pair is the drain gate: Close first flips
-// closed (new submissions bounce with ErrClosed), then waits for the
-// inflight count to hit zero before closing the channel — so a
-// submitter that passed the gate always has a live receiver and every
-// envelope that entered the queue is answered. ok=false means the
-// envelope never entered the queue.
-func (sh *shard) submit(req *request) (response, bool) {
+// enqueue is the one way onto a shard's queue. The inflight/closed pair
+// is the drain gate: Close first flips closed (new submissions bounce),
+// then waits for the inflight count to hit zero before closing the
+// channel — so a submitter that passed the gate always has a live
+// receiver and every envelope that entered the queue is answered on its
+// reply channel. false means the envelope never entered the queue.
+func (sh *shard) enqueue(req *request) bool {
 	sh.inflight.Add(1)
 	if sh.closed.Load() {
 		sh.inflight.Add(-1)
-		putRequest(req)
-		return response{}, false
+		return false
 	}
 	sh.reqs <- req
 	sh.inflight.Add(-1)
-	resp := <-req.reply
-	putRequest(req)
-	return resp, true
+	return true
 }
 
 func putRequest(req *request) {
-	req.sizes = nil // the journal/stream own the copied slice now
 	clear(req.bops) // drop size-slice references; journal/stream own them
 	req.bops = req.bops[:0]
 	req.out = nil
@@ -498,44 +470,20 @@ func putRequest(req *request) {
 // Arrive dispatches a job to its shard. A nil t means "now" (service
 // clock). On error the returned Placement is zero-valued.
 func (d *Dispatcher) Arrive(id item.ID, size float64, sizes []float64, t *float64) (Placement, error) {
-	defer d.metrics.observeArrive(time.Now())
-	at, assigned := d.resolveTime(t)
-	si := d.ShardFor(id)
-	if len(sizes) > 0 {
-		// Copy once at the API boundary: the stream's ledger and the
-		// journal both retain the demand vector beyond this call, and
-		// callers are free to reuse their slice.
-		sizes = append([]float64(nil), sizes...)
+	res := d.dispatchOne(BatchOp{ID: id, Size: size, Sizes: sizes}, t)
+	if res.Err != nil {
+		return Placement{}, res.Err
 	}
-	req := reqPool.Get().(*request)
-	req.kind, req.id, req.size, req.sizes, req.at, req.assigned = opArrive, id, size, sizes, at, assigned
-	resp, ok := d.shards[si].submit(req)
-	if !ok {
-		d.metrics.reject(ErrClosed)
-		return Placement{}, ErrClosed
-	}
-	if resp.err != nil {
-		return Placement{}, resp.err
-	}
-	return Placement{ID: id, Shard: si, Server: resp.server, Opened: resp.flag, Time: resp.at}, nil
+	return Placement{ID: id, Shard: d.ShardFor(id), Server: res.Server, Opened: res.Flag, Time: res.Time}, nil
 }
 
 // Depart reports a job departure to its shard. A nil t means "now".
 func (d *Dispatcher) Depart(id item.ID, t *float64) (Departure, error) {
-	defer d.metrics.observeDepart(time.Now())
-	at, assigned := d.resolveTime(t)
-	si := d.ShardFor(id)
-	req := reqPool.Get().(*request)
-	req.kind, req.id, req.size, req.sizes, req.at, req.assigned = opDepart, id, 0, nil, at, assigned
-	resp, ok := d.shards[si].submit(req)
-	if !ok {
-		d.metrics.reject(ErrClosed)
-		return Departure{}, ErrClosed
+	res := d.dispatchOne(BatchOp{Depart: true, ID: id}, t)
+	if res.Err != nil {
+		return Departure{}, res.Err
 	}
-	if resp.err != nil {
-		return Departure{}, resp.err
-	}
-	return Departure{ID: id, Shard: si, Server: resp.server, Closed: resp.flag, Time: resp.at}, nil
+	return Departure{ID: id, Shard: d.ShardFor(id), Server: res.Server, Closed: res.Flag, Time: res.Time}, nil
 }
 
 // run is shard si's owner goroutine: the only writer of the shard's
@@ -562,7 +510,7 @@ func (d *Dispatcher) run(si int, sh *shard) {
 		if !ok {
 			break
 		}
-		sincePublish += d.apply(si, sh, req)
+		sincePublish += d.apply(sh, req)
 		if sincePublish >= publishEvery {
 			sh.publish(si)
 			sincePublish = 0
@@ -579,36 +527,30 @@ func (d *Dispatcher) run(si int, sh *shard) {
 	sh.publish(si)
 }
 
-// apply executes one envelope against the shard's stream: clamp the
-// timestamp, run the event, bump the metrics, journal the applied
-// event (so ShardEvents reflects every answered request), then reply.
-// It returns the number of stream events the envelope carried, which
-// paces the owner's gauge republishing. The envelope still belongs to
-// the submitter — apply must not touch it after sending the reply.
-func (d *Dispatcher) apply(si int, sh *shard, req *request) int {
-	switch req.kind {
-	case opSnapshot:
+// apply executes one envelope against the shard's stream: for each op
+// clamp the timestamp, run the event, bump the metrics and journal the
+// applied event (so ShardEvents reflects every answered request), then
+// reply. It returns the number of stream events the envelope carried,
+// which paces the owner's gauge republishing. The envelope still
+// belongs to the submitter — apply must not touch it after sending the
+// reply.
+func (d *Dispatcher) apply(sh *shard, req *request) int {
+	if req.kind == opSnapshot {
 		req.reply <- response{snap: sh.stream.Snapshot()}
 		return 1
-	case opBatch:
-		n := len(req.bops)
-		for i := range req.bops {
-			e := &req.bops[i]
-			server, flag, at, err := d.applyOne(sh, e.depart, e.id, e.size, e.sizes, e.at, e.assigned)
-			req.out[e.pos] = BatchResult{Server: server, Flag: flag, Time: at, Err: err}
-		}
-		req.reply <- response{}
-		return n
 	}
-	depart := req.kind == opDepart
-	server, flag, at, err := d.applyOne(sh, depart, req.id, req.size, req.sizes, req.at, req.assigned)
-	req.reply <- response{server: server, flag: flag, at: at, err: err}
-	return 1
+	n := len(req.bops)
+	for i := range req.bops {
+		e := &req.bops[i]
+		server, flag, at, err := d.applyOne(sh, e.Depart, e.ID, e.Size, e.Sizes, e.Time, !e.HasTime)
+		req.out[e.pos] = BatchResult{Server: server, Flag: flag, Time: at, Err: err}
+	}
+	req.reply <- response{}
+	return n
 }
 
 // applyOne runs one event against the shard's stream and does its
-// metrics and journal accounting; shared by the single-op and batch
-// envelope paths so both have identical semantics. Owner-only.
+// metrics and journal accounting. Owner-only.
 func (d *Dispatcher) applyOne(sh *shard, depart bool, id item.ID, size float64, sizes []float64, at float64, assigned bool) (server int, flag bool, applied float64, err error) {
 	at = sh.guard(at, assigned)
 	if sh.wal != nil && sh.walErr.Load() != nil {
@@ -743,12 +685,14 @@ func (d *Dispatcher) ShardEvents(i int) []Event {
 func (d *Dispatcher) Snapshot(i int) packing.Snapshot {
 	sh := d.shards[i]
 	req := reqPool.Get().(*request)
-	req.kind, req.id, req.size, req.sizes, req.at, req.assigned = opSnapshot, 0, 0, nil, 0, false
-	resp, ok := sh.submit(req)
-	if !ok {
+	req.kind = opSnapshot
+	if !sh.enqueue(req) {
+		putRequest(req)
 		<-sh.done // owner gone; its exit happens-before this read
 		return sh.stream.Snapshot()
 	}
+	resp := <-req.reply
+	putRequest(req)
 	return resp.snap
 }
 

@@ -176,15 +176,9 @@ func NewHandler(d *Dispatcher) http.Handler {
 			resp.Results[i].ID = o.ID
 			resp.Results[i].Shard = d.ShardFor(o.ID)
 			switch o.Op {
-			case "arrive":
-				op := BatchOp{ID: o.ID, Size: o.Size, Sizes: o.Sizes}
-				if o.Time != nil {
-					op.HasTime, op.Time = true, *o.Time
-				}
-				ops = append(ops, op)
-				opIdx = append(opIdx, i)
-			case "depart":
-				op := BatchOp{Depart: true, ID: o.ID}
+			case "arrive", "depart":
+				// A departure's size fields are ignored by the dispatcher.
+				op := BatchOp{Depart: o.Op == "depart", ID: o.ID, Size: o.Size, Sizes: o.Sizes}
 				if o.Time != nil {
 					op.HasTime, op.Time = true, *o.Time
 				}
