@@ -76,7 +76,7 @@ scenarios-check:
 
 ## bench-fleet: run the large-fleet Go benchmarks once each — among them
 ## BenchmarkLargeFleetKeepAliveScaling, ns/event per policy × engine at 10k
-## and 100k jobs (an O(B) path shows as a ~10x ratio at 10x size)
+## and 100k jobs, d=1 and d=2 (an O(B) path shows as a ~10x ratio at 10x size)
 bench-fleet:
 	$(GO) test -run '^$$' -bench LargeFleet -benchtime 1x .
 
@@ -86,12 +86,14 @@ bench-wire:
 	$(GO) test -run 'CodecZeroAlloc' -bench Wire -benchmem ./internal/wire/
 
 ## fuzz-short: a CI-scale smoke run of the wire codec and WAL record fuzzers
-## (go's native fuzzing allows one target per invocation)
+## and of the stream-vs-reference-model fuzzer (go's native fuzzing allows one
+## target per invocation)
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeOp -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzStreamVsModel -fuzztime 5s ./internal/packing/
 
 ## recover-test: the crash-injection suite — builds a real dbpserved, SIGKILLs
 ## it mid-barrage at randomized points, and verifies recovery (triple-entry

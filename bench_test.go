@@ -172,12 +172,15 @@ func BenchmarkFirstFitEngines(b *testing.B) {
 // regime where any O(B) per-event ledger cost turns the whole run
 // quadratic (the paper's adversarial constructions and real VM-placement
 // traces both live here). Quick mode (-short) shrinks each run 10x.
-func benchLargeFleet(b *testing.B, mkAlgo func() Algorithm, kind packing.EngineKind, n int, keepAlive float64) {
+func benchLargeFleet(b *testing.B, mkAlgo func() Algorithm, kind packing.EngineKind, n int, keepAlive float64, dim int) {
 	b.Helper()
 	if testing.Short() {
 		n /= 10
 	}
-	jobs := GenerateUniform(n, float64(n)/100, 8, 1)
+	jobs, err := workload.FromSpec("uniform", n, float64(n)/100, 8, 1, dim)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -190,36 +193,51 @@ func benchLargeFleet(b *testing.B, mkAlgo func() Algorithm, kind packing.EngineK
 }
 
 func BenchmarkLargeFleetFirstFitLinear100k(b *testing.B) {
-	benchLargeFleet(b, FirstFit, packing.EngineLinear, 100_000, 0)
+	benchLargeFleet(b, FirstFit, packing.EngineLinear, 100_000, 0, 1)
 }
 func BenchmarkLargeFleetFirstFitIndexed100k(b *testing.B) {
-	benchLargeFleet(b, FirstFit, packing.EngineIndexed, 100_000, 0)
+	benchLargeFleet(b, FirstFit, packing.EngineIndexed, 100_000, 0, 1)
 }
 func BenchmarkLargeFleetFirstFitLinearKeepAlive100k(b *testing.B) {
-	benchLargeFleet(b, FirstFit, packing.EngineLinear, 100_000, 0.5)
+	benchLargeFleet(b, FirstFit, packing.EngineLinear, 100_000, 0.5, 1)
 }
 func BenchmarkLargeFleetFirstFitIndexedKeepAlive100k(b *testing.B) {
-	benchLargeFleet(b, FirstFit, packing.EngineIndexed, 100_000, 0.5)
+	benchLargeFleet(b, FirstFit, packing.EngineIndexed, 100_000, 0.5, 1)
 }
 func BenchmarkLargeFleetFirstFitIndexedKeepAlive1M(b *testing.B) {
-	benchLargeFleet(b, FirstFit, packing.EngineIndexed, 1_000_000, 0.5)
+	benchLargeFleet(b, FirstFit, packing.EngineIndexed, 1_000_000, 0.5, 1)
 }
 
 // The scaling shape of the indexed engine: ns/event of a 100k-job
 // keep-alive run must stay within ~2.5x of the 10k-job run under
-// firstfit, bestfit, and worstfit, while the linear engine's ratio tracks
-// the fleet size (make bench-fleet; DESIGN.md §8).
+// firstfit, bestfit, and worstfit at d=1, while the linear engine's ratio
+// tracks the fleet size. The d=2 rows price the vector queries: firstfit
+// and drworstfit stay logarithmic, while worstfit and vectorbestfit score
+// through EachFitting, which visits every fitting bin and is O(B) on both
+// engines by construction (make bench-fleet; DESIGN.md §8).
 func BenchmarkLargeFleetKeepAliveScaling(b *testing.B) {
-	policies := []struct {
-		name string
-		mk   func() Algorithm
-	}{{"firstfit", FirstFit}, {"bestfit", BestFit}, {"worstfit", WorstFit}}
-	for _, p := range policies {
-		for _, kind := range []packing.EngineKind{packing.EngineLinear, packing.EngineIndexed} {
-			for _, n := range []int{10_000, 100_000} {
-				b.Run(fmt.Sprintf("%s/%s/n=%d", p.name, kind, n), func(b *testing.B) {
-					benchLargeFleet(b, p.mk, kind, n, 0.5)
-				})
+	rows := []struct {
+		dim      int
+		policies []string
+	}{
+		{1, []string{"firstfit", "bestfit", "worstfit"}},
+		{2, []string{"firstfit", "worstfit", "drworstfit", "vectorbestfit"}},
+	}
+	for _, row := range rows {
+		for _, policy := range row.policies {
+			mk := func() Algorithm {
+				algo, err := AlgorithmByName(policy)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return algo
+			}
+			for _, kind := range []packing.EngineKind{packing.EngineLinear, packing.EngineIndexed} {
+				for _, n := range []int{10_000, 100_000} {
+					b.Run(fmt.Sprintf("d=%d/%s/%s/n=%d", row.dim, policy, kind, n), func(b *testing.B) {
+						benchLargeFleet(b, mk, kind, n, 0.5, row.dim)
+					})
+				}
 			}
 		}
 	}

@@ -1,27 +1,45 @@
 package bins
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
-// gapTree is a segment tree over bins in opening order (by Index) storing
-// the maximum gap in each range. It answers the positional Any Fit
-// queries — "lowest-/highest-indexed open bin with gap >= s" and
-// "lowest-indexed bin attaining the maximum gap" — in O(log B) each.
-// Closed bins are tombstoned with -Inf so they can never win a query.
+// gapTree is a segment tree over bins in opening order (by Index) whose
+// nodes store the per-dimension maximum gap of their range, laid out with
+// stride dim (node p's gap in dimension d lives at node[p*dim+d]; a
+// scalar fleet is the stride-1 case). It answers the positional queries:
 //
-// It generalizes the structure that used to live inside the FastFirstFit
-// policy; the Index now maintains it ledger-side for every policy.
+//   - firstAtLeast/lastAtLeast: the lowest-/highest-indexed bin whose
+//     dimension-0 gap is >= s, by one exact root-to-leaf descent — the
+//     scalar First Fit and Last Fit queries, O(log B).
+//   - mayFit: the pruning test of the vector-fit search (Index.eachFitting).
+//     A subtree can be skipped as soon as ONE dimension's range maximum
+//     falls short of the demand: no bin inside can fit. The surviving
+//     leaves are then verified with the exact Bin.FitsDemand comparison,
+//     so the search returns precisely the bins a linear scan of the open
+//     list would — the tree only prunes, it never decides.
+//
+// Pruning compares against demand minus a 2*Eps slack rather than the
+// exact admission threshold: the leaf gaps are one float subtraction
+// (Capacity - level) away from the level-based admission test, and the
+// slack (1e-9, nine orders above the rounding error of O(1) operands)
+// guarantees the rearrangement can never prune a bin the exact test
+// would admit. A borderline subtree is visited and rejected at its
+// leaves; answers are unaffected.
+//
+// Closed bins are tombstoned with -Inf in every dimension, which fails
+// every comparison above, so they can never win a query or be visited.
 type gapTree struct {
+	dim  int
 	n    int       // number of bins ever added (leaves in use)
-	node []float64 // segment tree over cached gaps (max)
 	size int       // power-of-two leaf count
+	node []float64 // stride-dim segment tree over cached gaps (max per dim)
 }
 
-// add appends leaf i (bins open in index order) with gap -Inf; the caller
-// follows up with update.
-func (t *gapTree) add(i int) {
-	if i != t.n {
-		panic("bins: gap tree observed out-of-order bin open")
-	}
+// add appends the next leaf (bins open in index order) with -Inf gaps;
+// the caller follows up with update or tombstone.
+func (t *gapTree) add() {
 	t.n++
 	if t.n > t.size {
 		t.grow()
@@ -37,67 +55,97 @@ func (t *gapTree) grow() {
 	old := t.node
 	oldSize := t.size
 	t.size = size
-	t.node = make([]float64, 2*size)
+	t.node = make([]float64, 2*size*t.dim)
 	for i := range t.node {
 		t.node[i] = math.Inf(-1)
 	}
-	for i := 0; i < oldSize && i < t.n; i++ {
-		t.node[size+i] = old[oldSize+i]
-	}
-	for i := size - 1; i >= 1; i-- {
-		t.node[i] = math.Max(t.node[2*i], t.node[2*i+1])
+	copy(t.node[size*t.dim:], old[oldSize*t.dim:])
+	for p := size - 1; p >= 1; p-- {
+		t.pull(p)
 	}
 }
 
-// update sets leaf i's gap (use -Inf to tombstone a closed bin).
-func (t *gapTree) update(i int, gap float64) {
-	p := t.size + i
-	t.node[p] = gap
-	for p >>= 1; p >= 1; p >>= 1 {
-		t.node[p] = math.Max(t.node[2*p], t.node[2*p+1])
+// pull recomputes node p's per-dimension maxima from its children.
+func (t *gapTree) pull(p int) {
+	l, r := 2*p*t.dim, (2*p+1)*t.dim
+	for d := 0; d < t.dim; d++ {
+		t.node[p*t.dim+d] = max(t.node[l+d], t.node[r+d])
 	}
 }
 
-// gap returns leaf i's current value.
-func (t *gapTree) gap(i int) float64 { return t.node[t.size+i] }
+// leaf returns leaf i's cached per-dimension gaps (a view, not a copy).
+func (t *gapTree) leaf(i int) []float64 {
+	return t.node[(t.size+i)*t.dim : (t.size+i+1)*t.dim]
+}
 
-// firstAtLeast returns the smallest index whose gap >= s, or -1.
-func (t *gapTree) firstAtLeast(s float64) int {
-	if t.size == 0 || t.node[1] < s {
+// pullAbove recomputes every ancestor of leaf i after its gaps changed.
+func (t *gapTree) pullAbove(i int) {
+	for p := (t.size + i) >> 1; p >= 1; p >>= 1 {
+		t.pull(p)
+	}
+}
+
+// update refreshes leaf i from the bin's current per-dimension gaps.
+func (t *gapTree) update(i int, b *Bin) {
+	leaf := t.leaf(i)
+	for d := range leaf {
+		leaf[d] = b.GapAt(d)
+	}
+	t.pullAbove(i)
+}
+
+// tombstone marks leaf i closed (-Inf in every dimension).
+func (t *gapTree) tombstone(i int) {
+	leaf := t.leaf(i)
+	for d := range leaf {
+		leaf[d] = math.Inf(-1)
+	}
+	t.pullAbove(i)
+}
+
+// minGapAt returns the minimum over dimensions of leaf i's cached gaps —
+// the key under which the bin is filed in the level treap. Leaf gaps are
+// written as Bin.GapAt values, so this reproduces the bin's MinGap (its
+// Gap, for a scalar fleet) at the time of the last update bit-for-bit.
+func (t *gapTree) minGapAt(i int) float64 { return slices.Min(t.leaf(i)) }
+
+// mayFit reports whether node p's range could contain a bin fitting the
+// pruned demand thresholds (need[d] = sizes[d] - 2*Eps, len(need) == dim).
+func (t *gapTree) mayFit(p int, need []float64) bool {
+	base := p * t.dim
+	for d, nd := range need {
+		if t.node[base+d] < nd {
+			return false
+		}
+	}
+	return true
+}
+
+// firstAtLeast returns the smallest index whose dimension-0 gap is >= s,
+// or -1.
+func (t *gapTree) firstAtLeast(s float64) int { return t.descend(s, 0) }
+
+// lastAtLeast returns the largest index whose dimension-0 gap is >= s,
+// or -1.
+func (t *gapTree) lastAtLeast(s float64) int { return t.descend(s, 1) }
+
+// descend walks from the root to a leaf whose dimension-0 gap is >= s,
+// trying the child on the given side (0 left, 1 right) first at every
+// level; the comparison is exact.
+func (t *gapTree) descend(s float64, side int) int {
+	if t.size == 0 || t.node[t.dim] < s {
 		return -1
 	}
 	p := 1
 	for p < t.size {
-		if t.node[2*p] >= s {
-			p = 2 * p
+		if c := 2*p + side; t.node[c*t.dim] >= s {
+			p = c
 		} else {
-			p = 2*p + 1
+			p = c ^ 1
 		}
 	}
-	idx := p - t.size
-	if idx >= t.n {
-		return -1
+	if idx := p - t.size; idx < t.n {
+		return idx
 	}
-	return idx
-}
-
-// lastAtLeast returns the largest index whose gap >= s, or -1. The
-// right-first descent mirrors firstAtLeast.
-func (t *gapTree) lastAtLeast(s float64) int {
-	if t.size == 0 || t.node[1] < s {
-		return -1
-	}
-	p := 1
-	for p < t.size {
-		if t.node[2*p+1] >= s {
-			p = 2*p + 1
-		} else {
-			p = 2 * p
-		}
-	}
-	idx := p - t.size
-	if idx >= t.n {
-		return -1
-	}
-	return idx
+	return -1
 }

@@ -5,41 +5,50 @@ import (
 	"math"
 )
 
-// Index is the ledger-maintained policy index over the open bins: a
-// max-gap segment tree in opening order (positional queries — First Fit,
-// Last Fit) and a (gap, index)-ordered treap (level queries — Best Fit,
-// Worst Fit, Almost Worst Fit). The owning Ledger keeps it coherent on
-// every OpenNew/PlaceIn/Remove/CloseExpired, so every query below is
-// O(log B) against the live fleet with no per-policy bookkeeping.
+// Index is the ledger-maintained policy index over the open bins: two
+// structures, the same two at every dimension d (a scalar fleet is d = 1).
 //
-// The scalar structures cover first-dimension gaps, which is exact for
-// 1-D demands; callers fold their tolerance into `need` (conventionally
-// size - Eps), and all scalar comparisons are exact — no epsilon — so
-// query answers are order-independent and reproducible.
+//   - tree, a stride-d max-gap segment tree in opening order (gapTree),
+//     answers the positional queries: the scalar FirstFitting/LastFitting
+//     by one exact descent on dimension 0, and the vector FirstFittingVec/
+//     LastFittingVec/EachFitting by pruned descent — a subtree is skipped
+//     as soon as one dimension's maximum cannot accommodate the demand,
+//     and each surviving leaf is verified with the exact Bin.FitsDemand
+//     comparison, so the answers are bit-identical to a linear scan of
+//     the open list, with the tree acting purely as an accelerator
+//     (O(log B) when few bins fit, degrading gracefully to the linear
+//     visit order when many do).
+//   - lvls, a treap keyed by (MinGap, index) (levelTree), answers the
+//     level queries: TightestFitting, EmptiestFitting and
+//     SecondEmptiestFitting by exact key lookups, MaxMinGapFitting by
+//     walking gap groups downward from the emptiest and verifying each
+//     candidate with FitsDemand. MinGap is the dominant-resource
+//     scalarization of the gap vector; at d = 1 it is the gap itself, so
+//     the three scalar level queries are exact for 1-D demands. On a
+//     d >= 2 fleet they order by MinGap as well, and no policy issues
+//     them there (vector demands place through the vector queries).
 //
-// For d > 1 the index additionally maintains two vector structures:
+// Which policy reads which structure:
 //
-//   - vtree, a stride-d segment tree of per-dimension range-maximum gaps,
-//     which answers the positional vector queries (FirstFittingVec,
-//     LastFittingVec, EachFitting) by pruned descent: a subtree is
-//     skipped as soon as one dimension's maximum cannot accommodate the
-//     demand, and each surviving leaf is verified with the exact
-//     Bin.FitsDemand comparison — so the answers are bit-identical to a
-//     linear scan of the open list, with the tree acting purely as an
-//     accelerator (O(log B) when few bins fit, degrading gracefully to
-//     the linear visit order when many do).
-//   - dlvls, a treap keyed by (MinGap, index) — the dominant-resource
-//     scalarization of the gap vector — which answers MaxMinGapFitting
-//     (dominant-resource Worst Fit) by walking gap groups downward from
-//     the emptiest, again verifying each candidate exactly.
+//	gap tree   First Fit, Last Fit at any d; Best/Worst/Almost Worst Fit
+//	           and VectorBestFit at d >= 2, DotProductFit and NormBestFit
+//	           at any d (the EachFitting rules)
+//	treap      Best/Worst/Almost Worst Fit and VectorBestFit at d = 1;
+//	           DRWorstFit at any d
+//
+// First Fit — the daemon's default — never reads the treap, yet pays a
+// levelNode allocation per level change to keep it coherent (part of the
+// benchmark's bins.allocs_per_event; ROADMAP items 4 and 6).
+//
+// The owning Ledger keeps both coherent on every OpenNew/PlaceIn/Remove/
+// CloseExpired. Callers of the scalar queries fold their tolerance into
+// `need` (conventionally size - Eps), and all scalar comparisons are
+// exact — no epsilon — so query answers are order-independent and
+// reproducible.
 type Index struct {
 	bins []*Bin // by Index; closed bins stay (tombstoned)
 	tree gapTree
 	lvls levelTree
-
-	dim   int
-	vtree *vecGapTree // per-dimension max-gap tree; nil unless dim > 1
-	dlvls levelTree   // (MinGap, index) treap; empty unless dim > 1
 
 	// Reusable query scratch (the index is single-writer, like its ledger).
 	need  []float64
@@ -48,77 +57,51 @@ type Index struct {
 
 // newIndex creates an index for a ledger of the given dimensionality.
 func newIndex(dim int) *Index {
-	ix := &Index{dim: dim}
-	if dim > 1 {
-		ix.vtree = &vecGapTree{dim: dim}
-	}
-	return ix
+	return &Index{tree: gapTree{dim: dim}}
 }
 
 // observeOpen tracks a freshly opened bin (called by the ledger after the
 // first item is placed).
 func (ix *Index) observeOpen(b *Bin) {
-	if b.Index != len(ix.bins) {
-		panic(fmt.Sprintf("bins: index saw bin %d open out of order", b.Index))
-	}
-	ix.bins = append(ix.bins, b)
-	ix.tree.add(b.Index)
-	ix.tree.update(b.Index, b.Gap())
-	ix.lvls.insert(b.Gap(), b.Index)
-	if ix.vtree != nil {
-		ix.vtree.add(b.Index)
-		ix.vtree.update(b.Index, b)
-		ix.dlvls.insert(ix.vtree.minGapAt(b.Index), b.Index)
-	}
+	ix.appendBin(b)
+	ix.tree.update(b.Index, b)
+	ix.lvls.insert(ix.tree.minGapAt(b.Index), b.Index)
 }
 
 // restoreClosed occupies the next opening-order slot with an
 // already-closed bin during ledger restore: present in the positional
-// arrays (indices must line up), tombstoned in the gap trees, absent
-// from the level trees — exactly the state remove leaves a closed bin in.
+// array (indices must line up), tombstoned in the gap tree, absent from
+// the treap — exactly the state remove leaves a closed bin in.
 func (ix *Index) restoreClosed(b *Bin) {
+	ix.appendBin(b)
+	ix.tree.tombstone(b.Index)
+}
+
+// appendBin takes the next opening-order slot for b.
+func (ix *Index) appendBin(b *Bin) {
 	if b.Index != len(ix.bins) {
-		panic(fmt.Sprintf("bins: index restore saw bin %d out of order", b.Index))
+		panic(fmt.Sprintf("bins: index saw bin %d out of order", b.Index))
 	}
 	ix.bins = append(ix.bins, b)
-	ix.tree.add(b.Index)
-	ix.tree.update(b.Index, math.Inf(-1))
-	if ix.vtree != nil {
-		ix.vtree.add(b.Index)
-		ix.vtree.tombstone(b.Index)
-	}
+	ix.tree.add()
 }
 
 // refresh re-reads an open bin's gaps after a level change. The treap
-// keys to delete are read back from the tree leaves (the exact floats
-// inserted last time), never recomputed from the bin.
+// key to delete is read back from the tree leaf (the exact floats
+// written last time), never recomputed from the bin.
 func (ix *Index) refresh(b *Bin) {
-	old := ix.tree.gap(b.Index)
-	if g := b.Gap(); g != old {
-		ix.tree.update(b.Index, g)
+	old := ix.tree.minGapAt(b.Index)
+	ix.tree.update(b.Index, b)
+	if g := ix.tree.minGapAt(b.Index); g != old {
 		ix.lvls.delete(old, b.Index)
 		ix.lvls.insert(g, b.Index)
-	}
-	if ix.vtree != nil {
-		oldMin := ix.vtree.minGapAt(b.Index)
-		ix.vtree.update(b.Index, b)
-		if newMin := ix.vtree.minGapAt(b.Index); newMin != oldMin {
-			ix.dlvls.delete(oldMin, b.Index)
-			ix.dlvls.insert(newMin, b.Index)
-		}
 	}
 }
 
 // remove untracks a bin that closed.
 func (ix *Index) remove(b *Bin) {
-	old := ix.tree.gap(b.Index)
-	ix.tree.update(b.Index, math.Inf(-1))
-	ix.lvls.delete(old, b.Index)
-	if ix.vtree != nil {
-		oldMin := ix.vtree.minGapAt(b.Index)
-		ix.vtree.tombstone(b.Index)
-		ix.dlvls.delete(oldMin, b.Index)
-	}
+	ix.lvls.delete(ix.tree.minGapAt(b.Index), b.Index)
+	ix.tree.tombstone(b.Index)
 }
 
 // FirstFitting returns the earliest-opened bin with gap >= need, or nil
@@ -173,7 +156,7 @@ func (ix *Index) SecondEmptiestFitting(need float64) *Bin {
 	if first == nil {
 		return nil
 	}
-	g := ix.tree.gap(first.Index)
+	g := ix.tree.minGapAt(first.Index)
 	// Next bin in the same gap group, if any.
 	if n := ix.lvls.ceil(g, first.Index+1); n != nil && n.gap == g {
 		return ix.bins[n.idx]
@@ -215,52 +198,31 @@ func (ix *Index) LastFittingVec(sizes []float64) *Bin {
 
 // eachFitting is the pruned depth-first descent behind the positional
 // vector queries; desc flips the child order for highest-index-first
-// enumeration. For 1-D fleets the scalar gap tree plays the role of the
-// vector tree (same pruning rule, stride 1); the leaf test is always the
-// exact FitsDemand the linear reference applies, so the enumeration is
-// bit-identical to scanning the open list.
+// enumeration. The leaf test is always the exact FitsDemand the linear
+// reference applies, so the enumeration is bit-identical to scanning the
+// open list — including for a demand of the wrong dimension, which
+// FitsDemand rejects at every bin: nothing is visited.
 func (ix *Index) eachFitting(sizes []float64, desc bool, visit func(*Bin) bool) {
+	t := &ix.tree
+	if len(sizes) != t.dim || t.size == 0 {
+		return
+	}
 	need := ix.need[:0]
 	for _, s := range sizes {
 		need = append(need, s-2*Eps)
 	}
 	ix.need = need
-	var (
-		size int
-		nLvs int
-	)
-	if ix.dim > 1 {
-		if ix.vtree == nil || ix.vtree.size == 0 {
-			return
-		}
-		size, nLvs = ix.vtree.size, ix.vtree.n
-	} else {
-		if ix.tree.size == 0 {
-			return
-		}
-		size, nLvs = ix.tree.size, ix.tree.n
-	}
-	mayFit := func(p int) bool {
-		if ix.dim > 1 {
-			return ix.vtree.mayFit(p, need)
-		}
-		// Scalar pruning uses only the first dimension's threshold; any
-		// extra components of an ill-dimensioned demand are rejected by
-		// FitsDemand at the leaves.
-		return ix.tree.node[p] >= need[0]
-	}
 	stack := append(ix.stack[:0], 1)
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if !mayFit(p) {
+		if !t.mayFit(p, need) {
 			continue
 		}
-		if p >= size {
-			if i := p - size; i < nLvs {
+		if p >= t.size {
+			if i := p - t.size; i < t.n {
 				if b := ix.bins[i]; b.FitsDemand(sizes) && !visit(b) {
-					ix.stack = stack[:0]
-					return
+					break
 				}
 			}
 			continue
@@ -284,9 +246,6 @@ func (ix *Index) eachFitting(sizes []float64, desc bool, visit func(*Bin) bool) 
 // would already overflow).
 func (ix *Index) MaxMinGapFitting(sizes []float64) *Bin {
 	t := &ix.lvls
-	if ix.dim > 1 {
-		t = &ix.dlvls
-	}
 	minNeed := math.Inf(1)
 	for _, s := range sizes {
 		if s < minNeed {
@@ -317,41 +276,27 @@ func (ix *Index) checkCoherent(open []*Bin) error {
 		if b.Index >= len(ix.bins) || ix.bins[b.Index] != b {
 			return fmt.Errorf("index does not track open bin %d", b.Index)
 		}
-		if g := ix.tree.gap(b.Index); g != b.Gap() {
-			return fmt.Errorf("index gap for bin %d is %g, want %g", b.Index, g, b.Gap())
-		}
-		if !ix.lvls.contains(b.Gap(), b.Index) {
-			return fmt.Errorf("level tree missing open bin %d (gap %g)", b.Index, b.Gap())
-		}
-		if ix.vtree != nil {
-			for d := 0; d < ix.dim; d++ {
-				if g := ix.vtree.gap(b.Index, d); g != b.GapAt(d) {
-					return fmt.Errorf("vector index gap for bin %d dim %d is %g, want %g", b.Index, d, g, b.GapAt(d))
-				}
+		for d, g := range ix.tree.leaf(b.Index) {
+			if g != b.GapAt(d) {
+				return fmt.Errorf("index gap for bin %d dim %d is %g, want %g", b.Index, d, g, b.GapAt(d))
 			}
-			if key := ix.vtree.minGapAt(b.Index); !ix.dlvls.contains(key, b.Index) {
-				return fmt.Errorf("dominant-resource tree missing open bin %d (min gap %g)", b.Index, key)
-			}
+		}
+		if !ix.lvls.contains(b.MinGap(), b.Index) {
+			return fmt.Errorf("level tree missing open bin %d (min gap %g)", b.Index, b.MinGap())
 		}
 	}
 	for i := range ix.bins {
 		if inOpen[i] {
 			continue
 		}
-		if !math.IsInf(ix.tree.gap(i), -1) {
-			return fmt.Errorf("closed bin %d not tombstoned in gap tree (gap %g)", i, ix.tree.gap(i))
-		}
-		if ix.vtree != nil && !math.IsInf(ix.vtree.minGapAt(i), -1) {
-			return fmt.Errorf("closed bin %d not tombstoned in vector gap tree", i)
+		for d, g := range ix.tree.leaf(i) {
+			if !math.IsInf(g, -1) {
+				return fmt.Errorf("closed bin %d not tombstoned in gap tree (dim %d gap %g)", i, d, g)
+			}
 		}
 	}
 	if n := ix.lvls.count(); n != len(open) {
 		return fmt.Errorf("level tree holds %d keys, want %d open bins", n, len(open))
-	}
-	if ix.vtree != nil {
-		if n := ix.dlvls.count(); n != len(open) {
-			return fmt.Errorf("dominant-resource tree holds %d keys, want %d open bins", n, len(open))
-		}
 	}
 	return nil
 }

@@ -187,3 +187,58 @@ func TestEnableIndexLatePanics(t *testing.T) {
 	}()
 	g.EnableIndex()
 }
+
+// TestIndexIllDimensionedDemand pins the vector queries on a demand whose
+// length is not the fleet's dimension: the linear reference visits no bin
+// (FitsDemand rejects the length), so the index must visit none either —
+// and must not descend the tree with a threshold vector of the wrong
+// stride. A well-dimensioned demand on the same fleet finds the bin.
+func TestIndexIllDimensionedDemand(t *testing.T) {
+	demand := func(n int) []float64 {
+		v := make([]float64, n)
+		for d := range v {
+			v[d] = 0.1
+		}
+		return v
+	}
+	for _, dim := range []int{1, 2} {
+		g := NewLedger(1, dim)
+		g.EnableIndex()
+		it := item.Item{ID: 1, Size: 0.1, Arrival: 0, Departure: math.Inf(1)}
+		if dim > 1 {
+			it.Sizes = demand(dim)
+		}
+		g.OpenNew(it, 0)
+		ix := g.Index()
+		for _, n := range []int{dim - 1, dim, dim + 1} {
+			sizes := demand(n)
+			var linear []*Bin
+			for _, b := range g.OpenBins() {
+				if b.FitsDemand(sizes) {
+					linear = append(linear, b)
+				}
+			}
+			if want := n == dim; (len(linear) == 1) != want {
+				t.Fatalf("dim %d, demand of length %d: linear scan found %d bins", dim, n, len(linear))
+			}
+			var visited []*Bin
+			ix.EachFitting(sizes, func(b *Bin) bool { visited = append(visited, b); return true })
+			if len(visited) != len(linear) {
+				t.Errorf("dim %d, demand of length %d: EachFitting visited %d bins, linear scan %d", dim, n, len(visited), len(linear))
+			}
+			var ref *Bin
+			if len(linear) > 0 {
+				ref = linear[0]
+			}
+			for name, got := range map[string]*Bin{
+				"FirstFittingVec":  ix.FirstFittingVec(sizes),
+				"LastFittingVec":   ix.LastFittingVec(sizes),
+				"MaxMinGapFitting": ix.MaxMinGapFitting(sizes),
+			} {
+				if got != ref {
+					t.Errorf("dim %d, demand of length %d: %s = bin %d, linear scan %d", dim, n, name, binIdx(got), binIdx(ref))
+				}
+			}
+		}
+	}
+}

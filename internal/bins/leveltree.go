@@ -1,9 +1,10 @@
 package bins
 
-// levelTree is a treap over the open bins ordered by (gap, index): an
-// ordered-set view of bin fill levels answering the level-directed Any
-// Fit queries — tightest fit (min gap >= need), emptiest fit (max gap),
-// and second-emptiest fit — in O(log B) expected per operation.
+// levelTree is a treap over the open bins ordered by (gap, index), where
+// gap is the bin's MinGap (its Gap on a scalar fleet): an ordered-set view
+// of bin fill levels answering the level-directed Any Fit queries —
+// tightest fit (min gap >= need), emptiest fit (max gap), second-emptiest
+// fit, and the dominant-resource walk — in O(log B) expected per operation.
 //
 // Keys are exact: two bins compare by gap first and opening index second,
 // with no epsilon fuzz, so every query has a unique, order-independent

@@ -53,14 +53,10 @@ func newEngine(algo Algorithm, capacity float64, dim int, keepAlive float64, kin
 	}
 	algo.Reset()
 	ledger := bins.NewLedgerKeepAlive(capacity, dim, keepAlive)
-	e := &engine{algo: algo, ledger: ledger, kind: kind, clairvoyant: clairvoyant}
-	if kind == EngineLinear {
-		e.fleet = linearFleet{ledger: ledger}
-	} else {
+	if kind != EngineLinear {
 		ledger.EnableIndex()
-		e.fleet = indexedFleet{ledger: ledger}
 	}
-	return e
+	return &engine{algo: algo, ledger: ledger, fleet: newFleet(kind, ledger), kind: kind, clairvoyant: clairvoyant}
 }
 
 // checkDemand is the single admission gate for arriving demands, shared

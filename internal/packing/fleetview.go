@@ -2,44 +2,27 @@ package packing
 
 import "dbp/internal/bins"
 
-// The two Fleet backends. indexedFleet delegates every query to the
-// ledger-maintained bins.Index (O(log B)); linearFleet answers the same
-// queries by scanning the open list (O(B)) with identical exact
-// semantics. The linear backend is the executable specification the
-// indexed one is tested against, and the baseline the large-fleet
-// benchmarks (make bench-fleet) measure the index against.
+// The two Fleet backends. indexedFleet answers every query from the
+// ledger-maintained bins.Index (O(log B)), whose methods it promotes;
+// linearFleet answers the same queries by scanning the open list (O(B))
+// with identical exact semantics. The linear backend is the executable
+// specification the indexed one is tested against, and the baseline the
+// large-fleet benchmarks (make bench-fleet) measure the index against.
 
 type indexedFleet struct {
+	*bins.Index
 	ledger *bins.Ledger
 }
 
 func (f indexedFleet) Open() []*bins.Bin { return f.ledger.OpenBins() }
-func (f indexedFleet) FirstFitting(need float64) *bins.Bin {
-	return f.ledger.Index().FirstFitting(need)
-}
-func (f indexedFleet) LastFitting(need float64) *bins.Bin {
-	return f.ledger.Index().LastFitting(need)
-}
-func (f indexedFleet) TightestFitting(need float64) *bins.Bin {
-	return f.ledger.Index().TightestFitting(need)
-}
-func (f indexedFleet) EmptiestFitting(need float64) *bins.Bin {
-	return f.ledger.Index().EmptiestFitting(need)
-}
-func (f indexedFleet) SecondEmptiestFitting(need float64) *bins.Bin {
-	return f.ledger.Index().SecondEmptiestFitting(need)
-}
-func (f indexedFleet) FirstFittingVec(sizes []float64) *bins.Bin {
-	return f.ledger.Index().FirstFittingVec(sizes)
-}
-func (f indexedFleet) LastFittingVec(sizes []float64) *bins.Bin {
-	return f.ledger.Index().LastFittingVec(sizes)
-}
-func (f indexedFleet) EachFitting(sizes []float64, visit func(*bins.Bin) bool) {
-	f.ledger.Index().EachFitting(sizes, visit)
-}
-func (f indexedFleet) MaxMinGapFitting(sizes []float64) *bins.Bin {
-	return f.ledger.Index().MaxMinGapFitting(sizes)
+
+// newFleet returns the backend of the given kind over the ledger, whose
+// index must already be enabled unless the kind is EngineLinear.
+func newFleet(kind EngineKind, ledger *bins.Ledger) Fleet {
+	if kind == EngineLinear {
+		return linearFleet{ledger: ledger}
+	}
+	return indexedFleet{Index: ledger.Index(), ledger: ledger}
 }
 
 type linearFleet struct {

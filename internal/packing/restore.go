@@ -125,12 +125,7 @@ func RestoreStream(algo Algorithm, snap Snapshot) (*Stream, error) {
 			"packing: restored usage %v != snapshot usage %v", got, snap.UsageTime)
 	}
 	algo.Reset()
-	e := &engine{algo: algo, ledger: ledger, kind: kind}
-	if kind == EngineLinear {
-		e.fleet = linearFleet{ledger: ledger}
-	} else {
-		e.fleet = indexedFleet{ledger: ledger}
-	}
+	e := &engine{algo: algo, ledger: ledger, fleet: newFleet(kind, ledger), kind: kind}
 	if snap.PolicyState != nil {
 		sa, ok := algo.(StatefulAlgorithm)
 		if !ok {
