@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench bench-smoke bench-fleet figures loadtest loadtest-ramp fuzz-short bench-wire loadtest-wire recover-test bench-wal
+.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench bench-smoke bench-fleet figures loadtest loadtest-ramp fuzz-short bench-wire loadtest-wire recover-test bench-wal bench-bins
 
 build:
 	$(GO) build ./...
@@ -25,9 +25,10 @@ race:
 	$(GO) test -race -short ./...
 
 ## check: the full local gate — formatting, vet, the race-enabled suite, the
-## wire codec's zero-allocation proof (bench-wire asserts 0 allocs/op), and the
+## wire codec's zero-allocation proof (bench-wire asserts 0 allocs/op), the
+## ledger's zero-allocation and bounded-state proofs (bench-bins), and the
 ## benchmark's own vet and smoke test
-check: fmt vet race test bench-wire bench-smoke
+check: fmt vet race test bench-wire bench-bins bench-smoke
 
 ## bench: the repository's one benchmark (bench/README.md) — two sets of the
 ## four workloads, each metric compared against its bound in BENCHMARK.json;
@@ -100,6 +101,13 @@ fuzz-short:
 ## accounting, bit-identical journal replay, restart idempotence, meta guard)
 recover-test:
 	$(GO) test -run 'CrashRecovery|DataDirConfigGuard' -count=1 -v ./cmd/dbpserved/
+
+## bench-bins: the ledger holds live state only — TestZeroAllocLevelChange
+## asserts 0 allocs for a place + remove on an open bin with the index on,
+## and the TestBounded* tests that a long replay's index, reachable bins,
+## stream heap and restore cost follow the open fleet, not the history
+bench-bins:
+	$(GO) test -count=1 -run 'ZeroAlloc|Bounded' ./internal/bins/ ./internal/packing/
 
 ## bench-wal: the WAL append hot path; TestAppendZeroAlloc asserts 0 allocs/op
 ## with fsync off

@@ -4,9 +4,13 @@
 // interval from opening to closing, and the objective of the problem is the
 // total length of all usage periods.
 //
-// Bins record every placement, so analyses can reconstruct the level of a
-// bin at any time after the fact (items are never migrated, so an item's
-// residence interval in its bin equals its active interval).
+// A bin holds live state only — its level, its resident items, its usage
+// period — unless its ledger keeps history (Ledger.KeepHistory, which the
+// batch simulator and Replay turn on and the streaming dispatcher never
+// does). A history-keeping bin also records every placement, so analyses
+// can reconstruct its level at any time after the fact (items are never
+// migrated, so an item's residence interval in its bin equals its active
+// interval).
 package bins
 
 import (
@@ -44,13 +48,20 @@ type Bin struct {
 	// model. The owner (bins.Ledger) is then responsible for closing the
 	// bin via Close once the keep-alive budget expires.
 	LingerWhenEmpty bool
+	// history makes Place record into placements; the ledger sets it on
+	// the bins it opens when told to KeepHistory. (It shares a word with
+	// the flag above: a history-keeping run retains every Bin.)
+	history bool
 
 	openedAt   float64
 	closedAt   float64 // NaN while open
 	emptySince float64 // NaN while occupied; set when the bin empties but lingers (keep-alive)
 	level      []float64
 	active     map[item.ID]item.Item
-	placements []Placement
+	placements []Placement // appended to only under history
+	// slot is the bin's position in its ledger's Index while it is open
+	// there; the index maintains it (compaction moves it).
+	slot int
 }
 
 // Open creates a new open bin with the given index and capacity at time t,
@@ -184,24 +195,20 @@ func (b *Bin) Place(it item.Item, t float64) {
 	}
 	b.active[it.ID] = it
 	b.emptySince = math.NaN() // a lingering bin is back in service
-	b.placements = append(b.placements, Placement{Item: it, At: t})
+	if b.history {
+		b.placements = append(b.placements, Placement{Item: it, At: t})
+	}
 }
 
 // Remove takes the item out of the bin at time t. If the bin becomes
-// empty it closes at t. Removing an absent item panics.
+// empty it closes at t. Removing an absent item panics. The placement
+// history is not touched: it records each item as it was placed, and the
+// callers that keep history (Run, Replay) place items whose Departure is
+// the time of the depart event by construction of the event queue.
 func (b *Bin) Remove(id item.ID, t float64) {
 	it, ok := b.active[id]
 	if !ok {
 		panic(fmt.Sprintf("bins: item %d not in bin %d", id, b.Index))
-	}
-	// Back-annotate the actual departure time into the placement history,
-	// so post-hoc reconstruction (LevelAt, ItemsAt) works even for items
-	// whose departure was unknown at placement time (streaming callers).
-	for i := range b.placements {
-		if b.placements[i].Item.ID == id {
-			b.placements[i].Item.Departure = t
-			break
-		}
 	}
 	v := it.SizeVec()
 	for d := range v {
@@ -266,7 +273,9 @@ func (b *Bin) ActiveItems() item.List {
 }
 
 // Placements returns every item ever placed in this bin, in placement
-// order. The returned slice is shared; callers must not modify it.
+// order — nil for a bin whose ledger keeps no history, as are Items,
+// LevelAt and ItemsAt below. The returned slice is shared; callers must
+// not modify it.
 func (b *Bin) Placements() []Placement { return b.placements }
 
 // Items returns the items ever placed in the bin, in placement order.

@@ -105,13 +105,14 @@ func TestClosedAtPanicsWhileOpen(t *testing.T) {
 }
 
 func TestLevelAtAndItemsAtReconstruction(t *testing.T) {
-	b := Open(0, 1.0, 1, 0)
+	g := NewLedger(1.0, 1)
+	g.KeepHistory() // bins record their placements only under such a ledger
 	i1 := mkItem(1, 0.3, 0, 4)
 	i2 := mkItem(2, 0.4, 2, 6)
-	b.Place(i1, 0)
-	b.Place(i2, 2)
-	b.Remove(1, 4)
-	b.Remove(2, 6)
+	b := g.OpenNew(i1, 0)
+	g.PlaceIn(b, i2, 2)
+	g.Remove(1, 4)
+	g.Remove(2, 6)
 
 	cases := []struct {
 		t     float64

@@ -1,0 +1,231 @@
+package bins
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"dbp/internal/item"
+)
+
+// The ledger holds live state only (ROADMAP item 1, Step B). These tests
+// pin the three ways that shows from inside the package: what a long
+// replay leaves reachable, what a level change allocates, and how far a
+// bin's running level drifts from the sum of what it holds.
+
+// zipfianEvents is a stand-in for the benchmark's engine_soak script
+// (internal/workload imports this package's importers, so it cannot be
+// used here): Poisson arrivals at the given rate, durations uniform on
+// [1, 10), sizes on a 16-class geometric grid from 0.05 to 0.95 with class
+// rank r drawn with probability ~ r^-1.1. It returns the items and their
+// arrive/depart events in time order (departures first on ties), cut to n.
+func zipfianEvents(n int, rate float64, seed int64) (item.List, []zipfianEvent) {
+	rng := rand.New(rand.NewSource(seed))
+	const classes = 16
+	cum := make([]float64, classes)
+	total := 0.0
+	for r := range cum {
+		total += math.Pow(float64(r+1), -1.1)
+		cum[r] = total
+	}
+	l := make(item.List, n*6/10)
+	evs := make([]zipfianEvent, 0, 2*len(l))
+	t := 0.0
+	for i := range l {
+		t += rng.ExpFloat64() / rate
+		r := sort.SearchFloat64s(cum, rng.Float64()*total)
+		l[i] = item.Item{
+			ID:        item.ID(i + 1),
+			Size:      0.05 * math.Pow(0.95/0.05, float64(r)/(classes-1)),
+			Arrival:   t,
+			Departure: t + 1 + 9*rng.Float64(),
+		}
+		evs = append(evs, zipfianEvent{t: l[i].Arrival, job: i}, zipfianEvent{t: l[i].Departure, job: i, depart: true})
+	}
+	sort.SliceStable(evs, func(a, b int) bool {
+		if evs[a].t != evs[b].t {
+			return evs[a].t < evs[b].t
+		}
+		return evs[a].depart && !evs[b].depart
+	})
+	return l, evs[:n]
+}
+
+type zipfianEvent struct {
+	t      float64
+	job    int
+	depart bool
+}
+
+// reachableBins walks everything the ledger and its index point at — each
+// slice to its capacity, the maps, the heap, the treap — and returns the
+// distinct bins found.
+func reachableBins(g *Ledger) map[*Bin]bool {
+	seen := make(map[*Bin]bool)
+	add := func(b *Bin) {
+		if b != nil {
+			seen[b] = true
+		}
+	}
+	for _, b := range g.open[:cap(g.open)] {
+		add(b)
+	}
+	for _, b := range g.all[:cap(g.all)] {
+		add(b)
+	}
+	for _, b := range g.location {
+		add(b)
+	}
+	for _, e := range g.expiries[:cap(g.expiries)] {
+		add(e.bin)
+	}
+	for _, e := range g.due[:cap(g.due)] {
+		add(e.bin)
+	}
+	if ix := g.index; ix != nil {
+		for _, b := range ix.bins[:cap(ix.bins)] {
+			add(b)
+		}
+		var walk func(*levelNode)
+		walk = func(n *levelNode) {
+			if n != nil {
+				add(n.bin)
+				walk(n.l)
+				walk(n.r)
+			}
+		}
+		walk(ix.lvls.root)
+	}
+	return seen
+}
+
+// TestBoundedLedgerState replays 200k zipfian events (and the same script
+// with a keep-alive) through an indexed ledger the way the benchmark's
+// bare-ledger rung does, and checks every 10k events that the index's
+// slots, the tree's leaves and the bins still reachable are bounded by the
+// open fleet — not by the thousands of bins opened by then — and
+// that no closed bin is reachable at all.
+func TestBoundedLedgerState(t *testing.T) {
+	n := 200_000
+	if testing.Short() {
+		n = 40_000
+	}
+	l, evs := zipfianEvents(n, 200, 1)
+	for _, keepAlive := range []float64{0, 0.05} {
+		g := NewLedgerKeepAlive(1, 1, keepAlive)
+		g.EnableIndex()
+		ix := g.Index()
+		for i, e := range evs {
+			g.CloseExpired(e.t)
+			it := l[e.job]
+			if e.depart {
+				g.Remove(it.ID, e.t)
+			} else if b := ix.FirstFitting(it.Size - Eps); b != nil {
+				g.PlaceIn(b, it, e.t)
+			} else {
+				g.OpenNew(it, e.t)
+			}
+			if (i+1)%10_000 != 0 {
+				continue
+			}
+			open := g.NumOpen()
+			if len(ix.bins) > 2*open || ix.tree.n != len(ix.bins) || ix.tree.size >= 2*max(ix.tree.n, 1) {
+				t.Fatalf("keep-alive %g, event %d: %d slots, %d of %d leaves in use for %d open bins (%d opened)",
+					keepAlive, i+1, len(ix.bins), ix.tree.n, ix.tree.size, open, g.NumOpened())
+			}
+			reach := reachableBins(g)
+			if len(reach) != open {
+				t.Fatalf("keep-alive %g, event %d: %d bins reachable, %d open", keepAlive, i+1, len(reach), open)
+			}
+			for b := range reach {
+				if !b.IsOpen() {
+					t.Fatalf("keep-alive %g, event %d: closed bin %v still reachable", keepAlive, i+1, b)
+				}
+				if b.placements != nil {
+					t.Fatalf("keep-alive %g, event %d: bin %v recorded %d placements without KeepHistory", keepAlive, i+1, b, len(b.placements))
+				}
+			}
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatalf("keep-alive %g, event %d: %v", keepAlive, i+1, err)
+			}
+		}
+		if g.NumOpened() < 3*g.NumOpen() {
+			t.Fatalf("keep-alive %g: only %d bins opened for %d open — the replay did not outlive its fleet", keepAlive, g.NumOpened(), g.NumOpen())
+		}
+		t.Logf("keep-alive %g: %d events, %d bins opened, %d open, %d slots", keepAlive, n, g.NumOpened(), g.NumOpen(), len(ix.bins))
+	}
+}
+
+// TestZeroAllocLevelChange pins the steady-state cost of the ledger's hot
+// pair: placing an item into an already-open bin and removing it again,
+// index on, allocates nothing — the treap node is detached and re-filed,
+// no history is appended, and the maps reuse their slots.
+func TestZeroAllocLevelChange(t *testing.T) {
+	g := NewLedger(1, 1)
+	g.EnableIndex()
+	for i := 0; i < 64; i++ { // a fleet deep enough for the treap to rotate
+		g.OpenNew(item.Item{ID: item.ID(i + 1), Size: 0.3 + 0.005*float64(i), Arrival: 0, Departure: math.Inf(1)}, 0)
+	}
+	b := g.OpenBins()[17]
+	it := item.Item{ID: 1000, Size: 0.25, Arrival: 1, Departure: math.Inf(1)}
+	if n := testing.AllocsPerRun(1000, func() {
+		g.PlaceIn(b, it, 1)
+		g.Remove(it.ID, 1)
+	}); n != 0 {
+		t.Fatalf("PlaceIn + Remove on an open bin allocates %v times, want 0", n)
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLevelDriftOverTenMillionCycles is the float-drift pin: one bin that
+// never empties holds six jobs with sizes in [0.01, 0.15) while 10^7
+// place/remove cycles replace them one at a time, and its running level —
+// an accumulator that is never reset — must stay within Eps/100 of the sum
+// of what it currently holds (re-added from scratch each time, so exact to
+// a few ULPs). A live ledger's low-index bins live for the daemon's whole
+// life, so this is the error budget the admission tolerance Eps rests on.
+func TestLevelDriftOverTenMillionCycles(t *testing.T) {
+	cycles := 10_000_000
+	if testing.Short() {
+		cycles = 100_000
+	}
+	rng := rand.New(rand.NewSource(1))
+	size := func() float64 { return 0.01 + 0.14*rng.Float64() }
+	g := NewLedger(1, 1)
+	g.EnableIndex()
+	var resident [6]item.Item
+	next := item.ID(1)
+	var b *Bin
+	for i := range resident {
+		resident[i] = item.Item{ID: next, Size: size(), Departure: math.Inf(1)}
+		next++
+		if b == nil {
+			b = g.OpenNew(resident[i], 0)
+		} else {
+			g.PlaceIn(b, resident[i], 0)
+		}
+	}
+	worst := 0.0
+	for c := 0; c < cycles; c++ {
+		k := rng.Intn(len(resident))
+		g.Remove(resident[k].ID, 0)
+		resident[k] = item.Item{ID: next, Size: size(), Departure: math.Inf(1)}
+		next++
+		g.PlaceIn(b, resident[k], 0)
+		exact := 0.0
+		for _, it := range resident {
+			exact += it.Size
+		}
+		worst = max(worst, math.Abs(b.Level()-exact))
+	}
+	t.Logf("worst |level - exact| over %d cycles: %.3g", cycles, worst)
+	if worst > Eps/100 {
+		t.Fatalf("level drifted %.3g from the sum of the resident sizes over %d cycles, budget %g", worst, cycles, Eps/100)
+	}
+	if b.placements != nil || g.NumOpened() != 1 {
+		t.Fatalf("the bin recorded %d placements, the ledger opened %d bins", len(b.placements), g.NumOpened())
+	}
+}

@@ -5,8 +5,9 @@ import (
 	"slices"
 )
 
-// gapTree is a segment tree over bins in opening order (by Index) whose
-// nodes store the per-dimension maximum gap of their range, laid out with
+// gapTree is a segment tree over the index's slots — the open bins in
+// opening order, plus the closed slots awaiting compaction — whose nodes
+// store the per-dimension maximum gap of their range, laid out with
 // stride dim (node p's gap in dimension d lives at node[p*dim+d]; a
 // scalar fleet is the stride-1 case). It answers the positional queries:
 //
@@ -28,38 +29,39 @@ import (
 // would admit. A borderline subtree is visited and rejected at its
 // leaves; answers are unaffected.
 //
-// Closed bins are tombstoned with -Inf in every dimension, which fails
-// every comparison above, so they can never win a query or be visited.
+// A closed slot is tombstoned with -Inf in every dimension, which fails
+// every comparison above, so it can never win a query or be visited.
 type gapTree struct {
 	dim  int
-	n    int       // number of bins ever added (leaves in use)
+	n    int       // slots handed out (leaves in use)
 	size int       // power-of-two leaf count
 	node []float64 // stride-dim segment tree over cached gaps (max per dim)
 }
 
 // add appends the next leaf (bins open in index order) with -Inf gaps;
-// the caller follows up with update or tombstone.
+// the caller follows up with update.
 func (t *gapTree) add() {
 	t.n++
 	if t.n > t.size {
-		t.grow()
+		t.resize()
 	}
 }
 
-// grow doubles the leaf capacity, preserving existing leaf values.
-func (t *gapTree) grow() {
+// resize re-allocates the tree at the smallest power-of-two leaf count
+// holding n leaves — doubling for add, shrinking for Index.compact —
+// keeping the first n leaf values.
+func (t *gapTree) resize() {
 	size := 1
 	for size < t.n {
 		size *= 2
 	}
-	old := t.node
-	oldSize := t.size
+	old, oldSize := t.node, t.size
 	t.size = size
 	t.node = make([]float64, 2*size*t.dim)
 	for i := range t.node {
 		t.node[i] = math.Inf(-1)
 	}
-	copy(t.node[size*t.dim:], old[oldSize*t.dim:])
+	copy(t.node[size*t.dim:], old[oldSize*t.dim:(oldSize+min(t.n, oldSize))*t.dim])
 	for p := size - 1; p >= 1; p-- {
 		t.pull(p)
 	}

@@ -37,8 +37,20 @@ import (
 //	           DRWorstFit at any d
 //
 // First Fit — the daemon's default — never reads the treap, yet pays a
-// levelNode allocation per level change to keep it coherent (part of the
-// benchmark's bins.allocs_per_event; ROADMAP items 4 and 6).
+// delete and an insert of its bin's key per level change to keep it
+// coherent (the node is reused, so the pair allocates nothing; ROADMAP
+// item 6).
+//
+// Both structures are over the open bins only. A bin takes the next slot
+// — a position in bins and the tree leaf of the same number — when it
+// opens, so slots are in opening order, and gives it up (nil, tombstoned)
+// when it closes; once closed slots outnumber open ones, compact renumbers
+// the open bins into the first slots in the same order. Slot order is
+// therefore Bin.Index order at all times, First and Last Fit still return
+// the lowest and highest Bin.Index, and the tree's size follows the open
+// fleet, at an amortised O(1) per closure. The treap's nodes hold their
+// *Bin, keyed and tie-broken by (MinGap, Bin.Index) with priorities hashed
+// from Bin.Index, so neither its shape nor any answer depends on slots.
 //
 // The owning Ledger keeps both coherent on every OpenNew/PlaceIn/Remove/
 // CloseExpired. Callers of the scalar queries fold their tolerance into
@@ -46,7 +58,8 @@ import (
 // exact — no epsilon — so query answers are order-independent and
 // reproducible.
 type Index struct {
-	bins []*Bin // by Index; closed bins stay (tombstoned)
+	bins []*Bin // by slot, in opening order; nil where the bin has closed
+	live int    // non-nil entries of bins
 	tree gapTree
 	lvls levelTree
 
@@ -61,47 +74,60 @@ func newIndex(dim int) *Index {
 }
 
 // observeOpen tracks a freshly opened bin (called by the ledger after the
-// first item is placed).
+// first item is placed): it takes the next slot.
 func (ix *Index) observeOpen(b *Bin) {
-	ix.appendBin(b)
-	ix.tree.update(b.Index, b)
-	ix.lvls.insert(ix.tree.minGapAt(b.Index), b.Index)
-}
-
-// restoreClosed occupies the next opening-order slot with an
-// already-closed bin during ledger restore: present in the positional
-// array (indices must line up), tombstoned in the gap tree, absent from
-// the treap — exactly the state remove leaves a closed bin in.
-func (ix *Index) restoreClosed(b *Bin) {
-	ix.appendBin(b)
-	ix.tree.tombstone(b.Index)
-}
-
-// appendBin takes the next opening-order slot for b.
-func (ix *Index) appendBin(b *Bin) {
-	if b.Index != len(ix.bins) {
-		panic(fmt.Sprintf("bins: index saw bin %d out of order", b.Index))
-	}
+	b.slot = len(ix.bins)
 	ix.bins = append(ix.bins, b)
+	ix.live++
 	ix.tree.add()
+	ix.tree.update(b.slot, b)
+	ix.lvls.insert(&levelNode{gap: ix.tree.minGapAt(b.slot), idx: b.Index, bin: b, prio: splitmix64(uint64(b.Index))})
 }
 
 // refresh re-reads an open bin's gaps after a level change. The treap
 // key to delete is read back from the tree leaf (the exact floats
-// written last time), never recomputed from the bin.
+// written last time), never recomputed from the bin, and the detached
+// node goes back in under the new key.
 func (ix *Index) refresh(b *Bin) {
-	old := ix.tree.minGapAt(b.Index)
-	ix.tree.update(b.Index, b)
-	if g := ix.tree.minGapAt(b.Index); g != old {
-		ix.lvls.delete(old, b.Index)
-		ix.lvls.insert(g, b.Index)
+	old := ix.tree.minGapAt(b.slot)
+	ix.tree.update(b.slot, b)
+	if g := ix.tree.minGapAt(b.slot); g != old {
+		n := ix.lvls.delete(old, b.Index)
+		n.gap = g
+		ix.lvls.insert(n)
 	}
 }
 
-// remove untracks a bin that closed.
+// remove untracks a bin that closed, and compacts the slots once the
+// closed ones outnumber the open ones.
 func (ix *Index) remove(b *Bin) {
-	ix.lvls.delete(ix.tree.minGapAt(b.Index), b.Index)
-	ix.tree.tombstone(b.Index)
+	ix.lvls.delete(ix.tree.minGapAt(b.slot), b.Index)
+	ix.tree.tombstone(b.slot)
+	ix.bins[b.slot] = nil
+	ix.live--
+	if len(ix.bins)-ix.live > ix.live {
+		ix.compact()
+	}
+}
+
+// compact renumbers the open bins into slots 0..live-1, preserving their
+// order, and rebuilds the tree over exactly those leaves. Both arrays are
+// allocated afresh so that what a shrunken fleet retains is its own size.
+func (ix *Index) compact() {
+	kept := make([]*Bin, 0, ix.live)
+	for _, b := range ix.bins {
+		if b == nil {
+			continue
+		}
+		// A bin only ever moves to a lower slot, so the leaf written here
+		// has already been read.
+		copy(ix.tree.leaf(len(kept)), ix.tree.leaf(b.slot))
+		b.slot = len(kept)
+		kept = append(kept, b)
+	}
+	ix.bins = kept
+	ix.tree.n = len(kept)
+	ix.tree.resize()
 }
 
 // FirstFitting returns the earliest-opened bin with gap >= need, or nil
@@ -131,7 +157,7 @@ func (ix *Index) TightestFitting(need float64) *Bin {
 	if n == nil {
 		return nil
 	}
-	return ix.bins[n.idx]
+	return n.bin
 }
 
 // EmptiestFitting returns the bin with the largest gap, ties toward the
@@ -143,8 +169,7 @@ func (ix *Index) EmptiestFitting(need float64) *Bin {
 		return nil
 	}
 	// Lowest index within the maximal-gap group.
-	n := ix.lvls.ceil(m.gap, 0)
-	return ix.bins[n.idx]
+	return ix.lvls.ceil(m.gap, 0).bin
 }
 
 // SecondEmptiestFitting returns the runner-up of EmptiestFitting under
@@ -156,17 +181,17 @@ func (ix *Index) SecondEmptiestFitting(need float64) *Bin {
 	if first == nil {
 		return nil
 	}
-	g := ix.tree.minGapAt(first.Index)
+	g := ix.tree.minGapAt(first.slot)
 	// Next bin in the same gap group, if any.
 	if n := ix.lvls.ceil(g, first.Index+1); n != nil && n.gap == g {
-		return ix.bins[n.idx]
+		return n.bin
 	}
 	// Otherwise the head of the next-lower gap group, if it still fits.
 	p := ix.lvls.floorBelowGap(g)
 	if p == nil || p.gap < need {
 		return nil
 	}
-	return ix.bins[ix.lvls.ceil(p.gap, 0).idx]
+	return ix.lvls.ceil(p.gap, 0).bin
 }
 
 // EachFitting calls visit for every open bin that can accommodate the
@@ -221,7 +246,9 @@ func (ix *Index) eachFitting(sizes []float64, desc bool, visit func(*Bin) bool) 
 		}
 		if p >= t.size {
 			if i := p - t.size; i < t.n {
-				if b := ix.bins[i]; b.FitsDemand(sizes) && !visit(b) {
+				// A closed slot's -Inf leaf fails mayFit for every demand
+				// but a NaN one, which no comparison prunes.
+				if b := ix.bins[i]; b != nil && b.FitsDemand(sizes) && !visit(b) {
 					break
 				}
 			}
@@ -259,8 +286,8 @@ func (ix *Index) MaxMinGapFitting(sizes []float64) *Bin {
 			return nil
 		}
 		for n := t.ceil(g, 0); n != nil && n.gap == g; n = t.ceil(g, n.idx+1) {
-			if b := ix.bins[n.idx]; b.FitsDemand(sizes) {
-				return b
+			if n.bin.FitsDemand(sizes) {
+				return n.bin
 			}
 		}
 	}
@@ -270,29 +297,33 @@ func (ix *Index) MaxMinGapFitting(sizes []float64) *Bin {
 // checkCoherent verifies the index against the ledger's open list; the
 // ledger's CheckInvariants calls it when the index is enabled.
 func (ix *Index) checkCoherent(open []*Bin) error {
-	inOpen := make(map[int]bool, len(open))
-	for _, b := range open {
-		inOpen[b.Index] = true
-		if b.Index >= len(ix.bins) || ix.bins[b.Index] != b {
-			return fmt.Errorf("index does not track open bin %d", b.Index)
+	if closed := len(ix.bins) - ix.live; ix.live != len(open) || closed > ix.live {
+		return fmt.Errorf("index holds %d open and %d closed slots for %d open bins", ix.live, closed, len(open))
+	}
+	if ix.tree.n != len(ix.bins) || ix.tree.size >= 2*max(ix.tree.n, 1) {
+		return fmt.Errorf("gap tree has %d of %d leaves in use for %d slots", ix.tree.n, ix.tree.size, len(ix.bins))
+	}
+	next := 0 // cursor into open: the non-nil slots must list it in order
+	for i, b := range ix.bins {
+		if b == nil {
+			for d, g := range ix.tree.leaf(i) {
+				if !math.IsInf(g, -1) {
+					return fmt.Errorf("closed slot %d not tombstoned in gap tree (dim %d gap %g)", i, d, g)
+				}
+			}
+			continue
 		}
-		for d, g := range ix.tree.leaf(b.Index) {
+		if next == len(open) || open[next] != b || b.slot != i {
+			return fmt.Errorf("index slot %d holds bin %d (slot %d), not the next open bin", i, b.Index, b.slot)
+		}
+		next++
+		for d, g := range ix.tree.leaf(i) {
 			if g != b.GapAt(d) {
 				return fmt.Errorf("index gap for bin %d dim %d is %g, want %g", b.Index, d, g, b.GapAt(d))
 			}
 		}
-		if !ix.lvls.contains(b.MinGap(), b.Index) {
+		if n := ix.lvls.find(b.MinGap(), b.Index); n == nil || n.bin != b {
 			return fmt.Errorf("level tree missing open bin %d (min gap %g)", b.Index, b.MinGap())
-		}
-	}
-	for i := range ix.bins {
-		if inOpen[i] {
-			continue
-		}
-		for d, g := range ix.tree.leaf(i) {
-			if !math.IsInf(g, -1) {
-				return fmt.Errorf("closed bin %d not tombstoned in gap tree (dim %d gap %g)", i, d, g)
-			}
 		}
 	}
 	if n := ix.lvls.count(); n != len(open) {

@@ -3,6 +3,7 @@ package bins
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dbp/internal/item"
@@ -240,5 +241,25 @@ func TestIndexIllDimensionedDemand(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestIndexNaNDemandSkipsClosedSlots pins the one demand no comparison
+// prunes: a NaN component passes every mayFit test, so the descent reaches
+// the -Inf leaf of a closed slot, and it must find nothing there — the
+// enumeration is the open list, as in the linear scan (FitsDemand admits
+// NaN at every open bin; packing's checkDemand refuses it long before).
+func TestIndexNaNDemandSkipsClosedSlots(t *testing.T) {
+	g := NewLedger(1, 1)
+	g.EnableIndex()
+	for i := 1; i <= 5; i++ {
+		g.OpenNew(item.Item{ID: item.ID(i), Size: 0.5, Arrival: 0, Departure: math.Inf(1)}, 0)
+	}
+	g.Remove(2, 1) // two closed slots among five: not yet compacted
+	g.Remove(4, 1)
+	var visited []int
+	g.Index().EachFitting([]float64{math.NaN()}, func(b *Bin) bool { visited = append(visited, b.Index); return true })
+	if want := []int{0, 2, 4}; !slices.Equal(visited, want) {
+		t.Fatalf("EachFitting(NaN) visited bins %v, want the open list %v", visited, want)
 	}
 }

@@ -78,7 +78,7 @@ func TestBinPlacePanicsAfterOpenTime(t *testing.T) {
 
 func TestLedgerKeepAliveCloseExpired(t *testing.T) {
 	g := NewLedgerKeepAlive(1, 1, 2)
-	g.OpenNew(mkItem(1, 0.5, 0, 1), 0)
+	b := g.OpenNew(mkItem(1, 0.5, 0, 1), 0)
 	g.OpenNew(mkItem(2, 0.9, 0, 3), 0)
 	if _, closed := g.Remove(1, 1); closed {
 		t.Fatal("keep-alive bin must not close on empty")
@@ -94,8 +94,7 @@ func TestLedgerKeepAliveCloseExpired(t *testing.T) {
 	if n := g.CloseExpired(3); n != 1 {
 		t.Fatalf("closed %d at expiry", n)
 	}
-	b := g.AllBins()[0]
-	if b.IsOpen() || b.ClosedAt() != 3 {
+	if b.Index != 0 || b.IsOpen() || b.ClosedAt() != 3 {
 		t.Fatalf("bin 0 closed at %v", b)
 	}
 	if err := g.CheckInvariants(); err != nil {
@@ -120,6 +119,7 @@ func TestLedgerKeepAliveCloseExpired(t *testing.T) {
 // including ties (two bins emptying at the same instant).
 func TestCloseExpiredOrderAndTies(t *testing.T) {
 	g := NewLedgerKeepAlive(1, 1, 2)
+	g.KeepHistory()                    // the test reads closed bins back by index
 	g.OpenNew(mkItem(1, 0.9, 0, 3), 0) // bin 0, empties last
 	g.OpenNew(mkItem(2, 0.9, 0, 1), 0) // bin 1, empties at 1
 	g.OpenNew(mkItem(3, 0.9, 0, 1), 0) // bin 2, empties at 1 (tie with bin 1)
@@ -236,11 +236,14 @@ func TestUsagePeriodOfLingeringBin(t *testing.T) {
 }
 
 func TestItemsAtDuringLinger(t *testing.T) {
-	b := Open(0, 1, 1, 0)
-	b.LingerWhenEmpty = true
+	g := NewLedgerKeepAlive(1, 1, 5)
+	g.KeepHistory() // bins record their placements only under such a ledger
 	it := item.Item{ID: 1, Size: 0.5, Arrival: 0, Departure: 2}
-	b.Place(it, 0)
-	b.Remove(1, 2)
+	b := g.OpenNew(it, 0)
+	g.Remove(1, 2)
+	if !b.Lingering() {
+		t.Fatal("bin must linger after its last departure")
+	}
 	if n := len(b.ItemsAt(3)); n != 0 {
 		t.Fatalf("%d items during linger, want 0", n)
 	}

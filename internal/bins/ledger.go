@@ -8,28 +8,38 @@ import (
 	"dbp/internal/item"
 )
 
-// Ledger tracks every bin ever opened during a packing run, the currently
-// open subset, which bin each item lives in, and the running objective
-// statistics (total usage time, maximum number of concurrently open bins —
-// the classical DBP objective the paper contrasts with, Sec. II).
+// Ledger tracks the currently open bins of a packing run, which bin each
+// item lives in, and the running objective statistics (total usage time,
+// maximum number of concurrently open bins — the classical DBP objective
+// the paper contrasts with, Sec. II). It holds live state only: a closed
+// bin leaves its usage in an accumulator and its index in a counter, and
+// nothing in the ledger, its index or its expiry heap refers to it again,
+// so memory and per-event cost follow the open fleet however long the run.
+// A ledger told to KeepHistory — the batch simulator's and Replay's, whose
+// Result and analyses read it — also retains every bin ever opened, each
+// recording its placements.
 //
-// The ledger's own per-event work is O(log B) in the number of open bins
-// B: placements and openings are O(1), Remove locates the bin's open-list
-// slot by binary search, and keep-alive expiries are driven by a min-heap
-// of pending closures instead of a scan of the fleet (DESIGN.md §8). The
-// event as a whole is not O(log B) yet: Bin.Remove scans the bin's
-// placements, which keep every item the bin ever held, so cost grows
-// with history — the benchmark's engine_soak reads tail_over_head ≈ 3.8
-// and its bare-ledger replay 878 → 3781 ns/event from the first to the
-// last decile of 1M events (ROADMAP item 1).
+// An event costs O(log B) in the number of open bins B: placements and
+// openings are O(1), a departure is O(1) in its bin, Remove locates the
+// bin's open-list slot by binary search, keep-alive expiries are driven
+// by a min-heap of pending closures instead of a scan of the fleet, and
+// the index (when enabled) updates one root-to-leaf path of a tree over
+// the open bins and one treap key (DESIGN.md §8). The benchmark's
+// bare-ledger replay of 1M zipfian events reads, from the first to the
+// last decile of the script, 795 → 3370 ns/event before the ledger shed
+// its history and 538 → 562 after (DESIGN.md §8 has all ten).
 type Ledger struct {
 	capacity  float64
 	dim       int
 	keepAlive float64 // 0: close bins the moment they empty
 
-	all      []*Bin
+	opened   int    // bins ever opened; the next bin's Index
 	open     []*Bin // sorted by Index ascending (== opening order)
 	location map[item.ID]*Bin
+	// history makes the ledger retain every bin ever opened (all) and
+	// each bin record its placements; see KeepHistory.
+	history bool
+	all     []*Bin
 	// expiries holds the pending keep-alive closures (min by emptySince),
 	// lazily invalidated: entries for revived bins are discarded when
 	// popped rather than being searched for and deleted.
@@ -81,10 +91,23 @@ func (g *Ledger) KeepAlive() float64 { return g.keepAlive }
 // EnableIndex turns on the policy-query index, which every subsequent
 // mutation keeps coherent. It must be called before any bin is opened.
 func (g *Ledger) EnableIndex() {
-	if len(g.all) > 0 {
+	if g.opened > 0 {
 		panic("bins: EnableIndex on a ledger that already opened bins")
 	}
 	g.index = newIndex(g.dim)
+}
+
+// KeepHistory makes the ledger retain every bin it opens (AllBins) and
+// every bin record its placements (Bin.Placements, Items, LevelAt,
+// ItemsAt) — what packing.Result, its Verify and the analysis package
+// read after a batch run. Memory then grows with the run, which is why a
+// long-lived streaming owner never asks for it. It must be called before
+// any bin is opened.
+func (g *Ledger) KeepHistory() {
+	if g.opened > 0 {
+		panic("bins: KeepHistory on a ledger that already opened bins")
+	}
+	g.history = true
 }
 
 // Index returns the policy-query index, or nil when not enabled.
@@ -179,14 +202,15 @@ func (g *Ledger) Dim() int { return g.dim }
 // Index). The slice is shared; callers must not modify it.
 func (g *Ledger) OpenBins() []*Bin { return g.open }
 
-// AllBins returns every bin ever opened, in opening order. Shared slice.
+// AllBins returns every bin ever opened, in opening order, on a ledger
+// that keeps history (KeepHistory); nil otherwise. Shared slice.
 func (g *Ledger) AllBins() []*Bin { return g.all }
 
 // NumOpen returns the number of currently open bins.
 func (g *Ledger) NumOpen() int { return len(g.open) }
 
 // NumOpened returns the total number of bins ever opened.
-func (g *Ledger) NumOpened() int { return len(g.all) }
+func (g *Ledger) NumOpened() int { return g.opened }
 
 // MaxConcurrentOpen returns the peak number of simultaneously open bins
 // observed so far (the classical DBP objective).
@@ -207,9 +231,13 @@ func (g *Ledger) OpenNew(it item.Item, t float64) *Bin {
 // OpenNewCap opens a fresh bin with an explicit capacity (heterogeneous
 // fleets open different tiers; homogeneous runs use OpenNew).
 func (g *Ledger) OpenNewCap(it item.Item, t, capacity float64) *Bin {
-	b := Open(len(g.all), capacity, g.dim, t)
+	b := Open(g.opened, capacity, g.dim, t)
 	b.LingerWhenEmpty = g.keepAlive > 0
-	g.all = append(g.all, b)
+	b.history = g.history
+	g.opened++
+	if g.history {
+		g.all = append(g.all, b)
+	}
 	g.open = append(g.open, b)
 	if len(g.open) > g.maxConcurrentOpen {
 		g.maxConcurrentOpen = len(g.open)
@@ -318,6 +346,12 @@ func (g *Ledger) CheckInvariants() error {
 		if !openSet[b] {
 			return fmt.Errorf("item %d located in non-open bin %d", id, b.Index)
 		}
+	}
+	if prev >= g.opened {
+		return fmt.Errorf("open bin %d but only %d ever opened", prev, g.opened)
+	}
+	if g.history && len(g.all) != g.opened {
+		return fmt.Errorf("history holds %d bins, %d ever opened", len(g.all), g.opened)
 	}
 	for i, b := range g.all {
 		if b.Index != i {

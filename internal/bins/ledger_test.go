@@ -144,6 +144,7 @@ func TestLedgerKeepAliveInvariantsRandomized(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		keepAlive := 0.1 + rng.Float64()*3
 		g := NewLedgerKeepAlive(1.0, 1, keepAlive)
+		g.KeepHistory() // the usage recomputation below walks every bin ever opened
 		live := []item.ID{}
 		next := item.ID(0)
 		now := 0.0

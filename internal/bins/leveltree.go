@@ -10,14 +10,17 @@ package bins
 // with no epsilon fuzz, so every query has a unique, order-independent
 // answer — the property the cross-engine equivalence suite relies on.
 // Priorities are a deterministic hash of the bin index, making tree
-// shape (and therefore run cost) reproducible across runs.
+// shape (and therefore run cost) reproducible across runs. A node belongs
+// to one bin for as long as the bin is open: a level change detaches it
+// and files it again under the new gap.
 type levelTree struct {
 	root *levelNode
 }
 
 type levelNode struct {
 	gap  float64
-	idx  int
+	idx  int // bin.Index, beside gap so that comparisons stay inside the node
+	bin  *Bin
 	prio uint64
 	l, r *levelNode
 }
@@ -36,9 +39,10 @@ func keyLess(g1 float64, i1 int, g2 float64, i2 int) bool {
 	return g1 < g2 || (g1 == g2 && i1 < i2)
 }
 
-// insert adds the key (gap, idx); the key must not already be present.
-func (t *levelTree) insert(gap float64, idx int) {
-	t.root = levelInsert(t.root, &levelNode{gap: gap, idx: idx, prio: splitmix64(uint64(idx))})
+// insert adds a childless node under its key (gap, idx), which must not
+// already be present.
+func (t *levelTree) insert(x *levelNode) {
+	t.root = levelInsert(t.root, x)
 }
 
 func levelInsert(n, x *levelNode) *levelNode {
@@ -59,36 +63,42 @@ func levelInsert(n, x *levelNode) *levelNode {
 	return n
 }
 
-// delete removes the key (gap, idx); missing keys are a coherence bug.
-func (t *levelTree) delete(gap float64, idx int) {
-	t.root = levelDelete(t.root, gap, idx)
+// delete removes the key (gap, idx) and returns its node, childless and
+// ready for insert; missing keys are a coherence bug.
+func (t *levelTree) delete(gap float64, idx int) *levelNode {
+	root, x := levelDelete(t.root, gap, idx)
+	t.root = root
+	return x
 }
 
-func levelDelete(n *levelNode, gap float64, idx int) *levelNode {
+// levelDelete returns the subtree without the key, and the detached node.
+func levelDelete(n *levelNode, gap float64, idx int) (root, x *levelNode) {
 	if n == nil {
 		panic("bins: level tree missing a key it should hold")
 	}
 	switch {
 	case keyLess(gap, idx, n.gap, n.idx):
-		n.l = levelDelete(n.l, gap, idx)
+		n.l, x = levelDelete(n.l, gap, idx)
 	case keyLess(n.gap, n.idx, gap, idx):
-		n.r = levelDelete(n.r, gap, idx)
+		n.r, x = levelDelete(n.r, gap, idx)
 	default:
 		// Rotate the node down until it has at most one child.
 		switch {
 		case n.l == nil:
-			return n.r
+			root, n.r = n.r, nil
+			return root, n
 		case n.r == nil:
-			return n.l
+			root, n.l = n.l, nil
+			return root, n
 		case n.l.prio > n.r.prio:
 			n = rotateRight(n)
-			n.r = levelDelete(n.r, gap, idx)
+			n.r, x = levelDelete(n.r, gap, idx)
 		default:
 			n = rotateLeft(n)
-			n.l = levelDelete(n.l, gap, idx)
+			n.l, x = levelDelete(n.l, gap, idx)
 		}
 	}
-	return n
+	return n, x
 }
 
 func rotateRight(n *levelNode) *levelNode {
@@ -146,8 +156,8 @@ func (t *levelTree) floorBelowGap(gap float64) *levelNode {
 	return best
 }
 
-// contains reports whether the exact key is present (invariant checks).
-func (t *levelTree) contains(gap float64, idx int) bool {
+// find returns the node holding the exact key, or nil (invariant checks).
+func (t *levelTree) find(gap float64, idx int) *levelNode {
 	for n := t.root; n != nil; {
 		switch {
 		case keyLess(gap, idx, n.gap, n.idx):
@@ -155,10 +165,10 @@ func (t *levelTree) contains(gap float64, idx int) bool {
 		case keyLess(n.gap, n.idx, gap, idx):
 			n = n.r
 		default:
-			return true
+			return n
 		}
 	}
-	return false
+	return nil
 }
 
 // count returns the number of keys (invariant checks; O(B)).

@@ -40,10 +40,11 @@ type BinRestore struct {
 // RestoreLedger rebuilds a ledger from durable snapshot state: the open
 // fleet (ascending by Index), the total number of bins ever opened, the
 // peak concurrency, and the exact closed-usage accumulator. Closed bins
-// are restored as zero-footprint tombstones — their usage lives in
-// closedUsage — occupying their opening-order slots so indices, the
-// positional gap tree, and MaxConcurrentOpen all match the uninterrupted
-// ledger. The result passes CheckInvariants before being returned.
+// are not rebuilt — their usage lives in closedUsage and their indices
+// below the opened counter — so the cost follows the open fleet, not the
+// history; the next bin to open takes Index opened, as in the
+// uninterrupted ledger. The restored ledger keeps no history. The result
+// passes CheckInvariants before being returned.
 func RestoreLedger(capacity float64, dim int, keepAlive float64, indexed bool,
 	opened, peak int, closedUsage float64, open []BinRestore) (*Ledger, error) {
 	if dim < 1 {
@@ -65,45 +66,36 @@ func RestoreLedger(capacity float64, dim int, keepAlive float64, indexed bool,
 	if indexed {
 		g.EnableIndex()
 	}
-	next := 0 // cursor into open (which must be ascending by Index)
-	for i := 0; i < opened; i++ {
-		if next < len(open) && open[next].Index < i {
-			return nil, fmt.Errorf("bins: restore open list out of order at bin %d", open[next].Index)
+	g.open = make([]*Bin, 0, len(open))
+	prev := -1
+	for i := range open {
+		r := &open[i]
+		if r.Index <= prev {
+			return nil, fmt.Errorf("bins: restore open list out of order at bin %d", r.Index)
 		}
-		if next < len(open) && open[next].Index == i {
-			b, err := restoreOpenBin(&open[next], capacity, dim, keepAlive > 0)
-			if err != nil {
-				return nil, err
-			}
-			g.all = append(g.all, b)
-			g.open = append(g.open, b)
-			for _, it := range b.active {
-				if g.location[it.ID] != nil {
-					return nil, fmt.Errorf("bins: restore places job %d in two bins", it.ID)
-				}
-				g.location[it.ID] = b
-			}
-			if b.Lingering() {
-				g.expiries.push(expiryEntry{emptySince: b.emptySince, bin: b})
-			}
-			if g.index != nil {
-				g.index.observeOpen(b)
-			}
-			next++
-			continue
+		if r.Index >= opened {
+			return nil, fmt.Errorf("bins: restore open bin %d beyond %d ever opened", r.Index, opened)
 		}
-		// Tombstone: a bin that opened and closed before the snapshot. Its
-		// usage is inside closedUsage; the placeholder only holds the
-		// opening-order slot (Index == position, closed, never queried).
-		b := &Bin{Index: i, Capacity: capacity, level: make([]float64, dim)}
-		g.all = append(g.all, b)
+		prev = r.Index
+		b, err := restoreOpenBin(r, capacity, dim, keepAlive > 0)
+		if err != nil {
+			return nil, err
+		}
+		g.open = append(g.open, b)
+		for _, it := range b.active {
+			if g.location[it.ID] != nil {
+				return nil, fmt.Errorf("bins: restore places job %d in two bins", it.ID)
+			}
+			g.location[it.ID] = b
+		}
+		if b.Lingering() {
+			g.expiries.push(expiryEntry{emptySince: b.emptySince, bin: b})
+		}
 		if g.index != nil {
-			g.index.restoreClosed(b)
+			g.index.observeOpen(b)
 		}
 	}
-	if next != len(open) {
-		return nil, fmt.Errorf("bins: restore open bin %d beyond %d ever opened", open[next].Index, opened)
-	}
+	g.opened = opened
 	g.maxConcurrentOpen = peak
 	g.closedUsage = closedUsage
 	if err := g.CheckInvariants(); err != nil {
@@ -154,10 +146,6 @@ func restoreOpenBin(r *BinRestore, capacity float64, dim int, linger bool) (*Bin
 			it.Sizes = nil
 		}
 		b.active[it.ID] = it
-		// Placement history carries the active jobs only; the departed
-		// ones' history is not needed for any forward operation (Remove
-		// back-annotates by ID, levels are restored verbatim above).
-		b.placements = append(b.placements, Placement{Item: it, At: jb.Arrival})
 	}
 	return b, nil
 }

@@ -1,6 +1,7 @@
 package packing
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -196,6 +197,46 @@ func TestHybridFirstFitClassSeparation(t *testing.T) {
 	}
 	if h2.Assignment[1] != h2.Assignment[2] || h2.Assignment[1] != h2.Assignment[4] {
 		t.Fatal("small items must share the small-class bin")
+	}
+}
+
+// A stream's policy outlives most of the servers it opens, so Hybrid First
+// Fit's class tags must not: 10k servers that open and close beside two
+// long-lived ones leave the map within twice the open list (plus the one
+// BinOpened adds after a sweep), and the saved state — which has always
+// listed open servers only — round-trips through a restore unchanged.
+func TestHybridFirstFitSweepsClosedTags(t *testing.T) {
+	h := NewHybridFirstFit(2)
+	s := NewStream(h, 1, 1)
+	s.Arrive(1, 0.6, nil, 0) // server 0, the large class
+	s.Arrive(2, 0.3, nil, 0) // server 1, the small class
+	for c := 0; c < 10_000; c++ {
+		id, now := item.ID(c+3), float64(c+1)
+		if _, opened, err := s.Arrive(id, 0.9, nil, now); err != nil || !opened {
+			t.Fatalf("cycle %d: arrive opened %v, err %v", c, opened, err)
+		}
+		if _, closed, err := s.Depart(id, now); err != nil || !closed {
+			t.Fatalf("cycle %d: depart closed %v, err %v", c, closed, err)
+		}
+		if open := s.OpenServers(); len(h.class) > 2*open+1 {
+			t.Fatalf("cycle %d: %d class tags for %d open servers", c, len(h.class), open)
+		}
+	}
+	st := h.SaveState()
+	if want := map[int]int{0: 0, 1: 1}; !reflect.DeepEqual(st.Class, want) {
+		t.Fatalf("saved classes %v, want %v", st.Class, want)
+	}
+	restored, err := RestoreStream(NewHybridFirstFit(2), s.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Snapshot().PolicyState; got == nil || !reflect.DeepEqual(*got, st) {
+		t.Fatalf("restored policy state %+v, saved %+v", got, st)
+	}
+	for _, str := range []*Stream{s, restored} {
+		if srv, opened, err := str.Arrive(20_000, 0.3, nil, 20_000); err != nil || opened || srv != 1 {
+			t.Fatalf("small arrival after the churn: server %d, opened %v, err %v; want the small-class server 1", srv, opened, err)
+		}
 	}
 }
 

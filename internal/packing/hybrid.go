@@ -57,10 +57,22 @@ func NewHybridFirstFit(k int) *HybridFirstFit {
 // Name implements Algorithm.
 func (h *HybridFirstFit) Name() string { return fmt.Sprintf("HybridFirstFit(k=%d)", h.k) }
 
-// Place applies First Fit within the arrival's size class.
+// Place applies First Fit within the arrival's size class. It first drops
+// the tags of closed bins once they outnumber the open list, so the map —
+// the one reference a stream's policy would otherwise keep to every server
+// it ever opened — stays within twice the open fleet, at an amortised O(1)
+// per closure.
 func (h *HybridFirstFit) Place(a Arrival, f Fleet) *bins.Bin {
 	c := classify(a.Size, h.k)
-	for _, b := range f.Open() {
+	open := f.Open()
+	if len(h.class) > 2*len(open) {
+		for b := range h.class {
+			if !b.IsOpen() {
+				delete(h.class, b)
+			}
+		}
+	}
+	for _, b := range open {
 		if h.class[b] == c && fits(b, a) {
 			return b
 		}

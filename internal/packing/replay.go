@@ -30,6 +30,7 @@ func Replay(l item.List, assign map[item.ID]int) (*Result, error) {
 		}
 	}
 	ledger := bins.NewLedger(1.0, dim)
+	ledger.KeepHistory() // the Result below carries every bin and its placements
 	label2bin := make(map[int]*bins.Bin)
 	assignment := make(map[item.ID]int, len(l))
 	q := event.NewFromList(l)

@@ -109,6 +109,9 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 		keepAlive = opt.KeepAlive
 	}
 	eng := newEngine(algo, opt.capacity(), opt.dim(l), keepAlive, opt.engine(), opt != nil && opt.Clairvoyant)
+	// A batch run ends and its Result is read bin by bin (Verify, analysis,
+	// svgplot), so its ledger keeps the history a Stream's never does.
+	eng.ledger.KeepHistory()
 	q := event.NewFromListOrder(l, opt != nil && opt.ArrivalsFirst)
 	assignment := make(map[item.ID]int, len(l))
 

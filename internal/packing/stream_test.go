@@ -219,7 +219,8 @@ func TestStreamKeepAlive(t *testing.T) {
 func TestStreamKeepAliveExpiryAtArrival(t *testing.T) {
 	s := NewStreamKeepAlive(NewFirstFit(), 0, 0, 2)
 	s.Arrive(1, 0.5, nil, 0)
-	s.Depart(1, 1) // server 0 lingers, expires at 3
+	server0 := s.Ledger().OpenBins()[0] // a stream's ledger lets go of a closed server
+	s.Depart(1, 1)                      // server 0 lingers, expires at 3
 	srv, opened, err := s.Arrive(2, 0.5, nil, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +228,7 @@ func TestStreamKeepAliveExpiryAtArrival(t *testing.T) {
 	if !opened || srv != 1 {
 		t.Fatalf("arrival at the expiry instant reused server %d (opened=%v), want fresh server 1", srv, opened)
 	}
-	if b := s.Ledger().AllBins()[0]; b.IsOpen() || b.ClosedAt() != 3 {
+	if b := server0; b.Index != 0 || b.IsOpen() || b.ClosedAt() != 3 {
 		t.Fatalf("server 0 must be closed at 3, got %v", b)
 	}
 }
