@@ -76,8 +76,10 @@ scenarios-check:
 	$(GO) test -count=1 -run 'TestEnginesEquivalent' ./internal/packing/
 
 ## bench-fleet: run the large-fleet Go benchmarks once each — among them
-## BenchmarkLargeFleetKeepAliveScaling, ns/event per policy × engine at 10k
-## and 100k jobs, d=1 and d=2 (an O(B) path shows as a ~10x ratio at 10x size)
+## BenchmarkLargeFleetKeepAliveScaling, ns/event per policy × engine from 500
+## to 100k jobs (peak_open ≈ 25 to 3k servers), d=1 and d=2 (an O(B) path
+## shows as a ~10x ratio at 10x size; the linear/indexed crossover is
+## DESIGN.md §8's B* table)
 bench-fleet:
 	$(GO) test -run '^$$' -bench LargeFleet -benchtime 1x .
 
@@ -104,8 +106,11 @@ recover-test:
 
 ## bench-bins: the ledger holds live state only — TestZeroAllocLevelChange
 ## asserts 0 allocs for a place + remove on an open bin with the index on,
-## and the TestBounded* tests that a long replay's index, reachable bins,
-## stream heap and restore cost follow the open fleet, not the history
+## TestBoundedAllocsOpenCycle at most 2 (the Bin and its level slice) for
+## an opening, four placements and the drain that closes it, and the other
+## TestBounded* tests that a long replay's index, reachable bins, stream
+## heap and restore cost follow the open fleet, not the history, and that
+## the index builds only the structure its queries read
 bench-bins:
 	$(GO) test -count=1 -run 'ZeroAlloc|Bounded' ./internal/bins/ ./internal/packing/
 

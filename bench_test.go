@@ -183,13 +183,18 @@ func benchLargeFleet(b *testing.B, mkAlgo func() Algorithm, kind packing.EngineK
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	peak := 0
 	for i := 0; i < b.N; i++ {
 		opt := &packing.Options{KeepAlive: keepAlive, Engine: kind}
-		if _, err := packing.Run(mkAlgo(), jobs, opt); err != nil {
+		res, err := packing.Run(mkAlgo(), jobs, opt)
+		if err != nil {
 			b.Fatal(err)
 		}
+		peak = res.MaxConcurrentOpen
 	}
 	b.ReportMetric(float64(2*n), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*n*b.N), "ns/event")
+	b.ReportMetric(float64(peak), "peak_open")
 }
 
 func BenchmarkLargeFleetFirstFitLinear100k(b *testing.B) {
@@ -214,7 +219,10 @@ func BenchmarkLargeFleetFirstFitIndexedKeepAlive1M(b *testing.B) {
 // tracks the fleet size. The d=2 rows price the vector queries: firstfit
 // and drworstfit stay logarithmic, while worstfit and vectorbestfit score
 // through EachFitting, which visits every fitting bin and is O(B) on both
-// engines by construction (make bench-fleet; DESIGN.md §8).
+// engines by construction (make bench-fleet; DESIGN.md §8). The job counts
+// from 500 up put the peak open fleet (the peak_open metric) at ≈16, 64,
+// 256, 310, 1k and 3k servers, and each size runs the linear engine beside
+// the indexed one: the crossover B* where the index starts to win.
 func BenchmarkLargeFleetKeepAliveScaling(b *testing.B) {
 	rows := []struct {
 		dim      int
@@ -232,8 +240,8 @@ func BenchmarkLargeFleetKeepAliveScaling(b *testing.B) {
 				}
 				return algo
 			}
-			for _, kind := range []packing.EngineKind{packing.EngineLinear, packing.EngineIndexed} {
-				for _, n := range []int{10_000, 100_000} {
+			for _, n := range []int{500, 2_000, 8_000, 10_000, 32_000, 100_000} {
+				for _, kind := range []packing.EngineKind{packing.EngineLinear, packing.EngineIndexed} {
 					b.Run(fmt.Sprintf("d=%d/%s/%s/n=%d", row.dim, policy, kind, n), func(b *testing.B) {
 						benchLargeFleet(b, mk, kind, n, 0.5, row.dim)
 					})

@@ -57,7 +57,10 @@ type Bin struct {
 	closedAt   float64 // NaN while open
 	emptySince float64 // NaN while occupied; set when the bin empties but lingers (keep-alive)
 	level      []float64
-	active     map[item.ID]item.Item
+	// resident holds the items in the bin in no particular order: a
+	// removal moves the last one into the hole. A ledger knows each item's
+	// position; a bare bin scans for it.
+	resident   []item.Item
 	placements []Placement // appended to only under history
 	// slot is the bin's position in its ledger's Index while it is open
 	// there; the index maintains it (compaction moves it).
@@ -80,7 +83,6 @@ func Open(index int, capacity float64, dim int, t float64) *Bin {
 		closedAt:   math.NaN(),
 		emptySince: math.NaN(),
 		level:      make([]float64, dim),
-		active:     make(map[item.ID]item.Item),
 	}
 }
 
@@ -148,7 +150,7 @@ func (b *Bin) MinGap() float64 {
 }
 
 // NumActive returns the number of items currently in the bin.
-func (b *Bin) NumActive() int { return len(b.active) }
+func (b *Bin) NumActive() int { return len(b.resident) }
 
 // Dim returns the number of resource dimensions of the bin.
 func (b *Bin) Dim() int { return len(b.level) }
@@ -177,27 +179,45 @@ func (b *Bin) FitsDemand(v []float64) bool {
 }
 
 // Place adds the item to the bin at time t. It panics if the item does not
-// fit, if the bin is closed, or if t precedes the opening time: all of
-// these indicate simulator bugs, not recoverable conditions.
+// fit, if the bin is closed, if t precedes the opening time, or if the
+// item is already in the bin: all of these indicate simulator bugs, not
+// recoverable conditions.
 func (b *Bin) Place(it item.Item, t float64) {
+	if b.find(it.ID) >= 0 {
+		panic(fmt.Sprintf("bins: item %d already in bin %d", it.ID, b.Index))
+	}
+	b.place(it, t)
+}
+
+// place is Place without the duplicate check, which a ledger makes across
+// its whole fleet instead; it returns the item's position in resident.
+func (b *Bin) place(it item.Item, t float64) int {
 	if !b.Fits(it) {
 		panic(fmt.Sprintf("bins: item %v does not fit in bin %d (level %g)", it, b.Index, b.Level()))
 	}
 	if t < b.openedAt {
 		panic(fmt.Sprintf("bins: placement at %g before bin %d opened at %g", t, b.Index, b.openedAt))
 	}
-	if _, dup := b.active[it.ID]; dup {
-		panic(fmt.Sprintf("bins: item %d already in bin %d", it.ID, b.Index))
-	}
 	v := it.SizeVec()
 	for d := range v {
 		b.level[d] += v[d]
 	}
-	b.active[it.ID] = it
+	b.resident = append(b.resident, it)
 	b.emptySince = math.NaN() // a lingering bin is back in service
 	if b.history {
 		b.placements = append(b.placements, Placement{Item: it, At: t})
 	}
+	return len(b.resident) - 1
+}
+
+// find returns the item's position in resident, or -1.
+func (b *Bin) find(id item.ID) int {
+	for i := range b.resident {
+		if b.resident[i].ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Remove takes the item out of the bin at time t. If the bin becomes
@@ -206,11 +226,17 @@ func (b *Bin) Place(it item.Item, t float64) {
 // callers that keep history (Run, Replay) place items whose Departure is
 // the time of the depart event by construction of the event queue.
 func (b *Bin) Remove(id item.ID, t float64) {
-	it, ok := b.active[id]
-	if !ok {
+	i := b.find(id)
+	if i < 0 {
 		panic(fmt.Sprintf("bins: item %d not in bin %d", id, b.Index))
 	}
-	v := it.SizeVec()
+	b.removeAt(i, t)
+}
+
+// removeAt is Remove for the item at position i of resident. The last
+// item moves into position i; its ledger fixes up where it is.
+func (b *Bin) removeAt(i int, t float64) {
+	v := b.resident[i].SizeVec()
 	for d := range v {
 		b.level[d] -= v[d]
 		if b.level[d] < 0 {
@@ -219,8 +245,11 @@ func (b *Bin) Remove(id item.ID, t float64) {
 			b.level[d] = 0
 		}
 	}
-	delete(b.active, id)
-	if len(b.active) == 0 {
+	last := len(b.resident) - 1
+	b.resident[i] = b.resident[last]
+	b.resident[last] = item.Item{} // drop its Sizes for the collector
+	b.resident = b.resident[:last]
+	if last == 0 {
 		if b.LingerWhenEmpty {
 			b.emptySince = t
 		} else {
@@ -256,19 +285,17 @@ func (b *Bin) Close(t float64) {
 
 // Active returns the IDs of items currently in the bin (unordered).
 func (b *Bin) Active() []item.ID {
-	out := make([]item.ID, 0, len(b.active))
-	for id := range b.active {
-		out = append(out, id)
+	out := make([]item.ID, len(b.resident))
+	for i, it := range b.resident {
+		out[i] = it.ID
 	}
 	return out
 }
 
 // ActiveItems returns the items currently in the bin (unordered).
 func (b *Bin) ActiveItems() item.List {
-	out := make(item.List, 0, len(b.active))
-	for _, it := range b.active {
-		out = append(out, it)
-	}
+	out := make(item.List, len(b.resident))
+	copy(out, b.resident)
 	return out
 }
 
@@ -316,5 +343,5 @@ func (b *Bin) String() string {
 	if !b.IsOpen() {
 		state = fmt.Sprintf("closed@%g", b.closedAt)
 	}
-	return fmt.Sprintf("bin{#%d level=%g n=%d opened@%g %s}", b.Index, b.Level(), len(b.active), b.openedAt, state)
+	return fmt.Sprintf("bin{#%d level=%g n=%d opened@%g %s}", b.Index, b.Level(), len(b.resident), b.openedAt, state)
 }

@@ -59,23 +59,40 @@ type zipfianEvent struct {
 }
 
 // reachableBins walks everything the ledger and its index point at — each
-// slice to its capacity, the maps, the heap, the treap — and returns the
-// distinct bins found.
-func reachableBins(g *Ledger) map[*Bin]bool {
+// slice to its capacity, the map, the heap, the treap — and returns the
+// distinct bins found. The free list holds items, not bins: it checks
+// that every slice there, and every open bin's resident slice past its
+// length, holds only zero items, so a departed job's demand vector is not
+// kept alive either.
+func reachableBins(t *testing.T, g *Ledger) map[*Bin]bool {
+	t.Helper()
 	seen := make(map[*Bin]bool)
 	add := func(b *Bin) {
 		if b != nil {
 			seen[b] = true
 		}
 	}
+	zeroed := func(where string, s []item.Item) {
+		for i, it := range s {
+			if it.ID != 0 || it.Sizes != nil {
+				t.Fatalf("%s keeps item %d at position %d", where, it.ID, i)
+			}
+		}
+	}
 	for _, b := range g.open[:cap(g.open)] {
 		add(b)
+		if b != nil {
+			zeroed("a resident slice past its length", b.resident[len(b.resident):cap(b.resident)])
+		}
 	}
 	for _, b := range g.all[:cap(g.all)] {
 		add(b)
 	}
-	for _, b := range g.location {
-		add(b)
+	for _, r := range g.location {
+		add(r.bin)
+	}
+	for _, s := range g.free[:cap(g.free)] {
+		zeroed("the free list", s[:cap(s)])
 	}
 	for _, e := range g.expiries[:cap(g.expiries)] {
 		add(e.bin)
@@ -87,6 +104,11 @@ func reachableBins(g *Ledger) map[*Bin]bool {
 		for _, b := range ix.bins[:cap(ix.bins)] {
 			add(b)
 		}
+		for _, n := range ix.nodes[:cap(ix.nodes)] {
+			if n != nil {
+				add(n.bin)
+			}
+		}
 		var walk func(*levelNode)
 		walk = func(n *levelNode) {
 			if n != nil {
@@ -95,7 +117,9 @@ func reachableBins(g *Ledger) map[*Bin]bool {
 				walk(n.r)
 			}
 		}
-		walk(ix.lvls.root)
+		if ix.lvls != nil {
+			walk(ix.lvls.root)
+		}
 	}
 	return seen
 }
@@ -103,70 +127,140 @@ func reachableBins(g *Ledger) map[*Bin]bool {
 // TestBoundedLedgerState replays 200k zipfian events (and the same script
 // with a keep-alive) through an indexed ledger the way the benchmark's
 // bare-ledger rung does, and checks every 10k events that the index's
-// slots, the tree's leaves and the bins still reachable are bounded by the
-// open fleet — not by the thousands of bins opened by then — and
-// that no closed bin is reachable at all.
+// slots, the built structure and the bins still reachable are bounded by
+// the open fleet — not by the thousands of bins opened by then — and that
+// no closed bin is reachable at all. It replays once placing by First Fit
+// and once by Best Fit (TightestFitting), and checks that each built only
+// the structure its query reads: no treap node for the first, no gap tree
+// for the second.
 func TestBoundedLedgerState(t *testing.T) {
-	n := 200_000
-	if testing.Short() {
-		n = 40_000
-	}
+	// Not shortened under -short: Best Fit keeps its bins open so long
+	// that a shorter replay does not outlive its fleet.
+	const n = 200_000
 	l, evs := zipfianEvents(n, 200, 1)
-	for _, keepAlive := range []float64{0, 0.05} {
-		g := NewLedgerKeepAlive(1, 1, keepAlive)
-		g.EnableIndex()
-		ix := g.Index()
-		for i, e := range evs {
-			g.CloseExpired(e.t)
-			it := l[e.job]
-			if e.depart {
-				g.Remove(it.ID, e.t)
-			} else if b := ix.FirstFitting(it.Size - Eps); b != nil {
-				g.PlaceIn(b, it, e.t)
-			} else {
-				g.OpenNew(it, e.t)
+	for _, query := range []string{"FirstFitting", "TightestFitting"} {
+		for _, keepAlive := range []float64{0, 0.05} {
+			g := NewLedgerKeepAlive(1, 1, keepAlive)
+			g.EnableIndex()
+			ix := g.Index()
+			fit := ix.FirstFitting
+			if query == "TightestFitting" {
+				fit = ix.TightestFitting
 			}
-			if (i+1)%10_000 != 0 {
-				continue
-			}
-			open := g.NumOpen()
-			if len(ix.bins) > 2*open || ix.tree.n != len(ix.bins) || ix.tree.size >= 2*max(ix.tree.n, 1) {
-				t.Fatalf("keep-alive %g, event %d: %d slots, %d of %d leaves in use for %d open bins (%d opened)",
-					keepAlive, i+1, len(ix.bins), ix.tree.n, ix.tree.size, open, g.NumOpened())
-			}
-			reach := reachableBins(g)
-			if len(reach) != open {
-				t.Fatalf("keep-alive %g, event %d: %d bins reachable, %d open", keepAlive, i+1, len(reach), open)
-			}
-			for b := range reach {
-				if !b.IsOpen() {
-					t.Fatalf("keep-alive %g, event %d: closed bin %v still reachable", keepAlive, i+1, b)
+			for i, e := range evs {
+				g.CloseExpired(e.t)
+				it := l[e.job]
+				if e.depart {
+					g.Remove(it.ID, e.t)
+				} else if b := fit(it.Size - Eps); b != nil {
+					g.PlaceIn(b, it, e.t)
+				} else {
+					g.OpenNew(it, e.t)
 				}
-				if b.placements != nil {
-					t.Fatalf("keep-alive %g, event %d: bin %v recorded %d placements without KeepHistory", keepAlive, i+1, b, len(b.placements))
+				if (i+1)%10_000 != 0 {
+					continue
+				}
+				open := g.NumOpen()
+				if len(ix.bins) > 2*open {
+					t.Fatalf("%s, keep-alive %g, event %d: %d slots for %d open bins (%d opened)",
+						query, keepAlive, i+1, len(ix.bins), open, g.NumOpened())
+				}
+				if tr := ix.tree; tr != nil && (tr.n != len(ix.bins) || tr.size >= 2*max(tr.n, 1)) {
+					t.Fatalf("%s, keep-alive %g, event %d: %d of %d leaves in use for %d slots",
+						query, keepAlive, i+1, tr.n, tr.size, len(ix.bins))
+				}
+				if ix.lvls != nil && len(ix.nodes) != len(ix.bins) {
+					t.Fatalf("%s, keep-alive %g, event %d: %d treap node slots for %d slots",
+						query, keepAlive, i+1, len(ix.nodes), len(ix.bins))
+				}
+				if len(g.free) > g.MaxConcurrentOpen() {
+					t.Fatalf("%s, keep-alive %g, event %d: %d free resident slices, peak fleet %d",
+						query, keepAlive, i+1, len(g.free), g.MaxConcurrentOpen())
+				}
+				reach := reachableBins(t, g)
+				if len(reach) != open {
+					t.Fatalf("%s, keep-alive %g, event %d: %d bins reachable, %d open", query, keepAlive, i+1, len(reach), open)
+				}
+				for b := range reach {
+					if !b.IsOpen() {
+						t.Fatalf("%s, keep-alive %g, event %d: closed bin %v still reachable", query, keepAlive, i+1, b)
+					}
+					if b.placements != nil {
+						t.Fatalf("%s, keep-alive %g, event %d: bin %v recorded %d placements without KeepHistory", query, keepAlive, i+1, b, len(b.placements))
+					}
+				}
+				if err := g.CheckInvariants(); err != nil {
+					t.Fatalf("%s, keep-alive %g, event %d: %v", query, keepAlive, i+1, err)
 				}
 			}
-			if err := g.CheckInvariants(); err != nil {
-				t.Fatalf("keep-alive %g, event %d: %v", keepAlive, i+1, err)
+			if g.NumOpened() < 3*g.NumOpen() {
+				t.Fatalf("%s, keep-alive %g: only %d bins opened for %d open — the replay did not outlive its fleet", query, keepAlive, g.NumOpened(), g.NumOpen())
 			}
+			switch {
+			case query == "FirstFitting" && (ix.tree == nil || ix.lvls != nil || ix.nodes != nil):
+				t.Fatalf("keep-alive %g: a First Fit replay built the treap (or no gap tree)", keepAlive)
+			case query == "TightestFitting" && (ix.lvls == nil || ix.tree != nil):
+				t.Fatalf("keep-alive %g: a Best Fit replay built the gap tree (or no treap)", keepAlive)
+			}
+			t.Logf("%s, keep-alive %g: %d events, %d bins opened, %d open, %d slots", query, keepAlive, n, g.NumOpened(), g.NumOpen(), len(ix.bins))
 		}
-		if g.NumOpened() < 3*g.NumOpen() {
-			t.Fatalf("keep-alive %g: only %d bins opened for %d open — the replay did not outlive its fleet", keepAlive, g.NumOpened(), g.NumOpen())
+	}
+}
+
+// TestBoundedAllocsOpenCycle pins what an opening costs: on an indexed
+// First Fit ledger holding 64 resident bins, a cycle that opens a bin,
+// fills it with four placements, drains it and so closes it allocates the
+// Bin and its level slice and nothing else — no treap node, and a
+// resident slice a closed bin left on the free list.
+func TestBoundedAllocsOpenCycle(t *testing.T) {
+	g := NewLedger(1, 1)
+	g.EnableIndex()
+	ix := g.Index()
+	arrive := func(it item.Item) {
+		if b := ix.FirstFitting(it.Size - Eps); b != nil {
+			g.PlaceIn(b, it, 0)
+		} else {
+			g.OpenNew(it, 0)
 		}
-		t.Logf("keep-alive %g: %d events, %d bins opened, %d open, %d slots", keepAlive, n, g.NumOpened(), g.NumOpen(), len(ix.bins))
+	}
+	for i := 0; i < 64; i++ {
+		arrive(item.Item{ID: item.ID(i + 1), Size: 0.9, Departure: math.Inf(1)})
+	}
+	opened := g.NumOpened()
+	n := testing.AllocsPerRun(1000, func() {
+		for id := item.ID(1000); id < 1004; id++ {
+			arrive(item.Item{ID: id, Size: 0.2, Departure: math.Inf(1)})
+		}
+		for id := item.ID(1000); id < 1004; id++ {
+			g.Remove(id, 0)
+		}
+	})
+	t.Logf("an open, 4 placements and a drain: %v allocations", n)
+	if n > 2 {
+		t.Fatalf("an open, 4 placements and a drain allocate %v times, want at most 2", n)
+	}
+	if g.NumOpened() != opened+1001 || g.NumOpen() != 64 {
+		t.Fatalf("the cycles opened %d bins and left %d open, want 1001 and 64", g.NumOpened()-opened, g.NumOpen())
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestZeroAllocLevelChange pins the steady-state cost of the ledger's hot
 // pair: placing an item into an already-open bin and removing it again,
-// index on, allocates nothing — the treap node is detached and re-filed,
-// no history is appended, and the maps reuse their slots.
+// index on, allocates nothing — the tree leaf is rewritten in place, the
+// treap node is detached and re-filed, no history is appended, and the
+// map and the resident slice reuse their slots.
 func TestZeroAllocLevelChange(t *testing.T) {
 	g := NewLedger(1, 1)
 	g.EnableIndex()
 	for i := 0; i < 64; i++ { // a fleet deep enough for the treap to rotate
 		g.OpenNew(item.Item{ID: item.ID(i + 1), Size: 0.3 + 0.005*float64(i), Arrival: 0, Departure: math.Inf(1)}, 0)
 	}
+	// Build both structures, so that the pair below maintains both.
+	g.Index().FirstFitting(1)
+	g.Index().TightestFitting(1)
 	b := g.OpenBins()[17]
 	it := item.Item{ID: 1000, Size: 0.25, Arrival: 1, Departure: math.Inf(1)}
 	if n := testing.AllocsPerRun(1000, func() {

@@ -1,9 +1,6 @@
 package bins
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // gapTree is a segment tree over the index's slots — the open bins in
 // opening order, plus the closed slots awaiting compaction — whose nodes
@@ -38,32 +35,35 @@ type gapTree struct {
 	node []float64 // stride-dim segment tree over cached gaps (max per dim)
 }
 
-// add appends the next leaf (bins open in index order) with -Inf gaps;
-// the caller follows up with update.
-func (t *gapTree) add() {
-	t.n++
-	if t.n > t.size {
-		t.resize()
+// build lays the tree out afresh, in O(n), over the index's slots (nil
+// where the bin has closed) at the smallest power-of-two leaf count
+// holding them: for the first query that reads the tree, when add runs
+// out of leaves, and after Index.compact renumbers the slots.
+func (t *gapTree) build(slots []*Bin) {
+	t.n, t.size = len(slots), 1
+	for t.size < t.n {
+		t.size *= 2
 	}
-}
-
-// resize re-allocates the tree at the smallest power-of-two leaf count
-// holding n leaves — doubling for add, shrinking for Index.compact —
-// keeping the first n leaf values.
-func (t *gapTree) resize() {
-	size := 1
-	for size < t.n {
-		size *= 2
-	}
-	old, oldSize := t.node, t.size
-	t.size = size
-	t.node = make([]float64, 2*size*t.dim)
+	t.node = make([]float64, 2*t.size*t.dim)
 	for i := range t.node {
 		t.node[i] = math.Inf(-1)
 	}
-	copy(t.node[size*t.dim:], old[oldSize*t.dim:(oldSize+min(t.n, oldSize))*t.dim])
-	for p := size - 1; p >= 1; p-- {
+	for i, b := range slots {
+		if b != nil {
+			t.write(i, b)
+		}
+	}
+	for p := t.size - 1; p >= 1; p-- {
 		t.pull(p)
+	}
+}
+
+// add appends the leaf of the last slot, a bin that has just opened.
+func (t *gapTree) add(slots []*Bin) {
+	if t.n++; t.n > t.size {
+		t.build(slots)
+	} else {
+		t.update(t.n-1, slots[t.n-1])
 	}
 }
 
@@ -87,12 +87,17 @@ func (t *gapTree) pullAbove(i int) {
 	}
 }
 
-// update refreshes leaf i from the bin's current per-dimension gaps.
-func (t *gapTree) update(i int, b *Bin) {
+// write copies the bin's current per-dimension gaps into leaf i.
+func (t *gapTree) write(i int, b *Bin) {
 	leaf := t.leaf(i)
 	for d := range leaf {
 		leaf[d] = b.GapAt(d)
 	}
+}
+
+// update refreshes leaf i from the bin's current per-dimension gaps.
+func (t *gapTree) update(i int, b *Bin) {
+	t.write(i, b)
 	t.pullAbove(i)
 }
 
@@ -104,12 +109,6 @@ func (t *gapTree) tombstone(i int) {
 	}
 	t.pullAbove(i)
 }
-
-// minGapAt returns the minimum over dimensions of leaf i's cached gaps —
-// the key under which the bin is filed in the level treap. Leaf gaps are
-// written as Bin.GapAt values, so this reproduces the bin's MinGap (its
-// Gap, for a scalar fleet) at the time of the last update bit-for-bit.
-func (t *gapTree) minGapAt(i int) float64 { return slices.Min(t.leaf(i)) }
 
 // mayFit reports whether node p's range could contain a bin fitting the
 // pruned demand thresholds (need[d] = sizes[d] - 2*Eps, len(need) == dim).
@@ -135,7 +134,7 @@ func (t *gapTree) lastAtLeast(s float64) int { return t.descend(s, 1) }
 // trying the child on the given side (0 left, 1 right) first at every
 // level; the comparison is exact.
 func (t *gapTree) descend(s float64, side int) int {
-	if t.size == 0 || t.node[t.dim] < s {
+	if t.node[t.dim] < s {
 		return -1
 	}
 	p := 1

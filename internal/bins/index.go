@@ -3,6 +3,7 @@ package bins
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Index is the ledger-maintained policy index over the open bins: two
@@ -28,18 +29,20 @@ import (
 //     d >= 2 fleet they order by MinGap as well, and no policy issues
 //     them there (vector demands place through the vector queries).
 //
-// Which policy reads which structure:
+// Each structure is built over the open bins (the tree in O(B), the treap
+// in O(B log B)) by the first query that reads it — in practice the first
+// arrival, over an empty fleet — and from then on every mutation keeps it
+// coherent; a structure no query has read costs nothing. So a policy pays
+// only for what it reads:
 //
 //	gap tree   First Fit, Last Fit at any d; Best/Worst/Almost Worst Fit
 //	           and VectorBestFit at d >= 2, DotProductFit and NormBestFit
 //	           at any d (the EachFitting rules)
 //	treap      Best/Worst/Almost Worst Fit and VectorBestFit at d = 1;
 //	           DRWorstFit at any d
-//
-// First Fit — the daemon's default — never reads the treap, yet pays a
-// delete and an insert of its bin's key per level change to keep it
-// coherent (the node is reused, so the pair allocates nothing; ROADMAP
-// item 6).
+//	neither    Next Fit, Next-k Fit, the hybrids, Random and the
+//	           predictive and clairvoyant policies, which read the open
+//	           list only
 //
 // Both structures are over the open bins only. A bin takes the next slot
 // — a position in bins and the tree leaf of the same number — when it
@@ -48,20 +51,23 @@ import (
 // the open bins into the first slots in the same order. Slot order is
 // therefore Bin.Index order at all times, First and Last Fit still return
 // the lowest and highest Bin.Index, and the tree's size follows the open
-// fleet, at an amortised O(1) per closure. The treap's nodes hold their
-// *Bin, keyed and tie-broken by (MinGap, Bin.Index) with priorities hashed
-// from Bin.Index, so neither its shape nor any answer depends on slots.
+// fleet, at an amortised O(1) per closure. A bin's treap node, found by
+// its slot in nodes, holds the bin and its own exact key, (MinGap,
+// Bin.Index), with a priority hashed from Bin.Index, so neither the
+// treap's shape nor any answer depends on slots or on when it was built.
 //
-// The owning Ledger keeps both coherent on every OpenNew/PlaceIn/Remove/
-// CloseExpired. Callers of the scalar queries fold their tolerance into
-// `need` (conventionally size - Eps), and all scalar comparisons are
-// exact — no epsilon — so query answers are order-independent and
-// reproducible.
+// Callers of the scalar queries fold their tolerance into `need`
+// (conventionally size - Eps), and all scalar comparisons are exact — no
+// epsilon — so query answers are order-independent and reproducible.
 type Index struct {
+	dim  int
 	bins []*Bin // by slot, in opening order; nil where the bin has closed
 	live int    // non-nil entries of bins
-	tree gapTree
-	lvls levelTree
+
+	// Nil until the first query that reads them.
+	tree  *gapTree
+	lvls  *levelTree
+	nodes []*levelNode // by slot, the bin's treap node; kept with lvls
 
 	// Reusable query scratch (the index is single-writer, like its ledger).
 	need  []float64
@@ -70,7 +76,36 @@ type Index struct {
 
 // newIndex creates an index for a ledger of the given dimensionality.
 func newIndex(dim int) *Index {
-	return &Index{tree: gapTree{dim: dim}}
+	return &Index{dim: dim}
+}
+
+// gaps returns the gap tree, building it over the slots on first use.
+func (ix *Index) gaps() *gapTree {
+	if ix.tree == nil {
+		ix.tree = &gapTree{dim: ix.dim}
+		ix.tree.build(ix.bins)
+	}
+	return ix.tree
+}
+
+// levels returns the treap, building it over the slots on first use.
+func (ix *Index) levels() *levelTree {
+	if ix.lvls == nil {
+		ix.lvls = &levelTree{}
+		ix.nodes = make([]*levelNode, len(ix.bins))
+		for i, b := range ix.bins {
+			if b != nil {
+				ix.nodes[i] = newLevelNode(b)
+				ix.lvls.insert(ix.nodes[i])
+			}
+		}
+	}
+	return ix.lvls
+}
+
+// newLevelNode files a bin under its current key.
+func newLevelNode(b *Bin) *levelNode {
+	return &levelNode{gap: b.MinGap(), idx: b.Index, bin: b, prio: splitmix64(uint64(b.Index))}
 }
 
 // observeOpen tracks a freshly opened bin (called by the ledger after the
@@ -79,30 +114,44 @@ func (ix *Index) observeOpen(b *Bin) {
 	b.slot = len(ix.bins)
 	ix.bins = append(ix.bins, b)
 	ix.live++
-	ix.tree.add()
-	ix.tree.update(b.slot, b)
-	ix.lvls.insert(&levelNode{gap: ix.tree.minGapAt(b.slot), idx: b.Index, bin: b, prio: splitmix64(uint64(b.Index))})
+	if ix.tree != nil {
+		ix.tree.add(ix.bins)
+	}
+	if ix.lvls != nil {
+		n := newLevelNode(b)
+		ix.nodes = append(ix.nodes, n)
+		ix.lvls.insert(n)
+	}
 }
 
-// refresh re-reads an open bin's gaps after a level change. The treap
-// key to delete is read back from the tree leaf (the exact floats
-// written last time), never recomputed from the bin, and the detached
-// node goes back in under the new key.
+// refresh re-reads an open bin's gaps after a level change. The treap key
+// to delete is the one its node holds (the exact float written last
+// time), and the detached node goes back in under the new key.
 func (ix *Index) refresh(b *Bin) {
-	old := ix.tree.minGapAt(b.slot)
-	ix.tree.update(b.slot, b)
-	if g := ix.tree.minGapAt(b.slot); g != old {
-		n := ix.lvls.delete(old, b.Index)
-		n.gap = g
-		ix.lvls.insert(n)
+	if ix.tree != nil {
+		ix.tree.update(b.slot, b)
+	}
+	if ix.lvls != nil {
+		n := ix.nodes[b.slot]
+		if g := b.MinGap(); g != n.gap {
+			ix.lvls.delete(n.gap, n.idx)
+			n.gap = g
+			ix.lvls.insert(n)
+		}
 	}
 }
 
 // remove untracks a bin that closed, and compacts the slots once the
 // closed ones outnumber the open ones.
 func (ix *Index) remove(b *Bin) {
-	ix.lvls.delete(ix.tree.minGapAt(b.slot), b.Index)
-	ix.tree.tombstone(b.slot)
+	if ix.tree != nil {
+		ix.tree.tombstone(b.slot)
+	}
+	if ix.lvls != nil {
+		n := ix.nodes[b.slot]
+		ix.lvls.delete(n.gap, n.idx)
+		ix.nodes[b.slot] = nil
+	}
 	ix.bins[b.slot] = nil
 	ix.live--
 	if len(ix.bins)-ix.live > ix.live {
@@ -111,29 +160,31 @@ func (ix *Index) remove(b *Bin) {
 }
 
 // compact renumbers the open bins into slots 0..live-1, preserving their
-// order, and rebuilds the tree over exactly those leaves. Both arrays are
-// allocated afresh so that what a shrunken fleet retains is its own size.
+// order, and rebuilds the tree over exactly those leaves. The slices are
+// allocated afresh so that what a shrunken fleet retains follows its size.
 func (ix *Index) compact() {
 	kept := make([]*Bin, 0, ix.live)
+	var nodes []*levelNode
 	for _, b := range ix.bins {
 		if b == nil {
 			continue
 		}
-		// A bin only ever moves to a lower slot, so the leaf written here
-		// has already been read.
-		copy(ix.tree.leaf(len(kept)), ix.tree.leaf(b.slot))
+		if ix.lvls != nil {
+			nodes = append(nodes, ix.nodes[b.slot])
+		}
 		b.slot = len(kept)
 		kept = append(kept, b)
 	}
-	ix.bins = kept
-	ix.tree.n = len(kept)
-	ix.tree.resize()
+	ix.bins, ix.nodes = kept, nodes
+	if ix.tree != nil {
+		ix.tree.build(kept)
+	}
 }
 
 // FirstFitting returns the earliest-opened bin with gap >= need, or nil
 // (the First Fit query).
 func (ix *Index) FirstFitting(need float64) *Bin {
-	i := ix.tree.firstAtLeast(need)
+	i := ix.gaps().firstAtLeast(need)
 	if i < 0 {
 		return nil
 	}
@@ -143,7 +194,7 @@ func (ix *Index) FirstFitting(need float64) *Bin {
 // LastFitting returns the latest-opened bin with gap >= need, or nil
 // (the Last Fit query).
 func (ix *Index) LastFitting(need float64) *Bin {
-	i := ix.tree.lastAtLeast(need)
+	i := ix.gaps().lastAtLeast(need)
 	if i < 0 {
 		return nil
 	}
@@ -153,7 +204,7 @@ func (ix *Index) LastFitting(need float64) *Bin {
 // TightestFitting returns the bin with the smallest gap >= need, ties
 // toward the earliest opened, or nil (the Best Fit query).
 func (ix *Index) TightestFitting(need float64) *Bin {
-	n := ix.lvls.ceil(need, 0)
+	n := ix.levels().ceil(need, 0)
 	if n == nil {
 		return nil
 	}
@@ -164,12 +215,13 @@ func (ix *Index) TightestFitting(need float64) *Bin {
 // earliest opened, or nil if even that gap is below need (the Worst Fit
 // query).
 func (ix *Index) EmptiestFitting(need float64) *Bin {
-	m := ix.lvls.max()
+	t := ix.levels()
+	m := t.max()
 	if m == nil || m.gap < need {
 		return nil
 	}
 	// Lowest index within the maximal-gap group.
-	return ix.lvls.ceil(m.gap, 0).bin
+	return t.ceil(m.gap, 0).bin
 }
 
 // SecondEmptiestFitting returns the runner-up of EmptiestFitting under
@@ -181,17 +233,18 @@ func (ix *Index) SecondEmptiestFitting(need float64) *Bin {
 	if first == nil {
 		return nil
 	}
-	g := ix.tree.minGapAt(first.slot)
+	t := ix.lvls
+	g := ix.nodes[first.slot].gap
 	// Next bin in the same gap group, if any.
-	if n := ix.lvls.ceil(g, first.Index+1); n != nil && n.gap == g {
+	if n := t.ceil(g, first.Index+1); n != nil && n.gap == g {
 		return n.bin
 	}
 	// Otherwise the head of the next-lower gap group, if it still fits.
-	p := ix.lvls.floorBelowGap(g)
+	p := t.floorBelowGap(g)
 	if p == nil || p.gap < need {
 		return nil
 	}
-	return ix.lvls.ceil(p.gap, 0).bin
+	return t.ceil(p.gap, 0).bin
 }
 
 // EachFitting calls visit for every open bin that can accommodate the
@@ -226,12 +279,12 @@ func (ix *Index) LastFittingVec(sizes []float64) *Bin {
 // enumeration. The leaf test is always the exact FitsDemand the linear
 // reference applies, so the enumeration is bit-identical to scanning the
 // open list — including for a demand of the wrong dimension, which
-// FitsDemand rejects at every bin: nothing is visited.
+// FitsDemand rejects at every bin: nothing is visited, and nothing built.
 func (ix *Index) eachFitting(sizes []float64, desc bool, visit func(*Bin) bool) {
-	t := &ix.tree
-	if len(sizes) != t.dim || t.size == 0 {
+	if len(sizes) != ix.dim {
 		return
 	}
+	t := ix.gaps()
 	need := ix.need[:0]
 	for _, s := range sizes {
 		need = append(need, s-2*Eps)
@@ -270,9 +323,13 @@ func (ix *Index) eachFitting(sizes []float64, desc bool, visit func(*Bin) bool) 
 // each candidate with the exact FitsDemand test, and stops once a
 // group's MinGap cannot accommodate even the demand's smallest
 // component (below that, no bin can fit: the dimension attaining MinGap
-// would already overflow).
+// would already overflow). A demand of the wrong dimension fits no bin,
+// so it walks nothing and builds nothing.
 func (ix *Index) MaxMinGapFitting(sizes []float64) *Bin {
-	t := &ix.lvls
+	if len(sizes) != ix.dim {
+		return nil
+	}
+	t := ix.levels()
 	minNeed := math.Inf(1)
 	for _, s := range sizes {
 		if s < minNeed {
@@ -294,22 +351,29 @@ func (ix *Index) MaxMinGapFitting(sizes []float64) *Bin {
 	return nil
 }
 
-// checkCoherent verifies the index against the ledger's open list; the
-// ledger's CheckInvariants calls it when the index is enabled.
+// checkCoherent verifies the index, and each structure a query has built,
+// against the ledger's open list; the ledger's CheckInvariants calls it
+// when the index is enabled.
 func (ix *Index) checkCoherent(open []*Bin) error {
 	if closed := len(ix.bins) - ix.live; ix.live != len(open) || closed > ix.live {
 		return fmt.Errorf("index holds %d open and %d closed slots for %d open bins", ix.live, closed, len(open))
 	}
-	if ix.tree.n != len(ix.bins) || ix.tree.size >= 2*max(ix.tree.n, 1) {
-		return fmt.Errorf("gap tree has %d of %d leaves in use for %d slots", ix.tree.n, ix.tree.size, len(ix.bins))
+	if t := ix.tree; t != nil {
+		// Leaves, tombstones and every range maximum, as built afresh.
+		fresh := gapTree{dim: ix.dim}
+		fresh.build(ix.bins)
+		if t.n != fresh.n || !slices.Equal(t.node, fresh.node) {
+			return fmt.Errorf("gap tree (%d of %d leaves in use) differs from one built over its %d slots", t.n, t.size, len(ix.bins))
+		}
+	}
+	if ix.lvls != nil && len(ix.nodes) != len(ix.bins) {
+		return fmt.Errorf("treap has %d node slots for %d slots", len(ix.nodes), len(ix.bins))
 	}
 	next := 0 // cursor into open: the non-nil slots must list it in order
 	for i, b := range ix.bins {
 		if b == nil {
-			for d, g := range ix.tree.leaf(i) {
-				if !math.IsInf(g, -1) {
-					return fmt.Errorf("closed slot %d not tombstoned in gap tree (dim %d gap %g)", i, d, g)
-				}
+			if ix.lvls != nil && ix.nodes[i] != nil {
+				return fmt.Errorf("closed slot %d keeps treap node of bin %d", i, ix.nodes[i].idx)
 			}
 			continue
 		}
@@ -317,17 +381,16 @@ func (ix *Index) checkCoherent(open []*Bin) error {
 			return fmt.Errorf("index slot %d holds bin %d (slot %d), not the next open bin", i, b.Index, b.slot)
 		}
 		next++
-		for d, g := range ix.tree.leaf(i) {
-			if g != b.GapAt(d) {
-				return fmt.Errorf("index gap for bin %d dim %d is %g, want %g", b.Index, d, g, b.GapAt(d))
+		if ix.lvls != nil {
+			if n := ix.nodes[i]; n == nil || n.bin != b || n.gap != b.MinGap() || ix.lvls.find(n.gap, n.idx) != n {
+				return fmt.Errorf("treap does not file open bin %d under (min gap %g, %d)", b.Index, b.MinGap(), b.Index)
 			}
 		}
-		if n := ix.lvls.find(b.MinGap(), b.Index); n == nil || n.bin != b {
-			return fmt.Errorf("level tree missing open bin %d (min gap %g)", b.Index, b.MinGap())
-		}
 	}
-	if n := ix.lvls.count(); n != len(open) {
-		return fmt.Errorf("level tree holds %d keys, want %d open bins", n, len(open))
+	if ix.lvls != nil {
+		if n := ix.lvls.count(); n != len(open) {
+			return fmt.Errorf("level tree holds %d keys, want %d open bins", n, len(open))
+		}
 	}
 	return nil
 }

@@ -10,7 +10,9 @@ import (
 )
 
 // linearFirst/linearLast/linearTightest/linearEmptiest/linearSecond are
-// the O(B) reference semantics the index must reproduce exactly.
+// the O(B) reference semantics the index must reproduce exactly: the
+// positional queries read the dimension-0 gap, the level queries MinGap
+// (the same at d = 1).
 func linearFirst(open []*Bin, need float64) *Bin {
 	for _, b := range open {
 		if b.Gap() >= need {
@@ -32,10 +34,10 @@ func linearLast(open []*Bin, need float64) *Bin {
 func linearTightest(open []*Bin, need float64) *Bin {
 	var best *Bin
 	for _, b := range open {
-		if b.Gap() < need {
+		if b.MinGap() < need {
 			continue
 		}
-		if best == nil || b.Gap() < best.Gap() {
+		if best == nil || b.MinGap() < best.MinGap() {
 			best = b
 		}
 	}
@@ -45,10 +47,10 @@ func linearTightest(open []*Bin, need float64) *Bin {
 func linearEmptiest(open []*Bin, need float64) *Bin {
 	var best *Bin
 	for _, b := range open {
-		if b.Gap() < need {
+		if b.MinGap() < need {
 			continue
 		}
-		if best == nil || b.Gap() > best.Gap() {
+		if best == nil || b.MinGap() > best.MinGap() {
 			best = b
 		}
 	}
@@ -58,16 +60,16 @@ func linearEmptiest(open []*Bin, need float64) *Bin {
 func linearSecond(open []*Bin, need float64) *Bin {
 	var first, second *Bin
 	for _, b := range open {
-		if b.Gap() < need {
+		if b.MinGap() < need {
 			continue
 		}
 		switch {
 		case first == nil:
 			first = b
-		case b.Gap() > first.Gap():
+		case b.MinGap() > first.MinGap():
 			second = first
 			first = b
-		case second == nil || b.Gap() > second.Gap():
+		case second == nil || b.MinGap() > second.MinGap():
 			second = b
 		}
 	}
@@ -192,8 +194,9 @@ func TestEnableIndexLatePanics(t *testing.T) {
 // TestIndexIllDimensionedDemand pins the vector queries on a demand whose
 // length is not the fleet's dimension: the linear reference visits no bin
 // (FitsDemand rejects the length), so the index must visit none either —
-// and must not descend the tree with a threshold vector of the wrong
-// stride. A well-dimensioned demand on the same fleet finds the bin.
+// and must neither descend the tree with a threshold vector of the wrong
+// stride nor walk the treap, nor build either structure to answer. A
+// well-dimensioned demand on the same fleet finds the bin.
 func TestIndexIllDimensionedDemand(t *testing.T) {
 	demand := func(n int) []float64 {
 		v := make([]float64, n)
@@ -203,15 +206,15 @@ func TestIndexIllDimensionedDemand(t *testing.T) {
 		return v
 	}
 	for _, dim := range []int{1, 2} {
-		g := NewLedger(1, dim)
-		g.EnableIndex()
-		it := item.Item{ID: 1, Size: 0.1, Arrival: 0, Departure: math.Inf(1)}
-		if dim > 1 {
-			it.Sizes = demand(dim)
-		}
-		g.OpenNew(it, 0)
-		ix := g.Index()
 		for _, n := range []int{dim - 1, dim, dim + 1} {
+			g := NewLedger(1, dim)
+			g.EnableIndex()
+			it := item.Item{ID: 1, Size: 0.1, Arrival: 0, Departure: math.Inf(1)}
+			if dim > 1 {
+				it.Sizes = demand(dim)
+			}
+			g.OpenNew(it, 0)
+			ix := g.Index()
 			sizes := demand(n)
 			var linear []*Bin
 			for _, b := range g.OpenBins() {
@@ -222,23 +225,36 @@ func TestIndexIllDimensionedDemand(t *testing.T) {
 			if want := n == dim; (len(linear) == 1) != want {
 				t.Fatalf("dim %d, demand of length %d: linear scan found %d bins", dim, n, len(linear))
 			}
+			var ref *Bin
+			if len(linear) > 0 {
+				ref = linear[0]
+			}
+			// MaxMinGapFitting alone reads the treap.
+			if got := ix.MaxMinGapFitting(sizes); got != ref {
+				t.Errorf("dim %d, demand of length %d: MaxMinGapFitting = bin %d, linear scan %d", dim, n, binIdx(got), binIdx(ref))
+			}
+			if built := ix.lvls != nil; built != (n == dim) || ix.tree != nil {
+				t.Errorf("dim %d, demand of length %d: after MaxMinGapFitting the treap is built %v, the gap tree %v",
+					dim, n, built, ix.tree != nil)
+			}
 			var visited []*Bin
 			ix.EachFitting(sizes, func(b *Bin) bool { visited = append(visited, b); return true })
 			if len(visited) != len(linear) {
 				t.Errorf("dim %d, demand of length %d: EachFitting visited %d bins, linear scan %d", dim, n, len(visited), len(linear))
 			}
-			var ref *Bin
-			if len(linear) > 0 {
-				ref = linear[0]
-			}
 			for name, got := range map[string]*Bin{
-				"FirstFittingVec":  ix.FirstFittingVec(sizes),
-				"LastFittingVec":   ix.LastFittingVec(sizes),
-				"MaxMinGapFitting": ix.MaxMinGapFitting(sizes),
+				"FirstFittingVec": ix.FirstFittingVec(sizes),
+				"LastFittingVec":  ix.LastFittingVec(sizes),
 			} {
 				if got != ref {
 					t.Errorf("dim %d, demand of length %d: %s = bin %d, linear scan %d", dim, n, name, binIdx(got), binIdx(ref))
 				}
+			}
+			if built := ix.tree != nil; built != (n == dim) {
+				t.Errorf("dim %d, demand of length %d: after the positional queries the gap tree is built %v", dim, n, built)
+			}
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatalf("dim %d, demand of length %d: %v", dim, n, err)
 			}
 		}
 	}
@@ -262,4 +278,166 @@ func TestIndexNaNDemandSkipsClosedSlots(t *testing.T) {
 	if want := []int{0, 2, 4}; !slices.Equal(visited, want) {
 		t.Fatalf("EachFitting(NaN) visited bins %v, want the open list %v", visited, want)
 	}
+}
+
+// checkVecQueries is checkQueries for the four vector queries, whose
+// linear references all filter the open list by FitsDemand.
+func checkVecQueries(t *testing.T, g *Ledger, sizes []float64) {
+	t.Helper()
+	ix := g.Index()
+	var fitting []*Bin
+	var first, last, maxMin *Bin
+	for _, b := range g.OpenBins() {
+		if !b.FitsDemand(sizes) {
+			continue
+		}
+		fitting = append(fitting, b)
+		if first == nil {
+			first = b
+		}
+		last = b
+		if maxMin == nil || b.MinGap() > maxMin.MinGap() {
+			maxMin = b
+		}
+	}
+	var visited []*Bin
+	ix.EachFitting(sizes, func(b *Bin) bool { visited = append(visited, b); return true })
+	if !slices.Equal(visited, fitting) {
+		t.Fatalf("EachFitting(%v): index visits %d bins, linear %d", sizes, len(visited), len(fitting))
+	}
+	for name, c := range map[string][2]*Bin{
+		"FirstFittingVec":  {ix.FirstFittingVec(sizes), first},
+		"LastFittingVec":   {ix.LastFittingVec(sizes), last},
+		"MaxMinGapFitting": {ix.MaxMinGapFitting(sizes), maxMin},
+	} {
+		if c[0] != c[1] {
+			t.Fatalf("%s(%v): index %d, linear %d", name, sizes, binIdx(c[0]), binIdx(c[1]))
+		}
+	}
+}
+
+// restoreCopy rebuilds the ledger's live state through RestoreLedger, as a
+// durable snapshot would: the result's index has built nothing.
+func restoreCopy(t *testing.T, g *Ledger) *Ledger {
+	t.Helper()
+	open := make([]BinRestore, len(g.open))
+	for i, b := range g.open {
+		r := BinRestore{Index: b.Index, OpenedAt: b.OpenedAt(), Lingering: b.Lingering(), Levels: b.LevelVec()}
+		if r.Lingering {
+			r.EmptySince = b.EmptySince()
+		}
+		for _, it := range b.resident {
+			r.Jobs = append(r.Jobs, RestoredJob{ID: it.ID, Size: it.Size, Sizes: slices.Clone(it.Sizes), Arrival: it.Arrival})
+		}
+		open[i] = r
+	}
+	h, err := RestoreLedger(g.capacity, g.dim, g.keepAlive, true, g.opened, g.maxConcurrentOpen, g.closedUsage, open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestIndexBuiltOnFirstQuery replays a random fleet at d = 1 and d = 2
+// that no query reads — through a compaction of the index's slots and a
+// RestoreLedger — so that neither structure exists; then it asks each of
+// the nine queries for the first time and compares the answers with the
+// linear scans, and keeps replaying with every query and the invariant
+// check after every event. A structure built late must answer exactly as
+// one maintained from the first event.
+func TestIndexBuiltOnFirstQuery(t *testing.T) {
+	for _, dim := range []int{1, 2} {
+		rng := rand.New(rand.NewSource(int64(dim)))
+		g := NewLedgerKeepAlive(1, dim, 0.5)
+		g.EnableIndex()
+		var live []item.ID
+		now, next := 0.0, item.ID(1)
+		demand := func() []float64 {
+			v := make([]float64, dim)
+			for d := range v {
+				v[d] = 0.05 + 0.45*rng.Float64()
+			}
+			return v
+		}
+		// event departs a random resident job with probability pDepart, and
+		// otherwise places a new one by a linear First Fit scan, which reads
+		// no structure of the index.
+		event := func(pDepart float64) {
+			now += 0.05 * rng.Float64()
+			g.CloseExpired(now)
+			if len(live) > 0 && rng.Float64() < pDepart {
+				k := rng.Intn(len(live))
+				g.Remove(live[k], now)
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+			} else {
+				it := item.Item{ID: next, Sizes: demand(), Arrival: now, Departure: math.Inf(1)}
+				it.Size = slices.Max(it.Sizes)
+				if dim == 1 {
+					it.Sizes = nil
+				}
+				next++
+				live = append(live, it.ID)
+				if b := linearFirstFits(g.OpenBins(), it); b != nil {
+					g.PlaceIn(b, it, now)
+				} else {
+					g.OpenNew(it, now)
+				}
+			}
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatalf("dim %d, job %d: %v", dim, next, err)
+			}
+		}
+		unbuilt := func(when string) {
+			if ix := g.Index(); ix.tree != nil || ix.lvls != nil || ix.nodes != nil {
+				t.Fatalf("dim %d, %s: a structure was built with no query", dim, when)
+			}
+		}
+		for i := 0; i < 1500; i++ {
+			event(0.3)
+		}
+		for i := 0; i < 1000; i++ {
+			event(0.8) // the fleet shrinks, and the slots compact
+		}
+		if ix := g.Index(); len(ix.bins) >= g.NumOpened() {
+			t.Fatalf("dim %d: %d slots for %d bins ever opened — no compaction crossed", dim, len(ix.bins), g.NumOpened())
+		}
+		unbuilt("before the restore")
+		g = restoreCopy(t, g)
+		unbuilt("after the restore")
+		for i := 0; i < 300; i++ {
+			event(0.3)
+		}
+		unbuilt("after the replay")
+		if g.NumOpen() < 10 {
+			t.Fatalf("dim %d: only %d bins open at the first query", dim, g.NumOpen())
+		}
+
+		// The first query of each kind builds its structure alone.
+		need := 0.3
+		if got, ref := g.Index().FirstFitting(need), linearFirst(g.OpenBins(), need); got != ref {
+			t.Fatalf("dim %d: first FirstFitting(%g) = bin %d, linear %d", dim, need, binIdx(got), binIdx(ref))
+		}
+		if ix := g.Index(); ix.tree == nil || ix.lvls != nil {
+			t.Fatalf("dim %d: FirstFitting built the gap tree %v, the treap %v", dim, ix.tree != nil, ix.lvls != nil)
+		}
+		for i := 0; i < 500; i++ {
+			checkQueries(t, g, rng.Float64())
+			checkVecQueries(t, g, demand())
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatalf("dim %d, after the queries: %v", dim, err)
+			}
+			event(0.45)
+		}
+	}
+}
+
+// linearFirstFits is the linear First Fit for an item of any dimension.
+func linearFirstFits(open []*Bin, it item.Item) *Bin {
+	for _, b := range open {
+		if b.Fits(it) {
+			return b
+		}
+	}
+	return nil
 }

@@ -19,15 +19,26 @@ import (
 // Result and analyses read it — also retains every bin ever opened, each
 // recording its placements.
 //
-// An event costs O(log B) in the number of open bins B: placements and
-// openings are O(1), a departure is O(1) in its bin, Remove locates the
-// bin's open-list slot by binary search, keep-alive expiries are driven
-// by a min-heap of pending closures instead of a scan of the fleet, and
-// the index (when enabled) updates one root-to-leaf path of a tree over
-// the open bins and one treap key (DESIGN.md §8). The benchmark's
-// bare-ledger replay of 1M zipfian events reads, from the first to the
-// last decile of the script, 795 → 3370 ns/event before the ledger shed
-// its history and 538 → 562 after (DESIGN.md §8 has all ten).
+// Each resident item is one entry in one map, location, which holds its
+// bin and its position in the bin's resident slice. An event costs
+// O(log B) in the number of open bins B:
+//
+//   - a placement is one map insert, plus an append to the bin's slice;
+//   - an opening is a placement plus a Bin and its level slice — the
+//     bin's resident slice is one a closed bin left on the free list;
+//   - a departure is one map lookup and one delete, plus one map write
+//     when another item moves into the vacated position; a bin that
+//     closes leaves the open list by binary search and a memmove;
+//   - a keep-alive expiry check is a peek at a min-heap of pending
+//     closures, and each closure O(log B);
+//   - the index, when enabled, updates only the structures a query has
+//     built (see Index): one root-to-leaf path of the gap tree and one
+//     treap key per level change.
+//
+// The benchmark's bare-ledger replay of 1M zipfian events reads, from the
+// first to the last decile of the script, 795 → 3370 ns/event before the
+// ledger shed its history, 538 → 562 after (DESIGN.md §8 has all ten),
+// and 163 → 170 with one map entry per job and no treap for First Fit.
 type Ledger struct {
 	capacity  float64
 	dim       int
@@ -35,7 +46,11 @@ type Ledger struct {
 
 	opened   int    // bins ever opened; the next bin's Index
 	open     []*Bin // sorted by Index ascending (== opening order)
-	location map[item.ID]*Bin
+	location map[item.ID]residence
+	// free holds the emptied resident slices of closed bins for the next
+	// openings to reuse: a closed bin keeps none, whether or not the
+	// ledger keeps history.
+	free [][]item.Item
 	// history makes the ledger retain every bin ever opened (all) and
 	// each bin record its placements; see KeepHistory.
 	history bool
@@ -59,6 +74,13 @@ type Ledger struct {
 	index *Index
 }
 
+// residence is where a resident item is: its bin, and its position in the
+// bin's resident slice.
+type residence struct {
+	bin *Bin
+	pos int
+}
+
 // NewLedger creates a ledger for bins of the given capacity and dimension.
 func NewLedger(capacity float64, dim int) *Ledger {
 	if dim < 1 {
@@ -67,7 +89,7 @@ func NewLedger(capacity float64, dim int) *Ledger {
 	return &Ledger{
 		capacity: capacity,
 		dim:      dim,
-		location: make(map[item.ID]*Bin),
+		location: make(map[item.ID]residence),
 	}
 }
 
@@ -88,8 +110,10 @@ func NewLedgerKeepAlive(capacity float64, dim int, keepAlive float64) *Ledger {
 // KeepAlive returns the configured keep-alive duration (0 = none).
 func (g *Ledger) KeepAlive() float64 { return g.keepAlive }
 
-// EnableIndex turns on the policy-query index, which every subsequent
-// mutation keeps coherent. It must be called before any bin is opened.
+// EnableIndex turns on the policy-query index. Each of its structures is
+// built by the first query that reads it and kept coherent by every
+// mutation after that (see Index). It must be called before any bin is
+// opened.
 func (g *Ledger) EnableIndex() {
 	if g.opened > 0 {
 		panic("bins: EnableIndex on a ledger that already opened bins")
@@ -159,11 +183,8 @@ func (g *Ledger) CloseExpired(now float64) int {
 			continue
 		}
 		b.Close(e.emptySince + g.keepAlive)
-		g.closedUsage += b.Usage()
 		g.removeOpen(b)
-		if g.index != nil {
-			g.index.remove(b)
-		}
+		g.retire(b)
 		closed++
 	}
 	for i := range due {
@@ -180,10 +201,7 @@ func (g *Ledger) CloseAllLingering() {
 	for _, b := range g.open {
 		if b.Lingering() {
 			b.Close(b.EmptySince() + g.keepAlive)
-			g.closedUsage += b.Usage()
-			if g.index != nil {
-				g.index.remove(b)
-			}
+			g.retire(b)
 		} else {
 			kept = append(kept, b)
 		}
@@ -242,8 +260,12 @@ func (g *Ledger) OpenNewCap(it item.Item, t, capacity float64) *Bin {
 	if len(g.open) > g.maxConcurrentOpen {
 		g.maxConcurrentOpen = len(g.open)
 	}
-	b.Place(it, t)
-	g.location[it.ID] = b
+	if n := len(g.free); n > 0 {
+		b.resident = g.free[n-1]
+		g.free[n-1] = nil
+		g.free = g.free[:n-1]
+	}
+	g.place(b, it, t)
 	if g.index != nil {
 		g.index.observeOpen(b)
 	}
@@ -252,10 +274,20 @@ func (g *Ledger) OpenNewCap(it item.Item, t, capacity float64) *Bin {
 
 // PlaceIn places the item into an existing open bin at time t.
 func (g *Ledger) PlaceIn(b *Bin, it item.Item, t float64) {
-	b.Place(it, t)
-	g.location[it.ID] = b
+	g.place(b, it, t)
 	if g.index != nil {
 		g.index.refresh(b)
+	}
+}
+
+// place puts the item in the bin and records where. An item already
+// resident anywhere in the fleet is a simulator bug: the map insert
+// reveals it by not growing the map, and the ledger panics, unusable.
+func (g *Ledger) place(b *Bin, it item.Item, t float64) {
+	n := len(g.location)
+	g.location[it.ID] = residence{bin: b, pos: b.place(it, t)}
+	if len(g.location) == n {
+		panic(fmt.Sprintf("bins: item %d placed in bin %d while already in a bin", it.ID, b.Index))
 	}
 }
 
@@ -263,12 +295,17 @@ func (g *Ledger) PlaceIn(b *Bin, it item.Item, t float64) {
 // it empties. It returns the bin the item was in and whether the bin
 // closed. Removing an unknown item panics (simulator bug).
 func (g *Ledger) Remove(id item.ID, t float64) (b *Bin, closed bool) {
-	b, ok := g.location[id]
+	r, ok := g.location[id]
 	if !ok {
 		panic(fmt.Sprintf("bins: item %d is in no bin", id))
 	}
 	delete(g.location, id)
-	b.Remove(id, t)
+	b = r.bin
+	b.removeAt(r.pos, t)
+	if r.pos < len(b.resident) {
+		// The bin's last item moved into the vacated position.
+		g.location[b.resident[r.pos].ID] = r
+	}
 	if b.IsOpen() {
 		if b.Lingering() {
 			// The bin just emptied into keep-alive; schedule its closure.
@@ -279,12 +316,23 @@ func (g *Ledger) Remove(id item.ID, t float64) (b *Bin, closed bool) {
 		}
 		return b, false
 	}
-	g.closedUsage += b.Usage()
 	g.removeOpen(b)
+	g.retire(b)
+	return b, true
+}
+
+// retire drops a bin that has just closed, and is off the open list, from
+// the rest of the live state: its usage goes to the accumulator, it leaves
+// the index, and its emptied resident slice goes to the free list.
+func (g *Ledger) retire(b *Bin) {
+	g.closedUsage += b.Usage()
 	if g.index != nil {
 		g.index.remove(b)
 	}
-	return b, true
+	if cap(b.resident) > 0 {
+		g.free = append(g.free, b.resident)
+	}
+	b.resident = nil
 }
 
 // removeOpen deletes the bin from the Index-sorted open list: an O(log B)
@@ -302,7 +350,7 @@ func (g *Ledger) removeOpen(b *Bin) {
 }
 
 // Locate returns the bin currently holding the item, or nil.
-func (g *Ledger) Locate(id item.ID) *Bin { return g.location[id] }
+func (g *Ledger) Locate(id item.ID) *Bin { return g.location[id].bin }
 
 // TotalUsage returns the accumulated usage time of all bins, counting open
 // bins up to time now. After the simulation drains (all items departed),
@@ -319,8 +367,7 @@ func (g *Ledger) TotalUsage(now float64) float64 {
 // bins; tests call it after every event. It returns an error describing
 // the first violation found.
 func (g *Ledger) CheckInvariants() error {
-	openSet := make(map[*Bin]bool, len(g.open))
-	prev := -1
+	prev, resident := -1, 0
 	for _, b := range g.open {
 		if !b.IsOpen() {
 			return fmt.Errorf("closed bin %d on open list", b.Index)
@@ -329,7 +376,19 @@ func (g *Ledger) CheckInvariants() error {
 			return fmt.Errorf("open list out of order at bin %d", b.Index)
 		}
 		prev = b.Index
-		openSet[b] = true
+		// Every resident item is located here, at its own position; with
+		// the count below, location holds nothing else.
+		for i, it := range b.resident {
+			r, ok := g.location[it.ID]
+			if !ok {
+				return fmt.Errorf("item %d in bin %d is not located", it.ID, b.Index)
+			}
+			if r.bin != b || r.pos != i {
+				return fmt.Errorf("item %d at position %d of bin %d is located at position %d of bin %d",
+					it.ID, i, b.Index, r.pos, r.bin.Index)
+			}
+		}
+		resident += len(b.resident)
 		for d, lv := range b.LevelVec() {
 			if lv > b.Capacity+Eps {
 				return fmt.Errorf("bin %d over capacity in dim %d: %g", b.Index, d, lv)
@@ -342,10 +401,8 @@ func (g *Ledger) CheckInvariants() error {
 			return fmt.Errorf("open bin %d has no items and is not lingering", b.Index)
 		}
 	}
-	for id, b := range g.location {
-		if !openSet[b] {
-			return fmt.Errorf("item %d located in non-open bin %d", id, b.Index)
-		}
+	if len(g.location) != resident {
+		return fmt.Errorf("%d items located, %d resident in open bins", len(g.location), resident)
 	}
 	if prev >= g.opened {
 		return fmt.Errorf("open bin %d but only %d ever opened", prev, g.opened)

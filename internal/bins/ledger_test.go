@@ -71,6 +71,28 @@ func TestLedgerRemoveUnknownPanics(t *testing.T) {
 	g.Remove(42, 0)
 }
 
+// An item resident in one bin cannot be placed in another: the first
+// copy could never be removed, and its level would stay in that server
+// for good.
+func TestLedgerPanicsOnDuplicateAcrossBins(t *testing.T) {
+	for name, place := range map[string]func(g *Ledger, other *Bin){
+		"PlaceIn": func(g *Ledger, other *Bin) { g.PlaceIn(other, mkItem(1, 0.1, 1, 2), 1) },
+		"OpenNew": func(g *Ledger, _ *Bin) { g.OpenNew(mkItem(1, 0.1, 1, 2), 1) },
+	} {
+		g := NewLedger(1.0, 1)
+		g.OpenNew(mkItem(1, 0.5, 0, 2), 0)
+		other := g.OpenNew(mkItem(2, 0.6, 0, 2), 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of item 1 into a second bin did not panic", name)
+				}
+			}()
+			place(g, other)
+		}()
+	}
+}
+
 func TestLedgerOpenListOrder(t *testing.T) {
 	g := NewLedger(1.0, 1)
 	for i := 0; i < 5; i++ {

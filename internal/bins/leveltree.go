@@ -63,42 +63,41 @@ func levelInsert(n, x *levelNode) *levelNode {
 	return n
 }
 
-// delete removes the key (gap, idx) and returns its node, childless and
-// ready for insert; missing keys are a coherence bug.
-func (t *levelTree) delete(gap float64, idx int) *levelNode {
-	root, x := levelDelete(t.root, gap, idx)
-	t.root = root
-	return x
+// delete removes the key (gap, idx), leaving its node childless and ready
+// for insert; missing keys are a coherence bug.
+func (t *levelTree) delete(gap float64, idx int) {
+	t.root = levelDelete(t.root, gap, idx)
 }
 
-// levelDelete returns the subtree without the key, and the detached node.
-func levelDelete(n *levelNode, gap float64, idx int) (root, x *levelNode) {
+// levelDelete returns the subtree without the key.
+func levelDelete(n *levelNode, gap float64, idx int) *levelNode {
 	if n == nil {
 		panic("bins: level tree missing a key it should hold")
 	}
 	switch {
 	case keyLess(gap, idx, n.gap, n.idx):
-		n.l, x = levelDelete(n.l, gap, idx)
+		n.l = levelDelete(n.l, gap, idx)
 	case keyLess(n.gap, n.idx, gap, idx):
-		n.r, x = levelDelete(n.r, gap, idx)
+		n.r = levelDelete(n.r, gap, idx)
 	default:
 		// Rotate the node down until it has at most one child.
+		var root *levelNode
 		switch {
 		case n.l == nil:
 			root, n.r = n.r, nil
-			return root, n
+			return root
 		case n.r == nil:
 			root, n.l = n.l, nil
-			return root, n
+			return root
 		case n.l.prio > n.r.prio:
 			n = rotateRight(n)
-			n.r, x = levelDelete(n.r, gap, idx)
+			n.r = levelDelete(n.r, gap, idx)
 		default:
 			n = rotateLeft(n)
-			n.l, x = levelDelete(n.l, gap, idx)
+			n.l = levelDelete(n.l, gap, idx)
 		}
 	}
-	return n, x
+	return n
 }
 
 func rotateRight(n *levelNode) *levelNode {

@@ -82,11 +82,12 @@ func RestoreLedger(capacity float64, dim int, keepAlive float64, indexed bool,
 			return nil, err
 		}
 		g.open = append(g.open, b)
-		for _, it := range b.active {
-			if g.location[it.ID] != nil {
-				return nil, fmt.Errorf("bins: restore places job %d in two bins", it.ID)
+		for pos, it := range b.resident {
+			n := len(g.location)
+			g.location[it.ID] = residence{bin: b, pos: pos}
+			if len(g.location) == n {
+				return nil, fmt.Errorf("bins: restore places job %d twice", it.ID)
 			}
-			g.location[it.ID] = b
 		}
 		if b.Lingering() {
 			g.expiries.push(expiryEntry{emptySince: b.emptySince, bin: b})
@@ -120,7 +121,7 @@ func restoreOpenBin(r *BinRestore, capacity float64, dim int, linger bool) (*Bin
 		closedAt:        math.NaN(),
 		emptySince:      math.NaN(),
 		level:           r.Levels, // adopted; see BinRestore
-		active:          make(map[item.ID]item.Item, len(r.Jobs)),
+		resident:        make([]item.Item, len(r.Jobs)),
 	}
 	if r.Lingering {
 		if !linger {
@@ -131,10 +132,7 @@ func restoreOpenBin(r *BinRestore, capacity float64, dim int, linger bool) (*Bin
 		}
 		b.emptySince = r.EmptySince
 	}
-	for _, jb := range r.Jobs {
-		if _, dup := b.active[jb.ID]; dup {
-			return nil, fmt.Errorf("bins: restore bin %d holds job %d twice", r.Index, jb.ID)
-		}
+	for i, jb := range r.Jobs {
 		it := item.Item{
 			ID:        jb.ID,
 			Size:      jb.Size,
@@ -145,7 +143,7 @@ func restoreOpenBin(r *BinRestore, capacity float64, dim int, linger bool) (*Bin
 		if len(jb.Sizes) == 0 {
 			it.Sizes = nil
 		}
-		b.active[it.ID] = it
+		b.resident[i] = it
 	}
 	return b, nil
 }
