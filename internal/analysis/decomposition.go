@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 
-	"dbp/internal/bins"
 	"dbp/internal/interval"
 	"dbp/internal/packing"
 )
@@ -30,7 +29,7 @@ import (
 // V_k is the rest. The W_k are pairwise disjoint and together cover
 // exactly span(R), giving FF_total = sum |V_k| + span(R) (eq. (1)).
 type BinPeriods struct {
-	Bin *bins.Bin
+	Bin *packing.ServerRecord
 	E   float64
 	V   interval.Interval // possibly empty
 	W   interval.Interval // possibly empty
@@ -54,7 +53,8 @@ func Decompose(res *packing.Result) *Decomposition {
 	}
 	d := &Decomposition{Result: res, Periods: make([]BinPeriods, len(res.Bins))}
 	latestClose := math.Inf(-1)
-	for k, b := range res.Bins {
+	for k := range res.Bins {
+		b := &res.Bins[k]
 		u := b.UsagePeriod()
 		e := u.Lo // E_1 = U_1^- for the first bin
 		if k > 0 {

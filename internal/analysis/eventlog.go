@@ -26,9 +26,9 @@ func EventLog(res *packing.Result) string {
 		u := b.UsagePeriod()
 		evs = append(evs, ev{t: u.Lo, kind: 2, bin: b.Index})
 		evs = append(evs, ev{t: u.Hi, kind: 1, bin: b.Index})
-		for _, p := range b.Placements() {
-			evs = append(evs, ev{t: p.At, kind: 3, bin: b.Index, id: int64(p.Item.ID), size: p.Item.Size})
-			evs = append(evs, ev{t: p.Item.Departure, kind: 0, bin: b.Index, id: int64(p.Item.ID), size: p.Item.Size})
+		for _, it := range b.Items {
+			evs = append(evs, ev{t: it.Arrival, kind: 3, bin: b.Index, id: int64(it.ID), size: it.Size})
+			evs = append(evs, ev{t: it.Departure, kind: 0, bin: b.Index, id: int64(it.ID), size: it.Size})
 		}
 	}
 	sort.SliceStable(evs, func(i, j int) bool {
@@ -48,9 +48,8 @@ func EventLog(res *packing.Result) string {
 		case 2:
 			fmt.Fprintf(&sb, "t=%-10.4g open   bin %d\n", e.t, e.bin)
 		case 3:
-			b := res.Bins[e.bin]
 			fmt.Fprintf(&sb, "t=%-10.4g place  item %d (%.3g) -> bin %d (level %.3g)\n",
-				e.t, e.id, e.size, e.bin, b.LevelAt(e.t))
+				e.t, e.id, e.size, e.bin, res.Bins[e.bin].LevelAt(e.t))
 		case 0:
 			fmt.Fprintf(&sb, "t=%-10.4g depart item %d (%.3g) <- bin %d\n", e.t, e.id, e.size, e.bin)
 		case 1:

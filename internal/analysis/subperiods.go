@@ -5,8 +5,8 @@ import (
 	"math"
 	"sort"
 
-	"dbp/internal/bins"
 	"dbp/internal/interval"
+	"dbp/internal/item"
 	"dbp/internal/packing"
 )
 
@@ -37,7 +37,7 @@ type Subperiod struct {
 
 // BinSubperiods is the full Section V output for one bin.
 type BinSubperiods struct {
-	Bin *bins.Bin
+	Bin *packing.ServerRecord
 	V   interval.Interval
 	// Window is the selection window: the maximum item duration of the
 	// instance. The paper normalizes the minimum duration to 1, making
@@ -45,8 +45,8 @@ type BinSubperiods struct {
 	// is the correct window (it is what bounds how long a small item can
 	// linger in a bin).
 	Window     float64
-	Selected   []bins.Placement // the selected small items, in arrival order
-	Subperiods []Subperiod      // x_h,0, x_l,1, x_h,1, x_l,2, ... (empty ones omitted)
+	Selected   item.List   // the selected small items, in arrival order
+	Subperiods []Subperiod // x_h,0, x_l,1, x_h,1, x_l,2, ... (empty ones omitted)
 }
 
 // SelectSmallItems runs the Section V item-selection process on the small
@@ -60,32 +60,32 @@ type BinSubperiods struct {
 //     after that window;
 //   - stop once a selected item arrives within mu (inclusive) of V's end,
 //     or the last small item of V has been selected.
-func SelectSmallItems(b *bins.Bin, v interval.Interval, mu float64) []bins.Placement {
-	var cands []bins.Placement
-	for _, p := range b.Placements() {
-		if p.Item.Size < SmallThreshold && v.Contains(p.At) {
-			cands = append(cands, p)
+func SelectSmallItems(b *packing.ServerRecord, v interval.Interval, mu float64) item.List {
+	var cands item.List
+	for _, it := range b.Items {
+		if it.Size < SmallThreshold && v.Contains(it.Arrival) {
+			cands = append(cands, it)
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].At < cands[j].At })
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Arrival < cands[j].Arrival })
 	if len(cands) == 0 {
 		return nil
 	}
-	selected := []bins.Placement{cands[0]}
+	selected := item.List{cands[0]}
 	for {
 		cur := selected[len(selected)-1]
 		// Termination (i): selected item within mu (inclusive) of V's end.
-		if v.Hi-cur.At <= mu {
+		if v.Hi-cur.Arrival <= mu {
 			break
 		}
-		// Find small items placed in (cur.At, cur.At+mu].
+		// Find small items placed in (cur.Arrival, cur.Arrival+mu].
 		lastInWindow := -1
 		firstAfter := -1
 		for i, c := range cands {
-			if c.At <= cur.At {
+			if c.Arrival <= cur.Arrival {
 				continue
 			}
-			if c.At-cur.At <= mu {
+			if c.Arrival-cur.Arrival <= mu {
 				lastInWindow = i
 			} else if firstAfter < 0 {
 				firstAfter = i
@@ -111,7 +111,7 @@ func SelectSmallItems(b *bins.Bin, v interval.Interval, mu float64) []bins.Place
 // (and after the last one, to V's end) contributes an l-subperiod of
 // length at most mu and, if longer than mu, a trailing h-subperiod.
 // Empty subperiods are omitted.
-func SplitSubperiods(v interval.Interval, selected []bins.Placement, mu float64) []Subperiod {
+func SplitSubperiods(v interval.Interval, selected item.List, mu float64) []Subperiod {
 	var out []Subperiod
 	if len(selected) == 0 {
 		if !v.Empty() {
@@ -120,14 +120,14 @@ func SplitSubperiods(v interval.Interval, selected []bins.Placement, mu float64)
 		return out
 	}
 	// x_h,0
-	if x0 := (interval.Interval{Lo: v.Lo, Hi: selected[0].At}); !x0.Empty() {
+	if x0 := (interval.Interval{Lo: v.Lo, Hi: selected[0].Arrival}); !x0.Empty() {
 		out = append(out, Subperiod{Interval: x0, High: true, Index: 0, SupplierIndex: -1})
 	}
 	for i := range selected {
-		lo := selected[i].At
+		lo := selected[i].Arrival
 		hi := v.Hi
 		if i+1 < len(selected) {
-			hi = selected[i+1].At
+			hi = selected[i+1].Arrival
 		}
 		x := interval.Interval{Lo: lo, Hi: hi}
 		if x.Empty() {
@@ -143,7 +143,7 @@ func SplitSubperiods(v interval.Interval, selected []bins.Placement, mu float64)
 			Interval:      l,
 			High:          false,
 			Index:         i + 1,
-			SelectedID:    int64(selected[i].Item.ID),
+			SelectedID:    int64(selected[i].ID),
 			SupplierIndex: -1,
 		})
 		if !h.Empty() {
@@ -237,8 +237,9 @@ func VerifySubperiods(res *packing.Result, all []BinSubperiods) error {
 			if sp.Interval.Length() > bs.Window+tol {
 				return fmt.Errorf("bin %d (P3): l-subperiod %v longer than mu %g", bs.Bin.Index, sp.Interval, bs.Window)
 			}
-			// P4: a small item arrives at the left endpoint.
-			if !placedSmallAt(bs.Bin, sp.Interval.Lo) {
+			// P4: a small item (p_i, of size pi) arrives at the left endpoint.
+			pi := itemSizeAt(bs.Bin, sp.Interval.Lo)
+			if pi == 0 {
 				return fmt.Errorf("bin %d (P4): no small item placed at %g", bs.Bin.Index, sp.Interval.Lo)
 			}
 			// P5 for consecutive l-subperiods.
@@ -255,9 +256,7 @@ func VerifySubperiods(res *packing.Result, all []BinSubperiods) error {
 				if sp.SupplierIndex < 0 {
 					return fmt.Errorf("bin %d: l-subperiod at %g has no supplier bin", bs.Bin.Index, sp.Interval.Lo)
 				}
-				sup := res.Bins[sp.SupplierIndex]
-				pi := itemSizeAt(bs.Bin, sp.Interval.Lo)
-				ri := levelJustBefore(sup, sp.Interval.Lo, sp.SelectedID)
+				ri := levelJustBefore(&res.Bins[sp.SupplierIndex], sp.Interval.Lo, sp.SelectedID)
 				if ri+pi <= 1+tol {
 					// First Fit would have placed p_i in the supplier.
 					return fmt.Errorf("bin %d: supplier %d had room (%g + %g <= 1) at %g",
@@ -271,14 +270,14 @@ func VerifySubperiods(res *packing.Result, all []BinSubperiods) error {
 
 // verifyHighLevel checks the bin level stays >= 1/2 across an h-subperiod
 // by sampling at the subperiod start and every resident-set change inside.
-func verifyHighLevel(b *bins.Bin, h interval.Interval) error {
+func verifyHighLevel(b *packing.ServerRecord, h interval.Interval) error {
 	pts := []float64{h.Lo}
-	for _, p := range b.Placements() {
-		if h.Contains(p.Item.Arrival) {
-			pts = append(pts, p.Item.Arrival)
+	for _, it := range b.Items {
+		if h.Contains(it.Arrival) {
+			pts = append(pts, it.Arrival)
 		}
-		if h.Contains(p.Item.Departure) {
-			pts = append(pts, p.Item.Departure)
+		if h.Contains(it.Departure) {
+			pts = append(pts, it.Departure)
 		}
 	}
 	for _, t := range pts {
@@ -289,20 +288,12 @@ func verifyHighLevel(b *bins.Bin, h interval.Interval) error {
 	return nil
 }
 
-func placedSmallAt(b *bins.Bin, t float64) bool {
-	for _, p := range b.Placements() {
-		if p.At == t && p.Item.Size < SmallThreshold {
-			return true
-		}
-	}
-	return false
-}
-
-// itemSizeAt returns the size of the selected small item placed in b at t.
-func itemSizeAt(b *bins.Bin, t float64) float64 {
-	for _, p := range b.Placements() {
-		if p.At == t && p.Item.Size < SmallThreshold {
-			return p.Item.Size
+// itemSizeAt returns the size of the small item placed in b at t, or 0 if
+// there is none.
+func itemSizeAt(b *packing.ServerRecord, t float64) float64 {
+	for _, it := range b.Items {
+		if it.Arrival == t && it.Size < SmallThreshold {
+			return it.Size
 		}
 	}
 	return 0
@@ -311,14 +302,14 @@ func itemSizeAt(b *bins.Bin, t float64) float64 {
 // levelJustBefore reconstructs the supplier bin's level at time t counting
 // only items that arrived before the selected item (the paper's R_i: the
 // items in the supplier bin at the moment p_i was placed).
-func levelJustBefore(b *bins.Bin, t float64, selectedID int64) float64 {
+func levelJustBefore(b *packing.ServerRecord, t float64, selectedID int64) float64 {
 	var lv float64
-	for _, p := range b.Placements() {
-		if !p.Item.Interval().Contains(t) {
+	for _, it := range b.Items {
+		if !it.Interval().Contains(t) {
 			continue
 		}
-		if p.At < t || (p.At == t && int64(p.Item.ID) < selectedID) {
-			lv += p.Item.Size
+		if it.Arrival < t || (it.Arrival == t && int64(it.ID) < selectedID) {
+			lv += it.Size
 		}
 	}
 	return lv

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dbp/internal/bins"
 	"dbp/internal/interval"
 	"dbp/internal/item"
 	"dbp/internal/packing"
@@ -42,18 +41,17 @@ func TestSelectSmallItemsWindowing(t *testing.T) {
 		mk(5, 0.1, 9, 11),
 	}
 	res := packing.MustRun(packing.NewFirstFit(), l, nil)
-	b := res.Bins[0]
 	if res.NumBins() != 1 {
 		t.Fatalf("want all items in one bin, got %d bins", res.NumBins())
 	}
-	sel := SelectSmallItems(b, interval.New(0, 12), 2)
+	sel := SelectSmallItems(&res.Bins[0], interval.New(0, 12), 2)
 	want := []float64{0, 1.5, 5, 9}
 	if len(sel) != len(want) {
 		t.Fatalf("selected %d items, want %d", len(sel), len(want))
 	}
 	for i, w := range want {
-		if sel[i].At != w {
-			t.Fatalf("selected[%d] at %g, want %g", i, sel[i].At, w)
+		if sel[i].Arrival != w {
+			t.Fatalf("selected[%d] at %g, want %g", i, sel[i].Arrival, w)
 		}
 	}
 }
@@ -67,8 +65,8 @@ func TestSelectSmallItemsTerminationNearVEnd(t *testing.T) {
 		mk(3, 0.2, 2.9, 4.9), // must NOT be selected: 1.5 is within mu of V end
 	}
 	res := packing.MustRun(packing.NewFirstFit(), l, nil)
-	sel := SelectSmallItems(res.Bins[0], interval.New(0, 3), 2)
-	if len(sel) != 2 || sel[1].At != 1.5 {
+	sel := SelectSmallItems(&res.Bins[0], interval.New(0, 3), 2)
+	if len(sel) != 2 || sel[1].Arrival != 1.5 {
 		t.Fatalf("selected = %v", sel)
 	}
 }
@@ -80,8 +78,8 @@ func TestSelectSmallItemsIgnoresLargeAndOutsideV(t *testing.T) {
 		mk(3, 0.2, 8, 10), // small, outside V
 	}
 	res := packing.MustRun(packing.NewFirstFit(), l, nil)
-	sel := SelectSmallItems(res.Bins[0], interval.New(0, 4), 2)
-	if len(sel) != 1 || sel[0].Item.ID != 2 {
+	sel := SelectSmallItems(&res.Bins[0], interval.New(0, 4), 2)
+	if len(sel) != 1 || sel[0].ID != 2 {
 		t.Fatalf("selected = %v", sel)
 	}
 }
@@ -98,10 +96,10 @@ func TestSplitSubperiodsShapes(t *testing.T) {
 	// V = [0, 10), mu = 2, selected at 1, 2.5, 7.
 	// x_h,0 = [0,1); x_1 = [1,2.5) -> l only; x_2 = [2.5,7) -> l [2.5,4.5),
 	// h [4.5,7); x_3 = [7,10) -> l [7,9), h [9,10).
-	sel := []bins.Placement{
-		{Item: mk(1, 0.2, 1, 3), At: 1},
-		{Item: mk(2, 0.2, 2.5, 4.5), At: 2.5},
-		{Item: mk(3, 0.2, 7, 9), At: 7},
+	sel := item.List{
+		mk(1, 0.2, 1, 3),
+		mk(2, 0.2, 2.5, 4.5),
+		mk(3, 0.2, 7, 9),
 	}
 	sps := SplitSubperiods(interval.New(0, 10), sel, 2)
 	type want struct {

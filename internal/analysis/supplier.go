@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"dbp/internal/bins"
 	"dbp/internal/interval"
 	"dbp/internal/packing"
 )
@@ -206,17 +205,15 @@ func MeasureAmortizedLevel(res *packing.Result, all []BinSubperiods, groups []LG
 		rep.Window = all[0].Window
 	}
 	for _, g := range groups {
-		sup := res.Bins[g.SupplierIndex]
 		rep.Length += g.Supplier.Length()
-		rep.Demand += demandOver(sup, g.Supplier)
+		rep.Demand += demandOver(&res.Bins[g.SupplierIndex], g.Supplier)
 		for _, m := range g.Members {
 			rep.Length += m.Interval.Length()
 			// Selected item's demand over the l-subperiod.
-			bin := res.Bins[g.BinIndex]
-			for _, pl := range bin.Placements() {
-				if pl.At == m.Interval.Lo && pl.Item.Size < SmallThreshold {
-					ov := pl.Item.Interval().Intersect(m.Interval)
-					rep.Demand += pl.Item.Size * ov.Length()
+			for _, it := range res.Bins[g.BinIndex].Items {
+				if it.Arrival == m.Interval.Lo && it.Size < SmallThreshold {
+					ov := it.Interval().Intersect(m.Interval)
+					rep.Demand += it.Size * ov.Length()
 					break
 				}
 			}
@@ -225,13 +222,12 @@ func MeasureAmortizedLevel(res *packing.Result, all []BinSubperiods, groups []LG
 	return rep
 }
 
-// demandOver integrates a bin's level over the window from its placement
-// history.
-func demandOver(b *bins.Bin, w interval.Interval) float64 {
+// demandOver integrates a bin's level over the window from its record.
+func demandOver(b *packing.ServerRecord, w interval.Interval) float64 {
 	var d float64
-	for _, p := range b.Placements() {
-		ov := p.Item.Interval().Intersect(w)
-		d += p.Item.Size * ov.Length()
+	for _, it := range b.Items {
+		ov := it.Interval().Intersect(w)
+		d += it.Size * ov.Length()
 	}
 	return d
 }

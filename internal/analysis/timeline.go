@@ -51,7 +51,7 @@ func RenderTimeline(res *packing.Result, width int) string {
 			row[c] = '.'
 		}
 		// Overlay occupied stretches from the items.
-		for _, it := range b.Items() {
+		for _, it := range b.Items {
 			for c := col(it.Arrival); c <= col(it.Departure-1e-12); c++ {
 				row[c] = '#'
 			}
@@ -79,7 +79,7 @@ func LevelHistogram(res *packing.Result, buckets int) []float64 {
 			dl float64
 		}
 		var evs []ev
-		for _, it := range b.Items() {
+		for _, it := range b.Items {
 			evs = append(evs, ev{it.Arrival, it.Size}, ev{it.Departure, -it.Size})
 		}
 		// Simple insertion sort by time (bins are small).

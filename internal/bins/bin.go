@@ -4,13 +4,9 @@
 // interval from opening to closing, and the objective of the problem is the
 // total length of all usage periods.
 //
-// A bin holds live state only — its level, its resident items, its usage
-// period — unless its ledger keeps history (Ledger.KeepHistory, which the
-// batch simulator and Replay turn on and the streaming dispatcher never
-// does). A history-keeping bin also records every placement, so analyses
-// can reconstruct its level at any time after the fact (items are never
-// migrated, so an item's residence interval in its bin equals its active
-// interval).
+// A bin holds live state only: its level, its resident items and its usage
+// period. What a batch run needs afterwards — which items each server was
+// given — is recorded by its caller (packing.Result), not by the bin.
 package bins
 
 import (
@@ -27,14 +23,6 @@ import (
 // size granularity of every workload in this repository.
 const Eps = 1e-9
 
-// Placement records one item being placed into a bin at a given time.
-// Because items are never reassigned, the item resides in the bin for its
-// entire active interval.
-type Placement struct {
-	Item item.Item
-	At   float64
-}
-
 // Bin is a single server of given capacity (1.0 per dimension in the
 // paper's normalization). Create bins with Open.
 type Bin struct {
@@ -48,10 +36,6 @@ type Bin struct {
 	// model. The owner (bins.Ledger) is then responsible for closing the
 	// bin via Close once the keep-alive budget expires.
 	LingerWhenEmpty bool
-	// history makes Place record into placements; the ledger sets it on
-	// the bins it opens when told to KeepHistory. (It shares a word with
-	// the flag above: a history-keeping run retains every Bin.)
-	history bool
 
 	openedAt   float64
 	closedAt   float64 // NaN while open
@@ -60,8 +44,7 @@ type Bin struct {
 	// resident holds the items in the bin in no particular order: a
 	// removal moves the last one into the hole. A ledger knows each item's
 	// position; a bare bin scans for it.
-	resident   []item.Item
-	placements []Placement // appended to only under history
+	resident []item.Item
 	// slot is the bin's position in its ledger's Index while it is open
 	// there; the index maintains it (compaction moves it).
 	slot int
@@ -204,9 +187,6 @@ func (b *Bin) place(it item.Item, t float64) int {
 	}
 	b.resident = append(b.resident, it)
 	b.emptySince = math.NaN() // a lingering bin is back in service
-	if b.history {
-		b.placements = append(b.placements, Placement{Item: it, At: t})
-	}
 	return len(b.resident) - 1
 }
 
@@ -221,10 +201,7 @@ func (b *Bin) find(id item.ID) int {
 }
 
 // Remove takes the item out of the bin at time t. If the bin becomes
-// empty it closes at t. Removing an absent item panics. The placement
-// history is not touched: it records each item as it was placed, and the
-// callers that keep history (Run, Replay) place items whose Departure is
-// the time of the depart event by construction of the event queue.
+// empty it closes at t. Removing an absent item panics.
 func (b *Bin) Remove(id item.ID, t float64) {
 	i := b.find(id)
 	if i < 0 {
@@ -296,44 +273,6 @@ func (b *Bin) Active() []item.ID {
 func (b *Bin) ActiveItems() item.List {
 	out := make(item.List, len(b.resident))
 	copy(out, b.resident)
-	return out
-}
-
-// Placements returns every item ever placed in this bin, in placement
-// order — nil for a bin whose ledger keeps no history, as are Items,
-// LevelAt and ItemsAt below. The returned slice is shared; callers must
-// not modify it.
-func (b *Bin) Placements() []Placement { return b.placements }
-
-// Items returns the items ever placed in the bin, in placement order.
-func (b *Bin) Items() item.List {
-	out := make(item.List, len(b.placements))
-	for i, p := range b.placements {
-		out[i] = p.Item
-	}
-	return out
-}
-
-// LevelAt reconstructs the scalar level of the bin at time t from its
-// placement history (valid once the simulation has run past t).
-func (b *Bin) LevelAt(t float64) float64 {
-	var lv float64
-	for _, p := range b.placements {
-		if p.Item.Interval().Contains(t) {
-			lv += p.Item.Size
-		}
-	}
-	return lv
-}
-
-// ItemsAt reconstructs the set of items resident in the bin at time t.
-func (b *Bin) ItemsAt(t float64) item.List {
-	var out item.List
-	for _, p := range b.placements {
-		if p.Item.Interval().Contains(t) {
-			out = append(out, p.Item)
-		}
-	}
 	return out
 }
 

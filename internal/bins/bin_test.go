@@ -1,7 +1,6 @@
 package bins
 
 import (
-	"math"
 	"testing"
 
 	"dbp/internal/item"
@@ -102,40 +101,6 @@ func TestClosedAtPanicsWhileOpen(t *testing.T) {
 		}
 	}()
 	_ = b.ClosedAt()
-}
-
-func TestLevelAtAndItemsAtReconstruction(t *testing.T) {
-	g := NewLedger(1.0, 1)
-	g.KeepHistory() // bins record their placements only under such a ledger
-	i1 := mkItem(1, 0.3, 0, 4)
-	i2 := mkItem(2, 0.4, 2, 6)
-	b := g.OpenNew(i1, 0)
-	g.PlaceIn(b, i2, 2)
-	g.Remove(1, 4)
-	g.Remove(2, 6)
-
-	cases := []struct {
-		t     float64
-		level float64
-		n     int
-	}{
-		{0, 0.3, 1}, {1.9, 0.3, 1}, {2, 0.7, 2}, {3.9, 0.7, 2},
-		{4, 0.4, 1}, {5.9, 0.4, 1}, {6, 0, 0},
-	}
-	for _, c := range cases {
-		if got := b.LevelAt(c.t); math.Abs(got-c.level) > 1e-12 {
-			t.Errorf("LevelAt(%g) = %g, want %g", c.t, got, c.level)
-		}
-		if got := len(b.ItemsAt(c.t)); got != c.n {
-			t.Errorf("ItemsAt(%g) has %d items, want %d", c.t, got, c.n)
-		}
-	}
-	if len(b.Placements()) != 2 || b.Placements()[0].Item.ID != 1 {
-		t.Error("placements must record history in order")
-	}
-	if items := b.Items(); len(items) != 2 || items[1].ID != 2 {
-		t.Error("Items must list placement order")
-	}
 }
 
 func TestVectorBin(t *testing.T) {

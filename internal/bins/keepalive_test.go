@@ -3,8 +3,6 @@ package bins
 import (
 	"math"
 	"testing"
-
-	"dbp/internal/item"
 )
 
 func TestBinLingeringLifecycle(t *testing.T) {
@@ -119,10 +117,11 @@ func TestLedgerKeepAliveCloseExpired(t *testing.T) {
 // including ties (two bins emptying at the same instant).
 func TestCloseExpiredOrderAndTies(t *testing.T) {
 	g := NewLedgerKeepAlive(1, 1, 2)
-	g.KeepHistory()                    // the test reads closed bins back by index
-	g.OpenNew(mkItem(1, 0.9, 0, 3), 0) // bin 0, empties last
-	g.OpenNew(mkItem(2, 0.9, 0, 1), 0) // bin 1, empties at 1
-	g.OpenNew(mkItem(3, 0.9, 0, 1), 0) // bin 2, empties at 1 (tie with bin 1)
+	opened := []*Bin{
+		g.OpenNew(mkItem(1, 0.9, 0, 3), 0), // bin 0, empties last
+		g.OpenNew(mkItem(2, 0.9, 0, 1), 0), // bin 1, empties at 1
+		g.OpenNew(mkItem(3, 0.9, 0, 1), 0), // bin 2, empties at 1 (tie with bin 1)
+	}
 	g.Remove(2, 1)
 	g.Remove(3, 1)
 	g.Remove(1, 3)
@@ -135,7 +134,7 @@ func TestCloseExpiredOrderAndTies(t *testing.T) {
 		t.Fatalf("closed %d at t=3, want 2", n)
 	}
 	for _, idx := range []int{1, 2} {
-		if b := g.AllBins()[idx]; b.IsOpen() || b.ClosedAt() != 3 {
+		if b := opened[idx]; b.IsOpen() || b.ClosedAt() != 3 {
 			t.Fatalf("bin %d: %v, want closed at 3", idx, b)
 		}
 	}
@@ -145,7 +144,7 @@ func TestCloseExpiredOrderAndTies(t *testing.T) {
 	if n := g.CloseExpired(5); n != 1 {
 		t.Fatalf("closed %d at t=5, want 1", n)
 	}
-	if b := g.AllBins()[0]; b.ClosedAt() != 5 {
+	if b := opened[0]; b.ClosedAt() != 5 {
 		t.Fatalf("bin 0 closed at %g, want 5", b.ClosedAt())
 	}
 	if err := g.CheckInvariants(); err != nil {
@@ -232,22 +231,5 @@ func TestUsagePeriodOfLingeringBin(t *testing.T) {
 	b.Close(5)
 	if got := b.UsagePeriod(); got.Lo != 1 || got.Hi != 5 {
 		t.Fatalf("usage period = %v", got)
-	}
-}
-
-func TestItemsAtDuringLinger(t *testing.T) {
-	g := NewLedgerKeepAlive(1, 1, 5)
-	g.KeepHistory() // bins record their placements only under such a ledger
-	it := item.Item{ID: 1, Size: 0.5, Arrival: 0, Departure: 2}
-	b := g.OpenNew(it, 0)
-	g.Remove(1, 2)
-	if !b.Lingering() {
-		t.Fatal("bin must linger after its last departure")
-	}
-	if n := len(b.ItemsAt(3)); n != 0 {
-		t.Fatalf("%d items during linger, want 0", n)
-	}
-	if lv := b.LevelAt(3); lv != 0 {
-		t.Fatalf("level %g during linger", lv)
 	}
 }

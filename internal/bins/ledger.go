@@ -2,7 +2,6 @@ package bins
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"dbp/internal/item"
@@ -15,9 +14,8 @@ import (
 // bin leaves its usage in an accumulator and its index in a counter, and
 // nothing in the ledger, its index or its expiry heap refers to it again,
 // so memory and per-event cost follow the open fleet however long the run.
-// A ledger told to KeepHistory — the batch simulator's and Replay's, whose
-// Result and analyses read it — also retains every bin ever opened, each
-// recording its placements.
+// A caller that needs the run's record afterwards (packing's batch runner)
+// keeps it from what OpenNew, PlaceIn and Remove return.
 //
 // Each resident item is one entry in one map, location, which holds its
 // bin and its position in the bin's resident slice. An event costs
@@ -36,8 +34,8 @@ import (
 //     treap key per level change.
 //
 // The benchmark's bare-ledger replay of 1M zipfian events reads, from the
-// first to the last decile of the script, 795 → 3370 ns/event before the
-// ledger shed its history, 538 → 562 after (DESIGN.md §8 has all ten),
+// first to the last decile of the script, 795 → 3370 ns/event while the
+// ledger retained every closed bin, 538 → 562 once it released them (DESIGN.md §8 has all ten),
 // and 163 → 170 with one map entry per job and no treap for First Fit.
 type Ledger struct {
 	capacity  float64
@@ -48,13 +46,8 @@ type Ledger struct {
 	open     []*Bin // sorted by Index ascending (== opening order)
 	location map[item.ID]residence
 	// free holds the emptied resident slices of closed bins for the next
-	// openings to reuse: a closed bin keeps none, whether or not the
-	// ledger keeps history.
+	// openings to reuse: a closed bin keeps none.
 	free [][]item.Item
-	// history makes the ledger retain every bin ever opened (all) and
-	// each bin record its placements; see KeepHistory.
-	history bool
-	all     []*Bin
 	// expiries holds the pending keep-alive closures (min by emptySince),
 	// lazily invalidated: entries for revived bins are discarded when
 	// popped rather than being searched for and deleted.
@@ -121,19 +114,6 @@ func (g *Ledger) EnableIndex() {
 	g.index = newIndex(g.dim)
 }
 
-// KeepHistory makes the ledger retain every bin it opens (AllBins) and
-// every bin record its placements (Bin.Placements, Items, LevelAt,
-// ItemsAt) — what packing.Result, its Verify and the analysis package
-// read after a batch run. Memory then grows with the run, which is why a
-// long-lived streaming owner never asks for it. It must be called before
-// any bin is opened.
-func (g *Ledger) KeepHistory() {
-	if g.opened > 0 {
-		panic("bins: KeepHistory on a ledger that already opened bins")
-	}
-	g.history = true
-}
-
 // Index returns the policy-query index, or nil when not enabled.
 func (g *Ledger) Index() *Index { return g.index }
 
@@ -151,12 +131,12 @@ func (g *Ledger) CloseExpired(now float64) int {
 	}
 	// Collect every due closure first and process them in canonical
 	// (emptySince, Index) order. The heap's order among equal emptySince
-	// values depends on insertion history — including stale entries for
-	// revived bins — and the closed-usage accumulator's float bits depend
-	// on summation order, so closing in heap-pop order would make a
-	// ledger restored from a snapshot (whose heap holds only the live
-	// entries) drift from an uninterrupted run by a few ULPs. The
-	// canonical order is history-free.
+	// values depends on the order of past insertions — including stale
+	// entries for revived bins — and the closed-usage accumulator's float
+	// bits depend on summation order, so closing in heap-pop order would
+	// make a ledger restored from a snapshot (whose heap holds only the
+	// live entries) drift from an uninterrupted run by a few ULPs. The
+	// canonical order depends on the live state alone.
 	due := g.due[:0]
 	for len(g.expiries) > 0 && g.expiries[0].emptySince+g.keepAlive <= now {
 		e := g.expiries.pop()
@@ -220,10 +200,6 @@ func (g *Ledger) Dim() int { return g.dim }
 // Index). The slice is shared; callers must not modify it.
 func (g *Ledger) OpenBins() []*Bin { return g.open }
 
-// AllBins returns every bin ever opened, in opening order, on a ledger
-// that keeps history (KeepHistory); nil otherwise. Shared slice.
-func (g *Ledger) AllBins() []*Bin { return g.all }
-
 // NumOpen returns the number of currently open bins.
 func (g *Ledger) NumOpen() int { return len(g.open) }
 
@@ -236,7 +212,7 @@ func (g *Ledger) MaxConcurrentOpen() int { return g.maxConcurrentOpen }
 
 // ClosedUsage returns the exact usage accumulated by closed bins — the
 // running float sum durable snapshots serialize verbatim, because
-// recomputing it from closure history would re-order the additions and
+// recomputing it from the closed bins would re-order the additions and
 // drift from the live accumulator by ULPs.
 func (g *Ledger) ClosedUsage() float64 { return g.closedUsage }
 
@@ -251,11 +227,7 @@ func (g *Ledger) OpenNew(it item.Item, t float64) *Bin {
 func (g *Ledger) OpenNewCap(it item.Item, t, capacity float64) *Bin {
 	b := Open(g.opened, capacity, g.dim, t)
 	b.LingerWhenEmpty = g.keepAlive > 0
-	b.history = g.history
 	g.opened++
-	if g.history {
-		g.all = append(g.all, b)
-	}
 	g.open = append(g.open, b)
 	if len(g.open) > g.maxConcurrentOpen {
 		g.maxConcurrentOpen = len(g.open)
@@ -406,17 +378,6 @@ func (g *Ledger) CheckInvariants() error {
 	}
 	if prev >= g.opened {
 		return fmt.Errorf("open bin %d but only %d ever opened", prev, g.opened)
-	}
-	if g.history && len(g.all) != g.opened {
-		return fmt.Errorf("history holds %d bins, %d ever opened", len(g.all), g.opened)
-	}
-	for i, b := range g.all {
-		if b.Index != i {
-			return fmt.Errorf("bin at position %d has index %d", i, b.Index)
-		}
-		if !b.IsOpen() && math.IsNaN(b.ClosedAt()) {
-			return fmt.Errorf("bin %d closed at NaN", b.Index)
-		}
 	}
 	for i, e := range g.expiries {
 		if e.bin == nil {

@@ -23,7 +23,7 @@ type RestoredJob struct {
 // BinRestore describes one open bin for RestoreLedger: its identity,
 // timing, and — critically — its exact accumulated level vector. The
 // level is NOT recomputed from the jobs: a live bin's level is a running
-// float sum over its full placement/removal history, so only the
+// float sum over every placement and removal it has seen, so only the
 // verbatim accumulator makes a restored ledger place future jobs on
 // bit-identical levels. Levels (like each job's Sizes) is ADOPTED by
 // RestoreLedger as the bin's live accumulator; callers pass a copy if
@@ -42,9 +42,9 @@ type BinRestore struct {
 // peak concurrency, and the exact closed-usage accumulator. Closed bins
 // are not rebuilt — their usage lives in closedUsage and their indices
 // below the opened counter — so the cost follows the open fleet, not the
-// history; the next bin to open takes Index opened, as in the
-// uninterrupted ledger. The restored ledger keeps no history. The result
-// passes CheckInvariants before being returned.
+// length of the run; the next bin to open takes Index opened, as in the
+// uninterrupted ledger. The result passes CheckInvariants before being
+// returned.
 func RestoreLedger(capacity float64, dim int, keepAlive float64, indexed bool,
 	opened, peak int, closedUsage float64, open []BinRestore) (*Ledger, error) {
 	if dim < 1 {

@@ -2,7 +2,6 @@ package packing
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"dbp/internal/bins"
@@ -63,12 +62,10 @@ func validateFleet(fleet []ServerType) ([]ServerType, error) {
 		return nil, fmt.Errorf("packing: empty fleet")
 	}
 	out := append([]ServerType(nil), fleet...)
-	maxCap := 0.0
 	for _, t := range out {
 		if !(t.Capacity > 0) || t.Capacity > 1 {
 			return nil, fmt.Errorf("packing: fleet tier %q capacity %g outside (0, 1]", t.Name, t.Capacity)
 		}
-		maxCap = math.Max(maxCap, t.Capacity)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Capacity < out[j].Capacity })
 	return out, nil

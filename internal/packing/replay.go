@@ -12,7 +12,7 @@ import (
 // (item -> bin index) and verifies its physical legality along the way:
 // every item placed in its assigned bin at its arrival, capacity
 // respected at every instant. It returns the full Result (usage time,
-// peak, placement history) for the external packing, enabling
+// peak, each server's record) for the external packing, enabling
 // apples-to-apples comparison of third-party dispatchers against the
 // policies implemented here (cmd/dbpverify -assign consumes this).
 //
@@ -30,9 +30,8 @@ func Replay(l item.List, assign map[item.ID]int) (*Result, error) {
 		}
 	}
 	ledger := bins.NewLedger(1.0, dim)
-	ledger.KeepHistory() // the Result below carries every bin and its placements
+	rec := newRecorder(len(l))
 	label2bin := make(map[int]*bins.Bin)
-	assignment := make(map[item.ID]int, len(l))
 	q := event.NewFromList(l)
 	for q.Len() > 0 {
 		e := q.Pop()
@@ -47,7 +46,8 @@ func Replay(l item.List, assign map[item.ID]int) (*Result, error) {
 				// reuses the label for a fresh server.
 				b = nil
 			}
-			if b == nil {
+			opened := b == nil
+			if opened {
 				b = ledger.OpenNew(e.Item, e.Time)
 				label2bin[label] = b
 			} else {
@@ -57,18 +57,8 @@ func Replay(l item.List, assign map[item.ID]int) (*Result, error) {
 				}
 				ledger.PlaceIn(b, e.Item, e.Time)
 			}
-			assignment[e.Item.ID] = b.Index
+			rec.placed(b, e.Item, opened)
 		}
 	}
-	if n := ledger.NumOpen(); n != 0 {
-		return nil, fmt.Errorf("packing: %d bins still open after replay", n)
-	}
-	return &Result{
-		Algorithm:         "Replay",
-		Items:             l,
-		Bins:              ledger.AllBins(),
-		Assignment:        assignment,
-		TotalUsage:        ledger.TotalUsage(0),
-		MaxConcurrentOpen: ledger.MaxConcurrentOpen(),
-	}, nil
+	return rec.result("Replay", l, ledger)
 }

@@ -11,14 +11,14 @@ import (
 )
 
 // Result is the complete outcome of one packing run: the objective values
-// and the full placement history, sufficient to reconstruct the state of
-// every bin at any time (used by the analysis package to re-derive the
+// and a record of every server, sufficient to reconstruct the state of
+// every server at any time (used by the analysis package to re-derive the
 // paper's proof decomposition on concrete runs).
 type Result struct {
 	Algorithm string
 	Items     item.List
-	// Bins holds every bin ever opened, in opening order; all are closed.
-	Bins []*bins.Bin
+	// Bins records every server the run opened, in opening order.
+	Bins []ServerRecord
 	// Assignment maps each item to the index of the bin that served it.
 	Assignment map[item.ID]int
 	// TotalUsage is the MinUsageTime objective: sum over bins of usage
@@ -35,51 +35,34 @@ type Result struct {
 // NumBins returns the total number of bins opened during the run.
 func (r *Result) NumBins() int { return len(r.Bins) }
 
-// BinOf returns the bin that served the item, or nil if the item is
-// unknown.
-func (r *Result) BinOf(id item.ID) *bins.Bin {
-	idx, ok := r.Assignment[id]
-	if !ok {
-		return nil
-	}
-	return r.Bins[idx]
-}
-
-// OpenAt reconstructs the bins whose usage period contains time t, in
-// opening order.
-func (r *Result) OpenAt(t float64) []*bins.Bin {
-	var out []*bins.Bin
-	for _, b := range r.Bins {
-		if b.UsagePeriod().Contains(t) {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// Verify re-checks the physical validity of the packing from the recorded
-// placements, independently of the simulator's bookkeeping: every item
-// placed exactly once, capacity respected in every bin at every event
-// time, bin usage periods spanning exactly their items' activity, and the
-// recomputed objectives matching the reported ones. Tests call this after
-// every run; it is the ground truth the experiments rest on.
+// Verify re-checks the physical validity of the packing from the server
+// records, independently of the simulator's bookkeeping: every record at
+// its own Index, every item placed exactly once, capacity respected in
+// every server at every event time, usage periods spanning exactly their
+// items' activity, and the recomputed objectives matching the reported
+// ones. Tests call this after every run; it is the ground truth the
+// experiments rest on.
 func (r *Result) Verify() error {
 	placed := make(map[item.ID]int)
 	var usage float64
-	for _, b := range r.Bins {
-		items := b.Items()
-		if len(items) == 0 {
+	for k, b := range r.Bins {
+		if b.Index != k {
+			return fmt.Errorf("bin at position %d has index %d", k, b.Index)
+		}
+		if len(b.Items) == 0 {
 			return fmt.Errorf("bin %d served no items", b.Index)
 		}
 		var lo, hi = math.Inf(1), math.Inf(-1)
-		ts := make([]float64, 0, 2*len(items))
-		for _, it := range items {
+		dim := 1
+		ts := make([]float64, 0, 2*len(b.Items))
+		for _, it := range b.Items {
 			if prev, dup := placed[it.ID]; dup {
 				return fmt.Errorf("item %d placed in bins %d and %d", it.ID, prev, b.Index)
 			}
 			placed[it.ID] = b.Index
 			lo = math.Min(lo, it.Arrival)
 			hi = math.Max(hi, it.Departure)
+			dim = max(dim, it.Dim())
 			ts = append(ts, it.Arrival, it.Departure)
 		}
 		wantHi := hi + r.KeepAlive // bins linger keepAlive past their last departure
@@ -90,12 +73,12 @@ func (r *Result) Verify() error {
 			return fmt.Errorf("bin %d usage period %v does not match items' hull [%g, %g)", b.Index, b.UsagePeriod(), lo, wantHi)
 		}
 		sort.Float64s(ts)
-		lv := make([]float64, b.Dim())
+		lv := make([]float64, dim)
 		for _, t := range ts {
 			for d := range lv {
 				lv[d] = 0
 			}
-			for _, it := range items {
+			for _, it := range b.Items {
 				if it.Interval().Contains(t) {
 					for d, s := range it.SizeVec() {
 						lv[d] += s
@@ -141,7 +124,7 @@ func (r *Result) Describe() string {
 	fmt.Fprintf(&sb, "%s\n", r.String())
 	for _, b := range r.Bins {
 		fmt.Fprintf(&sb, "  bin %3d  usage %v (%.6g)  items:", b.Index, b.UsagePeriod(), b.Usage())
-		for _, it := range b.Items() {
+		for _, it := range b.Items {
 			fmt.Fprintf(&sb, " %d(%.3g)", it.ID, it.Size)
 		}
 		sb.WriteByte('\n')

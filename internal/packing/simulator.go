@@ -109,11 +109,8 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 		keepAlive = opt.KeepAlive
 	}
 	eng := newEngine(algo, opt.capacity(), opt.dim(l), keepAlive, opt.engine(), opt != nil && opt.Clairvoyant)
-	// A batch run ends and its Result is read bin by bin (Verify, analysis,
-	// svgplot), so its ledger keeps the history a Stream's never does.
-	eng.ledger.KeepHistory()
 	q := event.NewFromListOrder(l, opt != nil && opt.ArrivalsFirst)
-	assignment := make(map[item.ID]int, len(l))
+	rec := newRecorder(len(l))
 
 	for q.Len() > 0 {
 		e := q.Pop()
@@ -122,11 +119,11 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 		case event.Depart:
 			eng.depart(e.Item.ID, e.Time)
 		case event.Arrive:
-			b, _, err := eng.arrive(e.Item, e.Time, capacityFor)
+			b, opened, err := eng.arrive(e.Item, e.Time, capacityFor)
 			if err != nil {
 				return nil, err
 			}
-			assignment[e.Item.ID] = b.Index
+			rec.placed(b, e.Item, opened)
 		}
 		if opt != nil && opt.Validate {
 			if err := eng.validate(); err != nil {
@@ -137,18 +134,7 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 	}
 
 	eng.ledger.CloseAllLingering()
-	if n := eng.ledger.NumOpen(); n != 0 {
-		return nil, fmt.Errorf("packing: %d bins still open after drain", n)
-	}
-	return &Result{
-		Algorithm:         algo.Name(),
-		Items:             l,
-		Bins:              eng.ledger.AllBins(),
-		Assignment:        assignment,
-		TotalUsage:        eng.ledger.TotalUsage(0),
-		MaxConcurrentOpen: eng.ledger.MaxConcurrentOpen(),
-		KeepAlive:         keepAlive,
-	}, nil
+	return rec.result(algo.Name(), l, eng.ledger)
 }
 
 // MustRun is Run for known-good inputs (tests, benchmarks, examples); it

@@ -308,3 +308,36 @@ func TestApplyBatchConcurrent(t *testing.T) {
 		t.Fatalf("stats %+v, want %d arrivals over %d batches", st, workers*batches*per, workers*batches)
 	}
 }
+
+// TestStatsSeeAcknowledgedBatch pins the gauge's freshness for a lone
+// caller: the shard owner publishes its stats before it replies whenever
+// its queue is empty, so Stats read right after an acknowledged batch
+// counts every event that batch applied.
+func TestStatsSeeAcknowledgedBatch(t *testing.T) {
+	d := newBatchDispatcher(t, 1)
+	const rounds = 5000
+	ops := make([]serve.BatchOp, 4)
+	results := make([]serve.BatchResult, len(ops))
+	applied, stale := 0, 0
+	for r := 0; r < rounds; r++ {
+		base := item.ID(2*r + 1)
+		at := float64(r)
+		ops[0] = serve.BatchOp{ID: base, Size: 0.3, HasTime: true, Time: at}
+		ops[1] = serve.BatchOp{ID: base + 1, Size: 0.3, HasTime: true, Time: at}
+		ops[2] = serve.BatchOp{Depart: true, ID: base, HasTime: true, Time: at}
+		ops[3] = serve.BatchOp{Depart: true, ID: base + 1, HasTime: true, Time: at}
+		d.ApplyBatch(ops, results)
+		for i, res := range results {
+			if res.Err != nil {
+				t.Fatalf("round %d op %d: %v", r, i, res.Err)
+			}
+		}
+		applied += len(ops)
+		if got := d.Stats().PerShard[0].Events; got != applied {
+			stale++
+		}
+	}
+	if stale > 0 {
+		t.Fatalf("%d of %d Stats reads after an acknowledged batch missed its events", stale, rounds)
+	}
+}

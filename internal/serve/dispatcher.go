@@ -151,7 +151,7 @@ var reqPool = sync.Pool{
 
 // publishEvery bounds gauge staleness under sustained load: the shard
 // owner republishes its stats snapshot at least every publishEvery
-// applied envelopes, and immediately whenever its queue runs empty.
+// applied events, and before every reply that leaves its queue empty.
 const publishEvery = 256
 
 // shard is one single-writer partition: exactly one goroutine (run)
@@ -169,7 +169,8 @@ type shard struct {
 	policy string
 	engine string
 
-	gauge atomic.Pointer[ShardStats] // last published stats snapshot
+	gauge        atomic.Pointer[ShardStats] // last published stats snapshot
+	sincePublish int                        // events applied since; owner-only
 
 	logMu sync.Mutex // guards log: owner appends, ShardEvents copies
 	log   []Event
@@ -487,34 +488,14 @@ func (d *Dispatcher) Depart(id item.ID, t *float64) (Departure, error) {
 }
 
 // run is shard si's owner goroutine: the only writer of the shard's
-// stream and journal. It applies envelopes strictly in queue order,
-// republishing the shard's stats gauge whenever the queue runs empty
-// (and at least every publishEvery envelopes under sustained load).
+// stream and journal. It applies envelopes strictly in queue order.
 // When Close shuts the queue, it finishes the backlog — everything
 // that entered the queue is applied, nothing is dropped — then shuts
 // lingering keep-alive servers and publishes the final gauge.
 func (d *Dispatcher) run(si int, sh *shard) {
 	defer close(sh.done)
-	sincePublish := 0
-	for {
-		var req *request
-		var ok bool
-		select {
-		case req, ok = <-sh.reqs:
-		default:
-			// Queue empty: publish a fresh gauge, then block.
-			sh.publish(si)
-			sincePublish = 0
-			req, ok = <-sh.reqs
-		}
-		if !ok {
-			break
-		}
-		sincePublish += d.apply(sh, req)
-		if sincePublish >= publishEvery {
-			sh.publish(si)
-			sincePublish = 0
-		}
+	for req := range sh.reqs {
+		d.apply(si, sh, req)
 	}
 	if sh.wal != nil && sh.walErr.Load() == nil && sh.stream.Events() > sh.lastSnapEvents {
 		// Final snapshot of the pre-shutdown state, taken BEFORE
@@ -527,26 +508,29 @@ func (d *Dispatcher) run(si int, sh *shard) {
 	sh.publish(si)
 }
 
-// apply executes one envelope against the shard's stream: for each op
+// apply executes one envelope against shard si's stream: for each op
 // clamp the timestamp, run the event, bump the metrics and journal the
 // applied event (so ShardEvents reflects every answered request), then
-// reply. It returns the number of stream events the envelope carried,
-// which paces the owner's gauge republishing. The envelope still
-// belongs to the submitter — apply must not touch it after sending the
-// reply.
-func (d *Dispatcher) apply(sh *shard, req *request) int {
+// reply. It republishes the stats gauge before replying when the queue
+// is empty — so a lone caller reading Stats after its acknowledgment
+// sees its own events — and at least every publishEvery events under
+// sustained load. The envelope still belongs to the submitter — apply
+// must not touch it after sending the reply.
+func (d *Dispatcher) apply(si int, sh *shard, req *request) {
+	var resp response
 	if req.kind == opSnapshot {
-		req.reply <- response{snap: sh.stream.Snapshot()}
-		return 1
+		resp.snap = sh.stream.Snapshot()
 	}
-	n := len(req.bops)
 	for i := range req.bops {
 		e := &req.bops[i]
 		server, flag, at, err := d.applyOne(sh, e.Depart, e.ID, e.Size, e.Sizes, e.Time, !e.HasTime)
 		req.out[e.pos] = BatchResult{Server: server, Flag: flag, Time: at, Err: err}
 	}
-	req.reply <- response{}
-	return n
+	sh.sincePublish += len(req.bops)
+	if len(sh.reqs) == 0 || sh.sincePublish >= publishEvery {
+		sh.publish(si)
+	}
+	req.reply <- resp
 }
 
 // applyOne runs one event against the shard's stream and does its
@@ -628,6 +612,7 @@ func (sh *shard) append(ev Event) {
 // publish stores a fresh stats gauge for lock-free readers (Stats,
 // the /v1/stats endpoint). Owner-only.
 func (sh *shard) publish(si int) {
+	sh.sincePublish = 0
 	st := sh.stream
 	sh.gauge.Store(&ShardStats{
 		Shard:       si,

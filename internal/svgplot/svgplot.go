@@ -163,7 +163,7 @@ func Gantt(res *packing.Result, width int) string {
 		u := b.UsagePeriod()
 		fmt.Fprintf(&sb, `<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#dddddd"/>`+"\n",
 			tx(u.Lo), y, tx(u.Hi)-tx(u.Lo), rowH-3)
-		for _, it := range b.Items() {
+		for _, it := range b.Items {
 			fmt.Fprintf(&sb, `<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s" fill-opacity="0.8"/>`+"\n",
 				tx(it.Arrival), y, tx(it.Departure)-tx(it.Arrival), rowH-3, palette[k%len(palette)])
 		}
