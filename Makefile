@@ -105,12 +105,15 @@ recover-test:
 	$(GO) test -run 'CrashRecovery|DataDirConfigGuard' -count=1 -v ./cmd/dbpserved/
 
 ## bench-bins: the ledger holds live state only — TestZeroAllocLevelChange
-## asserts 0 allocs for a place + remove on an open bin with the index on,
+## asserts 0 allocs for a place + remove on an open bin with every index
+## structure built (gap tree, min-gap and total-gap treaps),
+## TestZeroAllocTightestFittingVec 0 for the vector Best Fit walk,
 ## TestBoundedAllocsOpenCycle at most 2 (the Bin and its level slice) for
 ## an opening, four placements and the drain that closes it, and the other
 ## TestBounded* tests that a long replay's index, reachable bins, stream
 ## heap and restore cost follow the open fleet, not the history, and that
-## the index builds only the structure its queries read
+## the index builds only the structure its queries read (First Fit, Best
+## Fit and d=2 vector Best Fit replays)
 bench-bins:
 	$(GO) test -count=1 -run 'ZeroAlloc|Bounded' ./internal/bins/ ./internal/packing/
 

@@ -217,9 +217,10 @@ func BenchmarkLargeFleetFirstFitIndexedKeepAlive1M(b *testing.B) {
 // keep-alive run must stay within ~2.5x of the 10k-job run under
 // firstfit, bestfit, and worstfit at d=1, while the linear engine's ratio
 // tracks the fleet size. The d=2 rows price the vector queries: firstfit
-// and drworstfit stay logarithmic, while worstfit and vectorbestfit score
-// through EachFitting, which visits every fitting bin and is O(B) on both
-// engines by construction (make bench-fleet; DESIGN.md §8). The job counts
+// and drworstfit stay logarithmic, vectorbestfit walks the total-gap
+// treap in O(log B + k), k the non-fitting bins ahead of its answer, while
+// worstfit scores through EachFitting, which visits every fitting bin and
+// is O(B) on both engines (make bench-fleet; DESIGN.md §8). The job counts
 // from 500 up put the peak open fleet (the peak_open metric) at ≈16, 64,
 // 256, 310, 1k and 3k servers, and each size runs the linear engine beside
 // the indexed one: the crossover B* where the index starts to win.

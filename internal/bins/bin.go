@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 
-	"dbp/internal/interval"
 	"dbp/internal/item"
 )
 
@@ -84,11 +83,6 @@ func (b *Bin) ClosedAt() float64 {
 	return b.closedAt
 }
 
-// UsagePeriod returns U_k = [opening, closing) for a closed bin.
-func (b *Bin) UsagePeriod() interval.Interval {
-	return interval.Interval{Lo: b.openedAt, Hi: b.ClosedAt()}
-}
-
 // Usage returns |U_k|, the bin's contribution to the objective, for a
 // closed bin.
 func (b *Bin) Usage() float64 { return b.ClosedAt() - b.openedAt }
@@ -130,6 +124,19 @@ func (b *Bin) MinGap() float64 {
 		}
 	}
 	return min
+}
+
+// TotalGap returns the sum of the per-dimension gaps, added from 0.0 in
+// dimension order — the total-residual scalarization vector Best Fit
+// minimizes. It is the one scoring expression both engines read, as
+// FitsDemand is the one admission test. For 1-D bins it equals Gap() bit
+// for bit (0.0 + g == g).
+func (b *Bin) TotalGap() float64 {
+	sum := 0.0
+	for _, lv := range b.level {
+		sum += b.Capacity - lv
+	}
+	return sum
 }
 
 // NumActive returns the number of items currently in the bin.

@@ -30,9 +30,8 @@ func TestOpenPlaceRemoveLifecycle(t *testing.T) {
 	if b.ClosedAt() != 9 || b.Usage() != 4 {
 		t.Fatalf("closedAt = %g, usage = %g", b.ClosedAt(), b.Usage())
 	}
-	up := b.UsagePeriod()
-	if up.Lo != 5 || up.Hi != 9 {
-		t.Fatalf("usage period = %v", up)
+	if b.OpenedAt() != 5 || b.ClosedAt() != 9 {
+		t.Fatalf("usage period = [%g, %g)", b.OpenedAt(), b.ClosedAt())
 	}
 }
 

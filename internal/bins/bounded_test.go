@@ -59,8 +59,9 @@ type zipfianEvent struct {
 }
 
 // reachableBins walks everything the ledger and its index point at — each
-// slice to its capacity, the map, the heap, the treap — and returns the
-// distinct bins found. The free list holds items, not bins: it checks
+// slice to its capacity, the map, the heap, each built treap and its walk
+// stack — and returns the distinct bins found. The free list holds items,
+// not bins: it checks
 // that every slice there, and every open bin's resident slice past its
 // length, holds only zero items, so a departed job's demand vector is not
 // kept alive either.
@@ -101,11 +102,6 @@ func reachableBins(t *testing.T, g *Ledger) map[*Bin]bool {
 		for _, b := range ix.bins[:cap(ix.bins)] {
 			add(b)
 		}
-		for _, n := range ix.nodes[:cap(ix.nodes)] {
-			if n != nil {
-				add(n.bin)
-			}
-		}
 		var walk func(*levelNode)
 		walk = func(n *levelNode) {
 			if n != nil {
@@ -114,8 +110,19 @@ func reachableBins(t *testing.T, g *Ledger) map[*Bin]bool {
 				walk(n.r)
 			}
 		}
-		if ix.lvls != nil {
-			walk(ix.lvls.root)
+		for _, tr := range ix.treaps() {
+			if tr == nil {
+				continue
+			}
+			for _, n := range tr.nodes[:cap(tr.nodes)] {
+				if n != nil {
+					add(n.bin)
+				}
+			}
+			for _, n := range tr.walk[:cap(tr.walk)] {
+				walk(n)
+			}
+			walk(tr.root)
 		}
 	}
 	return seen
@@ -124,32 +131,51 @@ func reachableBins(t *testing.T, g *Ledger) map[*Bin]bool {
 // TestBoundedLedgerState replays 200k zipfian events (and the same script
 // with a keep-alive) through an indexed ledger the way the benchmark's
 // bare-ledger rung does, and checks every 10k events that the index's
-// slots, the built structure and the bins still reachable are bounded by
+// slots, the built structures and the bins still reachable are bounded by
 // the open fleet — not by the thousands of bins opened by then — and that
-// no closed bin is reachable at all. It replays once placing by First Fit
-// and once by Best Fit (TightestFitting), and checks that each built only
-// the structure its query reads: no treap node for the first, no gap tree
-// for the second.
+// no closed bin is reachable at all. It replays placing by First Fit, by
+// Best Fit (TightestFitting) and, at d = 2 with a keep-alive, by vector
+// Best Fit (TightestFittingVec), and checks that each built only the
+// structure its query reads: the gap tree, the min-gap treap, the
+// total-gap treap.
 func TestBoundedLedgerState(t *testing.T) {
 	// Not shortened under -short: Best Fit keeps its bins open so long
 	// that a shorter replay does not outlive its fleet.
 	const n = 200_000
 	l, evs := zipfianEvents(n, 200, 1)
-	for _, query := range []string{"FirstFitting", "TightestFitting"} {
-		for _, keepAlive := range []float64{0, 0.05} {
-			g := NewLedgerKeepAlive(1, 1, keepAlive)
+	for _, c := range []struct {
+		query      string
+		dim        int
+		keepAlives []float64
+	}{
+		{"FirstFitting", 1, []float64{0, 0.05}},
+		{"TightestFitting", 1, []float64{0, 0.05}},
+		{"TightestFittingVec", 2, []float64{0.05}},
+	} {
+		for _, keepAlive := range c.keepAlives {
+			query := c.query
+			g := NewLedgerKeepAlive(1, c.dim, keepAlive)
 			g.EnableIndex()
 			ix := g.Index()
-			fit := ix.FirstFitting
-			if query == "TightestFitting" {
-				fit = ix.TightestFitting
+			fit := func(it item.Item) *Bin { return ix.FirstFitting(it.Size - Eps) }
+			switch query {
+			case "TightestFitting":
+				fit = func(it item.Item) *Bin { return ix.TightestFitting(it.Size - Eps) }
+			case "TightestFittingVec":
+				fit = func(it item.Item) *Bin { return ix.TightestFittingVec(it.Sizes) }
 			}
 			for i, e := range evs {
 				g.CloseExpired(e.t)
 				it := l[e.job]
+				if c.dim == 2 {
+					// The second component is another job's size: the same
+					// zipfian marginal, paired deterministically.
+					it.Sizes = []float64{it.Size, l[(e.job+1)%len(l)].Size}
+					it.Size = max(it.Sizes[0], it.Sizes[1])
+				}
 				if e.depart {
 					g.Remove(it.ID, e.t)
-				} else if b := fit(it.Size - Eps); b != nil {
+				} else if b := fit(it); b != nil {
 					g.PlaceIn(b, it, e.t)
 				} else {
 					g.OpenNew(it, e.t)
@@ -166,9 +192,11 @@ func TestBoundedLedgerState(t *testing.T) {
 					t.Fatalf("%s, keep-alive %g, event %d: %d of %d leaves in use for %d slots",
 						query, keepAlive, i+1, tr.n, tr.size, len(ix.bins))
 				}
-				if ix.lvls != nil && len(ix.nodes) != len(ix.bins) {
-					t.Fatalf("%s, keep-alive %g, event %d: %d treap node slots for %d slots",
-						query, keepAlive, i+1, len(ix.nodes), len(ix.bins))
+				for _, tr := range ix.treaps() {
+					if tr != nil && len(tr.nodes) != len(ix.bins) {
+						t.Fatalf("%s, keep-alive %g, event %d: %d treap node slots for %d slots",
+							query, keepAlive, i+1, len(tr.nodes), len(ix.bins))
+					}
 				}
 				if len(g.free) > g.MaxConcurrentOpen() {
 					t.Fatalf("%s, keep-alive %g, event %d: %d free resident slices, peak fleet %d",
@@ -190,13 +218,16 @@ func TestBoundedLedgerState(t *testing.T) {
 			if g.NumOpened() < 3*g.NumOpen() {
 				t.Fatalf("%s, keep-alive %g: only %d bins opened for %d open — the replay did not outlive its fleet", query, keepAlive, g.NumOpened(), g.NumOpen())
 			}
-			switch {
-			case query == "FirstFitting" && (ix.tree == nil || ix.lvls != nil || ix.nodes != nil):
-				t.Fatalf("keep-alive %g: a First Fit replay built the treap (or no gap tree)", keepAlive)
-			case query == "TightestFitting" && (ix.lvls == nil || ix.tree != nil):
-				t.Fatalf("keep-alive %g: a Best Fit replay built the gap tree (or no treap)", keepAlive)
+			built := [3]bool{ix.tree != nil, ix.mins != nil, ix.sums != nil}
+			want := map[string][3]bool{
+				"FirstFitting":       {true, false, false},
+				"TightestFitting":    {false, true, false},
+				"TightestFittingVec": {false, false, true},
+			}[query]
+			if built != want {
+				t.Fatalf("%s, keep-alive %g: built gap tree, min-gap treap, total-gap treap = %v, want %v", query, keepAlive, built, want)
 			}
-			t.Logf("%s, keep-alive %g: %d events, %d bins opened, %d open, %d slots", query, keepAlive, n, g.NumOpened(), g.NumOpen(), len(ix.bins))
+			t.Logf("%s, d=%d, keep-alive %g: %d events, %d bins opened, %d open, %d slots", query, c.dim, keepAlive, n, g.NumOpened(), g.NumOpen(), len(ix.bins))
 		}
 	}
 }
@@ -243,25 +274,68 @@ func TestBoundedAllocsOpenCycle(t *testing.T) {
 
 // TestZeroAllocLevelChange pins the steady-state cost of the ledger's hot
 // pair: placing an item into an already-open bin and removing it again,
-// index on, allocates nothing — the tree leaf is rewritten in place, the
+// index on, allocates nothing — the tree leaf is rewritten in place, each
 // treap node is detached and re-filed, and the map and the resident slice
-// reuse their slots.
+// reuse their slots. At d = 2 every structure is built first (at d = 1 the
+// total-gap query reads the min-gap treap), so the pair maintains all of
+// them.
 func TestZeroAllocLevelChange(t *testing.T) {
-	g := NewLedger(1, 1)
-	g.EnableIndex()
-	for i := 0; i < 64; i++ { // a fleet deep enough for the treap to rotate
-		g.OpenNew(item.Item{ID: item.ID(i + 1), Size: 0.3 + 0.005*float64(i), Arrival: 0, Departure: math.Inf(1)}, 0)
+	for _, dim := range []int{1, 2} {
+		g := NewLedger(1, dim)
+		g.EnableIndex()
+		for i := 0; i < 64; i++ { // a fleet deep enough for the treaps to rotate
+			it := item.Item{ID: item.ID(i + 1), Size: 0.3 + 0.005*float64(i), Arrival: 0, Departure: math.Inf(1)}
+			if dim == 2 {
+				it.Sizes = []float64{it.Size, 0.6 - 0.004*float64(i)}
+			}
+			g.OpenNew(it, 0)
+		}
+		// Build every structure, so that the pair below maintains them all.
+		ix := g.Index()
+		ix.FirstFitting(1)
+		ix.TightestFitting(1)
+		ix.TightestFittingVec(make([]float64, dim))
+		if ix.tree == nil || ix.mins == nil || (ix.sums != nil) != (dim == 2) {
+			t.Fatalf("d=%d: built gap tree %v, min-gap treap %v, total-gap treap %v", dim, ix.tree != nil, ix.mins != nil, ix.sums != nil)
+		}
+		b := g.OpenBins()[17]
+		it := item.Item{ID: 1000, Size: 0.25, Arrival: 1, Departure: math.Inf(1)}
+		if dim == 2 {
+			it.Sizes = []float64{0.25, 0.1}
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			g.PlaceIn(b, it, 1)
+			g.Remove(it.ID, 1)
+		}); n != 0 {
+			t.Fatalf("d=%d: PlaceIn + Remove on an open bin allocates %v times, want 0", dim, n)
+		}
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Build both structures, so that the pair below maintains both.
-	g.Index().FirstFitting(1)
-	g.Index().TightestFitting(1)
-	b := g.OpenBins()[17]
-	it := item.Item{ID: 1000, Size: 0.25, Arrival: 1, Departure: math.Inf(1)}
-	if n := testing.AllocsPerRun(1000, func() {
-		g.PlaceIn(b, it, 1)
-		g.Remove(it.ID, 1)
-	}); n != 0 {
-		t.Fatalf("PlaceIn + Remove on an open bin allocates %v times, want 0", n)
+}
+
+// TestZeroAllocTightestFittingVec pins the vector Best Fit query at 0
+// allocations on a d = 2 fleet of 256 bins, for a demand that fits far up
+// the walk and for one that fits nothing: the walk's stack is reused and
+// nothing escapes.
+func TestZeroAllocTightestFittingVec(t *testing.T) {
+	g := NewLedger(1, 2)
+	g.EnableIndex()
+	for i := 0; i < 256; i++ {
+		a := 0.05 + 0.9*float64(i%16)/16
+		g.OpenNew(item.Item{ID: item.ID(i + 1), Size: max(a, 0.95-a), Sizes: []float64{a, 0.95 - a}, Departure: math.Inf(1)}, 0)
+	}
+	ix := g.Index()
+	for _, sizes := range [][]float64{{0.5, 0.5}, {0.2, 0.2}, {0.95, 0.95}} {
+		want := ix.TightestFittingVec(sizes)
+		if n := testing.AllocsPerRun(1000, func() {
+			if ix.TightestFittingVec(sizes) != want {
+				t.Fatal("the answer changed between identical queries")
+			}
+		}); n != 0 {
+			t.Fatalf("TightestFittingVec(%v) allocates %v times, want 0", sizes, n)
+		}
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)

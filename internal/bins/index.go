@@ -6,8 +6,9 @@ import (
 	"slices"
 )
 
-// Index is the ledger-maintained policy index over the open bins: two
-// structures, the same two at every dimension d (a scalar fleet is d = 1).
+// Index is the ledger-maintained policy index over the open bins: a gap
+// tree and up to two treaps, the same at every dimension d (a scalar fleet
+// is d = 1).
 //
 //   - tree, a stride-d max-gap segment tree in opening order (gapTree),
 //     answers the positional queries: the scalar FirstFitting/LastFitting
@@ -19,32 +20,37 @@ import (
 //     the open list, with the tree acting purely as an accelerator
 //     (O(log B) when few bins fit, degrading gracefully to the linear
 //     visit order when many do).
-//   - lvls, a treap keyed by (MinGap, index) (levelTree), answers the
+//   - mins, a treap keyed by (MinGap, index) (levelTree), answers the
 //     level queries: TightestFitting, EmptiestFitting and
 //     SecondEmptiestFitting by exact key lookups, MaxMinGapFitting by
-//     walking gap groups downward from the emptiest and verifying each
+//     walking key groups downward from the emptiest and verifying each
 //     candidate with FitsDemand. MinGap is the dominant-resource
 //     scalarization of the gap vector; at d = 1 it is the gap itself, so
 //     the three scalar level queries are exact for 1-D demands. On a
 //     d >= 2 fleet they order by MinGap as well, and no policy issues
 //     them there (vector demands place through the vector queries).
+//   - sums, a treap keyed by (TotalGap, index), answers TightestFittingVec
+//     — vector Best Fit — by walking upward from the demand's total and
+//     verifying each candidate with FitsDemand. At d = 1 TotalGap is
+//     MinGap bit for bit, so the query reads mins and sums is never built.
 //
-// Each structure is built over the open bins (the tree in O(B), the treap
+// Each structure is built over the open bins (the tree in O(B), a treap
 // in O(B log B)) by the first query that reads it — in practice the first
 // arrival, over an empty fleet — and from then on every mutation keeps it
 // coherent; a structure no query has read costs nothing. So a policy pays
 // only for what it reads:
 //
 //	gap tree   First Fit, Last Fit at any d; Best/Worst/Almost Worst Fit
-//	           and VectorBestFit at d >= 2, DotProductFit and NormBestFit
-//	           at any d (the EachFitting rules)
-//	treap      Best/Worst/Almost Worst Fit and VectorBestFit at d = 1;
+//	           at d >= 2, DotProductFit and NormBestFit at any d (the
+//	           EachFitting rules)
+//	mins       Best/Worst/Almost Worst Fit and VectorBestFit at d = 1;
 //	           DRWorstFit at any d
-//	neither    Next Fit, Next-k Fit, the hybrids, Random and the
+//	sums       VectorBestFit at d >= 2
+//	none       Next Fit, Next-k Fit, the hybrids, Random and the
 //	           predictive and clairvoyant policies, which read the open
 //	           list only
 //
-// Both structures are over the open bins only. A bin takes the next slot
+// Every structure is over the open bins only. A bin takes the next slot
 // — a position in bins and the tree leaf of the same number — when it
 // opens, so slots are in opening order, and gives it up (nil, tombstoned)
 // when it closes; once closed slots outnumber open ones, compact renumbers
@@ -52,9 +58,9 @@ import (
 // therefore Bin.Index order at all times, First and Last Fit still return
 // the lowest and highest Bin.Index, and the tree's size follows the open
 // fleet, at an amortised O(1) per closure. A bin's treap node, found by
-// its slot in nodes, holds the bin and its own exact key, (MinGap,
-// Bin.Index), with a priority hashed from Bin.Index, so neither the
-// treap's shape nor any answer depends on slots or on when it was built.
+// its slot in the treap's nodes, holds the bin and its own exact key,
+// (scalar, Bin.Index), with a priority hashed from Bin.Index, so neither
+// a treap's shape nor any answer depends on slots or on when it was built.
 //
 // Callers of the scalar queries fold their tolerance into `need`
 // (conventionally size - Eps), and all scalar comparisons are exact — no
@@ -65,9 +71,9 @@ type Index struct {
 	live int    // non-nil entries of bins
 
 	// Nil until the first query that reads them.
-	tree  *gapTree
-	lvls  *levelTree
-	nodes []*levelNode // by slot, the bin's treap node; kept with lvls
+	tree *gapTree
+	mins *levelTree // keyed by MinGap
+	sums *levelTree // keyed by TotalGap; never built at d = 1
 
 	// Reusable query scratch (the index is single-writer, like its ledger).
 	need  []float64
@@ -88,25 +94,29 @@ func (ix *Index) gaps() *gapTree {
 	return ix.tree
 }
 
-// levels returns the treap, building it over the slots on first use.
+// levels returns the (MinGap, index) treap, building it on first use.
 func (ix *Index) levels() *levelTree {
-	if ix.lvls == nil {
-		ix.lvls = &levelTree{}
-		ix.nodes = make([]*levelNode, len(ix.bins))
-		for i, b := range ix.bins {
-			if b != nil {
-				ix.nodes[i] = newLevelNode(b)
-				ix.lvls.insert(ix.nodes[i])
-			}
-		}
+	if ix.mins == nil {
+		ix.mins = newLevelTree((*Bin).MinGap, ix.bins)
 	}
-	return ix.lvls
+	return ix.mins
 }
 
-// newLevelNode files a bin under its current key.
-func newLevelNode(b *Bin) *levelNode {
-	return &levelNode{gap: b.MinGap(), idx: b.Index, bin: b, prio: splitmix64(uint64(b.Index))}
+// totals returns the (TotalGap, index) treap, building it on first use;
+// at d = 1 that is the MinGap treap, whose keys are the same floats.
+func (ix *Index) totals() *levelTree {
+	if ix.dim == 1 {
+		return ix.levels()
+	}
+	if ix.sums == nil {
+		ix.sums = newLevelTree((*Bin).TotalGap, ix.bins)
+	}
+	return ix.sums
 }
+
+// treaps returns the two treap slots, nil where not built, for the
+// mutations that maintain whichever are.
+func (ix *Index) treaps() [2]*levelTree { return [2]*levelTree{ix.mins, ix.sums} }
 
 // observeOpen tracks a freshly opened bin (called by the ledger after the
 // first item is placed): it takes the next slot.
@@ -117,26 +127,21 @@ func (ix *Index) observeOpen(b *Bin) {
 	if ix.tree != nil {
 		ix.tree.add(ix.bins)
 	}
-	if ix.lvls != nil {
-		n := newLevelNode(b)
-		ix.nodes = append(ix.nodes, n)
-		ix.lvls.insert(n)
+	for _, t := range ix.treaps() {
+		if t != nil {
+			t.add(b)
+		}
 	}
 }
 
-// refresh re-reads an open bin's gaps after a level change. The treap key
-// to delete is the one its node holds (the exact float written last
-// time), and the detached node goes back in under the new key.
+// refresh re-reads an open bin's gaps after a level change.
 func (ix *Index) refresh(b *Bin) {
 	if ix.tree != nil {
 		ix.tree.update(b.slot, b)
 	}
-	if ix.lvls != nil {
-		n := ix.nodes[b.slot]
-		if g := b.MinGap(); g != n.gap {
-			ix.lvls.delete(n.gap, n.idx)
-			n.gap = g
-			ix.lvls.insert(n)
+	for _, t := range ix.treaps() {
+		if t != nil {
+			t.refresh(b)
 		}
 	}
 }
@@ -147,10 +152,10 @@ func (ix *Index) remove(b *Bin) {
 	if ix.tree != nil {
 		ix.tree.tombstone(b.slot)
 	}
-	if ix.lvls != nil {
-		n := ix.nodes[b.slot]
-		ix.lvls.delete(n.gap, n.idx)
-		ix.nodes[b.slot] = nil
+	for _, t := range ix.treaps() {
+		if t != nil {
+			t.drop(b)
+		}
 	}
 	ix.bins[b.slot] = nil
 	ix.live--
@@ -163,19 +168,19 @@ func (ix *Index) remove(b *Bin) {
 // order, and rebuilds the tree over exactly those leaves. The slices are
 // allocated afresh so that what a shrunken fleet retains follows its size.
 func (ix *Index) compact() {
-	kept := make([]*Bin, 0, ix.live)
-	var nodes []*levelNode
-	for _, b := range ix.bins {
-		if b == nil {
-			continue
+	for _, t := range ix.treaps() {
+		if t != nil {
+			t.compact(ix.live)
 		}
-		if ix.lvls != nil {
-			nodes = append(nodes, ix.nodes[b.slot])
-		}
-		b.slot = len(kept)
-		kept = append(kept, b)
 	}
-	ix.bins, ix.nodes = kept, nodes
+	kept := make([]*Bin, 0, ix.live)
+	for _, b := range ix.bins {
+		if b != nil {
+			b.slot = len(kept)
+			kept = append(kept, b)
+		}
+	}
+	ix.bins = kept
 	if ix.tree != nil {
 		ix.tree.build(kept)
 	}
@@ -217,11 +222,11 @@ func (ix *Index) TightestFitting(need float64) *Bin {
 func (ix *Index) EmptiestFitting(need float64) *Bin {
 	t := ix.levels()
 	m := t.max()
-	if m == nil || m.gap < need {
+	if m == nil || m.key < need {
 		return nil
 	}
 	// Lowest index within the maximal-gap group.
-	return t.ceil(m.gap, 0).bin
+	return t.ceil(m.key, 0).bin
 }
 
 // SecondEmptiestFitting returns the runner-up of EmptiestFitting under
@@ -233,18 +238,18 @@ func (ix *Index) SecondEmptiestFitting(need float64) *Bin {
 	if first == nil {
 		return nil
 	}
-	t := ix.lvls
-	g := ix.nodes[first.slot].gap
+	t := ix.mins
+	g := t.nodes[first.slot].key
 	// Next bin in the same gap group, if any.
-	if n := t.ceil(g, first.Index+1); n != nil && n.gap == g {
+	if n := t.ceil(g, first.Index+1); n != nil && n.key == g {
 		return n.bin
 	}
 	// Otherwise the head of the next-lower gap group, if it still fits.
-	p := t.floorBelowGap(g)
-	if p == nil || p.gap < need {
+	p := t.floorBelow(g)
+	if p == nil || p.key < need {
 		return nil
 	}
-	return t.ceil(p.gap, 0).bin
+	return t.ceil(p.key, 0).bin
 }
 
 // EachFitting calls visit for every open bin that can accommodate the
@@ -337,18 +342,40 @@ func (ix *Index) MaxMinGapFitting(sizes []float64) *Bin {
 		}
 	}
 	minNeed -= 2 * Eps
-	for m := t.max(); m != nil; m = t.floorBelowGap(m.gap) {
-		g := m.gap
+	for m := t.max(); m != nil; m = t.floorBelow(m.key) {
+		g := m.key
 		if g < minNeed {
 			return nil
 		}
-		for n := t.ceil(g, 0); n != nil && n.gap == g; n = t.ceil(g, n.idx+1) {
+		for n := t.ceil(g, 0); n != nil && n.key == g; n = t.ceil(g, n.idx+1) {
 			if n.bin.FitsDemand(sizes) {
 				return n.bin
 			}
 		}
 	}
 	return nil
+}
+
+// TightestFittingVec returns the fitting bin with the smallest TotalGap,
+// ties toward the earliest opened, or nil (the vector Best Fit query). It
+// walks the (TotalGap, index) treap upward from the demand's total less
+// 2*Eps per dimension and returns the first bin that passes the exact
+// FitsDemand test — the minimum a scan of the fitting bins would keep. The
+// start only prunes: a bin that fits has every gap at least its demand
+// component less 2*Eps (the gap tree's slack argument), and float addition
+// is monotone, so its TotalGap, summed in the same order from 0.0, is at
+// least the threshold. The walk costs O(log B + k), k the bins ahead of
+// the answer in that order that do not fit. A demand of the wrong
+// dimension fits no bin, so it walks nothing and builds nothing.
+func (ix *Index) TightestFittingVec(sizes []float64) *Bin {
+	if len(sizes) != ix.dim {
+		return nil
+	}
+	lo := 0.0
+	for _, s := range sizes {
+		lo += s - 2*Eps
+	}
+	return ix.totals().firstFitting(lo, sizes)
 }
 
 // checkCoherent verifies the index, and each structure a query has built,
@@ -366,30 +393,35 @@ func (ix *Index) checkCoherent(open []*Bin) error {
 			return fmt.Errorf("gap tree (%d of %d leaves in use) differs from one built over its %d slots", t.n, t.size, len(ix.bins))
 		}
 	}
-	if ix.lvls != nil && len(ix.nodes) != len(ix.bins) {
-		return fmt.Errorf("treap has %d node slots for %d slots", len(ix.nodes), len(ix.bins))
-	}
 	next := 0 // cursor into open: the non-nil slots must list it in order
 	for i, b := range ix.bins {
 		if b == nil {
-			if ix.lvls != nil && ix.nodes[i] != nil {
-				return fmt.Errorf("closed slot %d keeps treap node of bin %d", i, ix.nodes[i].idx)
-			}
 			continue
 		}
 		if next == len(open) || open[next] != b || b.slot != i {
 			return fmt.Errorf("index slot %d holds bin %d (slot %d), not the next open bin", i, b.Index, b.slot)
 		}
 		next++
-		if ix.lvls != nil {
-			if n := ix.nodes[i]; n == nil || n.bin != b || n.gap != b.MinGap() || ix.lvls.find(n.gap, n.idx) != n {
-				return fmt.Errorf("treap does not file open bin %d under (min gap %g, %d)", b.Index, b.MinGap(), b.Index)
+	}
+	for k, t := range ix.treaps() {
+		if t == nil {
+			continue
+		}
+		name := [2]string{"min-gap", "total-gap"}[k]
+		if len(t.nodes) != len(ix.bins) {
+			return fmt.Errorf("%s treap has %d node slots for %d slots", name, len(t.nodes), len(ix.bins))
+		}
+		for i, b := range ix.bins {
+			n := t.nodes[i]
+			switch {
+			case b == nil && n != nil:
+				return fmt.Errorf("closed slot %d keeps %s treap node of bin %d", i, name, n.idx)
+			case b != nil && (n == nil || n.bin != b || n.key != t.key(b) || t.find(n.key, n.idx) != n):
+				return fmt.Errorf("%s treap does not file open bin %d under (%g, %d)", name, b.Index, t.key(b), b.Index)
 			}
 		}
-	}
-	if ix.lvls != nil {
-		if n := ix.lvls.count(); n != len(open) {
-			return fmt.Errorf("level tree holds %d keys, want %d open bins", n, len(open))
+		if n := t.count(); n != len(open) {
+			return fmt.Errorf("%s treap holds %d keys, want %d open bins", name, n, len(open))
 		}
 	}
 	return nil

@@ -229,12 +229,21 @@ func TestIndexIllDimensionedDemand(t *testing.T) {
 			if len(linear) > 0 {
 				ref = linear[0]
 			}
-			// MaxMinGapFitting alone reads the treap.
+			// MaxMinGapFitting alone reads the min-gap treap.
 			if got := ix.MaxMinGapFitting(sizes); got != ref {
 				t.Errorf("dim %d, demand of length %d: MaxMinGapFitting = bin %d, linear scan %d", dim, n, binIdx(got), binIdx(ref))
 			}
-			if built := ix.lvls != nil; built != (n == dim) || ix.tree != nil {
-				t.Errorf("dim %d, demand of length %d: after MaxMinGapFitting the treap is built %v, the gap tree %v",
+			if built := ix.mins != nil; built != (n == dim) || ix.tree != nil || ix.sums != nil {
+				t.Errorf("dim %d, demand of length %d: after MaxMinGapFitting the min-gap treap is built %v, the gap tree %v, the total-gap treap %v",
+					dim, n, built, ix.tree != nil, ix.sums != nil)
+			}
+			// TightestFittingVec reads the total-gap treap (at d = 1, the
+			// min-gap one).
+			if got := ix.TightestFittingVec(sizes); got != ref {
+				t.Errorf("dim %d, demand of length %d: TightestFittingVec = bin %d, linear scan %d", dim, n, binIdx(got), binIdx(ref))
+			}
+			if built := ix.sums != nil; built != (n == dim && dim > 1) || ix.tree != nil {
+				t.Errorf("dim %d, demand of length %d: after TightestFittingVec the total-gap treap is built %v, the gap tree %v",
 					dim, n, built, ix.tree != nil)
 			}
 			var visited []*Bin
@@ -280,13 +289,13 @@ func TestIndexNaNDemandSkipsClosedSlots(t *testing.T) {
 	}
 }
 
-// checkVecQueries is checkQueries for the four vector queries, whose
+// checkVecQueries is checkQueries for the five vector queries, whose
 // linear references all filter the open list by FitsDemand.
 func checkVecQueries(t *testing.T, g *Ledger, sizes []float64) {
 	t.Helper()
 	ix := g.Index()
 	var fitting []*Bin
-	var first, last, maxMin *Bin
+	var first, last, maxMin, tightest *Bin
 	for _, b := range g.OpenBins() {
 		if !b.FitsDemand(sizes) {
 			continue
@@ -299,6 +308,9 @@ func checkVecQueries(t *testing.T, g *Ledger, sizes []float64) {
 		if maxMin == nil || b.MinGap() > maxMin.MinGap() {
 			maxMin = b
 		}
+		if tightest == nil || b.TotalGap() < tightest.TotalGap() {
+			tightest = b
+		}
 	}
 	var visited []*Bin
 	ix.EachFitting(sizes, func(b *Bin) bool { visited = append(visited, b); return true })
@@ -306,9 +318,10 @@ func checkVecQueries(t *testing.T, g *Ledger, sizes []float64) {
 		t.Fatalf("EachFitting(%v): index visits %d bins, linear %d", sizes, len(visited), len(fitting))
 	}
 	for name, c := range map[string][2]*Bin{
-		"FirstFittingVec":  {ix.FirstFittingVec(sizes), first},
-		"LastFittingVec":   {ix.LastFittingVec(sizes), last},
-		"MaxMinGapFitting": {ix.MaxMinGapFitting(sizes), maxMin},
+		"FirstFittingVec":    {ix.FirstFittingVec(sizes), first},
+		"LastFittingVec":     {ix.LastFittingVec(sizes), last},
+		"MaxMinGapFitting":   {ix.MaxMinGapFitting(sizes), maxMin},
+		"TightestFittingVec": {ix.TightestFittingVec(sizes), tightest},
 	} {
 		if c[0] != c[1] {
 			t.Fatalf("%s(%v): index %d, linear %d", name, sizes, binIdx(c[0]), binIdx(c[1]))
@@ -340,8 +353,8 @@ func restoreCopy(t *testing.T, g *Ledger) *Ledger {
 
 // TestIndexBuiltOnFirstQuery replays a random fleet at d = 1 and d = 2
 // that no query reads — through a compaction of the index's slots and a
-// RestoreLedger — so that neither structure exists; then it asks each of
-// the nine queries for the first time and compares the answers with the
+// RestoreLedger — so that no structure exists; then it asks each of the
+// ten queries for the first time and compares the answers with the
 // linear scans, and keeps replaying with every query and the invariant
 // check after every event. A structure built late must answer exactly as
 // one maintained from the first event.
@@ -389,7 +402,7 @@ func TestIndexBuiltOnFirstQuery(t *testing.T) {
 			}
 		}
 		unbuilt := func(when string) {
-			if ix := g.Index(); ix.tree != nil || ix.lvls != nil || ix.nodes != nil {
+			if ix := g.Index(); ix.tree != nil || ix.mins != nil || ix.sums != nil {
 				t.Fatalf("dim %d, %s: a structure was built with no query", dim, when)
 			}
 		}
@@ -418,8 +431,8 @@ func TestIndexBuiltOnFirstQuery(t *testing.T) {
 		if got, ref := g.Index().FirstFitting(need), linearFirst(g.OpenBins(), need); got != ref {
 			t.Fatalf("dim %d: first FirstFitting(%g) = bin %d, linear %d", dim, need, binIdx(got), binIdx(ref))
 		}
-		if ix := g.Index(); ix.tree == nil || ix.lvls != nil {
-			t.Fatalf("dim %d: FirstFitting built the gap tree %v, the treap %v", dim, ix.tree != nil, ix.lvls != nil)
+		if ix := g.Index(); ix.tree == nil || ix.mins != nil || ix.sums != nil {
+			t.Fatalf("dim %d: FirstFitting built the gap tree %v, the treaps %v and %v", dim, ix.tree != nil, ix.mins != nil, ix.sums != nil)
 		}
 		for i := 0; i < 500; i++ {
 			checkQueries(t, g, rng.Float64())
@@ -440,4 +453,126 @@ func linearFirstFits(open []*Bin, it item.Item) *Bin {
 		}
 	}
 	return nil
+}
+
+// TestTightestFittingVecMatchesScan replays random fleets at d ∈ {1, 2, 3},
+// keep-alive off and on, placing every arrival by TightestFittingVec, and
+// after every event compares the query with a brute-force scan (the
+// fitting bin of least TotalGap, ties toward the lowest index) for a
+// random demand and for demands within ±2·Eps of an open bin's own gaps.
+// Sizes are multiples of 1/16, so gaps and their totals are exact and
+// equal totals are common: the index tie-break is exercised. The fleet
+// grows, shrinks so that the slots compact, and grows again. A demand of
+// the wrong dimension answers nil and builds nothing, before the first
+// query and after.
+func TestTightestFittingVecMatchesScan(t *testing.T) {
+	scan := func(open []*Bin, sizes []float64) (best *Bin, ties int) {
+		for _, b := range open {
+			if !b.FitsDemand(sizes) {
+				continue
+			}
+			switch {
+			case best == nil || b.TotalGap() < best.TotalGap():
+				best, ties = b, 0
+			case b.TotalGap() == best.TotalGap():
+				ties++
+			}
+		}
+		return best, ties
+	}
+	for _, dim := range []int{1, 2, 3} {
+		for _, keepAlive := range []float64{0, 0.75} {
+			rng := rand.New(rand.NewSource(int64(10*dim) + int64(4*keepAlive)))
+			g := NewLedgerKeepAlive(1, dim, keepAlive)
+			g.EnableIndex()
+			ix := g.Index()
+			dyadic := func() []float64 {
+				v := make([]float64, dim)
+				for d := range v {
+					v[d] = float64(1+rng.Intn(12)) / 16
+				}
+				return v
+			}
+			wrong := func(when string) {
+				t.Helper()
+				for _, n := range []int{dim - 1, dim + 1} {
+					if b := ix.TightestFittingVec(make([]float64, n)); b != nil {
+						t.Fatalf("d=%d, %s: a demand of length %d found bin %d", dim, when, n, b.Index)
+					}
+				}
+			}
+			wrong("empty fleet")
+			if ix.mins != nil || ix.sums != nil || ix.tree != nil {
+				t.Fatalf("d=%d: a wrong-dimension demand built a structure", dim)
+			}
+			var live []item.ID
+			now, next := 0.0, item.ID(1)
+			queries, ties, compactions := 0, 0, 0
+			check := func(sizes []float64) {
+				t.Helper()
+				want, n := scan(g.OpenBins(), sizes)
+				if got := ix.TightestFittingVec(sizes); got != want {
+					t.Fatalf("d=%d, keep-alive %g, job %d: TightestFittingVec(%v) = bin %d, scan %d", dim, keepAlive, next, sizes, binIdx(got), binIdx(want))
+				}
+				queries++
+				if n > 0 {
+					ties++
+				}
+			}
+			for _, phase := range []struct {
+				steps   int
+				pDepart float64
+			}{{1500, 0.3}, {1500, 0.75}, {1000, 0.4}} {
+				for step := 0; step < phase.steps; step++ {
+					slots := len(ix.bins)
+					now += 0.1 * rng.Float64()
+					g.CloseExpired(now)
+					if len(live) > 0 && rng.Float64() < phase.pDepart {
+						k := rng.Intn(len(live))
+						g.Remove(live[k], now)
+						live[k] = live[len(live)-1]
+						live = live[:len(live)-1]
+					} else {
+						it := item.Item{ID: next, Sizes: dyadic(), Arrival: now, Departure: math.Inf(1)}
+						it.Size = slices.Max(it.Sizes)
+						if dim == 1 {
+							it.Sizes = nil
+						}
+						next++
+						live = append(live, it.ID)
+						if b := ix.TightestFittingVec(it.SizeVec()); b != nil {
+							g.PlaceIn(b, it, now)
+						} else {
+							g.OpenNew(it, now)
+						}
+					}
+					if len(ix.bins) < slots-1 {
+						compactions++
+					}
+					if err := g.CheckInvariants(); err != nil {
+						t.Fatalf("d=%d, keep-alive %g, job %d: %v", dim, keepAlive, next, err)
+					}
+					check(dyadic())
+					if open := g.OpenBins(); len(open) > 0 {
+						b := open[rng.Intn(len(open))]
+						for _, delta := range []float64{-2 * Eps, -Eps, -Eps / 2, 0, Eps / 2, Eps, 2 * Eps} {
+							sizes := make([]float64, dim)
+							for d := range sizes {
+								sizes[d] = b.GapAt(d) + delta
+							}
+							check(sizes)
+						}
+					}
+				}
+			}
+			wrong("after the replay")
+			if built := ix.sums != nil; built != (dim > 1) || ix.tree != nil {
+				t.Fatalf("d=%d: built total-gap treap %v (want %v), gap tree %v", dim, built, dim > 1, ix.tree != nil)
+			}
+			if ties == 0 || compactions == 0 {
+				t.Fatalf("d=%d, keep-alive %g: %d of %d queries had tied totals, %d compactions — the replay exercised too little", dim, keepAlive, ties, queries, compactions)
+			}
+			t.Logf("d=%d, keep-alive %g: %d queries, %d with tied totals, %d compactions, %d bins opened", dim, keepAlive, queries, ties, compactions, g.NumOpened())
+		}
+	}
 }

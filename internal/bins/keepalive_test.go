@@ -229,7 +229,7 @@ func TestUsagePeriodOfLingeringBin(t *testing.T) {
 		t.Fatal("ClosedAt must panic while lingering")
 	}
 	b.Close(5)
-	if got := b.UsagePeriod(); got.Lo != 1 || got.Hi != 5 {
-		t.Fatalf("usage period = %v", got)
+	if b.OpenedAt() != 1 || b.ClosedAt() != 5 {
+		t.Fatalf("usage period = [%g, %g)", b.OpenedAt(), b.ClosedAt())
 	}
 }

@@ -30,8 +30,9 @@ import (
 //   - a keep-alive expiry check is a peek at a min-heap of pending
 //     closures, and each closure O(log B);
 //   - the index, when enabled, updates only the structures a query has
-//     built (see Index): one root-to-leaf path of the gap tree and one
-//     treap key per level change.
+//     built (see Index): per level change, one root-to-leaf path of the
+//     gap tree and one key in each built treap (MinGap, TotalGap) whose
+//     key moved.
 //
 // The benchmark's bare-ledger replay of 1M zipfian events reads, from the
 // first to the last decile of the script, 795 → 3370 ns/event while the

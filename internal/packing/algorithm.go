@@ -68,10 +68,11 @@ func (a Arrival) need() float64 { return a.Size - bins.Eps }
 // bins.Bin.FitsDemand admission test, the same comparison on both
 // backends — and serve d-dimensional (DVBP) placements: positional
 // enumeration for First/Last Fit rules and score-minimizing policies,
-// and the dominant-resource (max-min-gap) selection for Worst Fit
-// rules. On the indexed backend they are answered by pruned descent of
-// the per-dimension max-gap tree and the (MinGap, index) treap
-// (bins.Index); the linear backend scans.
+// the least-total-gap selection for vector Best Fit, and the
+// dominant-resource (max-min-gap) selection for Worst Fit rules. On the
+// indexed backend they are answered by pruned descent of the
+// per-dimension max-gap tree and by walks of the (TotalGap, index) and
+// (MinGap, index) treaps (bins.Index); the linear backend scans.
 type Fleet interface {
 	// Open returns the currently open bins in opening order (ascending
 	// index). The slice is shared; callers must not modify or retain it.
@@ -95,6 +96,9 @@ type Fleet interface {
 	FirstFittingVec(sizes []float64) *bins.Bin
 	// LastFittingVec returns the latest-opened such bin, or nil.
 	LastFittingVec(sizes []float64) *bins.Bin
+	// TightestFittingVec returns the fitting bin with the smallest total
+	// gap (bins.Bin.TotalGap), ties toward the earliest opened, or nil.
+	TightestFittingVec(sizes []float64) *bins.Bin
 	// EachFitting visits every open bin fitting the demand vector in
 	// ascending opening order, stopping when visit returns false.
 	EachFitting(sizes []float64, visit func(*bins.Bin) bool)

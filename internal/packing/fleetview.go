@@ -96,9 +96,10 @@ func (f linearFleet) SecondEmptiestFitting(need float64) *bins.Bin {
 }
 
 // The vector queries share one admission comparison with the indexed
-// backend — bins.Bin.FitsDemand — so the two engines cannot disagree on
-// a borderline demand; only the search strategy differs (scan vs pruned
-// tree descent).
+// backend — bins.Bin.FitsDemand — and one score for vector Best Fit —
+// bins.Bin.TotalGap — so the two engines cannot disagree on a borderline
+// demand or a tie; only the search strategy differs (scan vs pruned tree
+// descent or treap walk).
 
 func (f linearFleet) FirstFittingVec(sizes []float64) *bins.Bin {
 	for _, b := range f.ledger.OpenBins() {
@@ -117,6 +118,19 @@ func (f linearFleet) LastFittingVec(sizes []float64) *bins.Bin {
 		}
 	}
 	return nil
+}
+
+func (f linearFleet) TightestFittingVec(sizes []float64) *bins.Bin {
+	var best *bins.Bin
+	for _, b := range f.ledger.OpenBins() {
+		if !b.FitsDemand(sizes) {
+			continue
+		}
+		if best == nil || b.TotalGap() < best.TotalGap() {
+			best = b
+		}
+	}
+	return best
 }
 
 func (f linearFleet) EachFitting(sizes []float64, visit func(*bins.Bin) bool) {

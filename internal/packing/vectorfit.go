@@ -15,18 +15,20 @@ import "dbp/internal/bins"
 //
 // All four are stateless Any Fit policies — they never open a new server
 // while some open server fits — and engine-agnostic: they place through
-// the Fleet's vector queries, which the indexed engine answers from the
-// d-dimensional bins.Index (pruned per-dimension max-gap descent and the
-// dominant-resource treap) and the linear engine answers with reference
-// scans. Ties always break toward the earliest-opened server, the same
-// lexicographic rule as the scalar policies, so cross-engine packings
-// are bit-identical.
+// the Fleet's vector queries, which the linear engine answers with
+// reference scans and the indexed engine from the d-dimensional
+// bins.Index, one structure per rule: VectorBestFit walks the (TotalGap,
+// index) treap, DRWorstFit the (MinGap, index) treap, and DotProductFit
+// and NormBestFit score every bin the pruned max-gap tree descent
+// (EachFitting) finds. Ties always break toward the earliest-opened
+// server, the same lexicographic rule as the scalar policies, so
+// cross-engine packings are bit-identical.
 
 // VectorBestFit is Best Fit under the total-residual scalarization:
 // among fitting servers it minimizes the SUM of per-dimension gaps (the
-// L1 norm of the remaining-capacity vector), ties toward the earliest
-// opened. For scalar jobs the sum is the gap itself and the rule is
-// classical Best Fit.
+// L1 norm of the remaining-capacity vector, bins.Bin.TotalGap), ties
+// toward the earliest opened. For scalar jobs the sum is the gap itself
+// and the rule is classical Best Fit.
 type VectorBestFit struct{}
 
 // NewVectorBestFit returns a vector Best Fit policy.
@@ -40,21 +42,7 @@ func (*VectorBestFit) Place(a Arrival, f Fleet) *bins.Bin {
 	if len(a.Sizes) == 0 {
 		return f.TightestFitting(a.need())
 	}
-	var (
-		best      *bins.Bin
-		bestScore float64
-	)
-	f.EachFitting(a.Sizes, func(b *bins.Bin) bool {
-		score := 0.0
-		for d := range a.Sizes {
-			score += b.GapAt(d)
-		}
-		if best == nil || score < bestScore {
-			best, bestScore = b, score
-		}
-		return true
-	})
-	return best
+	return f.TightestFittingVec(a.Sizes)
 }
 
 // BinOpened implements Algorithm; stateless.
