@@ -224,8 +224,9 @@ func (l List) ActiveSizesAt(t float64) []float64 {
 }
 
 // SortedByArrival returns a copy sorted by (Arrival, ID). The simulator
-// uses submission order for equal arrival times, so keeping IDs monotone in
-// generation order preserves each construction's intended sequence.
+// orders equal-time arrivals the same way (event.Order), so keeping IDs
+// monotone in generation order preserves each construction's intended
+// sequence.
 func (l List) SortedByArrival() List {
 	out := make(List, len(l))
 	copy(out, l)

@@ -102,6 +102,32 @@ func TestScriptFromListCopiesSizes(t *testing.T) {
 	}
 }
 
+// TestScriptFromListFollowsEngineOrder pins a script to the order the
+// simulation engine processes the same list in: departures at one
+// instant follow their items' (Arrival, ID) order, not their IDs.
+func TestScriptFromListFollowsEngineOrder(t *testing.T) {
+	l := item.List{
+		{ID: 1, Size: 0.2, Arrival: 1, Departure: 3},
+		{ID: 2, Size: 0.2, Arrival: 0, Departure: 3},
+		{ID: 3, Size: 0.2, Arrival: 1, Departure: 3},
+		{ID: 4, Size: 0.2, Arrival: 3, Departure: 4},
+	}
+	want := []Op{
+		{Kind: OpArrive, ID: 2}, {Kind: OpArrive, ID: 1}, {Kind: OpArrive, ID: 3},
+		{Kind: OpDepart, ID: 2}, {Kind: OpDepart, ID: 1}, {Kind: OpDepart, ID: 3},
+		{Kind: OpArrive, ID: 4}, {Kind: OpDepart, ID: 4},
+	}
+	s := ScriptFromList(l)
+	if len(s.Ops) != len(want) {
+		t.Fatalf("script has %d ops, want %d", len(s.Ops), len(want))
+	}
+	for i, w := range want {
+		if op := s.Ops[i]; op.Kind != w.Kind || op.ID != w.ID {
+			t.Fatalf("op %d = %v %d, want %v %d", i, op.Kind, op.ID, w.Kind, w.ID)
+		}
+	}
+}
+
 // TestOpenLoopAchievedRate is the pacer acceptance check: at a rate
 // the in-process service trivially sustains, the achieved measure-
 // phase rate stays within 2% of requested.

@@ -2,8 +2,8 @@ package load
 
 import (
 	"fmt"
-	"sort"
 
+	"dbp/internal/event"
 	"dbp/internal/item"
 	"dbp/internal/workload"
 )
@@ -48,44 +48,22 @@ type Script struct {
 }
 
 // ScriptFromList flattens an instance into its arrive/depart event
-// sequence, ordered by event time (ties: departures first, matching
-// the half-open [arrival, departure) interval convention, then by ID).
+// sequence, in the simulation engine's processing order (event.Order).
 func ScriptFromList(l item.List) *Script {
-	type ev struct {
-		t      float64
-		depart bool
-		it     item.Item
-	}
-	evs := make([]ev, 0, 2*len(l))
-	var maxID item.ID
+	s := &Script{Ops: make([]Op, 0, 2*len(l))}
 	for _, it := range l {
-		evs = append(evs,
-			ev{t: it.Arrival, it: it},
-			ev{t: it.Departure, depart: true, it: it})
-		if it.ID > maxID {
-			maxID = it.ID
-		}
+		s.maxID = max(s.maxID, it.ID)
 	}
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
-		}
-		if evs[i].depart != evs[j].depart {
-			return evs[i].depart
-		}
-		return evs[i].it.ID < evs[j].it.ID
-	})
-	s := &Script{Ops: make([]Op, len(evs)), maxID: maxID}
-	for i, e := range evs {
-		if e.depart {
-			s.Ops[i] = Op{Kind: OpDepart, ID: e.it.ID}
+	for _, e := range event.Order(l, false) {
+		if e.Kind == event.Depart {
+			s.Ops = append(s.Ops, Op{Kind: OpDepart, ID: e.Item.ID})
 		} else {
 			// Copy the demand vector so the script owns its ops: the
 			// caller's item.List stays live (rescaling, re-keying, reuse
 			// across epochs), and an op aliasing it would replay whatever
 			// the caller last wrote there instead of the trace's demand.
-			s.Ops[i] = Op{Kind: OpArrive, ID: e.it.ID, Size: e.it.Size,
-				Sizes: append([]float64(nil), e.it.Sizes...)}
+			s.Ops = append(s.Ops, Op{Kind: OpArrive, ID: e.Item.ID, Size: e.Item.Size,
+				Sizes: append([]float64(nil), e.Item.Sizes...)})
 		}
 	}
 	return s

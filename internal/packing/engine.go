@@ -117,7 +117,7 @@ func (e *engine) arrive(it item.Item, t float64, capacityFor func(Arrival) (floa
 }
 
 // depart removes the item from its bin. The caller guarantees the item
-// is resident (Stream pre-checks Locate; the simulator's event queue is
+// is resident (Stream pre-checks Locate; the simulator's event order is
 // consistent by construction).
 func (e *engine) depart(id item.ID, t float64) (b *bins.Bin, closed bool) {
 	return e.ledger.Remove(id, t)

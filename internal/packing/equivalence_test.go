@@ -181,9 +181,7 @@ func TestStreamEnginesEquivalentAcrossPolicies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				q := event.NewFromList(jobs)
-				for q.Len() > 0 {
-					e := q.Pop()
+				for _, e := range event.Order(jobs, false) {
 					if e.Kind == event.Arrive {
 						s1, o1, err1 := idx.Arrive(e.Item.ID, e.Item.Size, e.Item.Sizes, e.Time)
 						s2, o2, err2 := lin.Arrive(e.Item.ID, e.Item.Size, e.Item.Sizes, e.Time)
@@ -268,9 +266,7 @@ func TestStreamEnginesEquivalentVector(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					q := event.NewFromList(jobs)
-					for q.Len() > 0 {
-						e := q.Pop()
+					for _, e := range event.Order(jobs, false) {
 						if e.Kind == event.Arrive {
 							s1, o1, err1 := idx.Arrive(e.Item.ID, e.Item.Size, e.Item.Sizes, e.Time)
 							s2, o2, err2 := lin.Arrive(e.Item.ID, e.Item.Size, e.Item.Sizes, e.Time)

@@ -32,9 +32,7 @@ func Replay(l item.List, assign map[item.ID]int) (*Result, error) {
 	ledger := bins.NewLedger(1.0, dim)
 	rec := newRecorder(len(l))
 	label2bin := make(map[int]*bins.Bin)
-	q := event.NewFromList(l)
-	for q.Len() > 0 {
-		e := q.Pop()
+	for _, e := range event.Order(l, false) {
 		switch e.Kind {
 		case event.Depart:
 			ledger.Remove(e.Item.ID, e.Time)

@@ -109,11 +109,9 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 		keepAlive = opt.KeepAlive
 	}
 	eng := newEngine(algo, opt.capacity(), opt.dim(l), keepAlive, opt.engine(), opt != nil && opt.Clairvoyant)
-	q := event.NewFromListOrder(l, opt != nil && opt.ArrivalsFirst)
 	rec := newRecorder(len(l))
 
-	for q.Len() > 0 {
-		e := q.Pop()
+	for _, e := range event.Order(l, opt != nil && opt.ArrivalsFirst) {
 		eng.ledger.CloseExpired(e.Time)
 		switch e.Kind {
 		case event.Depart:

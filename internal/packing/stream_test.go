@@ -252,9 +252,7 @@ func TestIndexedLinearKeepAliveStreamEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := event.NewFromList(l)
-		for q.Len() > 0 {
-			e := q.Pop()
+		for _, e := range event.Order(l, false) {
 			if e.Kind == event.Arrive {
 				s1, o1, err1 := naive.Arrive(e.Item.ID, e.Item.Size, nil, e.Time)
 				s2, o2, err2 := fast.Arrive(e.Item.ID, e.Item.Size, nil, e.Time)
@@ -306,9 +304,7 @@ func TestStreamEquivalentToRunAcrossPolicies(t *testing.T) {
 		for name, algo := range algos {
 			run := MustRun(algo, l, nil)
 			s := NewStream(algo, 0, 0)
-			q := event.NewFromList(l)
-			for q.Len() > 0 {
-				e := q.Pop()
+			for _, e := range event.Order(l, false) {
 				if e.Kind == event.Arrive {
 					if _, _, err := s.Arrive(e.Item.ID, e.Item.Size, nil, e.Time); err != nil {
 						t.Fatalf("%s: %v", name, err)

@@ -14,10 +14,9 @@ import (
 func ts(v float64) *float64 { return &v }
 
 // vecBarrage drives one deterministic vector workload against d: three
-// arrivals with distinct demand vectors, then (optionally) departs for
-// all of them. Times are explicit so two dispatchers given the same
-// calls are bit-identical.
-func vecBarrage(t *testing.T, d *serve.Dispatcher, depart bool) {
+// arrivals with distinct demand vectors, then departs for all of them.
+// Times are explicit so the run is clock-independent.
+func vecBarrage(t *testing.T, d *serve.Dispatcher) {
 	t.Helper()
 	arrive := func(id item.ID, at float64, v []float64) {
 		max := v[0]
@@ -33,9 +32,6 @@ func vecBarrage(t *testing.T, d *serve.Dispatcher, depart bool) {
 	arrive(1, 0, []float64{0.6, 0.2})
 	arrive(2, 1, []float64{0.3, 0.7})
 	arrive(3, 2, []float64{0.5, 0.4})
-	if !depart {
-		return
-	}
 	for id := item.ID(1); id <= 3; id++ {
 		if _, err := d.Depart(id, ts(float64(id)+2)); err != nil {
 			t.Fatalf("depart %d: %v", id, err)
@@ -53,83 +49,27 @@ func scribble(events []serve.Event) {
 	}
 }
 
-// TestShardEventsOwnershipInMemory is the regression test for the
-// in-memory journal's shared-slice bug: the journal entry's demand
-// vector used to alias the very slice the stream's ledger retains for
-// the live job, so a consumer writing through a ShardEvents result
-// corrupted the levels the job's eventual depart subtracts — and every
-// later read of the journal. Both the journal append and the read-out
-// must hand over copies.
-func TestShardEventsOwnershipInMemory(t *testing.T) {
-	mk := func() *serve.Dispatcher {
-		d, err := serve.New(serve.Config{Shards: 1, Dim: 2, RecordEvents: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	d, control := mk(), mk()
-
-	vecBarrage(t, d, false)
-	vecBarrage(t, control, false)
-
-	first := d.ShardEvents(0)
-	scribble(first)
-
-	// A second read must see the journal as applied, untouched by the
-	// first reader's writes.
-	second := d.ShardEvents(0)
-	want := [][]float64{{0.6, 0.2}, {0.3, 0.7}, {0.5, 0.4}}
-	if len(second) != len(want) {
-		t.Fatalf("journal has %d events, want %d", len(second), len(want))
-	}
-	for i, w := range want {
-		if !reflect.DeepEqual(second[i].Sizes, w) {
-			t.Errorf("journal event %d sizes = %v, want %v (reader scribble leaked in)", i, second[i].Sizes, w)
-		}
-	}
-
-	// The live fleet must be untouched too: departs subtract each job's
-	// retained demand vector from its server's levels, so the drained
-	// state must match a control dispatcher that never exposed its
-	// journal.
-	for id := item.ID(1); id <= 3; id++ {
-		at := float64(id) + 2
-		if _, err := d.Depart(id, ts(at)); err != nil {
-			t.Fatalf("depart %d after scribble: %v", id, err)
-		}
-		if _, err := control.Depart(id, ts(at)); err != nil {
-			t.Fatalf("control depart %d: %v", id, err)
-		}
-	}
-	d.Close()
-	control.Close()
-	if got, wantSnap := d.Snapshot(0), control.Snapshot(0); !reflect.DeepEqual(got, wantSnap) {
-		t.Fatalf("scribbled dispatcher diverged from control:\n got  %+v\n want %+v", got, wantSnap)
-	}
-}
-
-// TestShardEventsOwnershipWAL pins the same ownership contract on the
-// durable path: ShardEvents reads the WAL tail, whose decoder allocates
-// a fresh vector per record, so consecutive reads are independent even
-// if a consumer scribbles on one.
+// TestShardEventsOwnershipWAL pins the journal's ownership contract:
+// ShardEvents reads the WAL, whose decoder allocates a fresh vector per
+// record, so consecutive reads are independent even if a consumer
+// scribbles on one.
 func TestShardEventsOwnershipWAL(t *testing.T) {
 	d, err := serve.New(serve.Config{
-		Shards: 1, Dim: 2, RecordEvents: true, DataDir: t.TempDir(),
+		Shards: 1, Dim: 2, DataDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	vecBarrage(t, d, true)
+	vecBarrage(t, d)
 
-	first := d.ShardEvents(0)
+	first := journal(t, d, 0)
 	if len(first) != 6 {
 		t.Fatalf("WAL journal has %d events, want 6", len(first))
 	}
 	scribble(first)
 
-	second := d.ShardEvents(0)
+	second := journal(t, d, 0)
 	want := [][]float64{{0.6, 0.2}, {0.3, 0.7}, {0.5, 0.4}}
 	for i, w := range want {
 		if !reflect.DeepEqual(second[i].Sizes, w) {
@@ -144,7 +84,7 @@ func TestShardEventsOwnershipWAL(t *testing.T) {
 // (the ledger owns its copies), and the journal must replay into the
 // same server assignments as the live run.
 func TestApplyBatchBufferReuseReplay(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 1, Dim: 2, RecordEvents: true})
+	d, err := serve.New(serve.Config{Shards: 1, Dim: 2, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +110,7 @@ func TestApplyBatchBufferReuseReplay(t *testing.T) {
 	}
 	d.Close()
 
-	events := d.ShardEvents(0)
+	events := journal(t, d, 0)
 	if len(events) != 4 {
 		t.Fatalf("journal has %d events, want 4", len(events))
 	}

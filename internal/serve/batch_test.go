@@ -13,7 +13,7 @@ import (
 func newBatchDispatcher(t *testing.T, shards int) *serve.Dispatcher {
 	t.Helper()
 	d, err := serve.New(serve.Config{
-		Shards: shards, RecordEvents: true,
+		Shards: shards, DataDir: t.TempDir(),
 		Clock: func() float64 { return 0 },
 	})
 	if err != nil {
@@ -70,7 +70,7 @@ func TestApplyBatchMatchesSingles(t *testing.T) {
 		}
 	}
 	for si := 0; si < batched.NumShards(); si++ {
-		if b, s := batched.ShardEvents(si), single.ShardEvents(si); !reflect.DeepEqual(b, s) {
+		if b, s := journal(t, batched, si), journal(t, single, si); !reflect.DeepEqual(b, s) {
 			t.Fatalf("shard %d journals diverge:\nbatch:  %+v\nsingle: %+v", si, b, s)
 		}
 	}
@@ -96,7 +96,7 @@ func TestApplyBatchMatchesSingles(t *testing.T) {
 // vectors it journals; a transport reusing its decode buffer between
 // batches cannot scribble on history.
 func TestApplyBatchCopiesSizes(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 1, Dim: 2, RecordEvents: true,
+	d, err := serve.New(serve.Config{Shards: 1, Dim: 2, DataDir: t.TempDir(),
 		Clock: func() float64 { return 0 }})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestApplyBatchCopiesSizes(t *testing.T) {
 		t.Fatal(results[0].Err)
 	}
 	buf[0], buf[1] = 0.9, 0.9
-	ev := d.ShardEvents(0)
+	ev := journal(t, d, 0)
 	if len(ev) != 1 || ev[0].Sizes[0] != 0.6 || ev[0].Sizes[1] != 0.2 {
 		t.Fatalf("caller scribble leaked into the journal: %+v", ev)
 	}

@@ -50,12 +50,6 @@ type Config struct {
 	// KeepAlive keeps emptied servers open (reusable) for this many
 	// time units, as in packing.NewStreamKeepAlive.
 	KeepAlive float64
-	// RecordEvents journals every accepted event per shard (as actually
-	// applied, post clock guard) for audit and replay reconciliation.
-	// With DataDir set, the write-ahead log itself is the journal —
-	// ShardEvents reads the WAL tail and no unbounded in-memory copy is
-	// kept.
-	RecordEvents bool
 	// QueueDepth bounds each shard's request channel (<= 0 means 1024).
 	// A full queue applies backpressure: submitters block until the
 	// shard owner catches up, so memory stays bounded under overload.
@@ -155,7 +149,7 @@ var reqPool = sync.Pool{
 const publishEvery = 256
 
 // shard is one single-writer partition: exactly one goroutine (run)
-// ever touches stream, log appends, and gauge stores after New
+// ever touches stream, WAL appends, and gauge stores after New
 // returns; everyone else communicates through reqs or reads the
 // atomically published gauge. The closed flag plus the inflight count
 // form the submission gate that makes closing reqs race-free.
@@ -171,9 +165,6 @@ type shard struct {
 
 	gauge        atomic.Pointer[ShardStats] // last published stats snapshot
 	sincePublish int                        // events applied since; owner-only
-
-	logMu sync.Mutex // guards log: owner appends, ShardEvents copies
-	log   []Event
 
 	// Durability (nil wal means the shard runs in-memory only). The
 	// owner is the only appender; walErr is the shard-level fail-stop
@@ -579,34 +570,13 @@ func (d *Dispatcher) applyOne(sh *shard, depart bool, id item.ID, size float64, 
 		if flag {
 			d.metrics.serversClosed.Add(1)
 		}
-		if d.cfg.RecordEvents && sh.wal == nil {
-			sh.append(Event{Kind: "depart", ID: id, Time: at, Server: server})
-		}
 	} else {
 		d.metrics.arrivals.Add(1)
 		if flag {
 			d.metrics.serversOpened.Add(1)
 		}
-		if d.cfg.RecordEvents && sh.wal == nil {
-			// Copy the demand vector: sizes is the same slice the stream's
-			// ledger retained for this job (Stream.Arrive keeps the caller
-			// slice), so a journal entry aliasing it would let anyone
-			// scribbling on a ShardEvents result corrupt the live levels
-			// the job's eventual depart subtracts from.
-			sh.append(Event{Kind: "arrive", ID: id, Size: size,
-				Sizes: append([]float64(nil), sizes...), Time: at, Server: server})
-		}
 	}
 	return server, flag, at, nil
-}
-
-// append journals one applied event. Only the owner goroutine appends;
-// the mutex exists so ShardEvents can copy concurrently — it is never
-// contended on the event path.
-func (sh *shard) append(ev Event) {
-	sh.logMu.Lock()
-	sh.log = append(sh.log, ev)
-	sh.logMu.Unlock()
 }
 
 // publish stores a fresh stats gauge for lock-free readers (Stats,
@@ -628,40 +598,32 @@ func (sh *shard) publish(si int) {
 }
 
 // ShardEvents returns shard i's journal in the exact order the shard
-// owner applied the events. With durability on, it is read back from
-// the write-ahead log's tail — the records since the last snapshot —
-// so memory stays bounded no matter how long the service runs; clock
-// ticks journaled for rejected events are filtered out. Without a WAL
-// it copies the in-memory journal (Config.RecordEvents must be on).
-func (d *Dispatcher) ShardEvents(i int) []Event {
+// owner applied the events, read back from its write-ahead log: every
+// record the log still holds (segments a snapshot fully covers are
+// deleted, so memory stays bounded no matter how long the service
+// runs), with the clock ticks journaled for rejected events filtered
+// out. The log is readable after Close. Without durability (empty
+// Config.DataDir) a shard keeps no journal and the result is empty. An
+// unreadable log is an error, never a shortened journal.
+func (d *Dispatcher) ShardEvents(i int) ([]Event, error) {
 	sh := d.shards[i]
-	if sh.wal != nil {
-		var out []Event
-		sh.wal.Replay(sh.wal.Stats().SnapshotSeq, func(_ uint64, r wal.Record) error {
-			switch r.Kind {
-			case wal.KindArrive:
-				out = append(out, Event{Kind: "arrive", ID: item.ID(r.ID), Size: r.Size, Sizes: r.Sizes, Time: r.Time, Server: int(r.Server)})
-			case wal.KindDepart:
-				out = append(out, Event{Kind: "depart", ID: item.ID(r.ID), Time: r.Time, Server: int(r.Server)})
-			}
-			return nil
-		})
-		return out
+	if sh.wal == nil {
+		return nil, nil
 	}
-	sh.logMu.Lock()
-	defer sh.logMu.Unlock()
-	out := make([]Event, len(sh.log))
-	copy(out, sh.log)
-	// Deep-copy the demand vectors so the caller owns its result
-	// outright: a struct copy alone would hand every caller (and every
-	// subsequent ShardEvents call) views of the same journal-owned
-	// slices.
-	for i := range out {
-		if len(out[i].Sizes) > 0 {
-			out[i].Sizes = append([]float64(nil), out[i].Sizes...)
+	var out []Event
+	err := sh.wal.Replay(0, func(_ uint64, r wal.Record) error {
+		switch r.Kind {
+		case wal.KindArrive:
+			out = append(out, Event{Kind: "arrive", ID: item.ID(r.ID), Size: r.Size, Sizes: r.Sizes, Time: r.Time, Server: int(r.Server)})
+		case wal.KindDepart:
+			out = append(out, Event{Kind: "depart", ID: item.ID(r.ID), Time: r.Time, Server: int(r.Server)})
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: reading shard %d journal: %w", i, err)
 	}
-	return out
+	return out, nil
 }
 
 // Snapshot returns shard i's stream snapshot (totals + open servers).

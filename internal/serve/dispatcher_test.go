@@ -11,6 +11,17 @@ import (
 	"dbp/internal/serve"
 )
 
+// journal reads shard i's journal, failing the test if the log cannot be
+// read.
+func journal(t *testing.T, d *serve.Dispatcher, i int) []serve.Event {
+	t.Helper()
+	evs, err := d.ShardEvents(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
 // TestDispatcherStressReconciles hammers a sharded dispatcher from many
 // goroutines (run under -race via `make check`) and then proves the
 // concurrent run was equivalent to a sequential one: each shard's
@@ -34,10 +45,10 @@ func TestDispatcherStressReconciles(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, err := serve.New(serve.Config{
-				Algorithm:    "firstfit",
-				Shards:       shards,
-				KeepAlive:    tc.keepAlive,
-				RecordEvents: true,
+				Algorithm: "firstfit",
+				Shards:    shards,
+				KeepAlive: tc.keepAlive,
+				DataDir:   t.TempDir(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +122,7 @@ func TestDispatcherStressReconciles(t *testing.T) {
 			}
 			var journaled int
 			for i := 0; i < d.NumShards(); i++ {
-				journaled += len(d.ShardEvents(i))
+				journaled += len(journal(t, d, i))
 			}
 			if uint64(journaled) != stats.Arrivals+stats.Departures {
 				t.Fatalf("journal has %d events, metrics count %d", journaled, stats.Arrivals+stats.Departures)
@@ -128,7 +139,7 @@ func TestDispatcherStressReconciles(t *testing.T) {
 			for i := 0; i < d.NumShards(); i++ {
 				algo, _ := packing.ByName("firstfit")
 				replay := packing.NewStreamKeepAlive(algo, 0, 0, tc.keepAlive)
-				for k, ev := range d.ShardEvents(i) {
+				for k, ev := range journal(t, d, i) {
 					var server int
 					var err error
 					switch ev.Kind {
@@ -170,7 +181,7 @@ func TestDispatcherStressReconciles(t *testing.T) {
 // job ID, covers every shard on a modest ID range, and that arrivals
 // land on the shard ShardFor promises.
 func TestDispatcherRouting(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 4, RecordEvents: true})
+	d, err := serve.New(serve.Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 // and once Close has run, /v1/arrive answers 503 immediately instead
 // of hanging. Run under -race via `make check`.
 func TestDrainUnderLoad(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 4, RecordEvents: true})
+	d, err := serve.New(serve.Config{Shards: 4, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 	var journaled uint64
 	for i := 0; i < d.NumShards(); i++ {
-		for _, ev := range d.ShardEvents(i) {
+		for _, ev := range journal(t, d, i) {
 			if ev.Kind == "arrive" {
 				journaled++
 			}

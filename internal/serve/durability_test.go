@@ -255,38 +255,57 @@ func TestDurableMetaGuard(t *testing.T) {
 	d2.Close()
 }
 
+// sequentialJournals is the journal oracle: the ops fed one by one to a
+// fresh packing.Stream per shard, routed as d routes them, with every
+// accepted event recorded as the shard journals it.
+func sequentialJournals(t *testing.T, d *serve.Dispatcher, cfg serve.Config, ops []durOp) [][]serve.Event {
+	t.Helper()
+	streams := make([]*packing.Stream, d.NumShards())
+	for i := range streams {
+		algo, err := packing.ByName(cfg.Algorithm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[i] = packing.NewStreamKeepAlive(algo, cfg.Capacity, cfg.Dim, cfg.KeepAlive)
+	}
+	out := make([][]serve.Event, d.NumShards())
+	for _, o := range ops {
+		i := d.ShardFor(o.id)
+		if o.depart {
+			if srv, _, err := streams[i].Depart(o.id, o.t); err == nil {
+				out[i] = append(out[i], serve.Event{Kind: "depart", ID: o.id, Time: o.t, Server: srv})
+			}
+		} else if srv, _, err := streams[i].Arrive(o.id, o.size, nil, o.t); err == nil {
+			out[i] = append(out[i], serve.Event{Kind: "arrive", ID: o.id, Size: o.size, Time: o.t, Server: srv})
+		}
+	}
+	return out
+}
+
 // TestDurableShardEventsFromWAL proves the journal endpoint reads back
-// from the WAL with durability on: identical to the in-memory journal
-// of a reference dispatcher (ticks for rejected events filtered out),
-// and bounded to the records since the last snapshot.
+// from the WAL: identical to a sequential replay of the same ops (ticks
+// for rejected events filtered out), and bounded by the segments
+// snapshots have not yet made redundant.
 func TestDurableShardEventsFromWAL(t *testing.T) {
 	ops := genDurOps(400, 3)
-	cfg := serve.Config{Algorithm: "firstfit", Shards: 2, KeepAlive: 0.3, RecordEvents: true}
-	ref, err := serve.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	dcfg := cfg
-	dcfg.DataDir, dcfg.Fsync = t.TempDir(), "off"
-	d, err := serve.New(dcfg)
+	cfg := serve.Config{Algorithm: "firstfit", Shards: 2, KeepAlive: 0.3, DataDir: t.TempDir(), Fsync: "off"}
+	d, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	applyDurOps(t, ref, ops)
 	applyDurOps(t, d, ops)
+	want := sequentialJournals(t, d, cfg, ops)
 	for i := 0; i < cfg.Shards; i++ {
-		got, want := d.ShardEvents(i), ref.ShardEvents(i)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shard %d: WAL-backed journal differs from in-memory journal (%d vs %d events)", i, len(got), len(want))
+		if got := journal(t, d, i); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("shard %d: WAL-backed journal differs from sequential replay (%d vs %d events)", i, len(got), len(want[i]))
 		}
 	}
 
-	// With periodic snapshots, the readable journal is the tail — a
-	// suffix of the full journal, bounded by the snapshot cadence.
-	scfg := dcfg
-	scfg.DataDir, scfg.SnapshotEvery = t.TempDir(), 32
+	// With periodic snapshots and small segments, the readable journal
+	// is a suffix of the full journal, bounded by the snapshot cadence.
+	scfg := cfg
+	scfg.DataDir, scfg.SnapshotEvery, scfg.SegmentBytes = t.TempDir(), 32, 512
 	ds, err := serve.New(scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +313,7 @@ func TestDurableShardEventsFromWAL(t *testing.T) {
 	defer ds.Close()
 	applyDurOps(t, ds, ops)
 	for i := 0; i < cfg.Shards; i++ {
-		tailEvs, full := ds.ShardEvents(i), ref.ShardEvents(i)
+		tailEvs, full := journal(t, ds, i), want[i]
 		if len(tailEvs) >= len(full) {
 			t.Fatalf("shard %d: snapshots did not bound the journal tail (%d >= %d)", i, len(tailEvs), len(full))
 		}
@@ -357,6 +376,60 @@ func TestDurableStatsAndClock(t *testing.T) {
 	}
 	if p.Time < horizon {
 		t.Fatalf("service clock did not resume: nil-time arrive applied at %g, want >= %g", p.Time, horizon)
+	}
+}
+
+// TestShardEventsCorruptSegment flips one byte in the middle of the
+// active segment: ShardEvents must report the unreadable log instead of
+// returning the records before the damage as the whole journal, and
+// /v1/journal must answer 500 internal rather than 200 with a short list.
+func TestShardEventsCorruptSegment(t *testing.T) {
+	dir := t.TempDir()
+	d, err := serve.New(serve.Config{Algorithm: "firstfit", Shards: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const n = 10
+	for i := 1; i <= n; i++ {
+		at := float64(i)
+		if _, err := d.Arrive(item.ID(i), 0.01, nil, &at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Reading the journal flushes buffered appends to the segment file.
+	if evs := journal(t, d, 0); len(evs) != n {
+		t.Fatalf("journal has %d events before corruption, want %d", len(evs), n)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-0000", "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment file, got %v (%v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if evs, err := d.ShardEvents(0); err == nil {
+		t.Fatalf("corrupt segment read back as %d events with no error", len(evs))
+	}
+	srv := httptest.NewServer(serve.NewHandler(d))
+	defer srv.Close()
+	res, err := http.Get(srv.URL + "/v1/journal?shard=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var body serve.ErrorResponse
+	if err := json.NewDecoder(res.Body).Decode(&body); err != nil {
+		t.Fatalf("journal endpoint: status %d, undecodable error body: %v", res.StatusCode, err)
+	}
+	if res.StatusCode != http.StatusInternalServerError || body.Code != "internal" {
+		t.Fatalf("journal endpoint on a corrupt segment: status %d code %q, want 500 internal", res.StatusCode, body.Code)
 	}
 }
 

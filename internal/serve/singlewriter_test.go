@@ -16,7 +16,7 @@ import (
 // own level accounting, which also retains the demand vector). The
 // dispatcher copies the slice once at the API boundary.
 func TestJournalCopiesSizes(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 1, Dim: 2, RecordEvents: true})
+	d, err := serve.New(serve.Config{Shards: 1, Dim: 2, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestJournalCopiesSizes(t *testing.T) {
 	}
 	d.Close()
 
-	events := d.ShardEvents(0)
+	events := journal(t, d, 0)
 	if len(events) != 4 {
 		t.Fatalf("journal has %d events, want 4", len(events))
 	}
@@ -85,7 +85,7 @@ func TestJournalCopiesSizes(t *testing.T) {
 // the application order (replay reproduces every server assignment).
 // Run under -race via `make check`.
 func TestCloseWithFullQueue(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 1, QueueDepth: 1, RecordEvents: true})
+	d, err := serve.New(serve.Config{Shards: 1, QueueDepth: 1, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCloseWithFullQueue(t *testing.T) {
 	// Journal order equals application order: replaying it must
 	// reproduce exactly the server each accepted request was told, and
 	// cover every accepted request exactly once.
-	events := d.ShardEvents(0)
+	events := journal(t, d, 0)
 	if len(events) != len(accepted) {
 		t.Fatalf("journal has %d events, client-accepted %d", len(events), len(accepted))
 	}

@@ -13,6 +13,17 @@ import (
 	"dbp/internal/wire"
 )
 
+// journal reads shard i's journal, failing the test if the log cannot be
+// read.
+func journal(t *testing.T, d *serve.Dispatcher, i int) []serve.Event {
+	t.Helper()
+	evs, err := d.ShardEvents(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
 // TestWireDrainUnderLoad is the wire-transport mirror of the serve
 // package's TestDrainUnderLoad: concurrent batched arrivals race
 // Server.Close, and the drain must (a) resolve every attempted op
@@ -25,7 +36,7 @@ import (
 // holds), so "accepted" is well defined even mid-drain. Run under
 // -race via `make check`.
 func TestWireDrainUnderLoad(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 4, RecordEvents: true})
+	d, err := serve.New(serve.Config{Shards: 4, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +110,7 @@ func TestWireDrainUnderLoad(t *testing.T) {
 	}
 	var journaled uint64
 	for i := 0; i < d.NumShards(); i++ {
-		for _, ev := range d.ShardEvents(i) {
+		for _, ev := range journal(t, d, i) {
 			if ev.Kind == "arrive" {
 				journaled++
 			}
