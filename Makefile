@@ -84,7 +84,9 @@ bench-fleet:
 	$(GO) test -run '^$$' -bench LargeFleet -benchtime 1x .
 
 ## bench-wire: the wire codec's perf ledger; the accompanying
-## TestCodecZeroAlloc asserts 0 allocs/op on the encode and decode paths
+## TestCodecZeroAlloc asserts 0 allocs/op on the encode and decode paths,
+## and BenchmarkWirePipelined prints ops/applybatch, the ops the server
+## merges into one ApplyBatch for 64 callers on one connection
 bench-wire:
 	$(GO) test -run 'CodecZeroAlloc' -bench Wire -benchmem ./internal/wire/
 

@@ -89,7 +89,6 @@ func run(args []string, out io.Writer) error {
 		conns    = fs.Int("conns", 4, "wire: persistent connections in the client pool")
 		window   = fs.Int("window", 32, "wire: pipelined batches in flight per connection")
 		batch    = fs.Int("batch", 64, "wire: max ops coalesced into one batch frame")
-		flush    = fs.Duration("flush", 0, "wire: max extra latency the writer waits to fill a batch (0 = send immediately)")
 	)
 	fs.Parse(args) // ExitOnError: usage and exit 2 on a bad flag, exit 0 on -h
 	if *listWl {
@@ -122,7 +121,7 @@ func run(args []string, out io.Writer) error {
 		}
 		tgt = load.NewHTTP("http://"+*addr, nc, 30*time.Second)
 	case "wire":
-		wt, err := load.NewWire(*wireAddr, wire.Options{Conns: *conns, Window: *window, MaxBatch: *batch, Flush: *flush})
+		wt, err := load.NewWire(*wireAddr, wire.Options{Conns: *conns, Window: *window, MaxBatch: *batch})
 		if err != nil {
 			return err
 		}

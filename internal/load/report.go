@@ -31,10 +31,9 @@ type ReportConfig struct {
 // TransportConfig is the wire client's pool tuning, echoed into the
 // results file so a benchmark number is reproducible from its report.
 type TransportConfig struct {
-	Conns    int     `json:"conns,omitempty"`
-	Window   int     `json:"window,omitempty"`
-	MaxBatch int     `json:"max_batch,omitempty"`
-	FlushMS  float64 `json:"flush_ms,omitempty"`
+	Conns    int `json:"conns,omitempty"`
+	Window   int `json:"window,omitempty"`
+	MaxBatch int `json:"max_batch,omitempty"`
 }
 
 // PhaseReport is the throughput accounting of one run phase.

@@ -2,7 +2,6 @@ package load
 
 import (
 	"errors"
-	"time"
 
 	"dbp/internal/item"
 	"dbp/internal/serve"
@@ -31,7 +30,6 @@ func NewWire(addr string, opts wire.Options) (*WireTarget, error) {
 		Conns:    opts.Conns,
 		Window:   opts.Window,
 		MaxBatch: opts.MaxBatch,
-		FlushMS:  float64(opts.Flush) / float64(time.Millisecond),
 	}}, nil
 }
 

@@ -24,8 +24,10 @@ type metrics struct {
 	serversClosed atomic.Uint64
 
 	// batches/batchOps count ApplyBatch calls and the ops they carried
-	// (accepted and rejected alike); batchOps/batches is the realized
-	// mean batch size — the transport's channel-hop amortization factor.
+	// (accepted and rejected alike) — over the wire, one call per group
+	// of Batch frames the server found buffered together, not one per
+	// frame; batchOps/batches is the realized mean batch size, the
+	// transport's channel-hop amortization factor.
 	batches  atomic.Uint64
 	batchOps atomic.Uint64
 
@@ -102,9 +104,10 @@ type Stats struct {
 	// EventsPerSecond is lifetime throughput: accepted events / uptime.
 	EventsPerSecond float64 `json:"events_per_second"`
 
-	// Batches counts ApplyBatch calls (the wire transport's batch
-	// frames and /v1/batch requests land here); BatchOps the ops they
-	// carried. BatchOps/Batches is the realized mean batch size.
+	// Batches counts ApplyBatch calls (one per /v1/batch request, and
+	// one per group of wire Batch frames the server found buffered
+	// together); BatchOps the ops they carried. BatchOps/Batches is the
+	// realized mean batch size.
 	Batches  uint64 `json:"batches,omitempty"`
 	BatchOps uint64 `json:"batch_ops,omitempty"`
 

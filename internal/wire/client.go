@@ -35,12 +35,6 @@ type Options struct {
 	Window int
 	// MaxBatch caps the ops coalesced into one batch frame. Default 64.
 	MaxBatch int
-	// Flush bounds how long the writer waits for more ops to fill a
-	// batch once it holds at least one. Zero means "send what is
-	// queued right now" — under load, batches fill on their own; at low
-	// rates every op departs immediately. Nonzero trades that much
-	// latency for fuller batches.
-	Flush time.Duration
 	// DialTimeout bounds connect + handshake. Default 5s.
 	DialTimeout time.Duration
 }
@@ -228,7 +222,6 @@ func (cc *clientConn) setDead(err error) {
 func (cc *clientConn) writer(o *Options) {
 	defer close(cc.writerDone)
 	buf := make([]byte, 0, 64<<10)
-	var timer *time.Timer
 	for first := range cc.sendq {
 		calls := (*batchPool.Get().(*[]*call))[:0]
 		calls = append(calls, first)
@@ -244,32 +237,6 @@ func (cc *clientConn) writer(o *Options) {
 				calls = append(calls, c)
 			default:
 				break fill
-			}
-		}
-		// Optional flush window: wait a bounded moment for stragglers.
-		if o.Flush > 0 && len(calls) < o.MaxBatch {
-			if timer == nil {
-				timer = time.NewTimer(o.Flush)
-			} else {
-				timer.Reset(o.Flush)
-			}
-		wait:
-			for len(calls) < o.MaxBatch {
-				select {
-				case c, ok := <-cc.sendq:
-					if !ok {
-						break wait
-					}
-					calls = append(calls, c)
-				case <-timer.C:
-					break wait
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
 			}
 		}
 		if err := cc.deadErr(); err != nil {

@@ -139,6 +139,8 @@ func (s *Server) forget(c *srvConn) {
 }
 
 // handle runs one connection: handshake, then a read→apply→write loop.
+// Batch frames that arrived together are applied as one group, one
+// ApplyBatch and one flush, and answered with one Results frame each.
 // Responses go out in frame order, which is the protocol's correlation
 // rule. Per-connection buffers (ops, results, payload, write buffer)
 // are reused across batches, so a steady-state scalar batch allocates
@@ -159,6 +161,7 @@ func (s *Server) handle(c *srvConn) {
 		out     []byte // outgoing frame build buffer, reused
 		ops     []serve.BatchOp
 		results []serve.BatchResult
+		counts  []int // op count of each Batch frame in the merged group
 	)
 	goaway := func() {
 		out, _ = BeginFrame(out[:0], FrameGoAway)
@@ -195,30 +198,56 @@ func (s *Server) handle(c *srvConn) {
 		}
 		switch typ {
 		case FrameBatch:
-			n, err := decodeBatch(p, &ops)
+			n, err := decodeBatch(p, &ops, 0)
 			if err != nil {
 				writeErrorFrame(bw, err)
 				return
+			}
+			counts = append(counts[:0], n)
+			// Merge every further Batch frame already whole in the read
+			// buffer into the same ApplyBatch. A partial, non-Batch or
+			// malformed frame, or one past MaxBatchOps, stays buffered for
+			// the next readFrame; nothing here reads from the socket.
+			for br.Buffered() >= FrameHeaderLen {
+				hdr, _ := br.Peek(FrameHeaderLen)
+				typ, size, err := ParseFrameHeader(hdr)
+				if err != nil || typ != FrameBatch || br.Buffered() < FrameHeaderLen+size {
+					break
+				}
+				frame, _ := br.Peek(FrameHeaderLen + size)
+				k, err := decodeBatch(frame[FrameHeaderLen:], &ops, n)
+				if err != nil {
+					break
+				}
+				br.Discard(FrameHeaderLen + size)
+				counts = append(counts, k)
+				n += k
 			}
 			if cap(results) < n {
 				results = make([]serve.BatchResult, n)
 			}
 			results = results[:n]
 			s.d.ApplyBatch(ops[:n], results)
-			out, _ = BeginFrame(out[:0], FrameResults)
-			out = appendU32(out, uint32(n))
-			var r Result
-			for i := range results[:n] {
-				res := &results[i]
-				r = Result{
-					Status: statusOfErr(res.Err),
-					Flag:   res.Flag,
-					Server: int32(res.Server),
-					Time:   res.Time,
+			// One Results frame per Batch frame, in arrival order.
+			out = out[:0]
+			rs := results
+			for _, k := range counts {
+				var off int
+				out, off = BeginFrame(out, FrameResults)
+				out = appendU32(out, uint32(k))
+				for i := range rs[:k] {
+					res := &rs[i]
+					r := Result{
+						Status: statusOfErr(res.Err),
+						Flag:   res.Flag,
+						Server: int32(res.Server),
+						Time:   res.Time,
+					}
+					out = AppendResult(out, &r)
 				}
-				out = AppendResult(out, &r)
+				out = EndFrame(out, off)
+				rs = rs[k:]
 			}
-			out = EndFrame(out, 0)
 			if _, err := bw.Write(out); err != nil {
 				return
 			}
@@ -304,26 +333,25 @@ func readFrame(br *bufio.Reader, payload *[]byte) (uint8, []byte, error) {
 	return typ, p, nil
 }
 
-// decodeBatch decodes a Batch frame payload into *ops, reusing the
-// slice and each element's demand-vector capacity. It returns the op
-// count.
-func decodeBatch(p []byte, ops *[]serve.BatchOp) (int, error) {
+// decodeBatch decodes a Batch frame payload into (*ops)[base:], after
+// the base ops already held, reusing the slice and each element's
+// demand-vector capacity. It returns the op count; a frame that would
+// take the total past MaxBatchOps is refused with ErrBatchSize.
+func decodeBatch(p []byte, ops *[]serve.BatchOp, base int) (int, error) {
 	if len(p) < 4 {
 		return 0, ErrShortBuffer
 	}
 	count := int(u32(p))
 	p = p[4:]
-	if count == 0 || count > MaxBatchOps {
+	if count == 0 || base+count > MaxBatchOps {
 		return 0, ErrBatchSize
 	}
-	if cap(*ops) < count {
-		grown := make([]serve.BatchOp, count)
-		copy(grown, (*ops)[:cap(*ops)])
-		*ops = grown
+	if cap(*ops) < base+count {
+		*ops = append((*ops)[:cap(*ops)], make([]serve.BatchOp, base+count-cap(*ops))...)
 	}
-	*ops = (*ops)[:count]
+	*ops = (*ops)[:base+count]
 	var op Op
-	for i := 0; i < count; i++ {
+	for i := base; i < base+count; i++ {
 		dst := &(*ops)[i]
 		// Decode reusing this element's vector capacity.
 		op.Sizes = dst.Sizes

@@ -13,7 +13,7 @@ import (
 // startServer brings up a dispatcher and a wire server on a loopback
 // listener, returning the dial address. The dispatcher clock is frozen
 // at 0 so explicit-time requests are golden-comparable.
-func startServer(t *testing.T, cfg serve.Config) (*serve.Dispatcher, *wire.Server, string) {
+func startServer(t testing.TB, cfg serve.Config) (*serve.Dispatcher, *wire.Server, string) {
 	t.Helper()
 	if cfg.Clock == nil {
 		cfg.Clock = func() float64 { return 0 }
@@ -39,7 +39,7 @@ func startServer(t *testing.T, cfg serve.Config) (*serve.Dispatcher, *wire.Serve
 	return d, s, ln.Addr().String()
 }
 
-func dial(t *testing.T, addr string, opts wire.Options) *wire.Client {
+func dial(t testing.TB, addr string, opts wire.Options) *wire.Client {
 	t.Helper()
 	c, err := wire.Dial(addr, opts)
 	if err != nil {
