@@ -1,10 +1,13 @@
 package dbp
 
 import (
+	"fmt"
 	"os"
 	"regexp"
 	"slices"
 	"testing"
+
+	"dbp/internal/serve"
 )
 
 // TestDocsListEveryCommand keeps the two module tables honest: the cmd/*
@@ -36,5 +39,27 @@ func TestDocsListEveryCommand(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s lists commands %v, cmd/ holds %v", doc, got, want)
 		}
+	}
+}
+
+// TestDocsListEveryCode keeps the README's error-code table honest: its
+// rows with a wire byte must be exactly the serve.Class table — code,
+// HTTP status and byte — so a class cannot land undocumented.
+func TestDocsListEveryCode(t *testing.T) {
+	var want []string
+	for c := serve.Class(1); int(c) < serve.NumClasses; c++ {
+		want = append(want, fmt.Sprintf("%s %d %d", c.Code(), c.HTTPStatus(), c))
+	}
+	text, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("(?m)^\\| `([a-z_]+)` \\| ([0-9]+) \\| ([0-9]+) \\|")
+	var got []string
+	for _, m := range row.FindAllSubmatch(text, -1) {
+		got = append(got, fmt.Sprintf("%s %s %s", m[1], m[2], m[3]))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("README error codes (code HTTP byte) %v, serve.Class table %v", got, want)
 	}
 }

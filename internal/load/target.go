@@ -26,9 +26,9 @@ type Target interface {
 }
 
 // APIError is a request the target's service refused: the stable code
-// the HTTP layer (or serve.StatusOf) classified it under, plus the
-// HTTP status for wire transports. Transport-level failures (refused
-// connections, timeouts) use code "transport" and status 0.
+// of its serve.Class, plus the HTTP status (also for the wire
+// transport). Transport-level failures (refused connections, timeouts)
+// use code "transport" and status 0.
 type APIError struct {
 	Status int
 	Code   string
@@ -41,15 +41,14 @@ func (e *APIError) Error() string {
 
 // Classify buckets a target error by its stable code: API rejections
 // keep the code the server assigned, in-process dispatcher errors get
-// the code serve.StatusOf would put on the wire, so both transports
-// produce identical error taxonomies in the results file.
+// their serve.Class's code, so every target produces the one error
+// taxonomy in the results file.
 func Classify(err error) string {
 	var ae *APIError
 	if errors.As(err, &ae) {
 		return ae.Code
 	}
-	_, code := serve.StatusOf(err)
-	return code
+	return serve.ClassOf(err).Code()
 }
 
 // InProc drives a serve.Dispatcher directly — no sockets, no JSON.

@@ -54,16 +54,16 @@ func (w *WireTarget) Stats() (serve.Stats, error) { return w.c.Stats() }
 func (w *WireTarget) Close() error { return w.c.Close() }
 
 // wireErr folds a wire client error into the harness's APIError
-// taxonomy: op rejections keep the service's stable code (and the HTTP
-// status the JSON API would have used), transport-level failures
-// (goaway, dead connections) become code "transport".
+// taxonomy: op rejections keep their class's code and HTTP status,
+// transport-level failures (goaway, dead connections) become code
+// "transport".
 func wireErr(err error) error {
 	if err == nil {
 		return nil
 	}
 	var oe *wire.OpError
 	if errors.As(err, &oe) {
-		return &APIError{Status: wire.HTTPStatusOf(oe.Status), Code: wire.CodeOf(oe.Status), Msg: oe.Error()}
+		return &APIError{Status: oe.Status.HTTPStatus(), Code: oe.Status.Code(), Msg: oe.Error()}
 	}
 	return &APIError{Code: "transport", Msg: err.Error()}
 }

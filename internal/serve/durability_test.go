@@ -433,6 +433,43 @@ func TestShardEventsCorruptSegment(t *testing.T) {
 	}
 }
 
+// TestShardEventsBadSealedHeader flips the magic of a sealed segment
+// after the log is open: ShardEvents must refuse it exactly as
+// reopening the log would, not serve the records behind the bad header.
+func TestShardEventsBadSealedHeader(t *testing.T) {
+	dir := t.TempDir()
+	d, err := serve.New(serve.Config{Algorithm: "firstfit", Shards: 1, DataDir: dir, SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const n = 6
+	for i := 1; i <= n; i++ {
+		at := float64(i)
+		if _, err := d.Arrive(item.ID(i), 0.01, nil, &at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if evs := journal(t, d, 0); len(evs) != n {
+		t.Fatalf("journal has %d events before corruption, want %d", len(evs), n)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-0000", "*.wal"))
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("want a sealed segment and the active one, got %v (%v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] ^= 0xff
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if evs, err := d.ShardEvents(0); err == nil || !strings.Contains(err.Error(), "bad segment header") {
+		t.Fatalf("sealed segment with a bad header read back as %d events, err %v", len(evs), err)
+	}
+}
+
 // TestDurableHTTPEndpoints exercises GET /v1/snapshot and /v1/journal.
 func TestDurableHTTPEndpoints(t *testing.T) {
 	cfg := serve.Config{Algorithm: "firstfit", Shards: 2, DataDir: t.TempDir()}

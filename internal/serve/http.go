@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"dbp/internal/item"
-	"dbp/internal/packing"
 )
 
 // ArriveRequest is the POST /v1/arrive body. Time is optional: absent
@@ -83,32 +82,6 @@ type ErrorResponse struct {
 // so anything larger is malformed or hostile.
 const maxBodyBytes = 1 << 20
 
-// StatusOf maps a dispatcher error onto its HTTP status and stable
-// machine-readable error code. Unknown errors are internal (500). It
-// is exported so out-of-process callers of the Go API — the load
-// driver in internal/load above all — classify rejections by the same
-// codes the HTTP layer puts on the wire.
-func StatusOf(err error) (int, string) {
-	switch {
-	case errors.Is(err, packing.ErrDuplicateJob):
-		return http.StatusConflict, "duplicate_job" // 409
-	case errors.Is(err, packing.ErrUnknownJob):
-		return http.StatusNotFound, "unknown_job" // 404
-	case errors.Is(err, packing.ErrBadDemand):
-		return http.StatusUnprocessableEntity, "bad_demand" // 422
-	case errors.Is(err, packing.ErrTimeRegression):
-		return http.StatusUnprocessableEntity, "time_regression" // 422
-	case errors.Is(err, packing.ErrPolicyMisplace):
-		return http.StatusInternalServerError, "policy_misplace" // 500
-	case errors.Is(err, ErrClosed):
-		return http.StatusServiceUnavailable, "shutting_down" // 503
-	case errors.Is(err, ErrDurability):
-		return http.StatusServiceUnavailable, "durability_failed" // 503
-	default:
-		return http.StatusInternalServerError, "internal"
-	}
-}
-
 // NewHandler mounts the allocation-service API onto a fresh mux:
 //
 //	POST /v1/arrive  — place a job; body ArriveRequest, reply Placement
@@ -124,9 +97,11 @@ func StatusOf(err error) (int, string) {
 //	GET  /healthz    — liveness ("ok", or 503 once draining)
 //
 // Responses are JSON; failures carry an ErrorResponse with a stable
-// code (409 duplicate_job, 404 unknown_job, 422 bad_demand /
-// time_regression, 503 shutting_down, 400 bad_request, 413
-// request_too_large).
+// code: a dispatcher rejection answers with its Class (409
+// duplicate_job, 404 unknown_job, 422 bad_demand / time_regression,
+// 500 policy_misplace / internal, 503 shutting_down /
+// durability_failed), a request the API cannot parse with 400
+// bad_request or 413 request_too_large.
 func NewHandler(d *Dispatcher) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/arrive", func(w http.ResponseWriter, r *http.Request) {
@@ -196,7 +171,8 @@ func NewHandler(d *Dispatcher) http.Handler {
 			out := &resp.Results[ri]
 			res := results[bi]
 			if res.Err != nil {
-				out.Status, out.Code = StatusOf(res.Err)
+				c := ClassOf(res.Err)
+				out.Status, out.Code = c.HTTPStatus(), c.Code()
 				out.Error = res.Err.Error()
 				continue
 			}
@@ -238,7 +214,7 @@ func NewHandler(d *Dispatcher) http.Handler {
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		if d.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Code: "shutting_down", Error: ErrClosed.Error()})
+			writeError(w, ErrClosed)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -287,9 +263,10 @@ func decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
+// writeError answers a dispatcher error with its class's status and code.
 func writeError(w http.ResponseWriter, err error) {
-	status, code := StatusOf(err)
-	writeJSON(w, status, ErrorResponse{Code: code, Error: err.Error()})
+	c := ClassOf(err)
+	writeJSON(w, c.HTTPStatus(), ErrorResponse{Code: c.Code(), Error: err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

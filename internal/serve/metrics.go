@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"errors"
 	"expvar"
 	"sync/atomic"
 	"time"
 
 	"dbp/internal/load/hist"
-	"dbp/internal/packing"
 )
 
 // metrics is the dispatcher's lock-free counter core. Counters are
@@ -31,14 +29,8 @@ type metrics struct {
 	batches  atomic.Uint64
 	batchOps atomic.Uint64
 
-	rejectDuplicate  atomic.Uint64
-	rejectUnknown    atomic.Uint64
-	rejectBadDemand  atomic.Uint64
-	rejectRegression atomic.Uint64
-	rejectPolicy     atomic.Uint64
-	rejectClosed     atomic.Uint64
-	rejectDurability atomic.Uint64
-	rejectOther      atomic.Uint64
+	// rejected counts rejections by Class (ClassOK's slot stays 0).
+	rejected [NumClasses]atomic.Uint64
 
 	latArrive *hist.Hist
 	latDepart *hist.Hist
@@ -65,27 +57,8 @@ func (m *metrics) observeFsync(d time.Duration) { m.latFsync.Record(d) }
 func (m *metrics) observeArrive(start time.Time) { m.latArrive.Record(time.Since(start)) }
 func (m *metrics) observeDepart(start time.Time) { m.latDepart.Record(time.Since(start)) }
 
-// reject classifies a request error into its rejection counter.
-func (m *metrics) reject(err error) {
-	switch {
-	case errors.Is(err, packing.ErrDuplicateJob):
-		m.rejectDuplicate.Add(1)
-	case errors.Is(err, packing.ErrUnknownJob):
-		m.rejectUnknown.Add(1)
-	case errors.Is(err, packing.ErrBadDemand):
-		m.rejectBadDemand.Add(1)
-	case errors.Is(err, packing.ErrTimeRegression):
-		m.rejectRegression.Add(1)
-	case errors.Is(err, packing.ErrPolicyMisplace):
-		m.rejectPolicy.Add(1)
-	case errors.Is(err, ErrClosed):
-		m.rejectClosed.Add(1)
-	case errors.Is(err, ErrDurability):
-		m.rejectDurability.Add(1)
-	default:
-		m.rejectOther.Add(1)
-	}
-}
+// reject counts a request error under its class.
+func (m *metrics) reject(err error) { m.rejected[ClassOf(err)].Add(1) }
 
 // Stats is the service-wide view published on GET /v1/stats and via
 // expvar. Aggregates are sums over shards; note PeakServers sums each
@@ -111,6 +84,8 @@ type Stats struct {
 	Batches  uint64 `json:"batches,omitempty"`
 	BatchOps uint64 `json:"batch_ops,omitempty"`
 
+	// Rejected counts rejections by class code (Class.Code); classes
+	// with none are absent.
 	Rejected map[string]uint64 `json:"rejected,omitempty"`
 
 	// Latency holds the server-side service-time digest per op type
@@ -192,20 +167,10 @@ func (d *Dispatcher) Stats() Stats {
 		BatchOps:      d.metrics.batchOps.Load(),
 		PerShard:      make([]ShardStats, len(d.shards)),
 	}
-	rejected := map[string]uint64{
-		"duplicate_job":     d.metrics.rejectDuplicate.Load(),
-		"unknown_job":       d.metrics.rejectUnknown.Load(),
-		"bad_demand":        d.metrics.rejectBadDemand.Load(),
-		"time_regression":   d.metrics.rejectRegression.Load(),
-		"policy":            d.metrics.rejectPolicy.Load(),
-		"shutting_down":     d.metrics.rejectClosed.Load(),
-		"durability_failed": d.metrics.rejectDurability.Load(),
-		"other":             d.metrics.rejectOther.Load(),
-	}
 	s.Rejected = make(map[string]uint64)
-	for k, v := range rejected {
-		if v > 0 {
-			s.Rejected[k] = v
+	for c := range d.metrics.rejected {
+		if v := d.metrics.rejected[c].Load(); v > 0 {
+			s.Rejected[Class(c).Code()] = v
 		}
 	}
 	s.Latency = map[string]hist.Summary{

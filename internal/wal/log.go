@@ -205,7 +205,7 @@ func (l *Log) recoverSegments(segs []segInfo) error {
 	}
 	for i := range segs {
 		last := i == len(segs)-1
-		n, bytes, err := checkSegment(&segs[i], last)
+		n, bytes, err := walkSegment(&segs[i], last, nil)
 		if err != nil {
 			return err
 		}
@@ -226,7 +226,7 @@ func (l *Log) recoverSegments(segs []segInfo) error {
 	if err != nil {
 		return err
 	}
-	// Truncate any torn tail found by checkSegment, then append after
+	// Truncate any torn tail found by walkSegment, then append after
 	// the last valid frame.
 	if err := f.Truncate(tail.bytes); err != nil {
 		f.Close()
@@ -241,11 +241,14 @@ func (l *Log) recoverSegments(segs []segInfo) error {
 	return nil
 }
 
-// checkSegment validates a segment's header and decodes every record.
-// For the last (active) segment a torn final frame is tolerated: the
-// returned byte count stops at the last valid frame and the caller
-// truncates there. Sealed segments must be whole.
-func checkSegment(s *segInfo, last bool) (records uint64, validBytes int64, err error) {
+// walkSegment is the one reader of a segment file: it validates the
+// header against s.firstSeq, then decodes every frame in order, handing
+// each record to fn (when non-nil) with its sequence number. With torn
+// set — recovery of the last segment — an undecodable frame is the
+// footprint of a crash mid-write: the walk stops there, and the
+// returned byte count is where the caller truncates. Otherwise every
+// frame must decode. fn returning an error aborts the walk with it.
+func walkSegment(s *segInfo, torn bool, fn func(seq uint64, r Record) error) (records uint64, validBytes int64, err error) {
 	data, err := os.ReadFile(s.path)
 	if err != nil {
 		return 0, 0, err
@@ -258,15 +261,18 @@ func checkSegment(s *segInfo, last bool) (records uint64, validBytes int64, err 
 	}
 	off := segHeaderLen
 	for off < len(data) {
-		_, n, err := decodeRecord(data[off:])
+		r, n, err := decodeRecord(data[off:])
 		if err != nil {
-			if last {
-				// Torn write at the crash point: recovery keeps the
-				// valid prefix and discards the partial frame.
+			if torn {
 				return records, int64(off), nil
 			}
 			return 0, 0, fmt.Errorf("wal: %s: record %d at offset %d: %w",
 				filepath.Base(s.path), records, off, err)
+		}
+		if fn != nil {
+			if err := fn(s.firstSeq+records, r); err != nil {
+				return 0, 0, err
+			}
 		}
 		off += n
 		records++
@@ -430,31 +436,19 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, r Record) error) error {
 		records:  l.nextSeq - l.segStart,
 		path:     filepath.Join(l.dir, fmt.Sprintf("%020d%s", l.segStart, segSuffix)),
 	})
-	for _, s := range segs {
+	for i := range segs {
+		s := &segs[i]
 		if s.firstSeq+s.records <= from && s.records > 0 {
 			continue // fully below the requested tail
 		}
-		data, err := os.ReadFile(s.path)
+		_, _, err := walkSegment(s, false, func(seq uint64, r Record) error {
+			if seq < from {
+				return nil
+			}
+			return fn(seq, r)
+		})
 		if err != nil {
 			return err
-		}
-		if len(data) < segHeaderLen {
-			return fmt.Errorf("wal: %s: bad segment header", filepath.Base(s.path))
-		}
-		off := segHeaderLen
-		seq := s.firstSeq
-		for off < len(data) {
-			r, n, err := decodeRecord(data[off:])
-			if err != nil {
-				return fmt.Errorf("wal: %s: replay at offset %d: %w", filepath.Base(s.path), off, err)
-			}
-			if seq >= from {
-				if err := fn(seq, r); err != nil {
-					return err
-				}
-			}
-			off += n
-			seq++
 		}
 	}
 	return nil

@@ -4,6 +4,9 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"dbp/internal/packing"
+	"dbp/internal/serve"
 )
 
 // opCases spans the op shapes: scalar/vector, with/without explicit
@@ -64,10 +67,10 @@ func TestOpDecodeReusesSizes(t *testing.T) {
 
 func TestResultRoundTrip(t *testing.T) {
 	for _, want := range []Result{
-		{Status: StatusOK, Flag: true, Server: 0, Time: 0},
-		{Status: StatusOK, Flag: false, Server: 1 << 20, Time: 99.25},
-		{Status: StatusUnknownJob, Server: -1},
-		{Status: StatusShuttingDown, Time: math.Inf(1)},
+		{Status: serve.ClassOK, Flag: true, Server: 0, Time: 0},
+		{Status: serve.ClassOK, Flag: false, Server: 1 << 20, Time: 99.25},
+		{Status: serve.ClassOf(packing.ErrUnknownJob), Server: -1},
+		{Status: serve.ClassOf(serve.ErrClosed), Time: math.Inf(1)},
 	} {
 		buf := AppendResult(nil, &want)
 		if len(buf) != resultLen {
@@ -164,43 +167,6 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStatusMappingsAreTotal(t *testing.T) {
-	codes := map[string]bool{}
-	for s := uint8(0); s < 8; s++ {
-		code := CodeOf(s)
-		if s == StatusOK {
-			if code != "" {
-				t.Fatalf("StatusOK code = %q", code)
-			}
-			if ErrorOf(s) != nil {
-				t.Fatal("ErrorOf(StatusOK) != nil")
-			}
-			continue
-		}
-		if code == "" {
-			t.Fatalf("status %d has no code", s)
-		}
-		if codes[code] {
-			t.Fatalf("code %q assigned to two statuses", code)
-		}
-		codes[code] = true
-		err := ErrorOf(s)
-		if err == nil {
-			t.Fatalf("ErrorOf(%d) = nil", s)
-		}
-		if err != ErrorOf(s) {
-			t.Fatalf("ErrorOf(%d) is not a singleton", s)
-		}
-		if HTTPStatusOf(s) < 400 {
-			t.Fatalf("HTTPStatusOf(%d) = %d, not an error status", s, HTTPStatusOf(s))
-		}
-	}
-	// Out-of-range statuses degrade to internal, never panic.
-	if CodeOf(200) != "internal" || ErrorOf(200) == nil {
-		t.Fatal("unknown status must map to internal")
-	}
-}
-
 // TestCodecZeroAlloc is the zero-allocation proof for the hot path:
 // encoding and decoding scalar and vector ops and results into reused
 // buffers must not allocate. (Skipped under -race, which disables the
@@ -212,7 +178,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 	}
 	scalar := Op{Kind: OpArrive, ID: 123456, Size: 0.375, HasTime: true, Time: 42.5}
 	vector := Op{Kind: OpArrive, ID: 7, Sizes: []float64{0.1, 0.2, 0.3, 0.4}}
-	res := Result{Status: StatusOK, Flag: true, Server: 17, Time: 42.5}
+	res := Result{Status: serve.ClassOK, Flag: true, Server: 17, Time: 42.5}
 	buf := make([]byte, 0, 256)
 	dst := Op{Sizes: make([]float64, 0, 8)}
 	var dr Result

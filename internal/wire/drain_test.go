@@ -67,7 +67,7 @@ func TestWireDrainUnderLoad(t *testing.T) {
 					accepted.Add(1)
 				case errors.Is(err, wire.ErrGoAway),
 					errors.Is(err, wire.ErrClientClosed),
-					errors.Is(err, wire.ErrorOf(wire.StatusShuttingDown)):
+					errors.Is(err, wire.ErrorOf(serve.ClassOf(serve.ErrClosed))):
 					rejectedDrain.Add(1)
 				default:
 					rejectedOther.Add(1)

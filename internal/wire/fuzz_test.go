@@ -39,7 +39,7 @@ func FuzzDecodeOp(f *testing.F) {
 
 // FuzzDecodeResult is the result-side mirror of FuzzDecodeOp.
 func FuzzDecodeResult(f *testing.F) {
-	f.Add(AppendResult(nil, &Result{Status: StatusOK, Flag: true, Server: 3, Time: 1.5}))
+	f.Add(AppendResult(nil, &Result{Status: serve.ClassOK, Flag: true, Server: 3, Time: 1.5}))
 	f.Add([]byte{})
 	f.Add(make([]byte, resultLen))
 	f.Fuzz(func(t *testing.T, data []byte) {

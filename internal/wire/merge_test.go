@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dbp/internal/item"
+	"dbp/internal/packing"
 	"dbp/internal/serve"
 	"dbp/internal/wire"
 )
@@ -111,12 +112,12 @@ func TestWireMergesBufferedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	ok := func(server int32, flag bool) wire.Result {
-		return wire.Result{Status: wire.StatusOK, Server: server, Flag: flag}
+		return wire.Result{Status: serve.ClassOK, Server: server, Flag: flag}
 	}
 	want := [][]wire.Result{
 		{ok(0, true)},
 		{ok(1, true), ok(0, false)},
-		{ok(0, false), ok(1, true), {Status: wire.StatusDuplicateJob}},
+		{ok(0, false), ok(1, true), {Status: serve.ClassOf(packing.ErrDuplicateJob)}},
 	}
 	for i, w := range want {
 		if got := readResults(t, nc); !slices.Equal(got, w) {
@@ -144,7 +145,7 @@ func TestWireMergeStopsAtMalformedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if rs := readResults(t, nc); len(rs) != 1 || rs[0].Status != wire.StatusOK {
+		if rs := readResults(t, nc); len(rs) != 1 || rs[0].Status != serve.ClassOK {
 			t.Fatalf("results frame %d = %+v", i, rs)
 		}
 	}
@@ -180,7 +181,7 @@ func TestWireMergeKeepsEachOpsSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if rs := readResults(t, nc); len(rs) != 2 || rs[0].Status != wire.StatusOK || rs[1].Status != wire.StatusOK {
+		if rs := readResults(t, nc); len(rs) != 2 || rs[0].Status != serve.ClassOK || rs[1].Status != serve.ClassOK {
 			t.Fatalf("results frame %d = %+v", i, rs)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"dbp/internal/item"
-	"dbp/internal/packing"
 	"dbp/internal/serve"
 )
 
@@ -238,7 +237,7 @@ func (s *Server) handle(c *srvConn) {
 				for i := range rs[:k] {
 					res := &rs[i]
 					r := Result{
-						Status: statusOfErr(res.Err),
+						Status: serve.ClassOf(res.Err),
 						Flag:   res.Flag,
 						Server: int32(res.Server),
 						Time:   res.Time,
@@ -374,29 +373,6 @@ func decodeBatch(p []byte, ops *[]serve.BatchOp, base int) (int, error) {
 		return 0, fmt.Errorf("wire: %d trailing bytes after batch ops", len(p))
 	}
 	return count, nil
-}
-
-// statusOfErr maps a dispatcher error to its wire status, the inverse
-// of ErrorOf on the client side.
-func statusOfErr(err error) uint8 {
-	switch {
-	case err == nil:
-		return StatusOK
-	case errors.Is(err, packing.ErrDuplicateJob):
-		return StatusDuplicateJob
-	case errors.Is(err, packing.ErrUnknownJob):
-		return StatusUnknownJob
-	case errors.Is(err, packing.ErrBadDemand):
-		return StatusBadDemand
-	case errors.Is(err, packing.ErrTimeRegression):
-		return StatusTimeRegression
-	case errors.Is(err, packing.ErrPolicyMisplace):
-		return StatusPolicyMisplace
-	case errors.Is(err, serve.ErrClosed):
-		return StatusShuttingDown
-	default:
-		return StatusInternal
-	}
 }
 
 // writeErrorFrame sends a connection-fatal protocol diagnostic; the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dbp/internal/item"
+	"dbp/internal/packing"
 	"dbp/internal/serve"
 	"dbp/internal/wire"
 )
@@ -76,13 +77,13 @@ func TestWireGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		do     func() error
-		status uint8
+		status serve.Class // the wire status byte
 		code   string
 	}{
-		{"duplicate arrive", func() error { _, err := c.Arrive(1, 0.2, nil, tp(2)); return err }, wire.StatusDuplicateJob, "duplicate_job"},
-		{"unknown depart", func() error { _, err := c.Depart(42, tp(2)); return err }, wire.StatusUnknownJob, "unknown_job"},
-		{"oversized demand", func() error { _, err := c.Arrive(9, 1.5, nil, tp(2)); return err }, wire.StatusBadDemand, "bad_demand"},
-		{"time regression", func() error { _, err := c.Arrive(9, 0.2, nil, tp(0.5)); return err }, wire.StatusTimeRegression, "time_regression"},
+		{"duplicate arrive", func() error { _, err := c.Arrive(1, 0.2, nil, tp(2)); return err }, 1, "duplicate_job"},
+		{"unknown depart", func() error { _, err := c.Depart(42, tp(2)); return err }, 2, "unknown_job"},
+		{"oversized demand", func() error { _, err := c.Arrive(9, 1.5, nil, tp(2)); return err }, 3, "bad_demand"},
+		{"time regression", func() error { _, err := c.Arrive(9, 0.2, nil, tp(0.5)); return err }, 4, "time_regression"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.do()
@@ -90,8 +91,8 @@ func TestWireGolden(t *testing.T) {
 			if !errors.As(err, &oe) {
 				t.Fatalf("err = %v, want *OpError", err)
 			}
-			if oe.Status != tc.status || wire.CodeOf(oe.Status) != tc.code {
-				t.Fatalf("status %d (%s), want %d (%s)", oe.Status, wire.CodeOf(oe.Status), tc.status, tc.code)
+			if oe.Status != tc.status || oe.Status.Code() != tc.code {
+				t.Fatalf("status %d (%s), want %d (%s)", oe.Status, oe.Status.Code(), tc.status, tc.code)
 			}
 		})
 	}
@@ -124,7 +125,7 @@ func TestWireVectorDemand(t *testing.T) {
 	// Wrong dimensionality is refused by the service, not the codec.
 	_, err = c.Arrive(3, 0.5, nil, tp(2))
 	var oe *wire.OpError
-	if !errors.As(err, &oe) || oe.Status != wire.StatusBadDemand {
+	if !errors.As(err, &oe) || oe.Status != serve.ClassOf(packing.ErrBadDemand) {
 		t.Fatalf("scalar into dim-2 service: %v", err)
 	}
 	// The journaled demand vector must match what went over the wire.

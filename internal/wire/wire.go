@@ -36,6 +36,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"dbp/internal/serve"
 )
 
 // Magic opens every Hello payload; a peer that does not present it is
@@ -116,23 +118,11 @@ type Op struct {
 	HasTime bool
 }
 
-// Result statuses. Values are part of the wire format — append only.
-// They mirror the service's stable error codes one to one, so both
-// transports expose the identical error taxonomy.
-const (
-	StatusOK             uint8 = 0
-	StatusDuplicateJob   uint8 = 1
-	StatusUnknownJob     uint8 = 2
-	StatusBadDemand      uint8 = 3
-	StatusTimeRegression uint8 = 4
-	StatusPolicyMisplace uint8 = 5
-	StatusShuttingDown   uint8 = 6
-	StatusInternal       uint8 = 7
-)
-
-// Result is one op's outcome: 14 bytes fixed width on the wire.
+// Result is one op's outcome: 14 bytes fixed width on the wire. Its
+// status byte is the op's serve.Class, so both transports expose the
+// one error taxonomy.
 type Result struct {
-	Status uint8
+	Status serve.Class
 	Flag   bool // opened (arrive) / closed (depart)
 	Server int32
 	Time   float64 // the time the event was applied at
@@ -255,7 +245,7 @@ func AppendResult(b []byte, r *Result) []byte {
 	if r.Flag {
 		flag = 1
 	}
-	b = append(b, r.Status, flag)
+	b = append(b, uint8(r.Status), flag)
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Server))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Time))
 	return b
@@ -267,7 +257,7 @@ func DecodeResult(b []byte, r *Result) (int, error) {
 	if len(b) < resultLen {
 		return 0, ErrShortBuffer
 	}
-	r.Status = b[0]
+	r.Status = serve.Class(b[0])
 	r.Flag = b[1] != 0
 	r.Server = int32(binary.LittleEndian.Uint32(b[2:]))
 	r.Time = math.Float64frombits(binary.LittleEndian.Uint64(b[6:]))
@@ -333,75 +323,37 @@ func ParseHello(p []byte) (uint16, error) {
 	return binary.LittleEndian.Uint16(p[len(Magic):]), nil
 }
 
-// CodeOf maps a result status to the service's stable machine-readable
-// error code — the same strings the HTTP layer puts in ErrorResponse —
-// so results classify identically across transports. StatusOK maps to
-// the empty string.
-func CodeOf(status uint8) string {
-	switch status {
-	case StatusOK:
-		return ""
-	case StatusDuplicateJob:
-		return "duplicate_job"
-	case StatusUnknownJob:
-		return "unknown_job"
-	case StatusBadDemand:
-		return "bad_demand"
-	case StatusTimeRegression:
-		return "time_regression"
-	case StatusPolicyMisplace:
-		return "policy_misplace"
-	case StatusShuttingDown:
-		return "shutting_down"
-	default:
-		return "internal"
-	}
-}
-
-// HTTPStatusOf maps a result status to the HTTP status the JSON
-// transport would answer with, keeping error accounting comparable
-// across transports.
-func HTTPStatusOf(status uint8) int {
-	switch status {
-	case StatusOK:
-		return 200
-	case StatusDuplicateJob:
-		return 409
-	case StatusUnknownJob:
-		return 404
-	case StatusBadDemand, StatusTimeRegression:
-		return 422
-	case StatusShuttingDown:
-		return 503
-	default:
-		return 500
-	}
-}
-
-// OpError is a non-OK result surfaced as an error. Instances are
-// shared singletons (one per status), so the error path allocates
-// nothing.
+// OpError is a non-OK result surfaced as an error. Its Status gives
+// the service's stable code and HTTP status, and it wraps the class's
+// sentinel, so serve.ClassOf and errors.Is read it as they read the
+// dispatcher's own error. Instances are shared singletons (one per
+// class), so the error path allocates nothing.
 type OpError struct {
-	Status uint8
+	Status serve.Class
 }
 
 func (e *OpError) Error() string {
-	return fmt.Sprintf("wire: op rejected: %s (status %d)", CodeOf(e.Status), e.Status)
+	return fmt.Sprintf("wire: op rejected: %s (status %d)", e.Status.Code(), e.Status)
 }
 
-// opErrors holds the singleton per-status errors ErrorOf hands out.
-var opErrors = [...]*OpError{
-	{StatusOK}, {StatusDuplicateJob}, {StatusUnknownJob}, {StatusBadDemand},
-	{StatusTimeRegression}, {StatusPolicyMisplace}, {StatusShuttingDown}, {StatusInternal},
-}
+func (e *OpError) Unwrap() error { return e.Status.Err() }
 
-// ErrorOf returns the shared error for a non-OK status (nil for OK).
-func ErrorOf(status uint8) error {
-	if status == StatusOK {
+// opErrors holds the singleton per-class errors ErrorOf hands out.
+var opErrors = func() (errs [serve.NumClasses]OpError) {
+	for c := range errs {
+		errs[c].Status = serve.Class(c)
+	}
+	return errs
+}()
+
+// ErrorOf returns the shared error for a non-OK status (nil for OK); a
+// status byte this build does not know is internal.
+func ErrorOf(status serve.Class) error {
+	if status == serve.ClassOK {
 		return nil
 	}
 	if int(status) < len(opErrors) {
-		return opErrors[status]
+		return &opErrors[status]
 	}
-	return opErrors[StatusInternal]
+	return &opErrors[serve.ClassInternal]
 }
