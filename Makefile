@@ -26,8 +26,8 @@ race:
 
 ## check: the full local gate — formatting, vet, the race-enabled suite, the
 ## wire codec's zero-allocation proof (bench-wire asserts 0 allocs/op), the
-## ledger's zero-allocation and bounded-state proofs (bench-bins), and the
-## benchmark's own vet and smoke test
+## ledger's and the placement's zero-allocation and bounded-state proofs
+## (bench-bins), and the benchmark's own vet and smoke test
 check: fmt vet race test bench-wire bench-bins bench-smoke
 
 ## bench: the repository's one benchmark (bench/README.md) — two sets of the
@@ -78,7 +78,8 @@ scenarios-check:
 ## bench-fleet: run the large-fleet Go benchmarks once each — among them
 ## BenchmarkLargeFleetKeepAliveScaling, ns/event per policy × engine from 500
 ## to 100k jobs (peak_open ≈ 25 to 3k servers), d=1 and d=2 (an O(B) path
-## shows as a ~10x ratio at 10x size; the linear/indexed crossover is
+## shows as a ~10x ratio at 10x size, as the scoring rules that scan the
+## open list do on both engines; the linear/indexed crossover is
 ## DESIGN.md §8's B* table)
 bench-fleet:
 	$(GO) test -run '^$$' -bench LargeFleet -benchtime 1x .
@@ -110,6 +111,8 @@ recover-test:
 ## asserts 0 allocs for a place + remove on an open bin with every index
 ## structure built (gap tree, min-gap and total-gap treaps),
 ## TestZeroAllocTightestFittingVec 0 for the vector Best Fit walk,
+## TestZeroAllocPlacement 0 for every registered policy's steady-state
+## arrival + departure at d = 1 and 2 (1 for drworstfit at d = 1),
 ## TestBoundedAllocsOpenCycle at most 2 (the Bin and its level slice) for
 ## an opening, four placements and the drain that closes it, and the other
 ## TestBounded* tests that a long replay's index, reachable bins, stream

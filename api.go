@@ -118,8 +118,9 @@ func MustRun(algo Algorithm, l List) *Result { return packing.MustRun(algo, l, n
 
 // NewDispatcher creates a streaming dispatcher with unit-capacity servers
 // of the given dimensionality (use 1 for the scalar problem; capacity 0
-// means 1.0). On error, Arrive and Depart return server index -1
-// (packing.ErrServer) — never a valid index.
+// means 1.0; a NaN, infinite or negative capacity panics). On error,
+// Arrive and Depart return server index -1 (packing.ErrServer) — never a
+// valid index.
 func NewDispatcher(algo Algorithm, capacity float64, dim int) *Dispatcher {
 	return packing.NewStream(algo, capacity, dim)
 }

@@ -218,19 +218,20 @@ func BenchmarkLargeFleetFirstFitIndexedKeepAlive1M(b *testing.B) {
 // firstfit, bestfit, and worstfit at d=1, while the linear engine's ratio
 // tracks the fleet size. The d=2 rows price the vector queries: firstfit
 // and drworstfit stay logarithmic, vectorbestfit walks the total-gap
-// treap in O(log B + k), k the non-fitting bins ahead of its answer, while
-// worstfit scores through EachFitting, which visits every fitting bin and
-// is O(B) on both engines (make bench-fleet; DESIGN.md §8). The job counts
-// from 500 up put the peak open fleet (the peak_open metric) at ≈16, 64,
-// 256, 310, 1k and 3k servers, and each size runs the linear engine beside
-// the indexed one: the crossover B* where the index starts to win.
+// treap in O(log B + k), k the non-fitting bins ahead of its answer. The
+// scoring rules no query answers — bestfit, worstfit and almostworstfit
+// at d=2, dotfit and normfit at any d — scan the open list and are O(B)
+// on both engines (make bench-fleet; DESIGN.md §8). The job counts from
+// 500 up put the peak open fleet (the peak_open metric) at ≈16, 64, 256,
+// 310, 1k and 3k servers, and each size runs the linear engine beside the
+// indexed one: the crossover B* where the index starts to win.
 func BenchmarkLargeFleetKeepAliveScaling(b *testing.B) {
 	rows := []struct {
 		dim      int
 		policies []string
 	}{
-		{1, []string{"firstfit", "bestfit", "worstfit"}},
-		{2, []string{"firstfit", "worstfit", "drworstfit", "vectorbestfit"}},
+		{1, []string{"firstfit", "bestfit", "worstfit", "dotfit", "normfit"}},
+		{2, []string{"firstfit", "bestfit", "worstfit", "almostworstfit", "drworstfit", "vectorbestfit", "dotfit", "normfit"}},
 	}
 	for _, row := range rows {
 		for _, policy := range row.policies {

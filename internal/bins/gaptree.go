@@ -11,12 +11,13 @@ import "math"
 //   - firstAtLeast/lastAtLeast: the lowest-/highest-indexed bin whose
 //     dimension-0 gap is >= s, by one exact root-to-leaf descent — the
 //     scalar First Fit and Last Fit queries, O(log B).
-//   - mayFit: the pruning test of the vector-fit search (Index.eachFitting).
-//     A subtree can be skipped as soon as ONE dimension's range maximum
-//     falls short of the demand: no bin inside can fit. The surviving
-//     leaves are then verified with the exact Bin.FitsDemand comparison,
-//     so the search returns precisely the bins a linear scan of the open
-//     list would — the tree only prunes, it never decides.
+//   - mayFit: the pruning test of the vector First/Last Fit descent
+//     (Index.firstHit). A subtree can be skipped as soon as ONE
+//     dimension's range maximum falls short of the demand: no bin inside
+//     can fit. The surviving leaves are then verified with the exact
+//     Bin.FitsDemand comparison, so the search returns precisely the bin
+//     a linear scan of the open list would — the tree only prunes, it
+//     never decides.
 //
 // Pruning compares against demand minus a 2*Eps slack rather than the
 // exact admission threshold: the leaf gaps are one float subtraction

@@ -13,13 +13,12 @@ import (
 //   - tree, a stride-d max-gap segment tree in opening order (gapTree),
 //     answers the positional queries: the scalar FirstFitting/LastFitting
 //     by one exact descent on dimension 0, and the vector FirstFittingVec/
-//     LastFittingVec/EachFitting by pruned descent — a subtree is skipped
-//     as soon as one dimension's maximum cannot accommodate the demand,
-//     and each surviving leaf is verified with the exact Bin.FitsDemand
-//     comparison, so the answers are bit-identical to a linear scan of
-//     the open list, with the tree acting purely as an accelerator
-//     (O(log B) when few bins fit, degrading gracefully to the linear
-//     visit order when many do).
+//     LastFittingVec by a pruned descent that stops at the first hit — a
+//     subtree is skipped as soon as one dimension's maximum cannot
+//     accommodate the demand, and each surviving leaf is verified with
+//     the exact Bin.FitsDemand comparison, so the answers are
+//     bit-identical to a linear scan of the open list, with the tree
+//     acting purely as an accelerator.
 //   - mins, a treap keyed by (MinGap, index) (levelTree), answers the
 //     level queries: TightestFitting, EmptiestFitting and
 //     SecondEmptiestFitting by exact key lookups, MaxMinGapFitting by
@@ -40,15 +39,14 @@ import (
 // coherent; a structure no query has read costs nothing. So a policy pays
 // only for what it reads:
 //
-//	gap tree   First Fit, Last Fit at any d; Best/Worst/Almost Worst Fit
-//	           at d >= 2, DotProductFit and NormBestFit at any d (the
-//	           EachFitting rules)
+//	gap tree   First Fit, Last Fit at any d
 //	mins       Best/Worst/Almost Worst Fit and VectorBestFit at d = 1;
 //	           DRWorstFit at any d
 //	sums       VectorBestFit at d >= 2
-//	none       Next Fit, Next-k Fit, the hybrids, Random and the
-//	           predictive and clairvoyant policies, which read the open
-//	           list only
+//	none       Next Fit, Next-k Fit, the hybrids, Random, the predictive
+//	           and clairvoyant policies, Best/Worst/Almost Worst Fit at
+//	           d >= 2, DotProductFit and NormBestFit at any d: they scan
+//	           the open list
 //
 // Every structure is over the open bins only. A bin takes the next slot
 // — a position in bins and the tree leaf of the same number — when it
@@ -252,42 +250,24 @@ func (ix *Index) SecondEmptiestFitting(need float64) *Bin {
 	return t.ceil(p.key, 0).bin
 }
 
-// EachFitting calls visit for every open bin that can accommodate the
-// raw demand vector (Bin.FitsDemand, Eps applied internally), in
-// ascending opening order, stopping early when visit returns false. It
-// is the enumeration primitive score-minimizing vector policies (Best
-// Fit variants, dot-product, norm-based) are built from: the tree
-// descent prunes whole ranges of bins that cannot fit, and the visit
-// order matches a linear scan of the open list exactly.
-func (ix *Index) EachFitting(sizes []float64, visit func(*Bin) bool) {
-	ix.eachFitting(sizes, false, visit)
-}
-
-// FirstFittingVec returns the earliest-opened bin fitting the demand
-// vector, or nil — the vector First Fit query.
-func (ix *Index) FirstFittingVec(sizes []float64) *Bin {
-	var out *Bin
-	ix.eachFitting(sizes, false, func(b *Bin) bool { out = b; return false })
-	return out
-}
+// FirstFittingVec returns the earliest-opened bin fitting the raw demand
+// vector (Bin.FitsDemand, Eps applied internally), or nil — the vector
+// First Fit query.
+func (ix *Index) FirstFittingVec(sizes []float64) *Bin { return ix.firstHit(sizes, false) }
 
 // LastFittingVec returns the latest-opened bin fitting the demand
 // vector, or nil — the vector Last Fit query.
-func (ix *Index) LastFittingVec(sizes []float64) *Bin {
-	var out *Bin
-	ix.eachFitting(sizes, true, func(b *Bin) bool { out = b; return false })
-	return out
-}
+func (ix *Index) LastFittingVec(sizes []float64) *Bin { return ix.firstHit(sizes, true) }
 
-// eachFitting is the pruned depth-first descent behind the positional
-// vector queries; desc flips the child order for highest-index-first
-// enumeration. The leaf test is always the exact FitsDemand the linear
-// reference applies, so the enumeration is bit-identical to scanning the
-// open list — including for a demand of the wrong dimension, which
-// FitsDemand rejects at every bin: nothing is visited, and nothing built.
-func (ix *Index) eachFitting(sizes []float64, desc bool, visit func(*Bin) bool) {
+// firstHit is the pruned depth-first descent behind the positional vector
+// queries: it returns the first bin in opening order (desc: its reverse)
+// that passes the exact FitsDemand test the linear reference applies, so
+// the answer is bit-identical to scanning the open list — including for a
+// demand of the wrong dimension, which FitsDemand rejects at every bin:
+// nothing is found, and nothing built.
+func (ix *Index) firstHit(sizes []float64, desc bool) *Bin {
 	if len(sizes) != ix.dim {
-		return
+		return nil
 	}
 	t := ix.gaps()
 	need := ix.need[:0]
@@ -295,20 +275,19 @@ func (ix *Index) eachFitting(sizes []float64, desc bool, visit func(*Bin) bool) 
 		need = append(need, s-2*Eps)
 	}
 	ix.need = need
+	var hit *Bin
 	stack := append(ix.stack[:0], 1)
-	for len(stack) > 0 {
+	for len(stack) > 0 && hit == nil {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if !t.mayFit(p, need) {
 			continue
 		}
 		if p >= t.size {
-			if i := p - t.size; i < t.n {
-				// A closed slot's -Inf leaf fails mayFit for every demand
-				// but a NaN one, which no comparison prunes.
-				if b := ix.bins[i]; b != nil && b.FitsDemand(sizes) && !visit(b) {
-					break
-				}
+			// A closed slot's -Inf leaf fails mayFit for every demand but
+			// a NaN one, which no comparison prunes.
+			if i := p - t.size; i < t.n && ix.bins[i] != nil && ix.bins[i].FitsDemand(sizes) {
+				hit = ix.bins[i]
 			}
 			continue
 		}
@@ -319,6 +298,7 @@ func (ix *Index) eachFitting(sizes []float64, desc bool, visit func(*Bin) bool) 
 		}
 	}
 	ix.stack = stack[:0]
+	return hit
 }
 
 // MaxMinGapFitting returns the fitting bin with the largest MinGap —

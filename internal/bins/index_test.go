@@ -246,11 +246,6 @@ func TestIndexIllDimensionedDemand(t *testing.T) {
 				t.Errorf("dim %d, demand of length %d: after TightestFittingVec the total-gap treap is built %v, the gap tree %v",
 					dim, n, built, ix.tree != nil)
 			}
-			var visited []*Bin
-			ix.EachFitting(sizes, func(b *Bin) bool { visited = append(visited, b); return true })
-			if len(visited) != len(linear) {
-				t.Errorf("dim %d, demand of length %d: EachFitting visited %d bins, linear scan %d", dim, n, len(visited), len(linear))
-			}
 			for name, got := range map[string]*Bin{
 				"FirstFittingVec": ix.FirstFittingVec(sizes),
 				"LastFittingVec":  ix.LastFittingVec(sizes),
@@ -271,36 +266,41 @@ func TestIndexIllDimensionedDemand(t *testing.T) {
 
 // TestIndexNaNDemandSkipsClosedSlots pins the one demand no comparison
 // prunes: a NaN component passes every mayFit test, so the descent reaches
-// the -Inf leaf of a closed slot, and it must find nothing there — the
-// enumeration is the open list, as in the linear scan (FitsDemand admits
-// NaN at every open bin; packing's checkDemand refuses it long before).
+// the -Inf leaves of closed slots, and it must find nothing there — the
+// answer is the first (last) open bin, as in the linear scan (FitsDemand
+// admits NaN at every open bin; packing's checkDemand refuses it long
+// before). The closed slots sit at both ends, where each descent starts.
 func TestIndexNaNDemandSkipsClosedSlots(t *testing.T) {
 	g := NewLedger(1, 1)
 	g.EnableIndex()
-	for i := 1; i <= 5; i++ {
+	for i := 1; i <= 9; i++ {
 		g.OpenNew(item.Item{ID: item.ID(i), Size: 0.5, Arrival: 0, Departure: math.Inf(1)}, 0)
 	}
-	g.Remove(2, 1) // two closed slots among five: not yet compacted
-	g.Remove(4, 1)
-	var visited []int
-	g.Index().EachFitting([]float64{math.NaN()}, func(b *Bin) bool { visited = append(visited, b.Index); return true })
-	if want := []int{0, 2, 4}; !slices.Equal(visited, want) {
-		t.Fatalf("EachFitting(NaN) visited bins %v, want the open list %v", visited, want)
+	for _, id := range []item.ID{1, 2, 8, 9} { // four closed slots among nine: not yet compacted
+		g.Remove(id, 1)
+	}
+	ix, nan := g.Index(), []float64{math.NaN()}
+	if got := ix.FirstFittingVec(nan); binIdx(got) != 2 {
+		t.Fatalf("FirstFittingVec(NaN) = bin %d, want the first open bin 2", binIdx(got))
+	}
+	if got := ix.LastFittingVec(nan); binIdx(got) != 6 {
+		t.Fatalf("LastFittingVec(NaN) = bin %d, want the last open bin 6", binIdx(got))
+	}
+	if closed := len(ix.bins) - ix.live; closed != 4 {
+		t.Fatalf("the index holds %d closed slots, want 4 (compacted too early)", closed)
 	}
 }
 
-// checkVecQueries is checkQueries for the five vector queries, whose
+// checkVecQueries is checkQueries for the four vector queries, whose
 // linear references all filter the open list by FitsDemand.
 func checkVecQueries(t *testing.T, g *Ledger, sizes []float64) {
 	t.Helper()
 	ix := g.Index()
-	var fitting []*Bin
 	var first, last, maxMin, tightest *Bin
 	for _, b := range g.OpenBins() {
 		if !b.FitsDemand(sizes) {
 			continue
 		}
-		fitting = append(fitting, b)
 		if first == nil {
 			first = b
 		}
@@ -311,11 +311,6 @@ func checkVecQueries(t *testing.T, g *Ledger, sizes []float64) {
 		if tightest == nil || b.TotalGap() < tightest.TotalGap() {
 			tightest = b
 		}
-	}
-	var visited []*Bin
-	ix.EachFitting(sizes, func(b *Bin) bool { visited = append(visited, b); return true })
-	if !slices.Equal(visited, fitting) {
-		t.Fatalf("EachFitting(%v): index visits %d bins, linear %d", sizes, len(visited), len(fitting))
 	}
 	for name, c := range map[string][2]*Bin{
 		"FirstFittingVec":    {ix.FirstFittingVec(sizes), first},

@@ -66,13 +66,15 @@ func (a Arrival) need() float64 { return a.Size - bins.Eps }
 // and are exact for 1-D demands. The vector queries take the RAW demand
 // vector — tolerance is applied internally via the per-dimension
 // bins.Bin.FitsDemand admission test, the same comparison on both
-// backends — and serve d-dimensional (DVBP) placements: positional
-// enumeration for First/Last Fit rules and score-minimizing policies,
-// the least-total-gap selection for vector Best Fit, and the
-// dominant-resource (max-min-gap) selection for Worst Fit rules. On the
-// indexed backend they are answered by pruned descent of the
-// per-dimension max-gap tree and by walks of the (TotalGap, index) and
-// (MinGap, index) treaps (bins.Index); the linear backend scans.
+// backends — and serve d-dimensional (DVBP) placements: the first and
+// last fitting bin for First/Last Fit rules, the least-total-gap
+// selection for vector Best Fit, and the dominant-resource (max-min-gap)
+// selection for Worst Fit rules. On the indexed backend they are
+// answered by pruned descent of the per-dimension max-gap tree and by
+// walks of the (TotalGap, index) and (MinGap, index) treaps
+// (bins.Index); the linear backend scans. A rule no query answers — the
+// first-dimension scoring of Best/Worst/Almost Worst Fit on vectors,
+// DotProductFit, NormBestFit — scans Open() on both backends.
 type Fleet interface {
 	// Open returns the currently open bins in opening order (ascending
 	// index). The slice is shared; callers must not modify or retain it.
@@ -99,9 +101,6 @@ type Fleet interface {
 	// TightestFittingVec returns the fitting bin with the smallest total
 	// gap (bins.Bin.TotalGap), ties toward the earliest opened, or nil.
 	TightestFittingVec(sizes []float64) *bins.Bin
-	// EachFitting visits every open bin fitting the demand vector in
-	// ascending opening order, stopping when visit returns false.
-	EachFitting(sizes []float64, visit func(*bins.Bin) bool)
 	// MaxMinGapFitting returns the fitting bin whose dominant (most
 	// loaded) resource has the most remaining capacity — the bin
 	// maximizing min over dimensions of gap — ties toward the earliest
@@ -136,16 +135,4 @@ type Algorithm interface {
 // capacity with tolerance, in every dimension.
 func fits(b *bins.Bin, a Arrival) bool {
 	return b.FitsDemand(a.sizeVec())
-}
-
-// fitting filters the open bins down to those that can accommodate the
-// arrival, preserving opening order.
-func fitting(open []*bins.Bin, a Arrival) []*bins.Bin {
-	var out []*bins.Bin
-	for _, b := range open {
-		if fits(b, a) {
-			out = append(out, b)
-		}
-	}
-	return out
 }

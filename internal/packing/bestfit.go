@@ -19,16 +19,15 @@ func (*BestFit) Name() string { return "BestFit" }
 // Place returns the fitting bin with minimal gap (ties: lowest index).
 func (*BestFit) Place(a Arrival, f Fleet) *bins.Bin {
 	if len(a.Sizes) > 0 {
-		// Vector demand: enumerate the fitting bins (pruned descent on
-		// the indexed engine) keeping the historical scalar scoring —
-		// smallest first-dimension gap, ties toward the earliest opened.
+		// Vector demand: scan the open list keeping the historical scalar
+		// scoring — smallest first-dimension gap, ties toward the earliest
+		// opened.
 		var best *bins.Bin
-		f.EachFitting(a.Sizes, func(b *bins.Bin) bool {
-			if best == nil || b.Gap() < best.Gap() {
+		for _, b := range f.Open() {
+			if b.FitsDemand(a.Sizes) && (best == nil || b.Gap() < best.Gap()) {
 				best = b
 			}
-			return true
-		})
+		}
 		return best
 	}
 	return f.TightestFitting(a.need())

@@ -74,6 +74,57 @@ func TestBoundedStreamHeap(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
+// TestZeroAllocPlacement pins every registered policy's steady-state
+// placement at 0 allocations: on the indexed engine with 64 resident jobs,
+// an arrival that joins an open server and its departure allocate nothing,
+// at d = 1 and d = 2. The one exception is drworstfit at d = 1, whose
+// one-element demand vector (Arrival.sizeVec) escapes through the Fleet
+// interface call: 1.
+func TestZeroAllocPlacement(t *testing.T) {
+	for _, name := range packing.Names() {
+		for _, dim := range []int{1, 2} {
+			demand := func(a, b float64) (float64, []float64) {
+				if dim == 1 {
+					return a, nil
+				}
+				return max(a, b), []float64{a, b}
+			}
+			algo, err := packing.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := packing.NewStreamEngine(algo, 1, dim, 0, packing.EngineIndexed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// At most three residents share a server, so every server keeps
+			// room for the 0.05 job, which shares the residents' size class.
+			for i := 0; i < 64; i++ {
+				size, sizes := demand(0.26+0.01*float64(i%5), 0.3-0.01*float64(i%7))
+				if _, _, err := s.Arrive(item.ID(i+1), size, sizes, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			size, sizes := demand(0.05, 0.05)
+			n := testing.AllocsPerRun(1000, func() {
+				if _, opened, err := s.Arrive(1000, size, sizes, 1); err != nil || opened {
+					t.Fatalf("%s d=%d: the arrival opened a server %v, err %v", name, dim, opened, err)
+				}
+				if _, _, err := s.Depart(1000, 1); err != nil {
+					t.Fatal(err)
+				}
+			})
+			want := 0.0
+			if name == "drworstfit" && dim == 1 {
+				want = 1
+			}
+			if n != want {
+				t.Errorf("%s d=%d: an arrival and departure on an open server allocate %v times, want %v", name, dim, n, want)
+			}
+		}
+	}
+}
+
 // TestBoundedRestoreAllocs restores a snapshot of 100 open servers out of
 // a million ever used, and bounds the allocations by the open list: the
 // closed 999,900 are a counter, not a placeholder each.

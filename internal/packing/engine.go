@@ -2,6 +2,7 @@ package packing
 
 import (
 	"fmt"
+	"math"
 
 	"dbp/internal/bins"
 	"dbp/internal/item"
@@ -128,4 +129,13 @@ func (e *engine) validate() error { return e.ledger.CheckInvariants() }
 
 func badEngine(kind EngineKind) error {
 	return fmt.Errorf("packing: unknown engine %q (valid: %s, %s)", kind, EngineIndexed, EngineLinear)
+}
+
+// validCapacity reports whether c is a server capacity Run and
+// NewStreamEngine accept: 0, meaning 1, or a positive finite number.
+// Against NaN or +Inf every admission comparison would pass.
+func validCapacity(c float64) bool { return c == 0 || c > 0 && !math.IsInf(c, 1) }
+
+func badCapacity(c float64) error {
+	return fmt.Errorf("packing: server capacity %g is not a positive finite number", c)
 }

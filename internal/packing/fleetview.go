@@ -133,14 +133,6 @@ func (f linearFleet) TightestFittingVec(sizes []float64) *bins.Bin {
 	return best
 }
 
-func (f linearFleet) EachFitting(sizes []float64, visit func(*bins.Bin) bool) {
-	for _, b := range f.ledger.OpenBins() {
-		if b.FitsDemand(sizes) && !visit(b) {
-			return
-		}
-	}
-}
-
 func (f linearFleet) MaxMinGapFitting(sizes []float64) *bins.Bin {
 	var best *bins.Bin
 	for _, b := range f.ledger.OpenBins() {

@@ -107,8 +107,9 @@ func (*AlmostWorstFit) Name() string { return "AlmostWorstFit" }
 func (*AlmostWorstFit) Place(a Arrival, f Fleet) *bins.Bin {
 	if len(a.Sizes) > 0 {
 		var first, second *bins.Bin // emptiest and second-emptiest fitting
-		f.EachFitting(a.Sizes, func(b *bins.Bin) bool {
+		for _, b := range f.Open() {
 			switch {
+			case !b.FitsDemand(a.Sizes):
 			case first == nil:
 				first = b
 			case b.Gap() > first.Gap():
@@ -117,8 +118,7 @@ func (*AlmostWorstFit) Place(a Arrival, f Fleet) *bins.Bin {
 			case second == nil || b.Gap() > second.Gap():
 				second = b
 			}
-			return true
-		})
+		}
 		if second != nil {
 			return second
 		}

@@ -10,8 +10,7 @@ import (
 // is an Any Fit algorithm (it opens a new bin only when nothing fits) and
 // serves as a randomized baseline in the comparison experiments. Runs are
 // reproducible: the policy is seeded and Reset rewinds it to the seed.
-// The candidate set is the full fitting list, so the policy stays on the
-// linear path by construction.
+// It reads Open() only, on both engines.
 //
 // The random stream is counter-based (splitmix64 of seed + draw number),
 // not math/rand: draw n is a pure function of (seed, n), so the policy's
@@ -44,15 +43,31 @@ func (rf *RandomFit) next() uint64 {
 	return x
 }
 
-// Place returns a uniformly random fitting bin, or nil if none fits.
-// (Modulo bias over 64-bit draws is immeasurably small for any feasible
-// fleet size.)
+// Place returns a uniformly random fitting bin, or nil if none fits: it
+// counts the fitting bins, draws once, and returns the k-th in opening
+// order. (Modulo bias over 64-bit draws is immeasurably small for any
+// feasible fleet size.)
 func (rf *RandomFit) Place(a Arrival, f Fleet) *bins.Bin {
-	cands := fitting(f.Open(), a)
-	if len(cands) == 0 {
+	open, sizes := f.Open(), a.sizeVec()
+	n := 0
+	for _, b := range open {
+		if b.FitsDemand(sizes) {
+			n++
+		}
+	}
+	if n == 0 {
 		return nil
 	}
-	return cands[int(rf.next()%uint64(len(cands)))]
+	k := rf.next() % uint64(n)
+	for _, b := range open {
+		if b.FitsDemand(sizes) {
+			if k == 0 {
+				return b
+			}
+			k--
+		}
+	}
+	panic("packing: RandomFit lost a fitting bin between its two scans")
 }
 
 // BinOpened implements Algorithm; Random Fit tracks no bin state.

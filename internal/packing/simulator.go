@@ -12,7 +12,8 @@ import (
 // per-event validation.
 type Options struct {
 	// Capacity is the per-dimension bin capacity; 0 means 1.0 (the
-	// paper's normalization — item sizes are fractions of a server).
+	// paper's normalization — item sizes are fractions of a server). Run
+	// refuses a NaN, infinite or negative capacity.
 	Capacity float64
 	// Dim forces the resource dimensionality; 0 infers it from the items
 	// (1 unless some item carries a vector demand).
@@ -74,12 +75,15 @@ func (o *Options) dim(l item.List) int {
 
 // Run simulates the online packing of the item list under the given
 // algorithm and returns the complete packing outcome. The algorithm is
-// Reset before the run. Run returns an error if the item list is invalid,
-// some demand can never be served (ErrBadDemand — the same typed sentinel
-// and validation path Stream.Arrive uses), or the algorithm returns an
-// unusable placement (ErrPolicyMisplace, a policy bug that aborts the
-// run).
+// Reset before the run. Run returns an error if the capacity is NaN,
+// infinite or negative, the item list is invalid, some demand can never
+// be served (ErrBadDemand — the same typed sentinel and validation path
+// Stream.Arrive uses), or the algorithm returns an unusable placement
+// (ErrPolicyMisplace, a policy bug that aborts the run).
 func Run(algo Algorithm, l item.List, opt *Options) (*Result, error) {
+	if opt != nil && !validCapacity(opt.Capacity) {
+		return nil, badCapacity(opt.Capacity)
+	}
 	if err := l.Validate(); err != nil {
 		return nil, fmt.Errorf("packing: invalid instance: %w", err)
 	}

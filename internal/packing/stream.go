@@ -30,7 +30,9 @@ const ErrServer = -1
 
 // NewStream creates a dispatcher using the given policy. The policy is
 // Reset. dim is the resource dimensionality (1 for the scalar problem);
-// capacity 0 means unit capacity.
+// capacity 0 means unit capacity. It panics on a capacity that is not
+// 0 or a positive finite number, which NewStreamEngine reports as an
+// error.
 func NewStream(algo Algorithm, capacity float64, dim int) *Stream {
 	return NewStreamKeepAlive(algo, capacity, dim, 0)
 }
@@ -42,17 +44,21 @@ func NewStream(algo Algorithm, capacity float64, dim int) *Stream {
 func NewStreamKeepAlive(algo Algorithm, capacity float64, dim int, keepAlive float64) *Stream {
 	s, err := NewStreamEngine(algo, capacity, dim, keepAlive, EngineIndexed)
 	if err != nil {
-		panic(err) // unreachable: EngineIndexed is always valid
+		panic(err) // a NaN, infinite or negative capacity
 	}
 	return s
 }
 
 // NewStreamEngine is NewStreamKeepAlive with an explicit engine kind —
 // EngineIndexed (the default everywhere) or EngineLinear (the reference
-// backend the equivalence suite compares against).
+// backend the equivalence suite compares against). It refuses an unknown
+// kind and a NaN, infinite or negative capacity.
 func NewStreamEngine(algo Algorithm, capacity float64, dim int, keepAlive float64, kind EngineKind) (*Stream, error) {
 	if !kind.valid() {
 		return nil, badEngine(kind)
+	}
+	if !validCapacity(capacity) {
+		return nil, badCapacity(capacity)
 	}
 	return &Stream{eng: newEngine(algo, capacity, dim, keepAlive, kind, false)}, nil
 }

@@ -63,6 +63,31 @@ func TestStreamErrors(t *testing.T) {
 	}
 }
 
+// TestBadCapacityRefused pins the capacities no server can have: against
+// NaN or +Inf every admission comparison passes, so five 0.9-size jobs
+// would share server 0, and a negative capacity would silently mean 1.
+// NewStreamEngine and Run refuse each; 0 still means unit capacity.
+func TestBadCapacityRefused(t *testing.T) {
+	jobs := item.List{{ID: 1, Size: 0.9, Arrival: 0, Departure: 1}}
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -2} {
+		for _, kind := range []EngineKind{EngineIndexed, EngineLinear} {
+			if s, err := NewStreamEngine(NewFirstFit(), c, 1, 0, kind); err == nil {
+				t.Errorf("NewStreamEngine(capacity %g, %s) = stream of capacity %g, want an error", c, kind, s.Ledger().Capacity())
+			}
+		}
+		if _, err := Run(NewFirstFit(), jobs, &Options{Capacity: c}); err == nil {
+			t.Errorf("Run(capacity %g) succeeded, want an error", c)
+		}
+	}
+	s, err := NewStreamEngine(NewFirstFit(), 0, 1, 0, EngineIndexed)
+	if err != nil || s.Ledger().Capacity() != 1 {
+		t.Fatalf("NewStreamEngine(capacity 0): err %v, want a unit-capacity stream", err)
+	}
+	if _, err := Run(NewFirstFit(), jobs, &Options{}); err != nil {
+		t.Fatalf("Run(capacity 0): %v", err)
+	}
+}
+
 // Every error path of Arrive and Depart must return the ErrServer (-1)
 // sentinel, never a value collidable with the legitimate server index 0.
 func TestStreamErrorSentinel(t *testing.T) {

@@ -14,15 +14,15 @@ import "dbp/internal/bins"
 // classical rule.
 //
 // All four are stateless Any Fit policies — they never open a new server
-// while some open server fits — and engine-agnostic: they place through
-// the Fleet's vector queries, which the linear engine answers with
-// reference scans and the indexed engine from the d-dimensional
-// bins.Index, one structure per rule: VectorBestFit walks the (TotalGap,
-// index) treap, DRWorstFit the (MinGap, index) treap, and DotProductFit
-// and NormBestFit score every bin the pruned max-gap tree descent
-// (EachFitting) finds. Ties always break toward the earliest-opened
-// server, the same lexicographic rule as the scalar policies, so
-// cross-engine packings are bit-identical.
+// while some open server fits — and engine-agnostic. VectorBestFit and
+// DRWorstFit place through the Fleet's vector queries, which the linear
+// engine answers with reference scans and the indexed engine from the
+// d-dimensional bins.Index: VectorBestFit walks the (TotalGap, index)
+// treap, DRWorstFit the (MinGap, index) treap. DotProductFit and
+// NormBestFit score every fitting server in a scan of Open(), the same
+// on both engines. Ties always break toward the earliest-opened server,
+// the same lexicographic rule as the scalar policies, so cross-engine
+// packings are bit-identical.
 
 // VectorBestFit is Best Fit under the total-residual scalarization:
 // among fitting servers it minimizes the SUM of per-dimension gaps (the
@@ -73,7 +73,10 @@ func (*DotProductFit) Place(a Arrival, f Fleet) *bins.Bin {
 		best      *bins.Bin
 		bestScore float64
 	)
-	f.EachFitting(sizes, func(b *bins.Bin) bool {
+	for _, b := range f.Open() {
+		if !b.FitsDemand(sizes) {
+			continue
+		}
 		score := 0.0
 		for d, s := range sizes {
 			score += s * b.GapAt(d)
@@ -81,8 +84,7 @@ func (*DotProductFit) Place(a Arrival, f Fleet) *bins.Bin {
 		if best == nil || score > bestScore {
 			best, bestScore = b, score
 		}
-		return true
-	})
+	}
 	return best
 }
 
@@ -113,7 +115,10 @@ func (*NormBestFit) Place(a Arrival, f Fleet) *bins.Bin {
 		best      *bins.Bin
 		bestScore float64
 	)
-	f.EachFitting(sizes, func(b *bins.Bin) bool {
+	for _, b := range f.Open() {
+		if !b.FitsDemand(sizes) {
+			continue
+		}
 		score := 0.0
 		for d, s := range sizes {
 			r := b.GapAt(d) - s
@@ -122,8 +127,7 @@ func (*NormBestFit) Place(a Arrival, f Fleet) *bins.Bin {
 		if best == nil || score < bestScore {
 			best, bestScore = b, score
 		}
-		return true
-	})
+	}
 	return best
 }
 

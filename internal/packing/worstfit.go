@@ -19,15 +19,14 @@ func (*WorstFit) Name() string { return "WorstFit" }
 func (*WorstFit) Place(a Arrival, f Fleet) *bins.Bin {
 	if len(a.Sizes) > 0 {
 		// Vector demand: same historical scalar scoring (largest
-		// first-dimension gap) over the pruned fitting enumeration. For
-		// the dominant-resource vector rule see DRWorstFit.
+		// first-dimension gap) over a scan of the open list. For the
+		// dominant-resource vector rule see DRWorstFit.
 		var best *bins.Bin
-		f.EachFitting(a.Sizes, func(b *bins.Bin) bool {
-			if best == nil || b.Gap() > best.Gap() {
+		for _, b := range f.Open() {
+			if b.FitsDemand(a.Sizes) && (best == nil || b.Gap() > best.Gap()) {
 				best = b
 			}
-			return true
-		})
+		}
 		return best
 	}
 	return f.EmptiestFitting(a.need())

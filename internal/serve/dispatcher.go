@@ -43,7 +43,8 @@ type Config struct {
 	// Shards is the number of independent streams; <= 0 means
 	// GOMAXPROCS.
 	Shards int
-	// Capacity is the per-dimension server capacity (0 means 1.0).
+	// Capacity is the per-dimension server capacity (0 means 1.0); New
+	// refuses a NaN, infinite or negative one.
 	Capacity float64
 	// Dim is the resource dimensionality (0 means 1).
 	Dim int
@@ -227,7 +228,13 @@ func New(cfg Config) (*Dispatcher, error) {
 	if cfg.KeepAlive < 0 {
 		return nil, fmt.Errorf("serve: negative keep-alive %g", cfg.KeepAlive)
 	}
-	if _, err := packing.ByName(cfg.Algorithm); err != nil {
+	algo, err := packing.ByName(cfg.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	// A stream built up front refuses a NaN, infinite or negative capacity
+	// before any journal is opened.
+	if _, err := packing.NewStreamEngine(algo, cfg.Capacity, cfg.Dim, cfg.KeepAlive, packing.EngineIndexed); err != nil {
 		return nil, err
 	}
 	d := &Dispatcher{cfg: cfg, shards: make([]*shard, cfg.Shards), start: time.Now()}

@@ -2,7 +2,9 @@ package serve_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 
@@ -203,6 +205,34 @@ func TestDispatcherRouting(t *testing.T) {
 	for si := 0; si < 4; si++ {
 		if hit[si] == 0 {
 			t.Errorf("shard %d received no jobs out of 256 IDs", si)
+		}
+	}
+}
+
+// TestNewRefusesBadCapacity: against a NaN or infinite capacity every
+// admission comparison passes (five 0.9-size jobs would all share server
+// 0) and a negative one would silently mean 1, so New refuses each before
+// it opens a journal; 0 still means unit capacity.
+func TestNewRefusesBadCapacity(t *testing.T) {
+	for _, c := range []float64{math.NaN(), math.Inf(1), -2} {
+		for _, dir := range []string{"", t.TempDir()} {
+			if d, err := serve.New(serve.Config{Shards: 1, Capacity: c, DataDir: dir}); err == nil {
+				d.Close()
+				t.Errorf("New(capacity %g, data dir %q) succeeded, want an error", c, dir)
+			}
+			if left, _ := os.ReadDir(dir); dir != "" && len(left) != 0 {
+				t.Errorf("New(capacity %g) left %d entries in its data directory", c, len(left))
+			}
+		}
+	}
+	d, err := serve.New(serve.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for id := item.ID(1); id <= 5; id++ {
+		if p, err := d.Arrive(id, 0.9, nil, nil); err != nil || p.Server != int(id-1) || !p.Opened {
+			t.Fatalf("job %d of size 0.9 at unit capacity: %+v, %v; want a new server %d", id, p, err, id-1)
 		}
 	}
 }
