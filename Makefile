@@ -112,7 +112,7 @@ recover-test:
 ## structure built (gap tree, min-gap and total-gap treaps),
 ## TestZeroAllocTightestFittingVec 0 for the vector Best Fit walk,
 ## TestZeroAllocPlacement 0 for every registered policy's steady-state
-## arrival + departure at d = 1 and 2 (1 for drworstfit at d = 1),
+## arrival + departure at d = 1 and 2,
 ## TestBoundedAllocsOpenCycle at most 2 (the Bin and its level slice) for
 ## an opening, four placements and the drain that closes it, and the other
 ## TestBounded* tests that a long replay's index, reachable bins, stream

@@ -214,14 +214,16 @@ func BenchmarkLargeFleetFirstFitIndexedKeepAlive1M(b *testing.B) {
 }
 
 // The scaling shape of the indexed engine: ns/event of a 100k-job
-// keep-alive run must stay within ~2.5x of the 10k-job run under
-// firstfit, bestfit, and worstfit at d=1, while the linear engine's ratio
-// tracks the fleet size. The d=2 rows price the vector queries: firstfit
-// and drworstfit stay logarithmic, vectorbestfit walks the total-gap
-// treap in O(log B + k), k the non-fitting bins ahead of its answer. The
-// scoring rules no query answers — bestfit, worstfit and almostworstfit
-// at d=2, dotfit and normfit at any d — scan the open list and are O(B)
-// on both engines (make bench-fleet; DESIGN.md §8). The job counts from
+// keep-alive run must stay within ~2.5x of the 10k-job run under every
+// d=1 policy a single Fleet query answers — firstfit, lastfit, bestfit,
+// worstfit, almostworstfit, vectorbestfit and drworstfit — while the
+// linear engine's ratio tracks the fleet size. The d=2 rows price the
+// queries at d >= 2: firstfit and drworstfit stay logarithmic,
+// vectorbestfit walks the total-gap treap in O(log B + k), k the
+// non-fitting bins ahead of its answer. The scoring rules no query
+// answers — bestfit, worstfit and almostworstfit at d=2, dotfit and
+// normfit at any d — scan the open list and are O(B) on both engines
+// (make bench-fleet; DESIGN.md §8). The job counts from
 // 500 up put the peak open fleet (the peak_open metric) at ≈16, 64, 256,
 // 310, 1k and 3k servers, and each size runs the linear engine beside the
 // indexed one: the crossover B* where the index starts to win.
@@ -230,7 +232,7 @@ func BenchmarkLargeFleetKeepAliveScaling(b *testing.B) {
 		dim      int
 		policies []string
 	}{
-		{1, []string{"firstfit", "bestfit", "worstfit", "dotfit", "normfit"}},
+		{1, []string{"firstfit", "lastfit", "bestfit", "worstfit", "almostworstfit", "vectorbestfit", "drworstfit", "dotfit", "normfit"}},
 		{2, []string{"firstfit", "bestfit", "worstfit", "almostworstfit", "drworstfit", "vectorbestfit", "dotfit", "normfit"}},
 	}
 	for _, row := range rows {

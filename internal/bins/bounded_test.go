@@ -1,6 +1,7 @@
 package bins
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -133,11 +134,11 @@ func reachableBins(t *testing.T, g *Ledger) map[*Bin]bool {
 // bare-ledger rung does, and checks every 10k events that the index's
 // slots, the built structures and the bins still reachable are bounded by
 // the open fleet — not by the thousands of bins opened by then — and that
-// no closed bin is reachable at all. It replays placing by First Fit, by
-// Best Fit (TightestFitting) and, at d = 2 with a keep-alive, by vector
-// Best Fit (TightestFittingVec), and checks that each built only the
-// structure its query reads: the gap tree, the min-gap treap, the
-// total-gap treap.
+// no closed bin is reachable at all. It replays placing by First Fit
+// (FirstFitting), by Best Fit (TightestFittingVec at d = 1) and, at d = 2
+// with a keep-alive, by vector Best Fit (TightestFittingVec), and checks
+// that each built only the structure its query reads: the gap tree, the
+// min-gap treap, the total-gap treap.
 func TestBoundedLedgerState(t *testing.T) {
 	// Not shortened under -short: Best Fit keeps its bins open so long
 	// that a shorter replay does not outlive its fleet.
@@ -149,20 +150,17 @@ func TestBoundedLedgerState(t *testing.T) {
 		keepAlives []float64
 	}{
 		{"FirstFitting", 1, []float64{0, 0.05}},
-		{"TightestFitting", 1, []float64{0, 0.05}},
+		{"TightestFittingVec", 1, []float64{0, 0.05}},
 		{"TightestFittingVec", 2, []float64{0.05}},
 	} {
 		for _, keepAlive := range c.keepAlives {
-			query := c.query
+			query := fmt.Sprintf("%s d=%d", c.query, c.dim)
 			g := NewLedgerKeepAlive(1, c.dim, keepAlive)
 			g.EnableIndex()
 			ix := g.Index()
 			fit := func(it item.Item) *Bin { return ix.FirstFitting(it.Size - Eps) }
-			switch query {
-			case "TightestFitting":
-				fit = func(it item.Item) *Bin { return ix.TightestFitting(it.Size - Eps) }
-			case "TightestFittingVec":
-				fit = func(it item.Item) *Bin { return ix.TightestFittingVec(it.Sizes) }
+			if c.query == "TightestFittingVec" {
+				fit = func(it item.Item) *Bin { return ix.TightestFittingVec(it.SizeVec()) }
 			}
 			for i, e := range evs {
 				g.CloseExpired(e.t)
@@ -219,15 +217,15 @@ func TestBoundedLedgerState(t *testing.T) {
 				t.Fatalf("%s, keep-alive %g: only %d bins opened for %d open — the replay did not outlive its fleet", query, keepAlive, g.NumOpened(), g.NumOpen())
 			}
 			built := [3]bool{ix.tree != nil, ix.mins != nil, ix.sums != nil}
-			want := map[string][3]bool{
-				"FirstFitting":       {true, false, false},
-				"TightestFitting":    {false, true, false},
-				"TightestFittingVec": {false, false, true},
-			}[query]
+			want := [3]bool{true, false, false} // FirstFitting
+			if c.query == "TightestFittingVec" {
+				// At d = 1 the total-gap query reads the min-gap treap.
+				want = [3]bool{false, c.dim == 1, c.dim == 2}
+			}
 			if built != want {
 				t.Fatalf("%s, keep-alive %g: built gap tree, min-gap treap, total-gap treap = %v, want %v", query, keepAlive, built, want)
 			}
-			t.Logf("%s, d=%d, keep-alive %g: %d events, %d bins opened, %d open, %d slots", query, c.dim, keepAlive, n, g.NumOpened(), g.NumOpen(), len(ix.bins))
+			t.Logf("%s, keep-alive %g: %d events, %d bins opened, %d open, %d slots", query, keepAlive, n, g.NumOpened(), g.NumOpen(), len(ix.bins))
 		}
 	}
 }
@@ -293,7 +291,7 @@ func TestZeroAllocLevelChange(t *testing.T) {
 		// Build every structure, so that the pair below maintains them all.
 		ix := g.Index()
 		ix.FirstFitting(1)
-		ix.TightestFitting(1)
+		ix.MaxMinGapFitting(make([]float64, dim))
 		ix.TightestFittingVec(make([]float64, dim))
 		if ix.tree == nil || ix.mins == nil || (ix.sums != nil) != (dim == 2) {
 			t.Fatalf("d=%d: built gap tree %v, min-gap treap %v, total-gap treap %v", dim, ix.tree != nil, ix.mins != nil, ix.sums != nil)

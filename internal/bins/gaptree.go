@@ -6,18 +6,19 @@ import "math"
 // opening order, plus the closed slots awaiting compaction — whose nodes
 // store the per-dimension maximum gap of their range, laid out with
 // stride dim (node p's gap in dimension d lives at node[p*dim+d]; a
-// scalar fleet is the stride-1 case). It answers the positional queries:
+// scalar fleet is the stride-1 case). It answers the positional queries,
+// First Fit and Last Fit at every d (Index.firstHit):
 //
-//   - firstAtLeast/lastAtLeast: the lowest-/highest-indexed bin whose
-//     dimension-0 gap is >= s, by one exact root-to-leaf descent — the
-//     scalar First Fit and Last Fit queries, O(log B).
-//   - mayFit: the pruning test of the vector First/Last Fit descent
-//     (Index.firstHit). A subtree can be skipped as soon as ONE
-//     dimension's range maximum falls short of the demand: no bin inside
-//     can fit. The surviving leaves are then verified with the exact
-//     Bin.FitsDemand comparison, so the search returns precisely the bin
-//     a linear scan of the open list would — the tree only prunes, it
-//     never decides.
+//   - descend: the lowest-/highest-indexed slot whose dimension-0 gap is
+//     >= s, by one exact root-to-leaf walk, O(log B) — at d = 1 the probe
+//     that answers almost every query (its bin is then checked with
+//     Bin.FitsDemand), and Index.FirstFitting's whole answer.
+//   - mayFit: the pruning test of the depth-first search that serves
+//     every d. A subtree can be skipped as soon as ONE dimension's range
+//     maximum falls short of the demand: no bin inside can fit. The
+//     surviving leaves are then verified with the exact Bin.FitsDemand
+//     comparison, so the search returns precisely the bin a linear scan
+//     of the open list would — the tree only prunes, it never decides.
 //
 // Pruning compares against demand minus a 2*Eps slack rather than the
 // exact admission threshold: the leaf gaps are one float subtraction
@@ -123,17 +124,10 @@ func (t *gapTree) mayFit(p int, need []float64) bool {
 	return true
 }
 
-// firstAtLeast returns the smallest index whose dimension-0 gap is >= s,
-// or -1.
-func (t *gapTree) firstAtLeast(s float64) int { return t.descend(s, 0) }
-
-// lastAtLeast returns the largest index whose dimension-0 gap is >= s,
-// or -1.
-func (t *gapTree) lastAtLeast(s float64) int { return t.descend(s, 1) }
-
 // descend walks from the root to a leaf whose dimension-0 gap is >= s,
 // trying the child on the given side (0 left, 1 right) first at every
-// level; the comparison is exact.
+// level, and returns its slot — the lowest (side 0) or highest (side 1)
+// such slot — or -1; the comparison is exact.
 func (t *gapTree) descend(s float64, side int) int {
 	if t.node[t.dim] < s {
 		return -1

@@ -10,26 +10,26 @@ import (
 // tree and up to two treaps, the same at every dimension d (a scalar fleet
 // is d = 1).
 //
+// Every policy query takes the raw demand vector and admits a bin by the
+// exact Bin.FitsDemand comparison the linear reference applies, so each
+// answer is bit-identical to a scan of the open list; the structures only
+// find candidates. (FirstFitting, on a pre-folded gap threshold, is the
+// benchmark ladder's bare descent, not a policy query.)
+//
 //   - tree, a stride-d max-gap segment tree in opening order (gapTree),
-//     answers the positional queries: the scalar FirstFitting/LastFitting
-//     by one exact descent on dimension 0, and the vector FirstFittingVec/
-//     LastFittingVec by a pruned descent that stops at the first hit — a
-//     subtree is skipped as soon as one dimension's maximum cannot
-//     accommodate the demand, and each surviving leaf is verified with
-//     the exact Bin.FitsDemand comparison, so the answers are
-//     bit-identical to a linear scan of the open list, with the tree
-//     acting purely as an accelerator.
-//   - mins, a treap keyed by (MinGap, index) (levelTree), answers the
-//     level queries: TightestFitting, EmptiestFitting and
-//     SecondEmptiestFitting by exact key lookups, MaxMinGapFitting by
-//     walking key groups downward from the emptiest and verifying each
-//     candidate with FitsDemand. MinGap is the dominant-resource
-//     scalarization of the gap vector; at d = 1 it is the gap itself, so
-//     the three scalar level queries are exact for 1-D demands. On a
-//     d >= 2 fleet they order by MinGap as well, and no policy issues
-//     them there (vector demands place through the vector queries).
+//     answers the positional queries FirstFittingVec/LastFittingVec. At
+//     d = 1 one exact descent on the gap finds the answer, verified with
+//     FitsDemand; otherwise (and after a borderline miss) a pruned
+//     depth-first search stops at the first hit — a subtree is skipped
+//     as soon as one dimension's maximum cannot accommodate the demand.
+//   - mins, a treap keyed by (MinGap, index) (levelTree), answers
+//     MaxMinGapFitting and SecondEmptiestFitting by walking key groups
+//     downward from the emptiest and verifying each candidate with
+//     FitsDemand. MinGap is the dominant-resource scalarization of the
+//     gap vector; at d = 1 it is the gap itself, so the two are scalar
+//     Worst Fit and Almost Worst Fit there.
 //   - sums, a treap keyed by (TotalGap, index), answers TightestFittingVec
-//     — vector Best Fit — by walking upward from the demand's total and
+//     — Best Fit — by walking upward from the demand's total and
 //     verifying each candidate with FitsDemand. At d = 1 TotalGap is
 //     MinGap bit for bit, so the query reads mins and sums is never built.
 //
@@ -60,9 +60,8 @@ import (
 // (scalar, Bin.Index), with a priority hashed from Bin.Index, so neither
 // a treap's shape nor any answer depends on slots or on when it was built.
 //
-// Callers of the scalar queries fold their tolerance into `need`
-// (conventionally size - Eps), and all scalar comparisons are exact — no
-// epsilon — so query answers are order-independent and reproducible.
+// Keys and tree comparisons are exact — no epsilon — so query answers are
+// order-independent and reproducible.
 type Index struct {
 	dim  int
 	bins []*Bin // by slot, in opening order; nil where the bin has closed
@@ -184,88 +183,40 @@ func (ix *Index) compact() {
 	}
 }
 
-// FirstFitting returns the earliest-opened bin with gap >= need, or nil
-// (the First Fit query).
+// FirstFitting returns the earliest-opened bin with gap >= need, or nil,
+// by one exact descent on dimension 0. No policy issues it: the benchmark
+// ladder times it as the bare First Fit query.
 func (ix *Index) FirstFitting(need float64) *Bin {
-	i := ix.gaps().firstAtLeast(need)
+	i := ix.gaps().descend(need, 0)
 	if i < 0 {
 		return nil
 	}
 	return ix.bins[i]
-}
-
-// LastFitting returns the latest-opened bin with gap >= need, or nil
-// (the Last Fit query).
-func (ix *Index) LastFitting(need float64) *Bin {
-	i := ix.gaps().lastAtLeast(need)
-	if i < 0 {
-		return nil
-	}
-	return ix.bins[i]
-}
-
-// TightestFitting returns the bin with the smallest gap >= need, ties
-// toward the earliest opened, or nil (the Best Fit query).
-func (ix *Index) TightestFitting(need float64) *Bin {
-	n := ix.levels().ceil(need, 0)
-	if n == nil {
-		return nil
-	}
-	return n.bin
-}
-
-// EmptiestFitting returns the bin with the largest gap, ties toward the
-// earliest opened, or nil if even that gap is below need (the Worst Fit
-// query).
-func (ix *Index) EmptiestFitting(need float64) *Bin {
-	t := ix.levels()
-	m := t.max()
-	if m == nil || m.key < need {
-		return nil
-	}
-	// Lowest index within the maximal-gap group.
-	return t.ceil(m.key, 0).bin
-}
-
-// SecondEmptiestFitting returns the runner-up of EmptiestFitting under
-// the (descending gap, ascending index) order, restricted to gaps >=
-// need, or nil when fewer than two bins qualify (the Almost Worst Fit
-// query).
-func (ix *Index) SecondEmptiestFitting(need float64) *Bin {
-	first := ix.EmptiestFitting(need)
-	if first == nil {
-		return nil
-	}
-	t := ix.mins
-	g := t.nodes[first.slot].key
-	// Next bin in the same gap group, if any.
-	if n := t.ceil(g, first.Index+1); n != nil && n.key == g {
-		return n.bin
-	}
-	// Otherwise the head of the next-lower gap group, if it still fits.
-	p := t.floorBelow(g)
-	if p == nil || p.key < need {
-		return nil
-	}
-	return t.ceil(p.key, 0).bin
 }
 
 // FirstFittingVec returns the earliest-opened bin fitting the raw demand
-// vector (Bin.FitsDemand, Eps applied internally), or nil — the vector
-// First Fit query.
-func (ix *Index) FirstFittingVec(sizes []float64) *Bin { return ix.firstHit(sizes, false) }
+// vector (Bin.FitsDemand, Eps applied internally), or nil — the First Fit
+// query at every d.
+func (ix *Index) FirstFittingVec(sizes []float64) *Bin { return ix.firstHit(sizes, 0) }
 
 // LastFittingVec returns the latest-opened bin fitting the demand
-// vector, or nil — the vector Last Fit query.
-func (ix *Index) LastFittingVec(sizes []float64) *Bin { return ix.firstHit(sizes, true) }
+// vector, or nil — the Last Fit query at every d.
+func (ix *Index) LastFittingVec(sizes []float64) *Bin { return ix.firstHit(sizes, 1) }
 
-// firstHit is the pruned depth-first descent behind the positional vector
-// queries: it returns the first bin in opening order (desc: its reverse)
-// that passes the exact FitsDemand test the linear reference applies, so
-// the answer is bit-identical to scanning the open list — including for a
-// demand of the wrong dimension, which FitsDemand rejects at every bin:
-// nothing is found, and nothing built.
-func (ix *Index) firstHit(sizes []float64, desc bool) *Bin {
+// firstHit is the search behind the positional queries: it returns the
+// first bin in opening order (side 1: its reverse) that passes the exact
+// FitsDemand test the linear reference applies, so the answer is
+// bit-identical to scanning the open list — including for a demand of the
+// wrong dimension, which FitsDemand rejects at every bin: nothing is
+// found, and nothing built.
+//
+// At d = 1 one exact descent comes first: it finds the first slot whose
+// gap reaches s - 2*Eps, and no bin before that slot can fit (the gap
+// tree's slack argument). If its bin fits, that is the answer; if no gap
+// reaches the threshold, nothing fits. Only a borderline miss, and a NaN
+// or -Inf demand, which the descent cannot order, go on to the pruned
+// depth-first search that serves every d.
+func (ix *Index) firstHit(sizes []float64, side int) *Bin {
 	if len(sizes) != ix.dim {
 		return nil
 	}
@@ -275,6 +226,15 @@ func (ix *Index) firstHit(sizes []float64, desc bool) *Bin {
 		need = append(need, s-2*Eps)
 	}
 	ix.need = need
+	if ix.dim == 1 && need[0] > math.Inf(-1) {
+		i := t.descend(need[0], side)
+		if i < 0 {
+			return nil
+		}
+		if b := ix.bins[i]; b.FitsDemand(sizes) {
+			return b
+		}
+	}
 	var hit *Bin
 	stack := append(ix.stack[:0], 1)
 	for len(stack) > 0 && hit == nil {
@@ -285,17 +245,14 @@ func (ix *Index) firstHit(sizes []float64, desc bool) *Bin {
 		}
 		if p >= t.size {
 			// A closed slot's -Inf leaf fails mayFit for every demand but
-			// a NaN one, which no comparison prunes.
+			// a NaN or -Inf one, which no comparison prunes.
 			if i := p - t.size; i < t.n && ix.bins[i] != nil && ix.bins[i].FitsDemand(sizes) {
 				hit = ix.bins[i]
 			}
 			continue
 		}
-		if desc {
-			stack = append(stack, 2*p, 2*p+1)
-		} else {
-			stack = append(stack, 2*p+1, 2*p)
-		}
+		// Push the child on the preferred side last, so it pops first.
+		stack = append(stack, 2*p+1-side, 2*p+side)
 	}
 	ix.stack = stack[:0]
 	return hit
@@ -303,14 +260,24 @@ func (ix *Index) firstHit(sizes []float64, desc bool) *Bin {
 
 // MaxMinGapFitting returns the fitting bin with the largest MinGap —
 // the emptiest dominant resource — ties toward the earliest opened, or
-// nil if no open bin fits (the dominant-resource Worst Fit query). It
-// walks (MinGap, index) groups downward from the emptiest, verifying
-// each candidate with the exact FitsDemand test, and stops once a
-// group's MinGap cannot accommodate even the demand's smallest
-// component (below that, no bin can fit: the dimension attaining MinGap
-// would already overflow). A demand of the wrong dimension fits no bin,
-// so it walks nothing and builds nothing.
-func (ix *Index) MaxMinGapFitting(sizes []float64) *Bin {
+// nil if no open bin fits (the Worst Fit query at d = 1, where MinGap is
+// the gap, and the dominant-resource Worst Fit query at every d).
+func (ix *Index) MaxMinGapFitting(sizes []float64) *Bin { return ix.emptiest(sizes, 0) }
+
+// SecondEmptiestFitting returns the runner-up of MaxMinGapFitting's order
+// — the second fitting bin under (descending MinGap, ascending index) —
+// or nil when fewer than two bins fit (the Almost Worst Fit query at
+// d = 1).
+func (ix *Index) SecondEmptiestFitting(sizes []float64) *Bin { return ix.emptiest(sizes, 1) }
+
+// emptiest returns the fitting bin of the given rank (0 the first) under
+// (descending MinGap, ascending index). It walks (MinGap, index) groups
+// downward from the emptiest, verifying each candidate with the exact
+// FitsDemand test, and stops once a group's MinGap cannot accommodate
+// even the demand's smallest component (below that, no bin can fit: the
+// dimension attaining MinGap would already overflow). A demand of the
+// wrong dimension fits no bin, so it walks nothing and builds nothing.
+func (ix *Index) emptiest(sizes []float64, rank int) *Bin {
 	if len(sizes) != ix.dim {
 		return nil
 	}
@@ -328,9 +295,13 @@ func (ix *Index) MaxMinGapFitting(sizes []float64) *Bin {
 			return nil
 		}
 		for n := t.ceil(g, 0); n != nil && n.key == g; n = t.ceil(g, n.idx+1) {
-			if n.bin.FitsDemand(sizes) {
+			if !n.bin.FitsDemand(sizes) {
+				continue
+			}
+			if rank == 0 {
 				return n.bin
 			}
+			rank--
 		}
 	}
 	return nil

@@ -9,10 +9,8 @@ import (
 	"dbp/internal/item"
 )
 
-// linearFirst/linearLast/linearTightest/linearEmptiest/linearSecond are
-// the O(B) reference semantics the index must reproduce exactly: the
-// positional queries read the dimension-0 gap, the level queries MinGap
-// (the same at d = 1).
+// linearFirst is the O(B) reference of the ladder's FirstFitting(need):
+// the first bin whose dimension-0 gap reaches need, compared exactly.
 func linearFirst(open []*Bin, need float64) *Bin {
 	for _, b := range open {
 		if b.Gap() >= need {
@@ -22,78 +20,16 @@ func linearFirst(open []*Bin, need float64) *Bin {
 	return nil
 }
 
-func linearLast(open []*Bin, need float64) *Bin {
-	for i := len(open) - 1; i >= 0; i-- {
-		if open[i].Gap() >= need {
-			return open[i]
-		}
-	}
-	return nil
-}
-
-func linearTightest(open []*Bin, need float64) *Bin {
-	var best *Bin
-	for _, b := range open {
-		if b.MinGap() < need {
-			continue
-		}
-		if best == nil || b.MinGap() < best.MinGap() {
-			best = b
-		}
-	}
-	return best
-}
-
-func linearEmptiest(open []*Bin, need float64) *Bin {
-	var best *Bin
-	for _, b := range open {
-		if b.MinGap() < need {
-			continue
-		}
-		if best == nil || b.MinGap() > best.MinGap() {
-			best = b
-		}
-	}
-	return best
-}
-
-func linearSecond(open []*Bin, need float64) *Bin {
-	var first, second *Bin
-	for _, b := range open {
-		if b.MinGap() < need {
-			continue
-		}
-		switch {
-		case first == nil:
-			first = b
-		case b.MinGap() > first.MinGap():
-			second = first
-			first = b
-		case second == nil || b.MinGap() > second.MinGap():
-			second = b
-		}
-	}
-	return second
-}
-
+// checkQueries checks FirstFitting(need) against linearFirst and, on a
+// scalar fleet, every demand-vector query on the demand {need} against
+// its linear reference.
 func checkQueries(t *testing.T, g *Ledger, need float64) {
 	t.Helper()
-	ix := g.Index()
-	open := g.OpenBins()
-	type q struct {
-		name     string
-		got, ref *Bin
+	if got, ref := g.Index().FirstFitting(need), linearFirst(g.OpenBins(), need); got != ref {
+		t.Fatalf("FirstFitting(%g): index %v, linear %v (open %v)", need, binIdx(got), binIdx(ref), g.OpenBins())
 	}
-	for _, c := range []q{
-		{"FirstFitting", ix.FirstFitting(need), linearFirst(open, need)},
-		{"LastFitting", ix.LastFitting(need), linearLast(open, need)},
-		{"TightestFitting", ix.TightestFitting(need), linearTightest(open, need)},
-		{"EmptiestFitting", ix.EmptiestFitting(need), linearEmptiest(open, need)},
-		{"SecondEmptiestFitting", ix.SecondEmptiestFitting(need), linearSecond(open, need)},
-	} {
-		if c.got != c.ref {
-			t.Fatalf("%s(%g): index %v, linear %v (open %v)", c.name, need, binIdx(c.got), binIdx(c.ref), open)
-		}
+	if g.Dim() == 1 {
+		checkVecQueries(t, g, []float64{need})
 	}
 }
 
@@ -140,6 +76,14 @@ func TestIndexMatchesLinearScans(t *testing.T) {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			checkQueries(t, g, rng.Float64())
+			// Demands within 2*Eps of an open bin's gap: the d = 1 probe of
+			// the positional queries misses at some and falls back.
+			if open := g.OpenBins(); len(open) > 0 {
+				gap := open[rng.Intn(len(open))].Gap()
+				for _, delta := range []float64{-2 * Eps, -Eps, -Eps / 2, 0, Eps / 2, Eps, 1.5 * Eps, 2 * Eps} {
+					checkVecQueries(t, g, []float64{gap + delta})
+				}
+			}
 		}
 	}
 }
@@ -160,13 +104,13 @@ func TestIndexQueriesHandExample(t *testing.T) {
 	}{
 		{"FirstFitting(0.3)", ix.FirstFitting(0.3), 0},
 		{"FirstFitting(0.6)", ix.FirstFitting(0.6), 3},
-		{"LastFitting(0.3)", ix.LastFitting(0.3), 3},
-		{"LastFitting(0.5)", ix.LastFitting(0.5), 3},
-		{"TightestFitting(0.1)", ix.TightestFitting(0.1), 1},
-		{"TightestFitting(0.4)", ix.TightestFitting(0.4), 0},
-		{"EmptiestFitting(0.1)", ix.EmptiestFitting(0.1), 3},
-		{"SecondEmptiestFitting(0.1)", ix.SecondEmptiestFitting(0.1), 0},
-		{"SecondEmptiestFitting(0.6)", ix.SecondEmptiestFitting(0.6), -1},
+		{"LastFittingVec(0.3)", ix.LastFittingVec([]float64{0.3}), 3},
+		{"LastFittingVec(0.5)", ix.LastFittingVec([]float64{0.5}), 3},
+		{"TightestFittingVec(0.1)", ix.TightestFittingVec([]float64{0.1}), 1},
+		{"TightestFittingVec(0.4)", ix.TightestFittingVec([]float64{0.4}), 0},
+		{"MaxMinGapFitting(0.1)", ix.MaxMinGapFitting([]float64{0.1}), 3},
+		{"SecondEmptiestFitting(0.1)", ix.SecondEmptiestFitting([]float64{0.1}), 0},
+		{"SecondEmptiestFitting(0.6)", ix.SecondEmptiestFitting([]float64{0.6}), -1},
 	}
 	for _, c := range cases {
 		if binIdx(c.got) != c.want {
@@ -175,7 +119,7 @@ func TestIndexQueriesHandExample(t *testing.T) {
 	}
 	// Equal-gap group: with bin 3 emptiest, the runner-up is the lowest-
 	// indexed member of the gap-0.5 group {0, 2}.
-	if b := ix.SecondEmptiestFitting(0.45); binIdx(b) != 0 {
+	if b := ix.SecondEmptiestFitting([]float64{0.45}); binIdx(b) != 0 {
 		t.Errorf("SecondEmptiestFitting(0.45) = bin %d, want 0", binIdx(b))
 	}
 }
@@ -291,12 +235,12 @@ func TestIndexNaNDemandSkipsClosedSlots(t *testing.T) {
 	}
 }
 
-// checkVecQueries is checkQueries for the four vector queries, whose
-// linear references all filter the open list by FitsDemand.
+// checkVecQueries checks the five demand-vector queries, whose linear
+// references all filter the open list by FitsDemand.
 func checkVecQueries(t *testing.T, g *Ledger, sizes []float64) {
 	t.Helper()
 	ix := g.Index()
-	var first, last, maxMin, tightest *Bin
+	var first, last, maxMin, second, tightest *Bin
 	for _, b := range g.OpenBins() {
 		if !b.FitsDemand(sizes) {
 			continue
@@ -305,18 +249,24 @@ func checkVecQueries(t *testing.T, g *Ledger, sizes []float64) {
 			first = b
 		}
 		last = b
-		if maxMin == nil || b.MinGap() > maxMin.MinGap() {
+		switch {
+		case maxMin == nil:
 			maxMin = b
+		case b.MinGap() > maxMin.MinGap():
+			second, maxMin = maxMin, b
+		case second == nil || b.MinGap() > second.MinGap():
+			second = b
 		}
 		if tightest == nil || b.TotalGap() < tightest.TotalGap() {
 			tightest = b
 		}
 	}
 	for name, c := range map[string][2]*Bin{
-		"FirstFittingVec":    {ix.FirstFittingVec(sizes), first},
-		"LastFittingVec":     {ix.LastFittingVec(sizes), last},
-		"MaxMinGapFitting":   {ix.MaxMinGapFitting(sizes), maxMin},
-		"TightestFittingVec": {ix.TightestFittingVec(sizes), tightest},
+		"FirstFittingVec":       {ix.FirstFittingVec(sizes), first},
+		"LastFittingVec":        {ix.LastFittingVec(sizes), last},
+		"MaxMinGapFitting":      {ix.MaxMinGapFitting(sizes), maxMin},
+		"SecondEmptiestFitting": {ix.SecondEmptiestFitting(sizes), second},
+		"TightestFittingVec":    {ix.TightestFittingVec(sizes), tightest},
 	} {
 		if c[0] != c[1] {
 			t.Fatalf("%s(%v): index %d, linear %d", name, sizes, binIdx(c[0]), binIdx(c[1]))
@@ -349,7 +299,7 @@ func restoreCopy(t *testing.T, g *Ledger) *Ledger {
 // TestIndexBuiltOnFirstQuery replays a random fleet at d = 1 and d = 2
 // that no query reads — through a compaction of the index's slots and a
 // RestoreLedger — so that no structure exists; then it asks each of the
-// ten queries for the first time and compares the answers with the
+// six queries for the first time and compares the answers with the
 // linear scans, and keeps replaying with every query and the invariant
 // check after every event. A structure built late must answer exactly as
 // one maintained from the first event.

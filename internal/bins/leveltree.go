@@ -2,10 +2,9 @@ package bins
 
 // levelTree is a treap over the open bins ordered by (key, index), where
 // key is a scalarization of the bin's gap vector: MinGap (its Gap on a
-// scalar fleet) for the level-directed Any Fit queries — tightest fit
-// (min gap >= need), emptiest fit (max gap), second-emptiest fit, and the
-// dominant-resource walk — or TotalGap for the vector Best Fit walk. Each
-// operation is O(log B) expected.
+// scalar fleet) for the emptiest-first walk of the Worst Fit and Almost
+// Worst Fit queries, or TotalGap for the Best Fit walk. Each operation is
+// O(log B) expected.
 //
 // Keys are exact: two bins compare by key first and opening index second,
 // with no epsilon fuzz, so every query has a unique, order-independent

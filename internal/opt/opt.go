@@ -35,7 +35,11 @@ func (b Bounds) Mid() float64 { return (b.Lower + b.Upper) / 2 }
 func (b Bounds) Width() float64 { return b.Upper - b.Lower }
 
 // DemandLowerBound is Proposition 1: OPT_total(R) >= sum of s(r)*|I(r)|
-// (no bin capacity is ever wasted in the best case; unit capacity).
+// (no bin capacity is ever wasted in the best case; unit capacity). It is
+// a lower bound for scalar items only. At d >= 2 s(r) is the item's
+// largest component, and items that peak in different dimensions can
+// share a server, so the sum can exceed OPT: (0.9, 0.1) and (0.1, 0.9)
+// together for 2 time units give 3.6 against an OPT of 2.
 func DemandLowerBound(l item.List) float64 { return l.TotalDemand() }
 
 // SpanLowerBound is Proposition 2: OPT_total(R) >= span(R) (at least one

@@ -12,8 +12,6 @@
 package packing
 
 import (
-	"math"
-
 	"dbp/internal/bins"
 	"dbp/internal/item"
 )
@@ -26,9 +24,13 @@ import (
 // (the paper contrasts with interval scheduling, where ending times are
 // known; Sec. II).
 type Arrival struct {
-	ID    item.ID
-	Size  float64
-	Sizes []float64 // nil for 1-D items
+	ID   item.ID
+	Size float64
+	// Sizes is the demand vector, one component per fleet dimension: the
+	// item's own Sizes, or for a scalar item a one-element slice the
+	// engine owns and rewrites at the next arrival. Policies must not
+	// modify or retain it.
+	Sizes []float64
 	// At is the arrival time — the current wall clock, which every
 	// online policy legitimately knows.
 	At float64
@@ -36,76 +38,40 @@ type Arrival struct {
 	Departure float64
 }
 
-// view converts a full item to its online-visible arrival view at time t.
-func view(it item.Item, t float64) Arrival {
-	return Arrival{ID: it.ID, Size: it.Size, Sizes: it.Sizes, At: t, Departure: math.NaN()}
-}
-
-// sizeVec returns the demand vector of the arrival ({Size} for 1-D).
-func (a Arrival) sizeVec() []float64 {
-	if len(a.Sizes) == 0 {
-		return []float64{a.Size}
-	}
-	return a.Sizes
-}
-
-// need is the gap threshold the arrival's scalar demand requires of a
-// bin: size minus the capacity tolerance, so a bin with gap >= need
-// accommodates the item under the same epsilon as Bin.Fits.
-func (a Arrival) need() float64 { return a.Size - bins.Eps }
-
 // Fleet is a policy's read-only view of the open bins: the raw opening-
-// order slice plus the Any Fit queries every classical policy is built
-// from. The indexed engine answers each query in O(log B) from the
-// ledger-maintained bins.Index; the linear reference engine answers them
-// with O(B) scans of identical, exact (gap, index)-lexicographic
+// order slice plus the Any Fit queries the classical policies are built
+// from. Every query takes the raw demand vector — a scalar job is the
+// d = 1 case — and admits a bin by the per-dimension bins.Bin.FitsDemand
+// test, the same comparison on both backends and in the engine's own
+// misplacement check. The indexed engine answers each query from the
+// ledger-maintained bins.Index (a gap tree and two treaps); the linear
+// reference engine answers it with an O(B) scan of identical, exact
 // semantics — the cross-engine equivalence suite holds the two to
-// bit-identical packings.
-//
-// The scalar queries take a pre-folded gap threshold (need = size - Eps)
-// and are exact for 1-D demands. The vector queries take the RAW demand
-// vector — tolerance is applied internally via the per-dimension
-// bins.Bin.FitsDemand admission test, the same comparison on both
-// backends — and serve d-dimensional (DVBP) placements: the first and
-// last fitting bin for First/Last Fit rules, the least-total-gap
-// selection for vector Best Fit, and the dominant-resource (max-min-gap)
-// selection for Worst Fit rules. On the indexed backend they are
-// answered by pruned descent of the per-dimension max-gap tree and by
-// walks of the (TotalGap, index) and (MinGap, index) treaps
-// (bins.Index); the linear backend scans. A rule no query answers — the
-// first-dimension scoring of Best/Worst/Almost Worst Fit on vectors,
-// DotProductFit, NormBestFit — scans Open() on both backends.
+// bit-identical packings. A rule no query answers — the first-dimension
+// scoring of Best/Worst/Almost Worst Fit at d >= 2, DotProductFit,
+// NormBestFit — scans Open() on both backends.
 type Fleet interface {
 	// Open returns the currently open bins in opening order (ascending
 	// index). The slice is shared; callers must not modify or retain it.
 	Open() []*bins.Bin
-	// FirstFitting returns the earliest-opened bin with gap >= need.
-	FirstFitting(need float64) *bins.Bin
-	// LastFitting returns the latest-opened bin with gap >= need.
-	LastFitting(need float64) *bins.Bin
-	// TightestFitting returns the bin with the smallest gap >= need,
-	// ties toward the earliest opened.
-	TightestFitting(need float64) *bins.Bin
-	// EmptiestFitting returns the bin with the largest gap, ties toward
-	// the earliest opened, or nil if that gap is below need.
-	EmptiestFitting(need float64) *bins.Bin
-	// SecondEmptiestFitting returns the runner-up of EmptiestFitting
-	// under the (descending gap, ascending index) order, restricted to
-	// gaps >= need.
-	SecondEmptiestFitting(need float64) *bins.Bin
 	// FirstFittingVec returns the earliest-opened bin that fits the
 	// demand vector in every dimension, or nil.
 	FirstFittingVec(sizes []float64) *bins.Bin
 	// LastFittingVec returns the latest-opened such bin, or nil.
 	LastFittingVec(sizes []float64) *bins.Bin
 	// TightestFittingVec returns the fitting bin with the smallest total
-	// gap (bins.Bin.TotalGap), ties toward the earliest opened, or nil.
+	// gap (bins.Bin.TotalGap, the gap at d = 1), ties toward the earliest
+	// opened, or nil.
 	TightestFittingVec(sizes []float64) *bins.Bin
 	// MaxMinGapFitting returns the fitting bin whose dominant (most
 	// loaded) resource has the most remaining capacity — the bin
-	// maximizing min over dimensions of gap — ties toward the earliest
-	// opened, or nil.
+	// maximizing min over dimensions of gap, the gap at d = 1 — ties
+	// toward the earliest opened, or nil.
 	MaxMinGapFitting(sizes []float64) *bins.Bin
+	// SecondEmptiestFitting returns the runner-up of MaxMinGapFitting's
+	// (descending min gap, ascending index) order among the fitting
+	// bins, or nil when fewer than two fit.
+	SecondEmptiestFitting(sizes []float64) *bins.Bin
 }
 
 // Algorithm is an online bin packing policy.
@@ -129,10 +95,4 @@ type Algorithm interface {
 	Place(a Arrival, f Fleet) *bins.Bin
 	BinOpened(b *bins.Bin)
 	Reset()
-}
-
-// fits reports whether the arrival fits in the bin under the bin's
-// capacity with tolerance, in every dimension.
-func fits(b *bins.Bin, a Arrival) bool {
-	return b.FitsDemand(a.sizeVec())
 }

@@ -18,19 +18,19 @@ func (*BestFit) Name() string { return "BestFit" }
 
 // Place returns the fitting bin with minimal gap (ties: lowest index).
 func (*BestFit) Place(a Arrival, f Fleet) *bins.Bin {
-	if len(a.Sizes) > 0 {
-		// Vector demand: scan the open list keeping the historical scalar
-		// scoring — smallest first-dimension gap, ties toward the earliest
-		// opened.
-		var best *bins.Bin
-		for _, b := range f.Open() {
-			if b.FitsDemand(a.Sizes) && (best == nil || b.Gap() < best.Gap()) {
-				best = b
-			}
-		}
-		return best
+	if len(a.Sizes) == 1 {
+		return f.TightestFittingVec(a.Sizes) // at d = 1 TotalGap is the gap
 	}
-	return f.TightestFitting(a.need())
+	// Vector demand: scan the open list keeping the historical scalar
+	// scoring — smallest first-dimension gap, ties toward the earliest
+	// opened.
+	var best *bins.Bin
+	for _, b := range f.Open() {
+		if b.FitsDemand(a.Sizes) && (best == nil || b.Gap() < best.Gap()) {
+			best = b
+		}
+	}
+	return best
 }
 
 // BinOpened implements Algorithm; Best Fit tracks no bin state.

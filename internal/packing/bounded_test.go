@@ -77,9 +77,8 @@ func TestBoundedStreamHeap(t *testing.T) {
 // TestZeroAllocPlacement pins every registered policy's steady-state
 // placement at 0 allocations: on the indexed engine with 64 resident jobs,
 // an arrival that joins an open server and its departure allocate nothing,
-// at d = 1 and d = 2. The one exception is drworstfit at d = 1, whose
-// one-element demand vector (Arrival.sizeVec) escapes through the Fleet
-// interface call: 1.
+// at d = 1 and d = 2 — also at d = 1, where the demand vector a policy
+// passes to a Fleet query is the engine's own one-element slice.
 func TestZeroAllocPlacement(t *testing.T) {
 	for _, name := range packing.Names() {
 		for _, dim := range []int{1, 2} {
@@ -114,12 +113,8 @@ func TestZeroAllocPlacement(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			want := 0.0
-			if name == "drworstfit" && dim == 1 {
-				want = 1
-			}
-			if n != want {
-				t.Errorf("%s d=%d: an arrival and departure on an open server allocate %v times, want %v", name, dim, n, want)
+			if n != 0 {
+				t.Errorf("%s d=%d: an arrival and departure on an open server allocate %v times, want 0", name, dim, n)
 			}
 		}
 	}

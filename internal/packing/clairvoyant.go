@@ -38,7 +38,7 @@ func (*AlignFit) Place(a Arrival, f Fleet) *bins.Bin {
 	var best *bins.Bin
 	bestDiff := math.Inf(1)
 	for _, b := range f.Open() {
-		if !fits(b, a) {
+		if !b.FitsDemand(a.Sizes) {
 			continue
 		}
 		diff := math.Abs(horizon(b) - a.Departure)
@@ -79,7 +79,7 @@ func (*NoExtendFit) Place(a Arrival, f Fleet) *bins.Bin {
 	// Pass 1: fullest bin the item fits without extending its horizon.
 	var free *bins.Bin
 	for _, b := range open {
-		if !fits(b, a) || a.Departure > horizon(b) {
+		if !b.FitsDemand(a.Sizes) || a.Departure > horizon(b) {
 			continue
 		}
 		if free == nil || b.Level() > free.Level()+bins.Eps {
@@ -91,7 +91,7 @@ func (*NoExtendFit) Place(a Arrival, f Fleet) *bins.Bin {
 	}
 	// Pass 2: First Fit among the rest.
 	for _, b := range open {
-		if fits(b, a) {
+		if b.FitsDemand(a.Sizes) {
 			return b
 		}
 	}

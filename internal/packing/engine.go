@@ -38,6 +38,7 @@ type engine struct {
 	fleet       Fleet
 	kind        EngineKind
 	clairvoyant bool
+	scalar      [1]float64 // a scalar arrival's demand vector
 }
 
 // newEngine builds an engine over a fresh ledger. capacity <= 0 means
@@ -93,7 +94,11 @@ func (e *engine) arrive(it item.Item, t float64, capacityFor func(Arrival) (floa
 	if err := e.checkDemand(it); err != nil {
 		return nil, false, err
 	}
-	a := view(it, t)
+	a := Arrival{ID: it.ID, Size: it.Size, Sizes: it.Sizes, At: t, Departure: math.NaN()}
+	if len(a.Sizes) == 0 {
+		e.scalar[0] = it.Size
+		a.Sizes = e.scalar[:]
+	}
 	if e.clairvoyant {
 		a.Departure = it.Departure
 	}

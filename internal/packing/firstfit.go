@@ -20,12 +20,7 @@ func NewFirstFit() *FirstFit { return &FirstFit{} }
 func (*FirstFit) Name() string { return "FirstFit" }
 
 // Place returns the lowest-indexed open bin that fits, or nil.
-func (*FirstFit) Place(a Arrival, f Fleet) *bins.Bin {
-	if len(a.Sizes) > 0 {
-		return f.FirstFittingVec(a.Sizes)
-	}
-	return f.FirstFitting(a.need())
-}
+func (*FirstFit) Place(a Arrival, f Fleet) *bins.Bin { return f.FirstFittingVec(a.Sizes) }
 
 // BinOpened implements Algorithm; First Fit tracks no bin state.
 func (*FirstFit) BinOpened(*bins.Bin) {}

@@ -31,75 +31,10 @@ type linearFleet struct {
 
 func (f linearFleet) Open() []*bins.Bin { return f.ledger.OpenBins() }
 
-func (f linearFleet) FirstFitting(need float64) *bins.Bin {
-	for _, b := range f.ledger.OpenBins() {
-		if b.Gap() >= need {
-			return b
-		}
-	}
-	return nil
-}
-
-func (f linearFleet) LastFitting(need float64) *bins.Bin {
-	open := f.ledger.OpenBins()
-	for i := len(open) - 1; i >= 0; i-- {
-		if open[i].Gap() >= need {
-			return open[i]
-		}
-	}
-	return nil
-}
-
-func (f linearFleet) TightestFitting(need float64) *bins.Bin {
-	var best *bins.Bin
-	for _, b := range f.ledger.OpenBins() {
-		if b.Gap() < need {
-			continue
-		}
-		if best == nil || b.Gap() < best.Gap() {
-			best = b
-		}
-	}
-	return best
-}
-
-func (f linearFleet) EmptiestFitting(need float64) *bins.Bin {
-	var best *bins.Bin
-	for _, b := range f.ledger.OpenBins() {
-		if b.Gap() < need {
-			continue
-		}
-		if best == nil || b.Gap() > best.Gap() {
-			best = b
-		}
-	}
-	return best
-}
-
-func (f linearFleet) SecondEmptiestFitting(need float64) *bins.Bin {
-	var first, second *bins.Bin
-	for _, b := range f.ledger.OpenBins() {
-		if b.Gap() < need {
-			continue
-		}
-		switch {
-		case first == nil:
-			first = b
-		case b.Gap() > first.Gap():
-			second = first
-			first = b
-		case second == nil || b.Gap() > second.Gap():
-			second = b
-		}
-	}
-	return second
-}
-
-// The vector queries share one admission comparison with the indexed
-// backend — bins.Bin.FitsDemand — and one score for vector Best Fit —
-// bins.Bin.TotalGap — so the two engines cannot disagree on a borderline
-// demand or a tie; only the search strategy differs (scan vs pruned tree
-// descent or treap walk).
+// The queries share one admission comparison with the indexed backend —
+// bins.Bin.FitsDemand — and its scores — bins.Bin.TotalGap and MinGap —
+// so the two engines cannot disagree on a borderline demand or a tie;
+// only the search strategy differs (scan vs tree descent or treap walk).
 
 func (f linearFleet) FirstFittingVec(sizes []float64) *bins.Bin {
 	for _, b := range f.ledger.OpenBins() {
@@ -144,4 +79,21 @@ func (f linearFleet) MaxMinGapFitting(sizes []float64) *bins.Bin {
 		}
 	}
 	return best
+}
+
+func (f linearFleet) SecondEmptiestFitting(sizes []float64) *bins.Bin {
+	var first, second *bins.Bin
+	for _, b := range f.ledger.OpenBins() {
+		switch {
+		case !b.FitsDemand(sizes):
+		case first == nil:
+			first = b
+		case b.MinGap() > first.MinGap():
+			second = first
+			first = b
+		case second == nil || b.MinGap() > second.MinGap():
+			second = b
+		}
+	}
+	return second
 }

@@ -73,7 +73,7 @@ func (h *HybridFirstFit) Place(a Arrival, f Fleet) *bins.Bin {
 		}
 	}
 	for _, b := range open {
-		if h.class[b] == c && fits(b, a) {
+		if h.class[b] == c && b.FitsDemand(a.Sizes) {
 			return b
 		}
 	}
@@ -152,7 +152,7 @@ func (h *HybridNextFit) Name() string { return fmt.Sprintf("HybridNextFit(k=%d)"
 // Place puts the arrival in its class's available bin if possible.
 func (h *HybridNextFit) Place(a Arrival, f Fleet) *bins.Bin {
 	c := classify(a.Size, h.k)
-	if b := h.available[c]; b != nil && b.IsOpen() && fits(b, a) {
+	if b := h.available[c]; b != nil && b.IsOpen() && b.FitsDemand(a.Sizes) {
 		return b
 	}
 	h.available[c] = nil

@@ -17,12 +17,7 @@ func NewLastFit() *LastFit { return &LastFit{} }
 func (*LastFit) Name() string { return "LastFit" }
 
 // Place returns the highest-indexed open bin that fits, or nil.
-func (*LastFit) Place(a Arrival, f Fleet) *bins.Bin {
-	if len(a.Sizes) > 0 {
-		return f.LastFittingVec(a.Sizes)
-	}
-	return f.LastFitting(a.need())
-}
+func (*LastFit) Place(a Arrival, f Fleet) *bins.Bin { return f.LastFittingVec(a.Sizes) }
 
 // BinOpened implements Algorithm; Last Fit tracks no bin state.
 func (*LastFit) BinOpened(*bins.Bin) {}

@@ -35,7 +35,7 @@ func (*NextFit) Name() string { return "NextFit" }
 // requests a new bin (which the engine reports via BinOpened, making it
 // the new available bin).
 func (nf *NextFit) Place(a Arrival, f Fleet) *bins.Bin {
-	if nf.available != nil && nf.available.IsOpen() && fits(nf.available, a) {
+	if nf.available != nil && nf.available.IsOpen() && nf.available.FitsDemand(a.Sizes) {
 		return nf.available
 	}
 	// Either no available bin, it closed on its own, or the item does not

@@ -43,7 +43,7 @@ func (nk *NextKFit) Place(a Arrival, f Fleet) *bins.Bin {
 	}
 	nk.available = live
 	for _, b := range nk.available {
-		if fits(b, a) {
+		if b.FitsDemand(a.Sizes) {
 			return b
 		}
 	}
@@ -105,30 +105,29 @@ func (*AlmostWorstFit) Name() string { return "AlmostWorstFit" }
 // Place returns the second-emptiest fitting bin (ties toward lower
 // index), or the emptiest if only one fits, or nil if none fits.
 func (*AlmostWorstFit) Place(a Arrival, f Fleet) *bins.Bin {
-	if len(a.Sizes) > 0 {
-		var first, second *bins.Bin // emptiest and second-emptiest fitting
-		for _, b := range f.Open() {
-			switch {
-			case !b.FitsDemand(a.Sizes):
-			case first == nil:
-				first = b
-			case b.Gap() > first.Gap():
-				second = first
-				first = b
-			case second == nil || b.Gap() > second.Gap():
-				second = b
-			}
-		}
-		if second != nil {
+	if len(a.Sizes) == 1 { // at d = 1 MinGap is the gap
+		if second := f.SecondEmptiestFitting(a.Sizes); second != nil {
 			return second
 		}
-		return first
+		return f.MaxMinGapFitting(a.Sizes)
 	}
-	need := a.need()
-	if second := f.SecondEmptiestFitting(need); second != nil {
+	var first, second *bins.Bin // emptiest and second-emptiest fitting by gap
+	for _, b := range f.Open() {
+		switch {
+		case !b.FitsDemand(a.Sizes):
+		case first == nil:
+			first = b
+		case b.Gap() > first.Gap():
+			second = first
+			first = b
+		case second == nil || b.Gap() > second.Gap():
+			second = b
+		}
+	}
+	if second != nil {
 		return second
 	}
-	return f.EmptiestFitting(need)
+	return first
 }
 
 // BinOpened implements Algorithm; Almost Worst Fit tracks no bin state.

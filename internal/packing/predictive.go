@@ -50,7 +50,7 @@ func (p *PredictiveFit) Place(a Arrival, f Fleet) *bins.Bin {
 	open := f.Open()
 	var free *bins.Bin
 	for _, b := range open {
-		if !fits(b, a) || pred > horizon(b) {
+		if !b.FitsDemand(a.Sizes) || pred > horizon(b) {
 			continue
 		}
 		if free == nil || b.Level() > free.Level()+bins.Eps {
@@ -61,7 +61,7 @@ func (p *PredictiveFit) Place(a Arrival, f Fleet) *bins.Bin {
 		return free
 	}
 	for _, b := range open {
-		if fits(b, a) {
+		if b.FitsDemand(a.Sizes) {
 			return b
 		}
 	}

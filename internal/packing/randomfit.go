@@ -48,10 +48,10 @@ func (rf *RandomFit) next() uint64 {
 // order. (Modulo bias over 64-bit draws is immeasurably small for any
 // feasible fleet size.)
 func (rf *RandomFit) Place(a Arrival, f Fleet) *bins.Bin {
-	open, sizes := f.Open(), a.sizeVec()
+	open := f.Open()
 	n := 0
 	for _, b := range open {
-		if b.FitsDemand(sizes) {
+		if b.FitsDemand(a.Sizes) {
 			n++
 		}
 	}
@@ -60,7 +60,7 @@ func (rf *RandomFit) Place(a Arrival, f Fleet) *bins.Bin {
 	}
 	k := rf.next() % uint64(n)
 	for _, b := range open {
-		if b.FitsDemand(sizes) {
+		if b.FitsDemand(a.Sizes) {
 			if k == 0 {
 				return b
 			}

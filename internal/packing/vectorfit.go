@@ -38,12 +38,7 @@ func NewVectorBestFit() *VectorBestFit { return &VectorBestFit{} }
 func (*VectorBestFit) Name() string { return "VectorBestFit" }
 
 // Place returns the fitting server with minimal total gap.
-func (*VectorBestFit) Place(a Arrival, f Fleet) *bins.Bin {
-	if len(a.Sizes) == 0 {
-		return f.TightestFitting(a.need())
-	}
-	return f.TightestFittingVec(a.Sizes)
-}
+func (*VectorBestFit) Place(a Arrival, f Fleet) *bins.Bin { return f.TightestFittingVec(a.Sizes) }
 
 // BinOpened implements Algorithm; stateless.
 func (*VectorBestFit) BinOpened(*bins.Bin) {}
@@ -68,17 +63,16 @@ func (*DotProductFit) Name() string { return "DotProductFit" }
 
 // Place returns the fitting server maximizing demand . gaps.
 func (*DotProductFit) Place(a Arrival, f Fleet) *bins.Bin {
-	sizes := a.sizeVec()
 	var (
 		best      *bins.Bin
 		bestScore float64
 	)
 	for _, b := range f.Open() {
-		if !b.FitsDemand(sizes) {
+		if !b.FitsDemand(a.Sizes) {
 			continue
 		}
 		score := 0.0
-		for d, s := range sizes {
+		for d, s := range a.Sizes {
 			score += s * b.GapAt(d)
 		}
 		if best == nil || score > bestScore {
@@ -110,17 +104,16 @@ func (*NormBestFit) Name() string { return "NormBestFit" }
 
 // Place returns the fitting server minimizing ||gaps - demand||^2.
 func (*NormBestFit) Place(a Arrival, f Fleet) *bins.Bin {
-	sizes := a.sizeVec()
 	var (
 		best      *bins.Bin
 		bestScore float64
 	)
 	for _, b := range f.Open() {
-		if !b.FitsDemand(sizes) {
+		if !b.FitsDemand(a.Sizes) {
 			continue
 		}
 		score := 0.0
-		for d, s := range sizes {
+		for d, s := range a.Sizes {
 			r := b.GapAt(d) - s
 			score += r * r
 		}
@@ -155,7 +148,7 @@ func (*DRWorstFit) Name() string { return "DRWorstFit" }
 
 // Place returns the fitting server with maximal min-dimension gap.
 func (*DRWorstFit) Place(a Arrival, f Fleet) *bins.Bin {
-	return f.MaxMinGapFitting(a.sizeVec())
+	return f.MaxMinGapFitting(a.Sizes)
 }
 
 // BinOpened implements Algorithm; stateless.

@@ -17,19 +17,19 @@ func (*WorstFit) Name() string { return "WorstFit" }
 
 // Place returns the fitting bin with maximal gap (ties: lowest index).
 func (*WorstFit) Place(a Arrival, f Fleet) *bins.Bin {
-	if len(a.Sizes) > 0 {
-		// Vector demand: same historical scalar scoring (largest
-		// first-dimension gap) over a scan of the open list. For the
-		// dominant-resource vector rule see DRWorstFit.
-		var best *bins.Bin
-		for _, b := range f.Open() {
-			if b.FitsDemand(a.Sizes) && (best == nil || b.Gap() > best.Gap()) {
-				best = b
-			}
-		}
-		return best
+	if len(a.Sizes) == 1 {
+		return f.MaxMinGapFitting(a.Sizes) // at d = 1 MinGap is the gap
 	}
-	return f.EmptiestFitting(a.need())
+	// Vector demand: same historical scalar scoring (largest
+	// first-dimension gap) over a scan of the open list. For the
+	// dominant-resource vector rule see DRWorstFit.
+	var best *bins.Bin
+	for _, b := range f.Open() {
+		if b.FitsDemand(a.Sizes) && (best == nil || b.Gap() > best.Gap()) {
+			best = b
+		}
+	}
+	return best
 }
 
 // BinOpened implements Algorithm; Worst Fit tracks no bin state.
