@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench bench-smoke bench-fleet figures loadtest loadtest-ramp fuzz-short bench-wire loadtest-wire recover-test bench-wal bench-bins
+.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench bench-smoke bench-fleet figures loadtest loadtest-ramp fuzz-short bench-wire loadtest-wire recover-test bench-wal bench-bins loc
 
 build:
 	$(GO) build ./...
@@ -129,3 +129,13 @@ bench-wal:
 
 figures:
 	$(GO) run ./cmd/dbpplot
+
+## loc: the non-test Go lines added, removed and net outside bench/, from
+## BASE (default HEAD) to the working tree, untracked files included —
+## the figure a change reports (make loc BASE=main)
+BASE ?= HEAD
+loc:
+	@{ git diff --numstat $(BASE) -- '*.go' ':!*_test.go' ':!bench/'; \
+	  git ls-files --others --exclude-standard -- '*.go' ':!*_test.go' ':!bench/' | \
+	  xargs -r wc -l | awk '$$2 != "total" {print $$1 "\t0\t" $$2}'; } | \
+	awk '{a += $$1; r += $$2} END {printf "non-test Go outside bench/: +%d -%d (net %+d)\n", a, r, a - r}'

@@ -89,7 +89,8 @@ func WorstFit() Algorithm { return packing.NewWorstFit() }
 func LastFit() Algorithm { return packing.NewLastFit() }
 
 // NextFit returns Next Fit (single available server; at best
-// 2mu-competitive, paper Sec. VIII).
+// 2mu-competitive, paper Sec. VIII). It is NextKFit(1) under the name
+// NextFit.
 func NextFit() Algorithm { return packing.NewNextFit() }
 
 // RandomFit returns the seeded random Any Fit baseline.
@@ -247,7 +248,8 @@ func AlignFit() Algorithm { return packing.NewAlignFit() }
 
 // NoExtendFit returns the clairvoyant baseline that prefers placements
 // that do not extend any server's closing horizon (requires
-// RunClairvoyant).
+// RunClairvoyant). It is PredictiveFit at sigma 0 under the name
+// NoExtendFit(clairvoyant).
 func NoExtendFit() Algorithm { return packing.NewNoExtendFit() }
 
 // NextKFit returns bounded-space Next-k Fit: Next Fit generalized to k
@@ -257,9 +259,10 @@ func NextKFit(k int) Algorithm { return packing.NewNextKFit(k) }
 // AlmostWorstFit returns the classical second-emptiest-bin policy.
 func AlmostWorstFit() Algorithm { return packing.NewAlmostWorstFit() }
 
-// PredictiveFit returns the learning-augmented baseline: departure-aware
-// placement driven by noisy duration predictions (lognormal noise sigma;
-// sigma 0 = perfect clairvoyance). Requires RunClairvoyant.
+// PredictiveFit returns the learning-augmented baseline: NoExtendFit's
+// departure-aware rule driven by noisy duration predictions (lognormal
+// noise sigma; sigma 0 = perfect clairvoyance, NoExtendFit itself).
+// Requires RunClairvoyant.
 func PredictiveFit(sigma float64, seed int64) Algorithm { return packing.NewPredictiveFit(sigma, seed) }
 
 // RenderGantt draws an ASCII timeline of a packing run (one row per

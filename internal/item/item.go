@@ -83,14 +83,22 @@ func (it Item) Validate() error {
 			return fmt.Errorf("item %d: sizes[%d] = %g outside [0, 1]", it.ID, d, s)
 		}
 	}
-	if len(it.Sizes) > 0 {
-		maxc := 0.0
-		for _, s := range it.Sizes {
-			maxc = math.Max(maxc, s)
-		}
-		if math.Abs(maxc-it.Size) > 1e-12 {
-			return fmt.Errorf("item %d: Size %g != max(Sizes) %g", it.ID, it.Size, maxc)
-		}
+	return it.CheckDominant()
+}
+
+// CheckDominant returns an error unless a vector demand's Size is its
+// largest component (within 1e-12) — the convention the size-classifying
+// policies and every scalar capacity check rely on. A scalar item passes.
+func (it Item) CheckDominant() error {
+	if len(it.Sizes) == 0 {
+		return nil
+	}
+	maxc := 0.0
+	for _, s := range it.Sizes {
+		maxc = math.Max(maxc, s)
+	}
+	if math.Abs(maxc-it.Size) > 1e-12 {
+		return fmt.Errorf("item %d: Size %g != max(Sizes) %g", it.ID, it.Size, maxc)
 	}
 	return nil
 }

@@ -120,9 +120,7 @@ func segments(l item.List, visit func(length float64, sizes []float64)) {
 // If any segment's search is cut off, ok is false and the returned value
 // is an upper estimate.
 func TotalExact(l item.List, nodeLimit int) (total float64, ok bool) {
-	if nodeLimit == 0 {
-		nodeLimit = binpack.DefaultNodeLimit
-	}
+	_, nodeLimit = limits(0, nodeLimit)
 	ok = true
 	segments(l, func(length float64, sizes []float64) {
 		n, complete := binpack.ExactWithLimit(sizes, 1, nodeLimit)
@@ -138,33 +136,53 @@ func TotalExact(l item.List, nodeLimit int) (total float64, ok bool) {
 // are solved exactly (contributing equally to both sides); larger ones
 // contribute the L2 lower bound and the best of FFD/BFD as upper bound.
 // exactLimit is the maximum number of active items for which the exact
-// solver is invoked (0 means 64); nodeLimit as in TotalExact.
+// solver is invoked (0 means 64); nodeLimit as in TotalExact. Segments
+// are bracketed as the sweep yields them, so memory stays O(active).
 func Total(l item.List, exactLimit, nodeLimit int) Bounds {
+	exactLimit, nodeLimit = limits(exactLimit, nodeLimit)
+	b := Bounds{Exact: true}
+	segments(l, func(length float64, sizes []float64) {
+		b.add(bracket(length, sizes, exactLimit, nodeLimit))
+	})
+	return b
+}
+
+// limits resolves Total's and TotalParallel's zero defaults: 64 active
+// items for the exact solver, binpack.DefaultNodeLimit search nodes.
+func limits(exactLimit, nodeLimit int) (int, int) {
 	if exactLimit == 0 {
 		exactLimit = 64
 	}
 	if nodeLimit == 0 {
 		nodeLimit = binpack.DefaultNodeLimit
 	}
-	b := Bounds{Exact: true}
-	segments(l, func(length float64, sizes []float64) {
-		if len(sizes) <= exactLimit {
-			if n, complete := binpack.ExactWithLimit(sizes, 1, nodeLimit); complete {
-				b.Lower += float64(n) * length
-				b.Upper += float64(n) * length
-				return
-			}
+	return exactLimit, nodeLimit
+}
+
+// bracket is one segment's certified contribution to the OPT_total
+// bracket: the exact optimum times the segment length on both sides when
+// the segment has at most exactLimit items and the search completes,
+// else L2 below and the best of FFD/BFD above.
+func bracket(length float64, sizes []float64, exactLimit, nodeLimit int) Bounds {
+	if len(sizes) <= exactLimit {
+		if n, complete := binpack.ExactWithLimit(sizes, 1, nodeLimit); complete {
+			v := float64(n) * length
+			return Bounds{Lower: v, Upper: v, Exact: true}
 		}
-		b.Exact = false
-		lo := binpack.L2(sizes, 1)
-		hi := binpack.FirstFitDecreasing(sizes, 1)
-		if bfd := binpack.BestFitDecreasing(sizes, 1); bfd < hi {
-			hi = bfd
-		}
-		b.Lower += float64(lo) * length
-		b.Upper += float64(hi) * length
-	})
-	return b
+	}
+	lo := binpack.L2(sizes, 1)
+	hi := binpack.FirstFitDecreasing(sizes, 1)
+	if bfd := binpack.BestFitDecreasing(sizes, 1); bfd < hi {
+		hi = bfd
+	}
+	return Bounds{Lower: float64(lo) * length, Upper: float64(hi) * length}
+}
+
+// add folds one segment's bracket into a running total.
+func (b *Bounds) add(seg Bounds) {
+	b.Lower += seg.Lower
+	b.Upper += seg.Upper
+	b.Exact = b.Exact && seg.Exact
 }
 
 // OptAt returns OPT(R, t): the minimum number of bins for the items
@@ -224,54 +242,24 @@ type segmentData struct {
 	sizes  []float64
 }
 
-// materialize collects the non-empty timeline segments of the list.
-func materialize(l item.List) []segmentData {
-	var out []segmentData
-	segments(l, func(length float64, sizes []float64) {
-		out = append(out, segmentData{length: length, sizes: append([]float64(nil), sizes...)})
-	})
-	return out
-}
-
-// TotalParallel is Total with the per-segment bin packing solved on up
-// to workers goroutines (workers <= 0 uses GOMAXPROCS). Segments are
+// TotalParallel is Total with the per-segment bracket solved on up to
+// workers goroutines (workers <= 0 uses GOMAXPROCS). Segments are
 // independent classical bin-packing instances, so this is an
-// embarrassingly parallel integral; contributions are folded in timeline
-// order, making the result bit-identical to the sequential Total.
+// embarrassingly parallel integral; it materializes every segment, and
+// folds the brackets in timeline order, making the result bit-identical
+// to the sequential Total.
 func TotalParallel(l item.List, exactLimit, nodeLimit, workers int) Bounds {
-	if exactLimit == 0 {
-		exactLimit = 64
-	}
-	if nodeLimit == 0 {
-		nodeLimit = binpack.DefaultNodeLimit
-	}
-	segs := materialize(l)
-	type contrib struct {
-		lower, upper float64
-		exact        bool
-	}
-	parts := parallel.Map(len(segs), workers, func(i int) contrib {
-		s := segs[i]
-		if len(s.sizes) <= exactLimit {
-			if n, complete := binpack.ExactWithLimit(s.sizes, 1, nodeLimit); complete {
-				v := float64(n) * s.length
-				return contrib{lower: v, upper: v, exact: true}
-			}
-		}
-		lo := binpack.L2(s.sizes, 1)
-		hi := binpack.FirstFitDecreasing(s.sizes, 1)
-		if bfd := binpack.BestFitDecreasing(s.sizes, 1); bfd < hi {
-			hi = bfd
-		}
-		return contrib{lower: float64(lo) * s.length, upper: float64(hi) * s.length}
+	exactLimit, nodeLimit = limits(exactLimit, nodeLimit)
+	var segs []segmentData
+	segments(l, func(length float64, sizes []float64) {
+		segs = append(segs, segmentData{length: length, sizes: append([]float64(nil), sizes...)})
+	})
+	parts := parallel.Map(len(segs), workers, func(i int) Bounds {
+		return bracket(segs[i].length, segs[i].sizes, exactLimit, nodeLimit)
 	})
 	b := Bounds{Exact: true}
 	for _, p := range parts {
-		b.Lower += p.lower
-		b.Upper += p.upper
-		if !p.exact {
-			b.Exact = false
-		}
+		b.add(p)
 	}
 	return b
 }

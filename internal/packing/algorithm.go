@@ -31,6 +31,10 @@ type Arrival struct {
 	// engine owns and rewrites at the next arrival. Policies must not
 	// modify or retain it.
 	Sizes []float64
+	// Capacity is the fleet's per-dimension server capacity, the unit
+	// that makes a size a fraction of a server (1 in the paper's
+	// normalization).
+	Capacity float64
 	// At is the arrival time — the current wall clock, which every
 	// online policy legitimately knows.
 	At float64

@@ -14,7 +14,8 @@ import (
 // interval scheduling (Sec. II), where ending times are known yet
 // minimizing busy time is still hard. Their decisions depend on per-bin
 // departure horizons, which the shared index does not track, so they
-// scan the open list (the linear path).
+// scan the open list (the linear path). NoExtendFit, the other
+// clairvoyant baseline, is PredictiveFit at sigma = 0 (predictive.go).
 
 // AlignFit places each item into the fitting bin whose closing horizon
 // (latest departure among resident items) is closest to the item's own
@@ -54,55 +55,6 @@ func (*AlignFit) BinOpened(*bins.Bin) {}
 
 // Reset implements Algorithm; AlignFit is stateless.
 func (*AlignFit) Reset() {}
-
-// NoExtendFit is a stricter clairvoyant rule: it only joins a bin if the
-// item would NOT extend the bin's closing horizon (departure <= current
-// horizon), preferring the fullest such bin; if no bin can absorb the
-// item for free, it prefers First Fit among the rest. Joining a bin
-// without extending its horizon adds zero usage time, so every such
-// placement is individually optimal.
-type NoExtendFit struct{}
-
-// NewNoExtendFit returns a NoExtendFit policy (requires a clairvoyant
-// run).
-func NewNoExtendFit() *NoExtendFit { return &NoExtendFit{} }
-
-// Name implements Algorithm.
-func (*NoExtendFit) Name() string { return "NoExtendFit(clairvoyant)" }
-
-// Place implements Algorithm.
-func (*NoExtendFit) Place(a Arrival, f Fleet) *bins.Bin {
-	if math.IsNaN(a.Departure) {
-		panic(fmt.Sprintf("packing: NoExtendFit requires Options.Clairvoyant (item %d)", a.ID))
-	}
-	open := f.Open()
-	// Pass 1: fullest bin the item fits without extending its horizon.
-	var free *bins.Bin
-	for _, b := range open {
-		if !b.FitsDemand(a.Sizes) || a.Departure > horizon(b) {
-			continue
-		}
-		if free == nil || b.Level() > free.Level()+bins.Eps {
-			free = b
-		}
-	}
-	if free != nil {
-		return free
-	}
-	// Pass 2: First Fit among the rest.
-	for _, b := range open {
-		if b.FitsDemand(a.Sizes) {
-			return b
-		}
-	}
-	return nil
-}
-
-// BinOpened implements Algorithm; NoExtendFit tracks no bin state.
-func (*NoExtendFit) BinOpened(*bins.Bin) {}
-
-// Reset implements Algorithm; NoExtendFit is stateless.
-func (*NoExtendFit) Reset() {}
 
 // horizon returns the latest departure among a bin's resident items.
 // In a clairvoyant run the true departures are available in bin state.

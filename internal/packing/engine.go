@@ -82,6 +82,11 @@ func (e *engine) checkDemand(it item.Item) error {
 			return failf(ErrBadDemand, "packing: job %d demand %g in dim %d cannot fit any server of capacity %g", it.ID, c, d, cap)
 		}
 	}
+	// Size must be the demand's largest component: the hybrids classify
+	// by it and the scalar check above reads it.
+	if err := it.CheckDominant(); err != nil {
+		return failf(ErrBadDemand, "packing: %v", err)
+	}
 	return nil
 }
 
@@ -94,7 +99,7 @@ func (e *engine) arrive(it item.Item, t float64, capacityFor func(Arrival) (floa
 	if err := e.checkDemand(it); err != nil {
 		return nil, false, err
 	}
-	a := Arrival{ID: it.ID, Size: it.Size, Sizes: it.Sizes, At: t, Departure: math.NaN()}
+	a := Arrival{ID: it.ID, Size: it.Size, Sizes: it.Sizes, Capacity: e.ledger.Capacity(), At: t, Departure: math.NaN()}
 	if len(a.Sizes) == 0 {
 		e.scalar[0] = it.Size
 		a.Sizes = e.scalar[:]

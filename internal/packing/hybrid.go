@@ -8,9 +8,12 @@ import (
 
 // classify returns the size class of an arrival under harmonic-style
 // boundaries with k classes: class i (0-based, i < k-1) holds sizes in
-// (1/(i+2), 1/(i+1)], and the last class holds all remaining small sizes
-// in (0, 1/k]. With k = 2 this is the large/small split at 1/2 used by the
-// paper's analysis (Sec. V classifies items at size 1/2).
+// (1/(i+2), 1/(i+1)] of a server, and the last class holds all remaining
+// small sizes in (0, 1/k]. With k = 2 this is the large/small split at
+// 1/2 used by the paper's analysis (Sec. V classifies items at size 1/2).
+// Callers pass the size in servers (Arrival.Size / Arrival.Capacity), so
+// a fleet of any capacity classifies a job as the unit fleet classifies
+// its scaled twin.
 func classify(size float64, k int) int {
 	for i := 0; i < k-1; i++ {
 		if size > 1.0/float64(i+2) {
@@ -63,7 +66,7 @@ func (h *HybridFirstFit) Name() string { return fmt.Sprintf("HybridFirstFit(k=%d
 // it ever opened — stays within twice the open fleet, at an amortised O(1)
 // per closure.
 func (h *HybridFirstFit) Place(a Arrival, f Fleet) *bins.Bin {
-	c := classify(a.Size, h.k)
+	c := classify(a.Size/a.Capacity, h.k)
 	open := f.Open()
 	if len(h.class) > 2*len(open) {
 		for b := range h.class {
@@ -151,7 +154,7 @@ func (h *HybridNextFit) Name() string { return fmt.Sprintf("HybridNextFit(k=%d)"
 
 // Place puts the arrival in its class's available bin if possible.
 func (h *HybridNextFit) Place(a Arrival, f Fleet) *bins.Bin {
-	c := classify(a.Size, h.k)
+	c := classify(a.Size/a.Capacity, h.k)
 	if b := h.available[c]; b != nil && b.IsOpen() && b.FitsDemand(a.Sizes) {
 		return b
 	}

@@ -10,14 +10,32 @@ import (
 // classical bounded-space "Next-k Fit"): an arriving item is placed in
 // the first available bin that fits (lowest index among the available
 // set); if none fits, the oldest available bin is retired forever and a
-// new bin is opened. NextKFit(1) behaves exactly like Next Fit; larger k
-// interpolates toward First Fit's behaviour while keeping bounded state —
-// useful for charting how much of Next Fit's 2*mu penalty (Sec. VIII) is
-// due to its single-bin memory. Like Next Fit, it inspects only its own
-// O(k) retained bins, never the full fleet.
+// new bin is opened. Larger k interpolates toward First Fit's behaviour
+// while keeping bounded state — useful for charting how much of Next
+// Fit's 2*mu penalty (Sec. VIII) is due to its single-bin memory. It
+// inspects only its own O(k) retained bins, never the full fleet.
+//
+// At k = 1 it is Next Fit as defined in Sec. VIII of the paper: exactly
+// one bin is "available" for receiving new items at any time. If an
+// incoming item does not fit in the available bin, that bin is marked
+// unavailable forever and a new bin is opened (and becomes available).
+// Unavailable bins close when their items depart but never receive
+// further items. Kamali & López-Ortiz proved Next Fit is at most
+// (2mu+1)-competitive; the paper's Sec. VIII construction shows it is at
+// least 2mu-competitive, so the multiplicative factor 2 for mu is
+// inherent — whereas First Fit achieves factor 1 (Theorem 1). Experiment
+// E2 reproduces the construction.
 type NextKFit struct {
+	name      string
 	k         int
 	available []*bins.Bin // FIFO by opening, oldest first
+}
+
+// NewNextFit returns Next Fit: Next-k Fit at k = 1, named NextFit.
+func NewNextFit() *NextKFit {
+	nk := NewNextKFit(1)
+	nk.name = "NextFit"
+	return nk
 }
 
 // NewNextKFit returns a Next-k Fit policy with k >= 1 available bins.
@@ -25,11 +43,11 @@ func NewNextKFit(k int) *NextKFit {
 	if k < 1 {
 		panic("packing: NextKFit needs k >= 1")
 	}
-	return &NextKFit{k: k}
+	return &NextKFit{name: fmt.Sprintf("NextKFit(k=%d)", k), k: k}
 }
 
 // Name implements Algorithm.
-func (nk *NextKFit) Name() string { return fmt.Sprintf("NextKFit(k=%d)", nk.k) }
+func (nk *NextKFit) Name() string { return nk.name }
 
 // Place puts the arrival in the lowest-indexed available bin that fits;
 // otherwise it retires the oldest available bin and requests a new one.
@@ -76,13 +94,13 @@ func (nk *NextKFit) SaveState() PolicyState {
 // RestoreState implements StatefulAlgorithm.
 func (nk *NextKFit) RestoreState(st PolicyState, bin func(int) *bins.Bin) error {
 	if len(st.Bins) > nk.k {
-		return fmt.Errorf("NextKFit(k=%d) state lists %d available servers", nk.k, len(st.Bins))
+		return fmt.Errorf("%s state lists %d available servers, want at most %d", nk.name, len(st.Bins), nk.k)
 	}
 	nk.available = nil
 	for _, i := range st.Bins {
 		b := bin(i)
 		if b == nil {
-			return fmt.Errorf("NextKFit state names unknown open server %d", i)
+			return fmt.Errorf("%s state names unknown open server %d", nk.name, i)
 		}
 		nk.available = append(nk.available, b)
 	}

@@ -8,23 +8,34 @@ import (
 	"dbp/internal/bins"
 )
 
-// PredictiveFit is a learning-augmented baseline: it behaves like the
-// clairvoyant NoExtendFit, but sees only a *noisy prediction* of each
-// item's departure — the true departure multiplied by a lognormal factor
-// exp(sigma * N(0,1)). sigma = 0 is full clairvoyance; large sigma decays
-// toward uninformed placement. It interpolates between the paper's
-// online model (departures unknown) and interval scheduling (departures
-// known), quantifying how accurate a duration predictor must be before
-// it beats plain First Fit (experiment E13d).
+// PredictiveFit is a learning-augmented baseline: it applies the
+// clairvoyant NoExtendFit rule to a *noisy prediction* of each item's
+// departure — the true departure multiplied by a lognormal factor
+// exp(sigma * N(0,1)). sigma = 0 is full clairvoyance, and is NoExtendFit
+// itself; large sigma decays toward uninformed placement. It interpolates
+// between the paper's online model (departures unknown) and interval
+// scheduling (departures known), quantifying how accurate a duration
+// predictor must be before it beats plain First Fit (experiment E13d).
 //
 // Runs require Options.Clairvoyant (the simulator supplies the true
 // departure; the policy perturbs it deterministically per item and seed,
 // so the policy itself never acts on exact information when sigma > 0).
-// Horizon-driven like NoExtendFit, it scans the open list (linear path).
+// Horizon-driven, it scans the open list (linear path).
 type PredictiveFit struct {
+	name  string
 	sigma float64
 	seed  int64
 }
+
+// NewNoExtendFit returns NoExtendFit, the stricter clairvoyant rule: an
+// item only joins a bin if it would NOT extend the bin's closing horizon
+// (departure <= current horizon), preferring the fullest such bin; if no
+// bin can absorb the item for free, it prefers First Fit among the rest.
+// Joining a bin without extending its horizon adds zero usage time, so
+// every such placement is individually optimal. It is PredictiveFit at
+// sigma = 0, where the prediction is the true departure, and requires a
+// clairvoyant run.
+func NewNoExtendFit() *PredictiveFit { return &PredictiveFit{name: "NoExtendFit(clairvoyant)"} }
 
 // NewPredictiveFit returns a predictive policy with lognormal prediction
 // noise sigma (>= 0) and a seed for the deterministic noise stream.
@@ -32,19 +43,18 @@ func NewPredictiveFit(sigma float64, seed int64) *PredictiveFit {
 	if sigma < 0 {
 		panic("packing: negative prediction noise")
 	}
-	return &PredictiveFit{sigma: sigma, seed: seed}
+	return &PredictiveFit{name: fmt.Sprintf("PredictiveFit(sigma=%g)", sigma), sigma: sigma, seed: seed}
 }
 
 // Name implements Algorithm.
-func (p *PredictiveFit) Name() string {
-	return fmt.Sprintf("PredictiveFit(sigma=%g)", p.sigma)
-}
+func (p *PredictiveFit) Name() string { return p.name }
 
-// Place implements Algorithm: NoExtendFit's rule driven by the predicted
-// departure.
+// Place implements Algorithm: the fullest fitting bin whose horizon the
+// predicted departure does not extend, else the first fitting bin. It
+// panics if the run is not clairvoyant (misconfiguration, not data).
 func (p *PredictiveFit) Place(a Arrival, f Fleet) *bins.Bin {
 	if math.IsNaN(a.Departure) {
-		panic(fmt.Sprintf("packing: PredictiveFit requires Options.Clairvoyant (item %d)", a.ID))
+		panic(fmt.Sprintf("packing: %s requires Options.Clairvoyant (item %d)", p.name, a.ID))
 	}
 	pred := p.predict(a)
 	open := f.Open()

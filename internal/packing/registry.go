@@ -20,7 +20,9 @@ const (
 // registry is the one table of named policies; Standard, Vector,
 // Clairvoyant, Names and ByName all derive from it. Each entry builds a
 // fresh instance, so callers can run policies concurrently. First Fit on
-// vector demands is firstfit itself, not a separate entry (THEORY.md).
+// vector demands is firstfit itself, not a separate entry (THEORY.md);
+// likewise nextfit is Next-k Fit at k = 1 and noextendfit PredictiveFit
+// at sigma = 0, one implementation each under their own names.
 var registry = []struct {
 	name   string
 	family family

@@ -96,11 +96,20 @@ func TestCloseWithFullQueue(t *testing.T) {
 	accepted := make(map[item.ID]int) // id -> server
 	var rejected int
 	var wg sync.WaitGroup
+	// Client 0 fires Close mid-barrage, after its own half-way op, with
+	// the queue necessarily full or filling: depth 1 with 8 writers keeps
+	// submitters parked on the channel send the whole time. The trigger is
+	// the barrage's own progress, so however the clients are scheduled,
+	// client 0's remaining ops follow Close and must be refused.
+	done := make(chan serve.Stats, 1)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
+				if c == 0 && i == perClient/2 {
+					done <- d.Close()
+				}
 				id := item.ID(c*perClient + i + 1)
 				p, err := d.Arrive(id, 0.01, nil, nil)
 				mu.Lock()
@@ -113,12 +122,6 @@ func TestCloseWithFullQueue(t *testing.T) {
 			}
 		}(c)
 	}
-	// Fire Close mid-barrage, with the queue necessarily full or
-	// filling: depth 1 with 8 writers keeps submitters parked on the
-	// channel send the whole time.
-	time.Sleep(2 * time.Millisecond)
-	done := make(chan serve.Stats, 1)
-	go func() { done <- d.Close() }()
 	var final serve.Stats
 	select {
 	case final = <-done:

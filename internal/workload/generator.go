@@ -34,21 +34,7 @@ func (c Config) String() string {
 // Generate produces the instance described by the configuration. Items
 // are emitted in arrival order with IDs 1..N. It panics on non-positive N
 // or Rate (caller bug, not data).
-func Generate(c Config) item.List {
-	if c.N <= 0 || c.Rate <= 0 {
-		panic(fmt.Sprintf("workload: bad config %v", c))
-	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	l := make(item.List, c.N)
-	t := 0.0
-	for i := range l {
-		t += rng.ExpFloat64() / c.Rate
-		d := c.Duration.Sample(rng)
-		s := clampSize(c.Size.Sample(rng))
-		l[i] = item.Item{ID: item.ID(i + 1), Size: s, Arrival: t, Departure: t + d}
-	}
-	return l
-}
+func Generate(c Config) item.List { return generate(c, 1) }
 
 // GenerateVec produces a d-dimensional instance: each job's demand vector
 // has independent components from Size, with the scalar Size field set to
@@ -58,6 +44,13 @@ func GenerateVec(c Config, d int) item.List {
 	if d < 2 {
 		panic("workload: GenerateVec needs d >= 2")
 	}
+	return generate(c, d)
+}
+
+// generate is Generate's and GenerateVec's loop: per job, the arrival
+// gap, the duration, then d size draws. At d = 1 the one draw is the
+// scalar Size and Sizes stays nil.
+func generate(c Config, d int) item.List {
 	if c.N <= 0 || c.Rate <= 0 {
 		panic(fmt.Sprintf("workload: bad config %v", c))
 	}
@@ -67,15 +60,17 @@ func GenerateVec(c Config, d int) item.List {
 	for i := range l {
 		t += rng.ExpFloat64() / c.Rate
 		dur := c.Duration.Sample(rng)
-		vec := make([]float64, d)
-		maxc := 0.0
-		for k := range vec {
-			vec[k] = clampSize(c.Size.Sample(rng))
-			if vec[k] > maxc {
-				maxc = vec[k]
+		it := item.Item{ID: item.ID(i + 1), Arrival: t, Departure: t + dur}
+		if d == 1 {
+			it.Size = clampSize(c.Size.Sample(rng))
+		} else {
+			it.Sizes = make([]float64, d)
+			for k := range it.Sizes {
+				it.Sizes[k] = clampSize(c.Size.Sample(rng))
+				it.Size = max(it.Size, it.Sizes[k])
 			}
 		}
-		l[i] = item.Item{ID: item.ID(i + 1), Size: maxc, Sizes: vec, Arrival: t, Departure: t + dur}
+		l[i] = it
 	}
 	return l
 }
