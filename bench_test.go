@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"dbp/internal/binpack"
+	"dbp/internal/event"
 	"dbp/internal/experiments"
+	"dbp/internal/item"
 	"dbp/internal/opt"
 	"dbp/internal/packing"
 	"dbp/internal/workload"
@@ -259,3 +261,56 @@ func BenchmarkE14Fleet(b *testing.B)  { benchExperiment(b, "E14") }
 func BenchmarkE15Bursty(b *testing.B) { benchExperiment(b, "E15") }
 
 func BenchmarkE16Objectives(b *testing.B) { benchExperiment(b, "E16") }
+
+// batchJobs is the benchmark's sim_vector instance at n jobs: uniform
+// sizes at d=2, arrival rate 1100, mean duration 10, seed 1. The rate is
+// fixed, so a smaller n is a shorter run of the same traffic.
+func batchJobs(b *testing.B, n int) item.List {
+	b.Helper()
+	jobs, err := workload.FromSpec("uniform", n, 1100, 10, 1, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return jobs
+}
+
+// orderSink keeps BenchmarkEventOrder's result live.
+var orderSink []event.Event
+
+// BenchmarkEventOrder prices the batch path's event order on 100k jobs
+// (make bench-run).
+func BenchmarkEventOrder(b *testing.B) {
+	jobs := batchJobs(b, 100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		orderSink = event.Order(jobs, false)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*len(jobs)*b.N), "ns/event")
+}
+
+// BenchmarkRunBatch is one packing.Run of vectorbestfit at d=2 with
+// keep-alive 0.5 — order, placement and record — at 10k and 100k jobs
+// (make bench-run). The 10k run is as long as sim_vector's head run, so
+// the ratio of the two ns/event is the Go-benchmark version of
+// sim_vector's tail_over_head: about 1 when no per-event cost grows with
+// the run.
+func BenchmarkRunBatch(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			jobs := batchJobs(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				algo, err := AlgorithmByName("vectorbestfit")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := packing.Run(algo, jobs, &packing.Options{KeepAlive: 0.5}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*n*b.N), "ns/event")
+		})
+	}
+}

@@ -1,7 +1,10 @@
 package event
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dbp/internal/item"
@@ -183,4 +186,108 @@ func TestArrivalsFirstOrder(t *testing.T) {
 	if e := evs[2]; e.Kind != Depart || e.Item.ID != 1 {
 		t.Fatalf("expected departure of 1, got %v of %d", e.Kind, e.Item.ID)
 	}
+}
+
+// stableOrder is the reference Order: every item's two events, listed item
+// by item, in one stable sort by stableCompare. Order must equal it bit for
+// bit.
+func stableOrder(l item.List, arrivalsFirst bool) []Event {
+	evs := make([]Event, 0, 2*len(l))
+	for _, it := range l {
+		evs = append(evs,
+			Event{Time: it.Arrival, Kind: Arrive, Item: it},
+			Event{Time: it.Departure, Kind: Depart, Item: it})
+	}
+	slices.SortStableFunc(evs, func(a, b Event) int { return stableCompare(a, b, arrivalsFirst) })
+	return evs
+}
+
+// stableCompare is the processing order on events: time, then kind
+// (departures first unless arrivalsFirst), then the item's arrival, then
+// its ID.
+func stableCompare(a, b Event, arrivalsFirst bool) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
+	}
+	if a.Kind != b.Kind {
+		if (a.Kind == Depart) != arrivalsFirst {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(a.Item.Arrival, b.Item.Arrival); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Item.ID, b.Item.ID)
+}
+
+// oracleTimes are the times the oracle lists draw from: few enough that
+// equal times are common, with both zeros and NaN among them.
+var oracleTimes = []float64{math.NaN(), math.Copysign(0, -1), 0, 1, 1.5, 2, 3, math.Inf(1)}
+
+// oracleList builds a list from byte triples (arrival, departure, ID),
+// each byte reduced into its range. Size carries the list position, so a
+// comparison of events tells apart items that agree on every key.
+func oracleList(data []byte) item.List {
+	l := make(item.List, 0, len(data)/3)
+	for i := 0; i+2 < len(data); i += 3 {
+		l = append(l, item.Item{
+			ID:        item.ID(data[i+2] % 8),
+			Size:      float64(len(l)),
+			Arrival:   oracleTimes[int(data[i])%len(oracleTimes)],
+			Departure: oracleTimes[int(data[i+1])%len(oracleTimes)],
+		})
+	}
+	return l
+}
+
+// checkOrder fails unless Order and stableOrder agree bit for bit on l.
+func checkOrder(t *testing.T, l item.List, arrivalsFirst bool) {
+	t.Helper()
+	bits := math.Float64bits
+	got, want := Order(l, arrivalsFirst), stableOrder(l, arrivalsFirst)
+	if len(got) != len(want) {
+		t.Fatalf("arrivalsFirst=%v: %d events, want %d", arrivalsFirst, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if bits(g.Time) != bits(w.Time) || g.Kind != w.Kind || g.Item.ID != w.Item.ID || bits(g.Item.Size) != bits(w.Item.Size) {
+			t.Fatalf("arrivalsFirst=%v: event %d = (%g, %v, item %d at %g), want (%g, %v, item %d at %g)",
+				arrivalsFirst, i, g.Time, g.Kind, g.Item.ID, g.Item.Size, w.Time, w.Kind, w.Item.ID, w.Item.Size)
+		}
+	}
+}
+
+// TestOrderMatchesStableSort holds Order to the stable sort it replaces on
+// lists full of equal times, ±0, NaN times and duplicate IDs, under both
+// tie rules, with the list shuffled and with it presorted by arrival (the
+// run Order only checks).
+func TestOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		data := make([]byte, 3*rng.Intn(80))
+		rng.Read(data)
+		l := oracleList(data)
+		sorted := slices.Clone(l)
+		slices.SortStableFunc(sorted, func(a, b item.Item) int {
+			if c := cmp.Compare(a.Arrival, b.Arrival); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ID, b.ID)
+		})
+		for _, arrivalsFirst := range []bool{false, true} {
+			checkOrder(t, l, arrivalsFirst)
+			checkOrder(t, sorted, arrivalsFirst)
+		}
+	}
+}
+
+// FuzzOrder is TestOrderMatchesStableSort on fuzzed lists.
+func FuzzOrder(f *testing.F) {
+	f.Add([]byte{}, false)
+	f.Add([]byte{3, 5, 1, 2, 3, 1, 2, 3, 0}, false)
+	f.Add([]byte{0, 0, 2, 1, 2, 2, 2, 1, 2, 0, 3, 7}, true)
+	f.Fuzz(func(t *testing.T, data []byte, arrivalsFirst bool) {
+		checkOrder(t, oracleList(data), arrivalsFirst)
+	})
 }

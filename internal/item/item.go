@@ -64,10 +64,16 @@ func (it Item) SizeVec() []float64 {
 	return it.Sizes
 }
 
-// Validate checks the structural invariants an item must satisfy to take
-// part in a packing: positive duration, size in (0, 1] (it must fit in an
-// empty unit bin), and consistent vector demand if present.
-func (it Item) Validate() error {
+// Validate is ValidateCap(1): the checks against a unit server, the
+// paper's normalization.
+func (it Item) Validate() error { return it.ValidateCap(1) }
+
+// ValidateCap checks the structural invariants an item must satisfy to
+// take part in a packing on servers of the given capacity: positive
+// finite duration, size in (0, capacity] (it must fit in an empty
+// server), and consistent vector demand if present. A size outside its
+// range is a *SizeError.
+func (it Item) ValidateCap(capacity float64) error {
 	if math.IsNaN(it.Arrival) || math.IsNaN(it.Departure) ||
 		math.IsInf(it.Arrival, 0) || math.IsInf(it.Departure, 0) {
 		return fmt.Errorf("item %d: non-finite interval [%g, %g)", it.ID, it.Arrival, it.Departure)
@@ -75,16 +81,22 @@ func (it Item) Validate() error {
 	if it.Departure <= it.Arrival {
 		return fmt.Errorf("item %d: non-positive duration [%g, %g)", it.ID, it.Arrival, it.Departure)
 	}
-	if !(it.Size > 0) || it.Size > 1 {
-		return fmt.Errorf("item %d: size %g outside (0, 1]", it.ID, it.Size)
+	if !(it.Size > 0) || it.Size > capacity {
+		return &SizeError{fmt.Sprintf("item %d: size %g outside (0, %g]", it.ID, it.Size, capacity)}
 	}
 	for d, s := range it.Sizes {
-		if !(s >= 0) || s > 1 {
-			return fmt.Errorf("item %d: sizes[%d] = %g outside [0, 1]", it.ID, d, s)
+		if !(s >= 0) || s > capacity {
+			return &SizeError{fmt.Sprintf("item %d: sizes[%d] = %g outside [0, %g]", it.ID, d, s, capacity)}
 		}
 	}
 	return it.CheckDominant()
 }
+
+// SizeError reports a demand that no server of the capacity an item was
+// validated against can hold.
+type SizeError struct{ msg string }
+
+func (e *SizeError) Error() string { return e.msg }
 
 // CheckDominant returns an error unless a vector demand's Size is its
 // largest component (within 1e-12) — the convention the size-classifying
@@ -113,11 +125,15 @@ func (it Item) String() string {
 // generators emit items sorted by arrival for readability.
 type List []Item
 
-// Validate checks every item and the uniqueness of IDs.
-func (l List) Validate() error {
+// Validate is ValidateCap(1).
+func (l List) Validate() error { return l.ValidateCap(1) }
+
+// ValidateCap checks every item against servers of the given capacity and
+// the uniqueness of IDs.
+func (l List) ValidateCap(capacity float64) error {
 	seen := make(map[ID]struct{}, len(l))
 	for _, it := range l {
-		if err := it.Validate(); err != nil {
+		if err := it.ValidateCap(capacity); err != nil {
 			return err
 		}
 		if _, dup := seen[it.ID]; dup {

@@ -155,3 +155,39 @@ func TestBoundedRestoreAllocs(t *testing.T) {
 		t.Fatalf("arrival after restore: server %d, opened %v, err %v; want a fresh server %d", srv, opened, err, used)
 	}
 }
+
+// TestBoundedRunAllocs pins the allocations of one batch run: 100k jobs,
+// vectorbestfit at d=2 with keep-alive 0.5 (the benchmark's sim_vector
+// instance at seed 1, 4,333 servers). The recorder lays out every
+// server's items in one array, where it once grew a slice per server and
+// the run made 44,415 allocations; the bound is half that. It also checks
+// each server's Items is capped at its length.
+func TestBoundedRunAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-short: skipping the 100k-job run")
+	}
+	jobs, err := workload.FromSpec("uniform", 100_000, 1100, 10, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *packing.Result
+	allocs := testing.AllocsPerRun(1, func() {
+		algo, err := packing.ByName("vectorbestfit")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err = packing.Run(algo, jobs, &packing.Options{KeepAlive: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d jobs on %d servers: %.0f allocations", len(jobs), res.NumBins(), allocs)
+	const limit = 44_415 / 2
+	if allocs > limit {
+		t.Fatalf("Run made %.0f allocations, want at most %d", allocs, limit)
+	}
+	for k, b := range res.Bins {
+		if cap(b.Items) != len(b.Items) {
+			t.Fatalf("server %d Items has cap %d, len %d", k, cap(b.Items), len(b.Items))
+		}
+	}
+}

@@ -64,12 +64,17 @@ func (s *ServerRecord) ItemsAt(t float64) item.List {
 // so a Result refers to no bins.Bin.
 type recorder struct {
 	opened     []*bins.Bin // by Index: the ledger numbers openings from 0
-	servers    []ServerRecord
+	items      item.List   // every placement, in placement order
+	server     []int       // server[i] is the Index of the bin items[i] went to
 	assignment map[item.ID]int
 }
 
 func newRecorder(items int) *recorder {
-	return &recorder{assignment: make(map[item.ID]int, items)}
+	return &recorder{
+		items:      make(item.List, 0, items),
+		server:     make([]int, 0, items),
+		assignment: make(map[item.ID]int, items),
+	}
 }
 
 // placed records that the ledger put the item in b, which it has just
@@ -77,28 +82,48 @@ func newRecorder(items int) *recorder {
 func (r *recorder) placed(b *bins.Bin, it item.Item, opened bool) {
 	if opened {
 		r.opened = append(r.opened, b)
-		r.servers = append(r.servers, ServerRecord{})
 	}
-	s := &r.servers[b.Index]
-	s.Items = append(s.Items, it)
+	r.items = append(r.items, it)
+	r.server = append(r.server, b.Index)
 	r.assignment[it.ID] = b.Index
 }
 
 // result copies each server's period out of the drained ledger and
-// returns the run's Result.
+// returns the run's Result. Every server's Items share one backing array,
+// laid out server by server with a counting pass; each is capped at its
+// own length, so appending to one reallocates rather than overwrite the
+// next server's items.
 func (r *recorder) result(algorithm string, l item.List, g *bins.Ledger) (*Result, error) {
 	if n := g.NumOpen(); n != 0 {
 		return nil, fmt.Errorf("packing: %d bins still open after drain", n)
 	}
+	end := make([]int, len(r.opened)) // counts, then starts, then ends
+	for _, k := range r.server {
+		end[k]++
+	}
+	sum := 0
+	for k, c := range end {
+		end[k], sum = sum, sum+c
+	}
+	flat := make(item.List, len(r.items))
+	for i, k := range r.server {
+		flat[end[k]] = r.items[i]
+		end[k]++
+	}
+	servers := make([]ServerRecord, len(r.opened))
+	lo := 0
 	for k, b := range r.opened {
-		s := &r.servers[k]
-		s.Index, s.Capacity = b.Index, b.Capacity
-		s.OpenedAt, s.ClosedAt = b.OpenedAt(), b.ClosedAt()
+		servers[k] = ServerRecord{
+			Index: b.Index, Capacity: b.Capacity,
+			OpenedAt: b.OpenedAt(), ClosedAt: b.ClosedAt(),
+			Items: flat[lo:end[k]:end[k]],
+		}
+		lo = end[k]
 	}
 	return &Result{
 		Algorithm:         algorithm,
 		Items:             l,
-		Bins:              r.servers,
+		Bins:              servers,
 		Assignment:        r.assignment,
 		TotalUsage:        g.TotalUsage(0),
 		MaxConcurrentOpen: g.MaxConcurrentOpen(),

@@ -2,6 +2,8 @@ package packing
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,6 +45,35 @@ func TestLevelAtAndItemsAtReconstruction(t *testing.T) {
 		}
 		if b.Items[1].ID != 2 {
 			t.Errorf("%s: Items must list placement order", res.Algorithm)
+		}
+	}
+}
+
+// Every server's Items is its own window of the run's one item array,
+// capped at its length: appending to one server's record reallocates and
+// leaves the next server's items as they were, from Run and from Replay.
+func TestRecordItemsCapped(t *testing.T) {
+	// First Fit puts items 1 and 3 on server 0, items 2 and 4 on server 1,
+	// so the two servers' placements interleave.
+	l := item.List{mk(1, 0.6, 0, 4), mk(2, 0.6, 1, 6), mk(3, 0.3, 2, 5), mk(4, 0.3, 3, 6)}
+	run := MustRun(NewFirstFit(), l, nil)
+	replay, err := Replay(l, map[item.ID]int{1: 0, 2: 1, 3: 0, 4: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range []*Result{run, replay} {
+		if res.NumBins() != 2 {
+			t.Fatalf("%s: %d servers, want 2", res.Algorithm, res.NumBins())
+		}
+		for k, b := range res.Bins {
+			if cap(b.Items) != len(b.Items) {
+				t.Errorf("%s: server %d Items has cap %d, len %d", res.Algorithm, k, cap(b.Items), len(b.Items))
+			}
+		}
+		next := slices.Clone(res.Bins[1].Items)
+		res.Bins[0].Items = append(res.Bins[0].Items, mk(5, 0.1, 7, 8))
+		if !reflect.DeepEqual(res.Bins[1].Items, next) {
+			t.Errorf("%s: appending to server 0 changed server 1's items to %v, want %v", res.Algorithm, res.Bins[1].Items, next)
 		}
 	}
 }

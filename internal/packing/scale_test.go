@@ -2,6 +2,7 @@ package packing_test
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -102,6 +103,57 @@ func TestPlacementScaleInvariant(t *testing.T) {
 					}
 					t.Errorf("%s d=%d: at capacity %g op %d goes to server %d, at capacity 1 to %d",
 						name, d, capacity, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// scaleList is a batch instance of n jobs in d dimensions on the grid
+// scaleScript uses, every demand scaled by scale: sizes are multiples of
+// scale/8, arrival times and durations multiples of 1/8.
+func scaleList(d, n int, scale float64) item.List {
+	rng := rand.New(rand.NewSource(int64(d)))
+	l := make(item.List, n)
+	at := 0.0
+	for i := range l {
+		at += float64(rng.Intn(3)) / 8
+		sizes := make([]float64, d)
+		for j := range sizes {
+			sizes[j] = float64(1+rng.Intn(8)) / 8 * scale
+		}
+		l[i] = item.Item{ID: item.ID(i + 1), Size: slices.Max(sizes), Arrival: at, Departure: at + float64(1+rng.Intn(24))/8}
+		if d > 1 {
+			l[i].Sizes = sizes
+		}
+	}
+	return l
+}
+
+// TestRunScaleInvariant is TestPlacementScaleInvariant for the batch
+// path: Run at capacity c on the unit instance scaled by c assigns every
+// job to the same server as Run at capacity 1. Run once refused every
+// size above 1, whatever its capacity.
+func TestRunScaleInvariant(t *testing.T) {
+	for _, name := range packing.Names() {
+		for _, d := range []int{1, 2} {
+			run := func(capacity float64) *packing.Result {
+				algo, err := packing.ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := packing.Run(algo, scaleList(d, 400, capacity), &packing.Options{Capacity: capacity, KeepAlive: 0.5})
+				if err != nil {
+					t.Fatalf("%s d=%d capacity %g: %v", name, d, capacity, err)
+				}
+				return res
+			}
+			want := run(1)
+			for _, capacity := range []float64{0.5, 2} {
+				got := run(capacity)
+				if !maps.Equal(got.Assignment, want.Assignment) || got.TotalUsage != want.TotalUsage {
+					t.Errorf("%s d=%d: at capacity %g the run uses %d servers for %g, at capacity 1 %d for %g",
+						name, d, capacity, got.NumBins(), got.TotalUsage, want.NumBins(), want.TotalUsage)
 				}
 			}
 		}

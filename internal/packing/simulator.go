@@ -1,6 +1,7 @@
 package packing
 
 import (
+	"errors"
 	"fmt"
 
 	"dbp/internal/event"
@@ -77,14 +78,19 @@ func (o *Options) dim(l item.List) int {
 // algorithm and returns the complete packing outcome. The algorithm is
 // Reset before the run. Run returns an error if the capacity is NaN,
 // infinite or negative, the item list is invalid, some demand can never
-// be served (ErrBadDemand — the same typed sentinel and validation path
-// Stream.Arrive uses), or the algorithm returns an unusable placement
-// (ErrPolicyMisplace, a policy bug that aborts the run).
+// be served by a server of the run's capacity (ErrBadDemand — the same
+// typed sentinel Stream.Arrive uses), or the algorithm returns an
+// unusable placement (ErrPolicyMisplace, a policy bug that aborts the
+// run).
 func Run(algo Algorithm, l item.List, opt *Options) (*Result, error) {
 	if opt != nil && !validCapacity(opt.Capacity) {
 		return nil, badCapacity(opt.Capacity)
 	}
-	if err := l.Validate(); err != nil {
+	if err := l.ValidateCap(opt.capacity()); err != nil {
+		var size *item.SizeError
+		if errors.As(err, &size) {
+			return nil, failf(ErrBadDemand, "packing: %v", err)
+		}
 		return nil, fmt.Errorf("packing: invalid instance: %w", err)
 	}
 	dim := opt.dim(l)
