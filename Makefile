@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench bench-smoke bench-fleet figures loadtest loadtest-ramp fuzz-short bench-wire loadtest-wire recover-test bench-wal bench-bins bench-run loc
+.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench bench-smoke bench-fleet figures loadtest loadtest-ramp fuzz-short bench-wire loadtest-wire recover-test bench-wal bench-bins bench-run bench-opt loc
 
 build:
 	$(GO) build ./...
@@ -27,8 +27,9 @@ race:
 ## check: the full local gate — formatting, vet, the race-enabled suite, the
 ## wire codec's zero-allocation proof (bench-wire asserts 0 allocs/op), the
 ## ledger's and the placement's zero-allocation and bounded-state proofs
-## (bench-bins), and the benchmark's own vet and smoke test
-check: fmt vet race test bench-wire bench-bins bench-smoke
+## (bench-bins), the OPT_total solver's allocation pin (bench-opt), and the
+## benchmark's own vet and smoke test
+check: fmt vet race test bench-wire bench-bins bench-opt bench-smoke
 
 ## bench: the repository's one benchmark (bench/README.md) — two sets of the
 ## four workloads, each metric compared against its bound in BENCHMARK.json;
@@ -132,6 +133,15 @@ bench-bins:
 ## of ns/event is the steady-state version of sim_vector's tail_over_head)
 bench-run:
 	$(GO) test -run '^$$' -bench 'EventOrder|RunBatch' -benchtime 5x .
+
+## bench-opt: the OPT_total solver — TestExactSearchAllocsBounded asserts at
+## most 32 allocations (its setup, none per node) for an ExactWithLimit call
+## that spends the whole two-million-node budget; BenchmarkBinpackExact24
+## (one 24-item segment, 36,111 nodes) and BenchmarkOptExactSegment (one
+## exact OPT_total sweep of 60 jobs) print ns/op and allocs/op
+bench-opt:
+	$(GO) test -count=1 -run 'ExactSearchAllocsBounded' ./internal/binpack/
+	$(GO) test -run '^$$' -bench 'BinpackExact24|OptExactSegment' -benchmem .
 
 ## bench-wal: the WAL append hot path; TestAppendZeroAlloc asserts 0 allocs/op
 ## with fsync off

@@ -130,13 +130,15 @@ func NewDispatcher(algo Algorithm, capacity float64, dim int) *Dispatcher {
 
 // OptExact computes OPT_total(R) exactly (branch and bound per timeline
 // segment); ok is false if any segment's search hit the node budget.
-func OptExact(l List) (total float64, ok bool) { return opt.TotalExact(l, 0) }
+func OptExact(l List) (total float64, ok bool) { return opt.TotalExact(l) }
 
-// Opt computes a certified bracket on OPT_total.
-func Opt(l List) OptBounds { return opt.Total(l, 0, 0) }
+// Opt computes a certified bracket on OPT_total, solving segments of up
+// to opt.ExactLimit (64) active items exactly.
+func Opt(l List) OptBounds { return opt.Total(l, opt.ExactLimit) }
 
 // DemandLowerBound is the paper's Proposition 1: OPT_total >= total
-// time-space demand.
+// time-space demand. For vector jobs it is the largest per-dimension
+// demand, max over k of the sum of s_k(r)*|I(r)|.
 func DemandLowerBound(l List) float64 { return opt.DemandLowerBound(l) }
 
 // SpanLowerBound is the paper's Proposition 2: OPT_total >= span(R).
@@ -145,7 +147,7 @@ func SpanLowerBound(l List) float64 { return opt.SpanLowerBound(l) }
 // MeasureRatio runs the policy and reports its competitive ratio against
 // a certified OPT bracket.
 func MeasureRatio(algo Algorithm, l List) (Ratio, *Result, error) {
-	return analysis.Measure(algo, l, nil)
+	return analysis.Measure(algo, l)
 }
 
 // Theoretical bounds (paper Secs. I, II, VIII; Theorem 1).

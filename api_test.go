@@ -70,6 +70,15 @@ func TestPublicOptAndPropositions(t *testing.T) {
 	if DemandLowerBound(jobs) > exact+1e-9 || SpanLowerBound(jobs) > exact+1e-9 {
 		t.Fatal("propositions exceed OPT")
 	}
+	// Two jobs that peak in different dimensions share one server for 2
+	// time units: OPT is 2, and Proposition 1 bounds it per dimension.
+	pair := List{
+		{ID: 1, Size: 0.9, Sizes: []float64{0.9, 0.1}, Arrival: 0, Departure: 2},
+		{ID: 2, Size: 0.9, Sizes: []float64{0.1, 0.9}, Arrival: 0, Departure: 2},
+	}
+	if got := DemandLowerBound(pair); got != 2 {
+		t.Fatalf("DemandLowerBound(pair) = %g, want 2 (OPT is 2)", got)
+	}
 }
 
 func TestPublicBounds(t *testing.T) {

@@ -137,7 +137,7 @@ func main() {
 	if *dim > 1 {
 		fmt.Printf("info  %s; dim = %d\n", res.String(), *dim)
 	} else {
-		b := opt.TotalParallel(jobs, 0, 0, 0)
+		b := opt.Total(jobs, opt.ExactLimit)
 		bound := analysis.FirstFitUpperBound(jobs.Mu())
 		if res.Algorithm == "FirstFit" && res.TotalUsage > bound*b.Upper+1e-6 {
 			check("Theorem 1 bound", fmt.Errorf("usage %g > (mu+4)*OPT_upper %g", res.TotalUsage, bound*b.Upper))
@@ -173,7 +173,7 @@ func verifyExternal(path string) {
 		log.Fatalf("replay verification failed: %v", err)
 	}
 	ff := packing.MustRun(packing.NewFirstFit(), jobs, nil)
-	b := opt.TotalParallel(jobs, 0, 0, 0)
+	b := opt.Total(jobs, opt.ExactLimit)
 	fmt.Printf("external packing is legal: %s\n", rep.String())
 	fmt.Printf("First Fit on the same instance: usage %.6g (%d servers)\n", ff.TotalUsage, ff.NumBins())
 	fmt.Printf("OPT_total in [%.6g, %.6g]; external ratio <= %.4f, FF ratio <= %.4f\n",

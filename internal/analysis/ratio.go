@@ -54,17 +54,10 @@ func (r Ratio) String() string {
 		r.Algorithm, r.Usage, r.Opt.Lower, r.Opt.Upper, r.Lo(), r.Hi(), r.Mu)
 }
 
-// MeasureOptions tunes OPT computation; zero values pick exact solving on
-// segments of at most 64 active items with the default node budget.
-type MeasureOptions struct {
-	ExactLimit int
-	NodeLimit  int
-}
-
 // Measure runs the algorithm on the instance and returns the measured
-// competitive ratio against a certified OPT bracket. Multi-dimensional
-// instances use the vector bracket.
-func Measure(algo packing.Algorithm, l item.List, mo *MeasureOptions) (Ratio, *packing.Result, error) {
+// competitive ratio against a certified OPT bracket: opt.Total with
+// opt.ExactLimit for scalar instances, the vector bracket otherwise.
+func Measure(algo packing.Algorithm, l item.List) (Ratio, *packing.Result, error) {
 	res, err := packing.Run(algo, l, nil)
 	if err != nil {
 		return Ratio{}, nil, err
@@ -72,10 +65,8 @@ func Measure(algo packing.Algorithm, l item.List, mo *MeasureOptions) (Ratio, *p
 	var b opt.Bounds
 	if dim(l) > 1 {
 		b = opt.TotalVec(l)
-	} else if mo == nil {
-		b = opt.TotalParallel(l, 0, 0, 0)
 	} else {
-		b = opt.TotalParallel(l, mo.ExactLimit, mo.NodeLimit, 0)
+		b = opt.Total(l, opt.ExactLimit)
 	}
 	return Ratio{Algorithm: res.Algorithm, Mu: l.Mu(), Usage: res.TotalUsage, Opt: b}, res, nil
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,17 +46,9 @@ func TestTheorem1BoundOnAdversarialInstances(t *testing.T) {
 func checkTheorem1(t *testing.T, l item.List) {
 	t.Helper()
 	res := packing.MustRun(packing.NewFirstFit(), l, nil)
-	optTotal, ok := opt.TotalExact(l, 0)
-	if !ok {
-		// Fall back to the certified upper bracket: FF <= (mu+4)*OPT and
-		// OPT <= Upper, so violating FF <= (mu+4)*Upper would still be a
-		// genuine counterexample... it would not. Use lower bound check
-		// direction instead: the bound must hold against the true OPT,
-		// which lies in [Lower, Upper]; testing against Upper is sound
-		// (FF <= (mu+4)*OPT <= (mu+4)*Upper).
-		b := opt.Total(l, 0, 0)
-		optTotal = b.Upper
-	}
+	// FF <= (mu+4)*OPT <= (mu+4)*Upper; Upper is OPT_total itself when
+	// every segment's search completes.
+	optTotal := opt.Total(l, math.MaxInt).Upper
 	mu := l.Mu()
 	bound := FirstFitUpperBound(mu) * optTotal
 	if res.TotalUsage > bound+1e-6 {
@@ -69,10 +62,8 @@ func checkTheorem1(t *testing.T, l item.List) {
 func TestFirstFitRatioBetweenBounds(t *testing.T) {
 	for _, mu := range []float64{2, 4, 8} {
 		l := workload.AnyFitTrap(100, mu)
-		r, _, err := Measure(packing.NewFirstFit(), l, &MeasureOptions{ExactLimit: 1, NodeLimit: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := packing.MustRun(packing.NewFirstFit(), l, nil)
+		r := Ratio{Algorithm: res.Algorithm, Mu: l.Mu(), Usage: res.TotalUsage, Opt: opt.Total(l, 1)}
 		// Conservative ratio must not exceed Theorem 1's bound.
 		if r.Hi() > FirstFitUpperBound(mu)+1e-6 {
 			t.Fatalf("mu=%g: measured ratio upper estimate %g exceeds mu+4", mu, r.Hi())
@@ -86,7 +77,7 @@ func TestFirstFitRatioBetweenBounds(t *testing.T) {
 
 func TestMeasureReturnsSaneBracket(t *testing.T) {
 	l := workload.Generate(workload.UniformConfig(60, 2, 4, 5))
-	r, res, err := Measure(packing.NewFirstFit(), l, nil)
+	r, res, err := Measure(packing.NewFirstFit(), l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +97,7 @@ func TestMeasureReturnsSaneBracket(t *testing.T) {
 
 func TestMeasureVectorInstance(t *testing.T) {
 	l := workload.GenerateVec(workload.UniformConfig(40, 2, 4, 5), 2)
-	r, _, err := Measure(packing.NewFirstFit(), l, nil)
+	r, _, err := Measure(packing.NewFirstFit(), l)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,8 @@ func Exact(sizes []float64, capacity float64) int {
 
 // ExactWithLimit solves bin packing to optimality with at most maxNodes
 // search nodes. It returns (count, true) when the search completed and
-// (best incumbent, false) when the node budget ran out.
+// (best incumbent, false) when the node budget ran out; the incumbent is
+// never worse than min(FFD, BFD). The search allocates nothing per node.
 func ExactWithLimit(sizes []float64, capacity float64, maxNodes int) (int, bool) {
 	if len(sizes) == 0 {
 		return 0, true
@@ -48,18 +49,12 @@ func ExactWithLimit(sizes []float64, capacity float64, maxNodes int) (int, bool)
 		sizes:    s,
 		capacity: capacity,
 		best:     ub,
+		lower:    lb,
 		nodeCap:  maxNodes,
 	}
 	b.levels = make([]float64, 0, ub)
-	b.suffix = make([]float64, len(s)+1)
-	for i := len(s) - 1; i >= 0; i-- {
-		b.suffix[i] = b.suffix[i+1] + s[i]
-	}
 	b.search(0)
-	if b.nodes >= b.nodeCap {
-		return b.best, false
-	}
-	return b.best, true
+	return b.best, b.best <= b.lower || b.nodes < b.nodeCap
 }
 
 type bnb struct {
@@ -67,13 +62,20 @@ type bnb struct {
 	capacity float64
 	levels   []float64 // open bin levels in creation order
 	best     int
+	lower    int // certified lower bound: the search stops once best reaches it
 	nodes    int
 	nodeCap  int
-	suffix   []float64 // suffix[i] = total size of items i..n-1
 }
 
+// done reports that the search should unwind: the node budget is spent,
+// or the incumbent meets the lower bound and so is optimal.
+func (b *bnb) done() bool { return b.nodes >= b.nodeCap || b.best <= b.lower }
+
+// fits reports whether an item of size s fits in a bin at level lv.
+func (b *bnb) fits(lv, s float64) bool { return lv+s <= b.capacity+eps }
+
 func (b *bnb) search(i int) {
-	if b.nodes >= b.nodeCap {
+	if b.done() {
 		return
 	}
 	b.nodes++
@@ -83,44 +85,35 @@ func (b *bnb) search(i int) {
 		}
 		return
 	}
-	// Prune: current bins + continuous bound on what the remaining items
-	// need beyond current free space.
-	free := 0.0
-	for _, lv := range b.levels {
-		free += b.capacity - lv
-	}
-	need := b.suffix[i] - free
-	extra := 0
-	if need > eps {
-		extra = int((need - eps) / b.capacity)
-		extra++ // ceil
-	}
-	if len(b.levels)+extra >= b.best {
+	// Prune once the open bins alone reach the incumbent. A continuous
+	// bound on the remaining items adds nothing here: open bins plus
+	// ⌈(remaining size − free space)/capacity⌉ is ⌈total/capacity⌉ at
+	// every node, which is at most L2 and so below the incumbent.
+	if len(b.levels) >= b.best {
 		return
 	}
 
 	s := b.sizes[i]
 	// Try existing bins, skipping duplicates: two bins at the same level
-	// are interchangeable, so branch only on the first.
-	tried := make(map[int64]bool, len(b.levels))
+	// (the same key, level to 1e-12) are interchangeable, so branch only
+	// on the first that fits.
 	for k := range b.levels {
-		if b.levels[k]+s > b.capacity+eps {
+		if !b.fits(b.levels[k], s) || b.triedLevel(k, s) {
 			continue
 		}
-		key := int64(b.levels[k] * 1e12)
-		if tried[key] {
-			continue
-		}
-		tried[key] = true
-		b.levels[k] += s
+		// Restore the saved level, not lv+s-s, which can differ from lv in
+		// the last bit: triedLevel must read every earlier bin at the
+		// level it was tried at.
+		lv := b.levels[k]
+		b.levels[k] = lv + s
 		b.search(i + 1)
-		b.levels[k] -= s
-		if b.nodes >= b.nodeCap {
+		b.levels[k] = lv
+		if b.done() {
 			return
 		}
 		// Dominance: if the item fills the bin exactly, that placement is
 		// optimal — no need to try other bins or a new bin.
-		if b.levels[k]+s >= b.capacity-eps {
+		if lv+s >= b.capacity-eps {
 			return
 		}
 	}
@@ -131,3 +124,17 @@ func (b *bnb) search(i int) {
 		b.levels = b.levels[:len(b.levels)-1]
 	}
 }
+
+// triedLevel reports whether an earlier bin that also fits s has bin k's
+// level key, so the search has already branched on an equivalent bin.
+func (b *bnb) triedLevel(k int, s float64) bool {
+	key := levelKey(b.levels[k])
+	for _, lv := range b.levels[:k] {
+		if b.fits(lv, s) && levelKey(lv) == key {
+			return true
+		}
+	}
+	return false
+}
+
+func levelKey(lv float64) int64 { return int64(lv * 1e12) }

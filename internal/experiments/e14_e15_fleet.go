@@ -13,7 +13,7 @@ import (
 
 // optBracket computes the OPT bracket used by comparison experiments.
 func optBracket(l item.List) opt.Bounds {
-	return opt.TotalParallel(l, 48, 0, 0)
+	return opt.Total(l, opt.ExactLimit)
 }
 
 // e14Fleet is the three-tier catalog used by E14, with sub-linear

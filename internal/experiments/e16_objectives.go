@@ -36,7 +36,7 @@ func runE16(cfg Config) []*analysis.Table {
 	var tables []*analysis.Table
 	for _, inst := range instances {
 		l := inst.l()
-		usageBr := opt.TotalParallel(l, 48, 0, 0)
+		usageBr := opt.Total(l, opt.ExactLimit)
 		peakOpt := opt.MaxConcurrentOpt(l)
 		t := analysis.NewTable("E16: objective contrast — "+inst.name,
 			"policy", "usage", "usage ratio<=", "peak open", "peak ratio", "rank(usage)", "rank(peak)")

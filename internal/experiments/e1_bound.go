@@ -27,7 +27,7 @@ func runE1(cfg Config) []*analysis.Table {
 	t := analysis.NewTable("E1: Theorem 1 bound check — FF vs exact OPT",
 		"workload", "mu", "FF usage", "OPT(lo)", "OPT(hi)", "ratio<=", "bound mu+4", "holds")
 	check := func(name string, l item.List) {
-		r, _, err := analysis.Measure(packing.NewFirstFit(), l, nil)
+		r, _, err := analysis.Measure(packing.NewFirstFit(), l)
 		if err != nil {
 			panic(fmt.Sprintf("E1: %v", err))
 		}

@@ -112,7 +112,7 @@ func runE9(cfg Config) []*analysis.Table {
 			if err != nil {
 				panic(err)
 			}
-			b := opt.Total(l, 48, 0)
+			b := opt.Total(l, opt.ExactLimit)
 			for name, algo := range map[string]packing.Algorithm{
 				"FF": packing.NewFirstFit(), "BF": packing.NewBestFit(),
 				"WF": packing.NewWorstFit(), "LF": packing.NewLastFit(),
@@ -177,7 +177,7 @@ func runE10(cfg Config) []*analysis.Table {
 			if d > 1 {
 				b = opt.TotalVec(l)
 			} else {
-				b = opt.Total(l, 48, 0)
+				b = opt.Total(l, opt.ExactLimit)
 			}
 			for _, algo := range []packing.Algorithm{packing.NewFirstFit(), packing.NewBestFit(), packing.NewWorstFit()} {
 				res := packing.MustRun(algo, l, nil)

@@ -3,12 +3,17 @@
 // OPT(R, t) is the minimum number of bins into which the items active at
 // time t can be repacked (paper Sec. III-C). Because the active item set
 // is piecewise-constant between arrival/departure events, the integral is
-// a finite sum of (classical bin packing optimum) × (segment length) —
-// computed exactly with the binpack solver, or bracketed with certified
-// lower/upper bounds when the exact search would be too expensive.
+// a finite sum of (classical bin packing optimum) × (segment length).
+//
+// Total is the one sweep: it brackets every segment with the binpack
+// solver, exactly where the segment is small enough and the search
+// completes, and with certified L2 / incumbent bounds elsewhere.
+// TotalExact is its reading with no size limit; TotalVec brackets vector
+// instances from per-dimension loads.
 //
 // The package also exposes the paper's two easy lower bounds:
-// Proposition 1 (total time–space demand) and Proposition 2 (span).
+// Proposition 1 (total time–space demand, per dimension at d >= 2) and
+// Proposition 2 (span).
 package opt
 
 import (
@@ -16,7 +21,6 @@ import (
 
 	"dbp/internal/binpack"
 	"dbp/internal/item"
-	"dbp/internal/parallel"
 )
 
 // Bounds is a certified bracket on OPT_total: Lower <= OPT_total <= Upper.
@@ -35,19 +39,38 @@ func (b Bounds) Mid() float64 { return (b.Lower + b.Upper) / 2 }
 func (b Bounds) Width() float64 { return b.Upper - b.Lower }
 
 // DemandLowerBound is Proposition 1: OPT_total(R) >= sum of s(r)*|I(r)|
-// (no bin capacity is ever wasted in the best case; unit capacity). It is
-// a lower bound for scalar items only. At d >= 2 s(r) is the item's
-// largest component, and items that peak in different dimensions can
-// share a server, so the sum can exceed OPT: (0.9, 0.1) and (0.1, 0.9)
-// together for 2 time units give 3.6 against an OPT of 2.
-func DemandLowerBound(l item.List) float64 { return l.TotalDemand() }
+// (no bin capacity is ever wasted in the best case; unit capacity). At
+// d >= 2 it is the per-dimension form max_k sum of s_k(r)*|I(r)|: a
+// server holds at most one unit of every dimension at once, so each
+// dimension's demand alone bounds OPT. (The sum of the largest
+// components does not: (0.9, 0.1) and (0.1, 0.9) together for 2 time
+// units share one server, an OPT of 2 against 3.6.) At d = 1 it equals
+// l.TotalDemand() bit for bit.
+func DemandLowerBound(l item.List) float64 {
+	d := 1
+	for _, it := range l {
+		d = max(d, it.Dim())
+	}
+	var best float64
+	for k := 0; k < d; k++ {
+		var sum float64
+		for _, it := range l {
+			if v := it.SizeVec(); k < len(v) {
+				sum += v[k] * it.Duration()
+			}
+		}
+		best = math.Max(best, sum)
+	}
+	return best
+}
 
 // SpanLowerBound is Proposition 2: OPT_total(R) >= span(R) (at least one
 // bin is in use whenever some item is active).
 func SpanLowerBound(l item.List) float64 { return l.Span() }
 
 // CombinedLowerBound is max(Prop 1, Prop 2), the denominator the paper's
-// competitive analysis measures against when the true OPT is unknown.
+// competitive analysis measures against when the true OPT is unknown. It
+// is a lower bound at every d, and TotalVec's Lower never falls below it.
 func CombinedLowerBound(l item.List) float64 {
 	return math.Max(DemandLowerBound(l), SpanLowerBound(l))
 }
@@ -114,61 +137,44 @@ func segments(l item.List, visit func(length float64, sizes []float64)) {
 	}
 }
 
-// TotalExact computes OPT_total(R) exactly by solving classical bin
-// packing on every segment of the timeline. nodeLimit bounds each
-// segment's branch-and-bound search (0 means binpack.DefaultNodeLimit).
-// If any segment's search is cut off, ok is false and the returned value
-// is an upper estimate.
-func TotalExact(l item.List, nodeLimit int) (total float64, ok bool) {
-	_, nodeLimit = limits(0, nodeLimit)
-	ok = true
-	segments(l, func(length float64, sizes []float64) {
-		n, complete := binpack.ExactWithLimit(sizes, 1, nodeLimit)
-		if !complete {
-			ok = false
-		}
-		total += float64(n) * length
-	})
-	return total, ok
-}
+// ExactLimit is the largest active set Total's callers solve exactly:
+// the public API, analysis.Measure, dbpverify and the experiments.
+const ExactLimit = 64
 
-// Total computes a certified bracket on OPT_total. Segments small enough
-// are solved exactly (contributing equally to both sides); larger ones
-// contribute the L2 lower bound and the best of FFD/BFD as upper bound.
-// exactLimit is the maximum number of active items for which the exact
-// solver is invoked (0 means 64); nodeLimit as in TotalExact. Segments
-// are bracketed as the sweep yields them, so memory stays O(active).
-func Total(l item.List, exactLimit, nodeLimit int) Bounds {
-	exactLimit, nodeLimit = limits(exactLimit, nodeLimit)
+// Total computes a certified bracket on OPT_total, sweeping the timeline
+// once and bracketing each segment as the sweep yields it, so memory
+// stays O(active). A segment of at most exactLimit active items is
+// solved by branch and bound with binpack.DefaultNodeLimit nodes; when
+// the search completes the segment contributes its optimum to both
+// sides, and when the budget runs out it contributes L2 below and the
+// search's incumbent (never worse than FFD or BFD) above. A larger
+// segment contributes L2 and the best of FFD/BFD.
+func Total(l item.List, exactLimit int) Bounds {
 	b := Bounds{Exact: true}
 	segments(l, func(length float64, sizes []float64) {
-		b.add(bracket(length, sizes, exactLimit, nodeLimit))
+		b.add(bracket(length, sizes, exactLimit))
 	})
 	return b
 }
 
-// limits resolves Total's and TotalParallel's zero defaults: 64 active
-// items for the exact solver, binpack.DefaultNodeLimit search nodes.
-func limits(exactLimit, nodeLimit int) (int, int) {
-	if exactLimit == 0 {
-		exactLimit = 64
-	}
-	if nodeLimit == 0 {
-		nodeLimit = binpack.DefaultNodeLimit
-	}
-	return exactLimit, nodeLimit
+// TotalExact computes OPT_total(R) by solving every segment of the
+// timeline exactly. If any segment's search is cut off, ok is false and
+// the returned value is an upper estimate.
+func TotalExact(l item.List) (total float64, ok bool) {
+	b := Total(l, math.MaxInt)
+	return b.Upper, b.Exact
 }
 
 // bracket is one segment's certified contribution to the OPT_total
-// bracket: the exact optimum times the segment length on both sides when
-// the segment has at most exactLimit items and the search completes,
-// else L2 below and the best of FFD/BFD above.
-func bracket(length float64, sizes []float64, exactLimit, nodeLimit int) Bounds {
+// bracket, as Total describes.
+func bracket(length float64, sizes []float64, exactLimit int) Bounds {
 	if len(sizes) <= exactLimit {
-		if n, complete := binpack.ExactWithLimit(sizes, 1, nodeLimit); complete {
-			v := float64(n) * length
+		n, complete := binpack.ExactWithLimit(sizes, 1, binpack.DefaultNodeLimit)
+		v := float64(n) * length
+		if complete {
 			return Bounds{Lower: v, Upper: v, Exact: true}
 		}
+		return Bounds{Lower: float64(binpack.L2(sizes, 1)) * length, Upper: v}
 	}
 	lo := binpack.L2(sizes, 1)
 	hi := binpack.FirstFitDecreasing(sizes, 1)
@@ -232,34 +238,5 @@ func TotalVec(l item.List) Bounds {
 		b.Upper += float64(binpack.FirstFitVec(sizes, 1)) * length
 	}
 	b.Exact = b.Upper-b.Lower < 1e-12
-	return b
-}
-
-// segmentData is one materialized timeline segment (for parallel
-// solving): the active sizes are copied out of the sweep's mutable state.
-type segmentData struct {
-	length float64
-	sizes  []float64
-}
-
-// TotalParallel is Total with the per-segment bracket solved on up to
-// workers goroutines (workers <= 0 uses GOMAXPROCS). Segments are
-// independent classical bin-packing instances, so this is an
-// embarrassingly parallel integral; it materializes every segment, and
-// folds the brackets in timeline order, making the result bit-identical
-// to the sequential Total.
-func TotalParallel(l item.List, exactLimit, nodeLimit, workers int) Bounds {
-	exactLimit, nodeLimit = limits(exactLimit, nodeLimit)
-	var segs []segmentData
-	segments(l, func(length float64, sizes []float64) {
-		segs = append(segs, segmentData{length: length, sizes: append([]float64(nil), sizes...)})
-	})
-	parts := parallel.Map(len(segs), workers, func(i int) Bounds {
-		return bracket(segs[i].length, segs[i].sizes, exactLimit, nodeLimit)
-	})
-	b := Bounds{Exact: true}
-	for _, p := range parts {
-		b.add(p)
-	}
 	return b
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dbp/internal/binpack"
 	"dbp/internal/item"
 	"dbp/internal/packing"
 )
@@ -15,7 +16,7 @@ func mk(id item.ID, size, a, d float64) item.Item {
 
 func TestTotalExactSingleItem(t *testing.T) {
 	l := item.List{mk(1, 1.0, 0, 5)}
-	got, ok := TotalExact(l, 0)
+	got, ok := TotalExact(l)
 	if !ok || got != 5 {
 		t.Fatalf("OPT_total = %g (ok=%v), want 5", got, ok)
 	}
@@ -24,14 +25,14 @@ func TestTotalExactSingleItem(t *testing.T) {
 func TestTotalExactOverlapPair(t *testing.T) {
 	// Two half-size items overlapping: one bin suffices at all times.
 	l := item.List{mk(1, 0.5, 0, 2), mk(2, 0.5, 1, 3)}
-	got, ok := TotalExact(l, 0)
+	got, ok := TotalExact(l)
 	if !ok || got != 3 {
 		t.Fatalf("OPT_total = %g, want 3 (= span)", got)
 	}
 	// Two big items overlapping: two bins during [0,2)... item intervals
 	// [0,2) and [1,3): segments [0,1):1 bin, [1,2):2 bins, [2,3):1 bin.
 	l = item.List{mk(1, 0.6, 0, 2), mk(2, 0.6, 1, 3)}
-	got, ok = TotalExact(l, 0)
+	got, ok = TotalExact(l)
 	if !ok || got != 4 {
 		t.Fatalf("OPT_total = %g, want 4", got)
 	}
@@ -40,14 +41,14 @@ func TestTotalExactOverlapPair(t *testing.T) {
 func TestTotalExactGapInTimeline(t *testing.T) {
 	// Idle gap contributes nothing.
 	l := item.List{mk(1, 0.5, 0, 1), mk(2, 0.5, 10, 12)}
-	got, ok := TotalExact(l, 0)
+	got, ok := TotalExact(l)
 	if !ok || got != 3 {
 		t.Fatalf("OPT_total = %g, want 3", got)
 	}
 }
 
 func TestTotalExactEmpty(t *testing.T) {
-	got, ok := TotalExact(item.List{}, 0)
+	got, ok := TotalExact(item.List{})
 	if !ok || got != 0 {
 		t.Fatalf("OPT_total(empty) = %g", got)
 	}
@@ -90,11 +91,11 @@ func TestBoundsBracketAndExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 25; trial++ {
 		l := randomInstance(rng, 60, 8)
-		b := Total(l, 0, 0)
+		b := Total(l, ExactLimit)
 		if b.Lower > b.Upper+1e-9 {
 			t.Fatalf("bracket inverted: %+v", b)
 		}
-		exact, ok := TotalExact(l, 0)
+		exact, ok := TotalExact(l)
 		if !ok {
 			t.Fatal("exact solve did not finish on a small instance")
 		}
@@ -117,7 +118,7 @@ func TestNoAlgorithmBeatsOpt(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 15; trial++ {
 		l := randomInstance(rng, 50, 6)
-		exact, ok := TotalExact(l, 0)
+		exact, ok := TotalExact(l)
 		if !ok {
 			t.Skip("exact solve cut off")
 		}
@@ -144,8 +145,8 @@ func TestTotalWithTinyExactLimitStillBrackets(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	l := randomInstance(rng, 80, 5)
 	// Force the heuristic path everywhere.
-	b := Total(l, 1, 0)
-	exact, ok := TotalExact(l, 0)
+	b := Total(l, 1)
+	exact, ok := TotalExact(l)
 	if !ok {
 		t.Skip("exact cut off")
 	}
@@ -175,24 +176,26 @@ func randomInstance(rng *rand.Rand, n int, horizon float64) item.List {
 	return l
 }
 
-// TotalParallel must be bit-identical to Total for every worker count.
-func TestTotalParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 10; trial++ {
-		l := randomInstance(rng, 120, 10)
-		seq := Total(l, 0, 0)
-		for _, w := range []int{1, 2, 8, 0} {
-			par := TotalParallel(l, 0, 0, w)
-			if par != seq {
-				t.Fatalf("workers=%d: %+v != sequential %+v", w, par, seq)
-			}
-		}
+// A segment whose search spends the node budget contributes L2 (12)
+// below and the search's incumbent (13) above, not FFD's 14;
+// TotalExact reads the same upper end.
+func TestTotalCutOffSegmentKeepsIncumbent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sizes := make([]float64, 32)
+	l := make(item.List, len(sizes))
+	for i := range sizes {
+		sizes[i] = 0.2 + 0.3*rng.Float64()
+		l[i] = mk(item.ID(i+1), sizes[i], 0, 1)
 	}
-}
-
-func TestTotalParallelEmpty(t *testing.T) {
-	b := TotalParallel(item.List{}, 0, 0, 4)
-	if b.Lower != 0 || b.Upper != 0 || !b.Exact {
-		t.Fatalf("empty bracket = %+v", b)
+	n, complete := binpack.ExactWithLimit(sizes, 1, binpack.DefaultNodeLimit)
+	if complete || n >= binpack.FirstFitDecreasing(sizes, 1) {
+		t.Fatalf("ExactWithLimit = (%d, %v); the test needs a cut-off search that beat FFD", n, complete)
+	}
+	b := Total(l, ExactLimit)
+	if want := (Bounds{Lower: float64(binpack.L2(sizes, 1)), Upper: float64(n)}); b != want {
+		t.Fatalf("Total = %+v, want %+v", b, want)
+	}
+	if total, ok := TotalExact(l); total != b.Upper || ok {
+		t.Fatalf("TotalExact = (%g, %v), want (%g, false)", total, ok, b.Upper)
 	}
 }

@@ -1,8 +1,7 @@
 // Package parallel provides the small, deterministic fan-out primitives
-// the compute-heavy parts of this repository share: the exact-OPT
-// integrator solves thousands of independent bin-packing segments, and
-// the experiment suite runs independent sweeps. Results are always
-// written to caller-owned, index-addressed storage, so parallel runs are
+// the experiment suite shares: dbpexp runs independent experiments, and
+// E9 runs independent sweep cells. Results are always written to
+// caller-owned, index-addressed storage, so parallel runs are
 // bit-identical to sequential ones.
 package parallel
 
@@ -61,16 +60,4 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	out := make([]T, n)
 	ForEach(n, workers, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// Sum applies fn to every index and returns the sum of the results,
-// accumulated in index order so the floating-point result is identical
-// regardless of worker count.
-func Sum(n, workers int, fn func(i int) float64) float64 {
-	parts := Map(n, workers, fn)
-	var s float64
-	for _, p := range parts {
-		s += p
-	}
-	return s
 }

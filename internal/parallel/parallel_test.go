@@ -3,7 +3,6 @@ package parallel
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForEachCoversAllIndicesOnce(t *testing.T) {
@@ -34,22 +33,6 @@ func TestMapOrder(t *testing.T) {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
-	}
-}
-
-// Determinism: Sum must be bit-identical across worker counts (results
-// are accumulated in index order).
-func TestSumDeterministicAcrossWorkerCounts(t *testing.T) {
-	f := func(seed int64) bool {
-		n := int(seed%500) + 500
-		fn := func(i int) float64 { return 1.0 / float64(i+1) }
-		a := Sum(n, 1, fn)
-		b := Sum(n, 4, fn)
-		c := Sum(n, 13, fn)
-		return a == b && b == c
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
 	}
 }
 

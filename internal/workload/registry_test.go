@@ -257,9 +257,33 @@ func TestEqualDurationBound(t *testing.T) {
 		t.Fatalf("mu = %g, want 1", mu)
 	}
 	res := packing.MustRun(packing.NewFirstFit(), l, nil)
-	b := opt.Total(l, 48, 0)
+	b := opt.Total(l, opt.ExactLimit)
 	ratio := res.TotalUsage / b.Lower
 	if bound := analysis.EqualDurationFirstFitBound(); ratio > bound {
 		t.Fatalf("FF conservative ratio %.4f exceeds equal-duration reference %.4g", ratio, bound)
+	}
+}
+
+// TestVectorBracketAboveCombinedLowerBound holds the vector bracket's
+// lower end to the propositions on every registered scenario at d = 2
+// and d = 4: TotalVec's per-segment load bound integrates to at least
+// each dimension's time-space demand and at least the span, so it can
+// never fall below CombinedLowerBound (which therefore must not exceed
+// OPT_total either).
+func TestVectorBracketAboveCombinedLowerBound(t *testing.T) {
+	for _, s := range workload.Scenarios() {
+		for _, d := range []int{2, 4} {
+			l, err := workload.FromSpec(specFor(s), 60, 2, 8, 3, d)
+			if errors.Is(err, workload.ErrScalarOnly) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s d=%d: %v", s.Name(), d, err)
+			}
+			lower, lb := opt.TotalVec(l).Lower, opt.CombinedLowerBound(l)
+			if lower < lb-1e-9*(1+lb) {
+				t.Errorf("%s d=%d: TotalVec lower %g < combined lower bound %g", s.Name(), d, lower, lb)
+			}
+		}
 	}
 }

@@ -159,7 +159,7 @@ func TestNextFitAdversaryExactPaperNumbers(t *testing.T) {
 				t.Fatalf("NF usage = %g, want n*mu = %g", nf.TotalUsage, float64(n)*mu)
 			}
 			// Paper's optimal: n/2 + mu (n even).
-			optTotal, ok := opt.TotalExact(l, 0)
+			optTotal, ok := opt.TotalExact(l)
 			if !ok {
 				t.Fatal("exact OPT did not finish")
 			}
@@ -202,7 +202,7 @@ func TestAnyFitTrapPinsFFAndBF(t *testing.T) {
 			t.Fatalf("%s usage = %g, want n*mu = %g", algo.Name(), res.TotalUsage, float64(n)*mu)
 		}
 	}
-	optTotal, ok := opt.TotalExact(l, 0)
+	optTotal, ok := opt.TotalExact(l)
 	if !ok {
 		t.Fatal("exact OPT did not finish")
 	}
@@ -277,7 +277,7 @@ func TestBestFitRelayRatioGrowsWithK(t *testing.T) {
 		// Heuristic bracket only (exactLimit 1): the spike segments make
 		// exact per-instant packing expensive and the FFD upper bound is
 		// tight enough here.
-		b := opt.Total(l, 1, 1)
+		b := opt.Total(l, 1)
 		ratio := bf.TotalUsage / b.Upper // conservative: against OPT's upper bracket
 		if ratio <= prev {
 			t.Fatalf("BF ratio did not grow with k: k=%d ratio=%g prev=%g", k, ratio, prev)
