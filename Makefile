@@ -25,10 +25,11 @@ race:
 	$(GO) test -race -short ./...
 
 ## check: the full local gate — formatting, vet, the race-enabled suite, the
-## wire codec's zero-allocation proof (bench-wire asserts 0 allocs/op), the
-## ledger's and the placement's zero-allocation and bounded-state proofs
-## (bench-bins), the OPT_total solver's allocation pin (bench-opt), and the
-## benchmark's own vet and smoke test
+## wire codec's zero-allocation proof and the client's ops/frame floor
+## (bench-wire asserts 0 allocs/op, and at least 6 ops per Batch frame for
+## 64 callers), the ledger's and the placement's zero-allocation and
+## bounded-state proofs (bench-bins), the OPT_total solver's allocation
+## pin (bench-opt), and the benchmark's own vet and smoke test
 check: fmt vet race test bench-wire bench-bins bench-opt bench-smoke
 
 ## bench: the repository's one benchmark (bench/README.md) — two sets of the
@@ -87,10 +88,13 @@ bench-fleet:
 
 ## bench-wire: the wire codec's perf ledger; the accompanying
 ## TestCodecZeroAlloc asserts 0 allocs/op on the encode and decode paths,
-## and BenchmarkWirePipelined prints ops/applybatch, the ops the server
-## merges into one ApplyBatch for 64 callers on one connection
+## TestClientFramesCarryReadyCallers prints ops/frame, the ops the
+## client's writer puts in one Batch frame for 64 callers on one
+## connection (and asserts at least 6), and BenchmarkWirePipelined prints
+## ops/applybatch, the ops the server merges into one ApplyBatch for the
+## same shape
 bench-wire:
-	$(GO) test -run 'CodecZeroAlloc' -bench Wire -benchmem ./internal/wire/
+	$(GO) test -v -run 'CodecZeroAlloc|ClientFramesCarryReadyCallers' -bench Wire -benchmem ./internal/wire/
 
 ## fuzz-short: a CI-scale smoke run of the wire codec and WAL record fuzzers,
 ## of the stream-vs-reference-model fuzzer and of the batch event order

@@ -109,6 +109,42 @@ func TestWireGolden(t *testing.T) {
 	}
 }
 
+// TestWireRefusesOversizedDemand: an arrive with more than MaxDim
+// components is refused by the client with the dispatcher's own code,
+// bad_demand, and never reaches the server, so the connection every
+// caller shares stays up for the next op.
+func TestWireRefusesOversizedDemand(t *testing.T) {
+	d, _, addr := startServer(t, serve.Config{Algorithm: "firstfit", Shards: 1})
+	c := dial(t, addr, wire.Options{Conns: 1})
+
+	sizes := make([]float64, wire.MaxDim+1)
+	for i := range sizes {
+		sizes[i] = 0.5
+	}
+	_, err := c.Arrive(1, 0.5, sizes, tp(0))
+	var oe *wire.OpError
+	if !errors.As(err, &oe) || oe.Status.Code() != "bad_demand" {
+		t.Fatalf("%d-dim arrive: err = %v, want bad_demand", len(sizes), err)
+	}
+	if _, derr := d.Arrive(1, 0.5, sizes, tp(0)); serve.ClassOf(derr) != oe.Status {
+		t.Fatalf("dispatcher answers %v (%s), wire %s", derr, serve.ClassOf(derr).Code(), oe.Status.Code())
+	}
+	if res, err := c.Arrive(2, 0.5, nil, tp(0)); err != nil || res.Server != 0 {
+		t.Fatalf("scalar arrive after the refused one: res=%+v err=%v", res, err)
+	}
+}
+
+// TestDialRefusesOversizedBatch: a MaxBatch the server would refuse
+// every full frame of fails at Dial; MaxBatchOps itself is accepted.
+func TestDialRefusesOversizedBatch(t *testing.T) {
+	_, _, addr := startServer(t, serve.Config{})
+	if c, err := wire.Dial(addr, wire.Options{Conns: 1, MaxBatch: wire.MaxBatchOps + 1}); err == nil {
+		c.Close()
+		t.Fatalf("Dial accepted MaxBatch %d", wire.MaxBatchOps+1)
+	}
+	dial(t, addr, wire.Options{Conns: 1, MaxBatch: wire.MaxBatchOps})
+}
+
 // TestWireVectorDemand round-trips d-dimensional jobs end to end.
 func TestWireVectorDemand(t *testing.T) {
 	d, _, addr := startServer(t, serve.Config{Algorithm: "firstfit", Shards: 1, Dim: 2, DataDir: t.TempDir()})
