@@ -148,9 +148,12 @@ bench-opt:
 	$(GO) test -run '^$$' -bench 'BinpackExact24|OptExactSegment' -benchmem .
 
 ## bench-wal: the WAL append hot path; TestAppendZeroAlloc asserts 0 allocs/op
-## with fsync off
+## with fsync off for Append and AppendGroup, and serve's
+## TestGroupCommitOneFsyncPerEnvelope pins group commit: one fsync per
+## ApplyBatch envelope under fsync=always
 bench-wal:
 	$(GO) test -run 'AppendZeroAlloc' -bench Append -benchmem ./internal/wal/
+	$(GO) test -run 'GroupCommitOneFsyncPerEnvelope' -count=1 -v ./internal/serve/
 
 figures:
 	$(GO) run ./cmd/dbpplot

@@ -179,3 +179,27 @@ func TestBucketMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordNMatchesRecordNS holds RecordN(ns, n) to n calls of
+// RecordNS(ns): the same Summary and the same bucket counts, including
+// a negative (clamped) value and a zero count.
+func TestRecordNMatchesRecordNS(t *testing.T) {
+	batched, single := New(), New()
+	for _, c := range []struct {
+		ns int64
+		n  int
+	}{{1500, 64}, {7, 3}, {-20, 2}, {250_000, 1}, {90_000_000, 17}, {42, 0}} {
+		batched.RecordN(c.ns, c.n)
+		for range c.n {
+			single.RecordNS(c.ns)
+		}
+		if b, s := batched.Summary(), single.Summary(); b != s {
+			t.Fatalf("after RecordN(%d, %d): Summary %+v, want %+v", c.ns, c.n, b, s)
+		}
+	}
+	for i := range batched.counts {
+		if b, s := batched.counts[i].Load(), single.counts[i].Load(); b != s {
+			t.Fatalf("bucket %d holds %d, want %d", i, b, s)
+		}
+	}
+}

@@ -101,7 +101,8 @@ func (d *Dispatcher) dispatchOne(op BatchOp, t *float64) BatchResult {
 
 // dispatch is the one op path: route each op into its shard's envelope,
 // pass every envelope through the shard gate, wait for the owners, and
-// record each op's service time. len(results) >= len(ops).
+// record the call's one service time for each of its ops.
+// len(results) >= len(ops).
 func (d *Dispatcher) dispatch(plan *batchPlan, ops []BatchOp, results []BatchResult) {
 	start := time.Now()
 	if cap(plan.envs) < len(d.shards) {
@@ -114,6 +115,7 @@ func (d *Dispatcher) dispatch(plan *batchPlan, ops []BatchOp, results []BatchRes
 	// an explicit time.
 	var now float64
 	stamped := false
+	departs := 0
 	for i := range ops {
 		si := d.ShardFor(ops[i].ID)
 		req := envs[si]
@@ -133,6 +135,7 @@ func (d *Dispatcher) dispatch(plan *batchPlan, ops []BatchOp, results []BatchRes
 		}
 		if e.Depart {
 			e.Size, e.Sizes = 0, nil
+			departs++
 		} else if len(e.Sizes) > 0 {
 			// Copy once at the API boundary: the stream's ledger and the
 			// journal both retain the demand vector beyond this call, and
@@ -168,13 +171,6 @@ func (d *Dispatcher) dispatch(plan *batchPlan, ops []BatchOp, results []BatchRes
 	}
 	plan.order = order[:0]
 
-	// Per-op service-time accounting: batched and single-op traffic
-	// share one latency ledger.
-	for i := range ops {
-		if ops[i].Depart {
-			d.metrics.observeDepart(start)
-		} else {
-			d.metrics.observeArrive(start)
-		}
-	}
+	// Batched and single-op traffic share one latency ledger.
+	d.metrics.observe(start, len(ops)-departs, departs)
 }

@@ -32,7 +32,9 @@ var ErrClosed = errors.New("serve: dispatcher is shutting down")
 // the shard fails stop — its in-memory stream stays consistent with
 // what was acknowledged, but no further writes are accepted, keeping
 // the divergence between memory and disk bounded at the first failed
-// record. The HTTP layer maps it to 503.
+// group (one envelope's records): every op of that envelope the stream
+// accepted is answered with ErrDurability. The HTTP layer maps it to
+// 503.
 var ErrDurability = errors.New("serve: shard journal failed; shard refuses writes")
 
 // Config configures a Dispatcher.
@@ -73,9 +75,10 @@ type Config struct {
 	Fsync string
 	// FsyncInterval is the background sync period for Fsync="interval".
 	FsyncInterval time.Duration
-	// SnapshotEvery writes a durable shard snapshot every this many
-	// shard events (and truncates covered segments). <= 0 means only
-	// the drain-time snapshot on Close.
+	// SnapshotEvery writes a durable shard snapshot (and truncates
+	// covered segments) at the first envelope boundary at or past this
+	// many shard events since the last one. <= 0 means only the
+	// drain-time snapshot on Close.
 	SnapshotEvery int
 	// SegmentBytes overrides the WAL segment rotation size (testing).
 	SegmentBytes int64
@@ -172,7 +175,8 @@ type shard struct {
 	// latch (atomic so DurabilityErr can read it from any goroutine).
 	wal            *wal.Log
 	walErr         atomic.Pointer[walFailure]
-	lastSnapEvents int // stream event count the last snapshot covered
+	lastSnapEvents int          // stream event count the last snapshot covered
+	group          []wal.Record // one envelope's records; owner-only scratch
 }
 
 // walFailure boxes the first durability error of a poisoned shard.
@@ -376,24 +380,6 @@ func recoverShard(cfg Config, algo packing.Algorithm, log *wal.Log) (*packing.St
 	return s, nil
 }
 
-// walAppend journals one record and, when due, rolls a durable
-// snapshot. A failed append poisons the shard (fail-stop): the record
-// was not acknowledged on disk, so no further writes are accepted.
-// Owner-only.
-func (d *Dispatcher) walAppend(sh *shard, rec *wal.Record) error {
-	if err := sh.wal.Append(rec); err != nil {
-		sh.poison(err)
-		return err
-	}
-	if d.cfg.SnapshotEvery > 0 && sh.stream.Events()-sh.lastSnapEvents >= d.cfg.SnapshotEvery {
-		// The snapshot is an optimization (it bounds replay length); a
-		// failure here still poisons the shard because SaveSnapshot
-		// syncs the journal and a sync failure means lost writes.
-		d.saveShardSnapshot(sh)
-	}
-	return nil
-}
-
 // saveShardSnapshot rolls a durable snapshot of the shard's full stream
 // state and lets the log truncate covered segments. Owner-only.
 func (d *Dispatcher) saveShardSnapshot(sh *shard) {
@@ -506,24 +492,79 @@ func (d *Dispatcher) run(si int, sh *shard) {
 	sh.publish(si)
 }
 
-// apply executes one envelope against shard si's stream: for each op
-// clamp the timestamp, run the event, bump the metrics and journal the
-// applied event (so ShardEvents reflects every answered request), then
-// reply. It republishes the stats gauge before replying when the queue
-// is empty — so a lone caller reading Stats after its acknowledgment
-// sees its own events — and at least every publishEvery events under
-// sustained load. The envelope still belongs to the submitter — apply
-// must not touch it after sending the reply.
+// apply executes one envelope against shard si's stream: it runs each
+// op (clamped timestamp, stream event, the op's journal record), then
+// journals the envelope's records as one group, rolls a snapshot when
+// one is due, adds the envelope's counts to the metrics and replies.
+// An op is acknowledged only once its group is journaled; if the group
+// write fails, the shard is poisoned and every op the stream accepted
+// is answered with ErrDurability and not counted. apply republishes
+// the stats gauge before replying when the queue is empty — so a lone
+// caller reading Stats after its acknowledgment sees its own events —
+// and at least every publishEvery events under sustained load. The
+// envelope still belongs to the submitter — apply must not touch it
+// after sending the reply.
 func (d *Dispatcher) apply(si int, sh *shard, req *request) {
 	var resp response
 	if req.kind == opSnapshot {
 		resp.snap = sh.stream.Snapshot()
 	}
+	poisoned := sh.wal != nil && sh.walErr.Load() != nil
+	var arrivals, departures, opened, closed uint64
 	for i := range req.bops {
 		e := &req.bops[i]
-		server, flag, at, err := d.applyOne(sh, e.Depart, e.ID, e.Size, e.Sizes, e.Time, !e.HasTime)
-		req.out[e.pos] = BatchResult{Server: server, Flag: flag, Time: at, Err: err}
+		at := sh.guard(e.Time, !e.HasTime)
+		if poisoned {
+			d.metrics.reject(ErrDurability)
+			req.out[e.pos] = BatchResult{Time: at, Err: ErrDurability}
+			continue
+		}
+		server, flag, err := d.applyOne(sh, e, at)
+		if err != nil {
+			d.metrics.reject(err)
+			req.out[e.pos] = BatchResult{Time: at, Err: err}
+			continue
+		}
+		req.out[e.pos] = BatchResult{Server: server, Flag: flag, Time: at}
+		if e.Depart {
+			departures++
+			if flag {
+				closed++
+			}
+		} else {
+			arrivals++
+			if flag {
+				opened++
+			}
+		}
 	}
+	if len(sh.group) > 0 {
+		// Append before reply: the caller's acknowledgment implies the
+		// envelope is journaled (and, under fsync=always, on disk). If
+		// the journal refuses, the in-memory stream has applied events
+		// the disk may never have seen — fail stop and report every
+		// accepted op of the envelope as refused.
+		werr := sh.wal.AppendGroup(sh.group)
+		clear(sh.group) // drop demand-vector references
+		sh.group = sh.group[:0]
+		if werr != nil {
+			sh.poison(werr)
+			err := fmt.Errorf("%w: %v", ErrDurability, werr)
+			for i := range req.bops {
+				if r := &req.out[req.bops[i].pos]; r.Err == nil {
+					d.metrics.reject(err)
+					*r = BatchResult{Time: r.Time, Err: err}
+				}
+			}
+			arrivals, departures, opened, closed = 0, 0, 0, 0
+		} else if d.cfg.SnapshotEvery > 0 && sh.stream.Events()-sh.lastSnapEvents >= d.cfg.SnapshotEvery {
+			// The snapshot is an optimization (it bounds replay length);
+			// a failure here still poisons the shard because SaveSnapshot
+			// syncs the journal and a sync failure means lost writes.
+			d.saveShardSnapshot(sh)
+		}
+	}
+	d.metrics.count(arrivals, departures, opened, closed)
 	sh.sincePublish += len(req.bops)
 	if len(sh.reqs) == 0 || sh.sincePublish >= publishEvery {
 		sh.publish(si)
@@ -531,59 +572,31 @@ func (d *Dispatcher) apply(si int, sh *shard, req *request) {
 	req.reply <- resp
 }
 
-// applyOne runs one event against the shard's stream and does its
-// metrics and journal accounting. Owner-only.
-func (d *Dispatcher) applyOne(sh *shard, depart bool, id item.ID, size float64, sizes []float64, at float64, assigned bool) (server int, flag bool, applied float64, err error) {
-	at = sh.guard(at, assigned)
-	if sh.wal != nil && sh.walErr.Load() != nil {
-		d.metrics.reject(ErrDurability)
-		return 0, false, at, ErrDurability
-	}
-	if depart {
-		server, flag, err = sh.stream.Depart(id, at)
+// applyOne runs one op against the shard's stream at time at and, on a
+// shard with a journal, adds its record to the envelope's group.
+// Owner-only.
+func (d *Dispatcher) applyOne(sh *shard, e *batchEntry, at float64) (server int, flag bool, err error) {
+	kind := wal.KindArrive
+	if e.Depart {
+		kind = wal.KindDepart
+		server, flag, err = sh.stream.Depart(e.ID, at)
 	} else {
-		server, flag, err = sh.stream.Arrive(id, size, sizes, at)
+		server, flag, err = sh.stream.Arrive(e.ID, e.Size, e.Sizes, at)
 	}
-	if err != nil {
+	if sh.wal == nil {
+		return server, flag, err
+	}
+	switch {
+	case err == nil:
+		sh.group = append(sh.group, wal.Record{Kind: kind, ID: int64(e.ID), Time: at, Server: int32(server), Size: e.Size, Sizes: e.Sizes})
+	case !errors.Is(err, packing.ErrTimeRegression):
 		// Every rejection except a time regression already advanced the
 		// shard clock (and may have expired keep-alive servers), so the
 		// journal records a tick for it — replay must reproduce the
 		// advance. A time regression mutated nothing and records nothing.
-		if sh.wal != nil && !errors.Is(err, packing.ErrTimeRegression) {
-			rec := wal.Record{Kind: wal.KindTick, ID: int64(id), Time: at, Server: -1}
-			d.walAppend(sh, &rec) // a failure poisons the shard; this op still reports its rejection
-		}
-		d.metrics.reject(err)
-		return 0, false, at, err
+		sh.group = append(sh.group, wal.Record{Kind: wal.KindTick, ID: int64(e.ID), Time: at, Server: -1})
 	}
-	if sh.wal != nil {
-		// Append before reply: the caller's acknowledgment implies the
-		// event is journaled (and, under fsync=always, on disk). If the
-		// journal refuses, the in-memory stream has applied an event the
-		// disk never saw — fail stop and report the write as refused.
-		kind := wal.KindArrive
-		if depart {
-			kind = wal.KindDepart
-		}
-		rec := wal.Record{Kind: kind, ID: int64(id), Time: at, Server: int32(server), Size: size, Sizes: sizes}
-		if werr := d.walAppend(sh, &rec); werr != nil {
-			err = fmt.Errorf("%w: %v", ErrDurability, werr)
-			d.metrics.reject(err)
-			return 0, false, at, err
-		}
-	}
-	if depart {
-		d.metrics.departures.Add(1)
-		if flag {
-			d.metrics.serversClosed.Add(1)
-		}
-	} else {
-		d.metrics.arrivals.Add(1)
-		if flag {
-			d.metrics.serversOpened.Add(1)
-		}
-	}
-	return server, flag, at, nil
+	return server, flag, err
 }
 
 // publish stores a fresh stats gauge for lock-free readers (Stats,

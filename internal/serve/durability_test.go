@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -520,5 +521,90 @@ func TestDurableHTTPEndpoints(t *testing.T) {
 		if res.StatusCode != http.StatusBadRequest {
 			t.Errorf("GET %s: status %d, want 400", bad, res.StatusCode)
 		}
+	}
+}
+
+// TestGroupFailStop poisons a shard mid-envelope: with the shard's
+// directory gone, the rotation after the envelope's group cannot create
+// the next segment. Every op of that envelope the stream accepted must
+// read ErrDurability and go uncounted, a duplicate arrive keeps its own
+// class, and the next call is refused.
+func TestGroupFailStop(t *testing.T) {
+	dir := t.TempDir()
+	d, err := serve.New(serve.Config{Algorithm: "firstfit", Shards: 1, DataDir: dir, SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := os.RemoveAll(filepath.Join(dir, "shard-0000")); err != nil {
+		t.Fatal(err)
+	}
+	at := 1.0
+	if _, err := d.Arrive(1, 0.1, nil, &at); err != nil { // one record: no rotation yet
+		t.Fatalf("arrive before rotation: %v", err)
+	}
+	ops := []serve.BatchOp{
+		{ID: 2, Size: 0.2, HasTime: true, Time: 2},
+		{ID: 1, Size: 0.3, HasTime: true, Time: 3}, // duplicate: journals a tick
+		{Depart: true, ID: 1, HasTime: true, Time: 4},
+		{ID: 3, Size: 0.4, HasTime: true, Time: 5},
+	}
+	res := make([]serve.BatchResult, len(ops))
+	d.ApplyBatch(ops, res)
+	for i, r := range res {
+		want := "durability_failed"
+		if i == 1 {
+			want = "duplicate_job"
+		}
+		if got := serve.ClassOf(r.Err).Code(); got != want {
+			t.Fatalf("op %d: %v (%s), want %s", i, r.Err, got, want)
+		}
+		if want == "durability_failed" && !errors.Is(r.Err, serve.ErrDurability) {
+			t.Fatalf("op %d: %v does not wrap ErrDurability", i, r.Err)
+		}
+	}
+	st := d.Stats()
+	if st.Arrivals != 1 || st.Departures != 0 {
+		t.Fatalf("counted %d arrivals, %d departures; want only the one before the failed group", st.Arrivals, st.Departures)
+	}
+	if n := st.Rejected["durability_failed"]; n != 3 {
+		t.Fatalf("stats count %d durability_failed rejections, want 3", n)
+	}
+	at = 6
+	if _, err := d.Arrive(4, 0.1, nil, &at); !errors.Is(err, serve.ErrDurability) {
+		t.Fatalf("arrive after the failed group: %v, want ErrDurability", err)
+	}
+}
+
+// TestGroupCommitOneFsyncPerEnvelope pins group commit: under
+// fsync=always, each ApplyBatch of 64 ops to one shard is journaled
+// with exactly one fsync.
+func TestGroupCommitOneFsyncPerEnvelope(t *testing.T) {
+	d, err := serve.New(serve.Config{Algorithm: "firstfit", Shards: 1, DataDir: t.TempDir(), Fsync: "always"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const calls, batch = 20, 64
+	ops := make([]serve.BatchOp, batch)
+	res := make([]serve.BatchResult, batch)
+	for c := range calls {
+		for i := range ops {
+			id := c*batch + i
+			ops[i] = serve.BatchOp{ID: item.ID(id), Size: 0.01, HasTime: true, Time: float64(id)}
+		}
+		d.ApplyBatch(ops, res)
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("call %d op %d: %v", c, i, r.Err)
+			}
+		}
+	}
+	st := d.Stats()
+	if st.Arrivals != calls*batch {
+		t.Fatalf("counted %d arrivals, want %d", st.Arrivals, calls*batch)
+	}
+	if n := st.Durability.FsyncLatency.Count; n != calls {
+		t.Fatalf("%d fsyncs for %d envelopes of %d ops, want one per envelope", n, calls, batch)
 	}
 }

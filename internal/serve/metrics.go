@@ -51,11 +51,32 @@ func (m *metrics) init() {
 // per-shard SyncObserver).
 func (m *metrics) observeFsync(d time.Duration) { m.latFsync.Record(d) }
 
-// observeArrive/observeDepart record one request's service time —
-// dispatch, shard queue wait, and stream work included; rejected
-// requests count too (they occupied the shard owner just the same).
-func (m *metrics) observeArrive(start time.Time) { m.latArrive.Record(time.Since(start)) }
-func (m *metrics) observeDepart(start time.Time) { m.latDepart.Record(time.Since(start)) }
+// observe records the service time of one dispatch call's arrivals
+// and departures, every op of the call alike — dispatch, shard queue
+// wait, and stream work included; rejected requests count too (they
+// occupied the shard owner just the same).
+func (m *metrics) observe(start time.Time, arrivals, departures int) {
+	ns := time.Since(start).Nanoseconds()
+	m.latArrive.RecordN(ns, arrivals)
+	m.latDepart.RecordN(ns, departures)
+}
+
+// count adds one envelope's accepted events to the counters, touching
+// only the ones that moved (a shard owner calls it once per envelope).
+func (m *metrics) count(arrivals, departures, opened, closed uint64) {
+	if arrivals > 0 {
+		m.arrivals.Add(arrivals)
+	}
+	if departures > 0 {
+		m.departures.Add(departures)
+	}
+	if opened > 0 {
+		m.serversOpened.Add(opened)
+	}
+	if closed > 0 {
+		m.serversClosed.Add(closed)
+	}
+}
 
 // reject counts a request error under its class.
 func (m *metrics) reject(err error) { m.rejected[ClassOf(err)].Add(1) }

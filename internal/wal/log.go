@@ -319,11 +319,8 @@ func (l *Log) createSegment(firstSeq uint64) error {
 	return nil
 }
 
-// Append journals one record, assigning it the next sequence number.
-// Under FsyncAlways it returns only once the record is on stable
-// storage. A write or sync failure is sticky: the log refuses further
-// appends, keeping the divergence between disk and memory bounded at
-// the first failed record.
+// Append journals one record, assigning it the next sequence number:
+// the group of one (see AppendGroup).
 func (l *Log) Append(r *Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -331,25 +328,49 @@ func (l *Log) Append(r *Record) error {
 		return l.err
 	}
 	var err error
-	l.buf, err = appendRecord(l.buf[:0], r)
-	if err != nil {
+	if l.buf, err = appendRecord(l.buf[:0], r); err != nil {
 		return err // encoding error: nothing written, log still healthy
 	}
+	return l.commit(1)
+}
+
+// AppendGroup journals recs as one group, assigning them consecutive
+// sequence numbers: one buffered write, under FsyncAlways one fsync
+// before it returns, and a rotation check only after the whole group,
+// so a group never spans two segments. A write or sync failure is
+// sticky: the log refuses further appends, keeping the divergence
+// between disk and memory bounded at the first failed group. An empty
+// group writes nothing.
+func (l *Log) AppendGroup(recs []Record) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil || len(recs) == 0 {
+		return l.err
+	}
+	buf := l.buf[:0]
+	for i := range recs {
+		var err error
+		if buf, err = appendRecord(buf, &recs[i]); err != nil {
+			l.buf = buf
+			return err // encoding error: nothing written, log still healthy
+		}
+	}
+	l.buf = buf
+	return l.commit(len(recs))
+}
+
+// commit writes the n frames encoded in l.buf, syncs them under
+// FsyncAlways and rotates a full segment: the one write path of Append
+// and AppendGroup. l.mu is held.
+func (l *Log) commit(n int) error {
 	if _, err := l.w.Write(l.buf); err != nil {
 		return l.fail(err)
 	}
 	l.segBytes += int64(len(l.buf))
-	l.nextSeq++
+	l.nextSeq += uint64(n)
 	if l.opts.Fsync == FsyncAlways {
-		start := time.Now()
-		if err := l.w.Flush(); err != nil {
-			return l.fail(err)
-		}
-		if err := l.f.Sync(); err != nil {
-			return l.fail(err)
-		}
-		if l.opts.SyncObserver != nil {
-			l.opts.SyncObserver(time.Since(start))
+		if err := l.syncLocked(); err != nil {
+			return err
 		}
 	}
 	if l.segBytes >= l.opts.SegmentBytes {

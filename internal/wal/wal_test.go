@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -35,6 +36,17 @@ func appendAll(t *testing.T, l *Log, recs []Record) {
 	for i := range recs {
 		if err := l.Append(&recs[i]); err != nil {
 			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+}
+
+// appendGroups journals recs with AppendGroup, size records a group
+// (the last group may be shorter).
+func appendGroups(t *testing.T, l *Log, recs []Record, size int) {
+	t.Helper()
+	for i := 0; i < len(recs); i += size {
+		if err := l.AppendGroup(recs[i:min(i+size, len(recs))]); err != nil {
+			t.Fatalf("group at %d: %v", i, err)
 		}
 	}
 }
@@ -85,6 +97,139 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	if got := replayAll(t, l2, 60); !reflect.DeepEqual(got, recs[60:]) {
 		t.Fatal("tail replay differs")
+	}
+}
+
+// TestAppendGroupMatchesAppends holds AppendGroup to Append: a log
+// written in groups replays the same records under the same sequence
+// numbers as one written a record at a time, and holds the same bytes.
+func TestAppendGroupMatchesAppends(t *testing.T) {
+	recs := sampleRecords(200)
+	singleDir := t.TempDir()
+	single, err := Open(singleDir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, single, recs)
+	if err := single.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(singleDir, fmt.Sprintf("%020d%s", 0, segSuffix)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{1, 7, 64, 200} {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{Fsync: FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendGroups(t, l, recs, size)
+		if err := l.AppendGroup(nil); err != nil || l.NextSeq() != uint64(len(recs)) {
+			t.Fatalf("group %d: empty group: err %v, NextSeq %d, want %d", size, err, l.NextSeq(), len(recs))
+		}
+		if got := replayAll(t, l, 0); !reflect.DeepEqual(got, recs) {
+			t.Fatalf("group %d: replay differs from the appended records", size)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%020d%s", 0, segSuffix)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("group %d: segment bytes differ from a record-at-a-time log", size)
+		}
+	}
+}
+
+// TestGroupNotSplitAcrossSegments: rotation is checked after a group,
+// never inside it, so every segment starts at a group boundary even
+// when one group outgrows the segment size.
+func TestGroupNotSplitAcrossSegments(t *testing.T) {
+	const size = 10
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sampleRecords(200)
+	appendGroups(t, l, recs, size)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "*"+segSuffix))
+	if len(segs) < 3 {
+		t.Fatalf("got %d segments, wanted rotation", len(segs))
+	}
+	for _, seg := range segs {
+		first, err := strconv.ParseUint(strings.TrimSuffix(filepath.Base(seg), segSuffix), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first%size != 0 {
+			t.Fatalf("segment %s starts inside a group of %d", filepath.Base(seg), size)
+		}
+	}
+	l2, err := Open(dir, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := replayAll(t, l2, 0); !reflect.DeepEqual(got, recs) {
+		t.Fatal("replay across segments differs")
+	}
+}
+
+// TestTornGroupTruncated cuts the segment inside a frame of the last
+// group: recovery keeps the group's whole frames before the cut, drops
+// the torn one and everything after it, and appends from there.
+func TestTornGroupTruncated(t *testing.T) {
+	recs := sampleRecords(30)
+	src := t.TempDir()
+	l, err := Open(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendGroups(t, l, recs, 20) // groups [0, 20) and [20, 30)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("%020d%s", 0, segSuffix)
+	data, err := os.ReadFile(filepath.Join(src, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{20, 23, 29} {
+		// Frame k starts at off; cut 3 bytes into it.
+		off := segHeaderLen
+		for i := range recs[:k] {
+			frame, err := appendRecord(nil, &recs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			off += len(frame)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), data[:off+3], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("cut in frame %d: reopen: %v", k, err)
+		}
+		if l2.NextSeq() != uint64(k) {
+			t.Fatalf("cut in frame %d: NextSeq = %d, want %d", k, l2.NextSeq(), k)
+		}
+		if got := replayAll(t, l2, 0); !reflect.DeepEqual(got, recs[:k]) {
+			t.Fatalf("cut in frame %d: torn replay differs", k)
+		}
+		appendGroups(t, l2, recs[k:], 64)
+		if got := replayAll(t, l2, 0); !reflect.DeepEqual(got, recs) {
+			t.Fatalf("cut in frame %d: append-after-truncate replay differs", k)
+		}
+		l2.Close()
 	}
 }
 
@@ -364,8 +509,8 @@ func TestStoreObserverRoutesShards(t *testing.T) {
 }
 
 // TestAppendZeroAlloc is the acceptance pin: with fsync=off, appending
-// a scalar or vector record from the shard owner hot path performs no
-// allocations (mirrors wire's TestCodecZeroAlloc).
+// a scalar or vector record, alone or as a group, from the shard owner
+// hot path performs no allocations (mirrors wire's TestCodecZeroAlloc).
 func TestAppendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is unreliable under -race")
@@ -379,11 +524,18 @@ func TestAppendZeroAlloc(t *testing.T) {
 	vector := Record{Kind: KindArrive, ID: 43, Time: 1.75, Server: 4, Size: 0.5, Sizes: []float64{0.5, 0.25}}
 	depart := Record{Kind: KindDepart, ID: 42, Time: 2, Server: 3}
 	tick := Record{Kind: KindTick, ID: 0, Time: 2.5, Server: -1}
+	group := make([]Record, 0, 64)
+	for len(group) < cap(group) {
+		group = append(group, scalar, vector, depart, tick)
+	}
 	// Warm up the scratch buffer and the bufio writer.
 	for _, r := range []*Record{&scalar, &vector, &depart, &tick} {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := l.AppendGroup(group); err != nil {
+		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		l.Append(&scalar)
@@ -393,9 +545,13 @@ func TestAppendZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Append allocates %v allocs/op, want 0", n)
 	}
+	if n := testing.AllocsPerRun(1000, func() { l.AppendGroup(group) }); n != 0 {
+		t.Fatalf("AppendGroup of %d allocates %v allocs/op, want 0", len(group), n)
+	}
 }
 
-// BenchmarkAppend reports the per-record append cost per fsync policy.
+// BenchmarkAppend reports the per-record append cost per fsync policy,
+// one Append per record and in AppendGroup groups of 64 (group64).
 func BenchmarkAppend(b *testing.B) {
 	for _, pol := range []FsyncPolicy{FsyncOff, FsyncInterval, FsyncAlways} {
 		b.Run(string(pol), func(b *testing.B) {
@@ -415,6 +571,24 @@ func BenchmarkAppend(b *testing.B) {
 			}
 		})
 	}
+	b.Run("group64", func(b *testing.B) {
+		l, err := Open(b.TempDir(), Options{Fsync: FsyncAlways})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		group := make([]Record, 64)
+		for i := range group {
+			group[i] = Record{Kind: KindArrive, ID: int64(i), Time: 1, Server: 0, Size: 0.5}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(group) {
+			if err := l.AppendGroup(group[:min(len(group), b.N-i)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestParseFsyncPolicy covers the flag parser.
