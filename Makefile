@@ -97,9 +97,10 @@ bench-wire:
 	$(GO) test -v -run 'CodecZeroAlloc|ClientFramesCarryReadyCallers' -bench Wire -benchmem ./internal/wire/
 
 ## fuzz-short: a CI-scale smoke run of the wire codec and WAL record fuzzers,
-## of the stream-vs-reference-model fuzzer and of the batch event order
-## against the stable sort it replaced (go's native fuzzing allows one target
-## per invocation)
+## of the stream-vs-reference-model fuzzer, of the batch event order
+## against the stable sort it replaced, of the OPT solver's bound sandwich
+## (L1 <= L2 <= exact <= FFD) and of the CSV and JSON trace readers (go's
+## native fuzzing allows one target per invocation)
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeOp -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 5s ./internal/wire/
@@ -107,6 +108,9 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzStreamVsModel -fuzztime 5s ./internal/packing/
 	$(GO) test -run '^$$' -fuzz FuzzOrder -fuzztime 5s ./internal/event/
+	$(GO) test -run '^$$' -fuzz FuzzBoundSandwich -fuzztime 5s ./internal/opt/
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/trace/
 
 ## recover-test: the crash-injection suite — builds a real dbpserved, SIGKILLs
 ## it mid-barrage at randomized points, and verifies recovery (triple-entry
@@ -138,14 +142,15 @@ bench-bins:
 bench-run:
 	$(GO) test -run '^$$' -bench 'EventOrder|RunBatch' -benchtime 5x .
 
-## bench-opt: the OPT_total solver — TestExactSearchAllocsBounded asserts at
-## most 32 allocations (its setup, none per node) for an ExactWithLimit call
-## that spends the whole two-million-node budget; BenchmarkBinpackExact24
-## (one 24-item segment, 36,111 nodes) and BenchmarkOptExactSegment (one
-## exact OPT_total sweep of 60 jobs) print ns/op and allocs/op
+## bench-opt: the OPT_total solver — internal/opt's
+## TestExactSearchAllocsBounded asserts at most 32 allocations (its setup,
+## none per node) for an exactBinsLimit call that spends the whole
+## two-million-node budget; BenchmarkBinpackExact24 (one 24-item segment,
+## 36,111 nodes, in internal/opt) and BenchmarkOptExactSegment (one exact
+## OPT_total sweep of 60 jobs) print ns/op and allocs/op
 bench-opt:
-	$(GO) test -count=1 -run 'ExactSearchAllocsBounded' ./internal/binpack/
-	$(GO) test -run '^$$' -bench 'BinpackExact24|OptExactSegment' -benchmem .
+	$(GO) test -count=1 -run 'ExactSearchAllocsBounded' -bench 'BinpackExact24' -benchmem ./internal/opt/
+	$(GO) test -run '^$$' -bench 'OptExactSegment' -benchmem .
 
 ## bench-wal: the WAL append hot path; TestAppendZeroAlloc asserts 0 allocs/op
 ## with fsync off for Append and AppendGroup, and serve's

@@ -5,7 +5,6 @@ import (
 
 	"dbp/internal/analysis"
 	"dbp/internal/cloud"
-	"dbp/internal/gaming"
 	"dbp/internal/item"
 	"dbp/internal/opt"
 	"dbp/internal/packing"
@@ -183,7 +182,10 @@ func GeneratePareto(n int, rate, mu float64, seed int64) List {
 // motivating application): GPU-share sizes from a four-tier catalog,
 // heavy-tailed session lengths with mu <= 60 (time unit: minutes).
 func GenerateGaming(n int, rate float64, seed int64) List {
-	l, _ := gaming.Sessions(gaming.Config{Catalog: gaming.DefaultCatalog(), Rate: rate, N: n, Seed: seed})
+	l, err := workload.FromSpec("gaming", n, rate, 0, seed, 1)
+	if err != nil {
+		panic(err) // n <= 0 or rate <= 0: a caller bug, as in GenerateUniform
+	}
 	return l
 }
 

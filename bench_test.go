@@ -2,10 +2,8 @@ package dbp
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
-	"dbp/internal/binpack"
 	"dbp/internal/event"
 	"dbp/internal/experiments"
 	"dbp/internal/item"
@@ -86,26 +84,6 @@ func BenchmarkOptExactSegment(b *testing.B) {
 			b.Fatal("exact solve cut off")
 		}
 	}
-}
-
-// BenchmarkBinpackExact24 solves one seeded 24-item segment, sizes in
-// [0.2, 0.5), on which FFD and BFD use 10 bins against an L2 bound of 9:
-// the branch and bound visits 36,111 nodes before it finds a 9-bin
-// packing and stops at the bound.
-func BenchmarkBinpackExact24(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	sizes := make([]float64, 24)
-	for i := range sizes {
-		sizes[i] = 0.2 + 0.3*rng.Float64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := binpack.ExactWithLimit(sizes, 1, binpack.DefaultNodeLimit); !ok {
-			b.Fatal("exact solve cut off")
-		}
-	}
-	b.ReportMetric(float64(len(sizes)), "items")
 }
 
 func BenchmarkAdversaryGeneration(b *testing.B) {

@@ -19,9 +19,7 @@ import (
 	"strings"
 	"time"
 
-	"dbp/internal/analysis"
 	"dbp/internal/experiments"
-	"dbp/internal/parallel"
 )
 
 func main() {
@@ -34,7 +32,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		md      = flag.Bool("md", false, "render markdown instead of plain text")
 		out     = flag.String("o", "", "output file (default stdout)")
-		workers = flag.Int("workers", 0, "experiments run concurrently on this many workers (0 = GOMAXPROCS, 1 = sequential)")
 	)
 	flag.Parse()
 
@@ -62,19 +59,10 @@ func main() {
 	}
 
 	cfg := experiments.Config{Quick: *quick, Seed: *seed}
-	// Experiments are independent; run them concurrently and render in
-	// order (results are deterministic regardless of worker count).
-	type outcome struct {
-		tables  []*analysis.Table
-		elapsed time.Duration
-	}
-	outcomes := parallel.Map(len(selected), *workers, func(i int) outcome {
+	for _, e := range selected {
 		start := time.Now()
-		return outcome{tables: selected[i].Run(cfg), elapsed: time.Since(start)}
-	})
-	for i, e := range selected {
-		tables := outcomes[i].tables
-		elapsed := outcomes[i].elapsed
+		tables := e.Run(cfg)
+		elapsed := time.Since(start)
 		if *md {
 			fmt.Fprintf(w, "## %s: %s\n\n", e.ID, e.Title)
 			fmt.Fprintf(w, "*Claim:* %s\n\n", e.Claim)

@@ -32,10 +32,10 @@ import (
 	"os"
 	"time"
 
-	"dbp/internal/cliutil"
 	"dbp/internal/load"
 	"dbp/internal/serve"
 	"dbp/internal/wire"
+	"dbp/internal/workload"
 )
 
 func main() {
@@ -92,7 +92,7 @@ func run(args []string, out io.Writer) error {
 	)
 	fs.Parse(args) // ExitOnError: usage and exit 2 on a bad flag, exit 0 on -h
 	if *listWl {
-		cliutil.ListScenarios(out)
+		workload.List(out)
 		return nil
 	}
 	logf := log.New(out, "", 0).Printf

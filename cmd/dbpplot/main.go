@@ -19,7 +19,6 @@ import (
 	"dbp"
 	"dbp/internal/cloud"
 	"dbp/internal/packing"
-	"dbp/internal/svgplot"
 	"dbp/internal/workload"
 )
 
@@ -44,7 +43,7 @@ func main() {
 	// Figure 1: Sec. VIII — Next Fit ratio vs n, per mu, with First Fit flat at 1.
 	{
 		ns := []float64{4, 16, 64, 256, 1024, 4096}
-		p := &svgplot.Plot{
+		p := &Plot{
 			Title:  "Sec. VIII adversary: Next Fit ratio -> 2mu (First Fit stays at 1)",
 			XLabel: "n (log scale)", YLabel: "ALG / OPT", LogX: true,
 		}
@@ -53,16 +52,16 @@ func main() {
 			for _, n := range ns {
 				ys = append(ys, workload.NextFitAdversaryRatioLimit(int(n), mu))
 			}
-			p.Series = append(p.Series, svgplot.Series{Name: fmt.Sprintf("NF mu=%g", mu), X: ns, Y: ys})
+			p.Series = append(p.Series, Series{Name: fmt.Sprintf("NF mu=%g", mu), X: ns, Y: ys})
 		}
-		p.Series = append(p.Series, svgplot.Series{Name: "FF (any mu)", X: ns, Y: []float64{1, 1, 1, 1, 1, 1}})
+		p.Series = append(p.Series, Series{Name: "FF (any mu)", X: ns, Y: []float64{1, 1, 1, 1, 1, 1}})
 		write("fig_e2_nextfit.svg", p.Render())
 	}
 
 	// Figure 2: E3 — trap ratio converging to mu.
 	{
 		ns := []float64{8, 32, 128, 512, 2048}
-		p := &svgplot.Plot{
+		p := &Plot{
 			Title:  "Gap-seal trap: First/Best Fit ratio -> mu",
 			XLabel: "n (log scale)", YLabel: "measured ratio", LogX: true,
 		}
@@ -71,7 +70,7 @@ func main() {
 			for _, n := range ns {
 				ys = append(ys, workload.AnyFitTrapRatioLimit(int(n), mu))
 			}
-			p.Series = append(p.Series, svgplot.Series{Name: fmt.Sprintf("mu=%g", mu), X: ns, Y: ys})
+			p.Series = append(p.Series, Series{Name: fmt.Sprintf("mu=%g", mu), X: ns, Y: ys})
 		}
 		write("fig_e3_trap.svg", p.Render())
 	}
@@ -91,10 +90,10 @@ func main() {
 			// The continuous-billing cost of the same run, for contrast.
 			idealized = append(idealized, res.TotalUsage*0.90/60)
 		}
-		p := &svgplot.Plot{
+		p := &Plot{
 			Title:  "Keep-alive vs hourly bill (First Fit, gaming workload)",
 			XLabel: "keep-alive (min)", YLabel: "cost ($)",
-			Series: []svgplot.Series{
+			Series: []Series{
 				{Name: "hourly bill", X: kas, Y: bill},
 				{Name: "continuous (usage)", X: kas, Y: idealized},
 			},
@@ -115,10 +114,10 @@ func main() {
 			}
 			rel = append(rel, res.TotalUsage/ff.TotalUsage)
 		}
-		p := &svgplot.Plot{
+		p := &Plot{
 			Title:  "Learning-augmented dispatch: usage vs prediction noise",
 			XLabel: "lognormal noise sigma", YLabel: "usage / FirstFit",
-			Series: []svgplot.Series{
+			Series: []Series{
 				{Name: "PredictiveFit", X: sigmas, Y: rel},
 				{Name: "online FF", X: sigmas, Y: []float64{1, 1, 1, 1, 1, 1}},
 			},
@@ -130,6 +129,6 @@ func main() {
 	{
 		jobs := dbp.GenerateUniform(40, 2, 6, *seed)
 		res := packing.MustRun(packing.NewFirstFit(), jobs, nil)
-		write("fig_gantt_firstfit.svg", svgplot.Gantt(res, 900))
+		write("fig_gantt_firstfit.svg", Gantt(res, 900))
 	}
 }

@@ -19,7 +19,7 @@ import (
 
 	"dbp"
 	"dbp/internal/analysis"
-	"dbp/internal/cliutil"
+	"dbp/internal/workload"
 )
 
 func main() {
@@ -43,11 +43,15 @@ func main() {
 	)
 	flag.Parse()
 	if *listWl {
-		cliutil.ListScenarios(os.Stdout)
+		workload.List(os.Stdout)
 		return
 	}
 
-	jobs, err := cliutil.LoadJobs(*tracePath, cliutil.GenSpec{Spec: *gen, N: *n, Rate: *rate, Mu: *mu, Seed: *seed})
+	spec := *gen
+	if *tracePath != "" {
+		spec = "trace:" + *tracePath
+	}
+	jobs, err := workload.FromSpec(spec, *n, *rate, *mu, *seed, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,10 +28,10 @@ import (
 
 	"dbp"
 	"dbp/internal/analysis"
-	"dbp/internal/cliutil"
 	"dbp/internal/opt"
 	"dbp/internal/packing"
 	"dbp/internal/trace"
+	"dbp/internal/workload"
 )
 
 func main() {
@@ -52,7 +52,7 @@ func main() {
 	)
 	flag.Parse()
 	if *listWl {
-		cliutil.ListScenarios(os.Stdout)
+		workload.List(os.Stdout)
 		return
 	}
 
@@ -61,7 +61,11 @@ func main() {
 		return
 	}
 
-	jobs, err := cliutil.LoadJobs(*tracePath, cliutil.GenSpec{Spec: *gen, N: *n, Rate: *rate, Mu: *mu, Seed: *seed, Dim: *dim})
+	spec := *gen
+	if *tracePath != "" {
+		spec = "trace:" + *tracePath
+	}
+	jobs, err := workload.FromSpec(spec, *n, *rate, *mu, *seed, *dim)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"os"
 
 	"dbp"
-	"dbp/internal/cliutil"
 	"dbp/internal/trace"
 	"dbp/internal/workload"
 )
@@ -41,13 +40,10 @@ func main() {
 	)
 	flag.Parse()
 	if *listWl {
-		cliutil.ListScenarios(os.Stdout)
+		workload.List(os.Stdout)
 		return
 	}
 
-	if *gen == "" {
-		log.Fatalf("pass -gen SCENARIO; registered scenarios:\n%s", workload.Describe())
-	}
 	jobs, err := workload.FromSpec(*gen, *n, *rate, *mu, *seed, 1)
 	if err != nil {
 		log.Fatal(err)

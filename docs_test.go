@@ -2,42 +2,69 @@ package dbp
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	"dbp/internal/serve"
 )
 
-// TestDocsListEveryCommand keeps the two module tables honest: the cmd/*
+// TestDocsListEveryCommand keeps the module tables honest: the cmd/*
 // rows of the README module table and of DESIGN.md §4 must be exactly the
-// directories under cmd/, so adding or deleting a binary without touching
-// both tables fails the suite.
+// directories under cmd/, and the internal/* rows of DESIGN.md §4 exactly
+// the packages under internal/, so adding or deleting a binary or a
+// package without touching the tables fails the suite.
 func TestDocsListEveryCommand(t *testing.T) {
 	entries, err := os.ReadDir("cmd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []string
+	var cmds []string
 	for _, e := range entries {
 		if e.IsDir() {
-			want = append(want, "cmd/"+e.Name())
+			cmds = append(cmds, "cmd/"+e.Name())
 		}
 	}
-	row := regexp.MustCompile("(?m)^\\| `(cmd/[^`]+)` \\|")
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
-		text, err := os.ReadFile(doc)
+	var pkgs []string
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			if dir := filepath.ToSlash(filepath.Dir(path)); !slices.Contains(pkgs, dir) {
+				pkgs = append(pkgs, dir)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(pkgs)
+	for _, c := range []struct {
+		doc, prefix string
+		want        []string
+	}{
+		{"README.md", "cmd/", cmds},
+		{"DESIGN.md", "cmd/", cmds},
+		{"DESIGN.md", "internal/", pkgs},
+	} {
+		text, err := os.ReadFile(c.doc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		row := regexp.MustCompile("(?m)^\\| `(" + c.prefix + "[^`]+)` \\|")
 		var got []string
 		for _, m := range row.FindAllSubmatch(text, -1) {
 			got = append(got, string(m[1]))
 		}
 		slices.Sort(got)
-		if !slices.Equal(got, want) {
-			t.Errorf("%s lists commands %v, cmd/ holds %v", doc, got, want)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s lists %v, the tree holds %v", c.doc, got, c.want)
 		}
 	}
 }

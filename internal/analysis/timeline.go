@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"dbp/internal/packing"
@@ -111,19 +110,4 @@ func LevelHistogram(res *packing.Result, buckets int) []float64 {
 		}
 	}
 	return hist
-}
-
-// HighUtilizationFraction returns the fraction of occupied bin-time spent
-// at level >= 1/2 — Proposition 6 guarantees h-subperiods contribute to
-// this mass.
-func HighUtilizationFraction(res *packing.Result) float64 {
-	hist := LevelHistogram(res, 100)
-	var high float64
-	for i := 50; i < 100; i++ {
-		high += hist[i]
-	}
-	if math.IsNaN(high) {
-		return 0
-	}
-	return high
 }

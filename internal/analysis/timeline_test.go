@@ -84,19 +84,6 @@ func TestLevelHistogramSteps(t *testing.T) {
 	}
 }
 
-func TestHighUtilizationFraction(t *testing.T) {
-	high := item.List{mk(1, 0.9, 0, 4)}
-	res := packing.MustRun(packing.NewFirstFit(), high, nil)
-	if got := HighUtilizationFraction(res); got != 1 {
-		t.Fatalf("high fraction = %g, want 1", got)
-	}
-	low := item.List{mk(1, 0.1, 0, 4)}
-	res = packing.MustRun(packing.NewFirstFit(), low, nil)
-	if got := HighUtilizationFraction(res); got != 0 {
-		t.Fatalf("high fraction = %g, want 0", got)
-	}
-}
-
 func TestEventLog(t *testing.T) {
 	l := item.List{
 		mk(1, 0.5, 0, 2),

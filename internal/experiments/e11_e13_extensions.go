@@ -7,7 +7,6 @@ import (
 
 	"dbp/internal/analysis"
 	"dbp/internal/cloud"
-	"dbp/internal/gaming"
 	"dbp/internal/item"
 	"dbp/internal/packing"
 	"dbp/internal/workload"
@@ -78,7 +77,10 @@ func runE12(cfg Config) []*analysis.Table {
 	if cfg.Quick {
 		n = 150
 	}
-	l, _ := gaming.Sessions(gaming.Config{Catalog: gaming.DefaultCatalog(), Rate: 0.5, N: n, Seed: cfg.Seed})
+	l, err := workload.FromSpec("gaming", n, 0.5, 0, cfg.Seed, 1)
+	if err != nil {
+		panic(fmt.Sprintf("E12: %v", err))
+	}
 	plan := cloud.Hourly(0.90, 60) // $0.90/hour, minutes as time unit
 	t := analysis.NewTable("E12: keep-alive vs hourly bill (First Fit, gaming workload)",
 		"keep-alive (min)", "servers", "usage (min)", "billed (min)", "bill $", "vs no keep-alive")

@@ -2,14 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"dbp/internal/analysis"
 	"dbp/internal/cloud"
-	_ "dbp/internal/gaming" // registers the "gaming" scenario
 	"dbp/internal/opt"
 	"dbp/internal/packing"
-	"dbp/internal/parallel"
 	"dbp/internal/workload"
 )
 
@@ -102,7 +103,7 @@ func runE9(cfg Config) []*analysis.Table {
 		means  map[string]float64
 		binsFF int
 	}
-	results := parallel.Map(len(grid), 0, func(gi int) cellResult {
+	results := parallelMap(len(grid), func(gi int) cellResult {
 		c := grid[gi]
 		inst := workload.MustLookup(scens[c.scIdx].Name())
 		ratios := map[string][]float64{}
@@ -203,4 +204,25 @@ func runE10(cfg Config) []*analysis.Table {
 	}
 	t.AddNote(fmt.Sprintf("sizes per dimension uniform in [0.05, 0.95]; %d seeds aggregated", len(seeds)))
 	return []*analysis.Table{t}
+}
+
+// parallelMap applies fn to every index in [0, n) on up to GOMAXPROCS
+// goroutines and returns the results in index order. fn must be safe to
+// call concurrently for distinct indices; each result lands in its own
+// slot, so a run is bit-identical to a sequential one.
+func parallelMap[T any](n int, fn func(i int) T) []T {
+	out := make([]T, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				out[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }

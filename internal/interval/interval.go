@@ -38,15 +38,6 @@ func (iv Interval) Empty() bool { return iv.Hi <= iv.Lo }
 // Contains reports whether t lies in [Lo, Hi).
 func (iv Interval) Contains(t float64) bool { return iv.Lo <= t && t < iv.Hi }
 
-// ContainsInterval reports whether other is a subset of iv. The empty
-// interval is a subset of everything.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	if other.Empty() {
-		return true
-	}
-	return iv.Lo <= other.Lo && other.Hi <= iv.Hi
-}
-
 // Overlaps reports whether the two half-open intervals share any point.
 // Touching endpoints ([0,1) and [1,2)) do not overlap.
 func (iv Interval) Overlaps(other Interval) bool {
@@ -77,11 +68,6 @@ func (iv Interval) Hull(other Interval) Interval {
 		return iv
 	}
 	return Interval{Lo: math.Min(iv.Lo, other.Lo), Hi: math.Max(iv.Hi, other.Hi)}
-}
-
-// Shift returns the interval translated by dt.
-func (iv Interval) Shift(dt float64) Interval {
-	return Interval{Lo: iv.Lo + dt, Hi: iv.Hi + dt}
 }
 
 // String renders the interval in the paper's [lo, hi) notation.

@@ -104,25 +104,6 @@ func TestHull(t *testing.T) {
 	}
 }
 
-func TestShift(t *testing.T) {
-	if got := New(1, 2).Shift(3); got != New(4, 5) {
-		t.Errorf("shift = %v, want [4, 5)", got)
-	}
-}
-
-func TestContainsInterval(t *testing.T) {
-	outer := New(0, 10)
-	if !outer.ContainsInterval(New(2, 5)) {
-		t.Error("subset must be contained")
-	}
-	if !outer.ContainsInterval(Interval{}) {
-		t.Error("empty interval is a subset of everything")
-	}
-	if outer.ContainsInterval(New(5, 11)) {
-		t.Error("overhanging interval is not contained")
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := New(0, 1.5).String(); got != "[0, 1.5)" {
 		t.Errorf("String = %q", got)

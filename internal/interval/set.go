@@ -45,13 +45,6 @@ func (s *Set) Add(iv Interval) {
 	s.ivs = out
 }
 
-// AddSet inserts every interval of other into s.
-func (s *Set) AddSet(other *Set) {
-	for _, iv := range other.ivs {
-		s.Add(iv)
-	}
-}
-
 // Measure returns the total length of the set (Lebesgue measure).
 func (s *Set) Measure() float64 {
 	var m float64
@@ -85,15 +78,6 @@ func (s *Set) Hull() Interval {
 	return Interval{Lo: s.ivs[0].Lo, Hi: s.ivs[len(s.ivs)-1].Hi}
 }
 
-// IntersectInterval returns the measure of the intersection of the set with iv.
-func (s *Set) IntersectInterval(iv Interval) float64 {
-	var m float64
-	for _, x := range s.ivs {
-		m += x.Intersect(iv).Length()
-	}
-	return m
-}
-
 // Overlaps reports whether the set has positive-measure intersection with iv.
 func (s *Set) Overlaps(iv Interval) bool {
 	for _, x := range s.ivs {
@@ -102,11 +86,6 @@ func (s *Set) Overlaps(iv Interval) bool {
 		}
 	}
 	return false
-}
-
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	return &Set{ivs: s.Intervals()}
 }
 
 // String renders the set as a union of intervals.

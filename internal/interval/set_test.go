@@ -68,29 +68,13 @@ func TestSetHull(t *testing.T) {
 	}
 }
 
-func TestSetIntersectInterval(t *testing.T) {
+func TestSetOverlaps(t *testing.T) {
 	s := NewSet(New(0, 1), New(2, 3))
-	if got := s.IntersectInterval(New(0.5, 2.5)); got != 1.0 {
-		t.Errorf("intersect measure = %g, want 1", got)
-	}
 	if s.Overlaps(New(1, 2)) {
 		t.Error("gap must not overlap")
 	}
 	if !s.Overlaps(New(0.9, 1.1)) {
 		t.Error("must overlap first interval")
-	}
-}
-
-func TestSetAddSetAndClone(t *testing.T) {
-	a := NewSet(New(0, 1))
-	b := NewSet(New(0.5, 2))
-	c := a.Clone()
-	a.AddSet(b)
-	if a.Measure() != 2 {
-		t.Errorf("AddSet measure = %g", a.Measure())
-	}
-	if c.Measure() != 1 {
-		t.Error("Clone must be independent")
 	}
 }
 

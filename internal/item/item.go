@@ -223,30 +223,6 @@ func (l List) Mu() float64 {
 	return maxD / minD
 }
 
-// ActiveAt returns the items active at time t (those whose half-open
-// interval contains t), in ID order for determinism.
-func (l List) ActiveAt(t float64) List {
-	var out List
-	for _, it := range l {
-		if it.Interval().Contains(t) {
-			out = append(out, it)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// ActiveSizesAt returns the sizes of items active at time t.
-func (l List) ActiveSizesAt(t float64) []float64 {
-	var out []float64
-	for _, it := range l {
-		if it.Interval().Contains(t) {
-			out = append(out, it.Size)
-		}
-	}
-	return out
-}
-
 // SortedByArrival returns a copy sorted by (Arrival, ID). The simulator
 // orders equal-time arrivals the same way (event.Order), so keeping IDs
 // monotone in generation order preserves each construction's intended

@@ -121,23 +121,6 @@ func TestMu(t *testing.T) {
 	}
 }
 
-func TestActiveAt(t *testing.T) {
-	l := List{mk(2, 0.5, 0, 2), mk(1, 0.5, 1, 3)}
-	act := l.ActiveAt(1)
-	if len(act) != 2 || act[0].ID != 1 || act[1].ID != 2 {
-		t.Errorf("active at 1 = %v", act)
-	}
-	// Half-open: departing item is inactive at its departure time.
-	act = l.ActiveAt(2)
-	if len(act) != 1 || act[0].ID != 1 {
-		t.Errorf("active at 2 = %v", act)
-	}
-	sizes := l.ActiveSizesAt(0.5)
-	if len(sizes) != 1 || sizes[0] != 0.5 {
-		t.Errorf("active sizes = %v", sizes)
-	}
-}
-
 func TestSortedByArrivalStable(t *testing.T) {
 	l := List{mk(3, 0.1, 5, 6), mk(2, 0.1, 0, 1), mk(1, 0.1, 0, 2)}
 	s := l.SortedByArrival()

@@ -5,9 +5,10 @@
 // is piecewise-constant between arrival/departure events, the integral is
 // a finite sum of (classical bin packing optimum) × (segment length).
 //
-// Total is the one sweep: it brackets every segment with the binpack
-// solver, exactly where the segment is small enough and the search
-// completes, and with certified L2 / incumbent bounds elsewhere.
+// Total is the one sweep: it brackets every segment with the package's
+// classical bin packing solver (binpack.go, exact.go), exactly where the
+// segment is small enough and the search completes, and with certified
+// L2 / incumbent bounds elsewhere.
 // TotalExact is its reading with no size limit; TotalVec brackets vector
 // instances from per-dimension loads.
 //
@@ -19,7 +20,6 @@ package opt
 import (
 	"math"
 
-	"dbp/internal/binpack"
 	"dbp/internal/item"
 )
 
@@ -144,8 +144,8 @@ const ExactLimit = 64
 // Total computes a certified bracket on OPT_total, sweeping the timeline
 // once and bracketing each segment as the sweep yields it, so memory
 // stays O(active). A segment of at most exactLimit active items is
-// solved by branch and bound with binpack.DefaultNodeLimit nodes; when
-// the search completes the segment contributes its optimum to both
+// solved by branch and bound with nodeLimit nodes; when the search
+// completes the segment contributes its optimum to both
 // sides, and when the budget runs out it contributes L2 below and the
 // search's incumbent (never worse than FFD or BFD) above. A larger
 // segment contributes L2 and the best of FFD/BFD.
@@ -169,16 +169,16 @@ func TotalExact(l item.List) (total float64, ok bool) {
 // bracket, as Total describes.
 func bracket(length float64, sizes []float64, exactLimit int) Bounds {
 	if len(sizes) <= exactLimit {
-		n, complete := binpack.ExactWithLimit(sizes, 1, binpack.DefaultNodeLimit)
+		n, complete := exactBinsLimit(sizes, 1, nodeLimit)
 		v := float64(n) * length
 		if complete {
 			return Bounds{Lower: v, Upper: v, Exact: true}
 		}
-		return Bounds{Lower: float64(binpack.L2(sizes, 1)) * length, Upper: v}
+		return Bounds{Lower: float64(lowerL2(sizes, 1)) * length, Upper: v}
 	}
-	lo := binpack.L2(sizes, 1)
-	hi := binpack.FirstFitDecreasing(sizes, 1)
-	if bfd := binpack.BestFitDecreasing(sizes, 1); bfd < hi {
+	lo := lowerL2(sizes, 1)
+	hi := firstFitDecreasing(sizes, 1)
+	if bfd := bestFitDecreasing(sizes, 1); bfd < hi {
 		hi = bfd
 	}
 	return Bounds{Lower: float64(lo) * length, Upper: float64(hi) * length}
@@ -191,19 +191,13 @@ func (b *Bounds) add(seg Bounds) {
 	b.Exact = b.Exact && seg.Exact
 }
 
-// OptAt returns OPT(R, t): the minimum number of bins for the items
-// active at time t (exact; small active sets only).
-func OptAt(l item.List, t float64) int {
-	return binpack.Exact(l.ActiveSizesAt(t), 1)
-}
-
 // MaxConcurrentOpt returns max_t OPT(R, t), the classical DBP offline
 // optimum with repacking — the denominator of the standard DBP
 // competitive ratio the paper contrasts with (Sec. II).
 func MaxConcurrentOpt(l item.List) int {
 	best := 0
 	segments(l, func(_ float64, sizes []float64) {
-		if n := binpack.Exact(sizes, 1); n > best {
+		if n := exactBins(sizes, 1); n > best {
 			best = n
 		}
 	})
@@ -230,12 +224,12 @@ func TotalVec(l item.List) Bounds {
 			continue
 		}
 		length := times[i+1] - times[i]
-		lo := binpack.L1Vec(sizes, 1)
+		lo := lowerL1Vec(sizes, 1)
 		if lo == 0 {
 			lo = 1
 		}
 		b.Lower += float64(lo) * length
-		b.Upper += float64(binpack.FirstFitVec(sizes, 1)) * length
+		b.Upper += float64(firstFitVec(sizes, 1)) * length
 	}
 	b.Exact = b.Upper-b.Lower < 1e-12
 	return b

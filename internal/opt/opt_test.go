@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dbp/internal/binpack"
 	"dbp/internal/item"
 	"dbp/internal/packing"
 )
@@ -51,19 +50,6 @@ func TestTotalExactEmpty(t *testing.T) {
 	got, ok := TotalExact(item.List{})
 	if !ok || got != 0 {
 		t.Fatalf("OPT_total(empty) = %g", got)
-	}
-}
-
-func TestOptAt(t *testing.T) {
-	l := item.List{mk(1, 0.6, 0, 2), mk(2, 0.6, 1, 3), mk(3, 0.4, 1, 3)}
-	if got := OptAt(l, 0.5); got != 1 {
-		t.Errorf("OPT at 0.5 = %d", got)
-	}
-	if got := OptAt(l, 1.5); got != 2 {
-		t.Errorf("OPT at 1.5 = %d (0.6+0.6+0.4 needs 2 bins)", got)
-	}
-	if got := OptAt(l, 99); got != 0 {
-		t.Errorf("OPT at idle time = %d", got)
 	}
 }
 
@@ -187,12 +173,12 @@ func TestTotalCutOffSegmentKeepsIncumbent(t *testing.T) {
 		sizes[i] = 0.2 + 0.3*rng.Float64()
 		l[i] = mk(item.ID(i+1), sizes[i], 0, 1)
 	}
-	n, complete := binpack.ExactWithLimit(sizes, 1, binpack.DefaultNodeLimit)
-	if complete || n >= binpack.FirstFitDecreasing(sizes, 1) {
+	n, complete := exactBinsLimit(sizes, 1, nodeLimit)
+	if complete || n >= firstFitDecreasing(sizes, 1) {
 		t.Fatalf("ExactWithLimit = (%d, %v); the test needs a cut-off search that beat FFD", n, complete)
 	}
 	b := Total(l, ExactLimit)
-	if want := (Bounds{Lower: float64(binpack.L2(sizes, 1)), Upper: float64(n)}); b != want {
+	if want := (Bounds{Lower: float64(lowerL2(sizes, 1)), Upper: float64(n)}); b != want {
 		t.Fatalf("Total = %+v, want %+v", b, want)
 	}
 	if total, ok := TotalExact(l); total != b.Upper || ok {

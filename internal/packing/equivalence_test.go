@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"dbp/internal/event"
-	_ "dbp/internal/gaming" // registers the "gaming" scenario
 	"dbp/internal/item"
 	"dbp/internal/packing"
 	"dbp/internal/workload"
@@ -77,8 +76,9 @@ func sameRun(t *testing.T, label string, a, b *packing.Result) {
 }
 
 // equivVectorWorkloads returns the d-dimensional instances. At d=2 it
-// sweeps EVERY registered scenario with a vector-demand form (scalar-only
-// ones are skipped via ErrScalarOnly); at higher d it keeps a Poisson
+// sweeps EVERY registered generator with a vector-demand form (scalar-only
+// ones are skipped via ErrScalarOnly, the trace scenario because the
+// committed sample is scalar); at higher d it keeps a Poisson
 // trace with independent vector demands. Both dimensions add a
 // complementary-demand adversary — job i is heavy (0.6) in dimension
 // i mod d and light (0.05) everywhere else, with staggered lifetimes —
@@ -90,11 +90,10 @@ func equivVectorWorkloads(t *testing.T, d int) map[string]item.List {
 	out := map[string]item.List{}
 	if d == 2 {
 		for _, s := range workload.Scenarios() {
-			spec := s.Name()
 			if s.Kind() == workload.KindTrace {
-				spec = "trace:" + sampleTrace
+				continue // a trace's dimensionality is its file's: the sample is scalar
 			}
-			l, err := workload.FromSpec(spec, 160, 5, 8, int64(17+d), d)
+			l, err := workload.FromSpec(s.Name(), 160, 5, 8, int64(17+d), d)
 			if errors.Is(err, workload.ErrScalarOnly) {
 				continue
 			}

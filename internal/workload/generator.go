@@ -48,31 +48,37 @@ func GenerateVec(c Config, d int) item.List {
 }
 
 // generate is Generate's and GenerateVec's loop: per job, the arrival
-// gap, the duration, then d size draws. At d = 1 the one draw is the
-// scalar Size and Sizes stays nil.
+// gap, the duration, then the demand's d size draws.
 func generate(c Config, d int) item.List {
 	if c.N <= 0 || c.Rate <= 0 {
 		panic(fmt.Sprintf("workload: bad config %v", c))
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
+	size := func() float64 { return clampSize(c.Size.Sample(rng)) }
 	l := make(item.List, c.N)
 	t := 0.0
 	for i := range l {
 		t += rng.ExpFloat64() / c.Rate
 		dur := c.Duration.Sample(rng)
-		it := item.Item{ID: item.ID(i + 1), Arrival: t, Departure: t + dur}
-		if d == 1 {
-			it.Size = clampSize(c.Size.Sample(rng))
-		} else {
-			it.Sizes = make([]float64, d)
-			for k := range it.Sizes {
-				it.Sizes[k] = clampSize(c.Size.Sample(rng))
-				it.Size = max(it.Size, it.Sizes[k])
-			}
-		}
-		l[i] = it
+		l[i] = item.Item{ID: item.ID(i + 1), Arrival: t, Departure: t + dur}
+		drawDemand(&l[i], d, size)
 	}
 	return l
+}
+
+// drawDemand sets a job's demand from d calls to size: at d <= 1 the one
+// draw is the scalar Size and Sizes stays nil; at d >= 2 the draws are
+// the vector's components in order and Size is their maximum.
+func drawDemand(it *item.Item, d int, size func() float64) {
+	if d <= 1 {
+		it.Size = size()
+		return
+	}
+	it.Sizes = make([]float64, d)
+	for k := range it.Sizes {
+		it.Sizes[k] = size()
+		it.Size = max(it.Size, it.Sizes[k])
+	}
 }
 
 // clampSize forces a sampled size into the valid (0, 1] range; the

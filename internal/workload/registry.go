@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -128,11 +129,11 @@ type Scenario interface {
 
 var registry = map[string]Scenario{}
 
-// Register adds a scenario to the package registry. Duplicate names and
-// malformed parameter defaults are programmer errors and panic; the
-// package's own scenarios register from init, so any mistake fails the
+// register adds a scenario to the package registry. Duplicate names and
+// malformed parameter defaults are programmer errors and panic; every
+// scenario registers from this package's init, so any mistake fails the
 // first test run.
-func Register(s Scenario) {
+func register(s Scenario) {
 	name := s.Name()
 	if name == "" || strings.ContainsAny(name, ": ,=") {
 		panic(fmt.Sprintf("workload: invalid scenario name %q", name))
@@ -208,6 +209,9 @@ type Instance struct {
 // whole registry so a stale CLI invocation is self-correcting.
 func Lookup(spec string) (Instance, error) {
 	name, rest, hasRest := strings.Cut(spec, ":")
+	if name == "" {
+		return Instance{}, fmt.Errorf("workload: no scenario given; registered scenarios:\n%s", Describe())
+	}
 	s, ok := registry[name]
 	if !ok {
 		return Instance{}, fmt.Errorf("workload: unknown scenario %q; registered scenarios:\n%s", name, Describe())
@@ -298,6 +302,12 @@ func Describe() string {
 		}
 	}
 	return b.String()
+}
+
+// List writes the registry listing with its header: the body of the
+// -list-workloads flag every CLI carries.
+func List(w io.Writer) {
+	fmt.Fprintf(w, "registered workload scenarios (spec: name or name:key=value,...):\n%s", Describe())
 }
 
 // paramNames lists a scenario's parameter names for error messages.

@@ -1,20 +1,24 @@
 package workload_test
 
-// Registry-level tests live in an external package so they can pull in
-// scenario providers that themselves import internal/workload (the
-// gaming catalog registers via init) and the analysis bounds.
+// Registry-level tests live in an external package: they see the
+// registry through its exported surface, as its consumers do.
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"dbp/internal/analysis"
-	_ "dbp/internal/gaming" // registers the "gaming" scenario
+	"dbp/internal/item"
 	"dbp/internal/opt"
 	"dbp/internal/packing"
+	"dbp/internal/trace"
 	"dbp/internal/workload"
 )
 
@@ -285,5 +289,92 @@ func TestVectorBracketAboveCombinedLowerBound(t *testing.T) {
 				t.Errorf("%s d=%d: TotalVec lower %g < combined lower bound %g", s.Name(), d, lower, lb)
 			}
 		}
+	}
+}
+
+// digest hashes every field of every item bit for bit.
+func digest(l item.List) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, it := range l {
+		put(uint64(it.ID))
+		put(math.Float64bits(it.Size))
+		put(uint64(len(it.Sizes)))
+		for _, s := range it.Sizes {
+			put(math.Float64bits(s))
+		}
+		put(math.Float64bits(it.Arrival))
+		put(math.Float64bits(it.Departure))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestStatisticalScenarioDigests pins every registered statistical
+// scenario's output at d = 1 and d = 2 bit for bit, so a refactor of
+// the generators cannot move a draw. A scalar-only scenario pins its
+// refusal at d = 2.
+func TestStatisticalScenarioDigests(t *testing.T) {
+	want := map[string][2]string{
+		"bimodal":       {"4b60facd396c3eb5", "90918a6ea1a4a0ca"},
+		"bursty":        {"757e9f7045dcebb1", "scalar-only"},
+		"diurnal":       {"7317e1f10752c7e0", "c79d3fff173c9ade"},
+		"equalduration": {"02aa46630716f207", "527188f813ed3df0"},
+		"gaming":        {"52c8236386db6d48", "scalar-only"},
+		"hotspot":       {"41646fc21817d091", "c38f5aeeabfdb903"},
+		"pareto":        {"48f880b236c04005", "28e9594706d3f7ee"},
+		"smallitem":     {"c4f0f78205ff8b15", "52aa9f5a9690b027"},
+		"uniform":       {"4f78b4614d6eee27", "22caade249e46089"},
+		"zipfian":       {"3ffdf2b0e0aa3a77", "8771a21812ac499c"},
+	}
+	got := map[string][2]string{}
+	for _, s := range workload.Statistical() {
+		var pair [2]string
+		for i, d := range []int{1, 2} {
+			l, err := workload.FromSpec(s.Name(), 300, 2, 8, 11, d)
+			switch {
+			case errors.Is(err, workload.ErrScalarOnly):
+				pair[i] = "scalar-only"
+			case err != nil:
+				t.Fatalf("%s d=%d: %v", s.Name(), d, err)
+			default:
+				pair[i] = digest(l)
+			}
+		}
+		got[s.Name()] = pair
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("statistical scenario digests moved:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestTraceSpecIgnoresDim reads a 2-d trace through the registry at
+// dim = 2: a trace's dimensionality is in the file, so the spec path
+// returns exactly what trace.ReadFile does.
+func TestTraceSpecIgnoresDim(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "vec.csv")
+	l, err := workload.FromSpec("uniform", 50, 2, 8, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteFile(p, l); err != nil {
+		t.Fatal(err)
+	}
+	want, err := trace.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := want[0].Dim(); d != 2 {
+		t.Fatalf("trace file read back at d=%d, want 2", d)
+	}
+	got, err := workload.FromSpec("trace:"+p, 0, 0, 0, 0, 2)
+	if err != nil {
+		t.Fatalf("trace spec at dim=2: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("trace spec at dim=2 differs from trace.ReadFile")
 	}
 }

@@ -46,35 +46,35 @@ func fromConfig(build func(req Request) Config) func(req Request) (item.List, er
 }
 
 func init() {
-	Register(&scenarioDef{
+	register(&scenarioDef{
 		name: "uniform", kind: KindStatistical, vector: true,
 		desc: "baseline: Poisson arrivals, uniform sizes [0.05,0.95], uniform durations [1,mu]",
 		gen: fromConfig(func(req Request) Config {
 			return UniformConfig(req.N, req.Rate, req.Mu, req.Seed)
 		}),
 	})
-	Register(&scenarioDef{
+	register(&scenarioDef{
 		name: "pareto", kind: KindStatistical, vector: true,
 		desc: "heavy-tailed session lengths: bounded Pareto(1.2) durations on [1,mu]",
 		gen: fromConfig(func(req Request) Config {
 			return ParetoConfig(req.N, req.Rate, req.Mu, req.Seed)
 		}),
 	})
-	Register(&scenarioDef{
+	register(&scenarioDef{
 		name: "bimodal", kind: KindStatistical, vector: true,
 		desc: "short/long job mix: 80% duration-1 jobs, 20% duration-mu jobs",
 		gen: fromConfig(func(req Request) Config {
 			return BimodalConfig(req.N, req.Rate, req.Mu, req.Seed)
 		}),
 	})
-	Register(&scenarioDef{
+	register(&scenarioDef{
 		name: "smallitem", kind: KindStatistical, vector: true,
 		desc: "all sizes <= 1/2 (the paper's small-item class, First Fit's consolidation regime)",
 		gen: fromConfig(func(req Request) Config {
 			return SmallItemConfig(req.N, req.Rate, req.Mu, req.Seed)
 		}),
 	})
-	Register(&scenarioDef{
+	register(&scenarioDef{
 		name: "equalduration", kind: KindStatistical, vector: true,
 		desc: "every job runs exactly 1 time unit (mu collapses to 1; Masoori et al. bounds apply)",
 		gen: fromConfig(func(req Request) Config {
@@ -85,7 +85,7 @@ func init() {
 			}
 		}),
 	})
-	Register(&scenarioDef{
+	register(&scenarioDef{
 		name: "bursty", kind: KindStatistical, vector: false,
 		desc: "two-state MMPP arrivals: calm/burst flash crowds over uniform sizes and durations",
 		params: []Param{
@@ -106,7 +106,7 @@ func init() {
 			return GenerateBursty(c), nil
 		},
 	})
-	Register(&scenarioDef{
+	register(&scenarioDef{
 		name: "diurnal", kind: KindStatistical, vector: true,
 		desc: "sinusoid-modulated arrival curve (day/night cycle) over uniform sizes and durations",
 		params: []Param{
@@ -125,7 +125,7 @@ func init() {
 			return GenerateDiurnal(c, req.Dim), nil
 		},
 	})
-	Register(&scenarioDef{
+	register(&scenarioDef{
 		name: "zipfian", kind: KindStatistical, vector: true,
 		desc: "Zipf-skewed size classes: a few small flavors dominate, large flavors are rare",
 		params: []Param{
@@ -145,7 +145,7 @@ func init() {
 			return GenerateZipfian(c, req.Dim), nil
 		},
 	})
-	Register(&scenarioDef{
+	register(&scenarioDef{
 		name: "hotspot", kind: KindStatistical, vector: true,
 		desc: "tenant skew: a few hot tenants carry most traffic; job IDs encode tenant affinity",
 		params: []Param{
@@ -167,7 +167,18 @@ func init() {
 			return GenerateHotspot(c, req.Dim), nil
 		},
 	})
-	Register(&scenarioDef{
+	register(&scenarioDef{
+		name: "gaming", kind: KindStatistical, vector: false,
+		desc: "cloud-gaming sessions from the default GPU title catalog (mu fixed at 60 by the catalog)",
+		gen: func(req Request) (item.List, error) {
+			if req.N <= 0 || req.Rate <= 0 {
+				return nil, fmt.Errorf("need n > 0 and rate > 0")
+			}
+			l, _ := gamingSessions(gamingConfig{Catalog: defaultCatalog(), Rate: req.Rate, N: req.N, Seed: req.Seed})
+			return l, nil
+		},
+	})
+	register(&scenarioDef{
 		name: "stress", kind: KindAdversarial, vector: false,
 		desc: "First Fit small-item stress: deterministic overlapping waves that chain usage periods (E1/E7's workload)",
 		params: []Param{
@@ -185,7 +196,7 @@ func init() {
 			return FirstFitSmallItemStress(w, rounds, req.Mu), nil
 		},
 	})
-	Register(&scenarioDef{
+	register(&scenarioDef{
 		name: "nextfit-adv", kind: KindAdversarial, vector: false,
 		desc: "Sec. VIII construction: n half/sliver pairs forcing Next Fit to ratio ~2mu (n = pair count)",
 		gen: func(req Request) (item.List, error) {
@@ -195,7 +206,7 @@ func init() {
 			return NextFitAdversary(req.N, req.Mu), nil
 		},
 	})
-	Register(&scenarioDef{
+	register(&scenarioDef{
 		name: "anyfit-trap", kind: KindAdversarial, vector: false,
 		desc: "gap-seal trap pinning First/Best Fit near the universal lower bound mu (n = victim bins)",
 		gen: func(req Request) (item.List, error) {
@@ -205,7 +216,7 @@ func init() {
 			return AnyFitTrap(req.N, req.Mu), nil
 		},
 	})
-	Register(&scenarioDef{
+	register(&scenarioDef{
 		name: "bestfit-relay", kind: KindAdversarial, vector: false,
 		desc: "adaptive relay degrading Best Fit toward k(mu-1)/(k+mu); needs mu >= 2 (n is ignored)",
 		params: []Param{
@@ -220,8 +231,10 @@ func init() {
 			return BestFitRelay(k, rounds, req.Mu), nil
 		},
 	})
-	Register(&scenarioDef{
-		name: "trace", kind: KindTrace, vector: false,
+	// A trace ignores dim as it ignores n, rate, mu and seed: its demands,
+	// scalar or vector, are in the file.
+	register(&scenarioDef{
+		name: "trace", kind: KindTrace, vector: true,
 		desc: "replay a stored trace (CSV/JSON, .gz transparent); n, rate, mu, seed are ignored",
 		params: []Param{
 			{Name: "path", Kind: ParamString, Default: "", Doc: "trace file path"},

@@ -87,23 +87,14 @@ func GenerateZipfian(c ZipfianConfig, dim int) item.List {
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	z := newZipfSampler(c.Alpha, c.Classes)
+	size := func() float64 { return c.SizeOfRank(z.rank(rng)) }
 	l := make(item.List, c.N)
 	t := 0.0
 	for i := range l {
 		t += rng.ExpFloat64() / c.Rate
 		d := c.Duration.Sample(rng)
 		l[i] = item.Item{ID: item.ID(i + 1), Arrival: t, Departure: t + d}
-		if dim > 1 {
-			vec := make([]float64, dim)
-			maxc := 0.0
-			for k := range vec {
-				vec[k] = c.SizeOfRank(z.rank(rng))
-				maxc = math.Max(maxc, vec[k])
-			}
-			l[i].Size, l[i].Sizes = maxc, vec
-		} else {
-			l[i].Size = c.SizeOfRank(z.rank(rng))
-		}
+		drawDemand(&l[i], dim, size)
 	}
 	return l
 }
@@ -153,6 +144,7 @@ func GenerateHotspot(c HotspotConfig, dim int) item.List {
 	rng := rand.New(rand.NewSource(c.Seed))
 	hot := c.HotTenants()
 	cold := c.Tenants - hot
+	size := func() float64 { return clampSize(c.Size.Sample(rng)) }
 	l := make(item.List, c.N)
 	t := 0.0
 	for i := range l {
@@ -166,17 +158,7 @@ func GenerateHotspot(c HotspotConfig, dim int) item.List {
 		}
 		id := item.ID(int64(i)*int64(c.Tenants) + int64(tenant) + 1)
 		l[i] = item.Item{ID: id, Arrival: t, Departure: t + d}
-		if dim > 1 {
-			vec := make([]float64, dim)
-			maxc := 0.0
-			for k := range vec {
-				vec[k] = clampSize(c.Size.Sample(rng))
-				maxc = math.Max(maxc, vec[k])
-			}
-			l[i].Size, l[i].Sizes = maxc, vec
-		} else {
-			l[i].Size = clampSize(c.Size.Sample(rng))
-		}
+		drawDemand(&l[i], dim, size)
 	}
 	return l
 }
@@ -214,6 +196,7 @@ func GenerateDiurnal(c DiurnalConfig, dim int) item.List {
 	rng := rand.New(rand.NewSource(c.Seed))
 	period := c.EffectivePeriod()
 	peak := c.Rate * (1 + c.Amplitude)
+	size := func() float64 { return clampSize(c.Size.Sample(rng)) }
 	l := make(item.List, c.N)
 	t := 0.0
 	for i := 0; i < c.N; {
@@ -224,17 +207,7 @@ func GenerateDiurnal(c DiurnalConfig, dim int) item.List {
 		}
 		d := c.Duration.Sample(rng)
 		l[i] = item.Item{ID: item.ID(i + 1), Arrival: t, Departure: t + d}
-		if dim > 1 {
-			vec := make([]float64, dim)
-			maxc := 0.0
-			for k := range vec {
-				vec[k] = clampSize(c.Size.Sample(rng))
-				maxc = math.Max(maxc, vec[k])
-			}
-			l[i].Size, l[i].Sizes = maxc, vec
-		} else {
-			l[i].Size = clampSize(c.Size.Sample(rng))
-		}
+		drawDemand(&l[i], dim, size)
 		i++
 	}
 	return l
