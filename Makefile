@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench bench-smoke bench-fleet figures loadtest loadtest-ramp fuzz-short bench-wire loadtest-wire recover-test bench-wal bench-bins bench-run bench-opt loc
+.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench bench-smoke bench-fleet figures loadtest loadtest-ramp fuzz-short bench-wire loadtest-wire recover-test bench-wal bench-bins bench-run bench-opt loc race-soak
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,13 @@ loadtest-ramp:
 ## over the binary wire protocol at a fixed open-loop rate
 loadtest-wire:
 	$(GO) run ./cmd/dbpload -target wire -wire-addr localhost:9090 -mode open -rate 100000 -warmup 2s -measure 10s
+
+## race-soak: the service stack under the race detector, three passes of
+## the full (not -short) suites of serve, wal, wire and load: the shard
+## owners, the WAL's sync paths, the wire client's writer and reader and
+## the load driver
+race-soak:
+	$(GO) test -race -count=3 ./internal/serve/ ./internal/wal/ ./internal/wire/ ./internal/load/...
 
 ## equivalence: the cross-engine oracle (indexed vs linear, every policy,
 ## Run and Stream paths) under the race detector

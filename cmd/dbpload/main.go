@@ -2,7 +2,7 @@
 // it replays generated arrive/depart workloads through an in-process
 // dispatcher or a running dbpserved (HTTP/JSON or the binary wire
 // protocol), in open-loop (fixed ops/s, coordinated-omission-free) or
-// closed-loop (N users with think time) mode, and prints a latency and
+// closed-loop (N users issuing back to back) mode, and prints a latency and
 // throughput summary. It gates nothing: performance claims are judged by
 // the repository's benchmark (bench/, BENCHMARK.json).
 //
@@ -15,7 +15,7 @@
 //
 //	# drive the binary wire protocol (persistent conns + batched frames)
 //	dbpserved -addr :8080 -wire-addr :9090 &
-//	dbpload -target wire -wire-addr localhost:9090 -rate 100000 -conns 4 -batch 64
+//	dbpload -target wire -wire-addr localhost:9090 -rate 100000 -conns 4
 //
 //	# find the max rate sustaining a 5ms p99
 //	dbpload -target http -addr localhost:8080 -ramp -slo-p99 5ms
@@ -52,10 +52,9 @@ func run(args []string, out io.Writer) error {
 	var (
 		target  = fs.String("target", "inproc", "transport: inproc (own dispatcher), http, or wire (running dbpserved)")
 		addr    = fs.String("addr", "localhost:8080", "dbpserved host:port for -target http")
-		mode    = fs.String("mode", "open", "pacing: open (fixed rate) or closed (clients + think time)")
+		mode    = fs.String("mode", "open", "pacing: open (fixed rate) or closed (clients issuing back to back)")
 		rate    = fs.Float64("rate", 5000, "open-loop target ops/s (arrivals + departures)")
 		clients = fs.Int("clients", 0, "concurrent load clients (0 = mode default)")
-		think   = fs.Duration("think", 0, "closed-loop think time between a client's ops")
 		warmup  = fs.Duration("warmup", 2*time.Second, "warmup phase (measured ops excluded)")
 		measure = fs.Duration("measure", 10*time.Second, "measurement window")
 		drain   = fs.Duration("drain", 30*time.Second, "max time to depart jobs still active at measure end")
@@ -87,8 +86,6 @@ func run(args []string, out io.Writer) error {
 
 		wireAddr = fs.String("wire-addr", "localhost:9090", "dbpserved wire address for -target wire")
 		conns    = fs.Int("conns", 4, "wire: persistent connections in the client pool")
-		window   = fs.Int("window", 32, "wire: pipelined batches in flight per connection")
-		batch    = fs.Int("batch", 64, "wire: max ops coalesced into one batch frame")
 	)
 	fs.Parse(args) // ExitOnError: usage and exit 2 on a bad flag, exit 0 on -h
 	if *listWl {
@@ -121,7 +118,7 @@ func run(args []string, out io.Writer) error {
 		}
 		tgt = load.NewHTTP("http://"+*addr, nc, 30*time.Second)
 	case "wire":
-		wt, err := load.NewWire(*wireAddr, wire.Options{Conns: *conns, Window: *window, MaxBatch: *batch})
+		wt, err := load.NewWire(*wireAddr, wire.Options{Conns: *conns})
 		if err != nil {
 			return err
 		}
@@ -137,7 +134,6 @@ func run(args []string, out io.Writer) error {
 		Mode:    load.Mode(*mode),
 		Rate:    *rate,
 		Clients: *clients,
-		Think:   *think,
 		Warmup:  *warmup,
 		Measure: *measure,
 		Drain:   *drain,

@@ -69,8 +69,7 @@ func main() {
 		// a per-shard write-ahead log before its reply, and startup
 		// recovers the exact pre-crash state from snapshot + tail replay.
 		dataDir       = flag.String("data-dir", "", "durable WAL/snapshot directory (empty = in-memory only)")
-		fsync         = flag.String("fsync", "off", "WAL durability policy: always, interval, or off")
-		fsyncInterval = flag.Duration("fsync-interval", 50*time.Millisecond, "background sync period for -fsync interval")
+		fsync         = flag.String("fsync", "off", "WAL durability policy: always, interval (a sync every 50ms), or off")
 		snapshotEvery = flag.Int("snapshot-every", 10000, "durable snapshot every N events per shard (0 = only on shutdown)")
 		segmentBytes  = flag.Int64("segment-bytes", 0, "WAL segment rotation size in bytes (0 = default 64MiB)")
 
@@ -98,7 +97,6 @@ func main() {
 		QueueDepth:    *queue,
 		DataDir:       *dataDir,
 		Fsync:         *fsync,
-		FsyncInterval: *fsyncInterval,
 		SnapshotEvery: *snapshotEvery,
 		SegmentBytes:  *segmentBytes,
 	})

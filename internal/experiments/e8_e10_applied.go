@@ -128,7 +128,11 @@ func runE9(cfg Config) []*analysis.Table {
 		}
 		means := make(map[string]float64, len(ratios))
 		for name, xs := range ratios {
-			means[name] = analysis.Summarize(xs).Mean
+			var sum float64
+			for _, x := range xs {
+				sum += x
+			}
+			means[name] = sum / float64(len(xs))
 		}
 		return cellResult{means: means, binsFF: binsFF}
 	})

@@ -28,7 +28,7 @@ const (
 	// coordinated-omission-free measurement.
 	ModeOpen Mode = "open"
 	// ModeClosed is the closed-loop model: Clients concurrent users,
-	// each issuing its next op Think after the previous completed.
+	// each issuing its next op as soon as the previous completed.
 	ModeClosed Mode = "closed"
 )
 
@@ -43,8 +43,6 @@ type Options struct {
 	// Clients is the number of concurrent load goroutines; 0 means
 	// 4*GOMAXPROCS (open) or 16 (closed).
 	Clients int
-	// Think is the closed-loop think time between a client's ops.
-	Think time.Duration
 
 	// Warmup ops are issued and counted but excluded from latency
 	// percentiles; Measure is the timed window; Drain bounds how long
@@ -171,12 +169,10 @@ func (r *runner) client(c int, res *clientResult) {
 	if len(script) == 0 {
 		return
 	}
-	var pc pacer
+	var pc *openPacer
 	open := r.o.Mode == ModeOpen
 	if open {
 		pc = newOpenPacer(r.start, c, r.o.Clients, r.o.Rate)
-	} else {
-		pc = &closedPacer{think: r.o.Think}
 	}
 
 	// active tracks the jobs this client put on the service and has not
@@ -188,20 +184,15 @@ func (r *runner) client(c int, res *clientResult) {
 	epoch, i, k := 0, 0, 0
 
 	for {
-		due := pc.due(k)
-		if !due.IsZero() {
-			if due.After(r.measureEnd) {
-				break
-			}
-			sleepUntil(due)
-		}
-		issueAt := time.Now()
-		sched := issueAt // closed loop: latency from issue time
+		sched := time.Now() // closed loop: latency from issue time
 		if open {
-			sched = due // open loop: latency from the schedule
+			sched = pc.due(k) // open loop: latency from the schedule
 		}
 		if sched.After(r.measureEnd) {
 			break
+		}
+		if open {
+			sleepUntil(sched)
 		}
 
 		op := script[i]

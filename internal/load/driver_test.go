@@ -167,7 +167,7 @@ func TestOpenLoopAchievedRate(t *testing.T) {
 	}
 }
 
-// TestClosedLoop drives the think-time model and checks the same
+// TestClosedLoop drives the closed-loop model and checks the same
 // consistency properties (no pacing target to verify).
 func TestClosedLoop(t *testing.T) {
 	rep, err := Run(Options{
@@ -175,7 +175,6 @@ func TestClosedLoop(t *testing.T) {
 		Script:  testScript(t, 2000),
 		Mode:    ModeClosed,
 		Clients: 4,
-		Think:   2 * time.Millisecond,
 		Measure: 800 * time.Millisecond,
 		Drain:   5 * time.Second,
 	})
@@ -190,12 +189,6 @@ func TestClosedLoop(t *testing.T) {
 	}
 	if srv := rep.Server; srv == nil || srv.Arrivals != srv.Departures {
 		t.Errorf("server not drained: %+v", rep.Server)
-	}
-	// With 2ms think per op and 4 clients the rate is bounded near
-	// 4/2ms = 2000 ops/s; far exceeding it would mean think time is
-	// being skipped.
-	if rep.AchievedRate > 2500 {
-		t.Errorf("closed loop rate %.0f exceeds the think-time bound", rep.AchievedRate)
 	}
 }
 

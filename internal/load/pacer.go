@@ -5,14 +5,6 @@ import (
 	"time"
 )
 
-// pacer decides when a client's k-th op is due. Implementations are
-// used from a single client goroutine each.
-type pacer interface {
-	// due returns the wall-clock deadline of op k, or the zero Time
-	// for "now" (no pacing).
-	due(k int) time.Time
-}
-
 // openPacer is the open-loop schedule: with C clients at a global
 // target rate R, client c's k-th op is due at start + (k*C + c)/R.
 // This is a token bucket in disguise — a client that falls behind
@@ -42,21 +34,6 @@ func (p *openPacer) due(k int) time.Time {
 	return p.start.Add(offset + time.Duration(k)*p.perOp)
 }
 
-// closedPacer models N users with think time: the next op is due
-// think-time after the previous one *completed* (the caller sleeps;
-// due only reports "now"). Closed loops are subject to coordinated
-// omission by construction — that is the point of having both modes.
-type closedPacer struct {
-	think time.Duration
-}
-
-func (p *closedPacer) due(k int) time.Time {
-	if p.think > 0 && k > 0 {
-		return time.Now().Add(p.think)
-	}
-	return time.Time{}
-}
-
 // spinSlack is how early sleepUntil wakes from time.Sleep to finish
 // the wait in a yield loop: timer overshoot (50us-1ms depending on
 // the kernel) would otherwise leak into every open-loop latency,
@@ -66,9 +43,6 @@ const spinSlack = 100 * time.Microsecond
 
 // sleepUntil sleeps until the deadline if it is in the future.
 func sleepUntil(t time.Time) {
-	if t.IsZero() {
-		return
-	}
 	if d := time.Until(t) - spinSlack; d > 0 {
 		time.Sleep(d)
 	}

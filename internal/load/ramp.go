@@ -20,10 +20,11 @@ type RampOptions struct {
 	// Probe is the measure window per probe run (default 3s); each
 	// probe gets a warmup of half that.
 	Probe time.Duration
-	// Refine is the number of binary-search refinement probes after
-	// the doubling phase brackets the limit (default 3).
-	Refine int
 }
+
+// rampRefine is the number of binary-search refinement probes after
+// the doubling phase brackets the limit.
+const rampRefine = 3
 
 // RampProbe is one probe run's verdict.
 type RampProbe struct {
@@ -58,9 +59,6 @@ func RampSearch(base Options, ro RampOptions) (*RampResult, error) {
 	}
 	if ro.Probe <= 0 {
 		ro.Probe = 3 * time.Second
-	}
-	if ro.Refine == 0 {
-		ro.Refine = 3
 	}
 
 	res := &RampResult{SLOp99US: float64(ro.SLOp99) / 1e3}
@@ -131,7 +129,7 @@ func RampSearch(base Options, ro RampOptions) (*RampResult, error) {
 	}
 
 	// Refinement phase: bisect (good, bad).
-	for i := 0; i < ro.Refine; i++ {
+	for i := 0; i < rampRefine; i++ {
 		mid := (good + bad) / 2
 		p, err := probe(mid)
 		if err != nil {

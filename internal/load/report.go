@@ -17,7 +17,6 @@ type ReportConfig struct {
 	Mode       string  `json:"mode"`
 	Rate       float64 `json:"rate,omitempty"` // requested, open loop only
 	Clients    int     `json:"clients"`
-	ThinkMS    float64 `json:"think_ms,omitempty"`
 	WarmupSec  float64 `json:"warmup_sec"`
 	MeasureSec float64 `json:"measure_sec"`
 	DrainSec   float64 `json:"drain_sec"`
@@ -31,9 +30,7 @@ type ReportConfig struct {
 // TransportConfig is the wire client's pool tuning, echoed into the
 // results file so a benchmark number is reproducible from its report.
 type TransportConfig struct {
-	Conns    int `json:"conns,omitempty"`
-	Window   int `json:"window,omitempty"`
-	MaxBatch int `json:"max_batch,omitempty"`
+	Conns int `json:"conns,omitempty"`
 }
 
 // PhaseReport is the throughput accounting of one run phase.
@@ -146,7 +143,6 @@ func (r *runner) report(results []*clientResult) *Report {
 			Mode:       string(o.Mode),
 			Rate:       o.Rate,
 			Clients:    o.Clients,
-			ThinkMS:    float64(o.Think) / float64(time.Millisecond),
 			WarmupSec:  o.Warmup.Seconds(),
 			MeasureSec: o.Measure.Seconds(),
 			DrainSec:   o.Drain.Seconds(),

@@ -26,11 +26,7 @@ func NewWire(addr string, opts wire.Options) (*WireTarget, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WireTarget{c: c, cfg: TransportConfig{
-		Conns:    opts.Conns,
-		Window:   opts.Window,
-		MaxBatch: opts.MaxBatch,
-	}}, nil
+	return &WireTarget{c: c, cfg: TransportConfig{Conns: opts.Conns}}, nil
 }
 
 func (w *WireTarget) Name() string { return "wire" }

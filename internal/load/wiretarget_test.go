@@ -33,7 +33,7 @@ func TestWireTargetRun(t *testing.T) {
 		d.Close()
 	})
 
-	tgt, err := NewWire(ln.Addr().String(), wire.Options{Conns: 2, MaxBatch: 16})
+	tgt, err := NewWire(ln.Addr().String(), wire.Options{Conns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestWireTargetRun(t *testing.T) {
 	if rep.Config.Target != "wire" {
 		t.Fatalf("report target %q", rep.Config.Target)
 	}
-	if rep.Config.Transport == nil || rep.Config.Transport.Conns != 2 || rep.Config.Transport.MaxBatch != 16 {
+	if rep.Config.Transport == nil || rep.Config.Transport.Conns != 2 {
 		t.Fatalf("transport tuning not echoed: %+v", rep.Config.Transport)
 	}
 	if rep.Ops["arrive"].Latency.Count == 0 {
@@ -80,7 +80,7 @@ func TestWireTargetRun(t *testing.T) {
 // TestWireTransportErrorClass: a dead endpoint is a dial error; a
 // retired client classifies as "transport", never a service code.
 func TestWireTransportErrorClass(t *testing.T) {
-	if _, err := NewWire("127.0.0.1:1", wire.Options{Conns: 1, DialTimeout: 200 * time.Millisecond}); err == nil {
+	if _, err := NewWire("127.0.0.1:1", wire.Options{Conns: 1}); err == nil {
 		t.Fatal("dial of a dead endpoint succeeded")
 	}
 

@@ -149,3 +149,12 @@ func validCapacity(c float64) bool { return c == 0 || c > 0 && !math.IsInf(c, 1)
 func badCapacity(c float64) error {
 	return fmt.Errorf("packing: server capacity %g is not a positive finite number", c)
 }
+
+// validKeepAlive reports whether k is a keep-alive Run and
+// NewStreamEngine accept: 0 or a positive finite number. A NaN one
+// would close an emptied server at once, and an infinite one never.
+func validKeepAlive(k float64) bool { return k == 0 || k > 0 && !math.IsInf(k, 1) }
+
+func badKeepAlive(k float64) error {
+	return fmt.Errorf("packing: keep-alive %g is not 0 or a positive finite number", k)
+}

@@ -76,12 +76,12 @@ func (o *Options) dim(l item.List) int {
 
 // Run simulates the online packing of the item list under the given
 // algorithm and returns the complete packing outcome. The algorithm is
-// Reset before the run. Run returns an error if the capacity is NaN,
-// infinite or negative, the item list is invalid, some demand can never
-// be served by a server of the run's capacity (ErrBadDemand — the same
-// typed sentinel Stream.Arrive uses), or the algorithm returns an
-// unusable placement (ErrPolicyMisplace, a policy bug that aborts the
-// run).
+// Reset before the run. Run returns an error if the capacity or the
+// keep-alive is NaN, infinite or negative, the item list is invalid,
+// some demand can never be served by a server of the run's capacity
+// (ErrBadDemand — the same typed sentinel Stream.Arrive uses), or the
+// algorithm returns an unusable placement (ErrPolicyMisplace, a policy
+// bug that aborts the run).
 func Run(algo Algorithm, l item.List, opt *Options) (*Result, error) {
 	if opt != nil && !validCapacity(opt.Capacity) {
 		return nil, badCapacity(opt.Capacity)
@@ -113,8 +113,8 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 	}
 	keepAlive := 0.0
 	if opt != nil {
-		if opt.KeepAlive < 0 {
-			return nil, fmt.Errorf("packing: negative keep-alive %g", opt.KeepAlive)
+		if !validKeepAlive(opt.KeepAlive) {
+			return nil, badKeepAlive(opt.KeepAlive)
 		}
 		keepAlive = opt.KeepAlive
 	}

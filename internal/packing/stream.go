@@ -44,7 +44,7 @@ func NewStream(algo Algorithm, capacity float64, dim int) *Stream {
 func NewStreamKeepAlive(algo Algorithm, capacity float64, dim int, keepAlive float64) *Stream {
 	s, err := NewStreamEngine(algo, capacity, dim, keepAlive, EngineIndexed)
 	if err != nil {
-		panic(err) // a NaN, infinite or negative capacity
+		panic(err) // a NaN, infinite or negative capacity or keep-alive
 	}
 	return s
 }
@@ -52,13 +52,16 @@ func NewStreamKeepAlive(algo Algorithm, capacity float64, dim int, keepAlive flo
 // NewStreamEngine is NewStreamKeepAlive with an explicit engine kind —
 // EngineIndexed (the default everywhere) or EngineLinear (the reference
 // backend the equivalence suite compares against). It refuses an unknown
-// kind and a NaN, infinite or negative capacity.
+// kind and a NaN, infinite or negative capacity or keep-alive.
 func NewStreamEngine(algo Algorithm, capacity float64, dim int, keepAlive float64, kind EngineKind) (*Stream, error) {
 	if !kind.valid() {
 		return nil, badEngine(kind)
 	}
 	if !validCapacity(capacity) {
 		return nil, badCapacity(capacity)
+	}
+	if !validKeepAlive(keepAlive) {
+		return nil, badKeepAlive(keepAlive)
 	}
 	return &Stream{eng: newEngine(algo, capacity, dim, keepAlive, kind, false)}, nil
 }

@@ -88,6 +88,27 @@ func TestBadCapacityRefused(t *testing.T) {
 	}
 }
 
+// TestBadKeepAliveRefused pins the keep-alives no fleet can run with: a
+// NaN one closed an emptied server at once, as if it were 0, an infinite
+// one billed usage +Inf, and a negative one panicked in the ledger.
+// NewStreamEngine and Run refuse each with an error.
+func TestBadKeepAliveRefused(t *testing.T) {
+	jobs := item.List{{ID: 1, Size: 0.9, Arrival: 0, Departure: 1}}
+	for _, k := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for _, kind := range []EngineKind{EngineIndexed, EngineLinear} {
+			if _, err := NewStreamEngine(NewFirstFit(), 1, 1, k, kind); err == nil {
+				t.Errorf("NewStreamEngine(keep-alive %g, %s) succeeded, want an error", k, kind)
+			}
+		}
+		if res, err := Run(NewFirstFit(), jobs, &Options{KeepAlive: k}); err == nil {
+			t.Errorf("Run(keep-alive %g) = usage %g, want an error", k, res.TotalUsage)
+		}
+	}
+	if _, err := NewStreamEngine(NewFirstFit(), 1, 1, 0.5, EngineIndexed); err != nil {
+		t.Fatalf("NewStreamEngine(keep-alive 0.5): %v", err)
+	}
+}
+
 // Every error path of Arrive and Depart must return the ErrServer (-1)
 // sentinel, never a value collidable with the legitimate server index 0.
 func TestStreamErrorSentinel(t *testing.T) {

@@ -70,11 +70,9 @@ type Config struct {
 	// and New recovers each shard bit-identically from snapshot + tail.
 	// Empty disables durability (the pre-existing in-memory behavior).
 	DataDir string
-	// Fsync is the WAL durability policy: "always", "interval", or
-	// "off" (the default).
+	// Fsync is the WAL durability policy: "always", "interval" (a sync
+	// every 50ms), or "off" (the default).
 	Fsync string
-	// FsyncInterval is the background sync period for Fsync="interval".
-	FsyncInterval time.Duration
 	// SnapshotEvery writes a durable shard snapshot (and truncates
 	// covered segments) at the first envelope boundary at or past this
 	// many shard events since the last one. <= 0 means only the
@@ -229,15 +227,12 @@ func New(cfg Config) (*Dispatcher, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
-	if cfg.KeepAlive < 0 {
-		return nil, fmt.Errorf("serve: negative keep-alive %g", cfg.KeepAlive)
-	}
 	algo, err := packing.ByName(cfg.Algorithm)
 	if err != nil {
 		return nil, err
 	}
 	// A stream built up front refuses a NaN, infinite or negative capacity
-	// before any journal is opened.
+	// or keep-alive before any journal is opened.
 	if _, err := packing.NewStreamEngine(algo, cfg.Capacity, cfg.Dim, cfg.KeepAlive, packing.EngineIndexed); err != nil {
 		return nil, err
 	}
@@ -262,10 +257,10 @@ func New(cfg Config) (*Dispatcher, error) {
 			meta.Capacity = 1
 		}
 		d.store, err = wal.OpenStore(cfg.DataDir, meta, wal.Options{
-			Fsync:         pol,
-			FsyncInterval: cfg.FsyncInterval,
-			SegmentBytes:  cfg.SegmentBytes,
-		}, func(_ int, dur time.Duration) { d.metrics.observeFsync(dur) })
+			Fsync:        pol,
+			SegmentBytes: cfg.SegmentBytes,
+			SyncObserver: d.metrics.observeFsync,
+		})
 		if err != nil {
 			return nil, err
 		}

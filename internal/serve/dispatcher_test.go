@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -233,6 +234,28 @@ func TestNewRefusesBadCapacity(t *testing.T) {
 	for id := item.ID(1); id <= 5; id++ {
 		if p, err := d.Arrive(id, 0.9, nil, nil); err != nil || p.Server != int(id-1) || !p.Opened {
 			t.Fatalf("job %d of size 0.9 at unit capacity: %+v, %v; want a new server %d", id, p, err, id-1)
+		}
+	}
+}
+
+// TestNewRefusesBadKeepAlive: a NaN keep-alive used to be accepted
+// without a data dir (servers closed at once, as if it were 0) and to
+// fail on META.json's encoding with one; an infinite one never closes a
+// server. New refuses each, and a negative one, before it opens a
+// journal.
+func TestNewRefusesBadKeepAlive(t *testing.T) {
+	for _, k := range []float64{math.NaN(), math.Inf(1), -1} {
+		for _, dir := range []string{"", t.TempDir()} {
+			d, err := serve.New(serve.Config{Shards: 1, KeepAlive: k, DataDir: dir})
+			if err == nil {
+				d.Close()
+				t.Errorf("New(keep-alive %g, data dir %q) succeeded, want an error", k, dir)
+			} else if !strings.Contains(err.Error(), "keep-alive") {
+				t.Errorf("New(keep-alive %g, data dir %q): %v, want a keep-alive error", k, dir, err)
+			}
+			if left, _ := os.ReadDir(dir); dir != "" && len(left) != 0 {
+				t.Errorf("New(keep-alive %g) left %d entries in its data directory", k, len(left))
+			}
 		}
 	}
 }

@@ -380,6 +380,40 @@ func TestDurableStatsAndClock(t *testing.T) {
 	}
 }
 
+// TestUptimeAfterRecovery reopens a data dir whose stream clock reads
+// 5000: the service clock resumes there, but uptime_seconds is this
+// process's, so events_per_second divides this process's counts by
+// this process's lifetime, not by the recovered clock.
+func TestUptimeAfterRecovery(t *testing.T) {
+	const recovered = 5000.0
+	cfg := serve.Config{Shards: 1, DataDir: t.TempDir()}
+	d, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := recovered
+	if _, err := d.Arrive(1, 0.5, nil, &at); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+
+	d2, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if up := d2.Stats().UptimeSeconds; up >= recovered {
+		t.Fatalf("uptime_seconds %g after reopening, want this process's uptime, below the recovered clock %g", up, recovered)
+	}
+	p, err := d2.Arrive(2, 0.25, nil, nil) // service clock
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Time < recovered {
+		t.Fatalf("nil-time arrive applied at %g, want the service clock to resume at >= %g", p.Time, recovered)
+	}
+}
+
 // TestShardEventsCorruptSegment flips one byte in the middle of the
 // active segment: ShardEvents must report the unreadable log instead of
 // returning the records before the damage as the whole journal, and

@@ -47,8 +47,8 @@ func (m *metrics) init() {
 	m.latFsync = hist.New()
 }
 
-// observeFsync records one WAL fsync's duration (fed by the store's
-// per-shard SyncObserver).
+// observeFsync records one WAL fsync's duration (every shard log's
+// SyncObserver).
 func (m *metrics) observeFsync(d time.Duration) { m.latFsync.Record(d) }
 
 // observe records the service time of one dispatch call's arrivals
@@ -86,6 +86,8 @@ func (m *metrics) reject(err error) { m.rejected[ClassOf(err)].Add(1) }
 // shard's own peak, an upper bound on the true instantaneous global
 // peak (shards do not peak simultaneously in general).
 type Stats struct {
+	// UptimeSeconds is wall time since New, also after a recovery
+	// (the service clock then resumes from the recovered stream time).
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Shards        int     `json:"shards"`
 	Algorithm     string  `json:"algorithm"`
@@ -179,7 +181,7 @@ type ShardStats struct {
 // events stale under sustained load.
 func (d *Dispatcher) Stats() Stats {
 	s := Stats{
-		UptimeSeconds: d.clock(),
+		UptimeSeconds: time.Since(d.start).Seconds(),
 		Shards:        len(d.shards),
 		Algorithm:     d.cfg.Algorithm,
 		Arrivals:      d.metrics.arrivals.Load(),

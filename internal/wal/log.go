@@ -23,9 +23,9 @@ const (
 	// FsyncAlways syncs after every append, before the caller replies:
 	// an acknowledged event is on disk. Highest latency, zero loss.
 	FsyncAlways FsyncPolicy = "always"
-	// FsyncInterval flushes and syncs on a background timer: a crash
-	// loses at most the last interval's acknowledged events (replay
-	// still recovers a consistent prefix).
+	// FsyncInterval flushes and syncs every fsyncPeriod on a
+	// background timer: a crash loses at most the last period's
+	// acknowledged events (replay still recovers a consistent prefix).
 	FsyncInterval FsyncPolicy = "interval"
 	// FsyncOff leaves durability to the kernel (flush on rotation and
 	// close only): fastest, loses whatever the page cache held.
@@ -49,9 +49,6 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 type Options struct {
 	// Fsync is the durability policy; empty means FsyncOff.
 	Fsync FsyncPolicy
-	// FsyncInterval is the background sync period for FsyncInterval
-	// (default 50ms).
-	FsyncInterval time.Duration
 	// SegmentBytes rotates the active segment once it exceeds this size
 	// (default 64 MiB).
 	SegmentBytes int64
@@ -59,6 +56,9 @@ type Options struct {
 	// the append path (the service feeds its fsync latency histogram).
 	SyncObserver func(time.Duration)
 }
+
+// fsyncPeriod is the background sync period under FsyncInterval.
+const fsyncPeriod = 50 * time.Millisecond
 
 const (
 	segSuffix      = ".wal"
@@ -130,9 +130,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegment
-	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = 50 * time.Millisecond
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -580,7 +577,7 @@ func (l *Log) syncLocked() error {
 
 func (l *Log) syncLoop() {
 	defer close(l.done)
-	t := time.NewTicker(l.opts.FsyncInterval)
+	t := time.NewTicker(fsyncPeriod)
 	defer t.Stop()
 	for {
 		select {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // Meta pins the service configuration a data directory was written
@@ -38,9 +37,9 @@ type Store struct {
 
 // OpenStore opens (or initializes) the data directory for the given
 // configuration. A fresh directory is stamped with meta; an existing
-// one must match it exactly, field for field. observe, when non-nil,
-// receives per-shard fsync latencies.
-func OpenStore(dir string, meta Meta, opts Options, observe func(shard int, d time.Duration)) (*Store, error) {
+// one must match it exactly, field for field. Every shard's log is
+// opened with opts, so its SyncObserver sees the fsyncs of all shards.
+func OpenStore(dir string, meta Meta, opts Options) (*Store, error) {
 	if meta.Shards < 1 {
 		return nil, fmt.Errorf("wal: store needs at least 1 shard")
 	}
@@ -78,12 +77,7 @@ func OpenStore(dir string, meta Meta, opts Options, observe func(shard int, d ti
 	}
 	st := &Store{dir: dir, meta: meta, logs: make([]*Log, meta.Shards)}
 	for i := range st.logs {
-		o := opts
-		if observe != nil {
-			shard := i
-			o.SyncObserver = func(d time.Duration) { observe(shard, d) }
-		}
-		l, err := Open(filepath.Join(dir, fmt.Sprintf("shard-%04d", i)), o)
+		l, err := Open(filepath.Join(dir, fmt.Sprintf("shard-%04d", i)), opts)
 		if err != nil {
 			st.Close()
 			return nil, fmt.Errorf("wal: shard %d: %w", i, err)

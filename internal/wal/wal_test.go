@@ -424,8 +424,7 @@ func TestIntervalAndObserver(t *testing.T) {
 	var syncs int
 	done := make(chan struct{})
 	l, err := Open(t.TempDir(), Options{
-		Fsync:         FsyncInterval,
-		FsyncInterval: time.Millisecond,
+		Fsync: FsyncInterval,
 		SyncObserver: func(time.Duration) {
 			syncs++
 			if syncs == 2 {
@@ -453,7 +452,7 @@ func TestIntervalAndObserver(t *testing.T) {
 func TestStoreMetaGuard(t *testing.T) {
 	dir := t.TempDir()
 	meta := Meta{Shards: 4, Dim: 2, Capacity: 1, KeepAlive: 0.5, Algorithm: "firstfit"}
-	st, err := OpenStore(dir, meta, Options{}, nil)
+	st, err := OpenStore(dir, meta, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +463,7 @@ func TestStoreMetaGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Matching flags reopen fine.
-	st, err = OpenStore(dir, meta, Options{}, nil)
+	st, err = OpenStore(dir, meta, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,30 +480,31 @@ func TestStoreMetaGuard(t *testing.T) {
 	} {
 		bad := meta
 		tc.mutate(&bad)
-		if _, err := OpenStore(dir, bad, Options{}, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := OpenStore(dir, bad, Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("mismatched %s: err = %v", tc.want, err)
 		}
 	}
 }
 
-// TestStoreObserverRoutesShards checks per-shard fsync observation.
+// TestStoreObserverRoutesShards checks that the store gives its
+// SyncObserver to every shard's log: one observer sees each shard's
+// fsync.
 func TestStoreObserverRoutesShards(t *testing.T) {
-	saw := make(map[int]int)
+	var syncs int
 	st, err := OpenStore(t.TempDir(), Meta{Shards: 2, Dim: 1, Capacity: 1, Algorithm: "firstfit"},
-		Options{Fsync: FsyncAlways}, func(shard int, d time.Duration) { saw[shard]++ })
+		Options{Fsync: FsyncAlways, SyncObserver: func(time.Duration) { syncs++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	r := Record{Kind: KindTick, ID: 1, Time: 1, Server: -1}
-	if err := st.Shard(0).Append(&r); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Shard(1).Append(&r); err != nil {
-		t.Fatal(err)
-	}
-	if saw[0] != 1 || saw[1] != 1 {
-		t.Fatalf("observer saw %v", saw)
+	for i := 0; i < 2; i++ {
+		if err := st.Shard(i).Append(&r); err != nil {
+			t.Fatal(err)
+		}
+		if syncs != i+1 {
+			t.Fatalf("after shard %d's append the observer saw %d fsyncs", i, syncs)
+		}
 	}
 }
 

@@ -32,31 +32,30 @@ type Options struct {
 	// Conns is the size of the persistent-connection pool; calls are
 	// spread round-robin. Default 2.
 	Conns int
-	// Window caps the batches in flight (sent, not yet answered) per
-	// connection — the pipelining depth. A full window blocks the
-	// writer, which backpressures callers. Default 32.
-	Window int
-	// MaxBatch caps the ops coalesced into one batch frame, at most
-	// MaxBatchOps (the server refuses a larger frame). Default 64.
-	MaxBatch int
-	// DialTimeout bounds connect + handshake. Default 5s.
-	DialTimeout time.Duration
 }
 
-func (o *Options) setDefaults() {
-	if o.Conns <= 0 {
-		o.Conns = 2
-	}
-	if o.Window <= 0 {
-		o.Window = 32
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-}
+const (
+	// window caps the batches in flight (sent, not yet answered) per
+	// connection — the pipelining depth. A full window blocks the
+	// writer, which backpressures callers.
+	window = 32
+	// maxBatch caps the ops coalesced into one batch frame.
+	maxBatch = 64
+	// dialTimeout bounds connect + handshake.
+	dialTimeout = 5 * time.Second
+	// maxOpLen is the largest op Arrive accepts: kind, flags, id, size,
+	// dim, MaxDim sizes and a time.
+	maxOpLen = 2 + 8 + 8 + 2 + 8*MaxDim + 8
+)
+
+// The op count and maxBatch of the largest ops fit one frame (526 KB
+// against MaxFrameLen's 16 MiB), and maxBatch fits the count the server
+// accepts, so the writer never has to split a frame: either bound
+// failing is a compile error.
+var (
+	_ [MaxFrameLen - 4 - maxBatch*maxOpLen]struct{}
+	_ [MaxBatchOps - maxBatch]struct{}
+)
 
 // call is one op's journey through a connection: filled by the caller,
 // encoded by the writer, completed by the reader (or failed by
@@ -80,14 +79,13 @@ func (c *call) complete(err error) {
 
 // Client is a pool of persistent wire connections with pipelining:
 // each connection has a writer goroutine that coalesces queued ops
-// into batch frames (up to MaxBatch, or whatever the ready callers have
+// into batch frames (up to maxBatch, or whatever the ready callers have
 // queued once it has yielded to them) and a reader goroutine that
 // matches Results frames to their batches positionally. Arrive/Depart
 // are safe for concurrent use from any number of goroutines and block
 // until their op's result arrives.
 type Client struct {
 	addr string
-	opts Options
 
 	conns []*clientConn
 	next  atomic.Uint64
@@ -115,55 +113,51 @@ type clientConn struct {
 }
 
 // batchPool recycles the []*call slices that ride the inflight queue.
-var batchPool = sync.Pool{New: func() any { s := make([]*call, 0, 256); return &s }}
+var batchPool = sync.Pool{New: func() any { s := make([]*call, 0, maxBatch); return &s }}
 
 // Dial connects the pool and performs the handshake on every
 // connection; it fails fast if any connect or handshake fails.
 func Dial(addr string, opts Options) (*Client, error) {
-	opts.setDefaults()
-	if opts.MaxBatch > MaxBatchOps {
-		return nil, fmt.Errorf("wire: MaxBatch %d exceeds MaxBatchOps (%d)", opts.MaxBatch, MaxBatchOps)
+	if opts.Conns <= 0 {
+		opts.Conns = 2
 	}
-	c := &Client{addr: addr, opts: opts}
+	c := &Client{addr: addr}
 	for i := 0; i < opts.Conns; i++ {
-		cc, err := c.dialConn()
+		nc, err := dialAndHandshake(addr)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.conns = append(c.conns, cc)
+		c.conns = append(c.conns, startConn(nc))
 	}
 	return c, nil
 }
 
-func (c *Client) dialConn() (*clientConn, error) {
-	nc, err := dialAndHandshake(c.addr, c.opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
+// startConn starts the writer and reader of one handshaken connection.
+func startConn(nc net.Conn) *clientConn {
 	cc := &clientConn{
 		nc:         nc,
-		sendq:      make(chan *call, 4*c.opts.MaxBatch),
-		inflight:   make(chan []*call, c.opts.Window),
+		sendq:      make(chan *call, 4*maxBatch),
+		inflight:   make(chan []*call, window),
 		writerDone: make(chan struct{}),
 	}
-	go cc.writer(&c.opts)
+	go cc.writer()
 	go cc.reader()
-	return cc, nil
+	return cc
 }
 
 // dialAndHandshake opens one raw connection and runs the Hello
 // exchange; shared by the pool and the per-request control path
 // (Stats/Ping).
-func dialAndHandshake(addr string, timeout time.Duration) (net.Conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, timeout)
+func dialAndHandshake(addr string) (net.Conn, error) {
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) // batching is ours, not Nagle's
 	}
-	nc.SetDeadline(time.Now().Add(timeout))
+	nc.SetDeadline(time.Now().Add(dialTimeout))
 	if _, err := nc.Write(AppendFrame(nil, FrameHello, AppendHello(nil, Version))); err != nil {
 		nc.Close()
 		return nil, err
@@ -227,27 +221,18 @@ func (cc *clientConn) setDead(err error) {
 // one more call. Behind them, it finds every op they queue (about 20
 // per frame for 64 callers on two CPUs, against 2.4 without the yield;
 // DESIGN.md §11). A lone caller has no one to yield to, so the yield
-// holds no op back. A frame ends at MaxBatch ops or before the op that
-// would take it past MaxFrameLen, which then opens the next frame.
+// holds no op back. A frame ends at maxBatch ops, which always fit
+// MaxFrameLen.
 //
 // For each batch the writer first reserves a window slot (inflight <-
 // calls) and only then writes, so the reader can never see a response
 // for a batch it does not know about. It exits when sendq is closed and
 // drained; on a dead connection it keeps consuming sendq, failing
 // calls, so no caller is ever stranded.
-func (cc *clientConn) writer(o *Options) {
+func (cc *clientConn) writer() {
 	defer close(cc.writerDone)
 	buf := make([]byte, 0, 64<<10)
-	var carry *call // the op the last frame had no room for
-	for {
-		first := carry
-		carry = nil
-		if first == nil {
-			var ok bool
-			if first, ok = <-cc.sendq; !ok {
-				return
-			}
-		}
+	for first := range cc.sendq {
 		runtime.Gosched()
 		calls := (*batchPool.Get().(*[]*call))[:0]
 		calls = append(calls, first)
@@ -255,17 +240,13 @@ func (cc *clientConn) writer(o *Options) {
 		buf = appendU32(buf, 0) // op count, patched below
 		buf = AppendOp(buf, &first.op)
 	fill:
-		for len(calls) < o.MaxBatch {
+		for len(calls) < maxBatch {
 			select {
 			case c, ok := <-cc.sendq:
 				if !ok {
 					break fill
 				}
-				n := len(buf)
-				if buf = AppendOp(buf, &c.op); len(buf)-FrameHeaderLen > MaxFrameLen {
-					buf, carry = buf[:n], c
-					break fill
-				}
+				buf = AppendOp(buf, &c.op)
 				calls = append(calls, c)
 			default:
 				break fill
@@ -394,17 +375,19 @@ func (cc *clientConn) enqueue(c *call) error {
 	return nil
 }
 
-// retire closes the send queue (the writer drains it and exits) and
-// the socket, then waits for the writer so every queued call has been
-// resolved.
+// retire closes the socket and the send queue (the writer drains it and
+// exits), then waits for the writer so every queued call has been
+// resolved. The socket goes first: behind a full window the writer
+// waits for the reader, and callers blocked on a full send queue hold
+// mu's read lock, so the reader's teardown is what lets them go.
 func (cc *clientConn) retire() {
+	cc.setDead(ErrClientClosed)
 	cc.mu.Lock()
 	if !cc.sendqC {
 		cc.sendqC = true
 		close(cc.sendq)
 	}
 	cc.mu.Unlock()
-	cc.setDead(ErrClientClosed)
 	<-cc.writerDone
 }
 
@@ -492,7 +475,7 @@ func (c *Client) control(reqType uint8, payload []byte, wantType uint8) ([]byte,
 	if c.closed.Load() {
 		return nil, ErrClientClosed
 	}
-	nc, err := dialAndHandshake(c.addr, c.opts.DialTimeout)
+	nc, err := dialAndHandshake(c.addr)
 	if err != nil {
 		return nil, err
 	}

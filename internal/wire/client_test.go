@@ -6,62 +6,170 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dbp/internal/item"
 )
 
-// TestWriterSplitsFramesAtMaxFrameLen: 2100 queued d=1024 arrives at
-// MaxBatch 4096 encode to about 17 MB, more than one frame may carry.
-// The writer cuts the frames so every one passes ParseFrameHeader and
-// together they carry every op once, in order.
-func TestWriterSplitsFramesAtMaxFrameLen(t *testing.T) {
-	const n = 2100
-	sizes := make([]float64, MaxDim)
-	for i := range sizes {
-		sizes[i] = 0.001
-	}
+// TestFullWindowBlocksCallers: a peer that reads Batch frames and never
+// answers lets the writer put window frames in flight and no more;
+// the writer then holds one frame, the send queue fills and the callers
+// past it stay blocked. Once the peer answers, every call completes
+// exactly once with its own result.
+func TestFullWindowBlocksCallers(t *testing.T) {
 	client, peer := net.Pipe()
 	defer peer.Close()
-	cc := &clientConn{
-		nc:         client,
-		sendq:      make(chan *call, n),
-		inflight:   make(chan []*call, n),
-		writerDone: make(chan struct{}),
-	}
-	for i := 0; i < n; i++ {
-		cc.sendq <- &call{op: Op{Kind: OpArrive, ID: int64(i), Size: 0.001, Sizes: sizes}}
-	}
-	close(cc.sendq)
-	go cc.writer(&Options{MaxBatch: 4096})
+	c := &Client{conns: []*clientConn{startConn(client)}}
+	defer c.Close()
+	cc := c.conns[0]
 
 	br := bufio.NewReader(peer)
 	var payload []byte
 	var op Op
-	var next int64
-	for frames := 0; next < n; frames++ {
+	// readBatch reads one Batch frame and returns its op IDs.
+	readBatch := func() ([]int64, error) {
 		typ, p, err := readFrame(br, &payload)
 		if err != nil {
-			t.Fatalf("frame %d after %d ops: %v", frames, next, err)
+			return nil, err
 		}
 		if typ != FrameBatch || len(p) < 4 {
-			t.Fatalf("frame %d: type %d, %d bytes", frames, typ, len(p))
+			return nil, fmt.Errorf("frame type %d, %d bytes", typ, len(p))
 		}
-		count := int(u32(p))
-		for p = p[4:]; count > 0; count-- {
+		ids := make([]int64, u32(p))
+		for i, p := 0, p[4:]; i < len(ids); i++ {
 			m, err := DecodeOp(p, &op)
-			if err != nil || op.ID != next || len(op.Sizes) != MaxDim {
-				t.Fatalf("frame %d: op id %d dim %d err %v, want id %d", frames, op.ID, len(op.Sizes), err, next)
+			if err != nil {
+				return nil, err
 			}
-			p = p[m:]
-			next++
+			ids[i], p = op.ID, p[m:]
 		}
-		if len(p) != 0 {
-			t.Fatalf("frame %d: %d bytes past its ops", frames, len(p))
+		return ids, nil
+	}
+
+	// Past the window: the frame the writer holds, a send queue's worth
+	// and 8 callers that find the queue full.
+	const n = window + 1 + maxBatch + 4*maxBatch + 8
+	var wg sync.WaitGroup
+	var completed [n]atomic.Int32
+	errc := make(chan error, n)
+	call := func(id int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := c.Arrive(item.ID(id), 0.001, nil, nil)
+			completed[id].Add(1)
+			if err != nil || res.Server != int32(id) {
+				errc <- fmt.Errorf("call %d: server %d, %v", id, res.Server, err)
+			}
+		}()
+	}
+	// One call at a time, so each in-flight frame carries one op.
+	for id := 0; id < window; id++ {
+		call(id)
+		if ids, err := readBatch(); err != nil || len(ids) != 1 || ids[0] != int64(id) {
+			t.Fatalf("frame %d: ops %v, %v", id, ids, err)
 		}
 	}
-	<-cc.writerDone
+	for id := window; id < n; id++ {
+		call(id)
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(cc.sendq) < cap(cc.sendq); {
+		if time.Now().After(deadline) {
+			t.Fatalf("send queue holds %d of %d", len(cc.sendq), cap(cc.sendq))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	peer.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if ids, err := readBatch(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("writer sent frame %v past a full window (err %v)", ids, err)
+	}
+	peer.SetReadDeadline(time.Time{})
+	for id := range completed {
+		if completed[id].Load() != 0 {
+			t.Fatalf("call %d completed before any answer", id)
+		}
+	}
+
+	// Answer the in-flight frames, then every frame that follows.
+	answer := func(ids []int64) error {
+		out, _ := BeginFrame(nil, FrameResults)
+		out = appendU32(out, uint32(len(ids)))
+		for _, id := range ids {
+			out = AppendResult(out, &Result{Server: int32(id)})
+		}
+		_, err := peer.Write(EndFrame(out, 0))
+		return err
+	}
+	for id := 0; id < window; id++ {
+		if err := answer([]int64{int64(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seen := window; seen < n; {
+		ids, err := readBatch()
+		if err == nil {
+			err = answer(ids)
+		}
+		if err != nil {
+			t.Fatalf("after %d ops: %v", seen, err)
+		}
+		seen += len(ids)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	for id := range completed {
+		if got := completed[id].Load(); got != 1 {
+			t.Fatalf("call %d completed %d times", id, got)
+		}
+	}
+}
+
+// TestCloseWithFullWindow: Close on a connection whose peer reads every
+// frame and answers none, with the window full and callers blocked on
+// the full send queue behind it, returns, and every call fails with
+// ErrClientClosed.
+func TestCloseWithFullWindow(t *testing.T) {
+	client, peer := net.Pipe()
+	defer peer.Close()
+	go io.Copy(io.Discard, peer)
+	c := &Client{conns: []*clientConn{startConn(client)}}
+	cc := c.conns[0]
+
+	// More calls than the window, the frame the writer holds and the
+	// send queue can take, however the writer cuts its frames.
+	const n = window*maxBatch + maxBatch + 4*maxBatch + 8
+	errc := make(chan error, n)
+	for id := 0; id < n; id++ {
+		go func() {
+			_, err := c.Arrive(item.ID(id), 0.001, nil, nil)
+			errc <- err
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(cc.inflight) < window || len(cc.sendq) < cap(cc.sendq); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frames in flight, send queue %d of %d", len(cc.inflight), len(cc.sendq), cap(cc.sendq))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() { c.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung behind a full window")
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errc; !errors.Is(err, ErrClientClosed) {
+			t.Fatalf("call failed with %v, want ErrClientClosed", err)
+		}
+	}
 }
 
 // fakeServer accepts one wire connection on a loopback listener,

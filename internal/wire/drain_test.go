@@ -42,7 +42,7 @@ func TestWireDrainUnderLoad(t *testing.T) {
 	}
 	_, s, addr := startWireServer(t, d)
 
-	c, err := wire.Dial(addr, wire.Options{Conns: 2, MaxBatch: 32, Window: 8})
+	c, err := wire.Dial(addr, wire.Options{Conns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestWireDrainUnderLoad(t *testing.T) {
 	}
 
 	// The drained listener refuses new wire sessions promptly.
-	if _, err := wire.Dial(addr, wire.Options{Conns: 1, DialTimeout: 2 * time.Second}); err == nil {
+	if _, err := wire.Dial(addr, wire.Options{Conns: 1}); err == nil {
 		t.Fatal("dial succeeded after Server.Close")
 	}
 }

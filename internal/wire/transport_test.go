@@ -134,17 +134,6 @@ func TestWireRefusesOversizedDemand(t *testing.T) {
 	}
 }
 
-// TestDialRefusesOversizedBatch: a MaxBatch the server would refuse
-// every full frame of fails at Dial; MaxBatchOps itself is accepted.
-func TestDialRefusesOversizedBatch(t *testing.T) {
-	_, _, addr := startServer(t, serve.Config{})
-	if c, err := wire.Dial(addr, wire.Options{Conns: 1, MaxBatch: wire.MaxBatchOps + 1}); err == nil {
-		c.Close()
-		t.Fatalf("Dial accepted MaxBatch %d", wire.MaxBatchOps+1)
-	}
-	dial(t, addr, wire.Options{Conns: 1, MaxBatch: wire.MaxBatchOps})
-}
-
 // TestWireVectorDemand round-trips d-dimensional jobs end to end.
 func TestWireVectorDemand(t *testing.T) {
 	d, _, addr := startServer(t, serve.Config{Algorithm: "firstfit", Shards: 1, Dim: 2, DataDir: t.TempDir()})
@@ -204,7 +193,7 @@ func TestWireStatsAndPing(t *testing.T) {
 // and the server sees every accepted op.
 func TestWirePipelinedConcurrency(t *testing.T) {
 	d, _, addr := startServer(t, serve.Config{Shards: 4, DataDir: t.TempDir()})
-	c := dial(t, addr, wire.Options{Conns: 2, MaxBatch: 32, Window: 8})
+	c := dial(t, addr, wire.Options{Conns: 2})
 
 	const clients = 8
 	const perClient = 200
