@@ -104,7 +104,8 @@ bench-wire:
 	$(GO) test -v -run 'CodecZeroAlloc|ClientFramesCarryReadyCallers' -bench Wire -benchmem ./internal/wire/
 
 ## fuzz-short: a CI-scale smoke run of the wire codec and WAL record fuzzers,
-## of the stream-vs-reference-model fuzzer, of the batch event order
+## of the stream-vs-reference-model fuzzer, of the ledger's job table
+## against a map, of the batch event order
 ## against the stable sort it replaced, of the OPT solver's bound sandwich
 ## (L1 <= L2 <= exact <= FFD) and of the CSV and JSON trace readers (go's
 ## native fuzzing allows one target per invocation)
@@ -114,6 +115,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzStreamVsModel -fuzztime 5s ./internal/packing/
+	$(GO) test -run '^$$' -fuzz FuzzIDTable -fuzztime 5s ./internal/bins/
 	$(GO) test -run '^$$' -fuzz FuzzOrder -fuzztime 5s ./internal/event/
 	$(GO) test -run '^$$' -fuzz FuzzBoundSandwich -fuzztime 5s ./internal/opt/
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/trace/
@@ -131,7 +133,7 @@ recover-test:
 ## TestZeroAllocTightestFittingVec 0 for the vector Best Fit walk,
 ## TestZeroAllocPlacement 0 for every registered policy's steady-state
 ## arrival + departure at d = 1 and 2,
-## TestBoundedAllocsOpenCycle at most 2 (the Bin and its level slice) for
+## TestBoundedAllocsOpenCycle at most 1 (the Bin) for
 ## an opening, four placements and the drain that closes it, and the other
 ## TestBounded* tests that a long replay's index, reachable bins, stream
 ## heap and restore cost follow the open fleet, not the history, and that

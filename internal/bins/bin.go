@@ -40,6 +40,7 @@ type Bin struct {
 	closedAt   float64 // NaN while open
 	emptySince float64 // NaN while occupied; set when the bin empties but lingers (keep-alive)
 	level      []float64
+	level1     [1]float64 // backs level at d = 1: a scalar bin is one allocation
 	// resident holds the items in the bin in no particular order: a
 	// removal moves the last one into the hole. A ledger knows each item's
 	// position; a bare bin scans for it.
@@ -58,14 +59,18 @@ func Open(index int, capacity float64, dim int, t float64) *Bin {
 	if capacity <= 0 {
 		panic("bins: capacity must be positive")
 	}
-	return &Bin{
+	b := &Bin{
 		Index:      index,
 		Capacity:   capacity,
 		openedAt:   t,
 		closedAt:   math.NaN(),
 		emptySince: math.NaN(),
-		level:      make([]float64, dim),
 	}
+	b.level = b.level1[:]
+	if dim > 1 {
+		b.level = make([]float64, dim)
+	}
+	return b
 }
 
 // IsOpen reports whether the bin still holds at least one item (or was just
@@ -233,6 +238,12 @@ func (b *Bin) removeAt(i int, t float64) {
 	b.resident[i] = b.resident[last]
 	b.resident[last] = item.Item{} // drop its Sizes for the collector
 	b.resident = b.resident[:last]
+	if c := cap(b.resident); last > 0 && c >= 8 && 3*last <= c {
+		// Halve a slice filled to a third or less: its capacity follows what
+		// the bin holds, not the most it (or, through the free list, any
+		// closed bin) ever held.
+		b.resident = append(make([]item.Item, 0, c/2), b.resident...)
+	}
 	if last == 0 {
 		if b.LingerWhenEmpty {
 			b.emptySince = t

@@ -87,7 +87,7 @@ func reachableBins(t *testing.T, g *Ledger) map[*Bin]bool {
 			zeroed("a resident slice past its length", b.resident[len(b.resident):cap(b.resident)])
 		}
 	}
-	for _, r := range g.location {
+	for _, r := range g.location.slots {
 		add(r.bin)
 	}
 	for _, s := range g.free[:cap(g.free)] {
@@ -233,8 +233,9 @@ func TestBoundedLedgerState(t *testing.T) {
 // TestBoundedAllocsOpenCycle pins what an opening costs: on an indexed
 // First Fit ledger holding 64 resident bins, a cycle that opens a bin,
 // fills it with four placements, drains it and so closes it allocates the
-// Bin and its level slice and nothing else — no treap node, and a
-// resident slice a closed bin left on the free list.
+// Bin and nothing else — its level is a field of the Bin at d = 1, there
+// is no treap node, and its resident slice is one a closed bin left on
+// the free list.
 func TestBoundedAllocsOpenCycle(t *testing.T) {
 	g := NewLedger(1, 1)
 	g.EnableIndex()
@@ -259,14 +260,38 @@ func TestBoundedAllocsOpenCycle(t *testing.T) {
 		}
 	})
 	t.Logf("an open, 4 placements and a drain: %v allocations", n)
-	if n > 2 {
-		t.Fatalf("an open, 4 placements and a drain allocate %v times, want at most 2", n)
+	if n > 1 {
+		t.Fatalf("an open, 4 placements and a drain allocate %v times, want at most 1", n)
 	}
 	if g.NumOpened() != opened+1001 || g.NumOpen() != 64 {
 		t.Fatalf("the cycles opened %d bins and left %d open, want 1001 and 64", g.NumOpened()-opened, g.NumOpen())
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBoundedResidentSlice checks that a bin's resident slice gives back
+// capacity as the bin drains. Without that, a slice keeps the capacity of
+// its bin's fullest moment, and the free list hands it to the next
+// opening, so every slice ratchets toward the largest bin of the run.
+func TestBoundedResidentSlice(t *testing.T) {
+	g := NewLedger(1, 1)
+	it := func(id item.ID) item.Item { return item.Item{ID: id, Size: 0.01, Departure: math.Inf(1)} }
+	b := g.OpenNew(it(1), 0)
+	for id := item.ID(2); id <= 64; id++ {
+		g.PlaceIn(b, it(id), 0)
+	}
+	full := cap(b.resident)
+	for id := item.ID(64); id > 1; id-- {
+		g.Remove(id, 0)
+	}
+	if c := cap(b.resident); c > 4 {
+		t.Fatalf("a bin drained from 64 items to 1 keeps a slice of capacity %d (%d when full), want at most 4", c, full)
+	}
+	g.Remove(1, 0)
+	if c := cap(g.free[len(g.free)-1]); c > 4 {
+		t.Fatalf("the closed bin left a slice of capacity %d on the free list, want at most 4", c)
 	}
 }
 

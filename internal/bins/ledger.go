@@ -17,14 +17,14 @@ import (
 // A caller that needs the run's record afterwards (packing's batch runner)
 // keeps it from what OpenNew, PlaceIn and Remove return.
 //
-// Each resident item is one entry in one map, location, which holds its
-// bin and its position in the bin's resident slice. An event costs
+// Each resident item is one entry in one idTable, location, which holds
+// its bin and its position in the bin's resident slice. An event costs
 // O(log B) in the number of open bins B:
 //
-//   - a placement is one map insert, plus an append to the bin's slice;
-//   - an opening is a placement plus a Bin and its level slice — the
-//     bin's resident slice is one a closed bin left on the free list;
-//   - a departure is one map lookup and one delete, plus one map write
+//   - a placement is one table probe, plus an append to the bin's slice;
+//   - an opening is a placement plus a Bin (at d = 1 its level is a field)
+//     — its resident slice is one a closed bin left on the free list;
+//   - a departure is one table probe and a backward shift, plus one probe
 //     when another item moves into the vacated position; a bin that
 //     closes leaves the open list by binary search and a memmove;
 //   - a keep-alive expiry check is a peek at a min-heap of pending
@@ -37,7 +37,8 @@ import (
 // The benchmark's bare-ledger replay of 1M zipfian events reads, from the
 // first to the last decile of the script, 795 → 3370 ns/event while the
 // ledger retained every closed bin, 538 → 562 once it released them (DESIGN.md §8 has all ten),
-// and 163 → 170 with one map entry per job and no treap for First Fit.
+// 163 → 170 with one map entry per job and no treap for First Fit, and
+// 194 → 180 with this table where the map read 251 → 228 on the same box.
 type Ledger struct {
 	capacity  float64
 	dim       int
@@ -45,7 +46,7 @@ type Ledger struct {
 
 	opened   int    // bins ever opened; the next bin's Index
 	open     []*Bin // sorted by Index ascending (== opening order)
-	location map[item.ID]residence
+	location idTable
 	// free holds the emptied resident slices of closed bins for the next
 	// openings to reuse: a closed bin keeps none.
 	free [][]item.Item
@@ -68,13 +69,6 @@ type Ledger struct {
 	index *Index
 }
 
-// residence is where a resident item is: its bin, and its position in the
-// bin's resident slice.
-type residence struct {
-	bin *Bin
-	pos int
-}
-
 // NewLedger creates a ledger for bins of the given capacity and dimension.
 func NewLedger(capacity float64, dim int) *Ledger {
 	if dim < 1 {
@@ -83,7 +77,7 @@ func NewLedger(capacity float64, dim int) *Ledger {
 	return &Ledger{
 		capacity: capacity,
 		dim:      dim,
-		location: make(map[item.ID]residence),
+		location: newIDTable(0),
 	}
 }
 
@@ -254,12 +248,10 @@ func (g *Ledger) PlaceIn(b *Bin, it item.Item, t float64) {
 }
 
 // place puts the item in the bin and records where. An item already
-// resident anywhere in the fleet is a simulator bug: the map insert
-// reveals it by not growing the map, and the ledger panics, unusable.
+// resident anywhere in the fleet is a simulator bug: the table insert
+// refuses it, and the ledger panics, unusable.
 func (g *Ledger) place(b *Bin, it item.Item, t float64) {
-	n := len(g.location)
-	g.location[it.ID] = residence{bin: b, pos: b.place(it, t)}
-	if len(g.location) == n {
+	if !g.location.insert(idSlot{id: it.ID, bin: b, pos: b.place(it, t)}) {
 		panic(fmt.Sprintf("bins: item %d placed in bin %d while already in a bin", it.ID, b.Index))
 	}
 }
@@ -268,16 +260,15 @@ func (g *Ledger) place(b *Bin, it item.Item, t float64) {
 // it empties. It returns the bin the item was in and whether the bin
 // closed. Removing an unknown item panics (simulator bug).
 func (g *Ledger) Remove(id item.ID, t float64) (b *Bin, closed bool) {
-	r, ok := g.location[id]
+	r, ok := g.location.remove(id)
 	if !ok {
 		panic(fmt.Sprintf("bins: item %d is in no bin", id))
 	}
-	delete(g.location, id)
 	b = r.bin
 	b.removeAt(r.pos, t)
 	if r.pos < len(b.resident) {
 		// The bin's last item moved into the vacated position.
-		g.location[b.resident[r.pos].ID] = r
+		g.location.get(b.resident[r.pos].ID).pos = r.pos
 	}
 	if b.IsOpen() {
 		if b.Lingering() {
@@ -323,7 +314,7 @@ func (g *Ledger) removeOpen(b *Bin) {
 }
 
 // Locate returns the bin currently holding the item, or nil.
-func (g *Ledger) Locate(id item.ID) *Bin { return g.location[id].bin }
+func (g *Ledger) Locate(id item.ID) *Bin { return g.location.get(id).bin }
 
 // TotalUsage returns the accumulated usage time of all bins, counting open
 // bins up to time now. After the simulation drains (all items departed),
@@ -352,8 +343,8 @@ func (g *Ledger) CheckInvariants() error {
 		// Every resident item is located here, at its own position; with
 		// the count below, location holds nothing else.
 		for i, it := range b.resident {
-			r, ok := g.location[it.ID]
-			if !ok {
+			r := g.location.get(it.ID)
+			if r.bin == nil {
 				return fmt.Errorf("item %d in bin %d is not located", it.ID, b.Index)
 			}
 			if r.bin != b || r.pos != i {
@@ -374,8 +365,11 @@ func (g *Ledger) CheckInvariants() error {
 			return fmt.Errorf("open bin %d has no items and is not lingering", b.Index)
 		}
 	}
-	if len(g.location) != resident {
-		return fmt.Errorf("%d items located, %d resident in open bins", len(g.location), resident)
+	if g.location.n != resident {
+		return fmt.Errorf("%d items located, %d resident in open bins", g.location.n, resident)
+	}
+	if err := g.location.check(); err != nil {
+		return err
 	}
 	if prev >= g.opened {
 		return fmt.Errorf("open bin %d but only %d ever opened", prev, g.opened)

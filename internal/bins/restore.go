@@ -26,8 +26,8 @@ type RestoredJob struct {
 // float sum over every placement and removal it has seen, so only the
 // verbatim accumulator makes a restored ledger place future jobs on
 // bit-identical levels. Levels (like each job's Sizes) is ADOPTED by
-// RestoreLedger as the bin's live accumulator; callers pass a copy if
-// their source data outlives the call.
+// RestoreLedger as the bin's live accumulator (at d = 1, copied into the
+// bin); callers pass a copy if their source data outlives the call.
 type BinRestore struct {
 	Index      int
 	OpenedAt   float64
@@ -67,6 +67,11 @@ func RestoreLedger(capacity float64, dim int, keepAlive float64, indexed bool,
 		g.EnableIndex()
 	}
 	g.open = make([]*Bin, 0, len(open))
+	jobs := 0
+	for i := range open {
+		jobs += len(open[i].Jobs)
+	}
+	g.location = newIDTable(jobs)
 	prev := -1
 	for i := range open {
 		r := &open[i]
@@ -83,9 +88,7 @@ func RestoreLedger(capacity float64, dim int, keepAlive float64, indexed bool,
 		}
 		g.open = append(g.open, b)
 		for pos, it := range b.resident {
-			n := len(g.location)
-			g.location[it.ID] = residence{bin: b, pos: pos}
-			if len(g.location) == n {
+			if !g.location.insert(idSlot{id: it.ID, bin: b, pos: pos}) {
 				return nil, fmt.Errorf("bins: restore places job %d twice", it.ID)
 			}
 		}
@@ -122,6 +125,10 @@ func restoreOpenBin(r *BinRestore, capacity float64, dim int, linger bool) (*Bin
 		emptySince:      math.NaN(),
 		level:           r.Levels, // adopted; see BinRestore
 		resident:        make([]item.Item, len(r.Jobs)),
+	}
+	if dim == 1 {
+		b.level1[0] = r.Levels[0]
+		b.level = b.level1[:]
 	}
 	if r.Lingering {
 		if !linger {
