@@ -30,17 +30,6 @@ type (
 	// Dispatcher drives a policy job-by-job in real time (departures
 	// unknown at arrival), as a cloud provider's front end would.
 	Dispatcher = packing.Stream
-	// DispatcherSnapshot is a detached point-in-time view of a
-	// Dispatcher: objective totals plus per-server utilization, as
-	// returned by Dispatcher.Snapshot and published by the allocation
-	// service (cmd/dbpserved) on its stats endpoint.
-	DispatcherSnapshot = packing.Snapshot
-	// ServerState describes one open server inside a
-	// DispatcherSnapshot: scalar and per-dimension load, job count,
-	// opening time, and keep-alive lingering status.
-	ServerState = packing.ServerState
-	// OptBounds is a certified bracket [Lower, Upper] on OPT_total.
-	OptBounds = opt.Bounds
 	// Ratio is a measured competitive ratio against an OPT bracket.
 	Ratio = analysis.Ratio
 	// BillingModel quantizes server runtime into billing quanta.
@@ -84,23 +73,13 @@ func BestFit() Algorithm { return packing.NewBestFit() }
 // WorstFit returns Worst Fit (emptiest fitting server).
 func WorstFit() Algorithm { return packing.NewWorstFit() }
 
-// LastFit returns Last Fit (most recently opened fitting server).
-func LastFit() Algorithm { return packing.NewLastFit() }
-
 // NextFit returns Next Fit (single available server; at best
-// 2mu-competitive, paper Sec. VIII). It is NextKFit(1) under the name
-// NextFit.
+// 2mu-competitive, paper Sec. VIII).
 func NextFit() Algorithm { return packing.NewNextFit() }
-
-// RandomFit returns the seeded random Any Fit baseline.
-func RandomFit(seed int64) Algorithm { return packing.NewRandomFit(seed) }
 
 // HybridFirstFit returns the size-classifying First Fit with k >= 2
 // harmonic classes (k = 2 splits at 1/2).
 func HybridFirstFit(k int) Algorithm { return packing.NewHybridFirstFit(k) }
-
-// HybridNextFit returns the size-classifying Next Fit with k >= 2 classes.
-func HybridNextFit(k int) Algorithm { return packing.NewHybridNextFit(k) }
 
 // AlgorithmByName returns a policy by its short name ("firstfit",
 // "bestfit", "nextfit", ...); see AlgorithmNames.
@@ -131,10 +110,6 @@ func NewDispatcher(algo Algorithm, capacity float64, dim int) *Dispatcher {
 // segment); ok is false if any segment's search hit the node budget.
 func OptExact(l List) (total float64, ok bool) { return opt.TotalExact(l) }
 
-// Opt computes a certified bracket on OPT_total, solving segments of up
-// to opt.ExactLimit (64) active items exactly.
-func Opt(l List) OptBounds { return opt.Total(l, opt.ExactLimit) }
-
 // DemandLowerBound is the paper's Proposition 1: OPT_total >= total
 // time-space demand. For vector jobs it is the largest per-dimension
 // demand, max over k of the sum of s_k(r)*|I(r)|.
@@ -159,23 +134,12 @@ func Theorem1Bound(mu float64) float64 { return analysis.FirstFitUpperBound(mu) 
 // beats.
 func UniversalLowerBound(mu float64) float64 { return analysis.AnyOnlineLowerBound(mu) }
 
-// NextFitBounds returns Next Fit's [2mu, 2mu+1] competitive-ratio window.
-func NextFitBounds(mu float64) (lower, upper float64) {
-	return analysis.NextFitLowerBound(mu), analysis.NextFitUpperBound(mu)
-}
-
 // Workload generation.
 
 // GenerateUniform generates n jobs with Poisson(rate) arrivals, uniform
 // sizes in [0.05, 0.95] and uniform durations in [1, mu].
 func GenerateUniform(n int, rate, mu float64, seed int64) List {
 	return workload.Generate(workload.UniformConfig(n, rate, mu, seed))
-}
-
-// GeneratePareto is GenerateUniform with heavy-tailed (bounded Pareto)
-// durations on [1, mu].
-func GeneratePareto(n int, rate, mu float64, seed int64) List {
-	return workload.Generate(workload.ParetoConfig(n, rate, mu, seed))
 }
 
 // GenerateGaming synthesizes cloud-gaming sessions (the paper's
@@ -199,20 +163,10 @@ func NextFitAdversary(n int, mu float64) List { return workload.NextFitAdversary
 // to a ratio approaching mu.
 func AnyFitTrap(n int, mu float64) List { return workload.AnyFitTrap(n, mu) }
 
-// BestFitRelay builds the adaptive instance on which Best Fit's ratio
-// grows with k at fixed mu while First Fit resists.
-func BestFitRelay(k, rounds int, mu float64) List { return workload.BestFitRelay(k, rounds, mu) }
-
 // Trace I/O.
-
-// ReadTraceCSV parses a CSV trace ("id,size,arrival,departure[,size2...]").
-func ReadTraceCSV(r io.Reader) (List, error) { return trace.ReadCSV(r) }
 
 // WriteTraceCSV writes the instance as CSV, sorted by arrival.
 func WriteTraceCSV(w io.Writer, l List) error { return trace.WriteCSV(w, l) }
-
-// ReadTraceJSON parses a JSON trace (array of item objects).
-func ReadTraceJSON(r io.Reader) (List, error) { return trace.ReadJSON(r) }
 
 // WriteTraceJSON writes the instance as JSON, sorted by arrival.
 func WriteTraceJSON(w io.Writer, l List) error { return trace.WriteJSON(w, l) }
@@ -238,40 +192,21 @@ func RunKeepAlive(algo Algorithm, l List, keepAlive float64) (*Result, error) {
 	return packing.Run(algo, l, &packing.Options{KeepAlive: keepAlive})
 }
 
-// RunClairvoyant simulates a departure-aware baseline policy (AlignFit,
-// NoExtendFit): the policy sees each job's departure time at placement,
+// RunClairvoyant simulates a departure-aware baseline policy
+// (PredictiveFit, or "alignfit" and "noextendfit" by AlgorithmByName):
+// the policy sees each job's departure time at placement,
 // leaving the paper's online model. Used to quantify the value of
 // clairvoyance (experiment E13c).
 func RunClairvoyant(algo Algorithm, l List) (*Result, error) {
 	return packing.Run(algo, l, &packing.Options{Clairvoyant: true})
 }
 
-// AlignFit returns the clairvoyant baseline that aligns each job's
-// departure with the closest-closing server (requires RunClairvoyant).
-func AlignFit() Algorithm { return packing.NewAlignFit() }
-
-// NoExtendFit returns the clairvoyant baseline that prefers placements
-// that do not extend any server's closing horizon (requires
-// RunClairvoyant). It is PredictiveFit at sigma 0 under the name
-// NoExtendFit(clairvoyant).
-func NoExtendFit() Algorithm { return packing.NewNoExtendFit() }
-
-// NextKFit returns bounded-space Next-k Fit: Next Fit generalized to k
-// simultaneously available servers (k = 1 is exactly Next Fit).
-func NextKFit(k int) Algorithm { return packing.NewNextKFit(k) }
-
-// AlmostWorstFit returns the classical second-emptiest-bin policy.
-func AlmostWorstFit() Algorithm { return packing.NewAlmostWorstFit() }
-
-// PredictiveFit returns the learning-augmented baseline: NoExtendFit's
-// departure-aware rule driven by noisy duration predictions (lognormal
-// noise sigma; sigma 0 = perfect clairvoyance, NoExtendFit itself).
+// PredictiveFit returns the learning-augmented baseline: a departure-aware
+// rule (join a server whose closing horizon the job does not extend)
+// driven by noisy duration predictions (lognormal noise sigma; sigma 0 =
+// perfect clairvoyance).
 // Requires RunClairvoyant.
 func PredictiveFit(sigma float64, seed int64) Algorithm { return packing.NewPredictiveFit(sigma, seed) }
-
-// RenderGantt draws an ASCII timeline of a packing run (one row per
-// server; '#' occupied, '.' lingering under keep-alive).
-func RenderGantt(res *Result, width int) string { return analysis.RenderTimeline(res, width) }
 
 // Heterogeneous fleets (extension; the paper normalizes to unit servers).
 
@@ -301,26 +236,6 @@ func LargestTypeChooser() TypeChooser { return packing.LargestType() }
 
 // CostOfFleet prices a heterogeneous-fleet run under a tiered plan.
 func CostOfFleet(res *Result, p RatePlan) Invoice { return cloud.CostFleet(res, p) }
-
-// GenerateBursty generates n jobs under a two-state Markov-modulated
-// Poisson process: calm rate `rate`, bursts at burstFactor times that.
-func GenerateBursty(n int, rate, mu, burstFactor float64, seed int64) List {
-	return workload.GenerateBursty(workload.BurstyConfig{
-		Config:      workload.UniformConfig(n, rate, mu, seed),
-		BurstFactor: burstFactor,
-		MeanCalm:    30,
-		MeanBurst:   3,
-	})
-}
-
-// NewDispatcherKeepAlive is NewDispatcher with lingering servers: an
-// emptied server stays open (reusable) for keepAlive time units.
-func NewDispatcherKeepAlive(algo Algorithm, capacity float64, dim int, keepAlive float64) *Dispatcher {
-	return packing.NewStreamKeepAlive(algo, capacity, dim, keepAlive)
-}
-
-// EventLog renders a chronological audit trail of a packing run.
-func EventLog(res *Result) string { return analysis.EventLog(res) }
 
 // WriteAssignment exports a run's per-job server assignment as CSV.
 func WriteAssignment(w io.Writer, res *Result) error { return trace.WriteAssignment(w, res) }

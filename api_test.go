@@ -5,6 +5,11 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"dbp/internal/analysis"
+	"dbp/internal/packing"
+	"dbp/internal/trace"
+	"dbp/internal/workload"
 )
 
 func TestPublicAPIQuickstartFlow(t *testing.T) {
@@ -37,8 +42,7 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 func TestPublicAlgorithms(t *testing.T) {
 	jobs := GenerateUniform(60, 2, 4, 2)
 	algos := []Algorithm{
-		FirstFit(), BestFit(), WorstFit(), LastFit(), NextFit(),
-		RandomFit(1), HybridFirstFit(2), HybridNextFit(2),
+		FirstFit(), BestFit(), WorstFit(), NextFit(), HybridFirstFit(2),
 	}
 	for _, a := range algos {
 		res, err := Run(a, jobs)
@@ -59,13 +63,9 @@ func TestPublicAlgorithms(t *testing.T) {
 
 func TestPublicOptAndPropositions(t *testing.T) {
 	jobs := GenerateUniform(50, 2, 4, 3)
-	b := Opt(jobs)
 	exact, ok := OptExact(jobs)
 	if !ok {
 		t.Skip("exact solve cut off")
-	}
-	if exact < b.Lower-1e-9 || exact > b.Upper+1e-9 {
-		t.Fatalf("exact %g outside bracket %+v", exact, b)
 	}
 	if DemandLowerBound(jobs) > exact+1e-9 || SpanLowerBound(jobs) > exact+1e-9 {
 		t.Fatal("propositions exceed OPT")
@@ -85,10 +85,6 @@ func TestPublicBounds(t *testing.T) {
 	if Theorem1Bound(6) != 10 || UniversalLowerBound(6) != 6 {
 		t.Fatal("bounds wrong")
 	}
-	lo, hi := NextFitBounds(6)
-	if lo != 12 || hi != 13 {
-		t.Fatal("NF bounds wrong")
-	}
 }
 
 func TestPublicAdversaries(t *testing.T) {
@@ -99,10 +95,6 @@ func TestPublicAdversaries(t *testing.T) {
 	ff := MustRun(FirstFit(), AnyFitTrap(8, 4))
 	if math.Abs(ff.TotalUsage-32) > 1e-9 {
 		t.Fatalf("FF trap usage = %g, want 32", ff.TotalUsage)
-	}
-	bf := MustRun(BestFit(), BestFitRelay(4, 2, 4))
-	if bf.NumBins() != 4 {
-		t.Fatalf("relay bins = %d, want 4", bf.NumBins())
 	}
 }
 
@@ -120,6 +112,8 @@ func TestPublicDispatcher(t *testing.T) {
 	}
 }
 
+// TestPublicTraceRoundTrip reads the root writers' output back with the
+// trace package's readers, which the root API no longer re-exports.
 func TestPublicTraceRoundTrip(t *testing.T) {
 	jobs := GenerateGaming(100, 0.5, 4)
 	var csvBuf, jsonBuf bytes.Buffer
@@ -129,11 +123,11 @@ func TestPublicTraceRoundTrip(t *testing.T) {
 	if err := WriteTraceJSON(&jsonBuf, jobs); err != nil {
 		t.Fatal(err)
 	}
-	fromCSV, err := ReadTraceCSV(&csvBuf)
+	fromCSV, err := trace.ReadCSV(&csvBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromJSON, err := ReadTraceJSON(&jsonBuf)
+	fromJSON, err := trace.ReadJSON(&jsonBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,20 +178,20 @@ func TestPublicKeepAlive(t *testing.T) {
 
 func TestPublicClairvoyant(t *testing.T) {
 	jobs := GenerateUniform(80, 2, 6, 9)
-	for _, algo := range []Algorithm{AlignFit(), NoExtendFit()} {
-		res, err := RunClairvoyant(algo, jobs)
-		if err != nil {
-			t.Fatalf("%s: %v", algo.Name(), err)
-		}
-		if err := res.Verify(); err != nil {
-			t.Fatalf("%s: %v", algo.Name(), err)
-		}
+	res, err := RunClairvoyant(PredictiveFit(0, 9), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// TestPublicNextKFitAndAWF runs policies the root API no longer names
+// through Run, from the packing package's constructors.
 func TestPublicNextKFitAndAWF(t *testing.T) {
 	jobs := GenerateUniform(80, 2, 6, 9)
-	for _, algo := range []Algorithm{NextKFit(1), NextKFit(4), AlmostWorstFit()} {
+	for _, algo := range []Algorithm{packing.NewNextKFit(1), packing.NewNextKFit(4), packing.NewAlmostWorstFit()} {
 		res, err := Run(algo, jobs)
 		if err != nil {
 			t.Fatalf("%s: %v", algo.Name(), err)
@@ -207,7 +201,7 @@ func TestPublicNextKFitAndAWF(t *testing.T) {
 		}
 	}
 	nf := MustRun(NextFit(), jobs)
-	nk1 := MustRun(NextKFit(1), jobs)
+	nk1 := MustRun(packing.NewNextKFit(1), jobs)
 	if nf.TotalUsage != nk1.TotalUsage {
 		t.Fatal("NextKFit(1) must equal NextFit")
 	}
@@ -242,8 +236,15 @@ func TestPublicFleet(t *testing.T) {
 	}
 }
 
+// TestPublicBursty packs a bursty workload generated with the parameters
+// the removed root wrapper fixed (calm 30, burst 3).
 func TestPublicBursty(t *testing.T) {
-	jobs := GenerateBursty(300, 1, 8, 10, 4)
+	jobs := workload.GenerateBursty(workload.BurstyConfig{
+		Config:      workload.UniformConfig(300, 1, 8, 4),
+		BurstFactor: 10,
+		MeanCalm:    30,
+		MeanBurst:   3,
+	})
 	if err := jobs.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +253,11 @@ func TestPublicBursty(t *testing.T) {
 	}
 }
 
+// TestPublicDispatcherKeepAliveAndExports drives a keep-alive Dispatcher
+// built by the packing package and checks the root exporter next to the
+// analysis renderers the root API no longer re-exports.
 func TestPublicDispatcherKeepAliveAndExports(t *testing.T) {
-	d := NewDispatcherKeepAlive(FirstFit(), 0, 1, 5)
+	var d *Dispatcher = packing.NewStreamKeepAlive(FirstFit(), 0, 1, 5)
 	d.Arrive(1, 1.0, nil, 0)
 	d.Depart(1, 2)
 	if srv, opened, _ := d.Arrive(2, 1.0, nil, 4); opened || srv != 0 {
@@ -264,7 +268,7 @@ func TestPublicDispatcherKeepAliveAndExports(t *testing.T) {
 
 	jobs := GenerateUniform(30, 2, 4, 8)
 	res := MustRun(FirstFit(), jobs)
-	if EventLog(res) == "" {
+	if analysis.EventLog(res) == "" {
 		t.Fatal("empty event log")
 	}
 	var buf bytes.Buffer
@@ -274,7 +278,7 @@ func TestPublicDispatcherKeepAliveAndExports(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("empty assignment export")
 	}
-	if RenderGantt(res, 60) == "" {
+	if analysis.RenderTimeline(res, 60) == "" {
 		t.Fatal("empty gantt")
 	}
 }
@@ -294,11 +298,11 @@ func TestPublicSnapshotAndErrorClasses(t *testing.T) {
 	if _, _, err := d.Arrive(2, 0.5, nil, 0.5); !errors.Is(err, ErrTimeRegression) {
 		t.Fatalf("regressed arrive: got %v", err)
 	}
-	var snap DispatcherSnapshot = d.Snapshot()
+	snap := d.Snapshot()
 	if snap.OpenServers != 1 || len(snap.Servers) != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	var st ServerState = snap.Servers[0]
+	st := snap.Servers[0]
 	if st.Index != 0 || st.Level != 0.5 || st.Jobs != 1 {
 		t.Fatalf("server state = %+v", st)
 	}

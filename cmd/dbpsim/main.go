@@ -66,7 +66,7 @@ func main() {
 	}
 	fmt.Println(res.String())
 	fmt.Printf("instance: n=%d mu=%.4g span=%.6g demand=%.6g\n",
-		len(jobs), jobs.Mu(), jobs.Span(), jobs.TotalDemand())
+		len(jobs), jobs.Mu(), jobs.Span(), dbp.DemandLowerBound(jobs))
 
 	if !*noRatio {
 		ratio, _, err := dbp.MeasureRatio(algo, jobs)

@@ -16,7 +16,7 @@
 //     (Run/MustRun) or driven job-by-job (NewDispatcher);
 //   - the offline optimum OPT_total(R) = ∫ OPT(R,t) dt, solved exactly by
 //     branch and bound per timeline segment or bracketed with certified
-//     bounds (Opt, OptExact), plus the paper's Propositions 1–2;
+//     bounds (OptExact), plus the paper's Propositions 1–2;
 //   - workload generators (Poisson arrivals with pluggable size/duration
 //     distributions, a synthetic cloud-gaming catalog) and the paper's
 //     adversarial lower-bound constructions (Sec. VIII's Next Fit

@@ -2,6 +2,9 @@ package dbp
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -88,5 +91,81 @@ func TestDocsListEveryCode(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("README error codes (code HTTP byte) %v, serve.Class table %v", got, want)
+	}
+}
+
+// TestRootNamesHaveAUser keeps the root API to names something uses:
+// every exported function and var of package dbp must appear as
+// dbp.<Name> in examples/, cmd/ or example_test.go, or as `<Name>` or
+// `dbp.<Name>` in README.md or doc.go, so a facade name with no caller
+// cannot land or linger. Types are not checked: a type stays while a
+// kept signature names it.
+func TestRootNamesHaveAUser(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	fset := token.NewFileSet()
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, f, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					names = append(names, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				if d.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range d.Specs {
+					for _, n := range spec.(*ast.ValueSpec).Names {
+						if n.IsExported() {
+							names = append(names, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	var code, docs strings.Builder
+	read := func(sb *strings.Builder, path string) {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.Write(text)
+	}
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				read(&code, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(&code, "example_test.go")
+	read(&docs, "README.md")
+	read(&docs, "doc.go")
+	var unused []string
+	for _, name := range names {
+		called := regexp.MustCompile(`\bdbp\.` + name + `\b`).MatchString(code.String())
+		listed := regexp.MustCompile("`(dbp\\.)?" + name + "`").MatchString(docs.String())
+		if !called && !listed {
+			unused = append(unused, name)
+		}
+	}
+	if len(unused) > 0 {
+		t.Errorf("root names with no user in examples/, cmd/, example_test.go, README.md or doc.go: %v", unused)
 	}
 }

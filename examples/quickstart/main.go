@@ -14,7 +14,7 @@ func main() {
 	// [1, 8] (so mu <= 8), sizes uniform in [0.05, 0.95].
 	jobs := dbp.GenerateUniform(200, 2.0, 8.0, 42)
 	fmt.Printf("instance: %d jobs, mu = %.3g, span = %.4g, time-space demand = %.4g\n",
-		len(jobs), jobs.Mu(), jobs.Span(), jobs.TotalDemand())
+		len(jobs), jobs.Mu(), jobs.Span(), dbp.DemandLowerBound(jobs))
 
 	// Dispatch online with First Fit: each job goes to the earliest-
 	// opened server with room; departures are unknown at placement time.

@@ -102,14 +102,6 @@ func (b *Bin) Level() float64 {
 	return b.level[0]
 }
 
-// LevelVec returns the current level in every dimension. The returned
-// slice is a copy.
-func (b *Bin) LevelVec() []float64 {
-	out := make([]float64, len(b.level))
-	copy(out, b.level)
-	return out
-}
-
 // Gap returns the remaining scalar capacity, Capacity - Level.
 func (b *Bin) Gap() float64 { return b.Capacity - b.Level() }
 
@@ -276,15 +268,6 @@ func (b *Bin) Close(t float64) {
 	}
 	b.closedAt = t
 	b.emptySince = math.NaN()
-}
-
-// Active returns the IDs of items currently in the bin (unordered).
-func (b *Bin) Active() []item.ID {
-	out := make([]item.ID, len(b.resident))
-	for i, it := range b.resident {
-		out[i] = it.ID
-	}
-	return out
 }
 
 // ActiveItems returns the items currently in the bin (unordered).

@@ -109,7 +109,7 @@ func TestVectorBin(t *testing.T) {
 		t.Fatal("vector item must fit empty 2-D bin")
 	}
 	b.Place(it, 0)
-	lv := b.LevelVec()
+	lv := b.level
 	if lv[0] != 0.8 || lv[1] != 0.2 {
 		t.Fatalf("level vec = %v", lv)
 	}

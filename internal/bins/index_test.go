@@ -278,16 +278,9 @@ func checkVecQueries(t *testing.T, g *Ledger, sizes []float64) {
 // durable snapshot would: the result's index has built nothing.
 func restoreCopy(t *testing.T, g *Ledger) *Ledger {
 	t.Helper()
-	open := make([]BinRestore, len(g.open))
+	open := make([]ServerState, len(g.open))
 	for i, b := range g.open {
-		r := BinRestore{Index: b.Index, OpenedAt: b.OpenedAt(), Lingering: b.Lingering(), Levels: b.LevelVec()}
-		if r.Lingering {
-			r.EmptySince = b.EmptySince()
-		}
-		for _, it := range b.resident {
-			r.Jobs = append(r.Jobs, RestoredJob{ID: it.ID, Size: it.Size, Sizes: slices.Clone(it.Sizes), Arrival: it.Arrival})
-		}
-		open[i] = r
+		open[i] = b.State()
 	}
 	h, err := RestoreLedger(g.capacity, g.dim, g.keepAlive, true, g.opened, g.maxConcurrentOpen, g.closedUsage, open)
 	if err != nil {

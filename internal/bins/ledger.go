@@ -353,7 +353,7 @@ func (g *Ledger) CheckInvariants() error {
 			}
 		}
 		resident += len(b.resident)
-		for d, lv := range b.LevelVec() {
+		for d, lv := range b.level {
 			if lv > b.Capacity+Eps {
 				return fmt.Errorf("bin %d over capacity in dim %d: %g", b.Index, d, lv)
 			}

@@ -1,40 +1,81 @@
 package bins
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"dbp/internal/item"
 )
 
-// RestoredJob is one active job inside a BinRestore: everything the
-// ledger retains about a resident item whose departure is still unknown
-// (the streaming model — Departure is restored as +Inf). The Sizes
-// slice is ADOPTED by RestoreLedger — the restored item references it
-// directly — so callers whose source data outlives the call must pass a
-// copy (packing.RestoreStream does).
-type RestoredJob struct {
-	ID      item.ID
-	Size    float64
-	Sizes   []float64
-	Arrival float64
+// ServerState is the durable record of one open server: what a stream
+// snapshot (packing.Snapshot) lists per server and what RestoreLedger
+// rebuilds the server from. Bin.State writes it and restoreOpenBin reads
+// it, so this file owns both halves of the format.
+type ServerState struct {
+	// Index is the server's position in opening order (stream-wide).
+	Index int `json:"index"`
+	// Level is the scalar utilization (first dimension for vector jobs).
+	Level float64 `json:"level"`
+	// Levels is the per-dimension utilization vector: the bin's exact
+	// accumulated level, restored verbatim. It is NOT recomputed from the
+	// jobs: a live bin's level is a running float sum over every
+	// placement and removal it has seen, so only the verbatim accumulator
+	// makes a restored ledger place future jobs on bit-identical levels.
+	Levels []float64 `json:"levels,omitempty"`
+	// Jobs is the number of jobs currently on the server.
+	Jobs int `json:"jobs"`
+	// OpenedAt is the time the server was opened.
+	OpenedAt float64 `json:"opened_at"`
+	// Lingering reports a keep-alive server that is empty but still
+	// open (and billing) awaiting reuse or expiry.
+	Lingering bool `json:"lingering,omitempty"`
+	// EmptySince is the time a lingering server last emptied — the base
+	// of its keep-alive expiry. Meaningful only when Lingering.
+	EmptySince float64 `json:"empty_since,omitempty"`
+	// Active lists the jobs resident on the server, ascending by ID, so
+	// a restored stream can route their departures.
+	Active []JobState `json:"active,omitempty"`
 }
 
-// BinRestore describes one open bin for RestoreLedger: its identity,
-// timing, and — critically — its exact accumulated level vector. The
-// level is NOT recomputed from the jobs: a live bin's level is a running
-// float sum over every placement and removal it has seen, so only the
-// verbatim accumulator makes a restored ledger place future jobs on
-// bit-identical levels. Levels (like each job's Sizes) is ADOPTED by
-// RestoreLedger as the bin's live accumulator (at d = 1, copied into the
-// bin); callers pass a copy if their source data outlives the call.
-type BinRestore struct {
-	Index      int
-	OpenedAt   float64
-	Lingering  bool    // open but empty, awaiting keep-alive expiry
-	EmptySince float64 // valid iff Lingering
-	Levels     []float64
-	Jobs       []RestoredJob
+// JobState describes one resident job inside a ServerState. Departure is
+// absent by construction: the stream is the online model, where a job's
+// departure is unknown until it happens (it is restored as +Inf).
+type JobState struct {
+	ID      int64     `json:"id"`
+	Size    float64   `json:"size"`
+	Sizes   []float64 `json:"sizes,omitempty"`
+	Arrival float64   `json:"arrival"`
+}
+
+// State captures the open bin as its durable record. The result shares no
+// memory with the bin.
+func (b *Bin) State() ServerState {
+	sv := ServerState{
+		Index:     b.Index,
+		Level:     b.Level(),
+		Levels:    append([]float64(nil), b.level...),
+		Jobs:      len(b.resident),
+		OpenedAt:  b.openedAt,
+		Lingering: b.Lingering(),
+	}
+	if sv.Lingering {
+		sv.EmptySince = b.emptySince
+	}
+	if sv.Jobs > 0 {
+		sv.Active = make([]JobState, len(b.resident))
+		for j, it := range b.resident {
+			sv.Active[j] = JobState{
+				ID:      int64(it.ID),
+				Size:    it.Size,
+				Sizes:   append([]float64(nil), it.Sizes...),
+				Arrival: it.Arrival,
+			}
+		}
+		slices.SortFunc(sv.Active, func(a, b JobState) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	return sv
 }
 
 // RestoreLedger rebuilds a ledger from durable snapshot state: the open
@@ -43,10 +84,10 @@ type BinRestore struct {
 // are not rebuilt — their usage lives in closedUsage and their indices
 // below the opened counter — so the cost follows the open fleet, not the
 // length of the run; the next bin to open takes Index opened, as in the
-// uninterrupted ledger. The result passes CheckInvariants before being
-// returned.
+// uninterrupted ledger. The ledger copies what it keeps, so open stays the
+// caller's. The result passes CheckInvariants before being returned.
 func RestoreLedger(capacity float64, dim int, keepAlive float64, indexed bool,
-	opened, peak int, closedUsage float64, open []BinRestore) (*Ledger, error) {
+	opened, peak int, closedUsage float64, open []ServerState) (*Ledger, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("bins: restore with dim %d", dim)
 	}
@@ -69,7 +110,7 @@ func RestoreLedger(capacity float64, dim int, keepAlive float64, indexed bool,
 	g.open = make([]*Bin, 0, len(open))
 	jobs := 0
 	for i := range open {
-		jobs += len(open[i].Jobs)
+		jobs += len(open[i].Active)
 	}
 	g.location = newIDTable(jobs)
 	prev := -1
@@ -108,13 +149,20 @@ func RestoreLedger(capacity float64, dim int, keepAlive float64, indexed bool,
 	return g, nil
 }
 
-// restoreOpenBin reconstructs one open bin verbatim from its snapshot.
-func restoreOpenBin(r *BinRestore, capacity float64, dim int, linger bool) (*Bin, error) {
+// restoreOpenBin reconstructs one open bin verbatim from its record,
+// refusing a record that contradicts itself.
+func restoreOpenBin(r *ServerState, capacity float64, dim int, linger bool) (*Bin, error) {
 	if len(r.Levels) != dim {
 		return nil, fmt.Errorf("bins: restore bin %d has %d level dims, want %d", r.Index, len(r.Levels), dim)
 	}
-	if r.Lingering != (len(r.Jobs) == 0) {
-		return nil, fmt.Errorf("bins: restore bin %d lingering=%v with %d jobs", r.Index, r.Lingering, len(r.Jobs))
+	if r.Level != r.Levels[0] {
+		return nil, fmt.Errorf("bins: restore bin %d has level %g but levels[0] %g", r.Index, r.Level, r.Levels[0])
+	}
+	if r.Jobs != len(r.Active) {
+		return nil, fmt.Errorf("bins: restore bin %d claims %d jobs but lists %d", r.Index, r.Jobs, len(r.Active))
+	}
+	if r.Lingering != (len(r.Active) == 0) {
+		return nil, fmt.Errorf("bins: restore bin %d lingering=%v with %d jobs", r.Index, r.Lingering, len(r.Active))
 	}
 	b := &Bin{
 		Index:           r.Index,
@@ -123,13 +171,13 @@ func restoreOpenBin(r *BinRestore, capacity float64, dim int, linger bool) (*Bin
 		openedAt:        r.OpenedAt,
 		closedAt:        math.NaN(),
 		emptySince:      math.NaN(),
-		level:           r.Levels, // adopted; see BinRestore
-		resident:        make([]item.Item, len(r.Jobs)),
+		resident:        make([]item.Item, len(r.Active)),
 	}
-	if dim == 1 {
-		b.level1[0] = r.Levels[0]
-		b.level = b.level1[:]
+	b.level = b.level1[:]
+	if dim > 1 {
+		b.level = make([]float64, dim)
 	}
+	copy(b.level, r.Levels)
 	if r.Lingering {
 		if !linger {
 			return nil, fmt.Errorf("bins: restore bin %d lingers but keep-alive is off", r.Index)
@@ -139,18 +187,14 @@ func restoreOpenBin(r *BinRestore, capacity float64, dim int, linger bool) (*Bin
 		}
 		b.emptySince = r.EmptySince
 	}
-	for i, jb := range r.Jobs {
-		it := item.Item{
-			ID:        jb.ID,
+	for i, jb := range r.Active {
+		b.resident[i] = item.Item{
+			ID:        item.ID(jb.ID),
 			Size:      jb.Size,
-			Sizes:     jb.Sizes, // adopted; see RestoredJob
+			Sizes:     append([]float64(nil), jb.Sizes...),
 			Arrival:   jb.Arrival,
 			Departure: math.Inf(1), // streaming model: unknown until Depart
 		}
-		if len(jb.Sizes) == 0 {
-			it.Sizes = nil
-		}
-		b.resident[i] = it
 	}
 	return b, nil
 }

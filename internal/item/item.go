@@ -163,16 +163,6 @@ func (l List) TotalSize() float64 {
 	return s
 }
 
-// TotalDemand returns the total time–space demand, sum of s(r)*|I(r)|.
-// By Proposition 1 of the paper this lower-bounds OPT_total for unit bins.
-func (l List) TotalDemand() float64 {
-	var d float64
-	for _, it := range l {
-		d += it.Demand()
-	}
-	return d
-}
-
 // PackingPeriod returns the hull interval from first arrival to last
 // departure (the paper's packing period), or the empty interval for an
 // empty list.

@@ -44,8 +44,8 @@ func (b Bounds) Width() float64 { return b.Upper - b.Lower }
 // server holds at most one unit of every dimension at once, so each
 // dimension's demand alone bounds OPT. (The sum of the largest
 // components does not: (0.9, 0.1) and (0.1, 0.9) together for 2 time
-// units share one server, an OPT of 2 against 3.6.) At d = 1 it equals
-// l.TotalDemand() bit for bit.
+// units share one server, an OPT of 2 against 3.6.) At d = 1 it is the
+// sum of Size*Duration in list order.
 func DemandLowerBound(l item.List) float64 {
 	d := 1
 	for _, it := range l {

@@ -121,7 +121,8 @@ func (e *engine) arrive(it item.Item, t float64, capacityFor func(Arrival) (floa
 		return b, true, nil
 	}
 	if !b.IsOpen() || !b.Fits(it) {
-		return nil, false, failf(ErrPolicyMisplace, "packing: policy %s returned unusable bin %d for job %d", e.algo.Name(), b.Index, it.ID)
+		return nil, false, failf(ErrPolicyMisplace, "packing: policy %s returned unusable bin %d (level %g) for job %d (size %g) at t=%g",
+			e.algo.Name(), b.Index, b.Level(), it.ID, it.Size, t)
 	}
 	e.ledger.PlaceIn(b, it, t)
 	return b, false, nil

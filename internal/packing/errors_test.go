@@ -134,7 +134,7 @@ func TestRunSharesStreamSentinels(t *testing.T) {
 	}
 	// Vector demand with a component exceeding capacity.
 	vec := item.List{{ID: 1, Size: 0.9, Sizes: []float64{0.2, 0.9}, Arrival: 0, Departure: 1}}
-	if _, err := Run(NewFirstFit(), vec, &Options{Capacity: 0.5, Dim: 2}); !errors.Is(err, ErrBadDemand) {
+	if _, err := Run(NewFirstFit(), vec, &Options{Capacity: 0.5}); !errors.Is(err, ErrBadDemand) {
 		t.Fatalf("oversized vector: err = %v, want ErrBadDemand", err)
 	}
 	// A policy returning a non-fitting bin aborts with ErrPolicyMisplace.

@@ -72,8 +72,8 @@ func validateFleet(fleet []ServerType) ([]ServerType, error) {
 }
 
 // RunFleet simulates the online packing with a heterogeneous fleet: when
-// the policy opens a server, chooser picks the tier. opt.Capacity and
-// opt.Dim are ignored (fleet runs are scalar); the other options apply.
+// the policy opens a server, chooser picks the tier. opt.Capacity is
+// ignored (fleet runs are scalar); the other options apply.
 // Items larger than every tier are rejected up front.
 func RunFleet(algo Algorithm, l item.List, fleet []ServerType, chooser TypeChooser, opt *Options) (*Result, error) {
 	fleetSorted, err := validateFleet(fleet)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dbp/internal/bins"
-	"dbp/internal/event"
 	"dbp/internal/item"
 )
 
@@ -18,45 +17,42 @@ import (
 //
 // Bin indices in the assignment are labels: they are normalized to
 // opening order (the order bins first receive an item), so any distinct
-// labeling is accepted.
+// labeling is accepted. The assignment runs as a policy on the
+// simulator's own loop, so an over-capacity placement fails as the
+// engine's misplacement check does (ErrPolicyMisplace).
 func Replay(l item.List, assign map[item.ID]int) (*Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, fmt.Errorf("packing: invalid instance: %w", err)
 	}
-	dim := (&Options{}).dim(l)
 	for _, it := range l {
 		if _, ok := assign[it.ID]; !ok {
 			return nil, fmt.Errorf("packing: item %d has no assignment", it.ID)
 		}
 	}
-	ledger := bins.NewLedger(1.0, dim)
-	rec := newRecorder(len(l))
-	label2bin := make(map[int]*bins.Bin)
-	for _, e := range event.Order(l, false) {
-		switch e.Kind {
-		case event.Depart:
-			ledger.Remove(e.Item.ID, e.Time)
-		case event.Arrive:
-			label := assign[e.Item.ID]
-			b := label2bin[label]
-			if b != nil && !b.IsOpen() {
-				// The label's previous bin closed; the external packing
-				// reuses the label for a fresh server.
-				b = nil
-			}
-			opened := b == nil
-			if opened {
-				b = ledger.OpenNew(e.Item, e.Time)
-				label2bin[label] = b
-			} else {
-				if !b.Fits(e.Item) {
-					return nil, fmt.Errorf("packing: replay places item %d (size %g) in bin %d over capacity (level %g) at t=%g",
-						e.Item.ID, e.Item.Size, label, b.Level(), e.Time)
-				}
-				ledger.PlaceIn(b, e.Item, e.Time)
-			}
-			rec.placed(b, e.Item, opened)
-		}
-	}
-	return rec.result("Replay", l, ledger)
+	return runCore(&follow{assign: assign}, l, &Options{Engine: EngineLinear}, nil)
 }
+
+// follow is the policy Replay runs: it places each job in the server its
+// label names while that server is open, and otherwise has the engine
+// open one — the label's first job, or its first after the label's
+// server closed (the external packing reuses the label for a fresh
+// server).
+type follow struct {
+	assign map[item.ID]int
+	open   map[int]*bins.Bin // label -> its current server
+	label  int               // the label of the job being placed
+}
+
+func (f *follow) Name() string { return "Replay" }
+
+func (f *follow) Reset() { f.open = make(map[int]*bins.Bin) }
+
+func (f *follow) Place(a Arrival, _ Fleet) *bins.Bin {
+	f.label = f.assign[a.ID]
+	if b := f.open[f.label]; b != nil && b.IsOpen() {
+		return b
+	}
+	return nil
+}
+
+func (f *follow) BinOpened(b *bins.Bin) { f.open[f.label] = b }

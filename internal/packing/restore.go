@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"dbp/internal/bins"
-	"dbp/internal/item"
 )
 
 // PolicyState is the serializable retained state of a bounded-state
@@ -84,37 +83,9 @@ func RestoreStream(algo Algorithm, snap Snapshot) (*Stream, error) {
 	if snap.Events > 0 && (math.IsNaN(snap.Now) || math.IsInf(snap.Now, 0)) {
 		return nil, failf(ErrSnapshotMismatch, "packing: snapshot clock %g is not finite", snap.Now)
 	}
-	open := make([]bins.BinRestore, len(snap.Servers))
-	for i, sv := range snap.Servers {
-		// The snapshot stays caller-owned: copy every float slice handed
-		// down, since bins.RestoreLedger adopts what it is given. Without
-		// these copies a caller mutating (or reusing) the snapshot after a
-		// successful restore would silently corrupt live server levels and
-		// resident jobs' demand vectors.
-		br := bins.BinRestore{
-			Index:     sv.Index,
-			OpenedAt:  sv.OpenedAt,
-			Lingering: sv.Lingering,
-			Levels:    append([]float64(nil), sv.Levels...),
-		}
-		if sv.Lingering {
-			br.EmptySince = sv.EmptySince
-		}
-		if len(sv.Active) > 0 {
-			br.Jobs = make([]bins.RestoredJob, len(sv.Active))
-			for j, jb := range sv.Active {
-				br.Jobs[j] = bins.RestoredJob{
-					ID:      item.ID(jb.ID),
-					Size:    jb.Size,
-					Sizes:   append([]float64(nil), jb.Sizes...),
-					Arrival: jb.Arrival,
-				}
-			}
-		}
-		open[i] = br
-	}
+	// The snapshot stays caller-owned: RestoreLedger copies what it keeps.
 	ledger, err := bins.RestoreLedger(capacity, dim, snap.KeepAlive, kind != EngineLinear,
-		snap.ServersUsed, snap.PeakServers, snap.ClosedUsage, open)
+		snap.ServersUsed, snap.PeakServers, snap.ClosedUsage, snap.Servers)
 	if err != nil {
 		return nil, failf(ErrSnapshotMismatch, "packing: %v", err)
 	}

@@ -347,3 +347,27 @@ func TestRestoreStreamRejectsMismatch(t *testing.T) {
 		t.Fatal("unknown engine accepted")
 	}
 }
+
+// TestRestoreStreamRejectsContradictoryServer hand-edits the two fields
+// of a real snapshot's server that repeat what the rest of its record
+// says — jobs (the length of active) and level (levels[0]) — and requires
+// each edit to be refused rather than restored.
+func TestRestoreStreamRejectsContradictoryServer(t *testing.T) {
+	s := NewStream(NewFirstFit(), 1, 2)
+	s.Arrive(1, 0.5, []float64{0.5, 0.25}, 0)
+	s.Arrive(2, 0.25, []float64{0.125, 0.25}, 1)
+	snap := s.Snapshot()
+	if _, err := RestoreStream(NewFirstFit(), roundTrip(t, snap)); err != nil {
+		t.Fatalf("unedited snapshot: %v", err)
+	}
+	for name, edit := range map[string]func(*ServerState){
+		"jobs":  func(sv *ServerState) { sv.Jobs++ },
+		"level": func(sv *ServerState) { sv.Level += 0.125 },
+	} {
+		bad := roundTrip(t, snap)
+		edit(&bad.Servers[0])
+		if _, err := RestoreStream(NewFirstFit(), bad); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("edited %s: got %v, want ErrSnapshotMismatch", name, err)
+		}
+	}
+}

@@ -16,9 +16,6 @@ type Options struct {
 	// paper's normalization — item sizes are fractions of a server). Run
 	// refuses a NaN, infinite or negative capacity.
 	Capacity float64
-	// Dim forces the resource dimensionality; 0 infers it from the items
-	// (1 unless some item carries a vector demand).
-	Dim int
 	// Engine selects the Fleet backend: EngineIndexed ("" = default)
 	// answers policy queries from the ledger-maintained index in
 	// O(log B); EngineLinear uses the O(B) reference scans. The two
@@ -61,10 +58,9 @@ func (o *Options) engine() EngineKind {
 	return o.Engine
 }
 
-func (o *Options) dim(l item.List) int {
-	if o != nil && o.Dim > 0 {
-		return o.Dim
-	}
+// listDim is a list's dimensionality: 1 unless some item carries a
+// vector demand.
+func listDim(l item.List) int {
 	d := 1
 	for _, it := range l {
 		if it.Dim() > d {
@@ -93,7 +89,7 @@ func Run(algo Algorithm, l item.List, opt *Options) (*Result, error) {
 		}
 		return nil, fmt.Errorf("packing: invalid instance: %w", err)
 	}
-	dim := opt.dim(l)
+	dim := listDim(l)
 	for _, it := range l {
 		if it.Dim() != dim {
 			return nil, fmt.Errorf("packing: item %d has dim %d, run has dim %d", it.ID, it.Dim(), dim)
@@ -118,7 +114,7 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 		}
 		keepAlive = opt.KeepAlive
 	}
-	eng := newEngine(algo, opt.capacity(), opt.dim(l), keepAlive, opt.engine(), opt != nil && opt.Clairvoyant)
+	eng := newEngine(algo, opt.capacity(), listDim(l), keepAlive, opt.engine(), opt != nil && opt.Clairvoyant)
 	rec := newRecorder(len(l))
 
 	for _, e := range event.Order(l, opt != nil && opt.ArrivalsFirst) {

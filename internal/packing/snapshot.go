@@ -1,6 +1,6 @@
 package packing
 
-import "sort"
+import "dbp/internal/bins"
 
 // Snapshot is a point-in-time view of a Stream's state: the running
 // objective totals plus one entry per open server. It is a deep copy —
@@ -45,38 +45,14 @@ type Snapshot struct {
 	Servers []ServerState `json:"servers,omitempty"`
 }
 
-// ServerState describes one open server inside a Snapshot.
-type ServerState struct {
-	// Index is the server's position in opening order (stream-wide).
-	Index int `json:"index"`
-	// Level is the scalar utilization (first dimension for vector jobs).
-	Level float64 `json:"level"`
-	// Levels is the per-dimension utilization vector.
-	Levels []float64 `json:"levels,omitempty"`
-	// Jobs is the number of jobs currently on the server.
-	Jobs int `json:"jobs"`
-	// OpenedAt is the time the server was opened.
-	OpenedAt float64 `json:"opened_at"`
-	// Lingering reports a keep-alive server that is empty but still
-	// open (and billing) awaiting reuse or expiry.
-	Lingering bool `json:"lingering,omitempty"`
-	// EmptySince is the time a lingering server last emptied — the base
-	// of its keep-alive expiry. Meaningful only when Lingering.
-	EmptySince float64 `json:"empty_since,omitempty"`
-	// Active lists the jobs resident on the server, ascending by ID, so
-	// a restored stream can route their departures.
-	Active []JobState `json:"active,omitempty"`
-}
-
-// JobState describes one resident job inside a ServerState. Departure is
-// absent by construction: the stream is the online model, where a job's
-// departure is unknown until it happens.
-type JobState struct {
-	ID      int64     `json:"id"`
-	Size    float64   `json:"size"`
-	Sizes   []float64 `json:"sizes,omitempty"`
-	Arrival float64   `json:"arrival"`
-}
+// ServerState describes one open server inside a Snapshot, and JobState
+// one resident job inside a ServerState. They are the ledger's own record
+// of an open server, which bins.Bin.State writes and bins.RestoreLedger
+// reads.
+type (
+	ServerState = bins.ServerState
+	JobState    = bins.JobState
+)
 
 // UsageTime returns the accumulated server usage time up to the last
 // event fed to the stream — AccumulatedUsage(Now()). Open servers
@@ -113,31 +89,7 @@ func (s *Stream) Snapshot() Snapshot {
 	if len(open) > 0 {
 		snap.Servers = make([]ServerState, len(open))
 		for i, b := range open {
-			sv := ServerState{
-				Index:     b.Index,
-				Level:     b.Level(),
-				Levels:    b.LevelVec(),
-				Jobs:      b.NumActive(),
-				OpenedAt:  b.OpenedAt(),
-				Lingering: b.Lingering(),
-			}
-			if sv.Lingering {
-				sv.EmptySince = b.EmptySince()
-			}
-			if sv.Jobs > 0 {
-				items := b.ActiveItems()
-				sv.Active = make([]JobState, len(items))
-				for j, it := range items {
-					sv.Active[j] = JobState{
-						ID:      int64(it.ID),
-						Size:    it.Size,
-						Sizes:   append([]float64(nil), it.Sizes...),
-						Arrival: it.Arrival,
-					}
-				}
-				sort.Slice(sv.Active, func(a, b int) bool { return sv.Active[a].ID < sv.Active[b].ID })
-			}
-			snap.Servers[i] = sv
+			snap.Servers[i] = b.State()
 		}
 	}
 	return snap

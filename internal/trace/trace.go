@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"dbp/internal/item"
+	"dbp/internal/opt"
 	"dbp/internal/packing"
 )
 
@@ -220,7 +221,7 @@ type Stats struct {
 	N           int
 	Mu          float64
 	Span        float64
-	Demand      float64
+	Demand      float64 // Proposition 1's bound, per dimension at d >= 2
 	PeakLoad    float64
 	MinDuration float64
 	MaxDuration float64
@@ -233,7 +234,7 @@ func Summarize(l item.List) Stats {
 		N:           len(l),
 		Mu:          l.Mu(),
 		Span:        l.Span(),
-		Demand:      l.TotalDemand(),
+		Demand:      opt.DemandLowerBound(l),
 		PeakLoad:    l.MaxConcurrentLoad(),
 		MinDuration: l.MinDuration(),
 		MaxDuration: l.MaxDuration(),

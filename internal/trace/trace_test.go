@@ -223,6 +223,20 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// The demand a summary reports is Proposition 1's bound, per dimension at
+// d >= 2: two jobs that peak in different dimensions share one server for
+// 2 time units, so the demand is 2 (OPT is 2), not the 3.6 that summing
+// each job's largest component gives.
+func TestSummarizeDemandPerDimension(t *testing.T) {
+	pair := item.List{
+		{ID: 1, Size: 0.9, Sizes: []float64{0.9, 0.1}, Arrival: 0, Departure: 2},
+		{ID: 2, Size: 0.9, Sizes: []float64{0.1, 0.9}, Arrival: 0, Departure: 2},
+	}
+	if got := Summarize(pair).Demand; got != 2 {
+		t.Fatalf("Demand = %g, want 2", got)
+	}
+}
+
 func TestWriteAssignment(t *testing.T) {
 	l := item.List{
 		{ID: 2, Size: 0.5, Arrival: 1, Departure: 2},
