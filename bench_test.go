@@ -209,7 +209,7 @@ func BenchmarkLargeFleetFirstFitIndexedKeepAlive1M(b *testing.B) {
 // worstfit, almostworstfit, vectorbestfit and drworstfit — while the
 // linear engine's ratio tracks the fleet size. The d=2 rows price the
 // queries at d >= 2: firstfit and drworstfit stay logarithmic,
-// vectorbestfit walks the total-gap treap in O(log B + k), k the
+// vectorbestfit walks the total-gap level list in O(log B + k), k the
 // non-fitting bins ahead of its answer. The scoring rules no query
 // answers — bestfit, worstfit and almostworstfit at d=2, dotfit and
 // normfit at any d — scan the open list and are O(B) on both engines

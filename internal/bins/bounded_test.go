@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -60,9 +61,9 @@ type zipfianEvent struct {
 }
 
 // reachableBins walks everything the ledger and its index point at — each
-// slice to its capacity, the map, the heap, each built treap and its walk
-// stack — and returns the distinct bins found. The free list holds items,
-// not bins: it checks
+// slice to its capacity, the map, the heap, and each built level list's
+// spine and every block in it to their capacities — and returns the
+// distinct bins found. The free list holds items, not bins: it checks
 // that every slice there, and every open bin's resident slice past its
 // length, holds only zero items, so a departed job's demand vector is not
 // kept alive either.
@@ -103,27 +104,15 @@ func reachableBins(t *testing.T, g *Ledger) map[*Bin]bool {
 		for _, b := range ix.bins[:cap(ix.bins)] {
 			add(b)
 		}
-		var walk func(*levelNode)
-		walk = func(n *levelNode) {
-			if n != nil {
-				add(n.bin)
-				walk(n.l)
-				walk(n.r)
-			}
-		}
-		for _, tr := range ix.treaps() {
+		for _, tr := range ix.lists() {
 			if tr == nil {
 				continue
 			}
-			for _, n := range tr.nodes[:cap(tr.nodes)] {
-				if n != nil {
-					add(n.bin)
+			for _, blk := range tr.blocks[:cap(tr.blocks)] {
+				for _, e := range blk[:cap(blk)] {
+					add(e.bin)
 				}
 			}
-			for _, n := range tr.walk[:cap(tr.walk)] {
-				walk(n)
-			}
-			walk(tr.root)
 		}
 	}
 	return seen
@@ -138,7 +127,7 @@ func reachableBins(t *testing.T, g *Ledger) map[*Bin]bool {
 // (FirstFitting), by Best Fit (TightestFittingVec at d = 1) and, at d = 2
 // with a keep-alive, by vector Best Fit (TightestFittingVec), and checks
 // that each built only the structure its query reads: the gap tree, the
-// min-gap treap, the total-gap treap.
+// min-gap list, the total-gap list.
 func TestBoundedLedgerState(t *testing.T) {
 	// Not shortened under -short: Best Fit keeps its bins open so long
 	// that a shorter replay does not outlive its fleet.
@@ -190,10 +179,10 @@ func TestBoundedLedgerState(t *testing.T) {
 					t.Fatalf("%s, keep-alive %g, event %d: %d of %d leaves in use for %d slots",
 						query, keepAlive, i+1, tr.n, tr.size, len(ix.bins))
 				}
-				for _, tr := range ix.treaps() {
-					if tr != nil && len(tr.nodes) != len(ix.bins) {
-						t.Fatalf("%s, keep-alive %g, event %d: %d treap node slots for %d slots",
-							query, keepAlive, i+1, len(tr.nodes), len(ix.bins))
+				for _, tr := range ix.lists() {
+					if tr != nil && len(tr.keys) != len(ix.bins) {
+						t.Fatalf("%s, keep-alive %g, event %d: %d filed keys for %d slots",
+							query, keepAlive, i+1, len(tr.keys), len(ix.bins))
 					}
 				}
 				if len(g.free) > g.MaxConcurrentOpen() {
@@ -219,11 +208,11 @@ func TestBoundedLedgerState(t *testing.T) {
 			built := [3]bool{ix.tree != nil, ix.mins != nil, ix.sums != nil}
 			want := [3]bool{true, false, false} // FirstFitting
 			if c.query == "TightestFittingVec" {
-				// At d = 1 the total-gap query reads the min-gap treap.
+				// At d = 1 the total-gap query reads the min-gap list.
 				want = [3]bool{false, c.dim == 1, c.dim == 2}
 			}
 			if built != want {
-				t.Fatalf("%s, keep-alive %g: built gap tree, min-gap treap, total-gap treap = %v, want %v", query, keepAlive, built, want)
+				t.Fatalf("%s, keep-alive %g: built gap tree, min-gap list, total-gap list = %v, want %v", query, keepAlive, built, want)
 			}
 			t.Logf("%s, keep-alive %g: %d events, %d bins opened, %d open, %d slots", query, keepAlive, n, g.NumOpened(), g.NumOpen(), len(ix.bins))
 		}
@@ -234,7 +223,7 @@ func TestBoundedLedgerState(t *testing.T) {
 // First Fit ledger holding 64 resident bins, a cycle that opens a bin,
 // fills it with four placements, drains it and so closes it allocates the
 // Bin and nothing else — its level is a field of the Bin at d = 1, there
-// is no treap node, and its resident slice is one a closed bin left on
+// is no level list, and its resident slice is one a closed bin left on
 // the free list.
 func TestBoundedAllocsOpenCycle(t *testing.T) {
 	g := NewLedger(1, 1)
@@ -298,15 +287,15 @@ func TestBoundedResidentSlice(t *testing.T) {
 // TestZeroAllocLevelChange pins the steady-state cost of the ledger's hot
 // pair: placing an item into an already-open bin and removing it again,
 // index on, allocates nothing — the tree leaf is rewritten in place, each
-// treap node is detached and re-filed, and the map and the resident slice
-// reuse their slots. At d = 2 every structure is built first (at d = 1 the
-// total-gap query reads the min-gap treap), so the pair maintains all of
-// them.
+// level list moves the bin's entry within its block, and the map and the
+// resident slice reuse their slots. At d = 2 every structure is built
+// first (at d = 1 the total-gap query reads the min-gap list), so the pair
+// maintains all of them.
 func TestZeroAllocLevelChange(t *testing.T) {
 	for _, dim := range []int{1, 2} {
 		g := NewLedger(1, dim)
 		g.EnableIndex()
-		for i := 0; i < 64; i++ { // a fleet deep enough for the treaps to rotate
+		for i := 0; i < 64; i++ { // one full level-list block
 			it := item.Item{ID: item.ID(i + 1), Size: 0.3 + 0.005*float64(i), Arrival: 0, Departure: math.Inf(1)}
 			if dim == 2 {
 				it.Sizes = []float64{it.Size, 0.6 - 0.004*float64(i)}
@@ -319,7 +308,7 @@ func TestZeroAllocLevelChange(t *testing.T) {
 		ix.MaxMinGapFitting(make([]float64, dim))
 		ix.TightestFittingVec(make([]float64, dim))
 		if ix.tree == nil || ix.mins == nil || (ix.sums != nil) != (dim == 2) {
-			t.Fatalf("d=%d: built gap tree %v, min-gap treap %v, total-gap treap %v", dim, ix.tree != nil, ix.mins != nil, ix.sums != nil)
+			t.Fatalf("d=%d: built gap tree %v, min-gap list %v, total-gap list %v", dim, ix.tree != nil, ix.mins != nil, ix.sums != nil)
 		}
 		b := g.OpenBins()[17]
 		it := item.Item{ID: 1000, Size: 0.25, Arrival: 1, Departure: math.Inf(1)}
@@ -335,6 +324,56 @@ func TestZeroAllocLevelChange(t *testing.T) {
 		if err := g.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestZeroAllocLevelChurn pins the level lists' steady state on a fleet
+// of the benchmark's size: 3,400 open bins at d = 2 with every index
+// structure built, where each op moves one random bin to random levels and
+// refreshes the index. Keys cross block boundaries, so blocks split and
+// empty. After a warm-up that lets the spine reach its working size, the
+// churn allocates nothing: a split reuses a block an earlier delete
+// emptied. (TestZeroAllocLevelChange's fleet is one block.)
+func TestZeroAllocLevelChurn(t *testing.T) {
+	const fleet = 3400
+	rng := rand.New(rand.NewSource(1))
+	g := NewLedger(1, 2)
+	g.EnableIndex()
+	for i := 0; i < fleet; i++ {
+		g.OpenNew(item.Item{ID: item.ID(i + 1), Size: 0.1, Sizes: []float64{0.1, 0.1}, Departure: math.Inf(1)}, 0)
+	}
+	ix := g.Index()
+	ix.FirstFitting(1)
+	ix.MaxMinGapFitting([]float64{0, 0})
+	ix.TightestFittingVec([]float64{0, 0})
+	op := func() {
+		b := g.open[rng.Intn(fleet)]
+		b.level[0], b.level[1] = 0.1+0.8*rng.Float64(), 0.1+0.8*rng.Float64()
+		ix.refresh(b)
+	}
+	for i := 0; i < 100_000; i++ {
+		op()
+	}
+	// Every allocation counts: testing.AllocsPerRun would round a split's
+	// one block per thousand refreshes down to 0.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100_000; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	t.Logf("%d bins in %d min-gap and %d total-gap blocks", fleet, len(ix.mins.blocks), len(ix.sums.blocks))
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("100,000 refreshes on %d bins allocate %d times, want 0", fleet, n)
+	}
+	if len(ix.mins.blocks) < 2 || len(ix.sums.blocks) < 2 {
+		t.Fatalf("the churn ran on %d and %d blocks, want several", len(ix.mins.blocks), len(ix.sums.blocks))
+	}
+	// The levels were set by hand, so the bins' own invariants no longer
+	// hold; the index's must.
+	if err := ix.checkCoherent(g.open); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // Index is the ledger-maintained policy index over the open bins: a gap
-// tree and up to two treaps, the same at every dimension d (a scalar fleet
-// is d = 1).
+// tree and up to two level lists, the same at every dimension d (a scalar
+// fleet is d = 1).
 //
 // Every policy query takes the raw demand vector and admits a bin by the
 // exact Bin.FitsDemand comparison the linear reference applies, so each
@@ -22,22 +22,24 @@ import (
 //     FitsDemand; otherwise (and after a borderline miss) a pruned
 //     depth-first search stops at the first hit — a subtree is skipped
 //     as soon as one dimension's maximum cannot accommodate the demand.
-//   - mins, a treap keyed by (MinGap, index) (levelTree), answers
-//     MaxMinGapFitting and SecondEmptiestFitting by walking key groups
-//     downward from the emptiest and verifying each candidate with
-//     FitsDemand. MinGap is the dominant-resource scalarization of the
-//     gap vector; at d = 1 it is the gap itself, so the two are scalar
-//     Worst Fit and Almost Worst Fit there.
-//   - sums, a treap keyed by (TotalGap, index), answers TightestFittingVec
-//     — Best Fit — by walking upward from the demand's total and
-//     verifying each candidate with FitsDemand. At d = 1 TotalGap is
-//     MinGap bit for bit, so the query reads mins and sums is never built.
+//   - mins, a level list (a sorted list of fixed-capacity blocks,
+//     levelList) keyed by (MinGap, index), answers MaxMinGapFitting and
+//     SecondEmptiestFitting by walking key groups downward from the
+//     emptiest and verifying each candidate with FitsDemand. MinGap is
+//     the dominant-resource scalarization of the gap vector; at d = 1 it
+//     is the gap itself, so the two are scalar Worst Fit and Almost Worst
+//     Fit there.
+//   - sums, a level list keyed by (TotalGap, index), answers
+//     TightestFittingVec — Best Fit — by walking upward from the demand's
+//     total and verifying each candidate with FitsDemand. At d = 1
+//     TotalGap is MinGap bit for bit, so the query reads mins and sums is
+//     never built.
 //
-// Each structure is built over the open bins (the tree in O(B), a treap
-// in O(B log B)) by the first query that reads it — in practice the first
-// arrival, over an empty fleet — and from then on every mutation keeps it
-// coherent; a structure no query has read costs nothing. So a policy pays
-// only for what it reads:
+// Each structure is built over the open bins (the tree in O(B), a level
+// list in O(B log B)) by the first query that reads it — in practice the
+// first arrival, over an empty fleet — and from then on every mutation
+// keeps it coherent; a structure no query has read costs nothing. So a
+// policy pays only for what it reads:
 //
 //	gap tree   First Fit, Last Fit at any d
 //	mins       Best/Worst/Almost Worst Fit and VectorBestFit at d = 1;
@@ -55,10 +57,9 @@ import (
 // the open bins into the first slots in the same order. Slot order is
 // therefore Bin.Index order at all times, First and Last Fit still return
 // the lowest and highest Bin.Index, and the tree's size follows the open
-// fleet, at an amortised O(1) per closure. A bin's treap node, found by
-// its slot in the treap's nodes, holds the bin and its own exact key,
-// (scalar, Bin.Index), with a priority hashed from Bin.Index, so neither
-// a treap's shape nor any answer depends on slots or on when it was built.
+// fleet, at an amortised O(1) per closure. A level list files each bin
+// under its exact key (scalar, Bin.Index) and keeps that key by slot, so
+// no answer depends on slots or on when the list was built.
 //
 // Keys and tree comparisons are exact — no epsilon — so query answers are
 // order-independent and reproducible.
@@ -69,8 +70,8 @@ type Index struct {
 
 	// Nil until the first query that reads them.
 	tree *gapTree
-	mins *levelTree // keyed by MinGap
-	sums *levelTree // keyed by TotalGap; never built at d = 1
+	mins *levelList // keyed by MinGap
+	sums *levelList // keyed by TotalGap; never built at d = 1
 
 	// Reusable query scratch (the index is single-writer, like its ledger).
 	need  []float64
@@ -91,29 +92,29 @@ func (ix *Index) gaps() *gapTree {
 	return ix.tree
 }
 
-// levels returns the (MinGap, index) treap, building it on first use.
-func (ix *Index) levels() *levelTree {
+// levels returns the (MinGap, index) list, building it on first use.
+func (ix *Index) levels() *levelList {
 	if ix.mins == nil {
-		ix.mins = newLevelTree((*Bin).MinGap, ix.bins)
+		ix.mins = newLevelList((*Bin).MinGap, ix.bins)
 	}
 	return ix.mins
 }
 
-// totals returns the (TotalGap, index) treap, building it on first use;
-// at d = 1 that is the MinGap treap, whose keys are the same floats.
-func (ix *Index) totals() *levelTree {
+// totals returns the (TotalGap, index) list, building it on first use;
+// at d = 1 that is the MinGap list, whose keys are the same floats.
+func (ix *Index) totals() *levelList {
 	if ix.dim == 1 {
 		return ix.levels()
 	}
 	if ix.sums == nil {
-		ix.sums = newLevelTree((*Bin).TotalGap, ix.bins)
+		ix.sums = newLevelList((*Bin).TotalGap, ix.bins)
 	}
 	return ix.sums
 }
 
-// treaps returns the two treap slots, nil where not built, for the
+// lists returns the two level-list slots, nil where not built, for the
 // mutations that maintain whichever are.
-func (ix *Index) treaps() [2]*levelTree { return [2]*levelTree{ix.mins, ix.sums} }
+func (ix *Index) lists() [2]*levelList { return [2]*levelList{ix.mins, ix.sums} }
 
 // observeOpen tracks a freshly opened bin (called by the ledger after the
 // first item is placed): it takes the next slot.
@@ -124,7 +125,7 @@ func (ix *Index) observeOpen(b *Bin) {
 	if ix.tree != nil {
 		ix.tree.add(ix.bins)
 	}
-	for _, t := range ix.treaps() {
+	for _, t := range ix.lists() {
 		if t != nil {
 			t.add(b)
 		}
@@ -136,7 +137,7 @@ func (ix *Index) refresh(b *Bin) {
 	if ix.tree != nil {
 		ix.tree.update(b.slot, b)
 	}
-	for _, t := range ix.treaps() {
+	for _, t := range ix.lists() {
 		if t != nil {
 			t.refresh(b)
 		}
@@ -149,7 +150,7 @@ func (ix *Index) remove(b *Bin) {
 	if ix.tree != nil {
 		ix.tree.tombstone(b.slot)
 	}
-	for _, t := range ix.treaps() {
+	for _, t := range ix.lists() {
 		if t != nil {
 			t.drop(b)
 		}
@@ -165,9 +166,9 @@ func (ix *Index) remove(b *Bin) {
 // order, and rebuilds the tree over exactly those leaves. The slices are
 // allocated afresh so that what a shrunken fleet retains follows its size.
 func (ix *Index) compact() {
-	for _, t := range ix.treaps() {
+	for _, t := range ix.lists() {
 		if t != nil {
-			t.compact(ix.live)
+			t.compact(ix.bins, ix.live)
 		}
 	}
 	kept := make([]*Bin, 0, ix.live)
@@ -289,19 +290,18 @@ func (ix *Index) emptiest(sizes []float64, rank int) *Bin {
 		}
 	}
 	minNeed -= 2 * Eps
-	for m := t.max(); m != nil; m = t.floorBelow(m.key) {
-		g := m.key
+	for m, ok := t.max(); ok; m, ok = t.floorBelow(t.at(m).key) {
+		g := t.at(m).key
 		if g < minNeed {
 			return nil
 		}
-		for n := t.ceil(g, 0); n != nil && n.key == g; n = t.ceil(g, n.idx+1) {
-			if !n.bin.FitsDemand(sizes) {
-				continue
+		for p, end := t.ceil(g, math.MinInt), t.next(m); p != end; p = t.next(p) {
+			if b := t.at(p).bin; b.FitsDemand(sizes) {
+				if rank == 0 {
+					return b
+				}
+				rank--
 			}
-			if rank == 0 {
-				return n.bin
-			}
-			rank--
 		}
 	}
 	return nil
@@ -309,7 +309,7 @@ func (ix *Index) emptiest(sizes []float64, rank int) *Bin {
 
 // TightestFittingVec returns the fitting bin with the smallest TotalGap,
 // ties toward the earliest opened, or nil (the vector Best Fit query). It
-// walks the (TotalGap, index) treap upward from the demand's total less
+// walks the (TotalGap, index) list upward from the demand's total less
 // 2*Eps per dimension and returns the first bin that passes the exact
 // FitsDemand test — the minimum a scan of the fitting bins would keep. The
 // start only prunes: a bin that fits has every gap at least its demand
@@ -354,25 +354,12 @@ func (ix *Index) checkCoherent(open []*Bin) error {
 		}
 		next++
 	}
-	for k, t := range ix.treaps() {
+	for k, t := range ix.lists() {
 		if t == nil {
 			continue
 		}
-		name := [2]string{"min-gap", "total-gap"}[k]
-		if len(t.nodes) != len(ix.bins) {
-			return fmt.Errorf("%s treap has %d node slots for %d slots", name, len(t.nodes), len(ix.bins))
-		}
-		for i, b := range ix.bins {
-			n := t.nodes[i]
-			switch {
-			case b == nil && n != nil:
-				return fmt.Errorf("closed slot %d keeps %s treap node of bin %d", i, name, n.idx)
-			case b != nil && (n == nil || n.bin != b || n.key != t.key(b) || t.find(n.key, n.idx) != n):
-				return fmt.Errorf("%s treap does not file open bin %d under (%g, %d)", name, b.Index, t.key(b), b.Index)
-			}
-		}
-		if n := t.count(); n != len(open) {
-			return fmt.Errorf("%s treap holds %d keys, want %d open bins", name, n, len(open))
+		if err := t.check(ix.bins, ix.live); err != nil {
+			return fmt.Errorf("%s list: %v", [2]string{"min-gap", "total-gap"}[k], err)
 		}
 	}
 	return nil

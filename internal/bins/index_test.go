@@ -139,7 +139,7 @@ func TestEnableIndexLatePanics(t *testing.T) {
 // length is not the fleet's dimension: the linear reference visits no bin
 // (FitsDemand rejects the length), so the index must visit none either —
 // and must neither descend the tree with a threshold vector of the wrong
-// stride nor walk the treap, nor build either structure to answer. A
+// stride nor walk a level list, nor build either structure to answer. A
 // well-dimensioned demand on the same fleet finds the bin.
 func TestIndexIllDimensionedDemand(t *testing.T) {
 	demand := func(n int) []float64 {
@@ -173,21 +173,21 @@ func TestIndexIllDimensionedDemand(t *testing.T) {
 			if len(linear) > 0 {
 				ref = linear[0]
 			}
-			// MaxMinGapFitting alone reads the min-gap treap.
+			// MaxMinGapFitting alone reads the min-gap list.
 			if got := ix.MaxMinGapFitting(sizes); got != ref {
 				t.Errorf("dim %d, demand of length %d: MaxMinGapFitting = bin %d, linear scan %d", dim, n, binIdx(got), binIdx(ref))
 			}
 			if built := ix.mins != nil; built != (n == dim) || ix.tree != nil || ix.sums != nil {
-				t.Errorf("dim %d, demand of length %d: after MaxMinGapFitting the min-gap treap is built %v, the gap tree %v, the total-gap treap %v",
+				t.Errorf("dim %d, demand of length %d: after MaxMinGapFitting the min-gap list is built %v, the gap tree %v, the total-gap list %v",
 					dim, n, built, ix.tree != nil, ix.sums != nil)
 			}
-			// TightestFittingVec reads the total-gap treap (at d = 1, the
+			// TightestFittingVec reads the total-gap list (at d = 1, the
 			// min-gap one).
 			if got := ix.TightestFittingVec(sizes); got != ref {
 				t.Errorf("dim %d, demand of length %d: TightestFittingVec = bin %d, linear scan %d", dim, n, binIdx(got), binIdx(ref))
 			}
 			if built := ix.sums != nil; built != (n == dim && dim > 1) || ix.tree != nil {
-				t.Errorf("dim %d, demand of length %d: after TightestFittingVec the total-gap treap is built %v, the gap tree %v",
+				t.Errorf("dim %d, demand of length %d: after TightestFittingVec the total-gap list is built %v, the gap tree %v",
 					dim, n, built, ix.tree != nil)
 			}
 			for name, got := range map[string]*Bin{
@@ -370,7 +370,7 @@ func TestIndexBuiltOnFirstQuery(t *testing.T) {
 			t.Fatalf("dim %d: first FirstFitting(%g) = bin %d, linear %d", dim, need, binIdx(got), binIdx(ref))
 		}
 		if ix := g.Index(); ix.tree == nil || ix.mins != nil || ix.sums != nil {
-			t.Fatalf("dim %d: FirstFitting built the gap tree %v, the treaps %v and %v", dim, ix.tree != nil, ix.mins != nil, ix.sums != nil)
+			t.Fatalf("dim %d: FirstFitting built the gap tree %v, the level lists %v and %v", dim, ix.tree != nil, ix.mins != nil, ix.sums != nil)
 		}
 		for i := 0; i < 500; i++ {
 			checkQueries(t, g, rng.Float64())
@@ -505,7 +505,7 @@ func TestTightestFittingVecMatchesScan(t *testing.T) {
 			}
 			wrong("after the replay")
 			if built := ix.sums != nil; built != (dim > 1) || ix.tree != nil {
-				t.Fatalf("d=%d: built total-gap treap %v (want %v), gap tree %v", dim, built, dim > 1, ix.tree != nil)
+				t.Fatalf("d=%d: built total-gap list %v (want %v), gap tree %v", dim, built, dim > 1, ix.tree != nil)
 			}
 			if ties == 0 || compactions == 0 {
 				t.Fatalf("d=%d, keep-alive %g: %d of %d queries had tied totals, %d compactions — the replay exercised too little", dim, keepAlive, ties, queries, compactions)

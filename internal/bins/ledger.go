@@ -31,13 +31,13 @@ import (
 //     closures, and each closure O(log B);
 //   - the index, when enabled, updates only the structures a query has
 //     built (see Index): per level change, one root-to-leaf path of the
-//     gap tree and one key in each built treap (MinGap, TotalGap) whose
-//     key moved.
+//     gap tree and one entry in each built level list (MinGap, TotalGap)
+//     whose key moved.
 //
 // The benchmark's bare-ledger replay of 1M zipfian events reads, from the
 // first to the last decile of the script, 795 → 3370 ns/event while the
 // ledger retained every closed bin, 538 → 562 once it released them (DESIGN.md §8 has all ten),
-// 163 → 170 with one map entry per job and no treap for First Fit, and
+// 163 → 170 with one map entry per job and no level list for First Fit, and
 // 194 → 180 with this table where the map read 251 → 228 on the same box.
 type Ledger struct {
 	capacity  float64

@@ -48,7 +48,7 @@ type Arrival struct {
 // d = 1 case — and admits a bin by the per-dimension bins.Bin.FitsDemand
 // test, the same comparison on both backends and in the engine's own
 // misplacement check. The indexed engine answers each query from the
-// ledger-maintained bins.Index (a gap tree and two treaps); the linear
+// ledger-maintained bins.Index (a gap tree and two level lists); the linear
 // reference engine answers it with an O(B) scan of identical, exact
 // semantics — the cross-engine equivalence suite holds the two to
 // bit-identical packings. A rule no query answers — the first-dimension

@@ -219,7 +219,7 @@ func TestStreamEnginesEquivalentAcrossPolicies(t *testing.T) {
 }
 
 // TestEnginesEquivalentVector is the d-dimensional batch-path oracle:
-// the vector index (per-dimension gap trees + dominant-resource treap)
+// the vector index (per-dimension gap trees + dominant-resource list)
 // against the linear reference, for every standard AND vector policy,
 // d in {2, 4}, keep-alive off and on.
 func TestEnginesEquivalentVector(t *testing.T) {

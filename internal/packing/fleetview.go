@@ -34,7 +34,7 @@ func (f linearFleet) Open() []*bins.Bin { return f.ledger.OpenBins() }
 // The queries share one admission comparison with the indexed backend —
 // bins.Bin.FitsDemand — and its scores — bins.Bin.TotalGap and MinGap —
 // so the two engines cannot disagree on a borderline demand or a tie;
-// only the search strategy differs (scan vs tree descent or treap walk).
+// only the search strategy differs (scan vs tree descent or level-list walk).
 
 func (f linearFleet) FirstFittingVec(sizes []float64) *bins.Bin {
 	for _, b := range f.ledger.OpenBins() {

@@ -18,7 +18,7 @@ import "dbp/internal/bins"
 // DRWorstFit place through the Fleet's vector queries, which the linear
 // engine answers with reference scans and the indexed engine from the
 // d-dimensional bins.Index: VectorBestFit walks the (TotalGap, index)
-// treap, DRWorstFit the (MinGap, index) treap. DotProductFit and
+// level list, DRWorstFit the (MinGap, index) list. DotProductFit and
 // NormBestFit score every fitting server in a scan of Open(), the same
 // on both engines. Ties always break toward the earliest-opened server,
 // the same lexicographic rule as the scalar policies, so cross-engine
@@ -135,7 +135,7 @@ func (*NormBestFit) Reset() {}
 // loaded) resource — min over dimensions of gap — ties toward the
 // earliest opened. This is the d-dimensional reading of Worst Fit's
 // "emptiest server" rule (a server is as empty as its scarcest
-// resource), the scalarization the dominant-resource treap in
+// resource), the scalarization the dominant-resource level list in
 // bins.Index answers in O(log B) per group. For scalar jobs MinGap is
 // the gap and the rule is classical Worst Fit.
 type DRWorstFit struct{}
