@@ -105,8 +105,9 @@ bench-wire:
 
 ## fuzz-short: a CI-scale smoke run of the wire codec and WAL record fuzzers,
 ## of the stream-vs-reference-model fuzzer, of the ledger's job table
-## against a map, of the batch event order
-## against the stable sort it replaced, of the OPT solver's bound sandwich
+## against a map, of the batch event order against the stable sort it
+## replaced and of the timeline sweep against a rescan of the whole list
+## at every event time, of the OPT solver's bound sandwich
 ## (L1 <= L2 <= exact <= FFD) and of the CSV and JSON trace readers (go's
 ## native fuzzing allows one target per invocation)
 fuzz-short:
@@ -116,7 +117,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzStreamVsModel -fuzztime 5s ./internal/packing/
 	$(GO) test -run '^$$' -fuzz FuzzIDTable -fuzztime 5s ./internal/bins/
-	$(GO) test -run '^$$' -fuzz FuzzOrder -fuzztime 5s ./internal/event/
+	$(GO) test -run '^$$' -fuzz FuzzOrder -fuzztime 5s ./internal/item/
+	$(GO) test -run '^$$' -fuzz FuzzSegments -fuzztime 5s ./internal/item/
 	$(GO) test -run '^$$' -fuzz FuzzBoundSandwich -fuzztime 5s ./internal/opt/
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/trace/
@@ -129,7 +131,7 @@ recover-test:
 
 ## bench-bins: the ledger holds live state only — TestZeroAllocLevelChange
 ## asserts 0 allocs for a place + remove on an open bin with every index
-## structure built (gap tree, min-gap and total-gap treaps),
+## structure built (gap tree, min-gap and total-gap level lists),
 ## TestZeroAllocTightestFittingVec 0 for the vector Best Fit walk,
 ## TestZeroAllocPlacement 0 for every registered policy's steady-state
 ## arrival + departure at d = 1 and 2,
@@ -144,7 +146,7 @@ recover-test:
 bench-bins:
 	$(GO) test -count=1 -run 'ZeroAlloc|Bounded' ./internal/bins/ ./internal/packing/
 
-## bench-run: the batch path — BenchmarkEventOrder (event.Order on 100k jobs)
+## bench-run: the batch path — BenchmarkEventOrder (List.Events on 100k jobs)
 ## and BenchmarkRunBatch (one packing.Run of vectorbestfit, d=2, keep-alive
 ## 0.5, at 10k and 100k jobs: ns/event and allocs/op; the 10k-vs-100k ratio
 ## of ns/event is the steady-state version of sim_vector's tail_over_head)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"dbp/internal/event"
 	"dbp/internal/experiments"
 	"dbp/internal/item"
 	"dbp/internal/opt"
@@ -263,7 +262,7 @@ func batchJobs(b *testing.B, n int) item.List {
 }
 
 // orderSink keeps BenchmarkEventOrder's result live.
-var orderSink []event.Event
+var orderSink []item.Event
 
 // BenchmarkEventOrder prices the batch path's event order on 100k jobs
 // (make bench-run).
@@ -272,7 +271,7 @@ func BenchmarkEventOrder(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		orderSink = event.Order(jobs, false)
+		orderSink = jobs.Events(false)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*len(jobs)*b.N), "ns/event")
 }

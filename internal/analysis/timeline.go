@@ -60,54 +60,3 @@ func RenderTimeline(res *packing.Result, width int) string {
 	fmt.Fprintf(&sb, "usage %.6g over %d bins; '#' occupied, '.' lingering\n", res.TotalUsage, res.NumBins())
 	return sb.String()
 }
-
-// LevelHistogram returns the distribution of instantaneous bin levels
-// over all open-bin time: fraction of bin-time spent at level in
-// [i/buckets, (i+1)/buckets). It quantifies utilization — the paper's
-// h-subperiods are the mass at level >= 1/2.
-func LevelHistogram(res *packing.Result, buckets int) []float64 {
-	if buckets < 1 {
-		buckets = 10
-	}
-	hist := make([]float64, buckets)
-	var total float64
-	for _, b := range res.Bins {
-		// Walk the bin's level as a step function over its event times.
-		type ev struct {
-			t  float64
-			dl float64
-		}
-		var evs []ev
-		for _, it := range b.Items {
-			evs = append(evs, ev{it.Arrival, it.Size}, ev{it.Departure, -it.Size})
-		}
-		// Simple insertion sort by time (bins are small).
-		for i := 1; i < len(evs); i++ {
-			for j := i; j > 0 && evs[j].t < evs[j-1].t; j-- {
-				evs[j], evs[j-1] = evs[j-1], evs[j]
-			}
-		}
-		level := 0.0
-		for i := 0; i < len(evs); i++ {
-			level += evs[i].dl
-			if i+1 < len(evs) {
-				dt := evs[i+1].t - evs[i].t
-				if dt <= 0 || level <= 1e-12 {
-					continue
-				}
-				k := int(level * float64(buckets))
-				if k >= buckets {
-					k = buckets - 1
-				}
-				hist[k] += dt
-				total += dt
-			}
-		}
-	}
-	if total > 0 {
-		for i := range hist {
-			hist[i] /= total
-		}
-	}
-	return hist
-}

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -48,59 +47,5 @@ func TestRenderTimelineMinWidth(t *testing.T) {
 	res := packing.MustRun(packing.NewFirstFit(), l, nil)
 	if out := RenderTimeline(res, 1); out == "" {
 		t.Fatal("min width rendering failed")
-	}
-}
-
-func TestLevelHistogramMassAndPlacement(t *testing.T) {
-	// One bin at level 0.75 for its whole life: all mass in bucket 7 of 10.
-	l := item.List{mk(1, 0.75, 0, 4)}
-	res := packing.MustRun(packing.NewFirstFit(), l, nil)
-	hist := LevelHistogram(res, 10)
-	var total float64
-	for i, h := range hist {
-		total += h
-		if i != 7 && h != 0 {
-			t.Fatalf("unexpected mass %g in bucket %d", h, i)
-		}
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Fatalf("histogram mass %g != 1", total)
-	}
-	if hist[7] != 1 {
-		t.Fatalf("bucket 7 = %g, want 1", hist[7])
-	}
-}
-
-func TestLevelHistogramSteps(t *testing.T) {
-	// Level 0.3 on [0,2), 0.8 on [2,4) -> half the mass in each bucket.
-	l := item.List{
-		mk(1, 0.3, 0, 4),
-		mk(2, 0.5, 2, 4),
-	}
-	res := packing.MustRun(packing.NewFirstFit(), l, nil)
-	hist := LevelHistogram(res, 10)
-	if math.Abs(hist[3]-0.5) > 1e-9 || math.Abs(hist[8]-0.5) > 1e-9 {
-		t.Fatalf("hist = %v", hist)
-	}
-}
-
-func TestEventLog(t *testing.T) {
-	l := item.List{
-		mk(1, 0.5, 0, 2),
-		mk(2, 0.5, 1, 3),
-	}
-	res := packing.MustRun(packing.NewFirstFit(), l, nil)
-	out := EventLog(res)
-	for _, want := range []string{"open   bin 0", "place  item 1", "place  item 2", "depart item 1", "close  bin 0"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
-	}
-	// Chronology: open before place before depart before close.
-	if strings.Index(out, "open   bin 0") > strings.Index(out, "place  item 1") {
-		t.Fatal("open must precede first placement")
-	}
-	if strings.Index(out, "depart item 2") > strings.Index(out, "close  bin 0") {
-		t.Fatal("last departure must precede close")
 	}
 }

@@ -284,6 +284,22 @@ func TestBoundedResidentSlice(t *testing.T) {
 	}
 }
 
+// mallocs runs f once to warm it up, then runs times more at GOMAXPROCS 1
+// and returns every heap allocation those runs made. testing.AllocsPerRun
+// divides the count by the runs in integers, so it reads one allocation
+// per thousand runs as 0; a zero-allocation pin needs the count itself.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestZeroAllocLevelChange pins the steady-state cost of the ledger's hot
 // pair: placing an item into an already-open bin and removing it again,
 // index on, allocates nothing — the tree leaf is rewritten in place, each
@@ -315,11 +331,11 @@ func TestZeroAllocLevelChange(t *testing.T) {
 		if dim == 2 {
 			it.Sizes = []float64{0.25, 0.1}
 		}
-		if n := testing.AllocsPerRun(1000, func() {
+		if n := mallocs(1000, func() {
 			g.PlaceIn(b, it, 1)
 			g.Remove(it.ID, 1)
 		}); n != 0 {
-			t.Fatalf("d=%d: PlaceIn + Remove on an open bin allocates %v times, want 0", dim, n)
+			t.Fatalf("d=%d: 1000 PlaceIn + Remove pairs on an open bin allocate %d times, want 0", dim, n)
 		}
 		if err := g.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -354,17 +370,9 @@ func TestZeroAllocLevelChurn(t *testing.T) {
 	for i := 0; i < 100_000; i++ {
 		op()
 	}
-	// Every allocation counts: testing.AllocsPerRun would round a split's
-	// one block per thousand refreshes down to 0.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 100_000; i++ {
-		op()
-	}
-	runtime.ReadMemStats(&after)
+	n := mallocs(100_000, op)
 	t.Logf("%d bins in %d min-gap and %d total-gap blocks", fleet, len(ix.mins.blocks), len(ix.sums.blocks))
-	if n := after.Mallocs - before.Mallocs; n != 0 {
+	if n != 0 {
 		t.Fatalf("100,000 refreshes on %d bins allocate %d times, want 0", fleet, n)
 	}
 	if len(ix.mins.blocks) < 2 || len(ix.sums.blocks) < 2 {
@@ -391,12 +399,12 @@ func TestZeroAllocTightestFittingVec(t *testing.T) {
 	ix := g.Index()
 	for _, sizes := range [][]float64{{0.5, 0.5}, {0.2, 0.2}, {0.95, 0.95}} {
 		want := ix.TightestFittingVec(sizes)
-		if n := testing.AllocsPerRun(1000, func() {
+		if n := mallocs(1000, func() {
 			if ix.TightestFittingVec(sizes) != want {
 				t.Fatal("the answer changed between identical queries")
 			}
 		}); n != 0 {
-			t.Fatalf("TightestFittingVec(%v) allocates %v times, want 0", sizes, n)
+			t.Fatalf("1000 TightestFittingVec(%v) queries allocate %d times, want 0", sizes, n)
 		}
 	}
 	if err := g.CheckInvariants(); err != nil {

@@ -7,6 +7,11 @@
 // packing simulator enforces this by only exposing arrival views to
 // algorithms. The full Item carries the departure so the simulator can
 // schedule it.
+//
+// A list's timeline has one reading for the simulator, List.Events (the
+// total event order), and one for every integral or peak over time,
+// List.Segments (the piecewise-constant active set); both share one key
+// sort.
 package item
 
 import (
@@ -214,7 +219,7 @@ func (l List) Mu() float64 {
 }
 
 // SortedByArrival returns a copy sorted by (Arrival, ID). The simulator
-// orders equal-time arrivals the same way (event.Order), so keeping IDs
+// orders equal-time arrivals the same way (List.Events), so keeping IDs
 // monotone in generation order preserves each construction's intended
 // sequence.
 func (l List) SortedByArrival() List {
@@ -242,34 +247,17 @@ func (l List) Scale(timeFactor float64) List {
 	return out
 }
 
-// EventTimes returns the sorted distinct arrival/departure times of the list.
-func (l List) EventTimes() []float64 {
-	ts := make([]float64, 0, 2*len(l))
-	for _, it := range l {
-		ts = append(ts, it.Arrival, it.Departure)
-	}
-	sort.Float64s(ts)
-	out := ts[:0]
-	for i, t := range ts {
-		if i == 0 || t != out[len(out)-1] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // MaxConcurrentLoad returns the maximum over time of the total active size,
-// a convenient load statistic for workload reports.
+// a convenient load statistic for workload reports. Each segment's load
+// is summed in list order.
 func (l List) MaxConcurrentLoad() float64 {
 	var peak float64
-	for _, t := range l.EventTimes() {
+	l.Segments(func(_, _ float64, active []int) {
 		var load float64
-		for _, it := range l {
-			if it.Interval().Contains(t) {
-				load += it.Size
-			}
+		for _, i := range active {
+			load += l[i].Size
 		}
 		peak = math.Max(peak, load)
-	}
+	})
 	return peak
 }

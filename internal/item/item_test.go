@@ -140,20 +140,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestEventTimes(t *testing.T) {
-	l := List{mk(1, 0.5, 0, 2), mk(2, 0.5, 2, 3)}
-	ts := l.EventTimes()
-	want := []float64{0, 2, 3}
-	if len(ts) != len(want) {
-		t.Fatalf("event times = %v", ts)
-	}
-	for i := range want {
-		if ts[i] != want[i] {
-			t.Fatalf("event times = %v, want %v", ts, want)
-		}
-	}
-}
-
 func TestMaxConcurrentLoad(t *testing.T) {
 	l := List{mk(1, 0.5, 0, 2), mk(2, 0.75, 1, 3)}
 	if got := l.MaxConcurrentLoad(); got != 1.25 {

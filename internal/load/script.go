@@ -3,7 +3,6 @@ package load
 import (
 	"fmt"
 
-	"dbp/internal/event"
 	"dbp/internal/item"
 	"dbp/internal/workload"
 )
@@ -48,14 +47,14 @@ type Script struct {
 }
 
 // ScriptFromList flattens an instance into its arrive/depart event
-// sequence, in the simulation engine's processing order (event.Order).
+// sequence, in the simulation engine's processing order (item.List.Events).
 func ScriptFromList(l item.List) *Script {
 	s := &Script{Ops: make([]Op, 0, 2*len(l))}
 	for _, it := range l {
 		s.maxID = max(s.maxID, it.ID)
 	}
-	for _, e := range event.Order(l, false) {
-		if e.Kind == event.Depart {
+	for _, e := range l.Events(false) {
+		if e.Kind == item.Depart {
 			s.Ops = append(s.Ops, Op{Kind: OpDepart, ID: e.Item.ID})
 		} else {
 			// Copy the demand vector so the script owns its ops: the

@@ -75,66 +75,18 @@ func CombinedLowerBound(l item.List) float64 {
 	return math.Max(DemandLowerBound(l), SpanLowerBound(l))
 }
 
-// segments walks the piecewise-constant active-set structure of the list:
-// for each maximal interval [t0, t1) between consecutive event times, it
-// yields the active items' sizes. Segments with no active items are
-// skipped (OPT contributes zero there).
+// segments calls visit with each segment of the list's timeline on which
+// some item is active: its length and the active items' sizes, in list
+// order. sizes is reused from segment to segment.
 func segments(l item.List, visit func(length float64, sizes []float64)) {
-	times := l.EventTimes()
-	if len(times) < 2 {
-		return
-	}
-	// Sweep with a size-change ledger rather than an O(n) scan per
-	// segment: arrival adds, departure removes.
-	type delta struct {
-		t    float64
-		size float64
-		add  bool
-	}
-	deltas := make([]delta, 0, 2*len(l))
-	for _, it := range l {
-		deltas = append(deltas,
-			delta{t: it.Arrival, size: it.Size, add: true},
-			delta{t: it.Departure, size: it.Size, add: false})
-	}
-	// Bucket deltas by event index.
-	index := make(map[float64]int, len(times))
-	for i, t := range times {
-		index[t] = i
-	}
-	adds := make([][]float64, len(times))
-	rems := make([][]float64, len(times))
-	for _, d := range deltas {
-		i := index[d.t]
-		if d.add {
-			adds[i] = append(adds[i], d.size)
-		} else {
-			rems[i] = append(rems[i], d.size)
+	var sizes []float64
+	l.Segments(func(lo, hi float64, active []int) {
+		sizes = sizes[:0]
+		for _, i := range active {
+			sizes = append(sizes, l[i].Size)
 		}
-	}
-	// Multiset of active sizes, maintained as a slice (small N per segment).
-	var active []float64
-	for i := 0; i < len(times)-1; i++ {
-		// Apply departures then arrivals at times[i] (half-open intervals).
-		for _, s := range rems[i] {
-			for k, v := range active {
-				if v == s {
-					active[k] = active[len(active)-1]
-					active = active[:len(active)-1]
-					break
-				}
-			}
-		}
-		active = append(active, adds[i]...)
-		if len(active) == 0 {
-			continue
-		}
-		length := times[i+1] - times[i]
-		if length <= 0 {
-			continue
-		}
-		visit(length, active)
-	}
+		visit(hi-lo, sizes)
+	})
 }
 
 // ExactLimit is the largest active set Total's callers solve exactly:
@@ -205,32 +157,27 @@ func MaxConcurrentOpt(l item.List) int {
 }
 
 // TotalVec computes a certified bracket on OPT_total for vector (multi-
-// dimensional) instances: per-dimension continuous load as lower bound and
-// vector First Fit (by decreasing max component) as upper bound. Exact
-// vector packing is out of scope (the paper leaves multi-dimensional
-// MinUsageTime DBP as future work; experiment E10 only needs brackets).
+// dimensional) instances: per segment, the per-dimension continuous load
+// as lower bound and vector First Fit, packing the active items in list
+// order, as upper bound. Exact vector packing is out of scope (the paper
+// leaves multi-dimensional MinUsageTime DBP as future work; experiment
+// E10 only needs brackets).
 func TotalVec(l item.List) Bounds {
-	times := l.EventTimes()
 	b := Bounds{}
-	for i := 0; i+1 < len(times); i++ {
-		t := times[i]
-		var sizes [][]float64
-		for _, it := range l {
-			if it.Interval().Contains(t) {
-				sizes = append(sizes, it.SizeVec())
-			}
+	var sizes [][]float64
+	l.Segments(func(lo, hi float64, active []int) {
+		sizes = sizes[:0]
+		for _, i := range active {
+			sizes = append(sizes, l[i].SizeVec())
 		}
-		if len(sizes) == 0 {
-			continue
+		length := hi - lo
+		low := lowerL1Vec(sizes, 1)
+		if low == 0 {
+			low = 1
 		}
-		length := times[i+1] - times[i]
-		lo := lowerL1Vec(sizes, 1)
-		if lo == 0 {
-			lo = 1
-		}
-		b.Lower += float64(lo) * length
+		b.Lower += float64(low) * length
 		b.Upper += float64(firstFitVec(sizes, 1)) * length
-	}
+	})
 	b.Exact = b.Upper-b.Lower < 1e-12
 	return b
 }

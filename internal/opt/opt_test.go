@@ -3,6 +3,7 @@ package opt
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dbp/internal/item"
@@ -57,6 +58,21 @@ func TestMaxConcurrentOpt(t *testing.T) {
 	l := item.List{mk(1, 0.6, 0, 2), mk(2, 0.6, 1, 3), mk(3, 0.6, 1, 3)}
 	if got := MaxConcurrentOpt(l); got != 3 {
 		t.Errorf("max concurrent OPT = %d, want 3", got)
+	}
+}
+
+// An item of zero length is never active: it must not linger in the
+// sweep's active set until the list ends, doubling [1, 4) here.
+func TestZeroLengthItemNeverActive(t *testing.T) {
+	l := item.List{mk(1, 0.7, 1, 1), mk(2, 0.5, 0, 4)}
+	if got, ok := TotalExact(l); !ok || got != 4 {
+		t.Errorf("OPT_total = %g (ok=%v), want 4", got, ok)
+	}
+	if b := TotalVec(l); b.Lower != 4 || b.Upper != 4 {
+		t.Errorf("vec bracket = %+v, want [4, 4]", b)
+	}
+	if got := MaxConcurrentOpt(l); got != 1 {
+		t.Errorf("max concurrent OPT = %d, want 1", got)
 	}
 }
 
@@ -150,6 +166,56 @@ func TestTotalVec(t *testing.T) {
 	// One bin fits both: lower = 1 bin * 2 (ceil of 0.9 load), upper = 2.
 	if b.Lower != 2 || b.Upper != 2 {
 		t.Fatalf("vec bracket = %+v, want [2, 2]", b)
+	}
+}
+
+// rescanTotalVec is the reference TotalVec: at each distinct event time,
+// a scan of the whole list collects the active demands in list order for
+// the interval up to the next distinct time.
+func rescanTotalVec(l item.List) Bounds {
+	var times []float64
+	for _, it := range l {
+		times = append(times, it.Arrival, it.Departure)
+	}
+	slices.Sort(times)
+	times = slices.Compact(times)
+	b := Bounds{}
+	for i := 0; i+1 < len(times); i++ {
+		var sizes [][]float64
+		for _, it := range l {
+			if it.Interval().Contains(times[i]) {
+				sizes = append(sizes, it.SizeVec())
+			}
+		}
+		if len(sizes) == 0 {
+			continue
+		}
+		length := times[i+1] - times[i]
+		lo := max(lowerL1Vec(sizes, 1), 1)
+		b.Lower += float64(lo) * length
+		b.Upper += float64(firstFitVec(sizes, 1)) * length
+	}
+	b.Exact = b.Upper-b.Lower < 1e-12
+	return b
+}
+
+// TotalVec sweeps each segment once instead of rescanning the list at
+// every event time; on valid d = 2 lists with tied times its bracket is
+// the rescan's bit for bit.
+func TestTotalVecMatchesRescan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		l := make(item.List, 1+rng.Intn(40))
+		for i := range l {
+			a := float64(rng.Intn(8)) + 0.1*float64(rng.Intn(3))
+			s := []float64{0.05 + 0.9*rng.Float64(), 0.05 + 0.9*rng.Float64()}
+			l[i] = item.Item{ID: item.ID(i + 1), Size: max(s[0], s[1]), Sizes: s, Arrival: a, Departure: a + float64(1+rng.Intn(4))}
+		}
+		got, want := TotalVec(l), rescanTotalVec(l)
+		if math.Float64bits(got.Lower) != math.Float64bits(want.Lower) ||
+			math.Float64bits(got.Upper) != math.Float64bits(want.Upper) || got.Exact != want.Exact {
+			t.Fatalf("trial %d: TotalVec = %+v, rescan %+v", trial, got, want)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"math"
 	"testing"
 
-	"dbp/internal/event"
 	"dbp/internal/item"
 	"dbp/internal/packing"
 	"dbp/internal/workload"
@@ -180,8 +179,8 @@ func TestStreamEnginesEquivalentAcrossPolicies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, e := range event.Order(jobs, false) {
-					if e.Kind == event.Arrive {
+				for _, e := range jobs.Events(false) {
+					if e.Kind == item.Arrive {
 						s1, o1, err1 := idx.Arrive(e.Item.ID, e.Item.Size, e.Item.Sizes, e.Time)
 						s2, o2, err2 := lin.Arrive(e.Item.ID, e.Item.Size, e.Item.Sizes, e.Time)
 						if err1 != nil || err2 != nil {
@@ -265,8 +264,8 @@ func TestStreamEnginesEquivalentVector(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, e := range event.Order(jobs, false) {
-						if e.Kind == event.Arrive {
+					for _, e := range jobs.Events(false) {
+						if e.Kind == item.Arrive {
 							s1, o1, err1 := idx.Arrive(e.Item.ID, e.Item.Size, e.Item.Sizes, e.Time)
 							s2, o2, err2 := lin.Arrive(e.Item.ID, e.Item.Size, e.Item.Sizes, e.Time)
 							if err1 != nil || err2 != nil {

@@ -46,18 +46,6 @@ func (s *ServerRecord) LevelAt(t float64) float64 {
 	return lv
 }
 
-// ItemsAt reconstructs the items resident in the server at time t, in
-// placement order.
-func (s *ServerRecord) ItemsAt(t float64) item.List {
-	var out item.List
-	for _, it := range s.Items {
-		if it.Interval().Contains(t) {
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
 // recorder keeps a batch run's record (Run, RunFleet, Replay) from what
 // the ledger returns per placement, and builds the run's Result when the
 // ledger has drained. It holds the bins the ledger opened only until then,

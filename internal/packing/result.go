@@ -3,7 +3,6 @@ package packing
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"dbp/internal/bins"
@@ -38,10 +37,10 @@ func (r *Result) NumBins() int { return len(r.Bins) }
 // Verify re-checks the physical validity of the packing from the server
 // records, independently of the simulator's bookkeeping: every record at
 // its own Index, every item placed exactly once, capacity respected in
-// every server at every event time, usage periods spanning exactly their
-// items' activity, and the recomputed objectives matching the reported
-// ones. Tests call this after every run; it is the ground truth the
-// experiments rest on.
+// every server on every segment of its timeline, usage periods spanning
+// exactly their items' activity, and the recomputed objectives matching
+// the reported ones. Tests call this after every run; it is the ground
+// truth the experiments rest on.
 func (r *Result) Verify() error {
 	placed := make(map[item.ID]int)
 	var usage float64
@@ -54,7 +53,6 @@ func (r *Result) Verify() error {
 		}
 		var lo, hi = math.Inf(1), math.Inf(-1)
 		dim := 1
-		ts := make([]float64, 0, 2*len(b.Items))
 		for _, it := range b.Items {
 			if prev, dup := placed[it.ID]; dup {
 				return fmt.Errorf("item %d placed in bins %d and %d", it.ID, prev, b.Index)
@@ -63,7 +61,6 @@ func (r *Result) Verify() error {
 			lo = math.Min(lo, it.Arrival)
 			hi = math.Max(hi, it.Departure)
 			dim = max(dim, it.Dim())
-			ts = append(ts, it.Arrival, it.Departure)
 		}
 		wantHi := hi + r.KeepAlive // bins linger keepAlive past their last departure
 		// Both endpoints tolerate float accumulation error; an exact Lo
@@ -72,24 +69,8 @@ func (r *Result) Verify() error {
 		if math.Abs(b.UsagePeriod().Lo-lo) > 1e-9 || math.Abs(b.UsagePeriod().Hi-wantHi) > 1e-9 {
 			return fmt.Errorf("bin %d usage period %v does not match items' hull [%g, %g)", b.Index, b.UsagePeriod(), lo, wantHi)
 		}
-		sort.Float64s(ts)
-		lv := make([]float64, dim)
-		for _, t := range ts {
-			for d := range lv {
-				lv[d] = 0
-			}
-			for _, it := range b.Items {
-				if it.Interval().Contains(t) {
-					for d, s := range it.SizeVec() {
-						lv[d] += s
-					}
-				}
-			}
-			for d := range lv {
-				if lv[d] > b.Capacity+bins.Eps {
-					return fmt.Errorf("bin %d over capacity in dim %d at t=%g: level %g", b.Index, d, t, lv[d])
-				}
-			}
+		if err := checkCapacity(&b, dim); err != nil {
+			return err
 		}
 		usage += b.Usage()
 	}
@@ -109,6 +90,32 @@ func (r *Result) Verify() error {
 		return fmt.Errorf("recomputed usage %g != reported %g", usage, r.TotalUsage)
 	}
 	return nil
+}
+
+// checkCapacity sums the server's per-dimension level on every segment of
+// its items' timeline, in placement order, and reports the first segment
+// that exceeds the capacity.
+func checkCapacity(b *ServerRecord, dim int) error {
+	var err error
+	lv := make([]float64, dim)
+	b.Items.Segments(func(t, _ float64, active []int) {
+		if err != nil {
+			return
+		}
+		clear(lv)
+		for _, i := range active {
+			for d, s := range b.Items[i].SizeVec() {
+				lv[d] += s
+			}
+		}
+		for d := range lv {
+			if lv[d] > b.Capacity+bins.Eps {
+				err = fmt.Errorf("bin %d over capacity in dim %d at t=%g: level %g", b.Index, d, t, lv[d])
+				return
+			}
+		}
+	})
+	return err
 }
 
 // String renders a one-line summary of the run.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"dbp/internal/event"
 	"dbp/internal/item"
 )
 
@@ -117,12 +116,12 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 	eng := newEngine(algo, opt.capacity(), listDim(l), keepAlive, opt.engine(), opt != nil && opt.Clairvoyant)
 	rec := newRecorder(len(l))
 
-	for _, e := range event.Order(l, opt != nil && opt.ArrivalsFirst) {
+	for _, e := range l.Events(opt != nil && opt.ArrivalsFirst) {
 		eng.ledger.CloseExpired(e.Time)
 		switch e.Kind {
-		case event.Depart:
+		case item.Depart:
 			eng.depart(e.Item.ID, e.Time)
-		case event.Arrive:
+		case item.Arrive:
 			b, opened, err := eng.arrive(e.Item, e.Time, capacityFor)
 			if err != nil {
 				return nil, err

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dbp/internal/event"
 	"dbp/internal/item"
 )
 
@@ -298,8 +297,8 @@ func TestIndexedLinearKeepAliveStreamEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range event.Order(l, false) {
-			if e.Kind == event.Arrive {
+		for _, e := range l.Events(false) {
+			if e.Kind == item.Arrive {
 				s1, o1, err1 := naive.Arrive(e.Item.ID, e.Item.Size, nil, e.Time)
 				s2, o2, err2 := fast.Arrive(e.Item.ID, e.Item.Size, nil, e.Time)
 				if err1 != nil || err2 != nil {
@@ -350,8 +349,8 @@ func TestStreamEquivalentToRunAcrossPolicies(t *testing.T) {
 		for name, algo := range algos {
 			run := MustRun(algo, l, nil)
 			s := NewStream(algo, 0, 0)
-			for _, e := range event.Order(l, false) {
-				if e.Kind == event.Arrive {
+			for _, e := range l.Events(false) {
+				if e.Kind == item.Arrive {
 					if _, _, err := s.Arrive(e.Item.ID, e.Item.Size, nil, e.Time); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
