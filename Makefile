@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench bench-smoke bench-fleet figures loadtest loadtest-ramp fuzz-short bench-wire loadtest-wire recover-test bench-wal bench-bins bench-run bench-opt loc race-soak
+.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench bench-smoke bench-fleet figures loadtest loadtest-ramp fuzz-short bench-wire loadtest-wire recover-test bench-wal bench-bins bench-run bench-opt loc race-soak experiments-check
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,21 @@ loadtest-wire:
 ## the load driver
 race-soak:
 	$(GO) test -race -count=3 ./internal/serve/ ./internal/wal/ ./internal/wire/ ./internal/load/...
+
+## experiments-check: EXPERIMENTS.md below its "# Generated tables" line
+## is dbpexp -md's output — regenerate it (full sweeps, ≈16 s) and diff,
+## the "*(generated in …)*" timing lines dropped on both sides; skipped
+## off amd64, where float results may differ in the last bits, as
+## internal/experiments' TestQuickTablesGolden is
+experiments-check:
+	@if [ "$$($(GO) env GOARCH)" != amd64 ]; then \
+		echo "experiments-check: skipped on $$($(GO) env GOARCH)"; exit 0; \
+	fi; \
+	out=$$(mktemp); trap 'rm -f '"$$out" EXIT; \
+	$(GO) run ./cmd/dbpexp -md | grep -v '^\*(generated in ' > "$$out" || exit 1; \
+	sed '1,/^# Generated tables/d' EXPERIMENTS.md | sed '1{/^$$/d;}' | \
+		grep -v '^\*(generated in ' | diff -u - "$$out" && \
+		echo "experiments-check: EXPERIMENTS.md matches dbpexp -md"
 
 ## equivalence: the cross-engine oracle (indexed vs linear, every policy,
 ## Run and Stream paths) under the race detector

@@ -21,8 +21,9 @@ type (
 	ID = item.ID
 	// List is a problem instance (a multiset of items).
 	List = item.List
-	// Algorithm is an online packing policy; it sees arrivals without
-	// departure times and the current open-bin states only.
+	// Algorithm is an online packing policy: Name and Place, which sees
+	// an arrival without its departure time and the open servers, and
+	// returns the server to place it on, or nil to open one.
 	Algorithm = packing.Algorithm
 	// Result is the outcome of one packing run, with full placement
 	// history and both objectives (usage time, peak open servers).
@@ -192,11 +193,13 @@ func RunKeepAlive(algo Algorithm, l List, keepAlive float64) (*Result, error) {
 	return packing.Run(algo, l, &packing.Options{KeepAlive: keepAlive})
 }
 
-// RunClairvoyant simulates a departure-aware baseline policy
-// (PredictiveFit, or "alignfit" and "noextendfit" by AlgorithmByName):
-// the policy sees each job's departure time at placement,
-// leaving the paper's online model. Used to quantify the value of
-// clairvoyance (experiment E13c).
+// RunClairvoyant simulates a departure-aware baseline policy: the policy
+// sees each job's departure time at placement, leaving the paper's online
+// model. Used to quantify the value of clairvoyance (experiment E13c).
+// PredictiveFit(0, seed) is the public route to No-Extend Fit; Align Fit
+// has no root constructor (E13c takes it from packing.Clairvoyant).
+// AlgorithmByName refuses "alignfit" and "noextendfit", since it names
+// the policies a live stream without departure times can run.
 func RunClairvoyant(algo Algorithm, l List) (*Result, error) {
 	return packing.Run(algo, l, &packing.Options{Clairvoyant: true})
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"dbp/internal/analysis"
@@ -113,26 +116,30 @@ func TestPublicDispatcher(t *testing.T) {
 }
 
 // TestPublicTraceRoundTrip reads the root writers' output back with the
-// trace package's readers, which the root API no longer re-exports.
+// trace package's reader, which the root API no longer re-exports.
 func TestPublicTraceRoundTrip(t *testing.T) {
 	jobs := GenerateGaming(100, 0.5, 4)
-	var csvBuf, jsonBuf bytes.Buffer
-	if err := WriteTraceCSV(&csvBuf, jobs); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTraceJSON(&jsonBuf, jobs); err != nil {
-		t.Fatal(err)
-	}
-	fromCSV, err := trace.ReadCSV(&csvBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := trace.ReadJSON(&jsonBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromCSV) != len(jobs) || len(fromJSON) != len(jobs) {
-		t.Fatal("round trip lost items")
+	dir := t.TempDir()
+	for _, name := range []string{"jobs.csv", "jobs.json"} {
+		var buf bytes.Buffer
+		write := WriteTraceCSV
+		if strings.HasSuffix(name, ".json") {
+			write = WriteTraceJSON
+		}
+		if err := write(&buf, jobs); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := trace.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(back) != len(jobs) {
+			t.Fatalf("%s: round trip lost items", name)
+		}
 	}
 }
 
@@ -187,11 +194,15 @@ func TestPublicClairvoyant(t *testing.T) {
 	}
 }
 
-// TestPublicNextKFitAndAWF runs policies the root API no longer names
-// through Run, from the packing package's constructors.
+// TestPublicNextKFitAndAWF runs policies the root API does not name
+// through Run, from the packing package's constructor and registry.
 func TestPublicNextKFitAndAWF(t *testing.T) {
 	jobs := GenerateUniform(80, 2, 6, 9)
-	for _, algo := range []Algorithm{packing.NewNextKFit(1), packing.NewNextKFit(4), packing.NewAlmostWorstFit()} {
+	awf, err := AlgorithmByName("almostworstfit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{packing.NewNextKFit(1), packing.NewNextKFit(4), awf} {
 		res, err := Run(algo, jobs)
 		if err != nil {
 			t.Fatalf("%s: %v", algo.Name(), err)
@@ -305,5 +316,17 @@ func TestPublicSnapshotAndErrorClasses(t *testing.T) {
 	}
 	if d.UsageTime() != snap.UsageTime {
 		t.Fatal("UsageTime accessor disagrees with snapshot")
+	}
+}
+
+// TestAlgorithmByNameRefusesClairvoyant pins what RunClairvoyant's doc
+// says: the clairvoyant baselines are not reachable by name, so a live
+// stream (dbpserved -algo) cannot be given a policy that needs departure
+// times it does not have.
+func TestAlgorithmByNameRefusesClairvoyant(t *testing.T) {
+	for _, name := range []string{"alignfit", "noextendfit"} {
+		if algo, err := AlgorithmByName(name); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+			t.Errorf("AlgorithmByName(%q) = %v, %v; want an unknown algorithm error", name, algo, err)
+		}
 	}
 }

@@ -14,14 +14,6 @@ func FirstFitUpperBound(mu float64) float64 { return mu + 4 }
 // for First Fit ([5], [6]; cited in Sec. I), superseded by Theorem 1.
 func FirstFitUpperBoundOld(mu float64) float64 { return 2*mu + 7 }
 
-// FirstFitUpperBoundSizeRestricted is the earlier bound for instances
-// whose item sizes are at most 1/beta of the capacity (beta > 1):
-// (beta/(beta-1)) * mu + O(1) (Sec. I; the additive constant in the
-// source is 3*beta/(beta-1) + 1, reported here as stated there).
-func FirstFitUpperBoundSizeRestricted(mu, beta float64) float64 {
-	return beta/(beta-1)*mu + 3*beta/(beta-1) + 1
-}
-
 // NextFitUpperBound is Kamali & López-Ortiz's 2*mu + 1 upper bound for
 // Next Fit (Sec. II).
 func NextFitUpperBound(mu float64) float64 { return 2*mu + 1 }
@@ -44,11 +36,6 @@ func AnyOnlineLowerBound(mu float64) float64 { return mu }
 // (Sec. I, from [5], [6]).
 func AnyFitLowerBound(mu float64) float64 { return mu + 1 }
 
-// BestFitBounded reports whether Best Fit's competitive ratio is bounded
-// for a given mu — it is not, for any mu (Sec. I): included for table
-// completeness.
-func BestFitBounded() bool { return false }
-
 // Equal-duration bounds. Masoori, Narayanan & Pankratov ("Renting
 // Servers in the Cloud: The Case of Equal Duration Jobs",
 // arXiv:2108.12486) study the setting where every job runs for the same
@@ -58,17 +45,8 @@ func BestFitBounded() bool { return false }
 // constant near 2 instead of Theorem 1's mu+4 = 5. The registry's
 // "equalduration" scenario is checked against these reference lines.
 
-// EqualDurationNextFitBound is Next Fit's tight competitive ratio for
-// equal-duration instances (Masoori et al.).
-func EqualDurationNextFitBound() float64 { return 2 }
-
 // EqualDurationFirstFitBound is the reference line the E-series checks
 // hold First Fit's measured conservative ratio under on equal-duration
 // instances: the constant 2 of the Masoori et al. regime, far below the
 // general Theorem 1 value FirstFitUpperBound(1) = 5.
 func EqualDurationFirstFitBound() float64 { return 2 }
-
-// GapTheorem1 returns the gap between Theorem 1's upper bound and the
-// universal lower bound: a constant 4, independent of mu — the paper's
-// headline "near-optimality of First Fit".
-func GapTheorem1() float64 { return FirstFitUpperBound(0) - AnyOnlineLowerBound(0) }

@@ -10,11 +10,11 @@ import (
 	"dbp/internal/packing"
 )
 
-// SmallThreshold is the size boundary of Section V: items of size below
+// smallThreshold is the size boundary of Section V: items of size below
 // 1/2 are "small", items of size at least 1/2 are "large". During an
 // h-subperiod no small item resides in the bin, so every resident is
 // large and the bin level is at least 1/2 (Proposition 6).
-const SmallThreshold = 0.5
+const smallThreshold = 0.5
 
 // Subperiod is one l- or h-subperiod produced from a bin's V_k period.
 type Subperiod struct {
@@ -49,7 +49,7 @@ type BinSubperiods struct {
 	Subperiods []Subperiod // x_h,0, x_l,1, x_h,1, x_l,2, ... (empty ones omitted)
 }
 
-// SelectSmallItems runs the Section V item-selection process on the small
+// selectSmallItems runs the Section V item-selection process on the small
 // items placed into the bin during its V period, with selection window mu
 // (the maximum item duration):
 //
@@ -60,10 +60,10 @@ type BinSubperiods struct {
 //     after that window;
 //   - stop once a selected item arrives within mu (inclusive) of V's end,
 //     or the last small item of V has been selected.
-func SelectSmallItems(b *packing.ServerRecord, v interval.Interval, mu float64) item.List {
+func selectSmallItems(b *packing.ServerRecord, v interval.Interval, mu float64) item.List {
 	var cands item.List
 	for _, it := range b.Items {
-		if it.Size < SmallThreshold && v.Contains(it.Arrival) {
+		if it.Size < smallThreshold && v.Contains(it.Arrival) {
 			cands = append(cands, it)
 		}
 	}
@@ -105,13 +105,13 @@ func SelectSmallItems(b *packing.ServerRecord, v interval.Interval, mu float64) 
 	return selected
 }
 
-// SplitSubperiods builds the ordered list x_h,0, x_l,1, x_h,1, ... for a
+// splitSubperiods builds the ordered list x_h,0, x_l,1, x_h,1, ... for a
 // bin from its selected items: x_0 (before the first selected arrival) is
 // entirely an h-subperiod; each x_i between consecutive selected arrivals
 // (and after the last one, to V's end) contributes an l-subperiod of
 // length at most mu and, if longer than mu, a trailing h-subperiod.
 // Empty subperiods are omitted.
-func SplitSubperiods(v interval.Interval, selected item.List, mu float64) []Subperiod {
+func splitSubperiods(v interval.Interval, selected item.List, mu float64) []Subperiod {
 	var out []Subperiod
 	if len(selected) == 0 {
 		if !v.Empty() {
@@ -164,8 +164,8 @@ func SubperiodsOf(res *packing.Result) []BinSubperiods {
 	for k, p := range dec.Periods {
 		bs := BinSubperiods{Bin: p.Bin, V: p.V, Window: mu}
 		if !p.V.Empty() {
-			bs.Selected = SelectSmallItems(p.Bin, p.V, mu)
-			bs.Subperiods = SplitSubperiods(p.V, bs.Selected, mu)
+			bs.Selected = selectSmallItems(p.Bin, p.V, mu)
+			bs.Subperiods = splitSubperiods(p.V, bs.Selected, mu)
 			for i := range bs.Subperiods {
 				sp := &bs.Subperiods[i]
 				if sp.High {
@@ -281,7 +281,7 @@ func verifyHighLevel(b *packing.ServerRecord, h interval.Interval) error {
 		}
 	}
 	for _, t := range pts {
-		if lv := b.LevelAt(t); lv < SmallThreshold-1e-9 {
+		if lv := b.LevelAt(t); lv < smallThreshold-1e-9 {
 			return fmt.Errorf("level %g < 1/2 at t=%g in h-subperiod %v", lv, t, h)
 		}
 	}
@@ -292,7 +292,7 @@ func verifyHighLevel(b *packing.ServerRecord, h interval.Interval) error {
 // there is none.
 func itemSizeAt(b *packing.ServerRecord, t float64) float64 {
 	for _, it := range b.Items {
-		if it.Arrival == t && it.Size < SmallThreshold {
+		if it.Arrival == t && it.Size < smallThreshold {
 			return it.Size
 		}
 	}

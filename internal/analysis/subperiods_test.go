@@ -44,7 +44,7 @@ func TestSelectSmallItemsWindowing(t *testing.T) {
 	if res.NumBins() != 1 {
 		t.Fatalf("want all items in one bin, got %d bins", res.NumBins())
 	}
-	sel := SelectSmallItems(&res.Bins[0], interval.New(0, 12), 2)
+	sel := selectSmallItems(&res.Bins[0], interval.Interval{Lo: 0, Hi: 12}, 2)
 	want := []float64{0, 1.5, 5, 9}
 	if len(sel) != len(want) {
 		t.Fatalf("selected %d items, want %d", len(sel), len(want))
@@ -65,7 +65,7 @@ func TestSelectSmallItemsTerminationNearVEnd(t *testing.T) {
 		mk(3, 0.2, 2.9, 4.9), // must NOT be selected: 1.5 is within mu of V end
 	}
 	res := packing.MustRun(packing.NewFirstFit(), l, nil)
-	sel := SelectSmallItems(&res.Bins[0], interval.New(0, 3), 2)
+	sel := selectSmallItems(&res.Bins[0], interval.Interval{Lo: 0, Hi: 3}, 2)
 	if len(sel) != 2 || sel[1].Arrival != 1.5 {
 		t.Fatalf("selected = %v", sel)
 	}
@@ -78,15 +78,15 @@ func TestSelectSmallItemsIgnoresLargeAndOutsideV(t *testing.T) {
 		mk(3, 0.2, 8, 10), // small, outside V
 	}
 	res := packing.MustRun(packing.NewFirstFit(), l, nil)
-	sel := SelectSmallItems(&res.Bins[0], interval.New(0, 4), 2)
+	sel := selectSmallItems(&res.Bins[0], interval.Interval{Lo: 0, Hi: 4}, 2)
 	if len(sel) != 1 || sel[0].ID != 2 {
 		t.Fatalf("selected = %v", sel)
 	}
 }
 
 func TestSplitSubperiodsNoSmallItems(t *testing.T) {
-	v := interval.New(0, 5)
-	sps := SplitSubperiods(v, nil, 2)
+	v := interval.Interval{Lo: 0, Hi: 5}
+	sps := splitSubperiods(v, nil, 2)
 	if len(sps) != 1 || !sps[0].High || sps[0].Interval != v {
 		t.Fatalf("subperiods = %v", sps)
 	}
@@ -101,7 +101,7 @@ func TestSplitSubperiodsShapes(t *testing.T) {
 		mk(2, 0.2, 2.5, 4.5),
 		mk(3, 0.2, 7, 9),
 	}
-	sps := SplitSubperiods(interval.New(0, 10), sel, 2)
+	sps := splitSubperiods(interval.Interval{Lo: 0, Hi: 10}, sel, 2)
 	type want struct {
 		lo, hi float64
 		high   bool

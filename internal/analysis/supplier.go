@@ -211,7 +211,7 @@ func MeasureAmortizedLevel(res *packing.Result, all []BinSubperiods, groups []LG
 			rep.Length += m.Interval.Length()
 			// Selected item's demand over the l-subperiod.
 			for _, it := range res.Bins[g.BinIndex].Items {
-				if it.Arrival == m.Interval.Lo && it.Size < SmallThreshold {
+				if it.Arrival == m.Interval.Lo && it.Size < smallThreshold {
 					ov := it.Interval().Intersect(m.Interval)
 					rep.Demand += it.Size * ov.Length()
 					break

@@ -120,14 +120,10 @@ func TestBoundFunctions(t *testing.T) {
 	if AnyOnlineLowerBound(mu) != 6 || AnyFitLowerBound(mu) != 7 {
 		t.Error("lower bounds wrong")
 	}
-	if GapTheorem1() != 4 {
+	if FirstFitUpperBound(mu)-AnyOnlineLowerBound(mu) != 4 {
 		t.Error("Theorem 1 gap must be the constant 4")
 	}
-	if BestFitBounded() {
-		t.Error("Best Fit is not bounded")
-	}
-	// The new bound beats the old one for every mu >= 0 and the
-	// size-restricted one for large beta.
+	// The new bound beats the old one for every mu >= 0.
 	for _, m := range []float64{1, 2, 4, 8, 32} {
 		if FirstFitUpperBound(m) >= FirstFitUpperBoundOld(m) {
 			t.Errorf("mu=%g: new bound not better than old", m)
@@ -135,8 +131,5 @@ func TestBoundFunctions(t *testing.T) {
 		if HybridFirstFitUpperBound(m) >= FirstFitUpperBound(m)+4 {
 			t.Errorf("mu=%g: HFF bound sanity", m)
 		}
-	}
-	if b := FirstFitUpperBoundSizeRestricted(6, 2); b <= 0 {
-		t.Error("size-restricted bound must be positive")
 	}
 }

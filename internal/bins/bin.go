@@ -23,7 +23,7 @@ import (
 const Eps = 1e-9
 
 // Bin is a single server of given capacity (1.0 per dimension in the
-// paper's normalization). Create bins with Open.
+// paper's normalization). Create bins with openBin.
 type Bin struct {
 	// Index is the bin's position in the temporal order of openings,
 	// starting at 0. First Fit's "earliest opened" rule is "lowest Index".
@@ -50,9 +50,9 @@ type Bin struct {
 	slot int
 }
 
-// Open creates a new open bin with the given index and capacity at time t,
+// openBin creates a new open bin with the given index and capacity at time t,
 // supporting dim resource dimensions (1 for the paper's scalar problem).
-func Open(index int, capacity float64, dim int, t float64) *Bin {
+func openBin(index int, capacity float64, dim int, t float64) *Bin {
 	if dim < 1 {
 		panic("bins: dim must be >= 1")
 	}

@@ -11,7 +11,7 @@ func mkItem(id item.ID, size, a, d float64) item.Item {
 }
 
 func TestOpenPlaceRemoveLifecycle(t *testing.T) {
-	b := Open(0, 1.0, 1, 5)
+	b := openBin(0, 1.0, 1, 5)
 	if !b.IsOpen() || b.OpenedAt() != 5 {
 		t.Fatal("bin must open at given time")
 	}
@@ -36,7 +36,7 @@ func TestOpenPlaceRemoveLifecycle(t *testing.T) {
 }
 
 func TestFitsCapacity(t *testing.T) {
-	b := Open(0, 1.0, 1, 0)
+	b := openBin(0, 1.0, 1, 0)
 	b.Place(mkItem(1, 0.5, 0, 10), 0)
 	if !b.Fits(mkItem(2, 0.5, 0, 10)) {
 		t.Error("exact fill must fit (0.5+0.5 == 1)")
@@ -47,7 +47,7 @@ func TestFitsCapacity(t *testing.T) {
 }
 
 func TestFitsEpsilonTolerance(t *testing.T) {
-	b := Open(0, 1.0, 1, 0)
+	b := openBin(0, 1.0, 1, 0)
 	// Three thirds do not sum to exactly 1 in float64; Eps must absorb it.
 	third := 1.0 / 3.0
 	for i := 0; i < 3; i++ {
@@ -60,7 +60,7 @@ func TestFitsEpsilonTolerance(t *testing.T) {
 }
 
 func TestPlacePanicsWhenFull(t *testing.T) {
-	b := Open(0, 1.0, 1, 0)
+	b := openBin(0, 1.0, 1, 0)
 	b.Place(mkItem(1, 0.9, 0, 1), 0)
 	defer func() {
 		if recover() == nil {
@@ -71,7 +71,7 @@ func TestPlacePanicsWhenFull(t *testing.T) {
 }
 
 func TestPlacePanicsOnDuplicate(t *testing.T) {
-	b := Open(0, 1.0, 1, 0)
+	b := openBin(0, 1.0, 1, 0)
 	b.Place(mkItem(1, 0.1, 0, 1), 0)
 	defer func() {
 		if recover() == nil {
@@ -82,7 +82,7 @@ func TestPlacePanicsOnDuplicate(t *testing.T) {
 }
 
 func TestRemovePanicsOnAbsent(t *testing.T) {
-	b := Open(0, 1.0, 1, 0)
+	b := openBin(0, 1.0, 1, 0)
 	b.Place(mkItem(1, 0.1, 0, 1), 0)
 	defer func() {
 		if recover() == nil {
@@ -93,7 +93,7 @@ func TestRemovePanicsOnAbsent(t *testing.T) {
 }
 
 func TestClosedAtPanicsWhileOpen(t *testing.T) {
-	b := Open(0, 1.0, 1, 0)
+	b := openBin(0, 1.0, 1, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic reading ClosedAt of open bin")
@@ -103,7 +103,7 @@ func TestClosedAtPanicsWhileOpen(t *testing.T) {
 }
 
 func TestVectorBin(t *testing.T) {
-	b := Open(0, 1.0, 2, 0)
+	b := openBin(0, 1.0, 2, 0)
 	it := item.Item{ID: 1, Size: 0.8, Sizes: []float64{0.8, 0.2}, Arrival: 0, Departure: 1}
 	if !b.Fits(it) {
 		t.Fatal("vector item must fit empty 2-D bin")
@@ -126,9 +126,9 @@ func TestVectorBin(t *testing.T) {
 
 func TestOpenPanicsOnBadArgs(t *testing.T) {
 	for _, f := range []func(){
-		func() { Open(0, 1, 0, 0) },  // dim 0
-		func() { Open(0, 0, 1, 0) },  // zero capacity
-		func() { Open(0, -1, 1, 0) }, // negative capacity
+		func() { openBin(0, 1, 0, 0) },  // dim 0
+		func() { openBin(0, 0, 1, 0) },  // zero capacity
+		func() { openBin(0, -1, 1, 0) }, // negative capacity
 	} {
 		func() {
 			defer func() {
@@ -142,7 +142,7 @@ func TestOpenPanicsOnBadArgs(t *testing.T) {
 }
 
 func TestGapAndString(t *testing.T) {
-	b := Open(3, 1.0, 1, 0)
+	b := openBin(3, 1.0, 1, 0)
 	b.Place(mkItem(1, 0.25, 0, 1), 0)
 	if b.Gap() != 0.75 {
 		t.Errorf("gap = %g", b.Gap())

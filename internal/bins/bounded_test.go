@@ -288,8 +288,12 @@ func TestBoundedResidentSlice(t *testing.T) {
 // and returns every heap allocation those runs made. testing.AllocsPerRun
 // divides the count by the runs in integers, so it reads one allocation
 // per thousand runs as 0; a zero-allocation pin needs the count itself.
+// The count is process-wide: a collection first settles what earlier
+// tests' garbage left the runtime to do, which otherwise allocated inside
+// the window in about one run in seven.
 func mallocs(runs int, f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBinLingeringLifecycle(t *testing.T) {
-	b := Open(0, 1, 1, 0)
+	b := openBin(0, 1, 1, 0)
 	b.LingerWhenEmpty = true
 	b.Place(mkItem(1, 0.5, 0, 2), 0)
 	if b.Lingering() {
@@ -34,20 +34,20 @@ func TestBinLingeringLifecycle(t *testing.T) {
 func TestBinClosePanics(t *testing.T) {
 	cases := []func(){
 		func() { // occupied
-			b := Open(0, 1, 1, 0)
+			b := openBin(0, 1, 1, 0)
 			b.LingerWhenEmpty = true
 			b.Place(mkItem(1, 0.5, 0, 2), 0)
 			b.Close(1)
 		},
 		func() { // before emptySince
-			b := Open(0, 1, 1, 0)
+			b := openBin(0, 1, 1, 0)
 			b.LingerWhenEmpty = true
 			b.Place(mkItem(1, 0.5, 0, 2), 0)
 			b.Remove(1, 2)
 			b.Close(1)
 		},
 		func() { // EmptySince on occupied bin
-			b := Open(0, 1, 1, 0)
+			b := openBin(0, 1, 1, 0)
 			b.Place(mkItem(1, 0.5, 0, 2), 0)
 			_ = b.EmptySince()
 		},
@@ -65,7 +65,7 @@ func TestBinClosePanics(t *testing.T) {
 }
 
 func TestBinPlacePanicsAfterOpenTime(t *testing.T) {
-	b := Open(0, 1, 1, 5)
+	b := openBin(0, 1, 1, 5)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic placing before open time")
@@ -217,7 +217,7 @@ func TestOpenNewCapSetsPerBinCapacity(t *testing.T) {
 }
 
 func TestUsagePeriodOfLingeringBin(t *testing.T) {
-	b := Open(0, 1, 1, 1)
+	b := openBin(0, 1, 1, 1)
 	b.LingerWhenEmpty = true
 	b.Place(mkItem(1, 0.5, 1, 2), 1)
 	b.Remove(1, 2)

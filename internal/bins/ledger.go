@@ -220,7 +220,7 @@ func (g *Ledger) OpenNew(it item.Item, t float64) *Bin {
 // OpenNewCap opens a fresh bin with an explicit capacity (heterogeneous
 // fleets open different tiers; homogeneous runs use OpenNew).
 func (g *Ledger) OpenNewCap(it item.Item, t, capacity float64) *Bin {
-	b := Open(g.opened, capacity, g.dim, t)
+	b := openBin(g.opened, capacity, g.dim, t)
 	b.LingerWhenEmpty = g.keepAlive > 0
 	g.opened++
 	g.open = append(g.open, b)

@@ -63,7 +63,7 @@ func TestLevelListMatchesSortedSlice(t *testing.T) {
 			open := m.sorted()
 			switch r := rng.Float64(); {
 			case len(open) == 0 || (growing && r < 0.45) || (!growing && r < 0.2):
-				b := Open(opened, 1, 1, 0)
+				b := openBin(opened, 1, 1, 0)
 				opened++
 				b.level[0] = 1 - gap()
 				b.slot = len(m.slots)
@@ -193,7 +193,7 @@ func TestLevelListMatchesSortedSlice(t *testing.T) {
 func TestLevelListSplitsAtCapacity(t *testing.T) {
 	l := newLevelList((*Bin).Gap, nil)
 	bin := func(i int, gap float64) *Bin {
-		b := Open(i, 1, 1, 0)
+		b := openBin(i, 1, 1, 0)
 		b.level[0] = 1 - gap
 		b.slot = i
 		return b

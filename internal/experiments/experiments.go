@@ -83,7 +83,7 @@ func All() []Experiment {
 		},
 		{
 			ID:    "E9",
-			Title: "Algorithm comparison on random workloads",
+			Title: "Algorithm comparison on registered statistical scenarios",
 			Claim: "First Fit is near-optimal in practice across loads and distributions",
 			Run:   runE9,
 		},
@@ -119,7 +119,7 @@ func All() []Experiment {
 		},
 		{
 			ID:    "E15",
-			Title: "Bursty (MMPP) arrivals vs smooth Poisson",
+			Title: "Arrival shape: smooth vs bursty (MMPP) vs diurnal",
 			Claim: "flash crowds widen the spread between policies at equal average load",
 			Run:   runE15,
 		},

@@ -16,19 +16,6 @@ type Interval struct {
 	Lo, Hi float64
 }
 
-// New returns the interval [lo, hi). It panics if hi < lo or either bound
-// is NaN, because an ill-formed interval almost always indicates a logic
-// error upstream and silently clamping would mask it.
-func New(lo, hi float64) Interval {
-	if math.IsNaN(lo) || math.IsNaN(hi) {
-		panic("interval: NaN bound")
-	}
-	if hi < lo {
-		panic(fmt.Sprintf("interval: inverted bounds [%g, %g)", lo, hi))
-	}
-	return Interval{Lo: lo, Hi: hi}
-}
-
 // Length returns Hi-Lo, the measure of the interval. The paper writes |I|.
 func (iv Interval) Length() float64 { return iv.Hi - iv.Lo }
 

@@ -12,28 +12,28 @@ func TestSetZeroValue(t *testing.T) {
 	if s.Measure() != 0 || s.Len() != 0 {
 		t.Error("zero Set must be empty")
 	}
-	s.Add(New(0, 1))
+	s.Add(ival(0, 1))
 	if s.Measure() != 1 {
 		t.Error("zero Set must be usable after Add")
 	}
 }
 
 func TestSetMergeOverlapping(t *testing.T) {
-	s := NewSet(New(0, 2), New(1, 3))
+	s := NewSet(ival(0, 2), ival(1, 3))
 	if s.Len() != 1 || s.Measure() != 3 {
 		t.Errorf("got %v (measure %g), want single [0,3)", s, s.Measure())
 	}
 }
 
 func TestSetMergeTouching(t *testing.T) {
-	s := NewSet(New(0, 1), New(1, 2))
+	s := NewSet(ival(0, 1), ival(1, 2))
 	if s.Len() != 1 || s.Measure() != 2 {
 		t.Errorf("touching intervals must merge: %v", s)
 	}
 }
 
 func TestSetDisjointStayDisjoint(t *testing.T) {
-	s := NewSet(New(0, 1), New(2, 3), New(4, 5))
+	s := NewSet(ival(0, 1), ival(2, 3), ival(4, 5))
 	if s.Len() != 3 || s.Measure() != 3 {
 		t.Errorf("got %v", s)
 	}
@@ -43,15 +43,15 @@ func TestSetDisjointStayDisjoint(t *testing.T) {
 }
 
 func TestSetBridgingAdd(t *testing.T) {
-	s := NewSet(New(0, 1), New(2, 3))
-	s.Add(New(0.5, 2.5))
+	s := NewSet(ival(0, 1), ival(2, 3))
+	s.Add(ival(0.5, 2.5))
 	if s.Len() != 1 || s.Measure() != 3 {
 		t.Errorf("bridging add must merge all: %v", s)
 	}
 }
 
 func TestSetAddEmptyIsNoop(t *testing.T) {
-	s := NewSet(New(0, 1))
+	s := NewSet(ival(0, 1))
 	s.Add(Interval{})
 	if s.Len() != 1 || s.Measure() != 1 {
 		t.Errorf("empty add changed set: %v", s)
@@ -59,8 +59,8 @@ func TestSetAddEmptyIsNoop(t *testing.T) {
 }
 
 func TestSetHull(t *testing.T) {
-	s := NewSet(New(5, 6), New(0, 1))
-	if got := s.Hull(); got != New(0, 6) {
+	s := NewSet(ival(5, 6), ival(0, 1))
+	if got := s.Hull(); got != ival(0, 6) {
 		t.Errorf("hull = %v", got)
 	}
 	if got := NewSet().Hull(); !got.Empty() {
@@ -69,18 +69,18 @@ func TestSetHull(t *testing.T) {
 }
 
 func TestSetOverlaps(t *testing.T) {
-	s := NewSet(New(0, 1), New(2, 3))
-	if s.Overlaps(New(1, 2)) {
+	s := NewSet(ival(0, 1), ival(2, 3))
+	if s.Overlaps(ival(1, 2)) {
 		t.Error("gap must not overlap")
 	}
-	if !s.Overlaps(New(0.9, 1.1)) {
+	if !s.Overlaps(ival(0.9, 1.1)) {
 		t.Error("must overlap first interval")
 	}
 }
 
 func TestSpan(t *testing.T) {
 	// Figure 1 style example: three overlapping items plus one detached.
-	got := Span([]Interval{New(0, 2), New(1, 3), New(2.5, 4), New(10, 11)})
+	got := Span([]Interval{ival(0, 2), ival(1, 3), ival(2.5, 4), ival(10, 11)})
 	if got != 5 {
 		t.Errorf("span = %g, want 5", got)
 	}
@@ -93,7 +93,7 @@ func TestSetString(t *testing.T) {
 	if got := NewSet().String(); got != "{}" {
 		t.Errorf("empty set String = %q", got)
 	}
-	if got := NewSet(New(0, 1), New(2, 3)).String(); got != "[0, 1) ∪ [2, 3)" {
+	if got := NewSet(ival(0, 1), ival(2, 3)).String(); got != "[0, 1) ∪ [2, 3)" {
 		t.Errorf("set String = %q", got)
 	}
 }
@@ -108,7 +108,7 @@ func TestSetCanonicalInvariant(t *testing.T) {
 		for k := 0; k < 30; k++ {
 			lo := math.Floor(rng.Float64()*64) / 4
 			length := math.Floor(rng.Float64()*16) / 4
-			iv := New(lo, lo+length)
+			iv := ival(lo, lo+length)
 			raw = append(raw, iv)
 			s.Add(iv)
 		}
@@ -150,7 +150,7 @@ func TestSetOrderIndependence(t *testing.T) {
 		ivs := make([]Interval, n)
 		for i := range ivs {
 			lo := rng.Float64() * 100
-			ivs[i] = New(lo, lo+rng.Float64()*10)
+			ivs[i] = ival(lo, lo+rng.Float64()*10)
 		}
 		a := NewSet(ivs...)
 		// Reverse order.

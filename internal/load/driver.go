@@ -27,9 +27,9 @@ const (
 	// op's latency is measured from its *scheduled* time — the
 	// coordinated-omission-free measurement.
 	ModeOpen Mode = "open"
-	// ModeClosed is the closed-loop model: Clients concurrent users,
+	// modeClosed is the closed-loop model: Clients concurrent users,
 	// each issuing its next op as soon as the previous completed.
-	ModeClosed Mode = "closed"
+	modeClosed Mode = "closed"
 )
 
 // Options configures one load run.
@@ -62,7 +62,7 @@ func (o *Options) setDefaults() error {
 	if o.Target == nil {
 		return fmt.Errorf("load: Options.Target is required")
 	}
-	if o.Script == nil || len(o.Script.Ops) == 0 {
+	if o.Script == nil || len(o.Script.ops) == 0 {
 		return fmt.Errorf("load: Options.Script is empty")
 	}
 	switch o.Mode {
@@ -73,7 +73,7 @@ func (o *Options) setDefaults() error {
 		if o.Clients <= 0 {
 			o.Clients = 4 * runtime.GOMAXPROCS(0)
 		}
-	case ModeClosed:
+	case modeClosed:
 		if o.Clients <= 0 {
 			o.Clients = 16
 		}
@@ -93,7 +93,7 @@ func (o *Options) setDefaults() error {
 // on the hot path, merged after the run.
 type clientResult struct {
 	warm, meas [numOpKinds]*hist.Hist
-	errs       [numOpKinds]map[string]uint64 // measure-phase, by Classify code
+	errs       [numOpKinds]map[string]uint64 // measure-phase, by classify code
 	warmOps    uint64
 	measOps    uint64
 	drainOps   uint64
@@ -165,7 +165,7 @@ func (r *runner) epochOffset(epoch int) item.ID {
 }
 
 func (r *runner) client(c int, res *clientResult) {
-	script := r.parts[c].Ops
+	script := r.parts[c].ops
 	if len(script) == 0 {
 		return
 	}
@@ -198,7 +198,7 @@ func (r *runner) client(c int, res *clientResult) {
 		op := script[i]
 		id := op.ID + r.epochOffset(epoch)
 		skip := false
-		if op.Kind == OpDepart {
+		if op.Kind == opDepart {
 			if _, ok := failed[id]; ok {
 				delete(failed, id)
 				skip = true
@@ -206,7 +206,7 @@ func (r *runner) client(c int, res *clientResult) {
 		}
 		if !skip {
 			var err error
-			if op.Kind == OpArrive {
+			if op.Kind == opArrive {
 				err = r.o.Target.Arrive(id, op.Size, op.Sizes, nil)
 			} else {
 				err = r.o.Target.Depart(id, nil)
@@ -219,13 +219,13 @@ func (r *runner) client(c int, res *clientResult) {
 				res.meas[op.Kind].Record(lat)
 				res.measOps++
 				if err != nil {
-					res.errs[op.Kind][Classify(err)]++
+					res.errs[op.Kind][classify(err)]++
 				}
 			}
 			switch {
-			case op.Kind == OpArrive && err == nil:
+			case op.Kind == opArrive && err == nil:
 				active[id] = struct{}{}
-			case op.Kind == OpArrive:
+			case op.Kind == opArrive:
 				failed[id] = struct{}{}
 			case err == nil:
 				// Only a depart that succeeded: a refused one leaves the

@@ -34,19 +34,19 @@ func newInProc(t *testing.T) *InProc {
 // preserves that per client while covering every op.
 func TestScriptInvariants(t *testing.T) {
 	s := testScript(t, 500)
-	if len(s.Ops) != 1000 {
-		t.Fatalf("script has %d ops, want 1000", len(s.Ops))
+	if len(s.ops) != 1000 {
+		t.Fatalf("script has %d ops, want 1000", len(s.ops))
 	}
-	checkOrder := func(ops []Op) int {
+	checkOrder := func(ops []scriptOp) int {
 		seen := make(map[item.ID]int) // 1 = arrived, 2 = departed
 		for _, op := range ops {
 			switch op.Kind {
-			case OpArrive:
+			case opArrive:
 				if seen[op.ID] != 0 {
 					t.Fatalf("job %d arrives twice or after depart", op.ID)
 				}
 				seen[op.ID] = 1
-			case OpDepart:
+			case opDepart:
 				if seen[op.ID] != 1 {
 					t.Fatalf("job %d departs without arriving", op.ID)
 				}
@@ -60,17 +60,17 @@ func TestScriptInvariants(t *testing.T) {
 		}
 		return len(seen)
 	}
-	if jobs := checkOrder(s.Ops); jobs != 500 {
+	if jobs := checkOrder(s.ops); jobs != 500 {
 		t.Fatalf("script covers %d jobs, want 500", jobs)
 	}
 	parts := s.Partition(7)
 	total := 0
 	for _, p := range parts {
-		checkOrder(p.Ops)
-		total += len(p.Ops)
+		checkOrder(p.ops)
+		total += len(p.ops)
 	}
-	if total != len(s.Ops) {
-		t.Fatalf("partitions cover %d ops, want %d", total, len(s.Ops))
+	if total != len(s.ops) {
+		t.Fatalf("partitions cover %d ops, want %d", total, len(s.ops))
 	}
 }
 
@@ -84,15 +84,15 @@ func TestScriptFromListCopiesSizes(t *testing.T) {
 		{ID: 1, Size: 0.6, Sizes: []float64{0.6, 0.2}, Arrival: 0, Departure: 2},
 		{ID: 2, Size: 0.7, Sizes: []float64{0.3, 0.7}, Arrival: 1, Departure: 3},
 	}
-	s := ScriptFromList(l)
+	s := scriptFromList(l)
 	for i := range l {
 		for d := range l[i].Sizes {
 			l[i].Sizes[d] = 55.5 // caller reuses its instance
 		}
 	}
 	want := map[item.ID][]float64{1: {0.6, 0.2}, 2: {0.3, 0.7}}
-	for _, op := range s.Ops {
-		if op.Kind != OpArrive {
+	for _, op := range s.ops {
+		if op.Kind != opArrive {
 			continue
 		}
 		w := want[op.ID]
@@ -112,17 +112,17 @@ func TestScriptFromListFollowsEngineOrder(t *testing.T) {
 		{ID: 3, Size: 0.2, Arrival: 1, Departure: 3},
 		{ID: 4, Size: 0.2, Arrival: 3, Departure: 4},
 	}
-	want := []Op{
-		{Kind: OpArrive, ID: 2}, {Kind: OpArrive, ID: 1}, {Kind: OpArrive, ID: 3},
-		{Kind: OpDepart, ID: 2}, {Kind: OpDepart, ID: 1}, {Kind: OpDepart, ID: 3},
-		{Kind: OpArrive, ID: 4}, {Kind: OpDepart, ID: 4},
+	want := []scriptOp{
+		{Kind: opArrive, ID: 2}, {Kind: opArrive, ID: 1}, {Kind: opArrive, ID: 3},
+		{Kind: opDepart, ID: 2}, {Kind: opDepart, ID: 1}, {Kind: opDepart, ID: 3},
+		{Kind: opArrive, ID: 4}, {Kind: opDepart, ID: 4},
 	}
-	s := ScriptFromList(l)
-	if len(s.Ops) != len(want) {
-		t.Fatalf("script has %d ops, want %d", len(s.Ops), len(want))
+	s := scriptFromList(l)
+	if len(s.ops) != len(want) {
+		t.Fatalf("script has %d ops, want %d", len(s.ops), len(want))
 	}
 	for i, w := range want {
-		if op := s.Ops[i]; op.Kind != w.Kind || op.ID != w.ID {
+		if op := s.ops[i]; op.Kind != w.Kind || op.ID != w.ID {
 			t.Fatalf("op %d = %v %d, want %v %d", i, op.Kind, op.ID, w.Kind, w.ID)
 		}
 	}
@@ -173,7 +173,7 @@ func TestClosedLoop(t *testing.T) {
 	rep, err := Run(Options{
 		Target:  newInProc(t),
 		Script:  testScript(t, 2000),
-		Mode:    ModeClosed,
+		Mode:    modeClosed,
 		Clients: 4,
 		Measure: 800 * time.Millisecond,
 		Drain:   5 * time.Second,
@@ -203,8 +203,8 @@ func TestHTTPTargetRun(t *testing.T) {
 	t.Cleanup(func() { ts.Close(); d.Close() })
 
 	tgt := NewHTTP(ts.URL, 8, 10*time.Second)
-	if err := tgt.Depart(999999, nil); Classify(err) != "unknown_job" {
-		t.Fatalf("unknown depart classified %q (err %v)", Classify(err), err)
+	if err := tgt.Depart(999999, nil); classify(err) != "unknown_job" {
+		t.Fatalf("unknown depart classified %q (err %v)", classify(err), err)
 	}
 
 	rep, err := Run(Options{
@@ -242,8 +242,8 @@ func TestHTTPTargetRun(t *testing.T) {
 func TestTransportErrorClass(t *testing.T) {
 	tgt := NewHTTP("http://127.0.0.1:1", 1, 200*time.Millisecond)
 	err := tgt.Arrive(1, 0.5, nil, nil)
-	if err == nil || Classify(err) != "transport" {
-		t.Fatalf("dead endpoint: err=%v class=%q", err, Classify(err))
+	if err == nil || classify(err) != "transport" {
+		t.Fatalf("dead endpoint: err=%v class=%q", err, classify(err))
 	}
 }
 

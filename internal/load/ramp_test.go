@@ -177,8 +177,8 @@ func (*flakyDepartTarget) Name() string                { return "flakydepart" }
 func TestFailedScriptedDepartIsDrained(t *testing.T) {
 	script := testScript(t, 50)
 	var job item.ID
-	for _, op := range script.Ops {
-		if op.Kind == OpDepart {
+	for _, op := range script.ops {
+		if op.Kind == opDepart {
 			job = op.ID // epoch 0, IDBase 0: the ID goes out unshifted
 			break
 		}
@@ -197,7 +197,7 @@ func TestFailedScriptedDepartIsDrained(t *testing.T) {
 			rep, err := Run(Options{
 				Target:  tgt,
 				Script:  script,
-				Mode:    ModeClosed,
+				Mode:    modeClosed,
 				Clients: 1,
 				Measure: 50 * time.Millisecond, // 100 ops per epoch: the script wraps many times
 				Drain:   time.Second,

@@ -7,32 +7,32 @@ import (
 	"dbp/internal/workload"
 )
 
-// Op is one load-generator operation. Scripts carry the *structure* of
+// scriptOp is one load-generator operation. Scripts carry the *structure* of
 // a workload — which job arrives or departs next, with what demand —
 // while the pacer decides *when* each op is issued on the wall clock.
 // Replaying a trace's event order at a different speed preserves its
 // concurrency profile (the active-population trajectory), which is
 // what stresses the allocator; the trace's own timestamps are not
 // replayed.
-type Op struct {
-	Kind  OpKind
+type scriptOp struct {
+	Kind  opKind
 	ID    item.ID
 	Size  float64
 	Sizes []float64
 }
 
-// OpKind distinguishes arrivals from departures.
-type OpKind uint8
+// opKind distinguishes arrivals from departures.
+type opKind uint8
 
 const (
-	OpArrive OpKind = iota
-	OpDepart
+	opArrive opKind = iota
+	opDepart
 	numOpKinds
 )
 
 // String names the op kind as it appears in results ("arrive"/"depart").
-func (k OpKind) String() string {
-	if k == OpArrive {
+func (k opKind) String() string {
+	if k == opArrive {
 		return "arrive"
 	}
 	return "depart"
@@ -42,26 +42,26 @@ func (k OpKind) String() string {
 // also departs in it, in trace-event order. maxID bounds the job IDs
 // used, so replays can re-key subsequent epochs without collisions.
 type Script struct {
-	Ops   []Op
+	ops   []scriptOp
 	maxID item.ID
 }
 
-// ScriptFromList flattens an instance into its arrive/depart event
+// scriptFromList flattens an instance into its arrive/depart event
 // sequence, in the simulation engine's processing order (item.List.Events).
-func ScriptFromList(l item.List) *Script {
-	s := &Script{Ops: make([]Op, 0, 2*len(l))}
+func scriptFromList(l item.List) *Script {
+	s := &Script{ops: make([]scriptOp, 0, 2*len(l))}
 	for _, it := range l {
 		s.maxID = max(s.maxID, it.ID)
 	}
 	for _, e := range l.Events(false) {
 		if e.Kind == item.Depart {
-			s.Ops = append(s.Ops, Op{Kind: OpDepart, ID: e.Item.ID})
+			s.ops = append(s.ops, scriptOp{Kind: opDepart, ID: e.Item.ID})
 		} else {
 			// Copy the demand vector so the script owns its ops: the
 			// caller's item.List stays live (rescaling, re-keying, reuse
 			// across epochs), and an op aliasing it would replay whatever
 			// the caller last wrote there instead of the trace's demand.
-			s.Ops = append(s.Ops, Op{Kind: OpArrive, ID: e.Item.ID, Size: e.Item.Size,
+			s.ops = append(s.ops, scriptOp{Kind: opArrive, ID: e.Item.ID, Size: e.Item.Size,
 				Sizes: append([]float64(nil), e.Item.Sizes...)})
 		}
 	}
@@ -78,15 +78,15 @@ func (s *Script) Partition(n int) []*Script {
 	for i := range parts {
 		parts[i] = &Script{maxID: s.maxID}
 	}
-	for _, op := range s.Ops {
+	for _, op := range s.ops {
 		c := int(uint64(op.ID) % uint64(n))
-		parts[c].Ops = append(parts[c].Ops, op)
+		parts[c].ops = append(parts[c].ops, op)
 	}
 	return parts
 }
 
 // GenerateScript builds a script from any registered workload scenario
-// (spec "name" or "name:key=value,..." — see workload.Describe): n jobs
+// (spec "name" or "name:key=value,..." — see workload.List): n jobs
 // with duration ratio mu, arrival rate rate (which, together with mean
 // duration, fixes the steady-state active population — the trace's
 // concurrency profile), seeded for reproducibility. dim > 1 draws
@@ -99,5 +99,5 @@ func GenerateScript(spec string, n int, rate, mu float64, seed int64, dim int) (
 	if err != nil {
 		return nil, fmt.Errorf("load: %w", err)
 	}
-	return ScriptFromList(l), nil
+	return scriptFromList(l), nil
 }

@@ -2,6 +2,7 @@ package load
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"dbp/internal/workload"
@@ -16,7 +17,12 @@ func TestRegistryCompleteWithoutImports(t *testing.T) {
 		"equalduration", "gaming", "hotspot", "nextfit-adv", "pareto",
 		"smallitem", "stress", "trace", "uniform", "zipfian",
 	}
-	if got := workload.Names(); !reflect.DeepEqual(got, want) {
+	var got []string
+	for _, s := range workload.Scenarios() {
+		got = append(got, s.Name())
+	}
+	slices.Sort(got)
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("registered scenarios:\n got %q\nwant %q", got, want)
 	}
 	if _, err := GenerateScript("gaming", 100, 1, 10, 1, 1); err != nil {

@@ -25,26 +25,26 @@ type Target interface {
 	Name() string
 }
 
-// APIError is a request the target's service refused: the stable code
+// apiError is a request the target's service refused: the stable code
 // of its serve.Class, plus the HTTP status (also for the wire
 // transport). Transport-level failures (refused connections, timeouts)
 // use code "transport" and status 0.
-type APIError struct {
+type apiError struct {
 	Status int
 	Code   string
 	Msg    string
 }
 
-func (e *APIError) Error() string {
+func (e *apiError) Error() string {
 	return fmt.Sprintf("load: %s (%d): %s", e.Code, e.Status, e.Msg)
 }
 
-// Classify buckets a target error by its stable code: API rejections
+// classify buckets a target error by its stable code: API rejections
 // keep the code the server assigned, in-process dispatcher errors get
 // their serve.Class's code, so every target produces the one error
 // taxonomy in the results file.
-func Classify(err error) string {
-	var ae *APIError
+func classify(err error) string {
+	var ae *apiError
 	if errors.As(err, &ae) {
 		return ae.Code
 	}
@@ -100,15 +100,15 @@ func NewHTTP(base string, maxConns int, timeout time.Duration) *HTTPTarget {
 
 func (h *HTTPTarget) Name() string { return "http" }
 
-// post issues one JSON POST and folds any non-2xx reply into APIError.
+// post issues one JSON POST and folds any non-2xx reply into apiError.
 func (h *HTTPTarget) post(path string, body any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
-		return &APIError{Code: "transport", Msg: err.Error()}
+		return &apiError{Code: "transport", Msg: err.Error()}
 	}
 	resp, err := h.client.Post(h.base+path, "application/json", bytes.NewReader(buf))
 	if err != nil {
-		return &APIError{Code: "transport", Msg: err.Error()}
+		return &apiError{Code: "transport", Msg: err.Error()}
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body) // drain so the connection is reused
@@ -121,7 +121,7 @@ func (h *HTTPTarget) post(path string, body any) error {
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er); err != nil || er.Code == "" {
 		er.Code = fmt.Sprintf("http_%d", resp.StatusCode)
 	}
-	return &APIError{Status: resp.StatusCode, Code: er.Code, Msg: er.Error}
+	return &apiError{Status: resp.StatusCode, Code: er.Code, Msg: er.Error}
 }
 
 func (h *HTTPTarget) Arrive(id item.ID, size float64, sizes []float64, t *float64) error {

@@ -11,7 +11,7 @@ import (
 // WireTarget drives a running dbpserved over the binary batched wire
 // protocol (internal/wire): a pool of persistent connections whose
 // writers coalesce concurrent ops into batch frames. Op-level
-// rejections surface as APIError with the same stable codes as the
+// rejections surface as apiError with the same stable codes as the
 // HTTP transport, so the two produce identical error taxonomies in
 // the results file.
 type WireTarget struct {
@@ -49,7 +49,7 @@ func (w *WireTarget) Stats() (serve.Stats, error) { return w.c.Stats() }
 // Close retires the connection pool.
 func (w *WireTarget) Close() error { return w.c.Close() }
 
-// wireErr folds a wire client error into the harness's APIError
+// wireErr folds a wire client error into the harness's apiError
 // taxonomy: op rejections keep their class's code and HTTP status,
 // transport-level failures (goaway, dead connections) become code
 // "transport".
@@ -59,7 +59,7 @@ func wireErr(err error) error {
 	}
 	var oe *wire.OpError
 	if errors.As(err, &oe) {
-		return &APIError{Status: oe.Status.HTTPStatus(), Code: oe.Status.Code(), Msg: oe.Error()}
+		return &apiError{Status: oe.Status.HTTPStatus(), Code: oe.Status.Code(), Msg: oe.Error()}
 	}
-	return &APIError{Code: "transport", Msg: err.Error()}
+	return &apiError{Code: "transport", Msg: err.Error()}
 }

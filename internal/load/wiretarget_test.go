@@ -1,7 +1,12 @@
 package load
 
 import (
+	"errors"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -40,8 +45,8 @@ func TestWireTargetRun(t *testing.T) {
 	t.Cleanup(func() { tgt.Close() })
 
 	// Rejections carry the same stable codes as the HTTP transport.
-	if err := tgt.Depart(999999, nil); Classify(err) != "unknown_job" {
-		t.Fatalf("unknown depart classified %q (err %v)", Classify(err), err)
+	if err := tgt.Depart(999999, nil); classify(err) != "unknown_job" {
+		t.Fatalf("unknown depart classified %q (err %v)", classify(err), err)
 	}
 
 	rep, err := Run(Options{
@@ -102,7 +107,69 @@ func TestWireTransportErrorClass(t *testing.T) {
 	}
 	tgt.Close()
 	err = tgt.Arrive(1, 0.5, nil, nil)
-	if err == nil || Classify(err) != "transport" {
-		t.Fatalf("closed client: err=%v class=%q", err, Classify(err))
+	if err == nil || classify(err) != "transport" {
+		t.Fatalf("closed client: err=%v class=%q", err, classify(err))
+	}
+}
+
+// TestClassifyReadsWireClass: every class the wire client can return
+// (a *wire.OpError carrying its status byte) classifies to that class's
+// stable code, the one the HTTP transport reports.
+func TestClassifyReadsWireClass(t *testing.T) {
+	for c := serve.Class(1); int(c) < serve.NumClasses; c++ {
+		if got := classify(&wire.OpError{Status: c}); got != c.Code() {
+			t.Errorf("class %d: wire error classifies as %q, want %q", c, got, c.Code())
+		}
+	}
+}
+
+// TestDurabilityFailedClassifiesAlike poisons a shard's journal: with
+// the shard's directory gone, the next segment rotation cannot create
+// its file. A rejection through the wire target and one through the HTTP
+// target must classify alike, as durability_failed with HTTP status 503.
+func TestDurabilityFailedClassifiesAlike(t *testing.T) {
+	dir := t.TempDir()
+	d, err := serve.New(serve.Config{Algorithm: "firstfit", Shards: 1, DataDir: dir, SegmentBytes: 64,
+		Clock: func() float64 { return 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ws := wire.NewServer(d)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ws.Serve(ln)
+	defer ws.Close()
+	if err := os.RemoveAll(filepath.Join(dir, "shard-0000")); err != nil {
+		t.Fatal(err)
+	}
+	at := func(v float64) *float64 { return &v }
+	if _, err := d.Arrive(1, 0.1, nil, at(1)); err != nil {
+		t.Fatalf("arrive before rotation: %v", err)
+	}
+	if _, err := d.Arrive(2, 0.1, nil, at(2)); !errors.Is(err, serve.ErrDurability) {
+		t.Fatalf("arrive after failed rotation: %v, want ErrDurability", err)
+	}
+
+	wt, err := NewWire(ln.Addr().String(), wire.Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wt.Close()
+	srv := httptest.NewServer(serve.NewHandler(d))
+	defer srv.Close()
+	ht := NewHTTP(srv.URL, 1, 5*time.Second)
+	wireErr, httpErr := wt.Arrive(3, 0.1, nil, at(3)), ht.Arrive(4, 0.1, nil, at(4))
+	if w, h := classify(wireErr), classify(httpErr); w != "durability_failed" || h != w {
+		t.Fatalf("classified wire %q, HTTP %q; want durability_failed for both", w, h)
+	}
+	var we, he *apiError
+	if !errors.As(wireErr, &we) || !errors.As(httpErr, &he) || we.Status != he.Status || he.Status != http.StatusServiceUnavailable {
+		t.Fatalf("wire %v and HTTP %v disagree on the HTTP status", wireErr, httpErr)
+	}
+	if n := d.Stats().Rejected["durability_failed"]; n != 3 {
+		t.Fatalf("stats count %d durability_failed rejections, want 3", n)
 	}
 }

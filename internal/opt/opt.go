@@ -68,13 +68,6 @@ func DemandLowerBound(l item.List) float64 {
 // bin is in use whenever some item is active).
 func SpanLowerBound(l item.List) float64 { return l.Span() }
 
-// CombinedLowerBound is max(Prop 1, Prop 2), the denominator the paper's
-// competitive analysis measures against when the true OPT is unknown. It
-// is a lower bound at every d, and TotalVec's Lower never falls below it.
-func CombinedLowerBound(l item.List) float64 {
-	return math.Max(DemandLowerBound(l), SpanLowerBound(l))
-}
-
 // segments calls visit with each segment of the list's timeline on which
 // some item is active: its length and the active items' sizes, in list
 // order. sizes is reused from segment to segment.

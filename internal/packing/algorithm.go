@@ -9,6 +9,12 @@
 // Algorithm interface enforces the first restriction structurally by
 // passing an Arrival view that carries no times. Placements are
 // irrevocable: items are never migrated between bins.
+//
+// A policy is Name + Place (Algorithm). A policy with state of its own
+// implements optional hooks, which the engine finds once, when it is
+// built: BinOpened (Next-k Fit, both hybrids, Replay's follow), Reset
+// (those and Random Fit) and SaveState/RestoreState (Next-k Fit, both
+// hybrids, Random Fit), which carry the state through a Snapshot.
 package packing
 
 import (
@@ -78,25 +84,30 @@ type Fleet interface {
 	SecondEmptiestFitting(sizes []float64) *bins.Bin
 }
 
-// Algorithm is an online bin packing policy.
-//
-// Place returns the open bin that should receive the arrival — located
-// through the Fleet's indexed queries or its Open() slice — or nil to
-// open a new bin. Returning a bin that cannot accommodate the arrival is
-// a policy bug and makes the engine fail the run (ErrPolicyMisplace).
-// Implementations may retain references to individual bins across calls
-// (e.g. Next Fit's available bin) and must tolerate those bins having
-// closed.
-//
-// BinOpened reports the bin the engine opened after Place returned nil,
-// so bounded-state policies can track it (Next Fit's available bin,
-// Hybrid's class tag). Stateless policies implement it as a no-op.
-//
-// Reset restores the algorithm's initial state so one value can be reused
-// across runs.
+// Algorithm is an online bin packing policy: the one decision the paper
+// defines a policy by (Secs. II–III). Place returns the open bin that
+// should receive the arrival — located through the Fleet's indexed
+// queries or its Open() slice — or nil to open a new bin. Returning a bin
+// that cannot accommodate the arrival is a policy bug and makes the
+// engine fail the run (ErrPolicyMisplace). Implementations may retain
+// references to individual bins across calls (e.g. Next Fit's available
+// bin) and must tolerate those bins having closed. A policy with state
+// of its own adds the optional hooks binOpener, resetter and
+// statefulAlgorithm (see the package doc).
 type Algorithm interface {
 	Name() string
 	Place(a Arrival, f Fleet) *bins.Bin
+}
+
+// binOpener is a policy that tracks the bins it had opened: the engine
+// reports the bin it opens after Place returned nil, and at no other
+// time.
+type binOpener interface {
 	BinOpened(b *bins.Bin)
+}
+
+// resetter is a policy with run state: the engine resets it when it is
+// built, so one value can drive several runs and streams.
+type resetter interface {
 	Reset()
 }

@@ -206,7 +206,7 @@ func TestHybridFirstFitClassSeparation(t *testing.T) {
 // BinOpened adds after a sweep), and the saved state — which has always
 // listed open servers only — round-trips through a restore unchanged.
 func TestHybridFirstFitSweepsClosedTags(t *testing.T) {
-	h := NewHybridFirstFit(2)
+	h := NewHybridFirstFit(2).(*hybridFirstFit)
 	s := NewStream(h, 1, 1)
 	s.Arrive(1, 0.6, nil, 0) // server 0, the large class
 	s.Arrive(2, 0.3, nil, 0) // server 1, the small class
@@ -262,7 +262,7 @@ func TestHybridNextFitClassSeparation(t *testing.T) {
 		mk(2, 0.3, 0, 10),
 		mk(3, 0.3, 0, 10),
 	}
-	h := MustRun(NewHybridNextFit(2), l, nil)
+	h := MustRun(newHybridNextFit(2), l, nil)
 	if h.NumBins() != 2 {
 		t.Fatalf("HNF bins = %d, want 2", h.NumBins())
 	}
@@ -276,14 +276,14 @@ func TestRandomFitReproducible(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		l = append(l, mk(item.ID(i), 0.2, float64(i%7), float64(i%7)+5))
 	}
-	a := MustRun(NewRandomFit(7), l, nil)
-	b := MustRun(NewRandomFit(7), l, nil)
+	a := MustRun(&randomFit{seed: 7}, l, nil)
+	b := MustRun(&randomFit{seed: 7}, l, nil)
 	for id, ba := range a.Assignment {
 		if b.Assignment[id] != ba {
 			t.Fatal("same seed must reproduce the same packing")
 		}
 	}
-	c := MustRun(NewRandomFit(8), l, nil)
+	c := MustRun(&randomFit{seed: 8}, l, nil)
 	diff := false
 	for id := range a.Assignment {
 		if c.Assignment[id] != a.Assignment[id] {
@@ -335,7 +335,7 @@ func TestRegistry(t *testing.T) {
 func TestHybridPanicsOnBadK(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewHybridFirstFit(1) },
-		func() { NewHybridNextFit(0) },
+		func() { newHybridNextFit(0) },
 	} {
 		func() {
 			defer func() {

@@ -2,22 +2,22 @@ package packing
 
 import "dbp/internal/bins"
 
-// BestFit places each item into the fitting open bin with the least
+// bestFit places each item into the fitting open bin with the least
 // remaining capacity (smallest gap), breaking ties toward the earliest
 // opened bin. The paper notes (Sec. I) that for MinUsageTime DBP the
 // competitive ratio of Best Fit is NOT bounded for any given mu — in sharp
 // contrast to classical bin packing, where Best Fit is one of the good
 // heuristics. Experiment E4 reproduces the unboundedness.
-type BestFit struct{}
+type bestFit struct{}
 
 // NewBestFit returns a Best Fit policy.
-func NewBestFit() *BestFit { return &BestFit{} }
+func NewBestFit() Algorithm { return &bestFit{} }
 
 // Name implements Algorithm.
-func (*BestFit) Name() string { return "BestFit" }
+func (*bestFit) Name() string { return "BestFit" }
 
 // Place returns the fitting bin with minimal gap (ties: lowest index).
-func (*BestFit) Place(a Arrival, f Fleet) *bins.Bin {
+func (*bestFit) Place(a Arrival, f Fleet) *bins.Bin {
 	if len(a.Sizes) == 1 {
 		return f.TightestFittingVec(a.Sizes) // at d = 1 TotalGap is the gap
 	}
@@ -32,9 +32,3 @@ func (*BestFit) Place(a Arrival, f Fleet) *bins.Bin {
 	}
 	return best
 }
-
-// BinOpened implements Algorithm; Best Fit tracks no bin state.
-func (*BestFit) BinOpened(*bins.Bin) {}
-
-// Reset implements Algorithm; Best Fit is stateless.
-func (*BestFit) Reset() {}

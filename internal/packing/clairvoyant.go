@@ -17,22 +17,19 @@ import (
 // scan the open list (the linear path). NoExtendFit, the other
 // clairvoyant baseline, is PredictiveFit at sigma = 0 (predictive.go).
 
-// AlignFit places each item into the fitting bin whose closing horizon
+// alignFit places each item into the fitting bin whose closing horizon
 // (latest departure among resident items) is closest to the item's own
 // departure — aligning departures so bins close promptly instead of
 // being kept alive by one straggler. Preference order: the bin with the
 // minimum |horizon - departure|, ties toward the earlier bin.
-type AlignFit struct{}
-
-// NewAlignFit returns an AlignFit policy (requires a clairvoyant run).
-func NewAlignFit() *AlignFit { return &AlignFit{} }
+type alignFit struct{}
 
 // Name implements Algorithm.
-func (*AlignFit) Name() string { return "AlignFit(clairvoyant)" }
+func (*alignFit) Name() string { return "AlignFit(clairvoyant)" }
 
 // Place implements Algorithm; it panics if the run is not clairvoyant
 // (misconfiguration, not data).
-func (*AlignFit) Place(a Arrival, f Fleet) *bins.Bin {
+func (*alignFit) Place(a Arrival, f Fleet) *bins.Bin {
 	if math.IsNaN(a.Departure) {
 		panic(fmt.Sprintf("packing: AlignFit requires Options.Clairvoyant (item %d)", a.ID))
 	}
@@ -49,12 +46,6 @@ func (*AlignFit) Place(a Arrival, f Fleet) *bins.Bin {
 	}
 	return best
 }
-
-// BinOpened implements Algorithm; AlignFit tracks no bin state.
-func (*AlignFit) BinOpened(*bins.Bin) {}
-
-// Reset implements Algorithm; AlignFit is stateless.
-func (*AlignFit) Reset() {}
 
 // horizon returns the latest departure among a bin's resident items.
 // In a clairvoyant run the true departures are available in bin state.

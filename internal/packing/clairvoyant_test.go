@@ -68,7 +68,7 @@ func TestAlmostWorstFit(t *testing.T) {
 		mk(3, 0.6, 0, 10), // bin 2 (fits none), gap 0.4
 		mk(4, 0.2, 1, 10), // fits all: gaps 0.3, 0.5, 0.4 -> emptiest bin1, second bin2
 	}
-	res := MustRun(NewAlmostWorstFit(), l, nil)
+	res := MustRun(&almostWorstFit{}, l, nil)
 	if res.Assignment[4] != 2 {
 		t.Fatalf("AWF put probe in bin %d, want 2 (second-emptiest)", res.Assignment[4])
 	}
@@ -77,7 +77,7 @@ func TestAlmostWorstFit(t *testing.T) {
 		mk(1, 0.9, 0, 10),
 		mk(2, 0.05, 1, 10),
 	}
-	res2 := MustRun(NewAlmostWorstFit(), l2, nil)
+	res2 := MustRun(&almostWorstFit{}, l2, nil)
 	if res2.Assignment[2] != 0 {
 		t.Fatal("AWF must fall back to the only fitting bin")
 	}
@@ -92,7 +92,7 @@ func TestAlignFitRequiresClairvoyance(t *testing.T) {
 	}()
 	// First item opens a bin (Place not called... Place IS called with
 	// empty open list; the panic must fire on the NaN departure).
-	MustRun(NewAlignFit(), l, nil)
+	MustRun(&alignFit{}, l, nil)
 }
 
 func TestAlignFitAlignsDepartures(t *testing.T) {
@@ -107,7 +107,7 @@ func TestAlignFitAlignsDepartures(t *testing.T) {
 		mk(2, 0.6, 0, 3),  // bin 1 (0.6+0.6 > 1), horizon 3
 		mk(3, 0.3, 1, 3),  // fits both; |10-3|=7 vs |3-3|=0 -> bin 1
 	}
-	res := MustRun(NewAlignFit(), l, &Options{Clairvoyant: true})
+	res := MustRun(&alignFit{}, l, &Options{Clairvoyant: true})
 	if res.Assignment[3] != 1 {
 		t.Fatalf("AlignFit put item in bin %d, want 1", res.Assignment[3])
 	}
@@ -122,7 +122,7 @@ func TestNoExtendFitPrefersFreeRides(t *testing.T) {
 		mk(2, 0.6, 0, 3),  // bin 1, horizon 3
 		mk(3, 0.3, 1, 5),  // extends bin 1 (5 > 3) but not bin 0 (5 <= 10) -> bin 0
 	}
-	res := MustRun(NewNoExtendFit(), l, &Options{Clairvoyant: true})
+	res := MustRun(newNoExtendFit(), l, &Options{Clairvoyant: true})
 	if res.Assignment[3] != 0 {
 		t.Fatalf("NoExtendFit put item in bin %d, want 0 (free ride)", res.Assignment[3])
 	}
@@ -131,7 +131,7 @@ func TestNoExtendFitPrefersFreeRides(t *testing.T) {
 		mk(1, 0.6, 0, 2),
 		mk(2, 0.3, 1, 9), // extends bin 0; no alternative -> bin 0 anyway
 	}
-	res2 := MustRun(NewNoExtendFit(), l2, &Options{Clairvoyant: true})
+	res2 := MustRun(newNoExtendFit(), l2, &Options{Clairvoyant: true})
 	if res2.Assignment[2] != 0 {
 		t.Fatal("fallback must use First Fit")
 	}
@@ -154,7 +154,7 @@ func TestClairvoyanceHelpsOnBimodalWorkload(t *testing.T) {
 			l = append(l, mk(item.ID(i+1), 0.05+rng.Float64()*0.45, a, a+dur))
 		}
 		ff := MustRun(NewFirstFit(), l, nil)
-		cl := MustRun(NewNoExtendFit(), l, &Options{Clairvoyant: true})
+		cl := MustRun(newNoExtendFit(), l, &Options{Clairvoyant: true})
 		if err := cl.Verify(); err != nil {
 			t.Fatal(err)
 		}

@@ -34,6 +34,8 @@ func (k EngineKind) valid() bool {
 // vs. live calls) and in bookkeeping around the loop.
 type engine struct {
 	algo        Algorithm
+	opener      binOpener         // algo, if it tracks the bins it opens
+	stateful    statefulAlgorithm // algo, if a snapshot carries its state
 	ledger      *bins.Ledger
 	fleet       Fleet
 	kind        EngineKind
@@ -42,7 +44,7 @@ type engine struct {
 }
 
 // newEngine builds an engine over a fresh ledger. capacity <= 0 means
-// unit capacity; dim <= 0 means scalar. The algorithm is Reset.
+// unit capacity; dim <= 0 means scalar.
 func newEngine(algo Algorithm, capacity float64, dim int, keepAlive float64, kind EngineKind, clairvoyant bool) *engine {
 	if capacity <= 0 {
 		capacity = 1
@@ -53,12 +55,23 @@ func newEngine(algo Algorithm, capacity float64, dim int, keepAlive float64, kin
 	if kind == "" {
 		kind = EngineIndexed
 	}
-	algo.Reset()
 	ledger := bins.NewLedgerKeepAlive(capacity, dim, keepAlive)
 	if kind != EngineLinear {
 		ledger.EnableIndex()
 	}
-	return &engine{algo: algo, ledger: ledger, fleet: newFleet(kind, ledger), kind: kind, clairvoyant: clairvoyant}
+	return engineOn(algo, ledger, kind, clairvoyant)
+}
+
+// engineOn builds an engine over ledger: it finds the policy's optional
+// hooks once, here, and resets a policy that has run state.
+func engineOn(algo Algorithm, ledger *bins.Ledger, kind EngineKind, clairvoyant bool) *engine {
+	e := &engine{algo: algo, ledger: ledger, fleet: newFleet(kind, ledger), kind: kind, clairvoyant: clairvoyant}
+	e.opener, _ = algo.(binOpener)
+	e.stateful, _ = algo.(statefulAlgorithm)
+	if r, ok := algo.(resetter); ok {
+		r.Reset()
+	}
+	return e
 }
 
 // checkDemand is the single admission gate for arriving demands, shared
@@ -117,7 +130,9 @@ func (e *engine) arrive(it item.Item, t float64, capacityFor func(Arrival) (floa
 			}
 		}
 		b = e.ledger.OpenNewCap(it, t, capacity)
-		e.algo.BinOpened(b)
+		if e.opener != nil {
+			e.opener.BinOpened(b)
+		}
 		return b, true, nil
 	}
 	if !b.IsOpen() || !b.Fits(it) {

@@ -2,7 +2,7 @@ package packing
 
 import "dbp/internal/bins"
 
-// FirstFit is the First Fit packing algorithm analyzed by the paper
+// firstFit is the First Fit packing algorithm analyzed by the paper
 // (Sec. III-B): each arriving item is placed in the open bin that was
 // opened earliest (lowest index) among those that can accommodate it; if
 // none can, a new bin is opened.
@@ -11,19 +11,13 @@ import "dbp/internal/bins"
 // DBP, where mu is the max/min item duration ratio — the best known upper
 // bound, within an additive constant of the lower bound mu that holds for
 // every online algorithm.
-type FirstFit struct{}
+type firstFit struct{}
 
 // NewFirstFit returns a First Fit policy.
-func NewFirstFit() *FirstFit { return &FirstFit{} }
+func NewFirstFit() Algorithm { return &firstFit{} }
 
 // Name implements Algorithm.
-func (*FirstFit) Name() string { return "FirstFit" }
+func (*firstFit) Name() string { return "FirstFit" }
 
 // Place returns the lowest-indexed open bin that fits, or nil.
-func (*FirstFit) Place(a Arrival, f Fleet) *bins.Bin { return f.FirstFittingVec(a.Sizes) }
-
-// BinOpened implements Algorithm; First Fit tracks no bin state.
-func (*FirstFit) BinOpened(*bins.Bin) {}
-
-// Reset implements Algorithm; First Fit is stateless.
-func (*FirstFit) Reset() {}
+func (*firstFit) Place(a Arrival, f Fleet) *bins.Bin { return f.FirstFittingVec(a.Sizes) }

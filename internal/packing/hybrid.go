@@ -23,7 +23,7 @@ func classify(size float64, k int) int {
 	return k - 1
 }
 
-// HybridFirstFit is the size-classifying First Fit family from the
+// hybridFirstFit is the size-classifying First Fit family from the
 // authors' earlier work (Li, Tang, Cai, SPAA'14 / TPDS'16), cited by the
 // paper for its 8/7*mu + O(1) competitive ratio. Items are partitioned
 // into k size classes with harmonic boundaries (k=2: large > 1/2 vs small
@@ -40,7 +40,7 @@ func classify(size float64, k int) int {
 // remark: choosing k to optimize the bound requires knowing mu a priori.
 // This implementation documents itself as the classification scheme; the
 // exact constant of [5]'s analysis is not claimed.
-type HybridFirstFit struct {
+type hybridFirstFit struct {
 	k     int
 	class map[*bins.Bin]int
 	// pending remembers the class of the arrival for which Place returned
@@ -50,22 +50,22 @@ type HybridFirstFit struct {
 
 // NewHybridFirstFit returns a Hybrid First Fit policy with k >= 2 size
 // classes. k = 2 reproduces the large/small split at 1/2.
-func NewHybridFirstFit(k int) *HybridFirstFit {
+func NewHybridFirstFit(k int) Algorithm {
 	if k < 2 {
 		panic("packing: HybridFirstFit needs k >= 2 classes")
 	}
-	return &HybridFirstFit{k: k, class: make(map[*bins.Bin]int), pending: -1}
+	return &hybridFirstFit{k: k, class: make(map[*bins.Bin]int), pending: -1}
 }
 
 // Name implements Algorithm.
-func (h *HybridFirstFit) Name() string { return fmt.Sprintf("HybridFirstFit(k=%d)", h.k) }
+func (h *hybridFirstFit) Name() string { return fmt.Sprintf("HybridFirstFit(k=%d)", h.k) }
 
 // Place applies First Fit within the arrival's size class. It first drops
 // the tags of closed bins once they outnumber the open list, so the map —
 // the one reference a stream's policy would otherwise keep to every server
 // it ever opened — stays within twice the open fleet, at an amortised O(1)
 // per closure.
-func (h *HybridFirstFit) Place(a Arrival, f Fleet) *bins.Bin {
+func (h *hybridFirstFit) Place(a Arrival, f Fleet) *bins.Bin {
 	c := classify(a.Size/a.Capacity, h.k)
 	open := f.Open()
 	if len(h.class) > 2*len(open) {
@@ -85,23 +85,23 @@ func (h *HybridFirstFit) Place(a Arrival, f Fleet) *bins.Bin {
 }
 
 // BinOpened tags the freshly opened bin with the pending arrival's class.
-func (h *HybridFirstFit) BinOpened(b *bins.Bin) {
+func (h *hybridFirstFit) BinOpened(b *bins.Bin) {
 	h.class[b] = h.pending
 	h.pending = -1
 }
 
-// Reset implements Algorithm.
-func (h *HybridFirstFit) Reset() {
+// Reset implements resetter.
+func (h *hybridFirstFit) Reset() {
 	h.class = make(map[*bins.Bin]int)
 	h.pending = -1
 }
 
-// SaveState implements StatefulAlgorithm: the class tag of every open
+// SaveState implements statefulAlgorithm: the class tag of every open
 // tagged bin, by index. Closed bins' tags are dropped (Place only ever
 // consults tags of bins on the open list), and pending is never saved —
 // it is -1 between events by construction (BinOpened consumes it within
 // the same arrival that set it).
-func (h *HybridFirstFit) SaveState() PolicyState {
+func (h *hybridFirstFit) SaveState() PolicyState {
 	st := PolicyState{}
 	for b, c := range h.class {
 		if b.IsOpen() {
@@ -114,8 +114,8 @@ func (h *HybridFirstFit) SaveState() PolicyState {
 	return st
 }
 
-// RestoreState implements StatefulAlgorithm.
-func (h *HybridFirstFit) RestoreState(st PolicyState, bin func(int) *bins.Bin) error {
+// RestoreState implements statefulAlgorithm.
+func (h *hybridFirstFit) RestoreState(st PolicyState, bin func(int) *bins.Bin) error {
 	h.class = make(map[*bins.Bin]int, len(st.Class))
 	h.pending = -1
 	for i, c := range st.Class {
@@ -131,29 +131,29 @@ func (h *HybridFirstFit) RestoreState(st PolicyState, bin func(int) *bins.Bin) e
 	return nil
 }
 
-// HybridNextFit applies Next Fit within each of k harmonic size classes —
+// hybridNextFit applies Next Fit within each of k harmonic size classes —
 // the classify-then-Next-Fit scheme Kamali & López-Ortiz analyze (cited in
 // Sec. II of the paper as achieving 2mu + O(1) semi-online). One bin per
 // class is available at any time.
-type HybridNextFit struct {
+type hybridNextFit struct {
 	k         int
 	available []*bins.Bin
 	pending   int
 }
 
-// NewHybridNextFit returns a Hybrid Next Fit policy with k >= 2 classes.
-func NewHybridNextFit(k int) *HybridNextFit {
+// newHybridNextFit returns a Hybrid Next Fit policy with k >= 2 classes.
+func newHybridNextFit(k int) *hybridNextFit {
 	if k < 2 {
 		panic("packing: HybridNextFit needs k >= 2 classes")
 	}
-	return &HybridNextFit{k: k, available: make([]*bins.Bin, k), pending: -1}
+	return &hybridNextFit{k: k, available: make([]*bins.Bin, k), pending: -1}
 }
 
 // Name implements Algorithm.
-func (h *HybridNextFit) Name() string { return fmt.Sprintf("HybridNextFit(k=%d)", h.k) }
+func (h *hybridNextFit) Name() string { return fmt.Sprintf("HybridNextFit(k=%d)", h.k) }
 
 // Place puts the arrival in its class's available bin if possible.
-func (h *HybridNextFit) Place(a Arrival, f Fleet) *bins.Bin {
+func (h *hybridNextFit) Place(a Arrival, f Fleet) *bins.Bin {
 	c := classify(a.Size/a.Capacity, h.k)
 	if b := h.available[c]; b != nil && b.IsOpen() && b.FitsDemand(a.Sizes) {
 		return b
@@ -164,21 +164,21 @@ func (h *HybridNextFit) Place(a Arrival, f Fleet) *bins.Bin {
 }
 
 // BinOpened records the new bin as its class's available bin.
-func (h *HybridNextFit) BinOpened(b *bins.Bin) {
+func (h *hybridNextFit) BinOpened(b *bins.Bin) {
 	h.available[h.pending] = b
 	h.pending = -1
 }
 
-// Reset implements Algorithm.
-func (h *HybridNextFit) Reset() {
+// Reset implements resetter.
+func (h *hybridNextFit) Reset() {
 	h.available = make([]*bins.Bin, h.k)
 	h.pending = -1
 }
 
-// SaveState implements StatefulAlgorithm: one slot per class, the open
+// SaveState implements statefulAlgorithm: one slot per class, the open
 // available bin's index or -1. A closed slot is saved as -1, matching
 // Place's own treatment of a closed available bin.
-func (h *HybridNextFit) SaveState() PolicyState {
+func (h *hybridNextFit) SaveState() PolicyState {
 	st := PolicyState{Bins: make([]int, h.k)}
 	for c, b := range h.available {
 		st.Bins[c] = -1
@@ -189,8 +189,8 @@ func (h *HybridNextFit) SaveState() PolicyState {
 	return st
 }
 
-// RestoreState implements StatefulAlgorithm.
-func (h *HybridNextFit) RestoreState(st PolicyState, bin func(int) *bins.Bin) error {
+// RestoreState implements statefulAlgorithm.
+func (h *hybridNextFit) RestoreState(st PolicyState, bin func(int) *bins.Bin) error {
 	if len(st.Bins) != h.k {
 		return fmt.Errorf("HybridNextFit(k=%d) state has %d class slots", h.k, len(st.Bins))
 	}

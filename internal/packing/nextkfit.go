@@ -6,7 +6,7 @@ import (
 	"dbp/internal/bins"
 )
 
-// NextKFit generalizes Next Fit to k simultaneously available bins (the
+// nextKFit generalizes Next Fit to k simultaneously available bins (the
 // classical bounded-space "Next-k Fit"): an arriving item is placed in
 // the first available bin that fits (lowest index among the available
 // set); if none fits, the oldest available bin is retired forever and a
@@ -25,33 +25,29 @@ import (
 // least 2mu-competitive, so the multiplicative factor 2 for mu is
 // inherent — whereas First Fit achieves factor 1 (Theorem 1). Experiment
 // E2 reproduces the construction.
-type NextKFit struct {
+type nextKFit struct {
 	name      string
 	k         int
 	available []*bins.Bin // FIFO by opening, oldest first
 }
 
 // NewNextFit returns Next Fit: Next-k Fit at k = 1, named NextFit.
-func NewNextFit() *NextKFit {
-	nk := NewNextKFit(1)
-	nk.name = "NextFit"
-	return nk
-}
+func NewNextFit() Algorithm { return &nextKFit{name: "NextFit", k: 1} }
 
 // NewNextKFit returns a Next-k Fit policy with k >= 1 available bins.
-func NewNextKFit(k int) *NextKFit {
+func NewNextKFit(k int) Algorithm {
 	if k < 1 {
 		panic("packing: NextKFit needs k >= 1")
 	}
-	return &NextKFit{name: fmt.Sprintf("NextKFit(k=%d)", k), k: k}
+	return &nextKFit{name: fmt.Sprintf("NextKFit(k=%d)", k), k: k}
 }
 
 // Name implements Algorithm.
-func (nk *NextKFit) Name() string { return nk.name }
+func (nk *nextKFit) Name() string { return nk.name }
 
 // Place puts the arrival in the lowest-indexed available bin that fits;
 // otherwise it retires the oldest available bin and requests a new one.
-func (nk *NextKFit) Place(a Arrival, f Fleet) *bins.Bin {
+func (nk *nextKFit) Place(a Arrival, f Fleet) *bins.Bin {
 	// Drop available bins that closed on their own.
 	live := nk.available[:0]
 	for _, b := range nk.available {
@@ -73,15 +69,15 @@ func (nk *NextKFit) Place(a Arrival, f Fleet) *bins.Bin {
 }
 
 // BinOpened records the freshly opened bin as the newest available bin.
-func (nk *NextKFit) BinOpened(b *bins.Bin) { nk.available = append(nk.available, b) }
+func (nk *nextKFit) BinOpened(b *bins.Bin) { nk.available = append(nk.available, b) }
 
-// Reset implements Algorithm.
-func (nk *NextKFit) Reset() { nk.available = nil }
+// Reset implements resetter.
+func (nk *nextKFit) Reset() { nk.available = nil }
 
-// SaveState implements StatefulAlgorithm: the FIFO of still-open
+// SaveState implements statefulAlgorithm: the FIFO of still-open
 // available bins by index. Closed bins are dropped, exactly as Place's
 // own liveness sweep would drop them on the next arrival.
-func (nk *NextKFit) SaveState() PolicyState {
+func (nk *nextKFit) SaveState() PolicyState {
 	st := PolicyState{}
 	for _, b := range nk.available {
 		if b.IsOpen() {
@@ -91,8 +87,8 @@ func (nk *NextKFit) SaveState() PolicyState {
 	return st
 }
 
-// RestoreState implements StatefulAlgorithm.
-func (nk *NextKFit) RestoreState(st PolicyState, bin func(int) *bins.Bin) error {
+// RestoreState implements statefulAlgorithm.
+func (nk *nextKFit) RestoreState(st PolicyState, bin func(int) *bins.Bin) error {
 	if len(st.Bins) > nk.k {
 		return fmt.Errorf("%s state lists %d available servers, want at most %d", nk.name, len(st.Bins), nk.k)
 	}
@@ -107,22 +103,19 @@ func (nk *NextKFit) RestoreState(st PolicyState, bin func(int) *bins.Bin) error 
 	return nil
 }
 
-// AlmostWorstFit places each item into the second-emptiest fitting bin
+// almostWorstFit places each item into the second-emptiest fitting bin
 // (falling back to the emptiest when only one fits) — the classical
 // Almost Worst Fit rule, a standard Any Fit baseline whose behaviour
 // sits between Worst Fit and Best Fit. "Second-emptiest" is the runner-
 // up under the exact (descending gap, ascending index) order.
-type AlmostWorstFit struct{}
-
-// NewAlmostWorstFit returns an Almost Worst Fit policy.
-func NewAlmostWorstFit() *AlmostWorstFit { return &AlmostWorstFit{} }
+type almostWorstFit struct{}
 
 // Name implements Algorithm.
-func (*AlmostWorstFit) Name() string { return "AlmostWorstFit" }
+func (*almostWorstFit) Name() string { return "AlmostWorstFit" }
 
 // Place returns the second-emptiest fitting bin (ties toward lower
 // index), or the emptiest if only one fits, or nil if none fits.
-func (*AlmostWorstFit) Place(a Arrival, f Fleet) *bins.Bin {
+func (*almostWorstFit) Place(a Arrival, f Fleet) *bins.Bin {
 	if len(a.Sizes) == 1 { // at d = 1 MinGap is the gap
 		if second := f.SecondEmptiestFitting(a.Sizes); second != nil {
 			return second
@@ -147,9 +140,3 @@ func (*AlmostWorstFit) Place(a Arrival, f Fleet) *bins.Bin {
 	}
 	return first
 }
-
-// BinOpened implements Algorithm; Almost Worst Fit tracks no bin state.
-func (*AlmostWorstFit) BinOpened(*bins.Bin) {}
-
-// Reset implements Algorithm; Almost Worst Fit is stateless.
-func (*AlmostWorstFit) Reset() {}

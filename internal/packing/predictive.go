@@ -8,7 +8,7 @@ import (
 	"dbp/internal/bins"
 )
 
-// PredictiveFit is a learning-augmented baseline: it applies the
+// predictiveFit is a learning-augmented baseline: it applies the
 // clairvoyant NoExtendFit rule to a *noisy prediction* of each item's
 // departure — the true departure multiplied by a lognormal factor
 // exp(sigma * N(0,1)). sigma = 0 is full clairvoyance, and is NoExtendFit
@@ -21,13 +21,13 @@ import (
 // departure; the policy perturbs it deterministically per item and seed,
 // so the policy itself never acts on exact information when sigma > 0).
 // Horizon-driven, it scans the open list (linear path).
-type PredictiveFit struct {
+type predictiveFit struct {
 	name  string
 	sigma float64
 	seed  int64
 }
 
-// NewNoExtendFit returns NoExtendFit, the stricter clairvoyant rule: an
+// newNoExtendFit returns NoExtendFit, the stricter clairvoyant rule: an
 // item only joins a bin if it would NOT extend the bin's closing horizon
 // (departure <= current horizon), preferring the fullest such bin; if no
 // bin can absorb the item for free, it prefers First Fit among the rest.
@@ -35,24 +35,24 @@ type PredictiveFit struct {
 // every such placement is individually optimal. It is PredictiveFit at
 // sigma = 0, where the prediction is the true departure, and requires a
 // clairvoyant run.
-func NewNoExtendFit() *PredictiveFit { return &PredictiveFit{name: "NoExtendFit(clairvoyant)"} }
+func newNoExtendFit() *predictiveFit { return &predictiveFit{name: "NoExtendFit(clairvoyant)"} }
 
 // NewPredictiveFit returns a predictive policy with lognormal prediction
 // noise sigma (>= 0) and a seed for the deterministic noise stream.
-func NewPredictiveFit(sigma float64, seed int64) *PredictiveFit {
+func NewPredictiveFit(sigma float64, seed int64) Algorithm {
 	if sigma < 0 {
 		panic("packing: negative prediction noise")
 	}
-	return &PredictiveFit{name: fmt.Sprintf("PredictiveFit(sigma=%g)", sigma), sigma: sigma, seed: seed}
+	return &predictiveFit{name: fmt.Sprintf("PredictiveFit(sigma=%g)", sigma), sigma: sigma, seed: seed}
 }
 
 // Name implements Algorithm.
-func (p *PredictiveFit) Name() string { return p.name }
+func (p *predictiveFit) Name() string { return p.name }
 
 // Place implements Algorithm: the fullest fitting bin whose horizon the
 // predicted departure does not extend, else the first fitting bin. It
 // panics if the run is not clairvoyant (misconfiguration, not data).
-func (p *PredictiveFit) Place(a Arrival, f Fleet) *bins.Bin {
+func (p *predictiveFit) Place(a Arrival, f Fleet) *bins.Bin {
 	if math.IsNaN(a.Departure) {
 		panic(fmt.Sprintf("packing: %s requires Options.Clairvoyant (item %d)", p.name, a.ID))
 	}
@@ -81,7 +81,7 @@ func (p *PredictiveFit) Place(a Arrival, f Fleet) *bins.Bin {
 // predict perturbs the item's true remaining duration with per-item
 // deterministic lognormal noise: the same item always gets the same
 // prediction under the same seed, so runs are reproducible.
-func (p *PredictiveFit) predict(a Arrival) float64 {
+func (p *predictiveFit) predict(a Arrival) float64 {
 	if p.sigma == 0 {
 		return a.Departure
 	}
@@ -89,10 +89,3 @@ func (p *PredictiveFit) predict(a Arrival) float64 {
 	dur := a.Departure - a.At
 	return a.At + dur*math.Exp(p.sigma*rng.NormFloat64())
 }
-
-// BinOpened implements Algorithm; PredictiveFit tracks no bin state.
-func (*PredictiveFit) BinOpened(*bins.Bin) {}
-
-// Reset implements Algorithm; the noise stream is keyed per item, so
-// there is no run state to clear.
-func (*PredictiveFit) Reset() {}

@@ -11,7 +11,7 @@ func TestPredictiveFitZeroNoiseEqualsNoExtendFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	for trial := 0; trial < 8; trial++ {
 		l := randomInstance(rng, 150, 10)
-		exact := MustRun(NewNoExtendFit(), l, &Options{Clairvoyant: true})
+		exact := MustRun(newNoExtendFit(), l, &Options{Clairvoyant: true})
 		pred := MustRun(NewPredictiveFit(0, 1), l, &Options{Clairvoyant: true})
 		if exact.TotalUsage != pred.TotalUsage {
 			t.Fatalf("sigma=0 must reproduce NoExtendFit: %g vs %g", pred.TotalUsage, exact.TotalUsage)

@@ -84,7 +84,7 @@ func TestBinNeverOpenWhileEmpty(t *testing.T) {
 // every other bin open at that instant lacked room for it.
 func TestAnyFitNeverOpensNeedlessly(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	anyFit := []Algorithm{NewFirstFit(), NewBestFit(), NewWorstFit(), NewLastFit(), NewRandomFit(3)}
+	anyFit := []Algorithm{NewFirstFit(), NewBestFit(), NewWorstFit(), NewLastFit(), &randomFit{seed: 3}}
 	for trial := 0; trial < 10; trial++ {
 		l := randomInstance(rng, 120, 8)
 		for _, algo := range anyFit {

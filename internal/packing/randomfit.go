@@ -6,7 +6,7 @@ import (
 	"dbp/internal/bins"
 )
 
-// RandomFit places each item into a uniformly random fitting open bin. It
+// randomFit places each item into a uniformly random fitting open bin. It
 // is an Any Fit algorithm (it opens a new bin only when nothing fits) and
 // serves as a randomized baseline in the comparison experiments. Runs are
 // reproducible: the policy is seeded and Reset rewinds it to the seed.
@@ -16,23 +16,18 @@ import (
 // not math/rand: draw n is a pure function of (seed, n), so the policy's
 // entire state is the seed and a draw counter — serializable for durable
 // snapshots (SaveState), where math/rand's hidden generator state is not.
-type RandomFit struct {
+type randomFit struct {
 	seed  int64
 	draws uint64
 }
 
-// NewRandomFit returns a Random Fit policy with the given seed.
-func NewRandomFit(seed int64) *RandomFit {
-	return &RandomFit{seed: seed}
-}
-
 // Name implements Algorithm.
-func (rf *RandomFit) Name() string { return fmt.Sprintf("RandomFit(seed=%d)", rf.seed) }
+func (rf *randomFit) Name() string { return fmt.Sprintf("RandomFit(seed=%d)", rf.seed) }
 
 // next consumes one draw: splitmix64's output function over the counter
 // sequence seeded at seed (Steele, Lea, Flood: "Fast Splittable
 // Pseudorandom Number Generators", OOPSLA'14).
-func (rf *RandomFit) next() uint64 {
+func (rf *randomFit) next() uint64 {
 	rf.draws++
 	x := uint64(rf.seed) + rf.draws*0x9e3779b97f4a7c15
 	x ^= x >> 30
@@ -47,7 +42,7 @@ func (rf *RandomFit) next() uint64 {
 // counts the fitting bins, draws once, and returns the k-th in opening
 // order. (Modulo bias over 64-bit draws is immeasurably small for any
 // feasible fleet size.)
-func (rf *RandomFit) Place(a Arrival, f Fleet) *bins.Bin {
+func (rf *randomFit) Place(a Arrival, f Fleet) *bins.Bin {
 	open := f.Open()
 	n := 0
 	for _, b := range open {
@@ -70,18 +65,15 @@ func (rf *RandomFit) Place(a Arrival, f Fleet) *bins.Bin {
 	panic("packing: RandomFit lost a fitting bin between its two scans")
 }
 
-// BinOpened implements Algorithm; Random Fit tracks no bin state.
-func (*RandomFit) BinOpened(*bins.Bin) {}
-
 // Reset rewinds the random stream to the seed, making runs reproducible.
-func (rf *RandomFit) Reset() { rf.draws = 0 }
+func (rf *randomFit) Reset() { rf.draws = 0 }
 
-// SaveState implements StatefulAlgorithm: the draw counter (the seed is
+// SaveState implements statefulAlgorithm: the draw counter (the seed is
 // construction configuration, carried by the policy name).
-func (rf *RandomFit) SaveState() PolicyState { return PolicyState{Draws: rf.draws} }
+func (rf *randomFit) SaveState() PolicyState { return PolicyState{Draws: rf.draws} }
 
-// RestoreState implements StatefulAlgorithm.
-func (rf *RandomFit) RestoreState(st PolicyState, _ func(int) *bins.Bin) error {
+// RestoreState implements statefulAlgorithm.
+func (rf *randomFit) RestoreState(st PolicyState, _ func(int) *bins.Bin) error {
 	rf.draws = st.Draws
 	return nil
 }

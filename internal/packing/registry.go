@@ -33,21 +33,21 @@ var registry = []struct {
 	{"worstfit", familyStandard, func() Algorithm { return NewWorstFit() }},
 	{"lastfit", familyStandard, func() Algorithm { return NewLastFit() }},
 	{"nextfit", familyStandard, func() Algorithm { return NewNextFit() }},
-	{"randomfit", familyStandard, func() Algorithm { return NewRandomFit(1) }},
+	{"randomfit", familyStandard, func() Algorithm { return &randomFit{seed: 1} }},
 	{"hybridff", familyStandard, func() Algorithm { return NewHybridFirstFit(2) }},
 	{"hybridff3", familyStandard, func() Algorithm { return NewHybridFirstFit(3) }},
-	{"hybridnextfit", familyStandard, func() Algorithm { return NewHybridNextFit(2) }},
-	{"almostworstfit", familyStandard, func() Algorithm { return NewAlmostWorstFit() }},
+	{"hybridnextfit", familyStandard, func() Algorithm { return newHybridNextFit(2) }},
+	{"almostworstfit", familyStandard, func() Algorithm { return &almostWorstFit{} }},
 	{"next2fit", familyStandard, func() Algorithm { return NewNextKFit(2) }},
 	{"next4fit", familyStandard, func() Algorithm { return NewNextKFit(4) }},
 
-	{"vectorbestfit", familyVector, func() Algorithm { return NewVectorBestFit() }},
-	{"dotfit", familyVector, func() Algorithm { return NewDotProductFit() }},
-	{"normfit", familyVector, func() Algorithm { return NewNormBestFit() }},
-	{"drworstfit", familyVector, func() Algorithm { return NewDRWorstFit() }},
+	{"vectorbestfit", familyVector, func() Algorithm { return &vectorBestFit{} }},
+	{"dotfit", familyVector, func() Algorithm { return &dotProductFit{} }},
+	{"normfit", familyVector, func() Algorithm { return &normBestFit{} }},
+	{"drworstfit", familyVector, func() Algorithm { return &drWorstFit{} }},
 
-	{"alignfit", familyClairvoyant, func() Algorithm { return NewAlignFit() }},
-	{"noextendfit", familyClairvoyant, func() Algorithm { return NewNoExtendFit() }},
+	{"alignfit", familyClairvoyant, func() Algorithm { return &alignFit{} }},
+	{"noextendfit", familyClairvoyant, func() Algorithm { return newNoExtendFit() }},
 }
 
 // instances returns a fresh instance of every policy of one family,

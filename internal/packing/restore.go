@@ -23,14 +23,12 @@ type PolicyState struct {
 	Draws uint64 `json:"draws,omitempty"`
 }
 
-// StatefulAlgorithm is implemented by policies whose placement decisions
-// depend on retained references to specific bins (or other evolving
-// state), so that a snapshot can carry the policy along with the fleet.
-// Stateless policies (First Fit, Best Fit, ...) place from the fleet
-// alone and need no save/restore.
-type StatefulAlgorithm interface {
-	Algorithm
-
+// statefulAlgorithm is a policy whose placement decisions depend on
+// retained references to specific bins (or other evolving state), so
+// that a snapshot can carry the policy along with the fleet. Stateless
+// policies (First Fit, Best Fit, ...) place from the fleet alone and
+// need no save/restore.
+type statefulAlgorithm interface {
 	// SaveState captures the policy's current state. References to bins
 	// that have closed are dropped: every policy here treats a closed
 	// retained bin exactly like no bin at all on its next Place, so the
@@ -47,9 +45,9 @@ type StatefulAlgorithm interface {
 // RestoreStream rebuilds a stream from a restorable Snapshot so that it
 // continues bit-identically to the stream the snapshot was taken from:
 // identical placements, identical error results, and an identical
-// Snapshot after any common suffix of events. algo must be a fresh
-// instance of the policy named by snap.Policy (it is Reset and then
-// handed snap.PolicyState).
+// Snapshot after any common suffix of events. algo must be an instance of
+// the policy named by snap.Policy (a policy with run state is reset and
+// then handed snap.PolicyState).
 //
 // Bit-identity holds because nothing float-bearing is recomputed: server
 // levels, the closed-usage accumulator, and every timestamp are restored
@@ -95,11 +93,9 @@ func RestoreStream(algo Algorithm, snap Snapshot) (*Stream, error) {
 		return nil, failf(ErrSnapshotMismatch,
 			"packing: restored usage %v != snapshot usage %v", got, snap.UsageTime)
 	}
-	algo.Reset()
-	e := &engine{algo: algo, ledger: ledger, fleet: newFleet(kind, ledger), kind: kind}
+	e := engineOn(algo, ledger, kind, false)
 	if snap.PolicyState != nil {
-		sa, ok := algo.(StatefulAlgorithm)
-		if !ok {
+		if e.stateful == nil {
 			return nil, failf(ErrSnapshotMismatch,
 				"packing: snapshot carries policy state but %s retains none", algo.Name())
 		}
@@ -111,7 +107,7 @@ func RestoreStream(algo Algorithm, snap Snapshot) (*Stream, error) {
 			}
 			return nil
 		}
-		if err := sa.RestoreState(*snap.PolicyState, lookup); err != nil {
+		if err := e.stateful.RestoreState(*snap.PolicyState, lookup); err != nil {
 			return nil, failf(ErrSnapshotMismatch, "packing: %v", err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dbp/internal/bins"
 	"dbp/internal/item"
 )
 
@@ -360,9 +361,9 @@ func TestRestoreStreamRejectsContradictoryServer(t *testing.T) {
 	if _, err := RestoreStream(NewFirstFit(), roundTrip(t, snap)); err != nil {
 		t.Fatalf("unedited snapshot: %v", err)
 	}
-	for name, edit := range map[string]func(*ServerState){
-		"jobs":  func(sv *ServerState) { sv.Jobs++ },
-		"level": func(sv *ServerState) { sv.Level += 0.125 },
+	for name, edit := range map[string]func(*bins.ServerState){
+		"jobs":  func(sv *bins.ServerState) { sv.Jobs++ },
+		"level": func(sv *bins.ServerState) { sv.Level += 0.125 },
 	} {
 		bad := roundTrip(t, snap)
 		edit(&bad.Servers[0])

@@ -122,9 +122,7 @@ func TestRunVectorItems(t *testing.T) {
 // exercise the simulator's policy-bug detection.
 type faultyFullBin struct{}
 
-func (faultyFullBin) Name() string       { return "faulty" }
-func (faultyFullBin) Reset()             {}
-func (faultyFullBin) BinOpened(*binsBin) {}
+func (faultyFullBin) Name() string { return "faulty" }
 func (faultyFullBin) Place(a Arrival, f Fleet) *binsBin {
 	if open := f.Open(); len(open) > 0 {
 		return open[0]

@@ -41,18 +41,11 @@ type Snapshot struct {
 	// draw counter). Nil for stateless policies.
 	PolicyState *PolicyState `json:"policy_state,omitempty"`
 
-	// Servers describes each currently open server, ascending by Index.
-	Servers []ServerState `json:"servers,omitempty"`
+	// Servers describes each currently open server, ascending by Index:
+	// the ledger's own record of an open server, which bins.Bin.State
+	// writes and bins.RestoreLedger reads.
+	Servers []bins.ServerState `json:"servers,omitempty"`
 }
-
-// ServerState describes one open server inside a Snapshot, and JobState
-// one resident job inside a ServerState. They are the ledger's own record
-// of an open server, which bins.Bin.State writes and bins.RestoreLedger
-// reads.
-type (
-	ServerState = bins.ServerState
-	JobState    = bins.JobState
-)
 
 // UsageTime returns the accumulated server usage time up to the last
 // event fed to the stream — AccumulatedUsage(Now()). Open servers
@@ -82,12 +75,12 @@ func (s *Stream) Snapshot() Snapshot {
 		KeepAlive:   s.eng.ledger.KeepAlive(),
 		ClosedUsage: s.eng.ledger.ClosedUsage(),
 	}
-	if sa, ok := s.eng.algo.(StatefulAlgorithm); ok {
-		st := sa.SaveState()
+	if s.eng.stateful != nil {
+		st := s.eng.stateful.SaveState()
 		snap.PolicyState = &st
 	}
 	if len(open) > 0 {
-		snap.Servers = make([]ServerState, len(open))
+		snap.Servers = make([]bins.ServerState, len(open))
 		for i, b := range open {
 			snap.Servers[i] = b.State()
 		}

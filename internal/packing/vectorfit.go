@@ -24,45 +24,33 @@ import "dbp/internal/bins"
 // the same lexicographic rule as the scalar policies, so cross-engine
 // packings are bit-identical.
 
-// VectorBestFit is Best Fit under the total-residual scalarization:
+// vectorBestFit is Best Fit under the total-residual scalarization:
 // among fitting servers it minimizes the SUM of per-dimension gaps (the
 // L1 norm of the remaining-capacity vector, bins.Bin.TotalGap), ties
 // toward the earliest opened. For scalar jobs the sum is the gap itself
 // and the rule is classical Best Fit.
-type VectorBestFit struct{}
-
-// NewVectorBestFit returns a vector Best Fit policy.
-func NewVectorBestFit() *VectorBestFit { return &VectorBestFit{} }
+type vectorBestFit struct{}
 
 // Name implements Algorithm.
-func (*VectorBestFit) Name() string { return "VectorBestFit" }
+func (*vectorBestFit) Name() string { return "VectorBestFit" }
 
 // Place returns the fitting server with minimal total gap.
-func (*VectorBestFit) Place(a Arrival, f Fleet) *bins.Bin { return f.TightestFittingVec(a.Sizes) }
+func (*vectorBestFit) Place(a Arrival, f Fleet) *bins.Bin { return f.TightestFittingVec(a.Sizes) }
 
-// BinOpened implements Algorithm; stateless.
-func (*VectorBestFit) BinOpened(*bins.Bin) {}
-
-// Reset implements Algorithm; stateless.
-func (*VectorBestFit) Reset() {}
-
-// DotProductFit is the dot-product heuristic of Panigrahy et al.: among
+// dotProductFit is the dot-product heuristic of Panigrahy et al.: among
 // fitting servers it maximizes the dot product of the demand vector and
 // the server's remaining-capacity vector, ties toward the earliest
 // opened — steering each job toward servers whose abundance profile
 // aligns with the job's demand profile, so complementary jobs share
 // servers. For scalar jobs it degenerates to Worst Fit (size * gap is
 // maximal where gap is).
-type DotProductFit struct{}
-
-// NewDotProductFit returns a dot-product placement policy.
-func NewDotProductFit() *DotProductFit { return &DotProductFit{} }
+type dotProductFit struct{}
 
 // Name implements Algorithm.
-func (*DotProductFit) Name() string { return "DotProductFit" }
+func (*dotProductFit) Name() string { return "DotProductFit" }
 
 // Place returns the fitting server maximizing demand . gaps.
-func (*DotProductFit) Place(a Arrival, f Fleet) *bins.Bin {
+func (*dotProductFit) Place(a Arrival, f Fleet) *bins.Bin {
 	var (
 		best      *bins.Bin
 		bestScore float64
@@ -82,28 +70,19 @@ func (*DotProductFit) Place(a Arrival, f Fleet) *bins.Bin {
 	return best
 }
 
-// BinOpened implements Algorithm; stateless.
-func (*DotProductFit) BinOpened(*bins.Bin) {}
-
-// Reset implements Algorithm; stateless.
-func (*DotProductFit) Reset() {}
-
-// NormBestFit is norm-based Best Fit (the "norm2" heuristic of the VM
+// normBestFit is norm-based Best Fit (the "norm2" heuristic of the VM
 // placement literature): among fitting servers it minimizes the squared
 // L2 distance between the demand vector and the remaining-capacity
 // vector — the residual capacity left stranded if the job were placed —
 // ties toward the earliest opened. For scalar jobs it coincides with
 // Best Fit (the closest gap at least the size is the smallest such gap).
-type NormBestFit struct{}
-
-// NewNormBestFit returns a norm-based Best Fit policy.
-func NewNormBestFit() *NormBestFit { return &NormBestFit{} }
+type normBestFit struct{}
 
 // Name implements Algorithm.
-func (*NormBestFit) Name() string { return "NormBestFit" }
+func (*normBestFit) Name() string { return "NormBestFit" }
 
 // Place returns the fitting server minimizing ||gaps - demand||^2.
-func (*NormBestFit) Place(a Arrival, f Fleet) *bins.Bin {
+func (*normBestFit) Place(a Arrival, f Fleet) *bins.Bin {
 	var (
 		best      *bins.Bin
 		bestScore float64
@@ -124,13 +103,7 @@ func (*NormBestFit) Place(a Arrival, f Fleet) *bins.Bin {
 	return best
 }
 
-// BinOpened implements Algorithm; stateless.
-func (*NormBestFit) BinOpened(*bins.Bin) {}
-
-// Reset implements Algorithm; stateless.
-func (*NormBestFit) Reset() {}
-
-// DRWorstFit is dominant-resource Worst Fit: among fitting servers it
+// drWorstFit is dominant-resource Worst Fit: among fitting servers it
 // maximizes the remaining capacity of the server's dominant (most
 // loaded) resource — min over dimensions of gap — ties toward the
 // earliest opened. This is the d-dimensional reading of Worst Fit's
@@ -138,21 +111,12 @@ func (*NormBestFit) Reset() {}
 // resource), the scalarization the dominant-resource level list in
 // bins.Index answers in O(log B) per group. For scalar jobs MinGap is
 // the gap and the rule is classical Worst Fit.
-type DRWorstFit struct{}
-
-// NewDRWorstFit returns a dominant-resource Worst Fit policy.
-func NewDRWorstFit() *DRWorstFit { return &DRWorstFit{} }
+type drWorstFit struct{}
 
 // Name implements Algorithm.
-func (*DRWorstFit) Name() string { return "DRWorstFit" }
+func (*drWorstFit) Name() string { return "DRWorstFit" }
 
 // Place returns the fitting server with maximal min-dimension gap.
-func (*DRWorstFit) Place(a Arrival, f Fleet) *bins.Bin {
+func (*drWorstFit) Place(a Arrival, f Fleet) *bins.Bin {
 	return f.MaxMinGapFitting(a.Sizes)
 }
-
-// BinOpened implements Algorithm; stateless.
-func (*DRWorstFit) BinOpened(*bins.Bin) {}
-
-// Reset implements Algorithm; stateless.
-func (*DRWorstFit) Reset() {}

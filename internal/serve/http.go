@@ -27,17 +27,17 @@ type DepartRequest struct {
 	Time *float64 `json:"time,omitempty"`
 }
 
-// BatchRequest is the POST /v1/batch body: an ordered list of ops
+// batchRequest is the POST /v1/batch body: an ordered list of ops
 // applied via the dispatcher's batch path (grouped by shard, one
-// envelope per shard), each answered individually in BatchResponse.
-type BatchRequest struct {
-	Ops []BatchOpRequest `json:"ops"`
+// envelope per shard), each answered individually in batchResponse.
+type batchRequest struct {
+	Ops []batchOpRequest `json:"ops"`
 }
 
-// BatchOpRequest is one op in a BatchRequest. Op selects the kind
+// batchOpRequest is one op in a batchRequest. Op selects the kind
 // ("arrive" or "depart"); the remaining fields mirror ArriveRequest /
 // DepartRequest.
-type BatchOpRequest struct {
+type batchOpRequest struct {
 	Op    string    `json:"op"`
 	ID    item.ID   `json:"id"`
 	Size  float64   `json:"size,omitempty"`
@@ -45,10 +45,10 @@ type BatchOpRequest struct {
 	Time  *float64  `json:"time,omitempty"`
 }
 
-// BatchOpResult is one op's outcome in a BatchResponse: the HTTP
+// batchOpResult is one op's outcome in a batchResponse: the HTTP
 // status and stable code the single-op endpoint would have answered
 // with, plus the placement/departure fields on success.
-type BatchOpResult struct {
+type batchOpResult struct {
 	Status int    `json:"status"`
 	Code   string `json:"code,omitempty"`
 	Error  string `json:"error,omitempty"`
@@ -61,15 +61,15 @@ type BatchOpResult struct {
 	Time   float64 `json:"time,omitempty"`
 }
 
-// BatchResponse answers POST /v1/batch: results[i] answers ops[i].
-type BatchResponse struct {
-	Results []BatchOpResult `json:"results"`
+// batchResponse answers POST /v1/batch: results[i] answers ops[i].
+type batchResponse struct {
+	Results []batchOpResult `json:"results"`
 }
 
-// MaxHTTPBatchOps caps the ops of one /v1/batch request; larger
+// maxHTTPBatchOps caps the ops of one /v1/batch request; larger
 // batches gain nothing (the wire transport exists for that regime)
 // and would let one request monopolize the shards.
-const MaxHTTPBatchOps = 4096
+const maxHTTPBatchOps = 4096
 
 // ErrorResponse is the JSON body of every non-2xx API response.
 type ErrorResponse struct {
@@ -86,8 +86,8 @@ const maxBodyBytes = 1 << 20
 //
 //	POST /v1/arrive  — place a job; body ArriveRequest, reply Placement
 //	POST /v1/depart  — report a departure; body DepartRequest, reply Departure
-//	POST /v1/batch   — apply an ordered op batch; body BatchRequest,
-//	                   reply BatchResponse with one per-op status each
+//	POST /v1/batch   — apply an ordered op batch; body batchRequest,
+//	                   reply batchResponse with one per-op status each
 //	GET  /v1/stats   — service-wide Stats
 //	GET  /v1/snapshot?shard=N — shard N's full stream snapshot
 //	                   (packing.Snapshot), served by the shard owner
@@ -129,7 +129,7 @@ func NewHandler(d *Dispatcher) http.Handler {
 		writeJSON(w, http.StatusOK, dep)
 	})
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req BatchRequest
+		var req batchRequest
 		if !decode(w, r, &req) {
 			return
 		}
@@ -137,16 +137,16 @@ func NewHandler(d *Dispatcher) http.Handler {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Code: "bad_request", Error: "batch has no ops"})
 			return
 		}
-		if len(req.Ops) > MaxHTTPBatchOps {
+		if len(req.Ops) > maxHTTPBatchOps {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{
-				Code: "bad_request", Error: fmt.Sprintf("batch has %d ops, limit %d", len(req.Ops), MaxHTTPBatchOps)})
+				Code: "bad_request", Error: fmt.Sprintf("batch has %d ops, limit %d", len(req.Ops), maxHTTPBatchOps)})
 			return
 		}
 		// Ops with an unknown kind are answered per-op (400) without
 		// aborting the batch; the valid ops still apply, in order.
 		ops := make([]BatchOp, 0, len(req.Ops))
 		opIdx := make([]int, 0, len(req.Ops)) // batch index -> request index
-		resp := BatchResponse{Results: make([]BatchOpResult, len(req.Ops))}
+		resp := batchResponse{Results: make([]batchOpResult, len(req.Ops))}
 		for i, o := range req.Ops {
 			resp.Results[i].ID = o.ID
 			resp.Results[i].Shard = d.ShardFor(o.ID)

@@ -1,4 +1,4 @@
-package serve_test
+package serve
 
 import (
 	"encoding/json"
@@ -6,20 +6,18 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-
-	"dbp/internal/serve"
 )
 
-// postBatch posts a raw /v1/batch body and decodes the BatchResponse
+// postBatch posts a raw /v1/batch body and decodes the batchResponse
 // (when the HTTP status is 200).
-func postBatch(t *testing.T, url, body string) (*http.Response, serve.BatchResponse) {
+func postBatch(t *testing.T, url, body string) (*http.Response, batchResponse) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/batch", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var br serve.BatchResponse
+	var br batchResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 			t.Fatalf("bad batch response JSON: %v", err)
@@ -116,7 +114,7 @@ func TestHTTPBatchRejectsDegenerate(t *testing.T) {
 
 	var sb strings.Builder
 	sb.WriteString(`{"ops":[`)
-	for i := 0; i <= serve.MaxHTTPBatchOps; i++ {
+	for i := 0; i <= maxHTTPBatchOps; i++ {
 		if i > 0 {
 			sb.WriteByte(',')
 		}

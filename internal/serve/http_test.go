@@ -1,4 +1,4 @@
-package serve_test
+package serve
 
 import (
 	"encoding/json"
@@ -6,16 +6,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"dbp/internal/serve"
 )
 
 // newTestServer builds a single-shard service (so server indices are
 // deterministic) with a frozen service clock; requests carry explicit
 // times, making every response golden-comparable.
-func newTestServer(t *testing.T) (*serve.Dispatcher, *httptest.Server) {
+func newTestServer(t *testing.T) (*Dispatcher, *httptest.Server) {
 	t.Helper()
-	d, err := serve.New(serve.Config{
+	d, err := New(Config{
 		Algorithm: "firstfit",
 		Shards:    1,
 		Clock:     func() float64 { return 0 },
@@ -23,7 +21,7 @@ func newTestServer(t *testing.T) (*serve.Dispatcher, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(serve.NewHandler(d))
+	ts := httptest.NewServer(NewHandler(d))
 	t.Cleanup(ts.Close)
 	return d, ts
 }
@@ -215,11 +213,11 @@ func TestHTTPGolden(t *testing.T) {
 // the caller, non-decreasing per shard.
 func TestHTTPServerClock(t *testing.T) {
 	now := 10.0
-	d, err := serve.New(serve.Config{Shards: 1, Clock: func() float64 { return now }})
+	d, err := New(Config{Shards: 1, Clock: func() float64 { return now }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(serve.NewHandler(d))
+	ts := httptest.NewServer(NewHandler(d))
 	defer ts.Close()
 
 	_, body := post(t, ts, "/v1/arrive", `{"id":1,"size":0.5}`)

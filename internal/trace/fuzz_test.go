@@ -17,7 +17,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("id,size,arrival,departure\n1,1e309,0,1\n")
 	f.Add("id,size,arrival,departure\n-9223372036854775808,0.5,0,1\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		l, err := ReadCSV(strings.NewReader(in))
+		l, err := readCSV(strings.NewReader(in))
 		if err != nil {
 			return
 		}
@@ -28,7 +28,7 @@ func FuzzReadCSV(f *testing.F) {
 		if werr := WriteCSV(&buf, l); werr != nil {
 			t.Fatalf("write-back failed: %v", werr)
 		}
-		back, rerr := ReadCSV(&buf)
+		back, rerr := readCSV(&buf)
 		if rerr != nil {
 			t.Fatalf("round trip failed: %v", rerr)
 		}
@@ -45,7 +45,7 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(`[{"id":1,"size":0.5,"sizes":[0.5,0.2],"arrival":0,"departure":1}]`)
 	f.Add(`{"not":"a list"}`)
 	f.Fuzz(func(t *testing.T, in string) {
-		l, err := ReadJSON(strings.NewReader(in))
+		l, err := readJSON(strings.NewReader(in))
 		if err != nil {
 			return
 		}

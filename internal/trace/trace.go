@@ -47,9 +47,9 @@ func ReadFile(path string) (item.List, error) {
 		name = strings.TrimSuffix(name, ".gz")
 	}
 	if strings.HasSuffix(name, ".json") {
-		return ReadJSON(r)
+		return readJSON(r)
 	}
-	return ReadCSV(r)
+	return readCSV(r)
 }
 
 // WriteFile stores a trace, the mirror of ReadFile: format by extension,
@@ -124,8 +124,8 @@ func WriteCSV(w io.Writer, l item.List) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a CSV trace. The returned list is validated.
-func ReadCSV(r io.Reader) (item.List, error) {
+// readCSV parses a CSV trace. The returned list is validated.
+func readCSV(r io.Reader) (item.List, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
 	if err != nil {
@@ -200,8 +200,8 @@ func WriteJSON(w io.Writer, l item.List) error {
 	return enc.Encode(out)
 }
 
-// ReadJSON parses a JSON trace. The returned list is validated.
-func ReadJSON(r io.Reader) (item.List, error) {
+// readJSON parses a JSON trace. The returned list is validated.
+func readJSON(r io.Reader) (item.List, error) {
 	var in []jsonItem
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)

@@ -47,7 +47,7 @@ func roundTripCSV(t *testing.T, l item.List) item.List {
 	if err := WriteCSV(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func roundTripJSON(t *testing.T, l item.List) item.List {
 	if err := WriteJSON(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
+	got, err := readJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,17 +176,17 @@ func TestReadCSVErrors(t *testing.T) {
 		"id,size,arrival,departure\n1,0.5,0,1\n1,0.5,2,3\n", // dup id
 	}
 	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
+		if _, err := readCSV(strings.NewReader(c)); err == nil {
 			t.Errorf("input %q must fail", c)
 		}
 	}
 }
 
 func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
+	if _, err := readJSON(strings.NewReader("{not json")); err == nil {
 		t.Fatal("bad JSON must fail")
 	}
-	if _, err := ReadJSON(strings.NewReader(`[{"id":1,"size":2,"arrival":0,"departure":1}]`)); err == nil {
+	if _, err := readJSON(strings.NewReader(`[{"id":1,"size":2,"arrival":0,"departure":1}]`)); err == nil {
 		t.Fatal("invalid item must fail")
 	}
 }

@@ -20,34 +20,34 @@ import (
 type FsyncPolicy string
 
 const (
-	// FsyncAlways syncs after every append, before the caller replies:
+	// fsyncAlways syncs after every append, before the caller replies:
 	// an acknowledged event is on disk. Highest latency, zero loss.
-	FsyncAlways FsyncPolicy = "always"
-	// FsyncInterval flushes and syncs every fsyncPeriod on a
+	fsyncAlways FsyncPolicy = "always"
+	// fsyncInterval flushes and syncs every fsyncPeriod on a
 	// background timer: a crash loses at most the last period's
 	// acknowledged events (replay still recovers a consistent prefix).
-	FsyncInterval FsyncPolicy = "interval"
-	// FsyncOff leaves durability to the kernel (flush on rotation and
+	fsyncInterval FsyncPolicy = "interval"
+	// fsyncOff leaves durability to the kernel (flush on rotation and
 	// close only): fastest, loses whatever the page cache held.
-	FsyncOff FsyncPolicy = "off"
+	fsyncOff FsyncPolicy = "off"
 )
 
 // ParseFsyncPolicy validates a -fsync flag value.
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch FsyncPolicy(strings.ToLower(s)) {
-	case FsyncAlways:
-		return FsyncAlways, nil
-	case FsyncInterval:
-		return FsyncInterval, nil
-	case FsyncOff, "":
-		return FsyncOff, nil
+	case fsyncAlways:
+		return fsyncAlways, nil
+	case fsyncInterval:
+		return fsyncInterval, nil
+	case fsyncOff, "":
+		return fsyncOff, nil
 	}
-	return "", fmt.Errorf("wal: unknown fsync policy %q (valid: %s, %s, %s)", s, FsyncAlways, FsyncInterval, FsyncOff)
+	return "", fmt.Errorf("wal: unknown fsync policy %q (valid: %s, %s, %s)", s, fsyncAlways, fsyncInterval, fsyncOff)
 }
 
 // Options configures one shard log.
 type Options struct {
-	// Fsync is the durability policy; empty means FsyncOff.
+	// Fsync is the durability policy; empty means fsyncOff.
 	Fsync FsyncPolicy
 	// SegmentBytes rotates the active segment once it exceeds this size
 	// (default 64 MiB).
@@ -57,7 +57,7 @@ type Options struct {
 	SyncObserver func(time.Duration)
 }
 
-// fsyncPeriod is the background sync period under FsyncInterval.
+// fsyncPeriod is the background sync period under fsyncInterval.
 const fsyncPeriod = 50 * time.Millisecond
 
 const (
@@ -126,7 +126,7 @@ type Log struct {
 // mid-write — is truncated away.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.Fsync == "" {
-		opts.Fsync = FsyncOff
+		opts.Fsync = fsyncOff
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegment
@@ -142,7 +142,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := l.recoverSegments(segs); err != nil {
 		return nil, err
 	}
-	if l.opts.Fsync == FsyncInterval {
+	if l.opts.Fsync == fsyncInterval {
 		l.stop = make(chan struct{})
 		l.done = make(chan struct{})
 		go l.syncLoop()
@@ -292,7 +292,7 @@ func (l *Log) createSegment(firstSeq uint64) error {
 		f.Close()
 		return err
 	}
-	if l.opts.Fsync != FsyncOff {
+	if l.opts.Fsync != fsyncOff {
 		if err := f.Sync(); err != nil {
 			f.Close()
 			return err
@@ -332,7 +332,7 @@ func (l *Log) Append(r *Record) error {
 }
 
 // AppendGroup journals recs as one group, assigning them consecutive
-// sequence numbers: one buffered write, under FsyncAlways one fsync
+// sequence numbers: one buffered write, under fsyncAlways one fsync
 // before it returns, and a rotation check only after the whole group,
 // so a group never spans two segments. A write or sync failure is
 // sticky: the log refuses further appends, keeping the divergence
@@ -357,7 +357,7 @@ func (l *Log) AppendGroup(recs []Record) error {
 }
 
 // commit writes the n frames encoded in l.buf, syncs them under
-// FsyncAlways and rotates a full segment: the one write path of Append
+// fsyncAlways and rotates a full segment: the one write path of Append
 // and AppendGroup. l.mu is held.
 func (l *Log) commit(n int) error {
 	if _, err := l.w.Write(l.buf); err != nil {
@@ -365,7 +365,7 @@ func (l *Log) commit(n int) error {
 	}
 	l.segBytes += int64(len(l.buf))
 	l.nextSeq += uint64(n)
-	if l.opts.Fsync == FsyncAlways {
+	if l.opts.Fsync == fsyncAlways {
 		if err := l.syncLocked(); err != nil {
 			return err
 		}

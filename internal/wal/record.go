@@ -36,10 +36,10 @@ const (
 	KindTick Kind = 3
 )
 
-// MaxDim bounds the per-record demand dimensionality; it mirrors the
-// wire protocol's limit (wire.MaxDim), which every record's demand has
+// maxDim bounds the per-record demand dimensionality; it mirrors the
+// wire protocol's limit (wire's maxDim), which every record's demand has
 // already passed through.
-const MaxDim = 1024
+const maxDim = 1024
 
 const (
 	// frameLen is the record frame: u32 LE body length + u32 LE CRC32C
@@ -51,7 +51,7 @@ const (
 	// arriveExtra is the arrival-only suffix: scalar size f64 plus a
 	// u16 vector dimensionality (0 for scalar jobs).
 	arriveExtra = 10
-	maxBody     = fixedLen + arriveExtra + 8*MaxDim
+	maxBody     = fixedLen + arriveExtra + 8*maxDim
 )
 
 // castagnoli is the CRC32C polynomial table (hardware-accelerated on
@@ -88,8 +88,8 @@ func appendRecord(dst []byte, r *Record) ([]byte, error) {
 	body := fixedLen
 	switch r.Kind {
 	case KindArrive:
-		if len(r.Sizes) > MaxDim {
-			return dst, fmt.Errorf("wal: record dim %d exceeds %d", len(r.Sizes), MaxDim)
+		if len(r.Sizes) > maxDim {
+			return dst, fmt.Errorf("wal: record dim %d exceeds %d", len(r.Sizes), maxDim)
 		}
 		body += arriveExtra + 8*len(r.Sizes)
 	case KindDepart, KindTick:

@@ -72,7 +72,7 @@ func replayAll(t *testing.T, l *Log, from uint64) []Record {
 // back, in order, with exact float bits, across a close/reopen.
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Fsync: FsyncAlways})
+	l, err := Open(dir, Options{Fsync: fsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestAppendGroupMatchesAppends(t *testing.T) {
 	recs := sampleRecords(200)
 	singleDir := t.TempDir()
-	single, err := Open(singleDir, Options{Fsync: FsyncAlways})
+	single, err := Open(singleDir, Options{Fsync: fsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestAppendGroupMatchesAppends(t *testing.T) {
 	}
 	for _, size := range []int{1, 7, 64, 200} {
 		dir := t.TempDir()
-		l, err := Open(dir, Options{Fsync: FsyncAlways})
+		l, err := Open(dir, Options{Fsync: fsyncAlways})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +424,7 @@ func TestIntervalAndObserver(t *testing.T) {
 	var syncs int
 	done := make(chan struct{})
 	l, err := Open(t.TempDir(), Options{
-		Fsync: FsyncInterval,
+		Fsync: fsyncInterval,
 		SyncObserver: func(time.Duration) {
 			syncs++
 			if syncs == 2 {
@@ -492,7 +492,7 @@ func TestStoreMetaGuard(t *testing.T) {
 func TestStoreObserverRoutesShards(t *testing.T) {
 	var syncs int
 	st, err := OpenStore(t.TempDir(), Meta{Shards: 2, Dim: 1, Capacity: 1, Algorithm: "firstfit"},
-		Options{Fsync: FsyncAlways, SyncObserver: func(time.Duration) { syncs++ }})
+		Options{Fsync: fsyncAlways, SyncObserver: func(time.Duration) { syncs++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func TestAppendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is unreliable under -race")
 	}
-	l, err := Open(t.TempDir(), Options{Fsync: FsyncOff})
+	l, err := Open(t.TempDir(), Options{Fsync: fsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +553,7 @@ func TestAppendZeroAlloc(t *testing.T) {
 // BenchmarkAppend reports the per-record append cost per fsync policy,
 // one Append per record and in AppendGroup groups of 64 (group64).
 func BenchmarkAppend(b *testing.B) {
-	for _, pol := range []FsyncPolicy{FsyncOff, FsyncInterval, FsyncAlways} {
+	for _, pol := range []FsyncPolicy{fsyncOff, fsyncInterval, fsyncAlways} {
 		b.Run(string(pol), func(b *testing.B) {
 			l, err := Open(b.TempDir(), Options{Fsync: pol})
 			if err != nil {
@@ -572,7 +572,7 @@ func BenchmarkAppend(b *testing.B) {
 		})
 	}
 	b.Run("group64", func(b *testing.B) {
-		l, err := Open(b.TempDir(), Options{Fsync: FsyncAlways})
+		l, err := Open(b.TempDir(), Options{Fsync: fsyncAlways})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -594,7 +594,7 @@ func BenchmarkAppend(b *testing.B) {
 // TestParseFsyncPolicy covers the flag parser.
 func TestParseFsyncPolicy(t *testing.T) {
 	for in, want := range map[string]FsyncPolicy{
-		"always": FsyncAlways, "Interval": FsyncInterval, "off": FsyncOff, "": FsyncOff,
+		"always": fsyncAlways, "Interval": fsyncInterval, "off": fsyncOff, "": fsyncOff,
 	} {
 		got, err := ParseFsyncPolicy(in)
 		if err != nil || got != want {
@@ -611,7 +611,7 @@ func TestParseFsyncPolicy(t *testing.T) {
 // append reports the same error.
 func TestFailStop(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Fsync: FsyncAlways})
+	l, err := Open(dir, Options{Fsync: fsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,17 +44,17 @@ const (
 	// dialTimeout bounds connect + handshake.
 	dialTimeout = 5 * time.Second
 	// maxOpLen is the largest op Arrive accepts: kind, flags, id, size,
-	// dim, MaxDim sizes and a time.
-	maxOpLen = 2 + 8 + 8 + 2 + 8*MaxDim + 8
+	// dim, maxDim sizes and a time.
+	maxOpLen = 2 + 8 + 8 + 2 + 8*maxDim + 8
 )
 
 // The op count and maxBatch of the largest ops fit one frame (526 KB
-// against MaxFrameLen's 16 MiB), and maxBatch fits the count the server
+// against maxFrameLen's 16 MiB), and maxBatch fits the count the server
 // accepts, so the writer never has to split a frame: either bound
 // failing is a compile error.
 var (
-	_ [MaxFrameLen - 4 - maxBatch*maxOpLen]struct{}
-	_ [MaxBatchOps - maxBatch]struct{}
+	_ [maxFrameLen - 4 - maxBatch*maxOpLen]struct{}
+	_ [maxBatchOps - maxBatch]struct{}
 )
 
 // call is one op's journey through a connection: filled by the caller,
@@ -158,7 +158,7 @@ func dialAndHandshake(addr string) (net.Conn, error) {
 		tc.SetNoDelay(true) // batching is ours, not Nagle's
 	}
 	nc.SetDeadline(time.Now().Add(dialTimeout))
-	if _, err := nc.Write(AppendFrame(nil, FrameHello, AppendHello(nil, Version))); err != nil {
+	if _, err := nc.Write(appendFrame(nil, frameHello, appendHello(nil, Version))); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -169,15 +169,15 @@ func dialAndHandshake(addr string) (net.Conn, error) {
 		nc.Close()
 		return nil, err
 	}
-	if typ == FrameError {
+	if typ == frameError {
 		nc.Close()
 		return nil, fmt.Errorf("wire: server refused handshake: %s", p)
 	}
-	if typ != FrameHello {
+	if typ != frameHello {
 		nc.Close()
 		return nil, fmt.Errorf("wire: expected Hello reply, got frame type %d", typ)
 	}
-	v, err := ParseHello(p)
+	v, err := parseHello(p)
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -222,7 +222,7 @@ func (cc *clientConn) setDead(err error) {
 // per frame for 64 callers on two CPUs, against 2.4 without the yield;
 // DESIGN.md §11). A lone caller has no one to yield to, so the yield
 // holds no op back. A frame ends at maxBatch ops, which always fit
-// MaxFrameLen.
+// maxFrameLen.
 //
 // For each batch the writer first reserves a window slot (inflight <-
 // calls) and only then writes, so the reader can never see a response
@@ -236,7 +236,7 @@ func (cc *clientConn) writer() {
 		runtime.Gosched()
 		calls := (*batchPool.Get().(*[]*call))[:0]
 		calls = append(calls, first)
-		buf, _ = BeginFrame(buf[:0], FrameBatch)
+		buf, _ = beginFrame(buf[:0], frameBatch)
 		buf = appendU32(buf, 0) // op count, patched below
 		buf = AppendOp(buf, &first.op)
 	fill:
@@ -256,8 +256,8 @@ func (cc *clientConn) writer() {
 			failBatch(calls, err)
 			continue
 		}
-		binary.LittleEndian.PutUint32(buf[FrameHeaderLen:], uint32(len(calls)))
-		buf = EndFrame(buf, 0)
+		binary.LittleEndian.PutUint32(buf[frameHeaderLen:], uint32(len(calls)))
+		buf = endFrame(buf, 0)
 		// Reserve the window slot before writing (order matters; see
 		// above). If the connection died in between, the reader's
 		// cleanup loop fails this batch.
@@ -283,7 +283,7 @@ func (cc *clientConn) reader() {
 			break
 		}
 		switch typ {
-		case FrameResults:
+		case frameResults:
 			if len(p) < 4 {
 				cc.setDead(ErrShortBuffer)
 				break
@@ -306,17 +306,17 @@ func (cc *clientConn) reader() {
 				}
 				p = p[m:]
 				c.res = res
-				c.complete(ErrorOf(res.Status))
+				c.complete(errorOf(res.Status))
 			}
 			putBatch(calls)
 			if bad {
 				cc.setDead(fmt.Errorf("wire: malformed results frame"))
 			}
-		case FrameGoAway:
+		case frameGoAway:
 			cc.setDead(ErrGoAway)
-		case FrameError:
+		case frameError:
 			cc.setDead(fmt.Errorf("wire: server error: %s", p))
-		case FramePong:
+		case framePong:
 			// Unsolicited on this path; ignore.
 		default:
 			cc.setDead(fmt.Errorf("wire: unexpected frame type %d", typ))
@@ -417,12 +417,12 @@ func (c *Client) do(op *Op) (Result, error) {
 // server's service clock. The returned Result carries the server
 // index, opened flag, and applied time on success; a non-OK status
 // surfaces as an *OpError carrying the service's stable error code.
-// A demand vector past MaxDim components is refused here as bad_demand,
+// A demand vector past maxDim components is refused here as bad_demand,
 // the code the dispatcher gives it: the server could not decode it and
 // would close the connection every caller shares.
 func (c *Client) Arrive(id item.ID, size float64, sizes []float64, t *float64) (Result, error) {
-	if len(sizes) > MaxDim {
-		return Result{}, ErrorOf(serve.ClassOf(packing.ErrBadDemand))
+	if len(sizes) > maxDim {
+		return Result{}, errorOf(serve.ClassOf(packing.ErrBadDemand))
 	}
 	op := Op{Kind: OpArrive, ID: int64(id), Size: size, Sizes: sizes}
 	if t != nil {
@@ -447,7 +447,7 @@ func (c *Client) Depart(id item.ID, t *float64) (Result, error) {
 // positional. It is called at phase boundaries, not on the hot path.
 func (c *Client) Stats() (serve.Stats, error) {
 	var s serve.Stats
-	p, err := c.control(FrameStats, nil, FrameStatsReply)
+	p, err := c.control(frameStats, nil, frameStatsReply)
 	if err != nil {
 		return s, err
 	}
@@ -460,7 +460,7 @@ func (c *Client) Stats() (serve.Stats, error) {
 // Ping round-trips a payload through the server (echo), for liveness
 // checks and tests.
 func (c *Client) Ping(payload []byte) error {
-	echo, err := c.control(FramePing, payload, FramePong)
+	echo, err := c.control(framePing, payload, framePong)
 	if err != nil {
 		return err
 	}
@@ -481,7 +481,7 @@ func (c *Client) control(reqType uint8, payload []byte, wantType uint8) ([]byte,
 	}
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(30 * time.Second))
-	if _, err := nc.Write(AppendFrame(nil, reqType, payload)); err != nil {
+	if _, err := nc.Write(appendFrame(nil, reqType, payload)); err != nil {
 		return nil, err
 	}
 	br := bufio.NewReader(nc)
@@ -490,7 +490,7 @@ func (c *Client) control(reqType uint8, payload []byte, wantType uint8) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	if typ == FrameError {
+	if typ == frameError {
 		return nil, fmt.Errorf("wire: server error: %s", p)
 	}
 	if typ != wantType {

@@ -36,7 +36,7 @@ func TestFullWindowBlocksCallers(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if typ != FrameBatch || len(p) < 4 {
+		if typ != frameBatch || len(p) < 4 {
 			return nil, fmt.Errorf("frame type %d, %d bytes", typ, len(p))
 		}
 		ids := make([]int64, u32(p))
@@ -96,12 +96,12 @@ func TestFullWindowBlocksCallers(t *testing.T) {
 
 	// Answer the in-flight frames, then every frame that follows.
 	answer := func(ids []int64) error {
-		out, _ := BeginFrame(nil, FrameResults)
+		out, _ := beginFrame(nil, frameResults)
 		out = appendU32(out, uint32(len(ids)))
 		for _, id := range ids {
 			out = AppendResult(out, &Result{Server: int32(id)})
 		}
-		_, err := peer.Write(EndFrame(out, 0))
+		_, err := peer.Write(endFrame(out, 0))
 		return err
 	}
 	for id := 0; id < window; id++ {
@@ -194,11 +194,11 @@ func fakeServer(t *testing.T) (addr string, wait func() (frames, ops int)) {
 		defer nc.Close()
 		br := bufio.NewReaderSize(nc, connIOSize)
 		var payload, out []byte
-		if typ, _, err := readFrame(br, &payload); err != nil || typ != FrameHello {
+		if typ, _, err := readFrame(br, &payload); err != nil || typ != frameHello {
 			errc <- fmt.Errorf("handshake: type %d, %v", typ, err)
 			return
 		}
-		if _, err := nc.Write(AppendFrame(nil, FrameHello, AppendHello(nil, Version))); err != nil {
+		if _, err := nc.Write(appendFrame(nil, frameHello, appendHello(nil, Version))); err != nil {
 			errc <- err
 			return
 		}
@@ -208,19 +208,19 @@ func fakeServer(t *testing.T) (addr string, wait func() (frames, ops int)) {
 				errc <- nil
 				return
 			}
-			if err != nil || typ != FrameBatch || len(p) < 4 {
+			if err != nil || typ != frameBatch || len(p) < 4 {
 				errc <- fmt.Errorf("frame %d: type %d, %v", frames, typ, err)
 				return
 			}
 			k := u32(p)
 			frames++
 			ops += int(k)
-			out, _ = BeginFrame(out[:0], FrameResults)
+			out, _ = beginFrame(out[:0], frameResults)
 			out = appendU32(out, k)
 			for i := uint32(0); i < k; i++ {
 				out = AppendResult(out, &Result{})
 			}
-			if _, err := nc.Write(EndFrame(out, 0)); err != nil {
+			if _, err := nc.Write(endFrame(out, 0)); err != nil {
 				errc <- err
 				return
 			}

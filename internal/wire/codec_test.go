@@ -104,7 +104,7 @@ func TestDecodeOpRejectsBadInput(t *testing.T) {
 	if _, err := DecodeOp([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 0}, &dst); err != ErrBadKind {
 		t.Fatalf("bad kind: %v", err)
 	}
-	// Vector arrive claiming a dimensionality past MaxDim.
+	// Vector arrive claiming a dimensionality past maxDim.
 	buf := []byte{OpArrive, flagVector}
 	buf = append(buf, make([]byte, 16)...) // id + size
 	buf = append(buf, 0xFF, 0xFF)          // dim = 65535
@@ -130,39 +130,39 @@ func TestDecodeOpRejectsBadInput(t *testing.T) {
 
 func TestFrameHeaderRoundTrip(t *testing.T) {
 	payload := []byte("hello, shard")
-	frame := AppendFrame(nil, FrameBatch, payload)
-	typ, n, err := ParseFrameHeader(frame)
-	if err != nil || typ != FrameBatch || n != len(payload) {
+	frame := appendFrame(nil, frameBatch, payload)
+	typ, n, err := parseFrameHeader(frame)
+	if err != nil || typ != frameBatch || n != len(payload) {
 		t.Fatalf("typ=%d n=%d err=%v", typ, n, err)
 	}
-	if string(frame[FrameHeaderLen:]) != string(payload) {
+	if string(frame[frameHeaderLen:]) != string(payload) {
 		t.Fatal("payload corrupted")
 	}
 	// Begin/End produce the identical frame.
-	b, off := BeginFrame(nil, FrameBatch)
+	b, off := beginFrame(nil, frameBatch)
 	b = append(b, payload...)
-	b = EndFrame(b, off)
+	b = endFrame(b, off)
 	if !reflect.DeepEqual(b, frame) {
 		t.Fatalf("BeginFrame/EndFrame = %x, want %x", b, frame)
 	}
 	// A hostile length is refused before any allocation.
-	oversize := AppendFrame(nil, FrameBatch, nil)
+	oversize := appendFrame(nil, frameBatch, nil)
 	oversize[1], oversize[2], oversize[3], oversize[4] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, err := ParseFrameHeader(oversize); err != ErrFrameSize {
+	if _, _, err := parseFrameHeader(oversize); err != ErrFrameSize {
 		t.Fatalf("oversized frame length: %v", err)
 	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	p := AppendHello(nil, Version)
-	v, err := ParseHello(p)
+	p := appendHello(nil, Version)
+	v, err := parseHello(p)
 	if err != nil || v != Version {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
-	if _, err := ParseHello([]byte("XXXX\x01\x00")); err != ErrBadMagic {
+	if _, err := parseHello([]byte("XXXX\x01\x00")); err != ErrBadMagic {
 		t.Fatalf("bad magic: %v", err)
 	}
-	if _, err := ParseHello([]byte("DBP")); err != ErrShortBuffer {
+	if _, err := parseHello([]byte("DBP")); err != ErrShortBuffer {
 		t.Fatalf("short hello: %v", err)
 	}
 }

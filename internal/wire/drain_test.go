@@ -1,4 +1,4 @@
-package wire_test
+package wire
 
 import (
 	"errors"
@@ -10,7 +10,6 @@ import (
 
 	"dbp/internal/item"
 	"dbp/internal/serve"
-	"dbp/internal/wire"
 )
 
 // journal reads shard i's journal, failing the test if the log cannot be
@@ -42,7 +41,7 @@ func TestWireDrainUnderLoad(t *testing.T) {
 	}
 	_, s, addr := startWireServer(t, d)
 
-	c, err := wire.Dial(addr, wire.Options{Conns: 2})
+	c, err := Dial(addr, Options{Conns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +64,9 @@ func TestWireDrainUnderLoad(t *testing.T) {
 				switch {
 				case err == nil:
 					accepted.Add(1)
-				case errors.Is(err, wire.ErrGoAway),
-					errors.Is(err, wire.ErrClientClosed),
-					errors.Is(err, wire.ErrorOf(serve.ClassOf(serve.ErrClosed))):
+				case errors.Is(err, ErrGoAway),
+					errors.Is(err, ErrClientClosed),
+					errors.Is(err, errorOf(serve.ClassOf(serve.ErrClosed))):
 					rejectedDrain.Add(1)
 				default:
 					rejectedOther.Add(1)
@@ -121,16 +120,16 @@ func TestWireDrainUnderLoad(t *testing.T) {
 	}
 
 	// The drained listener refuses new wire sessions promptly.
-	if _, err := wire.Dial(addr, wire.Options{Conns: 1}); err == nil {
+	if _, err := Dial(addr, Options{Conns: 1}); err == nil {
 		t.Fatal("dial succeeded after Server.Close")
 	}
 }
 
 // startWireServer starts a wire server over an existing dispatcher; the
 // caller owns both lifetimes (this test exercises Close paths itself).
-func startWireServer(t *testing.T, d *serve.Dispatcher) (*serve.Dispatcher, *wire.Server, string) {
+func startWireServer(t *testing.T, d *serve.Dispatcher) (*serve.Dispatcher, *Server, string) {
 	t.Helper()
-	s := wire.NewServer(d)
+	s := NewServer(d)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -84,7 +84,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n == 0 || n > MaxBatchOps {
+		if n == 0 || n > maxBatchOps {
 			t.Fatalf("accepted batch of %d ops", n)
 		}
 		if len(data) < 4 || int(u32(data)) != n {
@@ -96,8 +96,8 @@ func FuzzDecodeBatch(f *testing.F) {
 			alone[i].Sizes = slices.Clone(op.Sizes)
 		}
 		m, err := decodeBatch(data, &ops, n)
-		if 2*n > MaxBatchOps {
-			if !errors.Is(err, ErrBatchSize) {
+		if 2*n > maxBatchOps {
+			if !errors.Is(err, errBatchSize) {
 				t.Fatalf("second decode past MaxBatchOps: n=%d err=%v", m, err)
 			}
 			return

@@ -1,4 +1,4 @@
-package wire_test
+package wire
 
 import (
 	"encoding/binary"
@@ -13,7 +13,6 @@ import (
 	"dbp/internal/item"
 	"dbp/internal/packing"
 	"dbp/internal/serve"
-	"dbp/internal/wire"
 )
 
 // rawConn dials addr and completes the Hello exchange by hand, so a test
@@ -26,10 +25,10 @@ func rawConn(t *testing.T, addr string) net.Conn {
 	}
 	t.Cleanup(func() { nc.Close() })
 	nc.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := nc.Write(wire.AppendFrame(nil, wire.FrameHello, wire.AppendHello(nil, wire.Version))); err != nil {
+	if _, err := nc.Write(appendFrame(nil, frameHello, appendHello(nil, Version))); err != nil {
 		t.Fatal(err)
 	}
-	if typ, _ := readRawFrame(t, nc); typ != wire.FrameHello {
+	if typ, _ := readRawFrame(t, nc); typ != frameHello {
 		t.Fatalf("handshake answered with frame type %d", typ)
 	}
 	return nc
@@ -38,11 +37,11 @@ func rawConn(t *testing.T, addr string) net.Conn {
 // readRawFrame reads one whole frame off nc.
 func readRawFrame(t *testing.T, nc net.Conn) (uint8, []byte) {
 	t.Helper()
-	hdr := make([]byte, wire.FrameHeaderLen)
+	hdr := make([]byte, frameHeaderLen)
 	if _, err := io.ReadFull(nc, hdr); err != nil {
 		t.Fatal(err)
 	}
-	typ, n, err := wire.ParseFrameHeader(hdr)
+	typ, n, err := parseFrameHeader(hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,21 +53,21 @@ func readRawFrame(t *testing.T, nc net.Conn) (uint8, []byte) {
 }
 
 // batchFrame encodes ops as one Batch frame.
-func batchFrame(ops ...wire.Op) []byte {
-	b, off := wire.BeginFrame(nil, wire.FrameBatch)
+func batchFrame(ops ...Op) []byte {
+	b, off := beginFrame(nil, frameBatch)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ops)))
 	for i := range ops {
-		b = wire.AppendOp(b, &ops[i])
+		b = AppendOp(b, &ops[i])
 	}
-	return wire.EndFrame(b, off)
+	return endFrame(b, off)
 }
 
 // readResults reads one frame, requires it to be a Results frame, and
 // decodes its results.
-func readResults(t *testing.T, nc net.Conn) []wire.Result {
+func readResults(t *testing.T, nc net.Conn) []Result {
 	t.Helper()
 	typ, p := readRawFrame(t, nc)
-	if typ != wire.FrameResults {
+	if typ != frameResults {
 		t.Fatalf("got frame type %d (%q), want Results", typ, p)
 	}
 	if len(p) < 4 {
@@ -76,9 +75,9 @@ func readResults(t *testing.T, nc net.Conn) []wire.Result {
 	}
 	n := int(binary.LittleEndian.Uint32(p))
 	p = p[4:]
-	rs := make([]wire.Result, n)
+	rs := make([]Result, n)
 	for i := range rs {
-		m, err := wire.DecodeResult(p, &rs[i])
+		m, err := DecodeResult(p, &rs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,11 +89,11 @@ func readResults(t *testing.T, nc net.Conn) []wire.Result {
 	return rs
 }
 
-func arrive(id int64, size float64, sizes ...float64) wire.Op {
-	return wire.Op{Kind: wire.OpArrive, ID: id, Size: size, Sizes: sizes}
+func arrive(id int64, size float64, sizes ...float64) Op {
+	return Op{Kind: OpArrive, ID: id, Size: size, Sizes: sizes}
 }
 
-func depart(id int64) wire.Op { return wire.Op{Kind: wire.OpDepart, ID: id} }
+func depart(id int64) Op { return Op{Kind: OpDepart, ID: id} }
 
 // TestWireMergesBufferedFrames: Batch frames that reach the server in
 // one write are applied as one ApplyBatch and answered with one Results
@@ -111,10 +110,10 @@ func TestWireMergesBufferedFrames(t *testing.T) {
 	if _, err := nc.Write(msg); err != nil {
 		t.Fatal(err)
 	}
-	ok := func(server int32, flag bool) wire.Result {
-		return wire.Result{Status: serve.ClassOK, Server: server, Flag: flag}
+	ok := func(server int32, flag bool) Result {
+		return Result{Status: serve.ClassOK, Server: server, Flag: flag}
 	}
-	want := [][]wire.Result{
+	want := [][]Result{
 		{ok(0, true)},
 		{ok(1, true), ok(0, false)},
 		{ok(0, false), ok(1, true), {Status: serve.ClassOf(packing.ErrDuplicateJob)}},
@@ -149,7 +148,7 @@ func TestWireMergeStopsAtMalformedFrame(t *testing.T) {
 			t.Fatalf("results frame %d = %+v", i, rs)
 		}
 	}
-	if typ, p := readRawFrame(t, nc); typ != wire.FrameError {
+	if typ, p := readRawFrame(t, nc); typ != frameError {
 		t.Fatalf("malformed frame answered with type %d (%q), want Error", typ, p)
 	}
 	if got := d.Stats().Batches - before; got != 1 {
@@ -169,7 +168,7 @@ func TestWireMergeKeepsEachOpsSizes(t *testing.T) {
 	d, _, addr := startServer(t, serve.Config{Algorithm: "firstfit", Shards: 1, Dim: 2, DataDir: t.TempDir()})
 	nc := rawConn(t, addr)
 
-	ops := []wire.Op{
+	ops := []Op{
 		arrive(1, 0.25, 0.25, 0.125),
 		arrive(2, 0.5, 0.0625, 0.5),
 		arrive(3, 0.375, 0.375, 0.03125),
@@ -205,7 +204,7 @@ func TestWireMergeKeepsEachOpsSizes(t *testing.T) {
 // one job's arrive and depart.
 func BenchmarkWirePipelined(b *testing.B) {
 	d, _, addr := startServer(b, serve.Config{Algorithm: "firstfit", Shards: 2})
-	c := dial(b, addr, wire.Options{Conns: 1})
+	c := dial(b, addr, Options{Conns: 1})
 	const callers = 64
 	before := d.Stats()
 	var next atomic.Int64

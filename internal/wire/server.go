@@ -163,8 +163,8 @@ func (s *Server) handle(c *srvConn) {
 		counts  []int // op count of each Batch frame in the merged group
 	)
 	goaway := func() {
-		out, _ = BeginFrame(out[:0], FrameGoAway)
-		out = EndFrame(out, 0)
+		out, _ = beginFrame(out[:0], frameGoAway)
+		out = endFrame(out, 0)
 		bw.Write(out)
 		bw.Flush()
 		// The frame must actually reach the peer: a pipelining client
@@ -196,7 +196,7 @@ func (s *Server) handle(c *srvConn) {
 			return
 		}
 		switch typ {
-		case FrameBatch:
+		case frameBatch:
 			n, err := decodeBatch(p, &ops, 0)
 			if err != nil {
 				writeErrorFrame(bw, err)
@@ -205,20 +205,20 @@ func (s *Server) handle(c *srvConn) {
 			counts = append(counts[:0], n)
 			// Merge every further Batch frame already whole in the read
 			// buffer into the same ApplyBatch. A partial, non-Batch or
-			// malformed frame, or one past MaxBatchOps, stays buffered for
+			// malformed frame, or one past maxBatchOps, stays buffered for
 			// the next readFrame; nothing here reads from the socket.
-			for br.Buffered() >= FrameHeaderLen {
-				hdr, _ := br.Peek(FrameHeaderLen)
-				typ, size, err := ParseFrameHeader(hdr)
-				if err != nil || typ != FrameBatch || br.Buffered() < FrameHeaderLen+size {
+			for br.Buffered() >= frameHeaderLen {
+				hdr, _ := br.Peek(frameHeaderLen)
+				typ, size, err := parseFrameHeader(hdr)
+				if err != nil || typ != frameBatch || br.Buffered() < frameHeaderLen+size {
 					break
 				}
-				frame, _ := br.Peek(FrameHeaderLen + size)
-				k, err := decodeBatch(frame[FrameHeaderLen:], &ops, n)
+				frame, _ := br.Peek(frameHeaderLen + size)
+				k, err := decodeBatch(frame[frameHeaderLen:], &ops, n)
 				if err != nil {
 					break
 				}
-				br.Discard(FrameHeaderLen + size)
+				br.Discard(frameHeaderLen + size)
 				counts = append(counts, k)
 				n += k
 			}
@@ -232,7 +232,7 @@ func (s *Server) handle(c *srvConn) {
 			rs := results
 			for _, k := range counts {
 				var off int
-				out, off = BeginFrame(out, FrameResults)
+				out, off = beginFrame(out, frameResults)
 				out = appendU32(out, uint32(k))
 				for i := range rs[:k] {
 					res := &rs[i]
@@ -244,7 +244,7 @@ func (s *Server) handle(c *srvConn) {
 					}
 					out = AppendResult(out, &r)
 				}
-				out = EndFrame(out, off)
+				out = endFrame(out, off)
 				rs = rs[k:]
 			}
 			if _, err := bw.Write(out); err != nil {
@@ -253,24 +253,24 @@ func (s *Server) handle(c *srvConn) {
 			if err := bw.Flush(); err != nil {
 				return
 			}
-		case FrameStats:
+		case frameStats:
 			buf, err := json.Marshal(s.d.Stats())
 			if err != nil {
 				writeErrorFrame(bw, err)
 				return
 			}
-			out = AppendFrame(out[:0], FrameStatsReply, buf)
+			out = appendFrame(out[:0], frameStatsReply, buf)
 			bw.Write(out)
 			if err := bw.Flush(); err != nil {
 				return
 			}
-		case FramePing:
-			out = AppendFrame(out[:0], FramePong, p)
+		case framePing:
+			out = appendFrame(out[:0], framePong, p)
 			bw.Write(out)
 			if err := bw.Flush(); err != nil {
 				return
 			}
-		case FrameGoAway:
+		case frameGoAway:
 			// The client is done with this connection.
 			return
 		default:
@@ -290,11 +290,11 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) erro
 	if err != nil {
 		return err
 	}
-	if typ != FrameHello {
+	if typ != frameHello {
 		writeErrorFrame(bw, fmt.Errorf("wire: expected Hello, got frame type %d", typ))
 		return ErrBadMagic
 	}
-	v, err := ParseHello(p)
+	v, err := parseHello(p)
 	if err != nil {
 		writeErrorFrame(bw, err)
 		return err
@@ -303,7 +303,7 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) erro
 		writeErrorFrame(bw, fmt.Errorf("%w: client v%d, server v%d", ErrVersion, v, Version))
 		return ErrVersion
 	}
-	hello := AppendFrame(nil, FrameHello, AppendHello(nil, Version))
+	hello := appendFrame(nil, frameHello, appendHello(nil, Version))
 	if _, err := bw.Write(hello); err != nil {
 		return err
 	}
@@ -314,11 +314,11 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) erro
 // across calls; the returned slice aliases *payload and is valid until
 // the next call.
 func readFrame(br *bufio.Reader, payload *[]byte) (uint8, []byte, error) {
-	var hdr [FrameHeaderLen]byte
+	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	typ, n, err := ParseFrameHeader(hdr[:])
+	typ, n, err := parseFrameHeader(hdr[:])
 	if err != nil {
 		return 0, nil, err
 	}
@@ -335,15 +335,15 @@ func readFrame(br *bufio.Reader, payload *[]byte) (uint8, []byte, error) {
 // decodeBatch decodes a Batch frame payload into (*ops)[base:], after
 // the base ops already held, reusing the slice and each element's
 // demand-vector capacity. It returns the op count; a frame that would
-// take the total past MaxBatchOps is refused with ErrBatchSize.
+// take the total past maxBatchOps is refused with errBatchSize.
 func decodeBatch(p []byte, ops *[]serve.BatchOp, base int) (int, error) {
 	if len(p) < 4 {
 		return 0, ErrShortBuffer
 	}
 	count := int(u32(p))
 	p = p[4:]
-	if count == 0 || base+count > MaxBatchOps {
-		return 0, ErrBatchSize
+	if count == 0 || base+count > maxBatchOps {
+		return 0, errBatchSize
 	}
 	if cap(*ops) < base+count {
 		*ops = append((*ops)[:cap(*ops)], make([]serve.BatchOp, base+count-cap(*ops))...)
@@ -378,7 +378,7 @@ func decodeBatch(p []byte, ops *[]serve.BatchOp, base int) (int, error) {
 // writeErrorFrame sends a connection-fatal protocol diagnostic; the
 // caller closes the connection right after.
 func writeErrorFrame(bw *bufio.Writer, err error) {
-	bw.Write(AppendFrame(nil, FrameError, []byte(err.Error())))
+	bw.Write(appendFrame(nil, frameError, []byte(err.Error())))
 	bw.Flush()
 }
 

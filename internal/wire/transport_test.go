@@ -1,4 +1,4 @@
-package wire_test
+package wire
 
 import (
 	"errors"
@@ -8,13 +8,12 @@ import (
 	"dbp/internal/item"
 	"dbp/internal/packing"
 	"dbp/internal/serve"
-	"dbp/internal/wire"
 )
 
 // startServer brings up a dispatcher and a wire server on a loopback
 // listener, returning the dial address. The dispatcher clock is frozen
 // at 0 so explicit-time requests are golden-comparable.
-func startServer(t testing.TB, cfg serve.Config) (*serve.Dispatcher, *wire.Server, string) {
+func startServer(t testing.TB, cfg serve.Config) (*serve.Dispatcher, *Server, string) {
 	t.Helper()
 	if cfg.Clock == nil {
 		cfg.Clock = func() float64 { return 0 }
@@ -23,7 +22,7 @@ func startServer(t testing.TB, cfg serve.Config) (*serve.Dispatcher, *wire.Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := wire.NewServer(d)
+	s := NewServer(d)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -40,9 +39,9 @@ func startServer(t testing.TB, cfg serve.Config) (*serve.Dispatcher, *wire.Serve
 	return d, s, ln.Addr().String()
 }
 
-func dial(t testing.TB, addr string, opts wire.Options) *wire.Client {
+func dial(t testing.TB, addr string, opts Options) *Client {
 	t.Helper()
-	c, err := wire.Dial(addr, opts)
+	c, err := Dial(addr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func tp(v float64) *float64 { return &v }
 // back with the same stable codes the JSON API uses.
 func TestWireGolden(t *testing.T) {
 	_, _, addr := startServer(t, serve.Config{Algorithm: "firstfit", Shards: 1})
-	c := dial(t, addr, wire.Options{Conns: 1})
+	c := dial(t, addr, Options{Conns: 1})
 
 	// Two arrivals that cannot share a server, then a small job that
 	// first-fits onto server 0.
@@ -87,7 +86,7 @@ func TestWireGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.do()
-			var oe *wire.OpError
+			var oe *OpError
 			if !errors.As(err, &oe) {
 				t.Fatalf("err = %v, want *OpError", err)
 			}
@@ -109,20 +108,20 @@ func TestWireGolden(t *testing.T) {
 	}
 }
 
-// TestWireRefusesOversizedDemand: an arrive with more than MaxDim
+// TestWireRefusesOversizedDemand: an arrive with more than maxDim
 // components is refused by the client with the dispatcher's own code,
 // bad_demand, and never reaches the server, so the connection every
 // caller shares stays up for the next op.
 func TestWireRefusesOversizedDemand(t *testing.T) {
 	d, _, addr := startServer(t, serve.Config{Algorithm: "firstfit", Shards: 1})
-	c := dial(t, addr, wire.Options{Conns: 1})
+	c := dial(t, addr, Options{Conns: 1})
 
-	sizes := make([]float64, wire.MaxDim+1)
+	sizes := make([]float64, maxDim+1)
 	for i := range sizes {
 		sizes[i] = 0.5
 	}
 	_, err := c.Arrive(1, 0.5, sizes, tp(0))
-	var oe *wire.OpError
+	var oe *OpError
 	if !errors.As(err, &oe) || oe.Status.Code() != "bad_demand" {
 		t.Fatalf("%d-dim arrive: err = %v, want bad_demand", len(sizes), err)
 	}
@@ -137,7 +136,7 @@ func TestWireRefusesOversizedDemand(t *testing.T) {
 // TestWireVectorDemand round-trips d-dimensional jobs end to end.
 func TestWireVectorDemand(t *testing.T) {
 	d, _, addr := startServer(t, serve.Config{Algorithm: "firstfit", Shards: 1, Dim: 2, DataDir: t.TempDir()})
-	c := dial(t, addr, wire.Options{Conns: 1})
+	c := dial(t, addr, Options{Conns: 1})
 
 	if _, err := c.Arrive(1, 0.7, []float64{0.5, 0.7}, tp(0)); err != nil {
 		t.Fatalf("vector arrive: %v", err)
@@ -149,7 +148,7 @@ func TestWireVectorDemand(t *testing.T) {
 	}
 	// Wrong dimensionality is refused by the service, not the codec.
 	_, err = c.Arrive(3, 0.5, nil, tp(2))
-	var oe *wire.OpError
+	var oe *OpError
 	if !errors.As(err, &oe) || oe.Status != serve.ClassOf(packing.ErrBadDemand) {
 		t.Fatalf("scalar into dim-2 service: %v", err)
 	}
@@ -165,7 +164,7 @@ func TestWireVectorDemand(t *testing.T) {
 // feed the batch path.
 func TestWireStatsAndPing(t *testing.T) {
 	_, _, addr := startServer(t, serve.Config{Algorithm: "firstfit", Shards: 2})
-	c := dial(t, addr, wire.Options{Conns: 1})
+	c := dial(t, addr, Options{Conns: 1})
 
 	if err := c.Ping([]byte("are you there")); err != nil {
 		t.Fatalf("ping: %v", err)
@@ -193,7 +192,7 @@ func TestWireStatsAndPing(t *testing.T) {
 // and the server sees every accepted op.
 func TestWirePipelinedConcurrency(t *testing.T) {
 	d, _, addr := startServer(t, serve.Config{Shards: 4, DataDir: t.TempDir()})
-	c := dial(t, addr, wire.Options{Conns: 2})
+	c := dial(t, addr, Options{Conns: 2})
 
 	const clients = 8
 	const perClient = 200
@@ -246,14 +245,14 @@ func TestWireHandshakeRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	nc.Write(wire.AppendFrame(nil, wire.FrameHello, []byte("HTTP/1.1\r\n")))
+	nc.Write(appendFrame(nil, frameHello, []byte("HTTP/1.1\r\n")))
 	buf := make([]byte, 256)
 	n, _ := nc.Read(buf)
-	if n == 0 || buf[0] != wire.FrameError {
+	if n == 0 || buf[0] != frameError {
 		t.Fatalf("expected FrameError for bad magic, got %v", buf[:n])
 	}
 	// Wrong version.
-	if _, err := wire.Dial(addr, wire.Options{Conns: 1}); err != nil {
+	if _, err := Dial(addr, Options{Conns: 1}); err != nil {
 		t.Fatalf("good handshake refused: %v", err)
 	}
 }

@@ -40,9 +40,9 @@ import (
 	"dbp/internal/serve"
 )
 
-// Magic opens every Hello payload; a peer that does not present it is
+// magic opens every Hello payload; a peer that does not present it is
 // not speaking this protocol and the connection is refused.
-const Magic = "DBPW"
+const magic = "DBPW"
 
 // Version is the protocol version this package speaks. The server
 // echoes its own version in the Hello reply; a client refuses a
@@ -51,49 +51,49 @@ const Version uint16 = 1
 
 // Frame types. Values are part of the wire format — append only.
 const (
-	// FrameHello carries the handshake payload (magic + u16 version),
+	// frameHello carries the handshake payload (magic + u16 version),
 	// client → server first, then the server's reply.
-	FrameHello uint8 = 1
-	// FrameBatch (client → server) carries u32 count + count ops.
-	FrameBatch uint8 = 2
-	// FrameResults (server → client) answers one Batch frame: u32
+	frameHello uint8 = 1
+	// frameBatch (client → server) carries u32 count + count ops.
+	frameBatch uint8 = 2
+	// frameResults (server → client) answers one Batch frame: u32
 	// count + count results, positionally matching the batch's ops.
-	FrameResults uint8 = 3
-	// FrameStats (client → server) requests service stats; empty
+	frameResults uint8 = 3
+	// frameStats (client → server) requests service stats; empty
 	// payload.
-	FrameStats uint8 = 4
-	// FrameStatsReply (server → client) carries the JSON-encoded
+	frameStats uint8 = 4
+	// frameStatsReply (server → client) carries the JSON-encoded
 	// serve.Stats. Stats is off the hot path; JSON keeps it debuggable.
-	FrameStatsReply uint8 = 5
-	// FramePing (client → server) requests an echo of its payload.
-	FramePing uint8 = 6
-	// FramePong (server → client) echoes a Ping's payload.
-	FramePong uint8 = 7
-	// FrameGoAway (server → client) announces a drain: every batch
+	frameStatsReply uint8 = 5
+	// framePing (client → server) requests an echo of its payload.
+	framePing uint8 = 6
+	// framePong (server → client) echoes a Ping's payload.
+	framePong uint8 = 7
+	// frameGoAway (server → client) announces a drain: every batch
 	// already answered has been flushed, nothing further will be read,
 	// and the server closes the connection after sending it.
-	FrameGoAway uint8 = 8
-	// FrameError (server → client) reports a connection-fatal protocol
+	frameGoAway uint8 = 8
+	// frameError (server → client) reports a connection-fatal protocol
 	// violation (UTF-8 diagnostic payload) before the server closes.
-	FrameError uint8 = 9
+	frameError uint8 = 9
 )
 
-// FrameHeaderLen is the fixed frame prefix: type byte + u32 length.
-const FrameHeaderLen = 5
+// frameHeaderLen is the fixed frame prefix: type byte + u32 length.
+const frameHeaderLen = 5
 
-// MaxFrameLen caps a frame's payload so a corrupt or hostile length
+// maxFrameLen caps a frame's payload so a corrupt or hostile length
 // prefix cannot make a peer allocate unbounded memory.
-const MaxFrameLen = 1 << 24 // 16 MiB
+const maxFrameLen = 1 << 24 // 16 MiB
 
-// MaxBatchOps caps the op count of one batch frame; combined with the
+// maxBatchOps caps the op count of one batch frame; combined with the
 // ops' minimum width it keeps a decoded batch's memory proportional to
 // the bytes actually received.
-const MaxBatchOps = 65536
+const maxBatchOps = 65536
 
-// MaxDim caps the demand-vector dimensionality a decoder accepts.
+// maxDim caps the demand-vector dimensionality a decoder accepts.
 // Real placements use a handful of resource dimensions; anything
 // larger is a corrupt or hostile frame.
-const MaxDim = 1024
+const maxDim = 1024
 
 // Op kinds on the wire.
 const (
@@ -139,7 +139,7 @@ var (
 	ErrBadDim      = errors.New("wire: demand dimensionality out of range")
 	ErrBadFlags    = errors.New("wire: undefined op flag bits set")
 	ErrFrameSize   = errors.New("wire: frame exceeds size limit")
-	ErrBatchSize   = errors.New("wire: batch op count out of range")
+	errBatchSize   = errors.New("wire: batch op count out of range")
 	ErrBadMagic    = errors.New("wire: bad handshake magic")
 	ErrVersion     = errors.New("wire: protocol version mismatch")
 )
@@ -215,7 +215,7 @@ func DecodeOp(b []byte, op *Op) (int, error) {
 			}
 			dim := int(binary.LittleEndian.Uint16(b[n:]))
 			n += 2
-			if dim == 0 || dim > MaxDim {
+			if dim == 0 || dim > maxDim {
 				return 0, ErrBadDim
 			}
 			if len(b) < n+8*dim {
@@ -264,63 +264,63 @@ func DecodeResult(b []byte, r *Result) (int, error) {
 	return resultLen, nil
 }
 
-// BeginFrame appends a frame header for typ with a zero length to b
+// beginFrame appends a frame header for typ with a zero length to b
 // and returns the extended slice plus the header's offset; once the
-// payload has been appended, EndFrame patches the length in. The
+// payload has been appended, endFrame patches the length in. The
 // pattern lets a writer build header and payload in one buffer with no
 // copies:
 //
-//	buf, off := BeginFrame(buf[:0], FrameBatch)
+//	buf, off := beginFrame(buf[:0], frameBatch)
 //	... append payload ...
-//	buf = EndFrame(buf, off)
-func BeginFrame(b []byte, typ uint8) ([]byte, int) {
+//	buf = endFrame(buf, off)
+func beginFrame(b []byte, typ uint8) ([]byte, int) {
 	off := len(b)
 	b = append(b, typ, 0, 0, 0, 0)
 	return b, off
 }
 
-// EndFrame patches the length of the frame opened at off to cover
-// everything appended since BeginFrame.
-func EndFrame(b []byte, off int) []byte {
-	binary.LittleEndian.PutUint32(b[off+1:], uint32(len(b)-off-FrameHeaderLen))
+// endFrame patches the length of the frame opened at off to cover
+// everything appended since beginFrame.
+func endFrame(b []byte, off int) []byte {
+	binary.LittleEndian.PutUint32(b[off+1:], uint32(len(b)-off-frameHeaderLen))
 	return b
 }
 
-// AppendFrame appends a complete frame (header + payload) to b.
-func AppendFrame(b []byte, typ uint8, payload []byte) []byte {
+// appendFrame appends a complete frame (header + payload) to b.
+func appendFrame(b []byte, typ uint8, payload []byte) []byte {
 	b = append(b, typ, 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(b[len(b)-4:], uint32(len(payload)))
 	return append(b, payload...)
 }
 
-// ParseFrameHeader decodes a frame header, validating the length
-// against MaxFrameLen.
-func ParseFrameHeader(h []byte) (typ uint8, length int, err error) {
-	if len(h) < FrameHeaderLen {
+// parseFrameHeader decodes a frame header, validating the length
+// against maxFrameLen.
+func parseFrameHeader(h []byte) (typ uint8, length int, err error) {
+	if len(h) < frameHeaderLen {
 		return 0, 0, ErrShortBuffer
 	}
 	n := binary.LittleEndian.Uint32(h[1:])
-	if n > MaxFrameLen {
+	if n > maxFrameLen {
 		return 0, 0, ErrFrameSize
 	}
 	return h[0], int(n), nil
 }
 
-// AppendHello appends the handshake payload (magic + version).
-func AppendHello(b []byte, version uint16) []byte {
-	b = append(b, Magic...)
+// appendHello appends the handshake payload (magic + version).
+func appendHello(b []byte, version uint16) []byte {
+	b = append(b, magic...)
 	return binary.LittleEndian.AppendUint16(b, version)
 }
 
-// ParseHello validates a Hello payload and returns the peer's version.
-func ParseHello(p []byte) (uint16, error) {
-	if len(p) != len(Magic)+2 {
+// parseHello validates a Hello payload and returns the peer's version.
+func parseHello(p []byte) (uint16, error) {
+	if len(p) != len(magic)+2 {
 		return 0, ErrShortBuffer
 	}
-	if string(p[:len(Magic)]) != Magic {
+	if string(p[:len(magic)]) != magic {
 		return 0, ErrBadMagic
 	}
-	return binary.LittleEndian.Uint16(p[len(Magic):]), nil
+	return binary.LittleEndian.Uint16(p[len(magic):]), nil
 }
 
 // OpError is a non-OK result surfaced as an error. Its Status gives
@@ -338,7 +338,7 @@ func (e *OpError) Error() string {
 
 func (e *OpError) Unwrap() error { return e.Status.Err() }
 
-// opErrors holds the singleton per-class errors ErrorOf hands out.
+// opErrors holds the singleton per-class errors errorOf hands out.
 var opErrors = func() (errs [serve.NumClasses]OpError) {
 	for c := range errs {
 		errs[c].Status = serve.Class(c)
@@ -346,9 +346,9 @@ var opErrors = func() (errs [serve.NumClasses]OpError) {
 	return errs
 }()
 
-// ErrorOf returns the shared error for a non-OK status (nil for OK); a
+// errorOf returns the shared error for a non-OK status (nil for OK); a
 // status byte this build does not know is internal.
-func ErrorOf(status serve.Class) error {
+func errorOf(status serve.Class) error {
 	if status == serve.ClassOK {
 		return nil
 	}

@@ -23,36 +23,36 @@ type Dist interface {
 	String() string
 }
 
-// Constant is the degenerate distribution at V.
-type Constant struct{ V float64 }
+// constantDist is the degenerate distribution at V.
+type constantDist struct{ V float64 }
 
 // Sample implements Dist.
-func (c Constant) Sample(*rand.Rand) float64 { return c.V }
+func (c constantDist) Sample(*rand.Rand) float64 { return c.V }
 
 // Bounds implements Dist.
-func (c Constant) Bounds() (float64, float64) { return c.V, c.V }
+func (c constantDist) Bounds() (float64, float64) { return c.V, c.V }
 
-func (c Constant) String() string { return fmt.Sprintf("const(%g)", c.V) }
+func (c constantDist) String() string { return fmt.Sprintf("const(%g)", c.V) }
 
-// Uniform is the continuous uniform distribution on [Lo, Hi].
-type Uniform struct{ Lo, Hi float64 }
+// uniformDist is the continuous uniform distribution on [Lo, Hi].
+type uniformDist struct{ Lo, Hi float64 }
 
 // Sample implements Dist.
-func (u Uniform) Sample(rng *rand.Rand) float64 { return u.Lo + rng.Float64()*(u.Hi-u.Lo) }
+func (u uniformDist) Sample(rng *rand.Rand) float64 { return u.Lo + rng.Float64()*(u.Hi-u.Lo) }
 
 // Bounds implements Dist.
-func (u Uniform) Bounds() (float64, float64) { return u.Lo, u.Hi }
+func (u uniformDist) Bounds() (float64, float64) { return u.Lo, u.Hi }
 
-func (u Uniform) String() string { return fmt.Sprintf("uniform[%g,%g]", u.Lo, u.Hi) }
+func (u uniformDist) String() string { return fmt.Sprintf("uniform[%g,%g]", u.Lo, u.Hi) }
 
-// TruncExp is an exponential distribution with the given Mean, truncated
+// truncExpDist is an exponential distribution with the given Mean, truncated
 // (by resampling) to [Lo, Hi] so the workload's duration ratio mu stays
 // controlled — the paper's bounds are parameterized by max/min duration,
 // so experiment workloads must pin both.
-type TruncExp struct{ Mean, Lo, Hi float64 }
+type truncExpDist struct{ Mean, Lo, Hi float64 }
 
 // Sample implements Dist.
-func (e TruncExp) Sample(rng *rand.Rand) float64 {
+func (e truncExpDist) Sample(rng *rand.Rand) float64 {
 	for i := 0; i < 1000; i++ {
 		x := rng.ExpFloat64() * e.Mean
 		if x >= e.Lo && x <= e.Hi {
@@ -64,20 +64,20 @@ func (e TruncExp) Sample(rng *rand.Rand) float64 {
 }
 
 // Bounds implements Dist.
-func (e TruncExp) Bounds() (float64, float64) { return e.Lo, e.Hi }
+func (e truncExpDist) Bounds() (float64, float64) { return e.Lo, e.Hi }
 
-func (e TruncExp) String() string { return fmt.Sprintf("exp(%g)|[%g,%g]", e.Mean, e.Lo, e.Hi) }
+func (e truncExpDist) String() string { return fmt.Sprintf("exp(%g)|[%g,%g]", e.Mean, e.Lo, e.Hi) }
 
-// BoundedPareto is a Pareto (power-law) distribution with shape Alpha on
+// paretoDist is a Pareto (power-law) distribution with shape Alpha on
 // [Lo, Hi], the classic heavy-tailed model for session lengths: most jobs
 // short, a few very long — exactly the regime where large mu matters.
-type BoundedPareto struct {
+type paretoDist struct {
 	Alpha  float64
 	Lo, Hi float64
 }
 
 // Sample implements Dist (inverse-CDF method).
-func (p BoundedPareto) Sample(rng *rand.Rand) float64 {
+func (p paretoDist) Sample(rng *rand.Rand) float64 {
 	u := rng.Float64()
 	la := math.Pow(p.Lo, p.Alpha)
 	ha := math.Pow(p.Hi, p.Alpha)
@@ -85,21 +85,21 @@ func (p BoundedPareto) Sample(rng *rand.Rand) float64 {
 }
 
 // Bounds implements Dist.
-func (p BoundedPareto) Bounds() (float64, float64) { return p.Lo, p.Hi }
+func (p paretoDist) Bounds() (float64, float64) { return p.Lo, p.Hi }
 
-func (p BoundedPareto) String() string {
+func (p paretoDist) String() string {
 	return fmt.Sprintf("pareto(%g)|[%g,%g]", p.Alpha, p.Lo, p.Hi)
 }
 
-// Bimodal mixes two distributions: A with probability PA, otherwise B.
+// bimodalDist mixes two distributions: A with probability PA, otherwise B.
 // Typical use: many short jobs, few long ones.
-type Bimodal struct {
+type bimodalDist struct {
 	A, B Dist
 	PA   float64
 }
 
 // Sample implements Dist.
-func (b Bimodal) Sample(rng *rand.Rand) float64 {
+func (b bimodalDist) Sample(rng *rand.Rand) float64 {
 	if rng.Float64() < b.PA {
 		return b.A.Sample(rng)
 	}
@@ -107,26 +107,26 @@ func (b Bimodal) Sample(rng *rand.Rand) float64 {
 }
 
 // Bounds implements Dist.
-func (b Bimodal) Bounds() (float64, float64) {
+func (b bimodalDist) Bounds() (float64, float64) {
 	alo, ahi := b.A.Bounds()
 	blo, bhi := b.B.Bounds()
 	return math.Min(alo, blo), math.Max(ahi, bhi)
 }
 
-func (b Bimodal) String() string {
+func (b bimodalDist) String() string {
 	return fmt.Sprintf("bimodal(%.2f:%v, %v)", b.PA, b.A, b.B)
 }
 
-// Choice picks uniformly (or with Weights) from a fixed set of values —
+// choiceDist picks uniformly (or with Weights) from a fixed set of values —
 // the natural model for a catalog of instance types or game titles with
 // fixed resource demands.
-type Choice struct {
+type choiceDist struct {
 	Values  []float64
 	Weights []float64 // optional; uniform when nil
 }
 
 // Sample implements Dist.
-func (c Choice) Sample(rng *rand.Rand) float64 {
+func (c choiceDist) Sample(rng *rand.Rand) float64 {
 	if len(c.Weights) == 0 {
 		return c.Values[rng.Intn(len(c.Values))]
 	}
@@ -145,7 +145,7 @@ func (c Choice) Sample(rng *rand.Rand) float64 {
 }
 
 // Bounds implements Dist.
-func (c Choice) Bounds() (float64, float64) {
+func (c choiceDist) Bounds() (float64, float64) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range c.Values {
 		lo, hi = math.Min(lo, v), math.Max(hi, v)
@@ -153,4 +153,4 @@ func (c Choice) Bounds() (float64, float64) {
 	return lo, hi
 }
 
-func (c Choice) String() string { return fmt.Sprintf("choice(%v)", c.Values) }
+func (c choiceDist) String() string { return fmt.Sprintf("choice(%v)", c.Values) }

@@ -33,7 +33,7 @@ type gameTitle struct {
 // hours — with a 5-minute minimum and a 300-minute cap, giving mu = 60.
 func defaultCatalog() []gameTitle {
 	session := func(alpha float64) Dist {
-		return BoundedPareto{Alpha: alpha, Lo: 5, Hi: 300}
+		return paretoDist{Alpha: alpha, Lo: 5, Hi: 300}
 	}
 	return []gameTitle{
 		{Name: "casual-puzzle", GPUShare: 0.125, Session: session(1.8), Popularity: 4},

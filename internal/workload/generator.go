@@ -103,17 +103,17 @@ func clampSize(s float64) float64 {
 func UniformConfig(n int, rate, mu float64, seed int64) Config {
 	return Config{
 		N: n, Rate: rate, Seed: seed,
-		Size:     Uniform{Lo: 0.05, Hi: 0.95},
-		Duration: Uniform{Lo: 1, Hi: mu},
+		Size:     uniformDist{Lo: 0.05, Hi: 0.95},
+		Duration: uniformDist{Lo: 1, Hi: mu},
 	}
 }
 
-// ParetoConfig models heavy-tailed session lengths on [1, mu].
-func ParetoConfig(n int, rate, mu float64, seed int64) Config {
+// paretoConfig models heavy-tailed session lengths on [1, mu].
+func paretoConfig(n int, rate, mu float64, seed int64) Config {
 	return Config{
 		N: n, Rate: rate, Seed: seed,
-		Size:     Uniform{Lo: 0.05, Hi: 0.95},
-		Duration: BoundedPareto{Alpha: 1.2, Lo: 1, Hi: mu},
+		Size:     uniformDist{Lo: 0.05, Hi: 0.95},
+		Duration: paretoDist{Alpha: 1.2, Lo: 1, Hi: mu},
 	}
 }
 
@@ -122,8 +122,8 @@ func ParetoConfig(n int, rate, mu float64, seed int64) Config {
 func BimodalConfig(n int, rate, mu float64, seed int64) Config {
 	return Config{
 		N: n, Rate: rate, Seed: seed,
-		Size:     Uniform{Lo: 0.05, Hi: 0.95},
-		Duration: Bimodal{A: Constant{V: 1}, B: Constant{V: mu}, PA: 0.8},
+		Size:     uniformDist{Lo: 0.05, Hi: 0.95},
+		Duration: bimodalDist{A: constantDist{V: 1}, B: constantDist{V: mu}, PA: 0.8},
 	}
 }
 
@@ -132,8 +132,8 @@ func BimodalConfig(n int, rate, mu float64, seed int64) Config {
 func SmallItemConfig(n int, rate, mu float64, seed int64) Config {
 	return Config{
 		N: n, Rate: rate, Seed: seed,
-		Size:     Uniform{Lo: 0.05, Hi: 0.5},
-		Duration: Uniform{Lo: 1, Hi: mu},
+		Size:     uniformDist{Lo: 0.05, Hi: 0.5},
+		Duration: uniformDist{Lo: 1, Hi: mu},
 	}
 }
 

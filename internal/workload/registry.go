@@ -33,12 +33,12 @@ var ErrScalarOnly = errors.New("workload: scenario has no vector-demand form")
 type ScenarioKind int
 
 const (
-	// KindStatistical marks random-arrival families (seeded, rate/mu
+	// kindStatistical marks random-arrival families (seeded, rate/mu
 	// driven) suitable for mean-ratio sweeps.
-	KindStatistical ScenarioKind = iota
-	// KindAdversarial marks the paper's lower-bound constructions:
+	kindStatistical ScenarioKind = iota
+	// kindAdversarial marks the paper's lower-bound constructions:
 	// deterministic, seed- and rate-insensitive.
-	KindAdversarial
+	kindAdversarial
 	// KindTrace marks replay of an external trace file.
 	KindTrace
 )
@@ -46,9 +46,9 @@ const (
 // String names the kind for listings.
 func (k ScenarioKind) String() string {
 	switch k {
-	case KindStatistical:
+	case kindStatistical:
 		return "statistical"
-	case KindAdversarial:
+	case kindAdversarial:
 		return "adversarial"
 	default:
 		return "trace"
@@ -59,9 +59,9 @@ func (k ScenarioKind) String() string {
 type ParamKind int
 
 const (
-	ParamFloat ParamKind = iota
-	ParamInt
-	ParamString
+	paramFloat ParamKind = iota
+	paramInt
+	paramString
 )
 
 // Param is one entry of a scenario's parameter schema: a named, typed,
@@ -85,7 +85,7 @@ type Request struct {
 	params map[string]string
 }
 
-// Float returns a float parameter. The value was validated at Lookup
+// Float returns a float parameter. The value was validated at lookup
 // time; asking for an undeclared parameter is a scenario bug and panics.
 func (r Request) Float(name string) float64 {
 	v, err := strconv.ParseFloat(r.param(name), 64)
@@ -152,11 +152,11 @@ func register(s Scenario) {
 // checkParamValue verifies a value parses as the parameter's kind.
 func checkParamValue(p Param, v string) error {
 	switch p.Kind {
-	case ParamFloat:
+	case paramFloat:
 		if _, err := strconv.ParseFloat(v, 64); err != nil {
 			return fmt.Errorf("param %s=%q: not a float", p.Name, v)
 		}
-	case ParamInt:
+	case paramInt:
 		if _, err := strconv.Atoi(v); err != nil {
 			return fmt.Errorf("param %s=%q: not an int", p.Name, v)
 		}
@@ -179,20 +179,10 @@ func Scenarios() []Scenario {
 func Statistical() []Scenario {
 	var out []Scenario
 	for _, s := range Scenarios() {
-		if s.Kind() == KindStatistical {
+		if s.Kind() == kindStatistical {
 			out = append(out, s)
 		}
 	}
-	return out
-}
-
-// Names returns the sorted registered scenario names.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -203,18 +193,18 @@ type Instance struct {
 	params map[string]string
 }
 
-// Lookup parses a spec string ("name" or "name:key=value,..." or
+// lookup parses a spec string ("name" or "name:key=value,..." or
 // "trace:<path>") against the registry. Unknown names and unknown or
 // ill-typed parameters are errors; the unknown-name error enumerates the
 // whole registry so a stale CLI invocation is self-correcting.
-func Lookup(spec string) (Instance, error) {
+func lookup(spec string) (Instance, error) {
 	name, rest, hasRest := strings.Cut(spec, ":")
 	if name == "" {
-		return Instance{}, fmt.Errorf("workload: no scenario given; registered scenarios:\n%s", Describe())
+		return Instance{}, fmt.Errorf("workload: no scenario given; registered scenarios:\n%s", describe())
 	}
 	s, ok := registry[name]
 	if !ok {
-		return Instance{}, fmt.Errorf("workload: unknown scenario %q; registered scenarios:\n%s", name, Describe())
+		return Instance{}, fmt.Errorf("workload: unknown scenario %q; registered scenarios:\n%s", name, describe())
 	}
 	schema := map[string]Param{}
 	params := map[string]string{}
@@ -247,10 +237,10 @@ func Lookup(spec string) (Instance, error) {
 	return Instance{Scenario: s, params: params}, nil
 }
 
-// MustLookup is Lookup for specs known at compile time (experiment
+// MustLookup is lookup for specs known at compile time (experiment
 // tables); it panics on error.
 func MustLookup(spec string) Instance {
-	in, err := Lookup(spec)
+	in, err := lookup(spec)
 	if err != nil {
 		panic(err)
 	}
@@ -276,17 +266,17 @@ func (in Instance) Generate(n int, rate, mu float64, seed int64, dim int) (item.
 // FromSpec is the one-call path every consumer uses: resolve the spec
 // in the registry and generate.
 func FromSpec(spec string, n int, rate, mu float64, seed int64, dim int) (item.List, error) {
-	in, err := Lookup(spec)
+	in, err := lookup(spec)
 	if err != nil {
 		return nil, err
 	}
 	return in.Generate(n, rate, mu, seed, dim)
 }
 
-// Describe renders the registry as a self-documenting listing: one
+// describe renders the registry as a self-documenting listing: one
 // scenario per block with its kind, description, and parameter schema.
 // This is the -list-workloads output and the unknown-name error body.
-func Describe() string {
+func describe() string {
 	var b strings.Builder
 	for _, s := range Scenarios() {
 		name := s.Name()
@@ -307,7 +297,7 @@ func Describe() string {
 // List writes the registry listing with its header: the body of the
 // -list-workloads flag every CLI carries.
 func List(w io.Writer) {
-	fmt.Fprintf(w, "registered workload scenarios (spec: name or name:key=value,...):\n%s", Describe())
+	fmt.Fprintf(w, "registered workload scenarios (spec: name or name:key=value,...):\n%s", describe())
 }
 
 // paramNames lists a scenario's parameter names for error messages.

@@ -1,4 +1,4 @@
-package workload_test
+package workload
 
 // Registry-level tests live in an external package: they see the
 // registry through its exported surface, as its consumers do.
@@ -19,15 +19,14 @@ import (
 	"dbp/internal/opt"
 	"dbp/internal/packing"
 	"dbp/internal/trace"
-	"dbp/internal/workload"
 )
 
 const sampleTrace = "testdata/sample.csv.gz"
 
 // specFor turns a registered scenario into a runnable spec (the trace
 // scenario needs a path).
-func specFor(s workload.Scenario) string {
-	if s.Kind() == workload.KindTrace {
+func specFor(s Scenario) string {
+	if s.Kind() == KindTrace {
 		return "trace:" + sampleTrace
 	}
 	return s.Name()
@@ -36,13 +35,13 @@ func specFor(s workload.Scenario) string {
 // TestRegistrySmoke generates a small instance from EVERY registered
 // scenario at defaults and validates it — the check a new family must
 // pass by registration alone. It also pins the self-description
-// contract: every name appears in the Describe listing.
+// contract: every name appears in the describe listing.
 func TestRegistrySmoke(t *testing.T) {
-	scens := workload.Scenarios()
+	scens := Scenarios()
 	if len(scens) < 14 {
 		t.Fatalf("registry has %d scenarios, want >= 14 (families missing?)", len(scens))
 	}
-	listing := workload.Describe()
+	listing := describe()
 	for _, s := range scens {
 		if s.Description() == "" {
 			t.Errorf("%s: empty description", s.Name())
@@ -50,7 +49,7 @@ func TestRegistrySmoke(t *testing.T) {
 		if !strings.Contains(listing, s.Name()) {
 			t.Errorf("Describe() does not list %s", s.Name())
 		}
-		l, err := workload.FromSpec(specFor(s), 60, 2, 8, 3, 1)
+		l, err := FromSpec(specFor(s), 60, 2, 8, 3, 1)
 		if err != nil {
 			t.Errorf("%s: %v", s.Name(), err)
 			continue
@@ -68,23 +67,23 @@ func TestRegistrySmoke(t *testing.T) {
 // same (spec, seed) yields the identical instance, and for statistical
 // scenarios a different seed yields a different one.
 func TestScenarioSeedDeterminism(t *testing.T) {
-	for _, s := range workload.Scenarios() {
+	for _, s := range Scenarios() {
 		spec := specFor(s)
-		a, err := workload.FromSpec(spec, 80, 2, 8, 42, 1)
+		a, err := FromSpec(spec, 80, 2, 8, 42, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		b, err := workload.FromSpec(spec, 80, 2, 8, 42, 1)
+		b, err := FromSpec(spec, 80, 2, 8, 42, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: same seed, different instances", s.Name())
 		}
-		if s.Kind() != workload.KindStatistical {
+		if s.Kind() != kindStatistical {
 			continue // adversaries and traces are seed-insensitive by design
 		}
-		c, err := workload.FromSpec(spec, 80, 2, 8, 43, 1)
+		c, err := FromSpec(spec, 80, 2, 8, 43, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -97,10 +96,10 @@ func TestScenarioSeedDeterminism(t *testing.T) {
 // TestScalarOnlyScenarios pins the ErrScalarOnly contract sweeps rely
 // on: scenarios without a vector form refuse Dim > 1 with the sentinel.
 func TestScalarOnlyScenarios(t *testing.T) {
-	if _, err := workload.FromSpec("bursty", 40, 2, 8, 1, 2); !errors.Is(err, workload.ErrScalarOnly) {
+	if _, err := FromSpec("bursty", 40, 2, 8, 1, 2); !errors.Is(err, ErrScalarOnly) {
 		t.Fatalf("bursty dim=2: got %v, want ErrScalarOnly", err)
 	}
-	if _, err := workload.FromSpec("uniform", 40, 2, 8, 1, 2); err != nil {
+	if _, err := FromSpec("uniform", 40, 2, 8, 1, 2); err != nil {
 		t.Fatalf("uniform dim=2: %v", err)
 	}
 }
@@ -109,7 +108,7 @@ func TestScalarOnlyScenarios(t *testing.T) {
 // unknown names, unknown params, ill-typed and malformed params all
 // fail loudly, and the unknown-name error carries the whole registry.
 func TestUnknownScenarioError(t *testing.T) {
-	_, err := workload.Lookup("nope")
+	_, err := lookup("nope")
 	if err == nil {
 		t.Fatal("unknown scenario must error")
 	}
@@ -119,12 +118,12 @@ func TestUnknownScenarioError(t *testing.T) {
 		}
 	}
 	for _, spec := range []string{"zipfian:bogus=1", "zipfian:alpha=abc", "zipfian:alpha", "uniform:x=1"} {
-		if _, err := workload.Lookup(spec); err == nil {
+		if _, err := lookup(spec); err == nil {
 			t.Errorf("Lookup(%q) must error", spec)
 		}
 	}
 	// Params overlay defaults without mutating the registered schema.
-	in := workload.MustLookup("zipfian:alpha=1.9,classes=8")
+	in := MustLookup("zipfian:alpha=1.9,classes=8")
 	l, err := in.Generate(50, 2, 4, 1, 1)
 	if err != nil || len(l) != 50 {
 		t.Fatalf("parameterized zipfian: %v (%d items)", err, len(l))
@@ -134,7 +133,7 @@ func TestUnknownScenarioError(t *testing.T) {
 // TestTraceScenario replays the committed sample through the registry
 // path and checks the error cases.
 func TestTraceScenario(t *testing.T) {
-	l, err := workload.FromSpec("trace:"+sampleTrace, 0, 0, 0, 0, 1)
+	l, err := FromSpec("trace:"+sampleTrace, 0, 0, 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +143,10 @@ func TestTraceScenario(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.FromSpec("trace", 0, 0, 0, 0, 1); err == nil {
+	if _, err := FromSpec("trace", 0, 0, 0, 0, 1); err == nil {
 		t.Fatal("trace without path must error")
 	}
-	if _, err := workload.FromSpec("trace:/does/not/exist.csv", 0, 0, 0, 0, 1); err == nil {
+	if _, err := FromSpec("trace:/does/not/exist.csv", 0, 0, 0, 0, 1); err == nil {
 		t.Fatal("trace with missing file must error")
 	}
 }
@@ -156,13 +155,13 @@ func TestTraceScenario(t *testing.T) {
 // rank-frequency curve of the sampled size classes follows a power law
 // with exponent ~ -alpha (log-log least-squares slope).
 func TestZipfianRankFrequency(t *testing.T) {
-	c := workload.ZipfianConfig{
-		Config:  workload.UniformConfig(20000, 5, 4, 2),
+	c := zipfianConfig{
+		Config:  UniformConfig(20000, 5, 4, 2),
 		Alpha:   1.1,
 		Classes: 16,
 		LoSize:  0.05, HiSize: 0.95,
 	}
-	l := workload.GenerateZipfian(c, 1)
+	l := generateZipfian(c, 1)
 	counts := make([]int, c.Classes+1)
 	for _, it := range l {
 		r := c.RankOfSize(it.Size)
@@ -192,18 +191,18 @@ func TestZipfianRankFrequency(t *testing.T) {
 // advertised skew: the hot tenant set receives at least (roughly) the
 // configured traffic share, recovered from the job IDs alone.
 func TestHotspotTenantShare(t *testing.T) {
-	c := workload.HotspotConfig{
-		Config:  workload.UniformConfig(20000, 5, 4, 3),
+	c := hotspotConfig{
+		Config:  UniformConfig(20000, 5, 4, 3),
 		Tenants: 50, HotFrac: 0.1, HotShare: 0.8,
 	}
-	l := workload.GenerateHotspot(c, 1)
+	l := generateHotspot(c, 1)
 	hot := c.HotTenants()
 	if hot != 5 {
 		t.Fatalf("HotTenants() = %d, want 5", hot)
 	}
 	hotJobs := 0
 	for _, it := range l {
-		tenant := workload.TenantOf(it.ID, c.Tenants)
+		tenant := int((int64(it.ID) - 1) % int64(c.Tenants))
 		if tenant < 0 || tenant >= c.Tenants {
 			t.Fatalf("job %d decodes to tenant %d outside [0, %d)", it.ID, tenant, c.Tenants)
 		}
@@ -222,11 +221,11 @@ func TestHotspotTenantShare(t *testing.T) {
 // so the quarter-cycle around the peak phase must see several times the
 // arrivals of the quarter-cycle around the trough.
 func TestDiurnalPeakTrough(t *testing.T) {
-	c := workload.DiurnalConfig{
-		Config:    workload.UniformConfig(20000, 10, 4, 4),
+	c := diurnalConfig{
+		Config:    UniformConfig(20000, 10, 4, 4),
 		Amplitude: 0.8,
 	}
-	l := workload.GenerateDiurnal(c, 1)
+	l := generateDiurnal(c, 1)
 	period := c.EffectivePeriod()
 	peak, trough := 0, 0
 	for _, it := range l {
@@ -248,7 +247,7 @@ func TestDiurnalPeakTrough(t *testing.T) {
 // First Fit's measured conservative ratio stays under the equal-duration
 // reference constant — far below Theorem 1's mu+4 = 5.
 func TestEqualDurationBound(t *testing.T) {
-	l, err := workload.FromSpec("equalduration", 300, 3, 8, 5, 1)
+	l, err := FromSpec("equalduration", 300, 3, 8, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,19 +271,19 @@ func TestEqualDurationBound(t *testing.T) {
 // lower end to the propositions on every registered scenario at d = 2
 // and d = 4: TotalVec's per-segment load bound integrates to at least
 // each dimension's time-space demand and at least the span, so it can
-// never fall below CombinedLowerBound (which therefore must not exceed
+// never fall below their max (which therefore must not exceed
 // OPT_total either).
 func TestVectorBracketAboveCombinedLowerBound(t *testing.T) {
-	for _, s := range workload.Scenarios() {
+	for _, s := range Scenarios() {
 		for _, d := range []int{2, 4} {
-			l, err := workload.FromSpec(specFor(s), 60, 2, 8, 3, d)
-			if errors.Is(err, workload.ErrScalarOnly) {
+			l, err := FromSpec(specFor(s), 60, 2, 8, 3, d)
+			if errors.Is(err, ErrScalarOnly) {
 				continue
 			}
 			if err != nil {
 				t.Fatalf("%s d=%d: %v", s.Name(), d, err)
 			}
-			lower, lb := opt.TotalVec(l).Lower, opt.CombinedLowerBound(l)
+			lower, lb := opt.TotalVec(l).Lower, math.Max(opt.DemandLowerBound(l), opt.SpanLowerBound(l))
 			if lower < lb-1e-9*(1+lb) {
 				t.Errorf("%s d=%d: TotalVec lower %g < combined lower bound %g", s.Name(), d, lower, lb)
 			}
@@ -331,12 +330,12 @@ func TestStatisticalScenarioDigests(t *testing.T) {
 		"zipfian":       {"3ffdf2b0e0aa3a77", "8771a21812ac499c"},
 	}
 	got := map[string][2]string{}
-	for _, s := range workload.Statistical() {
+	for _, s := range Statistical() {
 		var pair [2]string
 		for i, d := range []int{1, 2} {
-			l, err := workload.FromSpec(s.Name(), 300, 2, 8, 11, d)
+			l, err := FromSpec(s.Name(), 300, 2, 8, 11, d)
 			switch {
-			case errors.Is(err, workload.ErrScalarOnly):
+			case errors.Is(err, ErrScalarOnly):
 				pair[i] = "scalar-only"
 			case err != nil:
 				t.Fatalf("%s d=%d: %v", s.Name(), d, err)
@@ -356,7 +355,7 @@ func TestStatisticalScenarioDigests(t *testing.T) {
 // returns exactly what trace.ReadFile does.
 func TestTraceSpecIgnoresDim(t *testing.T) {
 	p := filepath.Join(t.TempDir(), "vec.csv")
-	l, err := workload.FromSpec("uniform", 50, 2, 8, 4, 2)
+	l, err := FromSpec("uniform", 50, 2, 8, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +369,7 @@ func TestTraceSpecIgnoresDim(t *testing.T) {
 	if d := want[0].Dim(); d != 2 {
 		t.Fatalf("trace file read back at d=%d, want 2", d)
 	}
-	got, err := workload.FromSpec("trace:"+p, 0, 0, 0, 0, 2)
+	got, err := FromSpec("trace:"+p, 0, 0, 0, 0, 2)
 	if err != nil {
 		t.Fatalf("trace spec at dim=2: %v", err)
 	}

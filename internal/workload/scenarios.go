@@ -47,51 +47,51 @@ func fromConfig(build func(req Request) Config) func(req Request) (item.List, er
 
 func init() {
 	register(&scenarioDef{
-		name: "uniform", kind: KindStatistical, vector: true,
+		name: "uniform", kind: kindStatistical, vector: true,
 		desc: "baseline: Poisson arrivals, uniform sizes [0.05,0.95], uniform durations [1,mu]",
 		gen: fromConfig(func(req Request) Config {
 			return UniformConfig(req.N, req.Rate, req.Mu, req.Seed)
 		}),
 	})
 	register(&scenarioDef{
-		name: "pareto", kind: KindStatistical, vector: true,
+		name: "pareto", kind: kindStatistical, vector: true,
 		desc: "heavy-tailed session lengths: bounded Pareto(1.2) durations on [1,mu]",
 		gen: fromConfig(func(req Request) Config {
-			return ParetoConfig(req.N, req.Rate, req.Mu, req.Seed)
+			return paretoConfig(req.N, req.Rate, req.Mu, req.Seed)
 		}),
 	})
 	register(&scenarioDef{
-		name: "bimodal", kind: KindStatistical, vector: true,
+		name: "bimodal", kind: kindStatistical, vector: true,
 		desc: "short/long job mix: 80% duration-1 jobs, 20% duration-mu jobs",
 		gen: fromConfig(func(req Request) Config {
 			return BimodalConfig(req.N, req.Rate, req.Mu, req.Seed)
 		}),
 	})
 	register(&scenarioDef{
-		name: "smallitem", kind: KindStatistical, vector: true,
+		name: "smallitem", kind: kindStatistical, vector: true,
 		desc: "all sizes <= 1/2 (the paper's small-item class, First Fit's consolidation regime)",
 		gen: fromConfig(func(req Request) Config {
 			return SmallItemConfig(req.N, req.Rate, req.Mu, req.Seed)
 		}),
 	})
 	register(&scenarioDef{
-		name: "equalduration", kind: KindStatistical, vector: true,
+		name: "equalduration", kind: kindStatistical, vector: true,
 		desc: "every job runs exactly 1 time unit (mu collapses to 1; Masoori et al. bounds apply)",
 		gen: fromConfig(func(req Request) Config {
 			return Config{
 				N: req.N, Rate: req.Rate, Seed: req.Seed,
-				Size:     Uniform{Lo: 0.05, Hi: 0.95},
-				Duration: Constant{V: 1},
+				Size:     uniformDist{Lo: 0.05, Hi: 0.95},
+				Duration: constantDist{V: 1},
 			}
 		}),
 	})
 	register(&scenarioDef{
-		name: "bursty", kind: KindStatistical, vector: false,
+		name: "bursty", kind: kindStatistical, vector: false,
 		desc: "two-state MMPP arrivals: calm/burst flash crowds over uniform sizes and durations",
 		params: []Param{
-			{Name: "factor", Kind: ParamFloat, Default: "10", Doc: "burst-state rate multiplier (> 1)"},
-			{Name: "calm", Kind: ParamFloat, Default: "30", Doc: "mean sojourn time in the calm state"},
-			{Name: "burst", Kind: ParamFloat, Default: "3", Doc: "mean sojourn time in the burst state"},
+			{Name: "factor", Kind: paramFloat, Default: "10", Doc: "burst-state rate multiplier (> 1)"},
+			{Name: "calm", Kind: paramFloat, Default: "30", Doc: "mean sojourn time in the calm state"},
+			{Name: "burst", Kind: paramFloat, Default: "3", Doc: "mean sojourn time in the burst state"},
 		},
 		gen: func(req Request) (item.List, error) {
 			c := BurstyConfig{
@@ -107,14 +107,14 @@ func init() {
 		},
 	})
 	register(&scenarioDef{
-		name: "diurnal", kind: KindStatistical, vector: true,
+		name: "diurnal", kind: kindStatistical, vector: true,
 		desc: "sinusoid-modulated arrival curve (day/night cycle) over uniform sizes and durations",
 		params: []Param{
-			{Name: "amp", Kind: ParamFloat, Default: "0.8", Doc: "modulation depth in [0, 0.95]; 0.8 = 9x peak/trough"},
-			{Name: "period", Kind: ParamFloat, Default: "0", Doc: "cycle length in time units (0 = auto: ~4 cycles per instance)"},
+			{Name: "amp", Kind: paramFloat, Default: "0.8", Doc: "modulation depth in [0, 0.95]; 0.8 = 9x peak/trough"},
+			{Name: "period", Kind: paramFloat, Default: "0", Doc: "cycle length in time units (0 = auto: ~4 cycles per instance)"},
 		},
 		gen: func(req Request) (item.List, error) {
-			c := DiurnalConfig{
+			c := diurnalConfig{
 				Config:    UniformConfig(req.N, req.Rate, req.Mu, req.Seed),
 				Amplitude: req.Float("amp"),
 				Period:    req.Float("period"),
@@ -122,18 +122,18 @@ func init() {
 			if req.N <= 0 || req.Rate <= 0 || c.Amplitude < 0 || c.Amplitude > 0.95 {
 				return nil, fmt.Errorf("need n, rate > 0 and amp in [0, 0.95]")
 			}
-			return GenerateDiurnal(c, req.Dim), nil
+			return generateDiurnal(c, req.Dim), nil
 		},
 	})
 	register(&scenarioDef{
-		name: "zipfian", kind: KindStatistical, vector: true,
+		name: "zipfian", kind: kindStatistical, vector: true,
 		desc: "Zipf-skewed size classes: a few small flavors dominate, large flavors are rare",
 		params: []Param{
-			{Name: "alpha", Kind: ParamFloat, Default: "1.1", Doc: "skew exponent (> 0); frequency of rank r ~ r^-alpha"},
-			{Name: "classes", Kind: ParamInt, Default: "16", Doc: "number of size classes (>= 2)"},
+			{Name: "alpha", Kind: paramFloat, Default: "1.1", Doc: "skew exponent (> 0); frequency of rank r ~ r^-alpha"},
+			{Name: "classes", Kind: paramInt, Default: "16", Doc: "number of size classes (>= 2)"},
 		},
 		gen: func(req Request) (item.List, error) {
-			c := ZipfianConfig{
+			c := zipfianConfig{
 				Config:  UniformConfig(req.N, req.Rate, req.Mu, req.Seed),
 				Alpha:   req.Float("alpha"),
 				Classes: req.Int("classes"),
@@ -142,19 +142,19 @@ func init() {
 			if req.N <= 0 || req.Rate <= 0 || c.Alpha <= 0 || c.Classes < 2 {
 				return nil, fmt.Errorf("need n, rate > 0, alpha > 0, classes >= 2")
 			}
-			return GenerateZipfian(c, req.Dim), nil
+			return generateZipfian(c, req.Dim), nil
 		},
 	})
 	register(&scenarioDef{
-		name: "hotspot", kind: KindStatistical, vector: true,
+		name: "hotspot", kind: kindStatistical, vector: true,
 		desc: "tenant skew: a few hot tenants carry most traffic; job IDs encode tenant affinity",
 		params: []Param{
-			{Name: "tenants", Kind: ParamInt, Default: "50", Doc: "tenant population (>= 2)"},
-			{Name: "hot", Kind: ParamFloat, Default: "0.1", Doc: "fraction of tenants that are hot, in (0, 1)"},
-			{Name: "share", Kind: ParamFloat, Default: "0.8", Doc: "fraction of traffic routed to hot tenants, in (0, 1]"},
+			{Name: "tenants", Kind: paramInt, Default: "50", Doc: "tenant population (>= 2)"},
+			{Name: "hot", Kind: paramFloat, Default: "0.1", Doc: "fraction of tenants that are hot, in (0, 1)"},
+			{Name: "share", Kind: paramFloat, Default: "0.8", Doc: "fraction of traffic routed to hot tenants, in (0, 1]"},
 		},
 		gen: func(req Request) (item.List, error) {
-			c := HotspotConfig{
+			c := hotspotConfig{
 				Config:   UniformConfig(req.N, req.Rate, req.Mu, req.Seed),
 				Tenants:  req.Int("tenants"),
 				HotFrac:  req.Float("hot"),
@@ -164,11 +164,11 @@ func init() {
 				c.HotFrac <= 0 || c.HotFrac >= 1 || c.HotShare <= 0 || c.HotShare > 1 {
 				return nil, fmt.Errorf("need n, rate > 0, tenants >= 2, hot in (0,1), share in (0,1]")
 			}
-			return GenerateHotspot(c, req.Dim), nil
+			return generateHotspot(c, req.Dim), nil
 		},
 	})
 	register(&scenarioDef{
-		name: "gaming", kind: KindStatistical, vector: false,
+		name: "gaming", kind: kindStatistical, vector: false,
 		desc: "cloud-gaming sessions from the default GPU title catalog (mu fixed at 60 by the catalog)",
 		gen: func(req Request) (item.List, error) {
 			if req.N <= 0 || req.Rate <= 0 {
@@ -179,10 +179,10 @@ func init() {
 		},
 	})
 	register(&scenarioDef{
-		name: "stress", kind: KindAdversarial, vector: false,
+		name: "stress", kind: kindAdversarial, vector: false,
 		desc: "First Fit small-item stress: deterministic overlapping waves that chain usage periods (E1/E7's workload)",
 		params: []Param{
-			{Name: "wave", Kind: ParamInt, Default: "12", Doc: "small items per wave; waves repeat every mu-1 time units"},
+			{Name: "wave", Kind: paramInt, Default: "12", Doc: "small items per wave; waves repeat every mu-1 time units"},
 		},
 		gen: func(req Request) (item.List, error) {
 			w := req.Int("wave")
@@ -197,7 +197,7 @@ func init() {
 		},
 	})
 	register(&scenarioDef{
-		name: "nextfit-adv", kind: KindAdversarial, vector: false,
+		name: "nextfit-adv", kind: kindAdversarial, vector: false,
 		desc: "Sec. VIII construction: n half/sliver pairs forcing Next Fit to ratio ~2mu (n = pair count)",
 		gen: func(req Request) (item.List, error) {
 			if req.N < 3 || req.Mu < 1 {
@@ -207,7 +207,7 @@ func init() {
 		},
 	})
 	register(&scenarioDef{
-		name: "anyfit-trap", kind: KindAdversarial, vector: false,
+		name: "anyfit-trap", kind: kindAdversarial, vector: false,
 		desc: "gap-seal trap pinning First/Best Fit near the universal lower bound mu (n = victim bins)",
 		gen: func(req Request) (item.List, error) {
 			if req.N < 2 || req.Mu < 1 {
@@ -217,11 +217,11 @@ func init() {
 		},
 	})
 	register(&scenarioDef{
-		name: "bestfit-relay", kind: KindAdversarial, vector: false,
+		name: "bestfit-relay", kind: kindAdversarial, vector: false,
 		desc: "adaptive relay degrading Best Fit toward k(mu-1)/(k+mu); needs mu >= 2 (n is ignored)",
 		params: []Param{
-			{Name: "victims", Kind: ParamInt, Default: "6", Doc: "victim bins k (>= 2)"},
-			{Name: "rounds", Kind: ParamInt, Default: "4", Doc: "relay rounds (>= 1)"},
+			{Name: "victims", Kind: paramInt, Default: "6", Doc: "victim bins k (>= 2)"},
+			{Name: "rounds", Kind: paramInt, Default: "4", Doc: "relay rounds (>= 1)"},
 		},
 		gen: func(req Request) (item.List, error) {
 			k, rounds := req.Int("victims"), req.Int("rounds")
@@ -237,7 +237,7 @@ func init() {
 		name: "trace", kind: KindTrace, vector: true,
 		desc: "replay a stored trace (CSV/JSON, .gz transparent); n, rate, mu, seed are ignored",
 		params: []Param{
-			{Name: "path", Kind: ParamString, Default: "", Doc: "trace file path"},
+			{Name: "path", Kind: paramString, Default: "", Doc: "trace file path"},
 		},
 		gen: func(req Request) (item.List, error) {
 			path := req.Str("path")

@@ -48,12 +48,12 @@ func (z *zipfSampler) rank(rng *rand.Rand) int {
 	return lo + 1
 }
 
-// ZipfianConfig describes a workload whose job sizes come from a finite
+// zipfianConfig describes a workload whose job sizes come from a finite
 // catalog of size classes with Zipf-skewed popularity: class rank 1 is
 // the most frequent and the smallest, the tail classes are rare and
 // large — the canonical shape of VM-type popularity in public cluster
 // traces (a handful of small flavors dominate, big flavors are rare).
-type ZipfianConfig struct {
+type zipfianConfig struct {
 	Config
 	// Alpha is the skew exponent (> 0): frequency of rank r ~ r^-Alpha.
 	Alpha float64
@@ -66,21 +66,21 @@ type ZipfianConfig struct {
 
 // SizeOfRank maps a 1-based popularity rank to its class size on the
 // geometric grid from LoSize (rank 1) to HiSize (rank Classes).
-func (c ZipfianConfig) SizeOfRank(r int) float64 {
+func (c zipfianConfig) SizeOfRank(r int) float64 {
 	return c.LoSize * math.Pow(c.HiSize/c.LoSize, float64(r-1)/float64(c.Classes-1))
 }
 
 // RankOfSize inverts SizeOfRank (used by the rank-frequency statistics
 // test to recover the sampled rank from an emitted item).
-func (c ZipfianConfig) RankOfSize(s float64) int {
+func (c zipfianConfig) RankOfSize(s float64) int {
 	r := 1 + float64(c.Classes-1)*math.Log(s/c.LoSize)/math.Log(c.HiSize/c.LoSize)
 	return int(math.Round(r))
 }
 
-// GenerateZipfian produces a Poisson-arrival instance with Zipf-skewed
+// generateZipfian produces a Poisson-arrival instance with Zipf-skewed
 // size classes. dim > 1 draws an independent rank per dimension (scalar
 // Size is the max component, the package convention).
-func GenerateZipfian(c ZipfianConfig, dim int) item.List {
+func generateZipfian(c zipfianConfig, dim int) item.List {
 	if c.N <= 0 || c.Rate <= 0 || c.Alpha <= 0 || c.Classes < 2 ||
 		c.LoSize <= 0 || c.HiSize <= c.LoSize || c.HiSize > 1 {
 		panic(fmt.Sprintf("workload: bad zipfian config %+v", c))
@@ -99,12 +99,13 @@ func GenerateZipfian(c ZipfianConfig, dim int) item.List {
 	return l
 }
 
-// HotspotConfig describes multi-tenant traffic where a few hot tenants
+// hotspotConfig describes multi-tenant traffic where a few hot tenants
 // dominate: HotShare of all jobs belong to the HotFrac fraction of
 // tenants (tenants 0..hot-1). Job IDs carry the tenant affinity —
 // ID = seq*Tenants + tenant + 1 — so downstream layers (sharding,
-// accounting) can recover the tenant with TenantOf without a side table.
-type HotspotConfig struct {
+// accounting) can recover the tenant as (ID-1) mod Tenants without a side
+// table.
+type hotspotConfig struct {
 	Config
 	// Tenants is the tenant population size (>= 2).
 	Tenants int
@@ -116,7 +117,7 @@ type HotspotConfig struct {
 
 // HotTenants returns the number of hot tenants implied by the config
 // (at least 1, at most Tenants-1).
-func (c HotspotConfig) HotTenants() int {
+func (c hotspotConfig) HotTenants() int {
 	h := int(math.Round(c.HotFrac * float64(c.Tenants)))
 	if h < 1 {
 		h = 1
@@ -127,16 +128,11 @@ func (c HotspotConfig) HotTenants() int {
 	return h
 }
 
-// TenantOf recovers the tenant index encoded in a hotspot job ID.
-func TenantOf(id item.ID, tenants int) int {
-	return int((int64(id) - 1) % int64(tenants))
-}
-
-// GenerateHotspot produces the multi-tenant instance: Poisson arrivals,
+// generateHotspot produces the multi-tenant instance: Poisson arrivals,
 // each job assigned to a hot tenant with probability HotShare (uniform
 // within the hot set), otherwise to a cold tenant. dim > 1 draws vector
 // demands with independent components.
-func GenerateHotspot(c HotspotConfig, dim int) item.List {
+func generateHotspot(c hotspotConfig, dim int) item.List {
 	if c.N <= 0 || c.Rate <= 0 || c.Tenants < 2 ||
 		c.HotFrac <= 0 || c.HotFrac >= 1 || c.HotShare <= 0 || c.HotShare > 1 {
 		panic(fmt.Sprintf("workload: bad hotspot config %+v", c))
@@ -163,11 +159,11 @@ func GenerateHotspot(c HotspotConfig, dim int) item.List {
 	return l
 }
 
-// DiurnalConfig describes a sinusoid-modulated arrival curve: the
+// diurnalConfig describes a sinusoid-modulated arrival curve: the
 // instantaneous rate is Rate * (1 + Amplitude*sin(2*pi*t/Period)) — the
 // day/night load cycle every production allocator rides. Amplitude 0.8
 // gives a 9x peak-to-trough rate ratio.
-type DiurnalConfig struct {
+type diurnalConfig struct {
 	Config
 	// Amplitude is the relative modulation depth, in [0, 0.95].
 	Amplitude float64
@@ -178,18 +174,18 @@ type DiurnalConfig struct {
 
 // EffectivePeriod resolves Period = 0 to the automatic choice: the
 // expected arrival span N/Rate divided into four cycles.
-func (c DiurnalConfig) EffectivePeriod() float64 {
+func (c diurnalConfig) EffectivePeriod() float64 {
 	if c.Period > 0 {
 		return c.Period
 	}
 	return float64(c.N) / c.Rate / 4
 }
 
-// GenerateDiurnal produces the modulated-Poisson instance by thinning: a
+// generateDiurnal produces the modulated-Poisson instance by thinning: a
 // homogeneous candidate stream at the peak rate Rate*(1+Amplitude) is
 // accepted with probability rate(t)/peak — the standard exact simulation
 // of an inhomogeneous Poisson process, deterministic given the seed.
-func GenerateDiurnal(c DiurnalConfig, dim int) item.List {
+func generateDiurnal(c diurnalConfig, dim int) item.List {
 	if c.N <= 0 || c.Rate <= 0 || c.Amplitude < 0 || c.Amplitude > 0.95 {
 		panic(fmt.Sprintf("workload: bad diurnal config %+v", c))
 	}

@@ -13,13 +13,13 @@ import (
 func TestDistributionBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dists := []Dist{
-		Constant{V: 3},
-		Uniform{Lo: 1, Hi: 5},
-		TruncExp{Mean: 2, Lo: 1, Hi: 8},
-		BoundedPareto{Alpha: 1.5, Lo: 1, Hi: 16},
-		Bimodal{A: Constant{V: 1}, B: Constant{V: 9}, PA: 0.5},
-		Choice{Values: []float64{0.25, 0.5, 1}},
-		Choice{Values: []float64{0.25, 0.5}, Weights: []float64{9, 1}},
+		constantDist{V: 3},
+		uniformDist{Lo: 1, Hi: 5},
+		truncExpDist{Mean: 2, Lo: 1, Hi: 8},
+		paretoDist{Alpha: 1.5, Lo: 1, Hi: 16},
+		bimodalDist{A: constantDist{V: 1}, B: constantDist{V: 9}, PA: 0.5},
+		choiceDist{Values: []float64{0.25, 0.5, 1}},
+		choiceDist{Values: []float64{0.25, 0.5}, Weights: []float64{9, 1}},
 	}
 	for _, d := range dists {
 		lo, hi := d.Bounds()
@@ -37,7 +37,7 @@ func TestDistributionBounds(t *testing.T) {
 
 func TestTruncExpDegenerateMean(t *testing.T) {
 	// Mean far outside [Lo, Hi]: fallback clamp must stay in range.
-	d := TruncExp{Mean: 1e9, Lo: 1, Hi: 2}
+	d := truncExpDist{Mean: 1e9, Lo: 1, Hi: 2}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 100; i++ {
 		x := d.Sample(rng)
@@ -48,7 +48,7 @@ func TestTruncExpDegenerateMean(t *testing.T) {
 }
 
 func TestChoiceWeights(t *testing.T) {
-	d := Choice{Values: []float64{0.1, 0.9}, Weights: []float64{99, 1}}
+	d := choiceDist{Values: []float64{0.1, 0.9}, Weights: []float64{99, 1}}
 	rng := rand.New(rand.NewSource(3))
 	heavy := 0
 	for i := 0; i < 10000; i++ {
@@ -118,7 +118,7 @@ func TestGenerateVec(t *testing.T) {
 func TestPresetConfigs(t *testing.T) {
 	for _, c := range []Config{
 		UniformConfig(50, 1, 4, 1),
-		ParetoConfig(50, 1, 4, 1),
+		paretoConfig(50, 1, 4, 1),
 		BimodalConfig(50, 1, 4, 1),
 		SmallItemConfig(50, 1, 4, 1),
 	} {
@@ -138,7 +138,7 @@ func TestGeneratePanicsOnBadConfig(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Generate(Config{N: 0, Rate: 1, Size: Constant{V: 0.5}, Duration: Constant{V: 1}})
+	Generate(Config{N: 0, Rate: 1, Size: constantDist{V: 0.5}, Duration: constantDist{V: 1}})
 }
 
 func TestNextFitAdversaryExactPaperNumbers(t *testing.T) {
@@ -228,7 +228,7 @@ func TestAnyFitTrapRatioApproachesMu(t *testing.T) {
 	mu := 8.0
 	l := AnyFitTrap(200, mu)
 	ff := packing.MustRun(packing.NewFirstFit(), l, nil)
-	lb := opt.CombinedLowerBound(l)
+	lb := math.Max(opt.DemandLowerBound(l), opt.SpanLowerBound(l))
 	// OPT <= n + mu - 1 + (tiny mass corrections); use the analytic value.
 	optTotal := float64(200) + mu - 1
 	ratio := ff.TotalUsage / optTotal
