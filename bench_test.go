@@ -276,28 +276,42 @@ func BenchmarkEventOrder(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*len(jobs)*b.N), "ns/event")
 }
 
-// BenchmarkRunBatch is one packing.Run of vectorbestfit at d=2 with
-// keep-alive 0.5 — order, placement and record — at 10k and 100k jobs
-// (make bench-run). The 10k run is as long as sim_vector's head run, so
-// the ratio of the two ns/event is the Go-benchmark version of
+// BenchmarkRunBatch is one packing.Run — order, placement and record —
+// of vectorbestfit at d=2 with keep-alive 0.5 at 10k and 100k jobs, and
+// of firstfit on 100k zipfian jobs at d=1 (arrival rate 600, as
+// engine_soak's), where the engine's share of a run is smallest (make
+// bench-run). The 10k run is as long as sim_vector's head run, so the
+// ratio of the two vectorbestfit ns/event is the Go-benchmark version of
 // sim_vector's tail_over_head: about 1 when no per-event cost grows with
 // the run.
 func BenchmarkRunBatch(b *testing.B) {
-	for _, n := range []int{10_000, 100_000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			jobs := batchJobs(b, n)
+	zipfian, err := workload.FromSpec("zipfian", 100_000, 600, 10, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name, algo string
+		jobs       item.List
+		opt        *packing.Options
+	}{
+		{"n=10000", "vectorbestfit", batchJobs(b, 10_000), &packing.Options{KeepAlive: 0.5}},
+		{"n=100000", "vectorbestfit", batchJobs(b, 100_000), &packing.Options{KeepAlive: 0.5}},
+		{"firstfit/zipfian/n=100000", "firstfit", zipfian, nil},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				algo, err := AlgorithmByName("vectorbestfit")
+				algo, err := AlgorithmByName(c.algo)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := packing.Run(algo, jobs, &packing.Options{KeepAlive: 0.5}); err != nil {
+				if _, err := packing.Run(algo, c.jobs, c.opt); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*n*b.N), "ns/event")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*len(c.jobs)*b.N), "ns/event")
 		})
 	}
 }

@@ -189,9 +189,9 @@ func sameResult(a, b *dbp.Result) error {
 		return fmt.Errorf("engines disagree: %g/%d vs %g/%d bins",
 			a.TotalUsage, a.NumBins(), b.TotalUsage, b.NumBins())
 	}
-	for id, bin := range a.Assignment {
-		if b.Assignment[id] != bin {
-			return fmt.Errorf("engines assign item %d differently", id)
+	for i, bin := range a.Server {
+		if b.Server[i] != bin {
+			return fmt.Errorf("engines assign item %d differently", a.Items[i].ID)
 		}
 	}
 	return nil

@@ -293,6 +293,7 @@ var keptNames = map[string]string{
 
 	"item.Event": "result of List.Events",
 	"item.Kind":  "field type of Event.Kind",
+	"item.Step":  "result of List.Steps",
 
 	"load.HTTPTarget":      "result of NewHTTP",
 	"load.OpReport":        "field type of Report.Ops",

@@ -45,6 +45,7 @@ type Bin struct {
 	// removal moves the last one into the hole. A ledger knows each item's
 	// position; a bare bin scans for it.
 	resident []item.Item
+	ledger   *Ledger // the ledger that opened or restored the bin
 	// slot is the bin's position in its ledger's Index while it is open
 	// there; the index maintains it (compaction moves it).
 	slot int

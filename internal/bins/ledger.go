@@ -221,6 +221,7 @@ func (g *Ledger) OpenNew(it item.Item, t float64) *Bin {
 // fleets open different tiers; homogeneous runs use OpenNew).
 func (g *Ledger) OpenNewCap(it item.Item, t, capacity float64) *Bin {
 	b := openBin(g.opened, capacity, g.dim, t)
+	b.ledger = g
 	b.LingerWhenEmpty = g.keepAlive > 0
 	g.opened++
 	g.open = append(g.open, b)
@@ -238,6 +239,9 @@ func (g *Ledger) OpenNewCap(it item.Item, t, capacity float64) *Bin {
 	}
 	return b
 }
+
+// Owns reports whether the ledger opened or restored b.
+func (g *Ledger) Owns(b *Bin) bool { return b.ledger == g }
 
 // PlaceIn places the item into an existing open bin at time t.
 func (g *Ledger) PlaceIn(b *Bin, it item.Item, t float64) {

@@ -127,6 +127,7 @@ func RestoreLedger(capacity float64, dim int, keepAlive float64, indexed bool,
 		if err != nil {
 			return nil, err
 		}
+		b.ledger = g
 		g.open = append(g.open, b)
 		for pos, it := range b.resident {
 			if !g.location.insert(idSlot{id: it.ID, bin: b, pos: pos}) {

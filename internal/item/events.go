@@ -2,6 +2,7 @@ package item
 
 import (
 	"cmp"
+	"math"
 	"slices"
 )
 
@@ -9,8 +10,9 @@ import (
 // 16-byte (time, list position) keys, one run per kind — a run already in
 // order, as a generator's arrivals are, is only checked:
 //
-//   - Events is the deterministic event order that drives the online
-//     packing simulation. Events are ordered by time; at equal times,
+//   - Steps is the deterministic event order that drives the online
+//     packing simulation (Events is the same order with each event's
+//     time and item copied out). Events are ordered by time; at equal times,
 //     departures are processed before arrivals (intervals are half-open,
 //     so an item departing at t is already gone when another arrives at
 //     t), and ties within a kind follow the items' (Arrival, ID) order, so
@@ -50,23 +52,47 @@ type Event struct {
 	Item Item
 }
 
-// Events returns the arrival and departure events of every item in the
+// Step is one event of a list's processing order: its kind and the list
+// position of its item.
+type Step struct {
+	Pos  int
+	Kind Kind
+}
+
+// Time returns the step's event time: its item's Arrival or Departure.
+func (s Step) Time(l List) float64 {
+	if s.Kind == Arrive {
+		return l[s.Pos].Arrival
+	}
+	return l[s.Pos].Departure
+}
+
+// Steps returns the arrival and departure steps of every item in the
 // list, 2n in all, in processing order. arrivalsFirst false (the model's
 // default, matching half-open intervals) processes departures before
 // arrivals at equal times; arrivalsFirst true flips that — an ablation
 // (DESIGN.md §6) under which capacity freed at time t is NOT reusable by
 // an arrival at t.
-func (l List) Events(arrivalsFirst bool) []Event {
+func (l List) Steps(arrivalsFirst bool) []Step {
 	arr, dep := l.sortedKeys(false)
-	evs := make([]Event, 0, 2*len(l))
+	steps := make([]Step, 0, 2*len(l))
 	for len(arr) > 0 || len(dep) > 0 {
-		if len(dep) == 0 || len(arr) > 0 && arrivesFirst(arr[0].time, dep[0].time, arrivalsFirst) {
-			evs = append(evs, Event{Time: arr[0].time, Kind: Arrive, Item: l[arr[0].pos]})
+		if len(dep) == 0 || len(arr) > 0 && (arr[0].ord < dep[0].ord || arr[0].ord == dep[0].ord && arrivalsFirst) {
+			steps = append(steps, Step{arr[0].pos, Arrive})
 			arr = arr[1:]
 		} else {
-			evs = append(evs, Event{Time: dep[0].time, Kind: Depart, Item: l[dep[0].pos]})
+			steps = append(steps, Step{dep[0].pos, Depart})
 			dep = dep[1:]
 		}
+	}
+	return steps
+}
+
+// Events is Steps with each step's time and item copied out.
+func (l List) Events(arrivalsFirst bool) []Event {
+	evs := make([]Event, 0, 2*len(l))
+	for _, s := range l.Steps(arrivalsFirst) {
+		evs = append(evs, Event{Time: s.Time(l), Kind: s.Kind, Item: l[s.Pos]})
 	}
 	return evs
 }
@@ -83,84 +109,114 @@ func (l List) Segments(visit func(lo, hi float64, active []int)) {
 	arr, dep := l.sortedKeys(true)
 	var active []int
 	for len(dep) > 0 {
-		// The runs hold no NaN, so t equals the head of one of them and
-		// each pass consumes at least one key.
-		t := dep[0].time
-		if len(arr) > 0 && arr[0].time < t {
-			t = arr[0].time
+		// t is the head of one of the runs, so each pass consumes at least
+		// one key; lo is that head's time.
+		t, lo := dep[0].ord, l[dep[0].pos].Departure
+		if len(arr) > 0 && arr[0].ord < t {
+			t, lo = arr[0].ord, l[arr[0].pos].Arrival
 		}
-		for len(dep) > 0 && dep[0].time == t {
+		for len(dep) > 0 && dep[0].ord == t {
 			i, _ := slices.BinarySearch(active, dep[0].pos)
 			active = slices.Delete(active, i, i+1)
 			dep = dep[1:]
 		}
-		for len(arr) > 0 && arr[0].time == t {
+		for len(arr) > 0 && arr[0].ord == t {
 			i, _ := slices.BinarySearch(active, arr[0].pos)
 			active = slices.Insert(active, i, arr[0].pos)
 			arr = arr[1:]
 		}
 		if len(active) > 0 {
 			// An active item departs later, so dep is not empty.
-			hi := dep[0].time
-			if len(arr) > 0 && arr[0].time < hi {
-				hi = arr[0].time
+			hi := l[dep[0].pos].Departure
+			if len(arr) > 0 && arr[0].ord < dep[0].ord {
+				hi = l[arr[0].pos].Arrival
 			}
-			visit(t, hi, active)
+			visit(lo, hi, active)
 		}
 	}
 }
 
-// key is one event of the sort: its time and the position of its item in
-// the list. Which run it sits in gives its kind.
+// key is one event of the sort: its time (or its item's ID) as an
+// integer of the same order, and the list position of its item.
 type key struct {
-	time float64
-	pos  int
+	ord uint64
+	pos int
 }
 
 // sortedKeys returns the arrival and departure keys of every item, or of
 // the items of positive length only if activeOnly (a NaN time fails that
-// test too), each run sorted by compare.
+// test too), each run in (time, item arrival, item ID, list position)
+// order: stable sorts by time of keys in the order of the last three.
 func (l List) sortedKeys(activeOnly bool) (arr, dep []key) {
 	keys := make([]key, 2*len(l))
-	arr, dep = keys[:0:len(l)], keys[len(l):len(l)]
+	arr = keys[:0:len(l)]
 	for i, it := range l {
 		if !activeOnly || it.Arrival < it.Departure {
-			arr = append(arr, key{it.Arrival, i})
-			dep = append(dep, key{it.Departure, i})
+			arr = append(arr, key{uint64(it.ID) ^ 1<<63, i})
 		}
 	}
-	byKey := func(a, b key) int { return compare(l, a, b) }
-	for _, run := range [][]key{arr, dep} {
-		if !slices.IsSortedFunc(run, byKey) {
-			slices.SortFunc(run, byKey)
-		}
+	sortStable(arr)
+	for i, k := range arr {
+		arr[i].ord = timeOrder(l[k.pos].Arrival)
 	}
+	sortStable(arr)
+	dep = keys[len(l) : len(l)+len(arr)]
+	for i, k := range arr {
+		dep[i] = key{timeOrder(l[k.pos].Departure), k.pos}
+	}
+	sortStable(dep)
 	return arr, dep
 }
 
-// compare orders two events of one kind: by time, then the item's
-// arrival, then its ID, then its list position. The position makes the
-// order total, so Events' output is fixed even for duplicate IDs and NaN
-// times (which cmp.Compare puts first): it is the stable sort by (time,
-// kind, item arrival, item ID) of the events listed item by item.
-func compare(l List, a, b key) int {
-	if c := cmp.Compare(a.time, b.time); c != 0 {
-		return c
+// radixMin is the run length from which sortStable uses an LSD radix sort
+// of 11-bit digits, whose counting passes cost the same at any length:
+// shorter runs, as Result.Verify's per-server ones, sort by comparison.
+const radixMin = 2048
+
+// sortStable sorts keys stably by ord. The radix sort skips a pass in
+// which every key has the same digit.
+func sortStable(keys []key) {
+	byOrd := func(a, b key) int { return cmp.Compare(a.ord, b.ord) }
+	if slices.IsSortedFunc(keys, byOrd) {
+		return
 	}
-	x, y := &l[a.pos], &l[b.pos]
-	if c := cmp.Compare(x.Arrival, y.Arrival); c != 0 {
-		return c
+	if len(keys) < radixMin {
+		slices.SortStableFunc(keys, byOrd)
+		return
 	}
-	if c := cmp.Compare(x.ID, y.ID); c != 0 {
-		return c
+	const bits, mask = 11, 1<<11 - 1
+	var count [(64 + bits - 1) / bits][1 << bits]int
+	for _, k := range keys {
+		for d := range count {
+			count[d][k.ord>>(d*bits)&mask]++
+		}
 	}
-	return cmp.Compare(a.pos, b.pos)
+	src, dst := keys, make([]key, len(keys))
+	for d := range count {
+		c, shift := &count[d], d*bits
+		if c[src[0].ord>>shift&mask] == len(src) {
+			continue
+		}
+		sum := 0
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, k := range src {
+			j := k.ord >> shift & mask
+			dst[c[j]] = k
+			c[j]++
+		}
+		src, dst = dst, src
+	}
+	copy(keys, src)
 }
 
-// arrivesFirst reports whether an arrival at time a is processed before a
-// departure at time d: at equal times departures go first unless
-// arrivalsFirst.
-func arrivesFirst(a, d float64, arrivalsFirst bool) bool {
-	c := cmp.Compare(a, d)
-	return c < 0 || c == 0 && arrivalsFirst
+// timeOrder maps a time to an integer in cmp.Compare's order: every NaN
+// to 0, below -Inf, and -0 to +0.
+func timeOrder(t float64) uint64 {
+	if t != t {
+		return 0
+	}
+	b := math.Float64bits(t + 0)              // -0 + 0 is +0
+	return b ^ (uint64(int64(b)>>63) | 1<<63) // a negative's bits flip
 }

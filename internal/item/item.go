@@ -8,16 +8,16 @@
 // algorithms. The full Item carries the departure so the simulator can
 // schedule it.
 //
-// A list's timeline has one reading for the simulator, List.Events (the
-// total event order), and one for every integral or peak over time,
-// List.Segments (the piecewise-constant active set); both share one key
-// sort.
+// A list's timeline has one reading for the simulator, List.Steps (the
+// total event order, as list positions; List.Events copies the events
+// out), and one for every integral or peak over time, List.Segments (the
+// piecewise-constant active set); both share one key sort.
 package item
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dbp/internal/interval"
 )
@@ -134,17 +134,20 @@ type List []Item
 func (l List) Validate() error { return l.ValidateCap(1) }
 
 // ValidateCap checks every item against servers of the given capacity and
-// the uniqueness of IDs.
+// the uniqueness of IDs, sorted and compared in pairs.
 func (l List) ValidateCap(capacity float64) error {
-	seen := make(map[ID]struct{}, len(l))
-	for _, it := range l {
+	ids := make([]ID, len(l))
+	for i, it := range l {
 		if err := it.ValidateCap(capacity); err != nil {
 			return err
 		}
-		if _, dup := seen[it.ID]; dup {
-			return fmt.Errorf("duplicate item ID %d", it.ID)
+		ids[i] = it.ID
+	}
+	slices.Sort(ids) // linear on IDs already in order, as generators emit them
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return fmt.Errorf("duplicate item ID %d", ids[i])
 		}
-		seen[it.ID] = struct{}{}
 	}
 	return nil
 }
@@ -218,19 +221,17 @@ func (l List) Mu() float64 {
 	return maxD / minD
 }
 
-// SortedByArrival returns a copy sorted by (Arrival, ID). The simulator
-// orders equal-time arrivals the same way (List.Events), so keeping IDs
+// SortedByArrival returns a copy sorted by (Arrival, ID), equal items in
+// list order: the order of its arrival steps (List.Steps), so keeping IDs
 // monotone in generation order preserves each construction's intended
 // sequence.
 func (l List) SortedByArrival() List {
-	out := make(List, len(l))
-	copy(out, l)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Arrival != out[j].Arrival {
-			return out[i].Arrival < out[j].Arrival
+	out := make(List, 0, len(l))
+	for _, s := range l.Steps(false) {
+		if s.Kind == Arrive {
+			out = append(out, l[s.Pos])
 		}
-		return out[i].ID < out[j].ID
-	})
+	}
 	return out
 }
 

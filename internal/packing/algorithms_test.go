@@ -2,11 +2,32 @@ package packing
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"dbp/internal/item"
 )
+
+// serverOf returns the index of the bin that served the item with the
+// given ID, or -1.
+func serverOf(r *Result, id item.ID) int {
+	for i, it := range r.Items {
+		if it.ID == id {
+			return r.Server[i]
+		}
+	}
+	return -1
+}
+
+// assignment is a run's item -> bin map, the form Replay takes.
+func assignment(r *Result) map[item.ID]int {
+	m := make(map[item.ID]int, len(r.Items))
+	for i, it := range r.Items {
+		m[it.ID] = r.Server[i]
+	}
+	return m
+}
 
 func mk(id item.ID, size, a, d float64) item.Item {
 	return item.Item{ID: id, Size: size, Arrival: a, Departure: d}
@@ -31,8 +52,8 @@ func TestFirstFitHandExample(t *testing.T) {
 		t.Fatalf("bins = %d, want 2", res.NumBins())
 	}
 	// C (0.4) fits bin 0 (level 0.5 at t=1), so FF puts it there.
-	if res.Assignment[3] != 0 {
-		t.Fatalf("FF put item 3 in bin %d, want 0", res.Assignment[3])
+	if serverOf(res, 3) != 0 {
+		t.Fatalf("FF put item 3 in bin %d, want 0", serverOf(res, 3))
 	}
 	if res.TotalUsage != 6 {
 		t.Fatalf("FF usage = %g, want 6 (bin0 [0,4), bin1 [1,3))", res.TotalUsage)
@@ -49,8 +70,8 @@ func TestBestFitHandExample(t *testing.T) {
 	}
 	// At t=1 gaps are bin0: 0.5, bin1: 0.4; Best Fit prefers the tighter
 	// bin 1 for C (0.4).
-	if res.Assignment[3] != 1 {
-		t.Fatalf("BF put item 3 in bin %d, want 1", res.Assignment[3])
+	if serverOf(res, 3) != 1 {
+		t.Fatalf("BF put item 3 in bin %d, want 1", serverOf(res, 3))
 	}
 	if res.TotalUsage != 5 {
 		t.Fatalf("BF usage = %g, want 5 (bin0 [0,2), bin1 [1,4))", res.TotalUsage)
@@ -80,16 +101,16 @@ func TestWorstFitPrefersEmptiest(t *testing.T) {
 		mk(3, 0.1, 1, 10), // fits both; gaps: bin0 0.2, bin1 0.7
 	}
 	wf := MustRun(NewWorstFit(), l, nil)
-	if wf.Assignment[3] != 1 {
-		t.Fatalf("WF put probe in bin %d, want 1", wf.Assignment[3])
+	if serverOf(wf, 3) != 1 {
+		t.Fatalf("WF put probe in bin %d, want 1", serverOf(wf, 3))
 	}
 	ff := MustRun(NewFirstFit(), l, nil)
-	if ff.Assignment[3] != 0 {
-		t.Fatalf("FF put probe in bin %d, want 0", ff.Assignment[3])
+	if serverOf(ff, 3) != 0 {
+		t.Fatalf("FF put probe in bin %d, want 0", serverOf(ff, 3))
 	}
 	bf := MustRun(NewBestFit(), l, nil)
-	if bf.Assignment[3] != 0 {
-		t.Fatalf("BF put probe in bin %d, want 0", bf.Assignment[3])
+	if serverOf(bf, 3) != 0 {
+		t.Fatalf("BF put probe in bin %d, want 0", serverOf(bf, 3))
 	}
 }
 
@@ -100,8 +121,8 @@ func TestLastFitPrefersNewest(t *testing.T) {
 		mk(3, 0.2, 1, 10), // fits both; LF -> bin 1, FF -> bin 0
 	}
 	lf := MustRun(NewLastFit(), l, nil)
-	if lf.Assignment[3] != 1 {
-		t.Fatalf("LF put probe in bin %d, want 1", lf.Assignment[3])
+	if serverOf(lf, 3) != 1 {
+		t.Fatalf("LF put probe in bin %d, want 1", serverOf(lf, 3))
 	}
 }
 
@@ -114,12 +135,12 @@ func TestNextFitNeverRevisits(t *testing.T) {
 		mk(3, 0.2, 2, 10), // fits bin 0 (0.5) and bin 1 (0.7): NF -> bin 1
 	}
 	nf := MustRun(NewNextFit(), l, nil)
-	if nf.Assignment[3] != 1 {
-		t.Fatalf("NF put item 3 in bin %d, want 1 (bin 0 is unavailable)", nf.Assignment[3])
+	if serverOf(nf, 3) != 1 {
+		t.Fatalf("NF put item 3 in bin %d, want 1 (bin 0 is unavailable)", serverOf(nf, 3))
 	}
 	ff := MustRun(NewFirstFit(), l, nil)
-	if ff.Assignment[3] != 0 {
-		t.Fatalf("FF put item 3 in bin %d, want 0", ff.Assignment[3])
+	if serverOf(ff, 3) != 0 {
+		t.Fatalf("FF put item 3 in bin %d, want 0", serverOf(ff, 3))
 	}
 }
 
@@ -195,7 +216,7 @@ func TestHybridFirstFitClassSeparation(t *testing.T) {
 	if h2.NumBins() != 2 {
 		t.Fatalf("HFF bins = %d, want 2", h2.NumBins())
 	}
-	if h2.Assignment[1] != h2.Assignment[2] || h2.Assignment[1] != h2.Assignment[4] {
+	if serverOf(h2, 1) != serverOf(h2, 2) || serverOf(h2, 1) != serverOf(h2, 4) {
 		t.Fatal("small items must share the small-class bin")
 	}
 }
@@ -266,7 +287,7 @@ func TestHybridNextFitClassSeparation(t *testing.T) {
 	if h.NumBins() != 2 {
 		t.Fatalf("HNF bins = %d, want 2", h.NumBins())
 	}
-	if h.Assignment[2] != h.Assignment[3] {
+	if serverOf(h, 2) != serverOf(h, 3) {
 		t.Fatal("small items must share the small-class available bin")
 	}
 }
@@ -278,20 +299,11 @@ func TestRandomFitReproducible(t *testing.T) {
 	}
 	a := MustRun(&randomFit{seed: 7}, l, nil)
 	b := MustRun(&randomFit{seed: 7}, l, nil)
-	for id, ba := range a.Assignment {
-		if b.Assignment[id] != ba {
-			t.Fatal("same seed must reproduce the same packing")
-		}
+	if !slices.Equal(a.Server, b.Server) {
+		t.Fatal("same seed must reproduce the same packing")
 	}
 	c := MustRun(&randomFit{seed: 8}, l, nil)
-	diff := false
-	for id := range a.Assignment {
-		if c.Assignment[id] != a.Assignment[id] {
-			diff = true
-			break
-		}
-	}
-	if !diff {
+	if slices.Equal(a.Server, c.Server) {
 		t.Log("different seeds produced identical packings (possible but unlikely)")
 	}
 }

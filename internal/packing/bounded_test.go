@@ -188,12 +188,15 @@ func TestBoundedRestoreAllocs(t *testing.T) {
 	}
 }
 
-// TestBoundedRunAllocs pins the allocations of one batch run: 100k jobs,
-// vectorbestfit at d=2 with keep-alive 0.5 (the benchmark's sim_vector
-// instance at seed 1, 4,333 servers). The recorder lays out every
-// server's items in one array, where it once grew a slice per server and
-// the run made 44,415 allocations; the bound is half that. It also checks
-// each server's Items is capped at its length.
+// TestBoundedRunAllocs pins the allocations and the bytes of one batch
+// run: 100k jobs, vectorbestfit at d=2 with keep-alive 0.5 (the
+// benchmark's sim_vector instance at seed 1, 4,333 servers). The recorder
+// lays out every server's items in one array, where it once grew a slice
+// per server and the run made 44,415 allocations; the bound is half that.
+// The run allocated 38.3 MB while it copied a 72-byte event per step and
+// kept an ID -> server map; walking (kind, list position) steps and
+// recording by list position brought it near 20 MB, and the bound is
+// 24 MB. It also checks each server's Items is capped at its length.
 func TestBoundedRunAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("-short: skipping the 100k-job run")
@@ -203,7 +206,7 @@ func TestBoundedRunAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *packing.Result
-	allocs := testing.AllocsPerRun(1, func() {
+	run := func() {
 		algo, err := packing.ByName("vectorbestfit")
 		if err != nil {
 			t.Fatal(err)
@@ -211,11 +214,21 @@ func TestBoundedRunAllocs(t *testing.T) {
 		if res, err = packing.Run(algo, jobs, &packing.Options{KeepAlive: 0.5}); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("%d jobs on %d servers: %.0f allocations", len(jobs), res.NumBins(), allocs)
-	const limit = 44_415 / 2
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run() // warm up, as testing.AllocsPerRun does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d jobs on %d servers: %d allocations, %.1f MB", len(jobs), res.NumBins(), allocs, float64(bytes)/1e6)
+	const limit, byteLimit = 44_415 / 2, 24_000_000
 	if allocs > limit {
-		t.Fatalf("Run made %.0f allocations, want at most %d", allocs, limit)
+		t.Fatalf("Run made %d allocations, want at most %d", allocs, limit)
+	}
+	if bytes > byteLimit {
+		t.Fatalf("Run allocated %d bytes, want at most %d", bytes, byteLimit)
 	}
 	for k, b := range res.Bins {
 		if cap(b.Items) != len(b.Items) {

@@ -2,6 +2,7 @@ package packing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dbp/internal/item"
@@ -16,10 +17,8 @@ func TestNextKFitOneEqualsNextFit(t *testing.T) {
 		if nf.TotalUsage != nk.TotalUsage || nf.NumBins() != nk.NumBins() {
 			t.Fatalf("NextKFit(1) != NextFit: usage %g vs %g", nk.TotalUsage, nf.TotalUsage)
 		}
-		for id, b := range nf.Assignment {
-			if nk.Assignment[id] != b {
-				t.Fatal("assignments differ")
-			}
+		if !slices.Equal(nf.Server, nk.Server) {
+			t.Fatal("assignments differ")
 		}
 	}
 }
@@ -51,8 +50,8 @@ func TestNextKFitRetiresOldest(t *testing.T) {
 		mk(4, 0.3, 3, 10), // fits bin 1 (0.9) and bin 2 (0.9); bin 0 retired
 	}
 	res := MustRun(NewNextKFit(2), l, nil)
-	if res.Assignment[4] != 1 {
-		t.Fatalf("item 4 in bin %d, want 1 (bin 0 must be retired)", res.Assignment[4])
+	if serverOf(res, 4) != 1 {
+		t.Fatalf("item 4 in bin %d, want 1 (bin 0 must be retired)", serverOf(res, 4))
 	}
 }
 
@@ -69,8 +68,8 @@ func TestAlmostWorstFit(t *testing.T) {
 		mk(4, 0.2, 1, 10), // fits all: gaps 0.3, 0.5, 0.4 -> emptiest bin1, second bin2
 	}
 	res := MustRun(&almostWorstFit{}, l, nil)
-	if res.Assignment[4] != 2 {
-		t.Fatalf("AWF put probe in bin %d, want 2 (second-emptiest)", res.Assignment[4])
+	if serverOf(res, 4) != 2 {
+		t.Fatalf("AWF put probe in bin %d, want 2 (second-emptiest)", serverOf(res, 4))
 	}
 	// Single fitting bin: fall back to it.
 	l2 := item.List{
@@ -78,7 +77,7 @@ func TestAlmostWorstFit(t *testing.T) {
 		mk(2, 0.05, 1, 10),
 	}
 	res2 := MustRun(&almostWorstFit{}, l2, nil)
-	if res2.Assignment[2] != 0 {
+	if serverOf(res2, 2) != 0 {
 		t.Fatal("AWF must fall back to the only fitting bin")
 	}
 }
@@ -108,8 +107,8 @@ func TestAlignFitAlignsDepartures(t *testing.T) {
 		mk(3, 0.3, 1, 3),  // fits both; |10-3|=7 vs |3-3|=0 -> bin 1
 	}
 	res := MustRun(&alignFit{}, l, &Options{Clairvoyant: true})
-	if res.Assignment[3] != 1 {
-		t.Fatalf("AlignFit put item in bin %d, want 1", res.Assignment[3])
+	if serverOf(res, 3) != 1 {
+		t.Fatalf("AlignFit put item in bin %d, want 1", serverOf(res, 3))
 	}
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
@@ -123,8 +122,8 @@ func TestNoExtendFitPrefersFreeRides(t *testing.T) {
 		mk(3, 0.3, 1, 5),  // extends bin 1 (5 > 3) but not bin 0 (5 <= 10) -> bin 0
 	}
 	res := MustRun(newNoExtendFit(), l, &Options{Clairvoyant: true})
-	if res.Assignment[3] != 0 {
-		t.Fatalf("NoExtendFit put item in bin %d, want 0 (free ride)", res.Assignment[3])
+	if serverOf(res, 3) != 0 {
+		t.Fatalf("NoExtendFit put item in bin %d, want 0 (free ride)", serverOf(res, 3))
 	}
 	// When every placement extends, fall back to First Fit.
 	l2 := item.List{
@@ -132,7 +131,7 @@ func TestNoExtendFitPrefersFreeRides(t *testing.T) {
 		mk(2, 0.3, 1, 9), // extends bin 0; no alternative -> bin 0 anyway
 	}
 	res2 := MustRun(newNoExtendFit(), l2, &Options{Clairvoyant: true})
-	if res2.Assignment[2] != 0 {
+	if serverOf(res2, 2) != 0 {
 		t.Fatal("fallback must use First Fit")
 	}
 }

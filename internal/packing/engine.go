@@ -28,10 +28,10 @@ func (k EngineKind) valid() bool {
 }
 
 // engine is the shared placement core both the batch simulator (Run,
-// RunFleet) and the streaming dispatcher (Stream) drive: one validation
-// path, one placement/misplace check, one bin-open notification. The two
-// front ends differ only in where events come from (a pre-sorted queue
-// vs. live calls) and in bookkeeping around the loop.
+// RunFleet, Replay) and the streaming dispatcher (Stream) drive: one
+// placement/misplace check, one bin-open notification. The front ends
+// differ in where events come from, in how demands are admitted (a whole
+// list before the loop vs. each call) and in bookkeeping.
 type engine struct {
 	algo        Algorithm
 	opener      binOpener         // algo, if it tracks the bins it opens
@@ -74,11 +74,9 @@ func engineOn(algo Algorithm, ledger *bins.Ledger, kind EngineKind, clairvoyant 
 	return e
 }
 
-// checkDemand is the single admission gate for arriving demands, shared
-// verbatim by Run and Stream (the satellite bugfix: the batch simulator
-// used to skip the per-dimension vector checks, letting negative/NaN/
-// oversized components panic deep inside Bin.Place). Every rejection
-// wraps ErrBadDemand.
+// checkDemand is Stream.Arrive's admission gate for an arriving demand
+// (a batch front end validates its whole list before its loop instead).
+// Every rejection wraps ErrBadDemand.
 func (e *engine) checkDemand(it item.Item) error {
 	cap := e.ledger.Capacity()
 	if !(it.Size > 0) || it.Size > cap+bins.Eps {
@@ -103,15 +101,13 @@ func (e *engine) checkDemand(it item.Item) error {
 	return nil
 }
 
-// arrive validates the demand, asks the policy for a bin, and commits the
-// placement — opening a new bin (capacityFor picks its size; nil means
-// the ledger's homogeneous capacity) when the policy returns nil. A
-// policy returning a closed or non-fitting bin fails with
+// arrive asks the policy for a bin for a demand its front end has
+// already checked, and commits the placement — opening a new bin
+// (capacityFor picks its size; nil means the ledger's homogeneous
+// capacity) when the policy returns nil. A policy returning a bin of
+// another ledger, a closed or a non-fitting one fails with
 // ErrPolicyMisplace.
 func (e *engine) arrive(it item.Item, t float64, capacityFor func(Arrival) (float64, error)) (b *bins.Bin, opened bool, err error) {
-	if err := e.checkDemand(it); err != nil {
-		return nil, false, err
-	}
 	a := Arrival{ID: it.ID, Size: it.Size, Sizes: it.Sizes, Capacity: e.ledger.Capacity(), At: t, Departure: math.NaN()}
 	if len(a.Sizes) == 0 {
 		e.scalar[0] = it.Size
@@ -135,7 +131,7 @@ func (e *engine) arrive(it item.Item, t float64, capacityFor func(Arrival) (floa
 		}
 		return b, true, nil
 	}
-	if !b.IsOpen() || !b.Fits(it) {
+	if !e.ledger.Owns(b) || !b.IsOpen() || !b.Fits(it) {
 		return nil, false, failf(ErrPolicyMisplace, "packing: policy %s returned unusable bin %d (level %g) for job %d (size %g) at t=%g",
 			e.algo.Name(), b.Index, b.Level(), it.ID, it.Size, t)
 	}

@@ -64,12 +64,12 @@ func sameRun(t *testing.T, label string, a, b *packing.Result) {
 		t.Fatalf("%s: fleet shape %d/%d (indexed) != %d/%d (linear)",
 			label, a.NumBins(), a.MaxConcurrentOpen, b.NumBins(), b.MaxConcurrentOpen)
 	}
-	if len(a.Assignment) != len(b.Assignment) {
-		t.Fatalf("%s: %d vs %d assignments", label, len(a.Assignment), len(b.Assignment))
+	if len(a.Server) != len(b.Server) {
+		t.Fatalf("%s: %d vs %d assignments", label, len(a.Server), len(b.Server))
 	}
-	for id, bin := range a.Assignment {
-		if other, ok := b.Assignment[id]; !ok || other != bin {
-			t.Fatalf("%s: job %d -> bin %d (indexed) vs %d (linear)", label, id, bin, other)
+	for i, bin := range a.Server {
+		if other := b.Server[i]; other != bin {
+			t.Fatalf("%s: job %d -> bin %d (indexed) vs %d (linear)", label, a.Items[i].ID, bin, other)
 		}
 	}
 }

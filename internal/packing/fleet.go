@@ -73,8 +73,9 @@ func validateFleet(fleet []ServerType) ([]ServerType, error) {
 
 // RunFleet simulates the online packing with a heterogeneous fleet: when
 // the policy opens a server, chooser picks the tier. opt.Capacity is
-// ignored (fleet runs are scalar); the other options apply.
-// Items larger than every tier are rejected up front.
+// ignored, whatever its value: the tiers are the only capacities (an
+// arrival's Capacity is 1); the other options apply. Fleet runs are
+// scalar; items larger than every tier are rejected up front.
 func RunFleet(algo Algorithm, l item.List, fleet []ServerType, chooser TypeChooser, opt *Options) (*Result, error) {
 	fleetSorted, err := validateFleet(fleet)
 	if err != nil {

@@ -2,6 +2,7 @@ package packing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dbp/internal/item"
@@ -16,10 +17,8 @@ func TestPredictiveFitZeroNoiseEqualsNoExtendFit(t *testing.T) {
 		if exact.TotalUsage != pred.TotalUsage {
 			t.Fatalf("sigma=0 must reproduce NoExtendFit: %g vs %g", pred.TotalUsage, exact.TotalUsage)
 		}
-		for id, b := range exact.Assignment {
-			if pred.Assignment[id] != b {
-				t.Fatal("assignments differ at sigma=0")
-			}
+		if !slices.Equal(exact.Server, pred.Server) {
+			t.Fatal("assignments differ at sigma=0")
 		}
 	}
 }

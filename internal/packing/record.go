@@ -51,29 +51,23 @@ func (s *ServerRecord) LevelAt(t float64) float64 {
 // ledger has drained. It holds the bins the ledger opened only until then,
 // so a Result refers to no bins.Bin.
 type recorder struct {
-	opened     []*bins.Bin // by Index: the ledger numbers openings from 0
-	items      item.List   // every placement, in placement order
-	server     []int       // server[i] is the Index of the bin items[i] went to
-	assignment map[item.ID]int
+	opened []*bins.Bin // by Index: the ledger numbers openings from 0
+	order  []int       // the list position of every placement, in placement order
+	server []int       // server[pos] is the Index of the bin the list's item pos went to
 }
 
 func newRecorder(items int) *recorder {
-	return &recorder{
-		items:      make(item.List, 0, items),
-		server:     make([]int, 0, items),
-		assignment: make(map[item.ID]int, items),
-	}
+	return &recorder{order: make([]int, 0, items), server: make([]int, items)}
 }
 
-// placed records that the ledger put the item in b, which it has just
-// opened for the item when opened is set.
-func (r *recorder) placed(b *bins.Bin, it item.Item, opened bool) {
+// placed records that the ledger put the list's item pos in b, which it
+// has just opened for the item when opened is set.
+func (r *recorder) placed(b *bins.Bin, pos int, opened bool) {
 	if opened {
 		r.opened = append(r.opened, b)
 	}
-	r.items = append(r.items, it)
-	r.server = append(r.server, b.Index)
-	r.assignment[it.ID] = b.Index
+	r.order = append(r.order, pos)
+	r.server[pos] = b.Index
 }
 
 // result copies each server's period out of the drained ledger and
@@ -93,9 +87,10 @@ func (r *recorder) result(algorithm string, l item.List, g *bins.Ledger) (*Resul
 	for k, c := range end {
 		end[k], sum = sum, sum+c
 	}
-	flat := make(item.List, len(r.items))
-	for i, k := range r.server {
-		flat[end[k]] = r.items[i]
+	flat := make(item.List, len(r.order))
+	for _, pos := range r.order {
+		k := r.server[pos]
+		flat[end[k]] = l[pos]
 		end[k]++
 	}
 	servers := make([]ServerRecord, len(r.opened))
@@ -112,7 +107,7 @@ func (r *recorder) result(algorithm string, l item.List, g *bins.Ledger) (*Resul
 		Algorithm:         algorithm,
 		Items:             l,
 		Bins:              servers,
-		Assignment:        r.assignment,
+		Server:            r.server,
 		TotalUsage:        g.TotalUsage(0),
 		MaxConcurrentOpen: g.MaxConcurrentOpen(),
 		KeepAlive:         g.KeepAlive(),

@@ -149,8 +149,11 @@ func TestVerifyRejectsCorruptResults(t *testing.T) {
 			r.Bins[0].ClosedAt = 6 // the last departure: the keep-alive is missing
 		}, "bin 0 usage period"},
 		{"assignment disagrees", scalar, 0, func(r *Result) {
-			r.Assignment[3] = 0
-		}, "assignment map disagrees for item 3"},
+			r.Server[slices.IndexFunc(r.Items, func(it item.Item) bool { return it.ID == 3 })] = 0
+		}, "item 3 has server 0"},
+		{"server slice short", scalar, 0, func(r *Result) {
+			r.Server = r.Server[:3]
+		}, "3 server entries for 4 items"},
 		{"wrong total usage", scalar, 0, func(r *Result) {
 			r.TotalUsage += 1
 		}, "recomputed usage"},

@@ -24,7 +24,11 @@ func Replay(l item.List, assign map[item.ID]int) (*Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, fmt.Errorf("packing: invalid instance: %w", err)
 	}
+	dim := listDim(l)
 	for _, it := range l {
+		if it.Dim() != dim {
+			return nil, failf(ErrBadDemand, "packing: job %d has dim %d, fleet has dim %d", it.ID, it.Dim(), dim)
+		}
 		if _, ok := assign[it.ID]; !ok {
 			return nil, fmt.Errorf("packing: item %d has no assignment", it.ID)
 		}

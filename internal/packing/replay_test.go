@@ -14,7 +14,7 @@ func TestReplayRoundTripsPolicies(t *testing.T) {
 		l := randomInstance(rng, 100, 8)
 		for name, algo := range Standard() {
 			res := MustRun(algo, l, nil)
-			rep, err := Replay(l, res.Assignment)
+			rep, err := Replay(l, assignment(res))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -9,17 +9,18 @@ import (
 	"dbp/internal/item"
 )
 
-// Result is the complete outcome of one packing run: the objective values
-// and a record of every server, sufficient to reconstruct the state of
-// every server at any time (used by the analysis package to re-derive the
-// paper's proof decomposition on concrete runs).
+// Result is the complete outcome of one packing run: the objective values,
+// a record of every server, sufficient to reconstruct the state of every
+// server at any time (used by the analysis package to re-derive the
+// paper's proof decomposition on concrete runs), and Server, each item's
+// server by its position in Items.
 type Result struct {
 	Algorithm string
 	Items     item.List
 	// Bins records every server the run opened, in opening order.
 	Bins []ServerRecord
-	// Assignment maps each item to the index of the bin that served it.
-	Assignment map[item.ID]int
+	// Server[i] is the index of the bin that served Items[i].
+	Server []int
 	// TotalUsage is the MinUsageTime objective: sum over bins of usage
 	// period length (server renting time under pay-as-you-go billing).
 	TotalUsage float64
@@ -74,14 +75,17 @@ func (r *Result) Verify() error {
 		}
 		usage += b.Usage()
 	}
-	for _, it := range r.Items {
+	for i, it := range r.Items {
 		idx, ok := placed[it.ID]
 		if !ok {
 			return fmt.Errorf("item %d never placed", it.ID)
 		}
-		if r.Assignment[it.ID] != idx {
-			return fmt.Errorf("assignment map disagrees for item %d", it.ID)
+		if i < len(r.Server) && r.Server[i] != idx {
+			return fmt.Errorf("item %d has server %d, but bin %d holds it", it.ID, r.Server[i], idx)
 		}
+	}
+	if len(r.Server) != len(r.Items) {
+		return fmt.Errorf("%d server entries for %d items", len(r.Server), len(r.Items))
 	}
 	if len(placed) != len(r.Items) {
 		return fmt.Errorf("placed %d items, instance has %d", len(placed), len(r.Items))

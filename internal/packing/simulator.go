@@ -97,11 +97,11 @@ func Run(algo Algorithm, l item.List, opt *Options) (*Result, error) {
 	return runCore(algo, l, opt, nil)
 }
 
-// runCore is the event loop shared by Run (homogeneous capacity) and
-// RunFleet (per-opening capacity via capacityFor, nil for homogeneous).
-// The instance must already be validated. All placement mechanics —
-// demand validation, policy query, misplace check, bin-open notification
-// — live in the engine, the same core Stream drives.
+// runCore is the event loop shared by Run, Replay (homogeneous capacity)
+// and RunFleet (per-opening capacity via capacityFor, nil for
+// homogeneous). Its caller has validated every demand. All placement
+// mechanics — policy query, misplace check, bin-open notification — live
+// in the engine, the same core Stream drives.
 func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arrival) (float64, error)) (*Result, error) {
 	if !opt.engine().valid() {
 		return nil, badEngine(opt.engine())
@@ -113,25 +113,30 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 		}
 		keepAlive = opt.KeepAlive
 	}
-	eng := newEngine(algo, opt.capacity(), listDim(l), keepAlive, opt.engine(), opt != nil && opt.Clairvoyant)
+	capacity := opt.capacity()
+	if capacityFor != nil {
+		capacity = 1 // RunFleet's tiers are the only capacities
+	}
+	eng := newEngine(algo, capacity, listDim(l), keepAlive, opt.engine(), opt != nil && opt.Clairvoyant)
 	rec := newRecorder(len(l))
 
-	for _, e := range l.Events(opt != nil && opt.ArrivalsFirst) {
-		eng.ledger.CloseExpired(e.Time)
-		switch e.Kind {
+	for _, s := range l.Steps(opt != nil && opt.ArrivalsFirst) {
+		it, t := &l[s.Pos], s.Time(l)
+		eng.ledger.CloseExpired(t)
+		switch s.Kind {
 		case item.Depart:
-			eng.depart(e.Item.ID, e.Time)
+			eng.depart(it.ID, t)
 		case item.Arrive:
-			b, opened, err := eng.arrive(e.Item, e.Time, capacityFor)
+			b, opened, err := eng.arrive(*it, t, capacityFor)
 			if err != nil {
 				return nil, err
 			}
-			rec.placed(b, e.Item, opened)
+			rec.placed(b, s.Pos, opened)
 		}
 		if opt != nil && opt.Validate {
 			if err := eng.validate(); err != nil {
 				return nil, fmt.Errorf("packing: invariant violated after %v of item %d at t=%g: %w",
-					e.Kind, e.Item.ID, e.Time, err)
+					s.Kind, it.ID, t, err)
 			}
 		}
 	}

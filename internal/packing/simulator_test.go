@@ -1,6 +1,7 @@
 package packing
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -110,7 +111,7 @@ func TestRunVectorItems(t *testing.T) {
 	if res.NumBins() != 2 {
 		t.Fatalf("bins = %d, want 2", res.NumBins())
 	}
-	if res.Assignment[1] != res.Assignment[2] {
+	if serverOf(res, 1) != serverOf(res, 2) {
 		t.Fatal("complementary vector items must share a bin under FF")
 	}
 	if err := res.Verify(); err != nil {
@@ -137,6 +138,44 @@ func TestRunDetectsPolicyBug(t *testing.T) {
 	}
 	if _, err := Run(faultyFullBin{}, l, nil); err == nil {
 		t.Fatal("simulator must reject a non-fitting placement")
+	}
+}
+
+// foreignBin always returns one bin of another stream's ledger, as a
+// policy that kept a server across streams would.
+type foreignBin struct{ b *binsBin }
+
+func (foreignBin) Name() string                    { return "foreign" }
+func (f foreignBin) Place(Arrival, Fleet) *binsBin { return f.b }
+
+// TestForeignBinIsMisplacement hands the engine an open server of
+// another stream, with room for the arrival, on both engines, through
+// Run and through Stream.Arrive: the placement fails with
+// ErrPolicyMisplace, and the other stream's server is left as it was.
+func TestForeignBinIsMisplacement(t *testing.T) {
+	other := NewStream(NewFirstFit(), 0, 1)
+	if _, _, err := other.Arrive(1, 0.1, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	b := other.Ledger().OpenBins()[0]
+	for _, kind := range []EngineKind{EngineIndexed, EngineLinear} {
+		_, err := Run(foreignBin{b}, item.List{mk(1, 0.2, 0, 1)}, &Options{Engine: kind})
+		if !errors.Is(err, ErrPolicyMisplace) {
+			t.Errorf("%s Run: err = %v, want ErrPolicyMisplace", kind, err)
+		}
+		s, err := NewStreamEngine(foreignBin{b}, 0, 1, 0, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Arrive(2, 0.2, nil, 0); !errors.Is(err, ErrPolicyMisplace) {
+			t.Errorf("%s Stream.Arrive: err = %v, want ErrPolicyMisplace", kind, err)
+		}
+	}
+	if b.Level() != 0.1 || b.NumActive() != 1 {
+		t.Fatalf("the other stream's server changed: level %g, %d items", b.Level(), b.NumActive())
+	}
+	if err := other.Ledger().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -259,10 +259,15 @@ func WriteAssignment(w io.Writer, res *packing.Result) error {
 	if err := cw.Write([]string{"id", "bin", "size", "arrival", "departure"}); err != nil {
 		return err
 	}
-	for _, it := range res.Items.SortedByArrival() {
+	// Arrival steps come in (Arrival, ID) order, SortedByArrival's.
+	for _, s := range res.Items.Steps(false) {
+		if s.Kind != item.Arrive {
+			continue
+		}
+		it := res.Items[s.Pos]
 		row := []string{
 			strconv.FormatInt(int64(it.ID), 10),
-			strconv.Itoa(res.Assignment[it.ID]),
+			strconv.Itoa(res.Server[s.Pos]),
 			strconv.FormatFloat(it.Size, 'g', -1, 64),
 			strconv.FormatFloat(it.Arrival, 'g', -1, 64),
 			strconv.FormatFloat(it.Departure, 'g', -1, 64),

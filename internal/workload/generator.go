@@ -56,25 +56,37 @@ func generate(c Config, d int) item.List {
 	rng := rand.New(rand.NewSource(c.Seed))
 	size := func() float64 { return clampSize(c.Size.Sample(rng)) }
 	l := make(item.List, c.N)
+	buf := demandBuf(c.N, d)
 	t := 0.0
 	for i := range l {
 		t += rng.ExpFloat64() / c.Rate
 		dur := c.Duration.Sample(rng)
 		l[i] = item.Item{ID: item.ID(i + 1), Arrival: t, Departure: t + dur}
-		drawDemand(&l[i], d, size)
+		drawDemand(&l[i], d, &buf, size)
 	}
 	return l
 }
 
+// demandBuf is the one array the demand vectors of n jobs share at
+// d >= 2, not an allocation per job; nil at d <= 1.
+func demandBuf(n, d int) []float64 {
+	if d <= 1 {
+		return nil
+	}
+	return make([]float64, n*d)
+}
+
 // drawDemand sets a job's demand from d calls to size: at d <= 1 the one
 // draw is the scalar Size and Sizes stays nil; at d >= 2 the draws are
-// the vector's components in order and Size is their maximum.
-func drawDemand(it *item.Item, d int, size func() float64) {
+// the vector's components in order, in the next d elements of *buf
+// (capped, so an append cannot reach the next job's), and Size is their
+// maximum.
+func drawDemand(it *item.Item, d int, buf *[]float64, size func() float64) {
 	if d <= 1 {
 		it.Size = size()
 		return
 	}
-	it.Sizes = make([]float64, d)
+	it.Sizes, *buf = (*buf)[:d:d], (*buf)[d:]
 	for k := range it.Sizes {
 		it.Sizes[k] = size()
 		it.Size = max(it.Size, it.Sizes[k])

@@ -89,12 +89,13 @@ func generateZipfian(c zipfianConfig, dim int) item.List {
 	z := newZipfSampler(c.Alpha, c.Classes)
 	size := func() float64 { return c.SizeOfRank(z.rank(rng)) }
 	l := make(item.List, c.N)
+	buf := demandBuf(c.N, dim)
 	t := 0.0
 	for i := range l {
 		t += rng.ExpFloat64() / c.Rate
 		d := c.Duration.Sample(rng)
 		l[i] = item.Item{ID: item.ID(i + 1), Arrival: t, Departure: t + d}
-		drawDemand(&l[i], dim, size)
+		drawDemand(&l[i], dim, &buf, size)
 	}
 	return l
 }
@@ -142,6 +143,7 @@ func generateHotspot(c hotspotConfig, dim int) item.List {
 	cold := c.Tenants - hot
 	size := func() float64 { return clampSize(c.Size.Sample(rng)) }
 	l := make(item.List, c.N)
+	buf := demandBuf(c.N, dim)
 	t := 0.0
 	for i := range l {
 		t += rng.ExpFloat64() / c.Rate
@@ -154,7 +156,7 @@ func generateHotspot(c hotspotConfig, dim int) item.List {
 		}
 		id := item.ID(int64(i)*int64(c.Tenants) + int64(tenant) + 1)
 		l[i] = item.Item{ID: id, Arrival: t, Departure: t + d}
-		drawDemand(&l[i], dim, size)
+		drawDemand(&l[i], dim, &buf, size)
 	}
 	return l
 }
@@ -194,6 +196,7 @@ func generateDiurnal(c diurnalConfig, dim int) item.List {
 	peak := c.Rate * (1 + c.Amplitude)
 	size := func() float64 { return clampSize(c.Size.Sample(rng)) }
 	l := make(item.List, c.N)
+	buf := demandBuf(c.N, dim)
 	t := 0.0
 	for i := 0; i < c.N; {
 		t += rng.ExpFloat64() / peak
@@ -203,7 +206,7 @@ func generateDiurnal(c diurnalConfig, dim int) item.List {
 		}
 		d := c.Duration.Sample(rng)
 		l[i] = item.Item{ID: item.ID(i + 1), Arrival: t, Departure: t + d}
-		drawDemand(&l[i], dim, size)
+		drawDemand(&l[i], dim, &buf, size)
 		i++
 	}
 	return l
