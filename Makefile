@@ -119,7 +119,9 @@ bench-wire:
 	$(GO) test -v -run 'CodecZeroAlloc|ClientFramesCarryReadyCallers' -bench Wire -benchmem ./internal/wire/
 
 ## fuzz-short: a CI-scale smoke run of the wire codec and WAL record fuzzers,
-## of the stream-vs-reference-model fuzzer, of the ledger's job table
+## of the stream-vs-reference-model fuzzer, of the one demand rule across
+## the four front ends (Run, RunFleet, Replay, Stream.Arrive) on boundary
+## sizes, of the ledger's job table
 ## against a map, of the batch event order against the stable sort it
 ## replaced and of the timeline sweep against a rescan of the whole list
 ## at every event time, of the OPT solver's bound sandwich
@@ -131,6 +133,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzStreamVsModel -fuzztime 5s ./internal/packing/
+	$(GO) test -run '^$$' -fuzz FuzzDemandRule -fuzztime 5s ./internal/packing/
 	$(GO) test -run '^$$' -fuzz FuzzIDTable -fuzztime 5s ./internal/bins/
 	$(GO) test -run '^$$' -fuzz FuzzOrder -fuzztime 5s ./internal/item/
 	$(GO) test -run '^$$' -fuzz FuzzSegments -fuzztime 5s ./internal/item/

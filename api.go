@@ -52,8 +52,10 @@ var (
 	// ErrTimeRegression: an event timestamp before the previous
 	// event's (or non-finite); the dispatcher clock only moves forward.
 	ErrTimeRegression = packing.ErrTimeRegression
-	// ErrBadDemand: a demand no server could ever satisfy
-	// (non-positive, NaN, over capacity, or wrong dimensionality).
+	// ErrBadDemand: a demand no server could ever satisfy, on every
+	// front end — a size outside (0, capacity] with no tolerance, a NaN,
+	// negative or over-capacity component, the wrong dimensionality, or
+	// a Size that is not its vector's largest component.
 	ErrBadDemand = packing.ErrBadDemand
 	// ErrPolicyMisplace: the policy returned an unusable server — an
 	// implementation bug in the policy, not a caller error.

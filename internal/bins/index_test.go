@@ -212,8 +212,8 @@ func TestIndexIllDimensionedDemand(t *testing.T) {
 // prunes: a NaN component passes every mayFit test, so the descent reaches
 // the -Inf leaves of closed slots, and it must find nothing there — the
 // answer is the first (last) open bin, as in the linear scan (FitsDemand
-// admits NaN at every open bin; packing's checkDemand refuses it long
-// before). The closed slots sit at both ends, where each descent starts.
+// admits NaN at every open bin; item.CheckDemand refuses it on every
+// front end long before). The closed slots sit at both ends, where each descent starts.
 func TestIndexNaNDemandSkipsClosedSlots(t *testing.T) {
 	g := NewLedger(1, 1)
 	g.EnableIndex()

@@ -69,16 +69,12 @@ func (it Item) SizeVec() []float64 {
 	return it.Sizes
 }
 
-// Validate is ValidateCap(1): the checks against a unit server, the
-// paper's normalization.
-func (it Item) Validate() error { return it.ValidateCap(1) }
+// Validate checks the item against a unit server, the paper's
+// normalization: a positive finite duration, and a demand CheckDemand
+// admits at capacity 1 in the item's own dimension.
+func (it Item) Validate() error { return it.validate(1, it.Dim()) }
 
-// ValidateCap checks the structural invariants an item must satisfy to
-// take part in a packing on servers of the given capacity: positive
-// finite duration, size in (0, capacity] (it must fit in an empty
-// server), and consistent vector demand if present. A size outside its
-// range is a *SizeError.
-func (it Item) ValidateCap(capacity float64) error {
+func (it Item) validate(capacity float64, dim int) error {
 	if math.IsNaN(it.Arrival) || math.IsNaN(it.Departure) ||
 		math.IsInf(it.Arrival, 0) || math.IsInf(it.Departure, 0) {
 		return fmt.Errorf("item %d: non-finite interval [%g, %g)", it.ID, it.Arrival, it.Departure)
@@ -86,39 +82,43 @@ func (it Item) ValidateCap(capacity float64) error {
 	if it.Departure <= it.Arrival {
 		return fmt.Errorf("item %d: non-positive duration [%g, %g)", it.ID, it.Arrival, it.Departure)
 	}
-	if !(it.Size > 0) || it.Size > capacity {
-		return &SizeError{fmt.Sprintf("item %d: size %g outside (0, %g]", it.ID, it.Size, capacity)}
-	}
-	for d, s := range it.Sizes {
-		if !(s >= 0) || s > capacity {
-			return &SizeError{fmt.Sprintf("item %d: sizes[%d] = %g outside [0, %g]", it.ID, d, s, capacity)}
-		}
-	}
-	return it.CheckDominant()
+	return it.CheckDemand(capacity, dim)
 }
 
-// SizeError reports a demand that no server of the capacity an item was
-// validated against can hold.
-type SizeError struct{ msg string }
-
-func (e *SizeError) Error() string { return e.msg }
-
-// CheckDominant returns an error unless a vector demand's Size is its
-// largest component (within 1e-12) — the convention the size-classifying
-// policies and every scalar capacity check rely on. A scalar item passes.
-func (it Item) CheckDominant() error {
+// CheckDemand is the one rule a job's demand is admitted by, on every
+// front end: Size in (0, capacity], dim components, each in [0,
+// capacity], and Size the largest of them (within 1e-12) — the
+// convention the size-classifying policies and every scalar capacity
+// check rely on. There is no tolerance: a size a hair over capacity is
+// refused. A fault is a *DemandError.
+func (it Item) CheckDemand(capacity float64, dim int) error {
+	if !(it.Size > 0) || it.Size > capacity {
+		return &DemandError{fmt.Sprintf("job %d size %g cannot fit any server of capacity %g", it.ID, it.Size, capacity)}
+	}
+	if it.Dim() != dim {
+		return &DemandError{fmt.Sprintf("job %d has dim %d, servers have dim %d", it.ID, it.Dim(), dim)}
+	}
 	if len(it.Sizes) == 0 {
 		return nil
 	}
 	maxc := 0.0
-	for _, s := range it.Sizes {
-		maxc = math.Max(maxc, s)
+	for d, s := range it.Sizes {
+		if !(s >= 0) || s > capacity {
+			return &DemandError{fmt.Sprintf("job %d demand %g in dim %d cannot fit any server of capacity %g", it.ID, s, d, capacity)}
+		}
+		maxc = max(maxc, s)
 	}
 	if math.Abs(maxc-it.Size) > 1e-12 {
-		return fmt.Errorf("item %d: Size %g != max(Sizes) %g", it.ID, it.Size, maxc)
+		return &DemandError{fmt.Sprintf("job %d: Size %g != max(Sizes) %g", it.ID, it.Size, maxc)}
 	}
 	return nil
 }
+
+// DemandError reports a demand that no server of the capacity and
+// dimension it was checked against can hold.
+type DemandError struct{ msg string }
+
+func (e *DemandError) Error() string { return e.msg }
 
 // String renders the item compactly for diagnostics.
 func (it Item) String() string {
@@ -130,15 +130,20 @@ func (it Item) String() string {
 // generators emit items sorted by arrival for readability.
 type List []Item
 
-// Validate is ValidateCap(1).
-func (l List) Validate() error { return l.ValidateCap(1) }
+// Validate is ValidateCap(1, 0).
+func (l List) Validate() error { return l.ValidateCap(1, 0) }
 
-// ValidateCap checks every item against servers of the given capacity and
-// the uniqueness of IDs, sorted and compared in pairs.
-func (l List) ValidateCap(capacity float64) error {
+// ValidateCap checks, in one pass, every item's interval and its demand
+// against servers of the given capacity and dimension (CheckDemand; dim 0
+// means the first item's, so a valid list has one dimension), then the
+// uniqueness of IDs, sorted and compared in pairs.
+func (l List) ValidateCap(capacity float64, dim int) error {
+	if dim == 0 && len(l) > 0 {
+		dim = l[0].Dim()
+	}
 	ids := make([]ID, len(l))
 	for i, it := range l {
-		if err := it.ValidateCap(capacity); err != nil {
+		if err := it.validate(capacity, dim); err != nil {
 			return err
 		}
 		ids[i] = it.ID

@@ -74,33 +74,6 @@ func engineOn(algo Algorithm, ledger *bins.Ledger, kind EngineKind, clairvoyant 
 	return e
 }
 
-// checkDemand is Stream.Arrive's admission gate for an arriving demand
-// (a batch front end validates its whole list before its loop instead).
-// Every rejection wraps ErrBadDemand.
-func (e *engine) checkDemand(it item.Item) error {
-	cap := e.ledger.Capacity()
-	if !(it.Size > 0) || it.Size > cap+bins.Eps {
-		return failf(ErrBadDemand, "packing: job %d size %g cannot fit any server of capacity %g", it.ID, it.Size, cap)
-	}
-	if it.Dim() != e.ledger.Dim() {
-		return failf(ErrBadDemand, "packing: job %d has dim %d, fleet has dim %d", it.ID, it.Dim(), e.ledger.Dim())
-	}
-	// The scalar check above only constrains Size; a vector demand with a
-	// single oversized (or negative / NaN) component would sail past it
-	// and panic inside Bin.Place, so admit per dimension here.
-	for d, c := range it.Sizes {
-		if !(c >= 0) || c > cap+bins.Eps {
-			return failf(ErrBadDemand, "packing: job %d demand %g in dim %d cannot fit any server of capacity %g", it.ID, c, d, cap)
-		}
-	}
-	// Size must be the demand's largest component: the hybrids classify
-	// by it and the scalar check above reads it.
-	if err := it.CheckDominant(); err != nil {
-		return failf(ErrBadDemand, "packing: %v", err)
-	}
-	return nil
-}
-
 // arrive asks the policy for a bin for a demand its front end has
 // already checked, and commits the placement — opening a new bin
 // (capacityFor picks its size; nil means the ledger's homogeneous

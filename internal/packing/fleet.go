@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"dbp/internal/bins"
 	"dbp/internal/item"
 )
 
@@ -33,7 +32,7 @@ func RightSize() TypeChooser {
 	return func(a Arrival, fleet []ServerType) int {
 		best := -1
 		for i, t := range fleet {
-			if t.Capacity+bins.Eps >= a.Size && (best < 0 || t.Capacity < fleet[best].Capacity) {
+			if (item.Item{Size: a.Size}).CheckDemand(t.Capacity, 1) == nil && (best < 0 || t.Capacity < fleet[best].Capacity) {
 				best = i
 			}
 		}
@@ -75,7 +74,8 @@ func validateFleet(fleet []ServerType) ([]ServerType, error) {
 // the policy opens a server, chooser picks the tier. opt.Capacity is
 // ignored, whatever its value: the tiers are the only capacities (an
 // arrival's Capacity is 1); the other options apply. Fleet runs are
-// scalar; items larger than every tier are rejected up front.
+// scalar: a vector demand, or a size item.CheckDemand refuses at the
+// largest tier, is rejected up front as ErrBadDemand.
 func RunFleet(algo Algorithm, l item.List, fleet []ServerType, chooser TypeChooser, opt *Options) (*Result, error) {
 	fleetSorted, err := validateFleet(fleet)
 	if err != nil {
@@ -84,17 +84,8 @@ func RunFleet(algo Algorithm, l item.List, fleet []ServerType, chooser TypeChoos
 	if chooser == nil {
 		chooser = RightSize()
 	}
-	if err := l.Validate(); err != nil {
-		return nil, fmt.Errorf("packing: invalid instance: %w", err)
-	}
-	maxCap := fleetSorted[len(fleetSorted)-1].Capacity
-	for _, it := range l {
-		if it.Dim() != 1 {
-			return nil, fmt.Errorf("packing: fleet runs are 1-D; item %d has dim %d", it.ID, it.Dim())
-		}
-		if it.Size > maxCap+bins.Eps {
-			return nil, fmt.Errorf("packing: item %d (size %g) exceeds the largest tier (%g)", it.ID, it.Size, maxCap)
-		}
+	if err := l.ValidateCap(fleetSorted[len(fleetSorted)-1].Capacity, 1); err != nil {
+		return nil, admission(err)
 	}
 	return runCore(algo, l, opt, func(a Arrival) (float64, error) {
 		idx := chooser(a, fleetSorted)
@@ -102,9 +93,8 @@ func RunFleet(algo Algorithm, l item.List, fleet []ServerType, chooser TypeChoos
 			return 0, fmt.Errorf("packing: type chooser returned invalid tier %d for item %d", idx, a.ID)
 		}
 		t := fleetSorted[idx]
-		if t.Capacity+bins.Eps < a.Size {
-			return 0, fmt.Errorf("packing: chooser picked tier %q (cap %g) too small for item %d (size %g)",
-				t.Name, t.Capacity, a.ID, a.Size)
+		if err := (item.Item{ID: a.ID, Size: a.Size}).CheckDemand(t.Capacity, 1); err != nil {
+			return 0, fmt.Errorf("packing: chooser picked tier %q too small: %v", t.Name, err)
 		}
 		return t.Capacity, nil
 	})

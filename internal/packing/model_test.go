@@ -141,7 +141,7 @@ func (m *model) arrive(id int64, v []float64, t float64) (server int, opened boo
 	}
 	ok, positive := len(v) == m.dim, false
 	for _, c := range v {
-		ok = ok && c >= 0 && c <= 1+modelEps
+		ok = ok && c >= 0 && c <= 1
 		positive = positive || c > 0
 	}
 	if !ok || !positive {

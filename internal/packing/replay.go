@@ -19,16 +19,14 @@ import (
 // opening order (the order bins first receive an item), so any distinct
 // labeling is accepted. The assignment runs as a policy on the
 // simulator's own loop, so an over-capacity placement fails as the
-// engine's misplacement check does (ErrPolicyMisplace).
+// engine's misplacement check does (ErrPolicyMisplace). A demand
+// item.CheckDemand refuses on a unit server, or of another dimension
+// than the first item's, is ErrBadDemand.
 func Replay(l item.List, assign map[item.ID]int) (*Result, error) {
 	if err := l.Validate(); err != nil {
-		return nil, fmt.Errorf("packing: invalid instance: %w", err)
+		return nil, admission(err)
 	}
-	dim := listDim(l)
 	for _, it := range l {
-		if it.Dim() != dim {
-			return nil, failf(ErrBadDemand, "packing: job %d has dim %d, fleet has dim %d", it.ID, it.Dim(), dim)
-		}
 		if _, ok := assign[it.ID]; !ok {
 			return nil, fmt.Errorf("packing: item %d has no assignment", it.ID)
 		}

@@ -1,7 +1,6 @@
 package packing
 
 import (
-	"errors"
 	"fmt"
 
 	"dbp/internal/item"
@@ -57,51 +56,30 @@ func (o *Options) engine() EngineKind {
 	return o.Engine
 }
 
-// listDim is a list's dimensionality: 1 unless some item carries a
-// vector demand.
-func listDim(l item.List) int {
-	d := 1
-	for _, it := range l {
-		if it.Dim() > d {
-			d = it.Dim()
-		}
-	}
-	return d
-}
-
 // Run simulates the online packing of the item list under the given
 // algorithm and returns the complete packing outcome. The algorithm is
 // Reset before the run. Run returns an error if the capacity or the
-// keep-alive is NaN, infinite or negative, the item list is invalid,
-// some demand can never be served by a server of the run's capacity
-// (ErrBadDemand — the same typed sentinel Stream.Arrive uses), or the
-// algorithm returns an unusable placement (ErrPolicyMisplace, a policy
-// bug that aborts the run).
+// keep-alive is NaN, infinite or negative, some demand is refused by
+// item.CheckDemand at the run's capacity and the first item's dimension
+// (ErrBadDemand, as on every front end), the item list is otherwise
+// invalid, or the algorithm returns an unusable placement
+// (ErrPolicyMisplace, a policy bug that aborts the run).
 func Run(algo Algorithm, l item.List, opt *Options) (*Result, error) {
 	if opt != nil && !validCapacity(opt.Capacity) {
 		return nil, badCapacity(opt.Capacity)
 	}
-	if err := l.ValidateCap(opt.capacity()); err != nil {
-		var size *item.SizeError
-		if errors.As(err, &size) {
-			return nil, failf(ErrBadDemand, "packing: %v", err)
-		}
-		return nil, fmt.Errorf("packing: invalid instance: %w", err)
-	}
-	dim := listDim(l)
-	for _, it := range l {
-		if it.Dim() != dim {
-			return nil, fmt.Errorf("packing: item %d has dim %d, run has dim %d", it.ID, it.Dim(), dim)
-		}
+	if err := l.ValidateCap(opt.capacity(), 0); err != nil {
+		return nil, admission(err)
 	}
 	return runCore(algo, l, opt, nil)
 }
 
 // runCore is the event loop shared by Run, Replay (homogeneous capacity)
 // and RunFleet (per-opening capacity via capacityFor, nil for
-// homogeneous). Its caller has validated every demand. All placement
-// mechanics — policy query, misplace check, bin-open notification — live
-// in the engine, the same core Stream drives.
+// homogeneous). Its caller has validated the list, so every item has the
+// first one's dimension. All placement mechanics — policy query,
+// misplace check, bin-open notification — live in the engine, the same
+// core Stream drives.
 func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arrival) (float64, error)) (*Result, error) {
 	if !opt.engine().valid() {
 		return nil, badEngine(opt.engine())
@@ -117,7 +95,11 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 	if capacityFor != nil {
 		capacity = 1 // RunFleet's tiers are the only capacities
 	}
-	eng := newEngine(algo, capacity, listDim(l), keepAlive, opt.engine(), opt != nil && opt.Clairvoyant)
+	dim := 1
+	if len(l) > 0 {
+		dim = l[0].Dim()
+	}
+	eng := newEngine(algo, capacity, dim, keepAlive, opt.engine(), opt != nil && opt.Clairvoyant)
 	rec := newRecorder(len(l))
 
 	for _, s := range l.Steps(opt != nil && opt.ArrivalsFirst) {

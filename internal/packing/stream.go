@@ -82,8 +82,8 @@ func (s *Stream) Arrive(id item.ID, size float64, sizes []float64, t float64) (s
 		return ErrServer, false, failf(ErrDuplicateJob, "packing: job %d already running", id)
 	}
 	it := item.Item{ID: id, Size: size, Sizes: sizes, Arrival: t, Departure: math.Inf(1)}
-	if err := s.eng.checkDemand(it); err != nil {
-		return ErrServer, false, err
+	if err := it.CheckDemand(s.eng.ledger.Capacity(), s.eng.ledger.Dim()); err != nil {
+		return ErrServer, false, admission(err)
 	}
 	b, opened, err := s.eng.arrive(it, t, nil)
 	if err != nil {
