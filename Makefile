@@ -122,7 +122,8 @@ bench-wire:
 ## of the stream-vs-reference-model fuzzer, of the one demand rule across
 ## the four front ends (Run, RunFleet, Replay, Stream.Arrive) on boundary
 ## sizes, of the ledger's job table
-## against a map, of the batch event order against the stable sort it
+## against a map, of the gap tree's First Fit and Last Fit queries against
+## linear scans at d = 1, 2 and 3, of the batch event order against the stable sort it
 ## replaced and of the timeline sweep against a rescan of the whole list
 ## at every event time, of the OPT solver's bound sandwich
 ## (L1 <= L2 <= exact <= FFD) and of the CSV and JSON trace readers (go's
@@ -135,6 +136,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzStreamVsModel -fuzztime 5s ./internal/packing/
 	$(GO) test -run '^$$' -fuzz FuzzDemandRule -fuzztime 5s ./internal/packing/
 	$(GO) test -run '^$$' -fuzz FuzzIDTable -fuzztime 5s ./internal/bins/
+	$(GO) test -run '^$$' -fuzz FuzzGapTree -fuzztime 5s ./internal/bins/
 	$(GO) test -run '^$$' -fuzz FuzzOrder -fuzztime 5s ./internal/item/
 	$(GO) test -run '^$$' -fuzz FuzzSegments -fuzztime 5s ./internal/item/
 	$(GO) test -run '^$$' -fuzz FuzzBoundSandwich -fuzztime 5s ./internal/opt/
@@ -149,7 +151,8 @@ recover-test:
 
 ## bench-bins: the ledger holds live state only — TestZeroAllocLevelChange
 ## asserts 0 allocs for a place + remove on an open bin with every index
-## structure built (gap tree, min-gap and total-gap level lists),
+## structure built (the gap tree of integer gap keys, min-gap and
+## total-gap level lists),
 ## TestZeroAllocTightestFittingVec 0 for the vector Best Fit walk,
 ## TestZeroAllocPlacement 0 for every registered policy's steady-state
 ## arrival + departure at d = 1 and 2,

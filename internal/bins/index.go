@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"dbp/internal/item"
 )
 
 // Index is the ledger-maintained policy index over the open bins: a gap
@@ -16,12 +18,16 @@ import (
 // find candidates. (FirstFitting, on a pre-folded gap threshold, is the
 // benchmark ladder's bare descent, not a policy query.)
 //
-//   - tree, a stride-d max-gap segment tree in opening order (gapTree),
-//     answers the positional queries FirstFittingVec/LastFittingVec. At
-//     d = 1 one exact descent on the gap finds the answer, verified with
-//     FitsDemand; otherwise (and after a borderline miss) a pruned
-//     depth-first search stops at the first hit — a subtree is skipped
-//     as soon as one dimension's maximum cannot accommodate the demand.
+//   - tree, a stride-d segment tree in opening order of the maximum gap
+//     key per dimension (gapTree: item.OrderKey of the gap, an integer of
+//     the float's order; a closed slot holds the tombstone key, below
+//     every gap's), answers the positional queries
+//     FirstFittingVec/LastFittingVec. At d = 1 one exact descent on the
+//     gap key finds the answer, verified with FitsDemand; otherwise (and
+//     after a borderline miss, or for a NaN demand, whose key is the
+//     tombstone's) a pruned depth-first search stops at the first hit — a
+//     subtree is skipped as soon as one dimension's maximum key cannot
+//     accommodate the demand's.
 //   - mins, a level list (a sorted list of fixed-capacity blocks,
 //     levelList) keyed by (MinGap, index), answers MaxMinGapFitting and
 //     SecondEmptiestFitting by walking key groups downward from the
@@ -73,8 +79,9 @@ type Index struct {
 	mins *levelList // keyed by MinGap
 	sums *levelList // keyed by TotalGap; never built at d = 1
 
-	// Reusable query scratch (the index is single-writer, like its ledger).
-	need  []float64
+	// Reusable query scratch (the index is single-writer, like its ledger):
+	// the demand's threshold keys and the search's stack.
+	need  []uint64
 	stack []int
 }
 
@@ -184,11 +191,12 @@ func (ix *Index) compact() {
 	}
 }
 
-// FirstFitting returns the earliest-opened bin with gap >= need, or nil,
-// by one exact descent on dimension 0. No policy issues it: the benchmark
-// ladder times it as the bare First Fit query.
+// FirstFitting returns the earliest-opened bin with gap >= need, or nil
+// (for a NaN need too, which no gap reaches), by one exact descent on
+// dimension 0. No policy issues it: the benchmark ladder times it as the
+// bare First Fit query.
 func (ix *Index) FirstFitting(need float64) *Bin {
-	i := ix.gaps().descend(need, 0)
+	i := ix.gaps().descend(item.OrderKey(need), 0)
 	if i < 0 {
 		return nil
 	}
@@ -215,8 +223,8 @@ func (ix *Index) LastFittingVec(sizes []float64) *Bin { return ix.firstHit(sizes
 // gap reaches s - 2*Eps, and no bin before that slot can fit (the gap
 // tree's slack argument). If its bin fits, that is the answer; if no gap
 // reaches the threshold, nothing fits. Only a borderline miss, and a NaN
-// or -Inf demand, which the descent cannot order, go on to the pruned
-// depth-first search that serves every d.
+// demand, which FitsDemand admits at every open bin while no gap reaches
+// it, go on to the pruned depth-first search that serves every d.
 func (ix *Index) firstHit(sizes []float64, side int) *Bin {
 	if len(sizes) != ix.dim {
 		return nil
@@ -224,10 +232,10 @@ func (ix *Index) firstHit(sizes []float64, side int) *Bin {
 	t := ix.gaps()
 	need := ix.need[:0]
 	for _, s := range sizes {
-		need = append(need, s-2*Eps)
+		need = append(need, item.OrderKey(s-2*Eps))
 	}
 	ix.need = need
-	if ix.dim == 1 && need[0] > math.Inf(-1) {
+	if ix.dim == 1 && need[0] != tombstone {
 		i := t.descend(need[0], side)
 		if i < 0 {
 			return nil
@@ -245,8 +253,8 @@ func (ix *Index) firstHit(sizes []float64, side int) *Bin {
 			continue
 		}
 		if p >= t.size {
-			// A closed slot's -Inf leaf fails mayFit for every demand but
-			// a NaN or -Inf one, which no comparison prunes.
+			// A closed slot's tombstone fails mayFit for every demand but
+			// a NaN one, which no comparison prunes.
 			if i := p - t.size; i < t.n && ix.bins[i] != nil && ix.bins[i].FitsDemand(sizes) {
 				hit = ix.bins[i]
 			}

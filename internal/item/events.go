@@ -157,12 +157,12 @@ func (l List) sortedKeys(activeOnly bool) (arr, dep []key) {
 	}
 	sortStable(arr)
 	for i, k := range arr {
-		arr[i].ord = timeOrder(l[k.pos].Arrival)
+		arr[i].ord = OrderKey(l[k.pos].Arrival)
 	}
 	sortStable(arr)
 	dep = keys[len(l) : len(l)+len(arr)]
 	for i, k := range arr {
-		dep[i] = key{timeOrder(l[k.pos].Departure), k.pos}
+		dep[i] = key{OrderKey(l[k.pos].Departure), k.pos}
 	}
 	sortStable(dep)
 	return arr, dep
@@ -211,12 +211,15 @@ func sortStable(keys []key) {
 	copy(keys, src)
 }
 
-// timeOrder maps a time to an integer in cmp.Compare's order: every NaN
-// to 0, below -Inf, and -0 to +0.
-func timeOrder(t float64) uint64 {
-	if t != t {
+// OrderKey maps a float to an integer in cmp.Compare's order: every NaN
+// to 0, below -Inf's key, and -0 to +0's key. On non-NaN floats it is a
+// bijection that keeps order and equality (key(a) < key(b) exactly when
+// a < b), so a comparison of keys answers the comparison of the floats:
+// the event sort's time keys and bins' gap tree both use it.
+func OrderKey(x float64) uint64 {
+	if x != x {
 		return 0
 	}
-	b := math.Float64bits(t + 0)              // -0 + 0 is +0
+	b := math.Float64bits(x + 0)              // -0 + 0 is +0
 	return b ^ (uint64(int64(b)>>63) | 1<<63) // a negative's bits flip
 }

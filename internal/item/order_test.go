@@ -173,7 +173,7 @@ func TestOrderMatchesReference(t *testing.T) {
 							t.Fatalf("n=%d %s activeOnly=%v run %d: %d keys, want %d", n, order, activeOnly, run, len(got), len(want))
 						}
 						for i := range want {
-							if got[i].pos != want[i].pos || got[i].ord != timeOrder(want[i].time) {
+							if got[i].pos != want[i].pos || got[i].ord != OrderKey(want[i].time) {
 								t.Fatalf("n=%d %s activeOnly=%v run %d: key %d = %v, want %v", n, order, activeOnly, run, i, got[i], want[i])
 							}
 						}
@@ -211,15 +211,15 @@ func TestOrderMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTimeOrder holds the radix key to cmp.Compare on every pair of a
-// set of times with all the float classes in it.
+// TestTimeOrder holds OrderKey, the event sort's time key, to cmp.Compare
+// on every pair of a set of times with all the float classes in it.
 func TestTimeOrder(t *testing.T) {
 	ts := []float64{math.NaN(), -math.NaN(), math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64,
 		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1, math.Nextafter(1, 2), math.MaxFloat64, math.Inf(1)}
 	for _, a := range ts {
 		for _, b := range ts {
-			if got, want := cmp.Compare(timeOrder(a), timeOrder(b)), cmp.Compare(a, b); got != want {
-				t.Errorf("timeOrder(%g) vs timeOrder(%g): %d, cmp.Compare says %d", a, b, got, want)
+			if got, want := cmp.Compare(OrderKey(a), OrderKey(b)), cmp.Compare(a, b); got != want {
+				t.Errorf("OrderKey(%g) vs OrderKey(%g): %d, cmp.Compare says %d", a, b, got, want)
 			}
 		}
 	}
