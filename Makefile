@@ -92,12 +92,16 @@ equivalence:
 
 ## scenarios-check: the workload-registry gate — the registry smoke and
 ## statistics tests (every scenario generates, seed determinism, zipf
-## slope, hotspot share, diurnal modulation, equal-duration bound) plus
-## the batch-path half of the cross-engine oracle, which packs every
-## registered scenario bit-identically on both engines
+## slope, hotspot share, diurnal modulation, equal-duration bound, the
+## -list-workloads golden, the adversarial and statistical digests), the
+## batch-path half of the cross-engine oracle, which packs every
+## registered scenario bit-identically on both engines, and the root
+## names audit, which fails on an exported workload name (or any other
+## internal one) that no other package uses
 scenarios-check:
 	$(GO) test -count=1 ./internal/workload/
 	$(GO) test -count=1 -run 'TestEnginesEquivalent' ./internal/packing/
+	$(GO) test -count=1 -run 'TestInternalNamesHaveAUser' .
 
 ## bench-fleet: run the large-fleet Go benchmarks once each — among them
 ## BenchmarkLargeFleetKeepAliveScaling, ns/event per policy × engine from 500
@@ -168,7 +172,7 @@ recover-test:
 bench-bins:
 	$(GO) test -count=1 -run 'ZeroAlloc|Bounded' ./internal/bins/ ./internal/packing/
 
-## bench-run: the batch path — BenchmarkEventOrder (List.Events on 100k jobs)
+## bench-run: the batch path — BenchmarkEventOrder (List.Steps on 100k jobs)
 ## and BenchmarkRunBatch (one packing.Run of vectorbestfit, d=2, keep-alive
 ## 0.5, at 10k and 100k jobs, and of firstfit on 100k zipfian jobs at d=1:
 ## ns/event, B/op and allocs/op; the 10k-vs-100k ratio of vectorbestfit's

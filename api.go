@@ -100,7 +100,8 @@ func MustRun(algo Algorithm, l List) *Result { return packing.MustRun(algo, l, n
 
 // NewDispatcher creates a streaming dispatcher with unit-capacity servers
 // of the given dimensionality (use 1 for the scalar problem; capacity 0
-// means 1.0; a NaN, infinite or negative capacity panics). On error,
+// means 1.0; a NaN, infinite or negative capacity panics, as does a
+// departure-aware policy such as PredictiveFit). On error,
 // Arrive and Depart return server index -1 (packing.ErrServer) — never a
 // valid index.
 func NewDispatcher(algo Algorithm, capacity float64, dim int) *Dispatcher {
@@ -142,7 +143,11 @@ func UniversalLowerBound(mu float64) float64 { return analysis.AnyOnlineLowerBou
 // GenerateUniform generates n jobs with Poisson(rate) arrivals, uniform
 // sizes in [0.05, 0.95] and uniform durations in [1, mu].
 func GenerateUniform(n int, rate, mu float64, seed int64) List {
-	return workload.Generate(workload.UniformConfig(n, rate, mu, seed))
+	l, err := workload.FromSpec("uniform", n, rate, mu, seed, 1)
+	if err != nil {
+		panic(err) // n <= 0 or rate <= 0: a caller bug
+	}
+	return l
 }
 
 // GenerateGaming synthesizes cloud-gaming sessions (the paper's
@@ -195,22 +200,14 @@ func RunKeepAlive(algo Algorithm, l List, keepAlive float64) (*Result, error) {
 	return packing.Run(algo, l, &packing.Options{KeepAlive: keepAlive})
 }
 
-// RunClairvoyant simulates a departure-aware baseline policy: the policy
-// sees each job's departure time at placement, leaving the paper's online
-// model. Used to quantify the value of clairvoyance (experiment E13c).
-// PredictiveFit(0, seed) is the public route to No-Extend Fit; Align Fit
-// has no root constructor (E13c takes it from packing.Clairvoyant).
-// AlgorithmByName refuses "alignfit" and "noextendfit", since it names
-// the policies a live stream without departure times can run.
-func RunClairvoyant(algo Algorithm, l List) (*Result, error) {
-	return packing.Run(algo, l, &packing.Options{Clairvoyant: true})
-}
-
 // PredictiveFit returns the learning-augmented baseline: a departure-aware
 // rule (join a server whose closing horizon the job does not extend)
 // driven by noisy duration predictions (lognormal noise sigma; sigma 0 =
-// perfect clairvoyance).
-// Requires RunClairvoyant.
+// perfect clairvoyance, No-Extend Fit). The policy declares that it reads
+// departures, so Run reveals each job's departure time to it, leaving the
+// paper's online model (experiment E13d); a Dispatcher, which knows no
+// departure before it happens, refuses it. AlgorithmByName refuses
+// "alignfit" and "noextendfit" for the same reason.
 func PredictiveFit(sigma float64, seed int64) Algorithm { return packing.NewPredictiveFit(sigma, seed) }
 
 // Heterogeneous fleets (extension; the paper normalizes to unit servers).

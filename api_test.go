@@ -185,7 +185,7 @@ func TestPublicKeepAlive(t *testing.T) {
 
 func TestPublicClairvoyant(t *testing.T) {
 	jobs := GenerateUniform(80, 2, 6, 9)
-	res, err := RunClairvoyant(PredictiveFit(0, 9), jobs)
+	res, err := Run(PredictiveFit(0, 9), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +250,10 @@ func TestPublicFleet(t *testing.T) {
 // TestPublicBursty packs a bursty workload generated with the parameters
 // the removed root wrapper fixed (calm 30, burst 3).
 func TestPublicBursty(t *testing.T) {
-	jobs := workload.GenerateBursty(workload.BurstyConfig{
-		Config:      workload.UniformConfig(300, 1, 8, 4),
-		BurstFactor: 10,
-		MeanCalm:    30,
-		MeanBurst:   3,
-	})
+	jobs, err := workload.FromSpec("bursty:factor=10,calm=30,burst=3", 300, 1, 8, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := jobs.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +317,7 @@ func TestPublicSnapshotAndErrorClasses(t *testing.T) {
 	}
 }
 
-// TestAlgorithmByNameRefusesClairvoyant pins what RunClairvoyant's doc
+// TestAlgorithmByNameRefusesClairvoyant pins what PredictiveFit's doc
 // says: the clairvoyant baselines are not reachable by name, so a live
 // stream (dbpserved -algo) cannot be given a policy that needs departure
 // times it does not have.

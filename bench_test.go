@@ -262,7 +262,7 @@ func batchJobs(b *testing.B, n int) item.List {
 }
 
 // orderSink keeps BenchmarkEventOrder's result live.
-var orderSink []item.Event
+var orderSink []item.Step
 
 // BenchmarkEventOrder prices the batch path's event order on 100k jobs
 // (make bench-run).
@@ -271,7 +271,7 @@ func BenchmarkEventOrder(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		orderSink = jobs.Events(false)
+		orderSink = jobs.Steps(false)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*len(jobs)*b.N), "ns/event")
 }

@@ -108,7 +108,7 @@ func main() {
 		sigmas := []float64{0, 0.25, 0.5, 1, 2, 4}
 		var rel []float64
 		for _, sg := range sigmas {
-			res, err := dbp.RunClairvoyant(dbp.PredictiveFit(sg, *seed), lb)
+			res, err := dbp.Run(dbp.PredictiveFit(sg, *seed), lb)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -190,13 +190,11 @@ func exportedDecls(t *testing.T, dir string) map[string]token.Token {
 	return names
 }
 
-// TestInternalNamesHaveAUser holds internal/ to the root's rule: every
-// exported top-level name in a non-test file of an internal package is
-// used as pkg.Name by a non-test file of another package (bench/, cmd/
-// and examples/ count), or is listed in keptNames with its reason. A
-// name only its own package or its tests use is unexported.
-func TestInternalNamesHaveAUser(t *testing.T) {
-	used := map[string]bool{} // "pkg.Name", pkg the directory under internal/
+// forEachNonTestFile parses every non-test Go file of the module, bench/
+// included (testdata and hidden directories skipped), and hands it to fn
+// with its path.
+func forEachNonTestFile(t *testing.T, fn func(path string, file *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -215,6 +213,22 @@ func TestInternalNamesHaveAUser(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		fn(path, file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInternalNamesHaveAUser holds internal/ to the root's rule: every
+// exported top-level name in a non-test file of an internal package is
+// used as pkg.Name by a non-test file of another package (bench/, cmd/
+// and examples/ count), or is listed in keptNames with its reason. A
+// name only its own package or its tests use is unexported.
+func TestInternalNamesHaveAUser(t *testing.T) {
+	used := map[string]bool{} // "pkg.Name", pkg the directory under internal/
+	forEachNonTestFile(t, func(path string, file *ast.File) {
 		imported := map[string]string{} // local name -> package under internal/
 		for _, spec := range file.Imports {
 			p := strings.Trim(spec.Path.Value, `"`)
@@ -236,14 +250,10 @@ func TestInternalNamesHaveAUser(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var unused []string
 	declared := map[string]bool{}
-	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -278,10 +288,7 @@ func TestInternalNamesHaveAUser(t *testing.T) {
 // selects, each with the reason that keeps it exported: it is named in
 // the signature of an exported name that has a user (a parameter, result
 // or field type, or an error value an exported function returns), or
-// README.md or DESIGN.md documents it as wire or WAL protocol. The five
-// workload names marked "oracle" have neither reason: the cross-engine
-// equivalence suite (internal/packing/equivalence_test.go), which is kept
-// byte-for-byte, names them.
+// README.md or DESIGN.md documents it as wire or WAL protocol.
 var keptNames = map[string]string{
 	"analysis.BinPeriods":    "field type of Decomposition.Periods",
 	"analysis.BinSubperiods": "result of SubperiodsOf",
@@ -291,9 +298,8 @@ var keptNames = map[string]string{
 
 	"bins.JobState": "field type of ServerState.Active",
 
-	"item.Event": "result of List.Events",
-	"item.Kind":  "field type of Event.Kind",
-	"item.Step":  "result of List.Steps",
+	"item.Kind": "field type of Step.Kind",
+	"item.Step": "result of List.Steps",
 
 	"load.HTTPTarget":      "result of NewHTTP",
 	"load.OpReport":        "field type of Report.Ops",
@@ -338,18 +344,74 @@ var keptNames = map[string]string{
 	"wire.ErrShortBuffer":  "error DecodeOp, DecodeResult and Dial return",
 	"wire.ErrVersion":      "error Dial returns",
 
-	"workload.BurstyConfig":   "oracle: equivalence_test.go",
-	"workload.Config":         "result of UniformConfig",
-	"workload.Dist":           "field type of Config.Size and Config.Duration",
-	"workload.ErrScalarOnly":  "error FromSpec returns",
-	"workload.GenerateBursty": "oracle: equivalence_test.go",
-	"workload.GenerateVec":    "oracle: equivalence_test.go",
-	"workload.Instance":       "result of MustLookup",
-	"workload.KindTrace":      "oracle: equivalence_test.go",
-	"workload.Param":          "result of Scenario.Params",
-	"workload.ParamKind":      "field type of Param.Kind",
-	"workload.Request":        "parameter of Scenario.Generate",
-	"workload.Scenario":       "result of Statistical",
-	"workload.ScenarioKind":   "result of Scenario.Kind",
-	"workload.Scenarios":      "oracle: equivalence_test.go",
+	"workload.ErrScalarOnly": "error FromSpec returns",
+	"workload.Scenario":      "element type of Scenarios' result",
+	"workload.ScenarioKind":  "result of Scenario.Kind",
+}
+
+// TestInternalMethodsHaveAUser extends the rule to methods, by parsing
+// alone: every exported method declared in a non-test file of an
+// internal package must have its name mentioned as a selector (x.Name)
+// by some non-test file of the module (bench/, cmd/ and examples/
+// count), or be listed in keptMethods with its reason. A selector is
+// not resolved to its type, so a method whose name another type's
+// method shares passes; the check catches a name nothing calls at all.
+func TestInternalMethodsHaveAUser(t *testing.T) {
+	selected := map[string]bool{}
+	type method struct{ key, name string }
+	var declared []method
+	forEachNonTestFile(t, func(path string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				selected[sel.Sel.Name] = true
+			}
+			return true
+		})
+		pkg, internal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
+		if !internal {
+			return
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || !fn.Name.IsExported() {
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if ix, ok := recv.(*ast.IndexExpr); ok {
+				recv = ix.X
+			}
+			if id, ok := recv.(*ast.Ident); ok {
+				declared = append(declared, method{pkg + "." + id.Name + "." + fn.Name.Name, fn.Name.Name})
+			}
+		}
+	})
+	var unused []string
+	seen := map[string]bool{}
+	for _, m := range declared {
+		seen[m.key] = true
+		if !selected[m.name] && keptMethods[m.key] == "" {
+			unused = append(unused, m.key)
+		}
+	}
+	slices.Sort(unused)
+	if len(unused) > 0 {
+		t.Errorf("%d exported internal methods whose name no non-test selector mentions (delete them, move a test-only tool into the tests, or keep them in keptMethods with a reason): %v", len(unused), unused)
+	}
+	for key := range keptMethods {
+		name := key[strings.LastIndex(key, ".")+1:]
+		if !seen[key] || selected[name] {
+			t.Errorf("keptMethods lists %s, which is not declared or has a selector", key)
+		}
+	}
+}
+
+// keptMethods are the exported internal methods that no selector names,
+// each with the reason that keeps it.
+var keptMethods = map[string]string{
+	"packing.streamError.Unwrap": "errors.Is and errors.As call it",
+	"wire.OpError.Unwrap":        "errors.Is and errors.As call it",
+	"wire.Client.Ping":           "the client side of the Ping/Pong frame DESIGN.md documents",
 }

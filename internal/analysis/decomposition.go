@@ -88,15 +88,6 @@ func (d *Decomposition) SumV() float64 {
 	return s
 }
 
-// SumW returns sum over bins of |W_k|.
-func (d *Decomposition) SumW() float64 {
-	var s float64
-	for _, p := range d.Periods {
-		s += p.W.Length()
-	}
-	return s
-}
-
 // Verify checks the structural identities of Section IV on this
 // decomposition:
 //

@@ -135,3 +135,12 @@ func TestDecomposeRejectsKeepAliveRuns(t *testing.T) {
 	}()
 	Decompose(res)
 }
+
+// SumW returns sum over bins of |W_k|.
+func (d *Decomposition) SumW() float64 {
+	var s float64
+	for _, p := range d.Periods {
+		s += p.W.Length()
+	}
+	return s
+}

@@ -56,16 +56,6 @@ type LGroup struct {
 	Supplier interval.Interval
 }
 
-// Span returns the union of the group's member intervals (they are
-// disjoint and ordered).
-func (g LGroup) Span() float64 {
-	var s float64
-	for _, m := range g.Members {
-		s += m.Interval.Length()
-	}
-	return s
-}
-
 // BuildLGroups runs pairing and consolidation over the l-subperiods of
 // every bin and attaches supplier periods. Subperiods without a supplier
 // (possible only on non-First-Fit runs) are skipped.

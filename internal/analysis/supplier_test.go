@@ -149,16 +149,6 @@ func TestMeasureAmortizedLevelPositiveAndAboveBound(t *testing.T) {
 	}
 }
 
-func TestLGroupSpan(t *testing.T) {
-	g := LGroup{Members: []Subperiod{
-		{Interval: ivl(0, 1)},
-		{Interval: ivl(2, 4)},
-	}}
-	if g.Span() != 3 {
-		t.Fatalf("span = %g", g.Span())
-	}
-}
-
 func ivl(lo, hi float64) interval.Interval {
 	return interval.Interval{Lo: lo, Hi: hi}
 }

@@ -43,9 +43,6 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	width := make([]int, len(t.Headers))

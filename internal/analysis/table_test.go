@@ -16,7 +16,7 @@ func TestTableRendering(t *testing.T) {
 			t.Fatalf("table output missing %q:\n%s", want, out)
 		}
 	}
-	if tb.NumRows() != 2 {
+	if len(tb.rows) != 2 {
 		t.Fatal("row count")
 	}
 	md := tb.Markdown()

@@ -24,9 +24,9 @@ func TestTheorem1BoundOnRandomInstances(t *testing.T) {
 		case 0:
 			l = smallItemInstance(rng, 80, 10, mu)
 		case 1:
-			l = workload.Generate(workload.UniformConfig(80, 2, mu, rng.Int63()))
+			l = fromSpec(t, "uniform", 80, 2, mu, rng.Int63(), 1)
 		default:
-			l = workload.Generate(workload.SmallItemConfig(80, 3, mu, rng.Int63()))
+			l = fromSpec(t, "smallitem", 80, 3, mu, rng.Int63(), 1)
 		}
 		checkTheorem1(t, l)
 	}
@@ -59,6 +59,17 @@ func checkTheorem1(t *testing.T, l item.List) {
 
 // The universal lower bound mu: the trap family's measured FF ratio must
 // stay within [something approaching mu, mu+4].
+// fromSpec builds a list from the workload registry, failing the test on
+// an error.
+func fromSpec(t *testing.T, spec string, n int, rate, mu float64, seed int64, dim int) item.List {
+	t.Helper()
+	l, err := workload.FromSpec(spec, n, rate, mu, seed, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestFirstFitRatioBetweenBounds(t *testing.T) {
 	for _, mu := range []float64{2, 4, 8} {
 		l := workload.AnyFitTrap(100, mu)
@@ -76,7 +87,7 @@ func TestFirstFitRatioBetweenBounds(t *testing.T) {
 }
 
 func TestMeasureReturnsSaneBracket(t *testing.T) {
-	l := workload.Generate(workload.UniformConfig(60, 2, 4, 5))
+	l := fromSpec(t, "uniform", 60, 2, 4, 5, 1)
 	r, res, err := Measure(packing.NewFirstFit(), l)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +107,7 @@ func TestMeasureReturnsSaneBracket(t *testing.T) {
 }
 
 func TestMeasureVectorInstance(t *testing.T) {
-	l := workload.GenerateVec(workload.UniformConfig(40, 2, 4, 5), 2)
+	l := fromSpec(t, "uniform", 40, 2, 4, 5, 2)
 	r, _, err := Measure(packing.NewFirstFit(), l)
 	if err != nil {
 		t.Fatal(err)

@@ -140,9 +140,6 @@ func (b *Bin) TotalGap() float64 {
 // NumActive returns the number of items currently in the bin.
 func (b *Bin) NumActive() int { return len(b.resident) }
 
-// Dim returns the number of resource dimensions of the bin.
-func (b *Bin) Dim() int { return len(b.level) }
-
 // Fits reports whether the item can be placed without exceeding capacity in
 // any dimension (with Eps tolerance).
 func (b *Bin) Fits(it item.Item) bool {
@@ -166,19 +163,10 @@ func (b *Bin) FitsDemand(v []float64) bool {
 	return true
 }
 
-// Place adds the item to the bin at time t. It panics if the item does not
-// fit, if the bin is closed, if t precedes the opening time, or if the
-// item is already in the bin: all of these indicate simulator bugs, not
-// recoverable conditions.
-func (b *Bin) Place(it item.Item, t float64) {
-	if b.find(it.ID) >= 0 {
-		panic(fmt.Sprintf("bins: item %d already in bin %d", it.ID, b.Index))
-	}
-	b.place(it, t)
-}
-
-// place is Place without the duplicate check, which a ledger makes across
-// its whole fleet instead; it returns the item's position in resident.
+// place adds the item to the bin at time t and returns its position in
+// resident. It panics if the item does not fit, if the bin is closed or
+// if t precedes the opening time: simulator bugs, not recoverable
+// conditions. A ledger refuses an item already in its fleet first.
 func (b *Bin) place(it item.Item, t float64) int {
 	if !b.Fits(it) {
 		panic(fmt.Sprintf("bins: item %v does not fit in bin %d (level %g)", it, b.Index, b.Level()))
@@ -195,27 +183,8 @@ func (b *Bin) place(it item.Item, t float64) int {
 	return len(b.resident) - 1
 }
 
-// find returns the item's position in resident, or -1.
-func (b *Bin) find(id item.ID) int {
-	for i := range b.resident {
-		if b.resident[i].ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// Remove takes the item out of the bin at time t. If the bin becomes
-// empty it closes at t. Removing an absent item panics.
-func (b *Bin) Remove(id item.ID, t float64) {
-	i := b.find(id)
-	if i < 0 {
-		panic(fmt.Sprintf("bins: item %d not in bin %d", id, b.Index))
-	}
-	b.removeAt(i, t)
-}
-
-// removeAt is Remove for the item at position i of resident. The last
+// removeAt takes the item at position i of resident out of the bin at
+// time t; if the bin becomes empty it closes (or lingers) at t. The last
 // item moves into position i; its ledger fixes up where it is.
 func (b *Bin) removeAt(i int, t float64) {
 	v := b.resident[i].SizeVec()

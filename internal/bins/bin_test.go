@@ -1,6 +1,7 @@
 package bins
 
 import (
+	"fmt"
 	"testing"
 
 	"dbp/internal/item"
@@ -154,4 +155,35 @@ func TestGapAndString(t *testing.T) {
 	if b.String() == "" {
 		t.Error("String must render closed bins")
 	}
+}
+
+// Place adds the item to the bin at time t. It panics if the item does not
+// fit, if the bin is closed, if t precedes the opening time, or if the
+// item is already in the bin: all of these indicate simulator bugs, not
+// recoverable conditions.
+func (b *Bin) Place(it item.Item, t float64) {
+	if b.find(it.ID) >= 0 {
+		panic(fmt.Sprintf("bins: item %d already in bin %d", it.ID, b.Index))
+	}
+	b.place(it, t)
+}
+
+// find returns the item's position in resident, or -1.
+func (b *Bin) find(id item.ID) int {
+	for i := range b.resident {
+		if b.resident[i].ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// Remove takes the item out of the bin at time t. If the bin becomes
+// empty it closes at t. Removing an absent item panics.
+func (b *Bin) Remove(id item.ID, t float64) {
+	i := b.find(id)
+	if i < 0 {
+		panic(fmt.Sprintf("bins: item %d not in bin %d", id, b.Index))
+	}
+	b.removeAt(i, t)
 }

@@ -71,7 +71,10 @@ func TestCostInvoice(t *testing.T) {
 }
 
 func TestOverheadShrinksWithFinerGranularity(t *testing.T) {
-	l := workload.Generate(workload.UniformConfig(200, 2, 6, 3))
+	l, err := workload.FromSpec("uniform", 200, 2, 6, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := packing.MustRun(packing.NewFirstFit(), l, nil)
 	var prev = math.Inf(1)
 	for _, g := range []float64{2, 1, 0.25, 0.01, 0} {

@@ -77,10 +77,7 @@ func runE12(cfg Config) []*analysis.Table {
 	if cfg.Quick {
 		n = 150
 	}
-	l, err := workload.FromSpec("gaming", n, 0.5, 0, cfg.Seed, 1)
-	if err != nil {
-		panic(fmt.Sprintf("E12: %v", err))
-	}
+	l := fromSpec("gaming", n, 0.5, 0, cfg.Seed, 1)
 	plan := cloud.Hourly(0.90, 60) // $0.90/hour, minutes as time unit
 	t := analysis.NewTable("E12: keep-alive vs hourly bill (First Fit, gaming workload)",
 		"keep-alive (min)", "servers", "usage (min)", "billed (min)", "bill $", "vs no keep-alive")
@@ -120,7 +117,7 @@ func runE13(cfg Config) []*analysis.Table {
 		l    item.List
 	}{
 		{"nextfit-adv n=64", workload.NextFitAdversary(64, 8)},
-		{"uniform n=200", workload.Generate(workload.UniformConfig(200, 4, 8, cfg.Seed))},
+		{"uniform n=200", fromSpec("uniform", 200, 4, 8, cfg.Seed, 1)},
 		{"back-to-back chain", chainInstance(40)},
 	} {
 		d := packing.MustRun(packing.NewFirstFit(), w.l, nil)
@@ -165,7 +162,7 @@ func runE13(cfg Config) []*analysis.Table {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		res, err := packing.Run(clair[name], lb, &packing.Options{Clairvoyant: true})
+		res, err := packing.Run(clair[name], lb, nil)
 		if err != nil {
 			panic(fmt.Sprintf("E13c %s: %v", name, err))
 		}
@@ -180,7 +177,7 @@ func runE13(cfg Config) []*analysis.Table {
 		"sigma (lognormal)", "usage", "vs FirstFit")
 	td.AddRow("online FF (no predictions)", ffRes.TotalUsage, "1.000")
 	for _, sigma := range []float64{0, 0.25, 0.5, 1, 2, 4} {
-		res, err := packing.Run(packing.NewPredictiveFit(sigma, cfg.Seed), lb, &packing.Options{Clairvoyant: true})
+		res, err := packing.Run(packing.NewPredictiveFit(sigma, cfg.Seed), lb, nil)
 		if err != nil {
 			panic(fmt.Sprintf("E13d: %v", err))
 		}

@@ -8,7 +8,6 @@ import (
 	"dbp/internal/item"
 	"dbp/internal/opt"
 	"dbp/internal/packing"
-	"dbp/internal/workload"
 )
 
 // optBracket computes the OPT bracket used by comparison experiments.
@@ -47,10 +46,7 @@ func runE14(cfg Config) []*analysis.Table {
 	if cfg.Quick {
 		n = 150
 	}
-	l, err := workload.FromSpec("gaming", n, 0.5, 0, cfg.Seed, 1)
-	if err != nil {
-		panic(fmt.Sprintf("E14: %v", err))
-	}
+	l := fromSpec("gaming", n, 0.5, 0, cfg.Seed, 1)
 	fleet, plan := e14Fleet()
 
 	t := analysis.NewTable("E14: heterogeneous fleet (3 tiers, sub-linear pricing, hourly billing)",
@@ -99,10 +95,7 @@ func runE15(cfg Config) []*analysis.Table {
 		{"bursty x10", "bursty:factor=10,calm=30,burst=3"},
 		{"diurnal", "diurnal:amp=0.8"},
 	} {
-		l, err := workload.FromSpec(mode.spec, n, 1, mu, cfg.Seed, 1)
-		if err != nil {
-			panic(fmt.Sprintf("E15: %v", err))
-		}
+		l := fromSpec(mode.spec, n, 1, mu, cfg.Seed, 1)
 		b := optBracket(l)
 		row := []any{mode.label}
 		var peak int

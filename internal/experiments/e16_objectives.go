@@ -29,7 +29,7 @@ func runE16(cfg Config) []*analysis.Table {
 		name string
 		l    func() item.List
 	}{
-		{"uniform mu=8", func() item.List { return workload.Generate(workload.UniformConfig(n, 2, 8, cfg.Seed)) }},
+		{"uniform mu=8", func() item.List { return fromSpec("uniform", n, 2, 8, cfg.Seed, 1) }},
 		{"nextfit-adv n=64 mu=8", func() item.List { return workload.NextFitAdversary(64, 8) }},
 		{"anyfit-trap n=32 mu=8", func() item.List { return workload.AnyFitTrap(32, 8) }},
 	}

@@ -42,10 +42,10 @@ func runE1(cfg Config) []*analysis.Table {
 
 	for _, mu := range mus {
 		for _, seed := range seeds {
-			check("uniform", workload.Generate(workload.UniformConfig(n, 2, mu, seed)))
-			check("small-items", workload.Generate(workload.SmallItemConfig(n, 3, mu, seed)))
+			check("uniform", fromSpec("uniform", n, 2, mu, seed, 1))
+			check("small-items", fromSpec("smallitem", n, 3, mu, seed, 1))
 			if mu > 1 {
-				check("bimodal", workload.Generate(workload.BimodalConfig(n, 2, mu, seed)))
+				check("bimodal", fromSpec("bimodal", n, 2, mu, seed, 1))
 			}
 		}
 		if mu >= 2 {

@@ -32,10 +32,7 @@ func runE8(cfg Config) []*analysis.Table {
 	t1 := analysis.NewTable("E8a: cloud gaming dispatch (GPU sessions, mu<=60)",
 		"arrival rate", "policy", "servers", "peak", "usage (min)", "$/continuous", "$/hourly", "overhead%")
 	for _, rate := range rates {
-		l, err := workload.FromSpec("gaming", n, rate, 0, cfg.Seed, 1)
-		if err != nil {
-			panic(err)
-		}
+		l := fromSpec("gaming", n, rate, 0, cfg.Seed, 1)
 		for _, algo := range []packing.Algorithm{packing.NewFirstFit(), packing.NewBestFit(), packing.NewNextFit()} {
 			res := packing.MustRun(algo, l, nil)
 			// Time unit is minutes; $0.90/hour GPU server.
@@ -48,10 +45,7 @@ func runE8(cfg Config) []*analysis.Table {
 
 	t2 := analysis.NewTable("E8b: billing granularity vs idealized objective (First Fit)",
 		"granularity (min)", "billed time", "usage time", "overhead%")
-	l, err := workload.FromSpec("gaming", n, 0.5, 0, cfg.Seed, 1)
-	if err != nil {
-		panic(err)
-	}
+	l := fromSpec("gaming", n, 0.5, 0, cfg.Seed, 1)
 	res := packing.MustRun(packing.NewFirstFit(), l, nil)
 	for _, g := range []float64{120, 60, 15, 1, 0} {
 		iv := cloud.Cost(res, cloud.BillingModel{Granularity: g, Rate: 1})
@@ -80,7 +74,12 @@ func runE9(cfg Config) []*analysis.Table {
 		n = 60
 	}
 
-	scens := workload.Statistical()
+	var scens []string
+	for _, s := range workload.Scenarios() {
+		if s.Kind() == workload.KindStatistical {
+			scens = append(scens, s.Name())
+		}
+	}
 
 	t := analysis.NewTable("E9: mean conservative ratio (usage/OPT_lower) on registered statistical scenarios",
 		"scenario", "mu", "rate", "FF", "BF", "WF", "LF", "NF", "HFF", "bins FF")
@@ -105,14 +104,10 @@ func runE9(cfg Config) []*analysis.Table {
 	}
 	results := parallelMap(len(grid), func(gi int) cellResult {
 		c := grid[gi]
-		inst := workload.MustLookup(scens[c.scIdx].Name())
 		ratios := map[string][]float64{}
 		binsFF := 0
 		for _, seed := range seeds {
-			l, err := inst.Generate(n, c.rate, c.mu, seed, 1)
-			if err != nil {
-				panic(err)
-			}
+			l := fromSpec(scens[c.scIdx], n, c.rate, c.mu, seed, 1)
 			b := opt.Total(l, opt.ExactLimit)
 			for name, algo := range map[string]packing.Algorithm{
 				"FF": packing.NewFirstFit(), "BF": packing.NewBestFit(),
@@ -139,8 +134,8 @@ func runE9(cfg Config) []*analysis.Table {
 	eqBound, eqWorst := analysis.EqualDurationFirstFitBound(), 0.0
 	for gi, c := range grid {
 		m := results[gi].means
-		t.AddRow(scens[c.scIdx].Name(), c.mu, c.rate, m["FF"], m["BF"], m["WF"], m["LF"], m["NF"], m["HFF"], results[gi].binsFF)
-		if scens[c.scIdx].Name() == "equalduration" && m["FF"] > eqWorst {
+		t.AddRow(scens[c.scIdx], c.mu, c.rate, m["FF"], m["BF"], m["WF"], m["LF"], m["NF"], m["HFF"], results[gi].binsFF)
+		if scens[c.scIdx] == "equalduration" && m["FF"] > eqWorst {
 			eqWorst = m["FF"]
 		}
 	}
@@ -174,10 +169,7 @@ func runE10(cfg Config) []*analysis.Table {
 		type agg struct{ usage, lo, hi float64 }
 		sums := map[string]*agg{}
 		for _, seed := range seeds {
-			l, err := workload.FromSpec("uniform", n, 2, 4, seed, d)
-			if err != nil {
-				panic(err)
-			}
+			l := fromSpec("uniform", n, 2, 4, seed, d)
 			var b opt.Bounds
 			if d > 1 {
 				b = opt.TotalVec(l)

@@ -10,6 +10,8 @@ import (
 	"sort"
 
 	"dbp/internal/analysis"
+	"dbp/internal/item"
+	"dbp/internal/workload"
 )
 
 // Config controls experiment scale.
@@ -152,4 +154,15 @@ func fmtBool(ok bool) string {
 		return "yes"
 	}
 	return "NO"
+}
+
+// fromSpec builds a list from the workload registry. Every spec an
+// experiment names is valid for its arguments, so an error is a bug and
+// panics.
+func fromSpec(spec string, n int, rate, mu float64, seed int64, dim int) item.List {
+	l, err := workload.FromSpec(spec, n, rate, mu, seed, dim)
+	if err != nil {
+		panic(err)
+	}
+	return l
 }

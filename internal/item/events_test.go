@@ -9,6 +9,23 @@ import (
 	"testing"
 )
 
+// event is a step of Steps with its time and item copied out: the form
+// the order tests compare.
+type event struct {
+	Time float64
+	Kind Kind
+	Item Item
+}
+
+// events returns l.Steps(arrivalsFirst) as events.
+func events(l List, arrivalsFirst bool) []event {
+	evs := make([]event, 0, 2*len(l))
+	for _, s := range l.Steps(arrivalsFirst) {
+		evs = append(evs, event{Time: s.Time(l), Kind: s.Kind, Item: l[s.Pos]})
+	}
+	return evs
+}
+
 func TestQueueOrdering(t *testing.T) {
 	l := List{
 		{ID: 1, Size: 0.5, Arrival: 1, Departure: 2},
@@ -19,7 +36,7 @@ func TestQueueOrdering(t *testing.T) {
 		kind Kind
 		id   ID
 	}{{0, Arrive, 2}, {1, Depart, 2}, {1, Arrive, 1}, {2, Depart, 1}}
-	evs := l.Events(false)
+	evs := events(l, false)
 	if len(evs) != len(want) {
 		t.Fatalf("len = %d, want %d", len(evs), len(want))
 	}
@@ -37,7 +54,7 @@ func TestQueueFIFOWithinTies(t *testing.T) {
 	for _, i := range rand.New(rand.NewSource(1)).Perm(10) {
 		l = append(l, Item{ID: ID(i), Size: 0.1, Arrival: 5, Departure: 6})
 	}
-	evs := l.Events(false)
+	evs := events(l, false)
 	for i, e := range evs {
 		if e.Item.ID != ID(i%10) {
 			t.Fatalf("tie order broken: got %d at position %d", e.Item.ID, i)
@@ -50,7 +67,7 @@ func TestNewFromList(t *testing.T) {
 		{ID: 2, Size: 0.5, Arrival: 0, Departure: 2},
 		{ID: 1, Size: 0.5, Arrival: 0, Departure: 1},
 	}
-	evs := l.Events(false)
+	evs := events(l, false)
 	if len(evs) != 4 {
 		t.Fatalf("len = %d, want 4", len(evs))
 	}
@@ -73,7 +90,7 @@ func TestDepartBeforeArriveAtSameTime(t *testing.T) {
 		{ID: 1, Size: 1, Arrival: 0, Departure: 1},
 		{ID: 2, Size: 1, Arrival: 1, Departure: 2},
 	}
-	evs := l.Events(false) // evs[0]: arrive 1 at t=0
+	evs := events(l, false) // evs[0]: arrive 1 at t=0
 	if e := evs[1]; e.Kind != Depart || e.Item.ID != 1 {
 		t.Fatalf("expected departure of 1 before arrival of 2 at t=1, got %+v", e)
 	}
@@ -105,11 +122,11 @@ func TestQueueRandomizedMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		l := randomTieList(rng, 1+rng.Intn(200))
-		evs := l.Events(false)
+		evs := events(l, false)
 		if len(evs) != 2*len(l) {
 			t.Fatalf("len = %d, want %d", len(evs), 2*len(l))
 		}
-		prev := Event{Time: -1}
+		prev := event{Time: -1}
 		for _, e := range evs {
 			if e.Time < prev.Time {
 				t.Fatal("time went backwards")
@@ -122,7 +139,7 @@ func TestQueueRandomizedMonotone(t *testing.T) {
 	}
 }
 
-// TestOrderMatchesExplicitKey holds Events to the rule it documents: on
+// TestOrderMatchesExplicitKey holds Steps to the rule it documents: on
 // tie-heavy shuffled lists, under both tie rules, its output equals a
 // brute-force selection sort by the explicit key (time, kind rank, item
 // arrival, item ID).
@@ -131,7 +148,7 @@ func TestOrderMatchesExplicitKey(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		l := randomTieList(rng, 1+rng.Intn(60))
 		for _, arrivalsFirst := range []bool{false, true} {
-			key := func(e Event) [4]float64 {
+			key := func(e event) [4]float64 {
 				rank := 0.0 // departures first by default
 				if (e.Kind == Arrive) != arrivalsFirst {
 					rank = 1
@@ -146,11 +163,11 @@ func TestOrderMatchesExplicitKey(t *testing.T) {
 				}
 				return false
 			}
-			var want []Event
+			var want []event
 			for _, it := range l {
 				want = append(want,
-					Event{Time: it.Arrival, Kind: Arrive, Item: it},
-					Event{Time: it.Departure, Kind: Depart, Item: it})
+					event{Time: it.Arrival, Kind: Arrive, Item: it},
+					event{Time: it.Departure, Kind: Depart, Item: it})
 			}
 			for i := range want {
 				m := i
@@ -161,7 +178,7 @@ func TestOrderMatchesExplicitKey(t *testing.T) {
 				}
 				want[i], want[m] = want[m], want[i]
 			}
-			got := l.Events(arrivalsFirst)
+			got := events(l, arrivalsFirst)
 			for i := range want {
 				if got[i].Time != want[i].Time || got[i].Kind != want[i].Kind || got[i].Item.ID != want[i].Item.ID {
 					t.Fatalf("trial %d arrivalsFirst=%v: event %d = (%g, %v, %d), want (%g, %v, %d)",
@@ -178,7 +195,7 @@ func TestArrivalsFirstOrder(t *testing.T) {
 		{ID: 1, Size: 1, Arrival: 0, Departure: 1},
 		{ID: 2, Size: 1, Arrival: 1, Departure: 2},
 	}
-	evs := l.Events(true) // evs[0]: arrive 1 at t=0
+	evs := events(l, true) // evs[0]: arrive 1 at t=0
 	if e := evs[1]; e.Kind != Arrive || e.Item.ID != 2 {
 		t.Fatalf("arrivals-first: expected arrival of 2 before departure of 1, got %v of %d", e.Kind, e.Item.ID)
 	}
@@ -188,23 +205,23 @@ func TestArrivalsFirstOrder(t *testing.T) {
 }
 
 // stableOrder is the reference event order: every item's two events,
-// listed item by item, in one stable sort by stableCompare. Events must
+// listed item by item, in one stable sort by stableCompare. Steps must
 // equal it bit for bit.
-func stableOrder(l List, arrivalsFirst bool) []Event {
-	evs := make([]Event, 0, 2*len(l))
+func stableOrder(l List, arrivalsFirst bool) []event {
+	evs := make([]event, 0, 2*len(l))
 	for _, it := range l {
 		evs = append(evs,
-			Event{Time: it.Arrival, Kind: Arrive, Item: it},
-			Event{Time: it.Departure, Kind: Depart, Item: it})
+			event{Time: it.Arrival, Kind: Arrive, Item: it},
+			event{Time: it.Departure, Kind: Depart, Item: it})
 	}
-	slices.SortStableFunc(evs, func(a, b Event) int { return stableCompare(a, b, arrivalsFirst) })
+	slices.SortStableFunc(evs, func(a, b event) int { return stableCompare(a, b, arrivalsFirst) })
 	return evs
 }
 
 // stableCompare is the processing order on events: time, then kind
 // (departures first unless arrivalsFirst), then the item's arrival, then
 // its ID.
-func stableCompare(a, b Event, arrivalsFirst bool) int {
+func stableCompare(a, b event, arrivalsFirst bool) int {
 	if c := cmp.Compare(a.Time, b.Time); c != 0 {
 		return c
 	}
@@ -240,11 +257,11 @@ func oracleList(data []byte) List {
 	return l
 }
 
-// checkOrder fails unless Events and stableOrder agree bit for bit on l.
+// checkOrder fails unless Steps and stableOrder agree bit for bit on l.
 func checkOrder(t *testing.T, l List, arrivalsFirst bool) {
 	t.Helper()
 	bits := math.Float64bits
-	got, want := l.Events(arrivalsFirst), stableOrder(l, arrivalsFirst)
+	got, want := events(l, arrivalsFirst), stableOrder(l, arrivalsFirst)
 	if len(got) != len(want) {
 		t.Fatalf("arrivalsFirst=%v: %d events, want %d", arrivalsFirst, len(got), len(want))
 	}
@@ -257,10 +274,10 @@ func checkOrder(t *testing.T, l List, arrivalsFirst bool) {
 	}
 }
 
-// TestOrderMatchesStableSort holds Events to the stable sort it replaces on
+// TestOrderMatchesStableSort holds Steps to the stable sort it replaces on
 // lists full of equal times, ±0, NaN times and duplicate IDs, under both
 // tie rules, with the list shuffled and with it presorted by arrival (the
-// run Events only checks).
+// run the sort only checks).
 func TestOrderMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {

@@ -9,9 +9,9 @@
 // schedule it.
 //
 // A list's timeline has one reading for the simulator, List.Steps (the
-// total event order, as list positions; List.Events copies the events
-// out), and one for every integral or peak over time, List.Segments (the
-// piecewise-constant active set); both share one key sort.
+// total event order, as list positions), and one for every integral or
+// peak over time, List.Segments (the piecewise-constant active set); both
+// share one key sort.
 package item
 
 import (
@@ -49,9 +49,6 @@ func (it Item) Interval() interval.Interval {
 // Duration returns |I(r)|, the item's active duration.
 func (it Item) Duration() float64 { return it.Departure - it.Arrival }
 
-// Demand returns the item's time–space demand s(r)*|I(r)| (paper Prop. 1).
-func (it Item) Demand() float64 { return it.Size * it.Duration() }
-
 // Dim returns the dimensionality of the item's demand (1 for scalar items).
 func (it Item) Dim() int {
 	if len(it.Sizes) == 0 {
@@ -68,11 +65,6 @@ func (it Item) SizeVec() []float64 {
 	}
 	return it.Sizes
 }
-
-// Validate checks the item against a unit server, the paper's
-// normalization: a positive finite duration, and a demand CheckDemand
-// admits at capacity 1 in the item's own dimension.
-func (it Item) Validate() error { return it.validate(1, it.Dim()) }
 
 func (it Item) validate(capacity float64, dim int) error {
 	if math.IsNaN(it.Arrival) || math.IsNaN(it.Departure) ||
@@ -236,19 +228,6 @@ func (l List) SortedByArrival() List {
 		if s.Kind == Arrive {
 			out = append(out, l[s.Pos])
 		}
-	}
-	return out
-}
-
-// Scale returns a copy of the list with all times multiplied by timeFactor
-// (> 0). Sizes are unchanged. Scaling time leaves competitive ratios
-// invariant, which tests exploit.
-func (l List) Scale(timeFactor float64) List {
-	out := make(List, len(l))
-	for i, it := range l {
-		it.Arrival *= timeFactor
-		it.Departure *= timeFactor
-		out[i] = it
 	}
 	return out
 }

@@ -197,3 +197,24 @@ func TestMuScaleInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Demand returns the item's time–space demand s(r)*|I(r)| (paper Prop. 1).
+func (it Item) Demand() float64 { return it.Size * it.Duration() }
+
+// Validate checks the item against a unit server, the paper's
+// normalization: a positive finite duration, and a demand CheckDemand
+// admits at capacity 1 in the item's own dimension.
+func (it Item) Validate() error { return it.validate(1, it.Dim()) }
+
+// Scale returns a copy of the list with all times multiplied by timeFactor
+// (> 0). Sizes are unchanged. Scaling time leaves competitive ratios
+// invariant, which tests exploit.
+func (l List) Scale(timeFactor float64) List {
+	out := make(List, len(l))
+	for i, it := range l {
+		it.Arrival *= timeFactor
+		it.Departure *= timeFactor
+		out[i] = it
+	}
+	return out
+}

@@ -149,7 +149,7 @@ func tieList(rng *rand.Rand, n int, dupIDs bool, order string) List {
 
 // TestOrderMatchesReference holds the flat-key sort to the comparison
 // sort it replaced: both runs of sortedKeys, under both filters, Steps
-// and Events under both tie rules, and Segments' visits, on tie-heavy
+// under both tie rules, and Segments' visits, on tie-heavy
 // lists with duplicate IDs, NaN, ±0 and ±Inf times, shuffled, sorted and
 // reverse-sorted, at lengths on both sides of radixMin.
 func TestOrderMatchesReference(t *testing.T) {
@@ -183,13 +183,6 @@ func TestOrderMatchesReference(t *testing.T) {
 					want := l.refSteps(arrivalsFirst)
 					if got := l.Steps(arrivalsFirst); !slices.Equal(got, want) {
 						t.Fatalf("n=%d %s arrivalsFirst=%v: Steps differ from the reference", n, order, arrivalsFirst)
-					}
-					evs := l.Events(arrivalsFirst)
-					for i, s := range want {
-						e := evs[i]
-						if e.Kind != s.Kind || bits(e.Time) != bits(s.Time(l)) || bits(e.Item.Size) != bits(l[s.Pos].Size) {
-							t.Fatalf("n=%d %s arrivalsFirst=%v: event %d = %+v, want step %+v", n, order, arrivalsFirst, i, e, s)
-						}
 					}
 				}
 				var got []segment

@@ -47,22 +47,23 @@ type Script struct {
 }
 
 // scriptFromList flattens an instance into its arrive/depart event
-// sequence, in the simulation engine's processing order (item.List.Events).
+// sequence, in the simulation engine's processing order (item.List.Steps).
 func scriptFromList(l item.List) *Script {
 	s := &Script{ops: make([]scriptOp, 0, 2*len(l))}
 	for _, it := range l {
 		s.maxID = max(s.maxID, it.ID)
 	}
-	for _, e := range l.Events(false) {
-		if e.Kind == item.Depart {
-			s.ops = append(s.ops, scriptOp{Kind: opDepart, ID: e.Item.ID})
+	for _, st := range l.Steps(false) {
+		it := &l[st.Pos]
+		if st.Kind == item.Depart {
+			s.ops = append(s.ops, scriptOp{Kind: opDepart, ID: it.ID})
 		} else {
 			// Copy the demand vector so the script owns its ops: the
 			// caller's item.List stays live (rescaling, re-keying, reuse
 			// across epochs), and an op aliasing it would replay whatever
 			// the caller last wrote there instead of the trace's demand.
-			s.ops = append(s.ops, scriptOp{Kind: opArrive, ID: e.Item.ID, Size: e.Item.Size,
-				Sizes: append([]float64(nil), e.Item.Sizes...)})
+			s.ops = append(s.ops, scriptOp{Kind: opArrive, ID: it.ID, Size: it.Size,
+				Sizes: append([]float64(nil), it.Sizes...)})
 		}
 	}
 	return s

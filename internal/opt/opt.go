@@ -35,9 +35,6 @@ type Bounds struct {
 // Mid returns the midpoint of the bracket, a convenient point estimate.
 func (b Bounds) Mid() float64 { return (b.Lower + b.Upper) / 2 }
 
-// Width returns Upper - Lower.
-func (b Bounds) Width() float64 { return b.Upper - b.Lower }
-
 // DemandLowerBound is Proposition 1: OPT_total(R) >= sum of s(r)*|I(r)|
 // (no bin capacity is ever wasted in the best case; unit capacity). At
 // d >= 2 it is the per-dimension form max_k sum of s_k(r)*|I(r)|: a

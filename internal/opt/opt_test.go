@@ -258,3 +258,6 @@ func TestTotalCutOffSegmentKeepsIncumbent(t *testing.T) {
 		t.Fatalf("TotalExact = (%g, %v), want (%g, false)", total, ok, b.Upper)
 	}
 }
+
+// Width returns Upper - Lower.
+func (b Bounds) Width() float64 { return b.Upper - b.Lower }

@@ -7,14 +7,17 @@
 // item's size and the current state of the open bins — never the item's
 // departure time (unknown at arrival) and never future arrivals. The
 // Algorithm interface enforces the first restriction structurally by
-// passing an Arrival view that carries no times. Placements are
+// passing an Arrival view whose departure is NaN, unless the policy
+// declares itself a departure-aware baseline. Placements are
 // irrevocable: items are never migrated between bins.
 //
 // A policy is Name + Place (Algorithm). A policy with state of its own
 // implements optional hooks, which the engine finds once, when it is
 // built: BinOpened (Next-k Fit, both hybrids, Replay's follow), Reset
 // (those and Random Fit) and SaveState/RestoreState (Next-k Fit, both
-// hybrids, Random Fit), which carry the state through a Snapshot.
+// hybrids, Random Fit), which carry the state through a Snapshot. A
+// departure-aware baseline (Align Fit, Predictive Fit and No-Extend Fit)
+// declares through the departureAware hook that it reads departures.
 package packing
 
 import (
@@ -24,11 +27,11 @@ import (
 
 // Arrival is the online-visible view of an arriving item: its identity and
 // resource demand, but not its departure time. Departure is NaN in the
-// online model; it is populated only when the simulator runs with
-// Options.Clairvoyant, which is NOT the paper's setting — clairvoyant
-// policies exist as baselines quantifying the value of knowing departures
-// (the paper contrasts with interval scheduling, where ending times are
-// known; Sec. II).
+// online model; Run and RunFleet fill it in only for a departure-aware
+// policy (the departureAware hook), which is NOT the paper's setting —
+// such policies exist as baselines quantifying the value of knowing
+// departures (the paper contrasts with interval scheduling, where ending
+// times are known; Sec. II).
 type Arrival struct {
 	ID   item.ID
 	Size float64
@@ -44,7 +47,7 @@ type Arrival struct {
 	// At is the arrival time — the current wall clock, which every
 	// online policy legitimately knows.
 	At float64
-	// Departure is NaN unless the run is clairvoyant.
+	// Departure is NaN unless the policy is departure-aware.
 	Departure float64
 }
 
@@ -93,7 +96,8 @@ type Fleet interface {
 // references to individual bins across calls (e.g. Next Fit's available
 // bin) and must tolerate those bins having closed. A policy with state
 // of its own adds the optional hooks binOpener, resetter and
-// statefulAlgorithm (see the package doc).
+// statefulAlgorithm, and a departure-aware one departureAware (see the
+// package doc).
 type Algorithm interface {
 	Name() string
 	Place(a Arrival, f Fleet) *bins.Bin
@@ -110,4 +114,12 @@ type binOpener interface {
 // built, so one value can drive several runs and streams.
 type resetter interface {
 	Reset()
+}
+
+// departureAware is a policy that reads Arrival.Departure: a baseline
+// outside the paper's online model. The batch front ends reveal each
+// item's departure to such a policy and to no other; a stream, which
+// learns a departure only when it happens, refuses it.
+type departureAware interface {
+	departureAware()
 }

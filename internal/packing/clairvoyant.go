@@ -1,14 +1,14 @@
 package packing
 
 import (
-	"fmt"
 	"math"
 
 	"dbp/internal/bins"
 )
 
 // Clairvoyant baselines: policies that see each item's departure time at
-// placement (run with Options.Clairvoyant). They are NOT online
+// placement (they declare it with the departureAware hook, and Run and
+// RunFleet reveal it to them alone). They are NOT online
 // algorithms in the paper's model; they quantify how much of the online
 // penalty comes from not knowing departures — the gap the paper draws to
 // interval scheduling (Sec. II), where ending times are known yet
@@ -27,12 +27,11 @@ type alignFit struct{}
 // Name implements Algorithm.
 func (*alignFit) Name() string { return "AlignFit(clairvoyant)" }
 
-// Place implements Algorithm; it panics if the run is not clairvoyant
-// (misconfiguration, not data).
+// departureAware implements departureAware.
+func (*alignFit) departureAware() {}
+
+// Place implements Algorithm.
 func (*alignFit) Place(a Arrival, f Fleet) *bins.Bin {
-	if math.IsNaN(a.Departure) {
-		panic(fmt.Sprintf("packing: AlignFit requires Options.Clairvoyant (item %d)", a.ID))
-	}
 	var best *bins.Bin
 	bestDiff := math.Inf(1)
 	for _, b := range f.Open() {
@@ -48,7 +47,7 @@ func (*alignFit) Place(a Arrival, f Fleet) *bins.Bin {
 }
 
 // horizon returns the latest departure among a bin's resident items.
-// In a clairvoyant run the true departures are available in bin state.
+// A departure-aware policy's bins hold the true departures.
 func horizon(b *bins.Bin) float64 {
 	h := math.Inf(-1)
 	for _, it := range b.ActiveItems() {

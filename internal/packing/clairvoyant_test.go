@@ -3,6 +3,7 @@ package packing
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"dbp/internal/item"
@@ -82,16 +83,35 @@ func TestAlmostWorstFit(t *testing.T) {
 	}
 }
 
+// TestAlignFitRequiresClairvoyance pins that a stream, which knows no
+// departure before it happens, refuses Align Fit at construction.
 func TestAlignFitRequiresClairvoyance(t *testing.T) {
-	l := item.List{mk(1, 0.5, 0, 1)}
+	checkStreamRefuses(t, &alignFit{})
+}
+
+// checkStreamRefuses fails unless every stream constructor refuses the
+// departure-aware policy: NewStreamEngine on both engines and
+// RestoreStream (from the empty snapshot, which any streamable policy
+// restores) with an error, NewStream with a panic.
+func checkStreamRefuses(t *testing.T, algo Algorithm) {
+	t.Helper()
+	for _, kind := range []EngineKind{EngineIndexed, EngineLinear} {
+		if _, err := NewStreamEngine(algo, 0, 1, 0, kind); err == nil || !strings.Contains(err.Error(), "departure") {
+			t.Errorf("NewStreamEngine(%s, %s) = %v, want a departure-time error", algo.Name(), kind, err)
+		}
+	}
+	if _, err := RestoreStream(NewFirstFit(), Snapshot{}); err != nil {
+		t.Fatalf("the empty snapshot does not restore: %v", err)
+	}
+	if _, err := RestoreStream(algo, Snapshot{}); err == nil || !strings.Contains(err.Error(), "departure") {
+		t.Errorf("RestoreStream(%s) = %v, want a departure-time error", algo.Name(), err)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AlignFit must panic without Options.Clairvoyant")
+			t.Errorf("NewStream(%s) must panic", algo.Name())
 		}
 	}()
-	// First item opens a bin (Place not called... Place IS called with
-	// empty open list; the panic must fire on the NaN departure).
-	MustRun(&alignFit{}, l, nil)
+	NewStream(algo, 0, 1)
 }
 
 func TestAlignFitAlignsDepartures(t *testing.T) {
@@ -106,7 +126,7 @@ func TestAlignFitAlignsDepartures(t *testing.T) {
 		mk(2, 0.6, 0, 3),  // bin 1 (0.6+0.6 > 1), horizon 3
 		mk(3, 0.3, 1, 3),  // fits both; |10-3|=7 vs |3-3|=0 -> bin 1
 	}
-	res := MustRun(&alignFit{}, l, &Options{Clairvoyant: true})
+	res := MustRun(&alignFit{}, l, nil)
 	if serverOf(res, 3) != 1 {
 		t.Fatalf("AlignFit put item in bin %d, want 1", serverOf(res, 3))
 	}
@@ -121,7 +141,7 @@ func TestNoExtendFitPrefersFreeRides(t *testing.T) {
 		mk(2, 0.6, 0, 3),  // bin 1, horizon 3
 		mk(3, 0.3, 1, 5),  // extends bin 1 (5 > 3) but not bin 0 (5 <= 10) -> bin 0
 	}
-	res := MustRun(newNoExtendFit(), l, &Options{Clairvoyant: true})
+	res := MustRun(newNoExtendFit(), l, nil)
 	if serverOf(res, 3) != 0 {
 		t.Fatalf("NoExtendFit put item in bin %d, want 0 (free ride)", serverOf(res, 3))
 	}
@@ -130,7 +150,7 @@ func TestNoExtendFitPrefersFreeRides(t *testing.T) {
 		mk(1, 0.6, 0, 2),
 		mk(2, 0.3, 1, 9), // extends bin 0; no alternative -> bin 0 anyway
 	}
-	res2 := MustRun(newNoExtendFit(), l2, &Options{Clairvoyant: true})
+	res2 := MustRun(newNoExtendFit(), l2, nil)
 	if serverOf(res2, 2) != 0 {
 		t.Fatal("fallback must use First Fit")
 	}
@@ -153,7 +173,7 @@ func TestClairvoyanceHelpsOnBimodalWorkload(t *testing.T) {
 			l = append(l, mk(item.ID(i+1), 0.05+rng.Float64()*0.45, a, a+dur))
 		}
 		ff := MustRun(NewFirstFit(), l, nil)
-		cl := MustRun(newNoExtendFit(), l, &Options{Clairvoyant: true})
+		cl := MustRun(newNoExtendFit(), l, nil)
 		if err := cl.Verify(); err != nil {
 			t.Fatal(err)
 		}

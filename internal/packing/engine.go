@@ -39,13 +39,13 @@ type engine struct {
 	ledger      *bins.Ledger
 	fleet       Fleet
 	kind        EngineKind
-	clairvoyant bool
+	clairvoyant bool       // algo reads departures (departureAware)
 	scalar      [1]float64 // a scalar arrival's demand vector
 }
 
 // newEngine builds an engine over a fresh ledger. capacity <= 0 means
 // unit capacity; dim <= 0 means scalar.
-func newEngine(algo Algorithm, capacity float64, dim int, keepAlive float64, kind EngineKind, clairvoyant bool) *engine {
+func newEngine(algo Algorithm, capacity float64, dim int, keepAlive float64, kind EngineKind) *engine {
 	if capacity <= 0 {
 		capacity = 1
 	}
@@ -59,14 +59,15 @@ func newEngine(algo Algorithm, capacity float64, dim int, keepAlive float64, kin
 	if kind != EngineLinear {
 		ledger.EnableIndex()
 	}
-	return engineOn(algo, ledger, kind, clairvoyant)
+	return engineOn(algo, ledger, kind)
 }
 
 // engineOn builds an engine over ledger: it finds the policy's optional
 // hooks once, here, and resets a policy that has run state.
-func engineOn(algo Algorithm, ledger *bins.Ledger, kind EngineKind, clairvoyant bool) *engine {
-	e := &engine{algo: algo, ledger: ledger, fleet: newFleet(kind, ledger), kind: kind, clairvoyant: clairvoyant}
+func engineOn(algo Algorithm, ledger *bins.Ledger, kind EngineKind) *engine {
+	e := &engine{algo: algo, ledger: ledger, fleet: newFleet(kind, ledger), kind: kind}
 	e.opener, _ = algo.(binOpener)
+	_, e.clairvoyant = algo.(departureAware)
 	e.stateful, _ = algo.(statefulAlgorithm)
 	if r, ok := algo.(resetter); ok {
 		r.Reset()
@@ -142,4 +143,13 @@ func validKeepAlive(k float64) bool { return k == 0 || k > 0 && !math.IsInf(k, 1
 
 func badKeepAlive(k float64) error {
 	return fmt.Errorf("packing: keep-alive %g is not 0 or a positive finite number", k)
+}
+
+// streamable refuses a departure-aware policy for a stream, which knows
+// no departure before it happens.
+func streamable(algo Algorithm) error {
+	if _, ok := algo.(departureAware); ok {
+		return fmt.Errorf("packing: %s reads departure times, which a stream does not know", algo.Name())
+	}
+	return nil
 }

@@ -37,7 +37,7 @@ func equivWorkloads(t *testing.T) map[string]item.List {
 	out := map[string]item.List{}
 	for _, s := range workload.Scenarios() {
 		spec := s.Name()
-		if s.Kind() == workload.KindTrace {
+		if s.Name() == "trace" {
 			spec = "trace:" + sampleTrace
 		}
 		l, err := workload.FromSpec(spec, 240, 6, 8, 11, 1)
@@ -48,10 +48,11 @@ func equivWorkloads(t *testing.T) map[string]item.List {
 	}
 	// One extra MMPP shape with short, violent bursts — historically the
 	// best generator of keep-alive edge cases.
-	out["mmpp-violent"] = workload.GenerateBursty(workload.BurstyConfig{
-		Config:      workload.UniformConfig(400, 3, 8, 12),
-		BurstFactor: 8, MeanCalm: 4, MeanBurst: 1,
-	})
+	l, err := workload.FromSpec("bursty:factor=8,calm=4,burst=1", 400, 3, 8, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["mmpp-violent"] = l
 	return out
 }
 
@@ -89,7 +90,7 @@ func equivVectorWorkloads(t *testing.T, d int) map[string]item.List {
 	out := map[string]item.List{}
 	if d == 2 {
 		for _, s := range workload.Scenarios() {
-			if s.Kind() == workload.KindTrace {
+			if s.Name() == "trace" {
 				continue // a trace's dimensionality is its file's: the sample is scalar
 			}
 			l, err := workload.FromSpec(s.Name(), 160, 5, 8, int64(17+d), d)
@@ -102,7 +103,11 @@ func equivVectorWorkloads(t *testing.T, d int) map[string]item.List {
 			out[s.Name()] = l
 		}
 	} else {
-		out["vecpoisson"] = workload.GenerateVec(workload.UniformConfig(300, 5, 8, int64(17+d)), d)
+		l, err := workload.FromSpec("uniform", 300, 5, 8, int64(17+d), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["vecpoisson"] = l
 	}
 	adv := make(item.List, 0, 120)
 	for i := 0; i < 120; i++ {
@@ -179,26 +184,27 @@ func TestStreamEnginesEquivalentAcrossPolicies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, e := range jobs.Events(false) {
-					if e.Kind == item.Arrive {
-						s1, o1, err1 := idx.Arrive(e.Item.ID, e.Item.Size, e.Item.Sizes, e.Time)
-						s2, o2, err2 := lin.Arrive(e.Item.ID, e.Item.Size, e.Item.Sizes, e.Time)
+				for _, st := range jobs.Steps(false) {
+					it, at := jobs[st.Pos], st.Time(jobs)
+					if st.Kind == item.Arrive {
+						s1, o1, err1 := idx.Arrive(it.ID, it.Size, it.Sizes, at)
+						s2, o2, err2 := lin.Arrive(it.ID, it.Size, it.Sizes, at)
 						if err1 != nil || err2 != nil {
 							t.Fatalf("%s: arrive errors %v / %v", label, err1, err2)
 						}
 						if s1 != s2 || o1 != o2 {
 							t.Fatalf("%s: job %d -> server %d opened=%v (indexed) vs %d opened=%v (linear)",
-								label, e.Item.ID, s1, o1, s2, o2)
+								label, it.ID, s1, o1, s2, o2)
 						}
 					} else {
-						s1, c1, err1 := idx.Depart(e.Item.ID, e.Time)
-						s2, c2, err2 := lin.Depart(e.Item.ID, e.Time)
+						s1, c1, err1 := idx.Depart(it.ID, at)
+						s2, c2, err2 := lin.Depart(it.ID, at)
 						if err1 != nil || err2 != nil {
 							t.Fatalf("%s: depart errors %v / %v", label, err1, err2)
 						}
 						if s1 != s2 || c1 != c2 {
 							t.Fatalf("%s: job %d departed server %d closed=%v vs %d closed=%v",
-								label, e.Item.ID, s1, c1, s2, c2)
+								label, it.ID, s1, c1, s2, c2)
 						}
 					}
 				}
@@ -264,26 +270,27 @@ func TestStreamEnginesEquivalentVector(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, e := range jobs.Events(false) {
-						if e.Kind == item.Arrive {
-							s1, o1, err1 := idx.Arrive(e.Item.ID, e.Item.Size, e.Item.Sizes, e.Time)
-							s2, o2, err2 := lin.Arrive(e.Item.ID, e.Item.Size, e.Item.Sizes, e.Time)
+					for _, st := range jobs.Steps(false) {
+						it, at := jobs[st.Pos], st.Time(jobs)
+						if st.Kind == item.Arrive {
+							s1, o1, err1 := idx.Arrive(it.ID, it.Size, it.Sizes, at)
+							s2, o2, err2 := lin.Arrive(it.ID, it.Size, it.Sizes, at)
 							if err1 != nil || err2 != nil {
 								t.Fatalf("%s: arrive errors %v / %v", label, err1, err2)
 							}
 							if s1 != s2 || o1 != o2 {
 								t.Fatalf("%s: job %d -> server %d opened=%v (indexed) vs %d opened=%v (linear)",
-									label, e.Item.ID, s1, o1, s2, o2)
+									label, it.ID, s1, o1, s2, o2)
 							}
 						} else {
-							s1, c1, err1 := idx.Depart(e.Item.ID, e.Time)
-							s2, c2, err2 := lin.Depart(e.Item.ID, e.Time)
+							s1, c1, err1 := idx.Depart(it.ID, at)
+							s2, c2, err2 := lin.Depart(it.ID, at)
 							if err1 != nil || err2 != nil {
 								t.Fatalf("%s: depart errors %v / %v", label, err1, err2)
 							}
 							if s1 != s2 || c1 != c2 {
 								t.Fatalf("%s: job %d departed server %d closed=%v vs %d closed=%v",
-									label, e.Item.ID, s1, c1, s2, c2)
+									label, it.ID, s1, c1, s2, c2)
 							}
 						}
 					}

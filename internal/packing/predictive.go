@@ -17,9 +17,9 @@ import (
 // scheduling (departures known), quantifying how accurate a duration
 // predictor must be before it beats plain First Fit (experiment E13d).
 //
-// Runs require Options.Clairvoyant (the simulator supplies the true
-// departure; the policy perturbs it deterministically per item and seed,
-// so the policy itself never acts on exact information when sigma > 0).
+// It is departure-aware (Run supplies the true departure; the policy
+// perturbs it deterministically per item and seed, so the policy itself
+// never acts on exact information when sigma > 0).
 // Horizon-driven, it scans the open list (linear path).
 type predictiveFit struct {
 	name  string
@@ -33,8 +33,7 @@ type predictiveFit struct {
 // bin can absorb the item for free, it prefers First Fit among the rest.
 // Joining a bin without extending its horizon adds zero usage time, so
 // every such placement is individually optimal. It is PredictiveFit at
-// sigma = 0, where the prediction is the true departure, and requires a
-// clairvoyant run.
+// sigma = 0, where the prediction is the true departure.
 func newNoExtendFit() *predictiveFit { return &predictiveFit{name: "NoExtendFit(clairvoyant)"} }
 
 // NewPredictiveFit returns a predictive policy with lognormal prediction
@@ -49,13 +48,12 @@ func NewPredictiveFit(sigma float64, seed int64) Algorithm {
 // Name implements Algorithm.
 func (p *predictiveFit) Name() string { return p.name }
 
+// departureAware implements departureAware.
+func (*predictiveFit) departureAware() {}
+
 // Place implements Algorithm: the fullest fitting bin whose horizon the
-// predicted departure does not extend, else the first fitting bin. It
-// panics if the run is not clairvoyant (misconfiguration, not data).
+// predicted departure does not extend, else the first fitting bin.
 func (p *predictiveFit) Place(a Arrival, f Fleet) *bins.Bin {
-	if math.IsNaN(a.Departure) {
-		panic(fmt.Sprintf("packing: %s requires Options.Clairvoyant (item %d)", p.name, a.ID))
-	}
 	pred := p.predict(a)
 	open := f.Open()
 	var free *bins.Bin

@@ -12,8 +12,8 @@ func TestPredictiveFitZeroNoiseEqualsNoExtendFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	for trial := 0; trial < 8; trial++ {
 		l := randomInstance(rng, 150, 10)
-		exact := MustRun(newNoExtendFit(), l, &Options{Clairvoyant: true})
-		pred := MustRun(NewPredictiveFit(0, 1), l, &Options{Clairvoyant: true})
+		exact := MustRun(newNoExtendFit(), l, nil)
+		pred := MustRun(NewPredictiveFit(0, 1), l, nil)
 		if exact.TotalUsage != pred.TotalUsage {
 			t.Fatalf("sigma=0 must reproduce NoExtendFit: %g vs %g", pred.TotalUsage, exact.TotalUsage)
 		}
@@ -26,25 +26,24 @@ func TestPredictiveFitZeroNoiseEqualsNoExtendFit(t *testing.T) {
 func TestPredictiveFitDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	l := randomInstance(rng, 100, 8)
-	a := MustRun(NewPredictiveFit(0.5, 7), l, &Options{Clairvoyant: true})
-	b := MustRun(NewPredictiveFit(0.5, 7), l, &Options{Clairvoyant: true})
+	a := MustRun(NewPredictiveFit(0.5, 7), l, nil)
+	b := MustRun(NewPredictiveFit(0.5, 7), l, nil)
 	if a.TotalUsage != b.TotalUsage {
 		t.Fatal("same sigma+seed must reproduce")
 	}
-	c := MustRun(NewPredictiveFit(0.5, 8), l, &Options{Clairvoyant: true})
+	c := MustRun(NewPredictiveFit(0.5, 8), l, nil)
 	_ = c // different seed may or may not differ; just must be valid
 	if err := c.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestPredictiveFitRequiresClairvoyance pins that a stream refuses
+// Predictive Fit and No-Extend Fit (Predictive Fit at sigma 0) at
+// construction, as it refuses Align Fit.
 func TestPredictiveFitRequiresClairvoyance(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustRun(NewPredictiveFit(0.1, 1), item.List{mk(1, 0.5, 0, 1)}, nil)
+	checkStreamRefuses(t, NewPredictiveFit(0.1, 1))
+	checkStreamRefuses(t, newNoExtendFit())
 }
 
 func TestPredictiveFitPanicsOnNegativeSigma(t *testing.T) {
@@ -71,8 +70,8 @@ func TestPredictionQualityMatters(t *testing.T) {
 			}
 			l = append(l, mk(item.ID(i+1), 0.05+rng.Float64()*0.45, a, a+dur))
 		}
-		perfect += MustRun(NewPredictiveFit(0, 1), l, &Options{Clairvoyant: true}).TotalUsage
-		noisy += MustRun(NewPredictiveFit(3, 1), l, &Options{Clairvoyant: true}).TotalUsage
+		perfect += MustRun(NewPredictiveFit(0, 1), l, nil).TotalUsage
+		noisy += MustRun(NewPredictiveFit(3, 1), l, nil).TotalUsage
 	}
 	if perfect > noisy*1.02 {
 		t.Fatalf("perfect predictions (%g) clearly worse than sigma=3 noise (%g)?", perfect, noisy)

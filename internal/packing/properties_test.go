@@ -160,7 +160,13 @@ func TestUsageScalesLinearlyWithTime(t *testing.T) {
 		l := randomInstance(rng, 60, 5)
 		k := 1 + rng.Float64()*7
 		base := MustRun(NewFirstFit(), l, nil)
-		scaled := MustRun(NewFirstFit(), l.Scale(k), nil)
+		stretched := make(item.List, len(l))
+		for i, it := range l {
+			it.Arrival *= k
+			it.Departure *= k
+			stretched[i] = it
+		}
+		scaled := MustRun(NewFirstFit(), stretched, nil)
 		if math.Abs(scaled.TotalUsage-k*base.TotalUsage) > 1e-6*(1+scaled.TotalUsage) {
 			return false
 		}

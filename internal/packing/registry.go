@@ -75,9 +75,9 @@ func Standard() map[string]Algorithm { return instances(familyStandard) }
 // 1-D classical counterparts.
 func Vector() map[string]Algorithm { return instances(familyVector) }
 
-// Clairvoyant returns the departure-aware baselines; they must be run
-// with Options.Clairvoyant and are not part of Standard (they are not
-// online algorithms in the paper's model).
+// Clairvoyant returns the departure-aware baselines; Run reveals each
+// departure to them, a stream refuses them, and they are not part of
+// Standard (they are not online algorithms in the paper's model).
 func Clairvoyant() map[string]Algorithm { return instances(familyClairvoyant) }
 
 // Names returns the sorted short names of the standard and vector

@@ -34,18 +34,19 @@ func streamPlacements(t *testing.T, algo Algorithm, kind EngineKind, l item.List
 		t.Fatal(err)
 	}
 	var out []string
-	for _, e := range l.Events(true)[:n] {
+	for _, st := range l.Steps(true)[:n] {
+		it, at := l[st.Pos], st.Time(l)
 		var server int
 		var flag bool
-		if e.Kind == item.Arrive {
-			server, flag, err = s.Arrive(e.Item.ID, e.Item.Size, nil, e.Time)
+		if st.Kind == item.Arrive {
+			server, flag, err = s.Arrive(it.ID, it.Size, nil, at)
 		} else {
-			server, flag, err = s.Depart(e.Item.ID, e.Time)
+			server, flag, err = s.Depart(it.ID, at)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", algo.Name(), err)
 		}
-		out = append(out, fmt.Sprintf("%v %d %d %v", e.Kind, e.Item.ID, server, flag))
+		out = append(out, fmt.Sprintf("%v %d %d %v", st.Kind, it.ID, server, flag))
 	}
 	return out, s.Snapshot()
 }
@@ -69,11 +70,11 @@ func TestReusedPolicyPlacesAsFresh(t *testing.T) {
 		policies[e.name] = e.build
 		clairvoyant[e.name] = e.family == familyClairvoyant
 	}
-	events := len(l.Events(true))
+	events := 2 * len(l)
 	for name, build := range policies {
 		for _, kind := range []EngineKind{EngineIndexed, EngineLinear} {
 			label := fmt.Sprintf("%s/%s", name, kind)
-			opts := &Options{Engine: kind, Clairvoyant: clairvoyant[name]}
+			opts := &Options{Engine: kind}
 			fresh := MustRun(build(), l, opts)
 			reused := build()
 			for run := 1; run <= 2; run++ {

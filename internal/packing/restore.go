@@ -47,7 +47,8 @@ type statefulAlgorithm interface {
 // identical placements, identical error results, and an identical
 // Snapshot after any common suffix of events. algo must be an instance of
 // the policy named by snap.Policy (a policy with run state is reset and
-// then handed snap.PolicyState).
+// then handed snap.PolicyState). Like NewStreamEngine, it refuses a
+// departure-aware policy.
 //
 // Bit-identity holds because nothing float-bearing is recomputed: server
 // levels, the closed-usage accumulator, and every timestamp are restored
@@ -55,6 +56,9 @@ type statefulAlgorithm interface {
 // expired servers in one clock advance) is canonicalized by the ledger
 // (see bins.Ledger.CloseExpired).
 func RestoreStream(algo Algorithm, snap Snapshot) (*Stream, error) {
+	if err := streamable(algo); err != nil {
+		return nil, err
+	}
 	kind := EngineKind(snap.Engine)
 	if !kind.valid() {
 		return nil, badEngine(kind)
@@ -93,7 +97,7 @@ func RestoreStream(algo Algorithm, snap Snapshot) (*Stream, error) {
 		return nil, failf(ErrSnapshotMismatch,
 			"packing: restored usage %v != snapshot usage %v", got, snap.UsageTime)
 	}
-	e := engineOn(algo, ledger, kind, false)
+	e := engineOn(algo, ledger, kind)
 	if snap.PolicyState != nil {
 		if e.stateful == nil {
 			return nil, failf(ErrSnapshotMismatch,

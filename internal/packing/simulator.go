@@ -24,11 +24,6 @@ type Options struct {
 	// Validate runs ledger invariant checks after every event. Slow;
 	// meant for tests.
 	Validate bool
-	// Clairvoyant reveals each item's departure time to the policy
-	// (Arrival.Departure). This leaves the paper's online model; it
-	// exists for baseline policies that quantify the value of knowing
-	// departures (cf. interval scheduling, Sec. II).
-	Clairvoyant bool
 	// KeepAlive keeps emptied bins open (lingering, reusable) for this
 	// many time units before shutting them down — the cloud keep-alive
 	// model, where a server whose billed hour is already paid may as
@@ -99,7 +94,7 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 	if len(l) > 0 {
 		dim = l[0].Dim()
 	}
-	eng := newEngine(algo, capacity, dim, keepAlive, opt.engine(), opt != nil && opt.Clairvoyant)
+	eng := newEngine(algo, capacity, dim, keepAlive, opt.engine())
 	rec := newRecorder(len(l))
 
 	for _, s := range l.Steps(opt != nil && opt.ArrivalsFirst) {

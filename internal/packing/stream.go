@@ -31,8 +31,8 @@ const ErrServer = -1
 // NewStream creates a dispatcher using the given policy. The policy is
 // Reset. dim is the resource dimensionality (1 for the scalar problem);
 // capacity 0 means unit capacity. It panics on a capacity that is not
-// 0 or a positive finite number, which NewStreamEngine reports as an
-// error.
+// 0 or a positive finite number and on a departure-aware policy, which
+// NewStreamEngine reports as errors.
 func NewStream(algo Algorithm, capacity float64, dim int) *Stream {
 	return NewStreamKeepAlive(algo, capacity, dim, 0)
 }
@@ -44,7 +44,7 @@ func NewStream(algo Algorithm, capacity float64, dim int) *Stream {
 func NewStreamKeepAlive(algo Algorithm, capacity float64, dim int, keepAlive float64) *Stream {
 	s, err := NewStreamEngine(algo, capacity, dim, keepAlive, EngineIndexed)
 	if err != nil {
-		panic(err) // a NaN, infinite or negative capacity or keep-alive
+		panic(err) // a NaN, infinite or negative capacity or keep-alive, or a departure-aware policy
 	}
 	return s
 }
@@ -52,8 +52,13 @@ func NewStreamKeepAlive(algo Algorithm, capacity float64, dim int, keepAlive flo
 // NewStreamEngine is NewStreamKeepAlive with an explicit engine kind —
 // EngineIndexed (the default everywhere) or EngineLinear (the reference
 // backend the equivalence suite compares against). It refuses an unknown
-// kind and a NaN, infinite or negative capacity or keep-alive.
+// kind, a NaN, infinite or negative capacity or keep-alive, and a
+// departure-aware policy (Align Fit, Predictive Fit, No-Extend Fit),
+// since a stream knows no departure before it happens.
 func NewStreamEngine(algo Algorithm, capacity float64, dim int, keepAlive float64, kind EngineKind) (*Stream, error) {
+	if err := streamable(algo); err != nil {
+		return nil, err
+	}
 	if !kind.valid() {
 		return nil, badEngine(kind)
 	}
@@ -63,7 +68,7 @@ func NewStreamEngine(algo Algorithm, capacity float64, dim int, keepAlive float6
 	if !validKeepAlive(keepAlive) {
 		return nil, badKeepAlive(keepAlive)
 	}
-	return &Stream{eng: newEngine(algo, capacity, dim, keepAlive, kind, false)}, nil
+	return &Stream{eng: newEngine(algo, capacity, dim, keepAlive, kind)}, nil
 }
 
 // Arrive dispatches a job with the given demand at time t and returns the

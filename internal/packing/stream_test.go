@@ -297,26 +297,27 @@ func TestIndexedLinearKeepAliveStreamEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range l.Events(false) {
-			if e.Kind == item.Arrive {
-				s1, o1, err1 := naive.Arrive(e.Item.ID, e.Item.Size, nil, e.Time)
-				s2, o2, err2 := fast.Arrive(e.Item.ID, e.Item.Size, nil, e.Time)
+		for _, st := range l.Steps(false) {
+			it, at := l[st.Pos], st.Time(l)
+			if st.Kind == item.Arrive {
+				s1, o1, err1 := naive.Arrive(it.ID, it.Size, nil, at)
+				s2, o2, err2 := fast.Arrive(it.ID, it.Size, nil, at)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("trial %d: arrive errors %v / %v", trial, err1, err2)
 				}
 				if s1 != s2 || o1 != o2 {
 					t.Fatalf("trial %d ka=%g: job %d -> server %d (naive) vs %d (fast), opened %v/%v",
-						trial, keepAlive, e.Item.ID, s1, s2, o1, o2)
+						trial, keepAlive, it.ID, s1, s2, o1, o2)
 				}
 			} else {
-				s1, c1, err1 := naive.Depart(e.Item.ID, e.Time)
-				s2, c2, err2 := fast.Depart(e.Item.ID, e.Time)
+				s1, c1, err1 := naive.Depart(it.ID, at)
+				s2, c2, err2 := fast.Depart(it.ID, at)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("trial %d: depart errors %v / %v", trial, err1, err2)
 				}
 				if s1 != s2 || c1 != c2 {
 					t.Fatalf("trial %d ka=%g: job %d departed server %d/%d closed %v/%v",
-						trial, keepAlive, e.Item.ID, s1, s2, c1, c2)
+						trial, keepAlive, it.ID, s1, s2, c1, c2)
 				}
 			}
 			if err := naive.Ledger().CheckInvariants(); err != nil {
@@ -349,13 +350,14 @@ func TestStreamEquivalentToRunAcrossPolicies(t *testing.T) {
 		for name, algo := range algos {
 			run := MustRun(algo, l, nil)
 			s := NewStream(algo, 0, 0)
-			for _, e := range l.Events(false) {
-				if e.Kind == item.Arrive {
-					if _, _, err := s.Arrive(e.Item.ID, e.Item.Size, nil, e.Time); err != nil {
+			for _, st := range l.Steps(false) {
+				it, at := l[st.Pos], st.Time(l)
+				if st.Kind == item.Arrive {
+					if _, _, err := s.Arrive(it.ID, it.Size, nil, at); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 				} else {
-					if _, _, err := s.Depart(e.Item.ID, e.Time); err != nil {
+					if _, _, err := s.Depart(it.ID, at); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 				}

@@ -413,13 +413,6 @@ func (l *Log) NextSeq() uint64 {
 	return l.nextSeq
 }
 
-// Err returns the sticky failure, if the log has one.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
 // Stats returns the current durability gauges.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()

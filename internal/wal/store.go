@@ -30,8 +30,6 @@ const metaFile = "META.json"
 // Store is a data directory holding one Log per shard plus the META
 // config guard.
 type Store struct {
-	dir  string
-	meta Meta
 	logs []*Log
 }
 
@@ -75,7 +73,7 @@ func OpenStore(dir string, meta Meta, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	st := &Store{dir: dir, meta: meta, logs: make([]*Log, meta.Shards)}
+	st := &Store{logs: make([]*Log, meta.Shards)}
 	for i := range st.logs {
 		l, err := Open(filepath.Join(dir, fmt.Sprintf("shard-%04d", i)), opts)
 		if err != nil {
@@ -105,9 +103,6 @@ func matchMeta(got, want Meta) error {
 	}
 	return nil
 }
-
-// Meta returns the configuration the store is pinned to.
-func (s *Store) Meta() Meta { return s.meta }
 
 // Shard returns shard i's log.
 func (s *Store) Shard(i int) *Log { return s.logs[i] }

@@ -23,7 +23,7 @@ type gameTitle struct {
 	// GPUShare is the fraction of one server's GPU a session needs.
 	GPUShare float64
 	// Session is the distribution of session lengths (minutes).
-	Session Dist
+	Session dist
 	// Popularity is the relative request rate of the title.
 	Popularity float64
 }
@@ -32,7 +32,7 @@ type gameTitle struct {
 // lengths are bounded Pareto — most sessions are short, some run for
 // hours — with a 5-minute minimum and a 300-minute cap, giving mu = 60.
 func defaultCatalog() []gameTitle {
-	session := func(alpha float64) Dist {
+	session := func(alpha float64) dist {
 		return paretoDist{Alpha: alpha, Lo: 5, Hi: 300}
 	}
 	return []gameTitle{
@@ -51,24 +51,6 @@ type gamingConfig struct {
 	Rate float64
 	N    int
 	Seed int64
-}
-
-// MuBound returns the max/min session length ratio over the catalog.
-func (c gamingConfig) MuBound() float64 {
-	lo, hi := 0.0, 0.0
-	for i, t := range c.Catalog {
-		tlo, thi := t.Session.Bounds()
-		if i == 0 || tlo < lo {
-			lo = tlo
-		}
-		if thi > hi {
-			hi = thi
-		}
-	}
-	if lo <= 0 {
-		return 0
-	}
-	return hi / lo
 }
 
 // gamingSessions generates the play-request stream as a DBP instance:

@@ -15,9 +15,8 @@ func TestDefaultCatalogShape(t *testing.T) {
 		if title.GPUShare <= 0 || title.GPUShare > 1 {
 			t.Errorf("%s: GPU share %g out of range", title.Name, title.GPUShare)
 		}
-		lo, hi := title.Session.Bounds()
-		if lo != 5 || hi != 300 {
-			t.Errorf("%s: session bounds [%g, %g]", title.Name, lo, hi)
+		if s, ok := title.Session.(paretoDist); !ok || s.Lo != 5 || s.Hi != 300 {
+			t.Errorf("%s: session lengths %+v, want a Pareto on [5, 300]", title.Name, title.Session)
 		}
 	}
 }
@@ -31,11 +30,8 @@ func TestSessionsValidAndDeterministic(t *testing.T) {
 	if len(l) != 300 || len(titles) != 300 {
 		t.Fatalf("generated %d items, %d titles", len(l), len(titles))
 	}
-	if mu := l.Mu(); mu > cfg.MuBound() {
-		t.Fatalf("realized mu %g exceeds catalog bound %g", mu, cfg.MuBound())
-	}
-	if cfg.MuBound() != 60 {
-		t.Fatalf("default catalog mu bound = %g, want 60", cfg.MuBound())
+	if mu := l.Mu(); mu > 60 {
+		t.Fatalf("realized mu %g exceeds the catalog's bound 300/5 = 60", mu)
 	}
 	l2, _ := gamingSessions(cfg)
 	for i := range l {

@@ -7,51 +7,35 @@ import (
 	"dbp/internal/item"
 )
 
-// Config describes a random workload: N jobs arriving by a Poisson process
+// config describes a random workload: N jobs arriving by a Poisson process
 // of rate Rate (exponential inter-arrival gaps), each with a duration and
 // size drawn independently from the given distributions.
-type Config struct {
+type config struct {
 	N        int
-	Rate     float64 // arrivals per unit time; must be > 0
-	Size     Dist
-	Duration Dist
+	Rate     float64 // arrivals per unit time; > 0
+	Size     dist
+	Duration dist
 	Seed     int64
 }
 
-// MuBound returns the a-priori duration ratio implied by the duration
-// distribution's support — an upper bound on the realized mu of any
-// generated instance.
-func (c Config) MuBound() float64 {
-	lo, hi := c.Duration.Bounds()
-	return hi / lo
-}
-
-// String summarizes the configuration for experiment tables.
-func (c Config) String() string {
-	return fmt.Sprintf("n=%d rate=%g size=%v dur=%v seed=%d", c.N, c.Rate, c.Size, c.Duration, c.Seed)
-}
-
-// Generate produces the instance described by the configuration. Items
-// are emitted in arrival order with IDs 1..N. It panics on non-positive N
-// or Rate (caller bug, not data).
-func Generate(c Config) item.List { return generate(c, 1) }
-
-// GenerateVec produces a d-dimensional instance: each job's demand vector
-// has independent components from Size, with the scalar Size field set to
-// the maximum component (the convention of item.Item). Used by the
-// multi-dimensional extension experiment (E10).
-func GenerateVec(c Config, d int) item.List {
-	if d < 2 {
-		panic("workload: GenerateVec needs d >= 2")
+// uniformConfig is the baseline workload of a request: uniform sizes on
+// [0.05, 0.95] and uniform durations on [1, mu]. The other Poisson
+// families change one of its two distributions.
+func uniformConfig(req request) config {
+	return config{
+		N: req.N, Rate: req.Rate, Seed: req.Seed,
+		Size:     uniformDist{Lo: 0.05, Hi: 0.95},
+		Duration: uniformDist{Lo: 1, Hi: req.Mu},
 	}
-	return generate(c, d)
 }
 
-// generate is Generate's and GenerateVec's loop: per job, the arrival
-// gap, the duration, then the demand's d size draws.
-func generate(c Config, d int) item.List {
+// generate is the one generator loop of the Poisson families: per job,
+// the arrival gap, the duration, then the demand's d size draws (d <= 1
+// is scalar). Items are emitted in arrival order with IDs 1..N. It panics
+// on a non-positive N or Rate, which the scenario's hook refuses first.
+func generate(c config, d int) item.List {
 	if c.N <= 0 || c.Rate <= 0 {
-		panic(fmt.Sprintf("workload: bad config %v", c))
+		panic(fmt.Sprintf("workload: bad config %+v", c))
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	size := func() float64 { return clampSize(c.Size.Sample(rng)) }
@@ -106,66 +90,24 @@ func clampSize(s float64) float64 {
 	return s
 }
 
-// Presets for experiment sweeps: each returns a Config with the given
-// load characteristics. Durations are pinned to [1, mu] so the realized
-// duration ratio matches the experiment's x-axis.
-
-// UniformConfig is the baseline workload: uniform sizes and uniform
-// durations on [1, mu].
-func UniformConfig(n int, rate, mu float64, seed int64) Config {
-	return Config{
-		N: n, Rate: rate, Seed: seed,
-		Size:     uniformDist{Lo: 0.05, Hi: 0.95},
-		Duration: uniformDist{Lo: 1, Hi: mu},
-	}
-}
-
-// paretoConfig models heavy-tailed session lengths on [1, mu].
-func paretoConfig(n int, rate, mu float64, seed int64) Config {
-	return Config{
-		N: n, Rate: rate, Seed: seed,
-		Size:     uniformDist{Lo: 0.05, Hi: 0.95},
-		Duration: paretoDist{Alpha: 1.2, Lo: 1, Hi: mu},
-	}
-}
-
-// BimodalConfig models a short/long job mix: 80% duration-1 jobs, 20%
-// duration-mu jobs.
-func BimodalConfig(n int, rate, mu float64, seed int64) Config {
-	return Config{
-		N: n, Rate: rate, Seed: seed,
-		Size:     uniformDist{Lo: 0.05, Hi: 0.95},
-		Duration: bimodalDist{A: constantDist{V: 1}, B: constantDist{V: mu}, PA: 0.8},
-	}
-}
-
-// SmallItemConfig keeps all sizes at or below 1/2 (the paper's "small"
-// class), the regime where First Fit consolidates aggressively.
-func SmallItemConfig(n int, rate, mu float64, seed int64) Config {
-	return Config{
-		N: n, Rate: rate, Seed: seed,
-		Size:     uniformDist{Lo: 0.05, Hi: 0.5},
-		Duration: uniformDist{Lo: 1, Hi: mu},
-	}
-}
-
-// BurstyConfig extends Config with a two-state Markov-modulated Poisson
+// burstyConfig extends config with a two-state Markov-modulated Poisson
 // arrival process: the source alternates between a calm state (rate
-// Config.Rate) and a burst state (rate Config.Rate * BurstFactor), with
+// config.Rate) and a burst state (rate Config.Rate * BurstFactor), with
 // exponential sojourn times. Flash crowds are the regime where online
 // dispatching decisions compound — a burst fills servers whose stragglers
 // then linger.
-type BurstyConfig struct {
-	Config
+type burstyConfig struct {
+	config
 	// BurstFactor multiplies the arrival rate during bursts (> 1).
 	BurstFactor float64
 	// MeanCalm and MeanBurst are the expected sojourn times in each state.
 	MeanCalm, MeanBurst float64
 }
 
-// GenerateBursty produces the MMPP instance described by the
-// configuration.
-func GenerateBursty(c BurstyConfig) item.List {
+// generateBursty produces the MMPP instance described by the
+// configuration. It panics on a configuration the bursty scenario's hook
+// refuses first.
+func generateBursty(c burstyConfig) item.List {
 	if c.N <= 0 || c.Rate <= 0 || c.BurstFactor <= 1 || c.MeanCalm <= 0 || c.MeanBurst <= 0 {
 		panic(fmt.Sprintf("workload: bad bursty config %+v", c))
 	}

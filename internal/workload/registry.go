@@ -15,15 +15,16 @@ import (
 // family this repo can generate — statistical shapes, the paper's
 // adversarial constructions, and trace replay — registers itself here
 // under a stable name with a one-line description and a typed parameter
-// schema. Consumers (the load driver, the experiment tables, the five
-// CLIs, the equivalence suite) select workloads exclusively by spec
-// string, so a new family joins every pipeline by registration alone.
+// schema. FromSpec is the registry's one front door: consumers (the load
+// generator, the experiment tables, the five CLIs, the benchmark, the
+// equivalence suite) build every generated list from a spec string, so a
+// new family joins every pipeline by registration alone.
 //
 // A spec is "name" or "name:key=value,key=value"; the trace scenario
 // uses "trace:<path>" (the remainder is the file path, .gz transparent).
 
-// ErrScalarOnly is returned by Generate when a scenario has no
-// vector-demand form and the request asks for Dim > 1. Sweeps over the
+// ErrScalarOnly is returned by FromSpec, wrapped, when a scenario has no
+// vector-demand form and the request asks for dim > 1. Sweeps over the
 // registry use errors.Is to skip such scenarios rather than fail.
 var ErrScalarOnly = errors.New("workload: scenario has no vector-demand form")
 
@@ -33,20 +34,20 @@ var ErrScalarOnly = errors.New("workload: scenario has no vector-demand form")
 type ScenarioKind int
 
 const (
-	// kindStatistical marks random-arrival families (seeded, rate/mu
+	// KindStatistical marks random-arrival families (seeded, rate/mu
 	// driven) suitable for mean-ratio sweeps.
-	kindStatistical ScenarioKind = iota
+	KindStatistical ScenarioKind = iota
 	// kindAdversarial marks the paper's lower-bound constructions:
 	// deterministic, seed- and rate-insensitive.
 	kindAdversarial
-	// KindTrace marks replay of an external trace file.
-	KindTrace
+	// kindTrace marks replay of an external trace file.
+	kindTrace
 )
 
 // String names the kind for listings.
 func (k ScenarioKind) String() string {
 	switch k {
-	case kindStatistical:
+	case KindStatistical:
 		return "statistical"
 	case kindAdversarial:
 		return "adversarial"
@@ -55,28 +56,28 @@ func (k ScenarioKind) String() string {
 	}
 }
 
-// ParamKind types a scenario parameter.
-type ParamKind int
+// paramKind types a scenario parameter.
+type paramKind int
 
 const (
-	paramFloat ParamKind = iota
+	paramFloat paramKind = iota
 	paramInt
 	paramString
 )
 
-// Param is one entry of a scenario's parameter schema: a named, typed,
+// param is one entry of a scenario's parameter schema: a named, typed,
 // documented knob with a default, settable via "name:key=value,...".
-type Param struct {
+type param struct {
 	Name    string
-	Kind    ParamKind
+	Kind    paramKind
 	Default string
 	Doc     string
 }
 
-// Request carries the common generation knobs every scenario receives
+// request carries the common generation knobs every scenario receives
 // plus the validated parameter values (defaults overlaid with the spec's
 // key=value overrides).
-type Request struct {
+type request struct {
 	N      int
 	Rate   float64
 	Mu     float64
@@ -87,7 +88,7 @@ type Request struct {
 
 // Float returns a float parameter. The value was validated at lookup
 // time; asking for an undeclared parameter is a scenario bug and panics.
-func (r Request) Float(name string) float64 {
+func (r request) Float(name string) float64 {
 	v, err := strconv.ParseFloat(r.param(name), 64)
 	if err != nil {
 		panic(fmt.Sprintf("workload: param %q is not a float: %v", name, err))
@@ -96,7 +97,7 @@ func (r Request) Float(name string) float64 {
 }
 
 // Int returns an integer parameter.
-func (r Request) Int(name string) int {
+func (r request) Int(name string) int {
 	v, err := strconv.Atoi(r.param(name))
 	if err != nil {
 		panic(fmt.Sprintf("workload: param %q is not an int: %v", name, err))
@@ -104,10 +105,7 @@ func (r Request) Int(name string) int {
 	return v
 }
 
-// Str returns a string parameter.
-func (r Request) Str(name string) string { return r.param(name) }
-
-func (r Request) param(name string) string {
+func (r request) param(name string) string {
 	v, ok := r.params[name]
 	if !ok {
 		panic(fmt.Sprintf("workload: scenario read undeclared param %q", name))
@@ -115,42 +113,47 @@ func (r Request) param(name string) string {
 	return v
 }
 
-// Scenario is a named, self-describing workload family. Implementations
-// must be deterministic given (Request.Seed, params) and must return
-// ErrScalarOnly (wrapped is fine) when Dim > 1 is requested but
-// unsupported.
-type Scenario interface {
-	Name() string
-	Description() string
-	Kind() ScenarioKind
-	Params() []Param
-	Generate(req Request) (item.List, error)
+// Scenario is a named, self-describing workload family: a description,
+// a kind, a parameter schema, whether it has a vector-demand form, and
+// the hook that generates it. The hook must be deterministic given
+// (request.Seed, params).
+type Scenario struct {
+	name, desc string
+	kind       ScenarioKind
+	params     []param
+	vector     bool
+	gen        func(req request) (item.List, error)
 }
 
-var registry = map[string]Scenario{}
+// Name returns the name a spec selects the scenario by.
+func (s *Scenario) Name() string { return s.name }
+
+// Kind returns the scenario's family.
+func (s *Scenario) Kind() ScenarioKind { return s.kind }
+
+var registry = map[string]*Scenario{}
 
 // register adds a scenario to the package registry. Duplicate names and
 // malformed parameter defaults are programmer errors and panic; every
 // scenario registers from this package's init, so any mistake fails the
 // first test run.
-func register(s Scenario) {
-	name := s.Name()
-	if name == "" || strings.ContainsAny(name, ": ,=") {
-		panic(fmt.Sprintf("workload: invalid scenario name %q", name))
+func register(s *Scenario) {
+	if s.name == "" || strings.ContainsAny(s.name, ": ,=") {
+		panic(fmt.Sprintf("workload: invalid scenario name %q", s.name))
 	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("workload: scenario %q registered twice", name))
+	if _, dup := registry[s.name]; dup {
+		panic(fmt.Sprintf("workload: scenario %q registered twice", s.name))
 	}
-	for _, p := range s.Params() {
+	for _, p := range s.params {
 		if err := checkParamValue(p, p.Default); err != nil {
-			panic(fmt.Sprintf("workload: scenario %q default: %v", name, err))
+			panic(fmt.Sprintf("workload: scenario %q default: %v", s.name, err))
 		}
 	}
-	registry[name] = s
+	registry[s.name] = s
 }
 
 // checkParamValue verifies a value parses as the parameter's kind.
-func checkParamValue(p Param, v string) error {
+func checkParamValue(p param, v string) error {
 	switch p.Kind {
 	case paramFloat:
 		if _, err := strconv.ParseFloat(v, 64); err != nil {
@@ -165,112 +168,82 @@ func checkParamValue(p Param, v string) error {
 }
 
 // Scenarios returns every registered scenario sorted by name.
-func Scenarios() []Scenario {
-	out := make([]Scenario, 0, len(registry))
+func Scenarios() []*Scenario {
+	out := make([]*Scenario, 0, len(registry))
 	for _, s := range registry {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
-}
-
-// Statistical returns the registered statistical scenarios sorted by
-// name — the family the mean-ratio experiment sweeps iterate.
-func Statistical() []Scenario {
-	var out []Scenario
-	for _, s := range Scenarios() {
-		if s.Kind() == kindStatistical {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Instance binds a scenario to validated parameter values, ready to
-// generate instances of any size.
-type Instance struct {
-	Scenario
-	params map[string]string
 }
 
 // lookup parses a spec string ("name" or "name:key=value,..." or
-// "trace:<path>") against the registry. Unknown names and unknown or
-// ill-typed parameters are errors; the unknown-name error enumerates the
-// whole registry so a stale CLI invocation is self-correcting.
-func lookup(spec string) (Instance, error) {
+// "trace:<path>") against the registry and returns the scenario with its
+// parameter values. Unknown names and unknown or ill-typed parameters
+// are errors; the unknown-name error enumerates the whole registry so a
+// stale CLI invocation is self-correcting.
+func lookup(spec string) (*Scenario, map[string]string, error) {
 	name, rest, hasRest := strings.Cut(spec, ":")
 	if name == "" {
-		return Instance{}, fmt.Errorf("workload: no scenario given; registered scenarios:\n%s", describe())
+		return nil, nil, fmt.Errorf("workload: no scenario given; registered scenarios:\n%s", describe())
 	}
 	s, ok := registry[name]
 	if !ok {
-		return Instance{}, fmt.Errorf("workload: unknown scenario %q; registered scenarios:\n%s", name, describe())
+		return nil, nil, fmt.Errorf("workload: unknown scenario %q; registered scenarios:\n%s", name, describe())
 	}
-	schema := map[string]Param{}
+	schema := map[string]param{}
 	params := map[string]string{}
-	for _, p := range s.Params() {
+	for _, p := range s.params {
 		schema[p.Name] = p
 		params[p.Name] = p.Default
 	}
-	if s.Kind() == KindTrace {
+	if s.kind == kindTrace {
 		// The remainder of a trace spec is the file path verbatim (paths
 		// may contain '=' and ','; they are not key=value lists).
 		params["path"] = rest
-		return Instance{Scenario: s, params: params}, nil
+		return s, params, nil
 	}
 	if hasRest && rest != "" {
 		for _, kv := range strings.Split(rest, ",") {
 			k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 			if !ok {
-				return Instance{}, fmt.Errorf("workload: %s: malformed param %q (want key=value)", name, kv)
+				return nil, nil, fmt.Errorf("workload: %s: malformed param %q (want key=value)", name, kv)
 			}
 			p, known := schema[k]
 			if !known {
-				return Instance{}, fmt.Errorf("workload: %s has no param %q (has: %s)", name, k, paramNames(s))
+				return nil, nil, fmt.Errorf("workload: %s has no param %q (has: %s)", name, k, paramNames(s))
 			}
 			if err := checkParamValue(p, v); err != nil {
-				return Instance{}, fmt.Errorf("workload: %s: %w", name, err)
+				return nil, nil, fmt.Errorf("workload: %s: %w", name, err)
 			}
 			params[k] = v
 		}
 	}
-	return Instance{Scenario: s, params: params}, nil
+	return s, params, nil
 }
 
-// MustLookup is lookup for specs known at compile time (experiment
-// tables); it panics on error.
-func MustLookup(spec string) Instance {
-	in, err := lookup(spec)
-	if err != nil {
-		panic(err)
-	}
-	return in
-}
-
-// Generate produces an instance of the scenario: n jobs arriving at the
-// given rate with duration ratio mu, seeded, with dim-dimensional
-// demands (dim <= 1 is scalar). Adversarial scenarios interpret n as
-// their construction parameter and ignore rate and seed.
-func (in Instance) Generate(n int, rate, mu float64, seed int64, dim int) (item.List, error) {
-	if dim < 1 {
-		dim = 1
-	}
-	req := Request{N: n, Rate: rate, Mu: mu, Seed: seed, Dim: dim, params: in.params}
-	l, err := in.Scenario.Generate(req)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %s: %w", in.Name(), err)
-	}
-	return l, nil
-}
-
-// FromSpec is the one-call path every consumer uses: resolve the spec
-// in the registry and generate.
+// FromSpec is the one way to build a list from the registry: it resolves
+// the spec and generates n jobs arriving at the given rate with duration
+// ratio mu, seeded, with dim-dimensional demands (dim <= 1 is scalar).
+// Adversarial scenarios interpret n as their construction parameter and
+// ignore rate and seed; a scenario without a vector form refuses dim > 1
+// with ErrScalarOnly.
 func FromSpec(spec string, n int, rate, mu float64, seed int64, dim int) (item.List, error) {
-	in, err := lookup(spec)
+	s, params, err := lookup(spec)
 	if err != nil {
 		return nil, err
 	}
-	return in.Generate(n, rate, mu, seed, dim)
+	dim = max(dim, 1)
+	var l item.List
+	if dim > 1 && !s.vector {
+		err = ErrScalarOnly
+	} else {
+		l, err = s.gen(request{N: n, Rate: rate, Mu: mu, Seed: seed, Dim: dim, params: params})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("workload: %s: %w", s.name, err)
+	}
+	return l, nil
 }
 
 // describe renders the registry as a self-documenting listing: one
@@ -279,13 +252,13 @@ func FromSpec(spec string, n int, rate, mu float64, seed int64, dim int) (item.L
 func describe() string {
 	var b strings.Builder
 	for _, s := range Scenarios() {
-		name := s.Name()
-		if s.Kind() == KindTrace {
+		name := s.name
+		if s.kind == kindTrace {
 			name += ":<path>"
 		}
-		fmt.Fprintf(&b, "  %-16s %-12s %s\n", name, "["+s.Kind().String()+"]", s.Description())
-		for _, p := range s.Params() {
-			if s.Kind() == KindTrace && p.Name == "path" {
+		fmt.Fprintf(&b, "  %-16s %-12s %s\n", name, "["+s.kind.String()+"]", s.desc)
+		for _, p := range s.params {
+			if s.kind == kindTrace && p.Name == "path" {
 				continue // the path rides in the spec itself
 			}
 			fmt.Fprintf(&b, "  %-16s   %s=%s — %s\n", "", p.Name, p.Default, p.Doc)
@@ -301,13 +274,12 @@ func List(w io.Writer) {
 }
 
 // paramNames lists a scenario's parameter names for error messages.
-func paramNames(s Scenario) string {
-	ps := s.Params()
-	if len(ps) == 0 {
+func paramNames(s *Scenario) string {
+	if len(s.params) == 0 {
 		return "none"
 	}
-	names := make([]string, len(ps))
-	for i, p := range ps {
+	names := make([]string, len(s.params))
+	for i, p := range s.params {
 		names[i] = p.Name
 	}
 	return strings.Join(names, ", ")

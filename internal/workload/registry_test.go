@@ -1,8 +1,5 @@
 package workload
 
-// Registry-level tests live in an external package: they see the
-// registry through its exported surface, as its consumers do.
-
 import (
 	"encoding/binary"
 	"errors"
@@ -25,8 +22,8 @@ const sampleTrace = "testdata/sample.csv.gz"
 
 // specFor turns a registered scenario into a runnable spec (the trace
 // scenario needs a path).
-func specFor(s Scenario) string {
-	if s.Kind() == KindTrace {
+func specFor(s *Scenario) string {
+	if s.kind == kindTrace {
 		return "trace:" + sampleTrace
 	}
 	return s.Name()
@@ -43,7 +40,7 @@ func TestRegistrySmoke(t *testing.T) {
 	}
 	listing := describe()
 	for _, s := range scens {
-		if s.Description() == "" {
+		if s.desc == "" {
 			t.Errorf("%s: empty description", s.Name())
 		}
 		if !strings.Contains(listing, s.Name()) {
@@ -80,7 +77,7 @@ func TestScenarioSeedDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: same seed, different instances", s.Name())
 		}
-		if s.Kind() != kindStatistical {
+		if s.kind != KindStatistical {
 			continue // adversaries and traces are seed-insensitive by design
 		}
 		c, err := FromSpec(spec, 80, 2, 8, 43, 1)
@@ -108,7 +105,7 @@ func TestScalarOnlyScenarios(t *testing.T) {
 // unknown names, unknown params, ill-typed and malformed params all
 // fail loudly, and the unknown-name error carries the whole registry.
 func TestUnknownScenarioError(t *testing.T) {
-	_, err := lookup("nope")
+	_, _, err := lookup("nope")
 	if err == nil {
 		t.Fatal("unknown scenario must error")
 	}
@@ -118,13 +115,12 @@ func TestUnknownScenarioError(t *testing.T) {
 		}
 	}
 	for _, spec := range []string{"zipfian:bogus=1", "zipfian:alpha=abc", "zipfian:alpha", "uniform:x=1"} {
-		if _, err := lookup(spec); err == nil {
+		if _, _, err := lookup(spec); err == nil {
 			t.Errorf("Lookup(%q) must error", spec)
 		}
 	}
 	// Params overlay defaults without mutating the registered schema.
-	in := MustLookup("zipfian:alpha=1.9,classes=8")
-	l, err := in.Generate(50, 2, 4, 1, 1)
+	l, err := FromSpec("zipfian:alpha=1.9,classes=8", 50, 2, 4, 1, 1)
 	if err != nil || len(l) != 50 {
 		t.Fatalf("parameterized zipfian: %v (%d items)", err, len(l))
 	}
@@ -155,25 +151,23 @@ func TestTraceScenario(t *testing.T) {
 // rank-frequency curve of the sampled size classes follows a power law
 // with exponent ~ -alpha (log-log least-squares slope).
 func TestZipfianRankFrequency(t *testing.T) {
-	c := zipfianConfig{
-		Config:  UniformConfig(20000, 5, 4, 2),
-		Alpha:   1.1,
-		Classes: 16,
-		LoSize:  0.05, HiSize: 0.95,
+	const alpha, classes = 1.1, 16
+	l, err := FromSpec("zipfian", 20000, 5, 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	l := generateZipfian(c, 1)
-	counts := make([]int, c.Classes+1)
+	counts := make([]int, classes+1)
 	for _, it := range l {
-		r := c.RankOfSize(it.Size)
-		if r < 1 || r > c.Classes {
-			t.Fatalf("item size %g maps to rank %d outside [1, %d]", it.Size, r, c.Classes)
+		r := rankOfSize(it.Size, classes, 0.05, 0.95)
+		if r < 1 || r > classes {
+			t.Fatalf("item size %g maps to rank %d outside [1, %d]", it.Size, r, classes)
 		}
 		counts[r]++
 	}
 	// Least squares on (log r, log freq) over ranks with samples.
 	var sx, sy, sxx, sxy float64
 	n := 0.0
-	for r := 1; r <= c.Classes; r++ {
+	for r := 1; r <= classes; r++ {
 		if counts[r] == 0 {
 			continue
 		}
@@ -182,9 +176,16 @@ func TestZipfianRankFrequency(t *testing.T) {
 		n++
 	}
 	slope := (n*sxy - sx*sy) / (n*sxx - sx*sx)
-	if math.Abs(slope-(-c.Alpha)) > 0.15 {
-		t.Fatalf("rank-frequency slope %.3f, want ~ %.3f (+-0.15)", slope, -c.Alpha)
+	if math.Abs(slope-(-alpha)) > 0.15 {
+		t.Fatalf("rank-frequency slope %.3f, want ~ %.3f (+-0.15)", slope, -alpha)
 	}
+}
+
+// rankOfSize inverts zipfSizes' geometric grid of classes sizes from lo
+// to hi: it recovers the sampled 1-based rank from an emitted size.
+func rankOfSize(s float64, classes int, lo, hi float64) int {
+	r := 1 + float64(classes-1)*math.Log(s/lo)/math.Log(hi/lo)
+	return int(math.Round(r))
 }
 
 // TestHotspotTenantShare checks the tenant-affinity encoding and the
@@ -192,7 +193,7 @@ func TestZipfianRankFrequency(t *testing.T) {
 // configured traffic share, recovered from the job IDs alone.
 func TestHotspotTenantShare(t *testing.T) {
 	c := hotspotConfig{
-		Config:  UniformConfig(20000, 5, 4, 3),
+		config:  uniformConfig(request{N: 20000, Rate: 5, Mu: 4, Seed: 3}),
 		Tenants: 50, HotFrac: 0.1, HotShare: 0.8,
 	}
 	l := generateHotspot(c, 1)
@@ -222,7 +223,7 @@ func TestHotspotTenantShare(t *testing.T) {
 // arrivals of the quarter-cycle around the trough.
 func TestDiurnalPeakTrough(t *testing.T) {
 	c := diurnalConfig{
-		Config:    UniformConfig(20000, 10, 4, 4),
+		config:    uniformConfig(request{N: 20000, Rate: 10, Mu: 4, Seed: 4}),
 		Amplitude: 0.8,
 	}
 	l := generateDiurnal(c, 1)
@@ -330,7 +331,10 @@ func TestStatisticalScenarioDigests(t *testing.T) {
 		"zipfian":       {"3ffdf2b0e0aa3a77", "8771a21812ac499c"},
 	}
 	got := map[string][2]string{}
-	for _, s := range Statistical() {
+	for _, s := range Scenarios() {
+		if s.Kind() != KindStatistical {
+			continue
+		}
 		var pair [2]string
 		for i, d := range []int{1, 2} {
 			l, err := FromSpec(s.Name(), 300, 2, 8, 11, d)

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -14,26 +13,32 @@ import (
 // curves. All are deterministic given a seed, like every generator in
 // this package.
 
-// zipfSampler draws 1-based ranks with P(r) proportional to r^-alpha
-// over a finite rank set, by inverse CDF. math/rand's Zipf requires
-// alpha > 1; experiment sweeps want the full range, so the finite-support
-// sampler is implemented directly.
-type zipfSampler struct {
-	cum []float64 // cumulative unnormalized weights, cum[r-1] = sum_{i<=r} i^-alpha
+// zipfSizes is the zipfian family's size distribution: a finite catalog
+// of size classes with Zipf-skewed popularity, rank r drawn with
+// probability proportional to r^-alpha by inverse CDF. Rank 1 is the
+// most frequent and the smallest (lo), the tail ranks are rare and large
+// (up to hi, on a geometric grid) — the canonical shape of VM-type
+// popularity in public cluster traces (a handful of small flavors
+// dominate, big flavors are rare). math/rand's Zipf requires alpha > 1;
+// sweeps want the full range, so the finite-support sampler is written
+// out.
+type zipfSizes struct {
+	cum    []float64 // cumulative unnormalized weights, cum[r-1] = sum_{i<=r} i^-alpha
+	lo, hi float64
 }
 
-func newZipfSampler(alpha float64, ranks int) *zipfSampler {
-	cum := make([]float64, ranks)
+func newZipfSizes(alpha float64, classes int, lo, hi float64) zipfSizes {
+	cum := make([]float64, classes)
 	total := 0.0
-	for r := 1; r <= ranks; r++ {
+	for r := 1; r <= classes; r++ {
 		total += math.Pow(float64(r), -alpha)
 		cum[r-1] = total
 	}
-	return &zipfSampler{cum: cum}
+	return zipfSizes{cum: cum, lo: lo, hi: hi}
 }
 
-// rank returns a 1-based rank.
-func (z *zipfSampler) rank(rng *rand.Rand) int {
+// Sample implements dist: the size of a drawn rank.
+func (z zipfSizes) Sample(rng *rand.Rand) float64 {
 	x := rng.Float64() * z.cum[len(z.cum)-1]
 	// Binary search for the first cumulative weight >= x.
 	lo, hi := 0, len(z.cum)-1
@@ -45,59 +50,7 @@ func (z *zipfSampler) rank(rng *rand.Rand) int {
 			hi = mid
 		}
 	}
-	return lo + 1
-}
-
-// zipfianConfig describes a workload whose job sizes come from a finite
-// catalog of size classes with Zipf-skewed popularity: class rank 1 is
-// the most frequent and the smallest, the tail classes are rare and
-// large — the canonical shape of VM-type popularity in public cluster
-// traces (a handful of small flavors dominate, big flavors are rare).
-type zipfianConfig struct {
-	Config
-	// Alpha is the skew exponent (> 0): frequency of rank r ~ r^-Alpha.
-	Alpha float64
-	// Classes is the number of size classes (>= 2).
-	Classes int
-	// LoSize and HiSize bound the class sizes; rank 1 maps to LoSize and
-	// rank Classes to HiSize on a geometric grid.
-	LoSize, HiSize float64
-}
-
-// SizeOfRank maps a 1-based popularity rank to its class size on the
-// geometric grid from LoSize (rank 1) to HiSize (rank Classes).
-func (c zipfianConfig) SizeOfRank(r int) float64 {
-	return c.LoSize * math.Pow(c.HiSize/c.LoSize, float64(r-1)/float64(c.Classes-1))
-}
-
-// RankOfSize inverts SizeOfRank (used by the rank-frequency statistics
-// test to recover the sampled rank from an emitted item).
-func (c zipfianConfig) RankOfSize(s float64) int {
-	r := 1 + float64(c.Classes-1)*math.Log(s/c.LoSize)/math.Log(c.HiSize/c.LoSize)
-	return int(math.Round(r))
-}
-
-// generateZipfian produces a Poisson-arrival instance with Zipf-skewed
-// size classes. dim > 1 draws an independent rank per dimension (scalar
-// Size is the max component, the package convention).
-func generateZipfian(c zipfianConfig, dim int) item.List {
-	if c.N <= 0 || c.Rate <= 0 || c.Alpha <= 0 || c.Classes < 2 ||
-		c.LoSize <= 0 || c.HiSize <= c.LoSize || c.HiSize > 1 {
-		panic(fmt.Sprintf("workload: bad zipfian config %+v", c))
-	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	z := newZipfSampler(c.Alpha, c.Classes)
-	size := func() float64 { return c.SizeOfRank(z.rank(rng)) }
-	l := make(item.List, c.N)
-	buf := demandBuf(c.N, dim)
-	t := 0.0
-	for i := range l {
-		t += rng.ExpFloat64() / c.Rate
-		d := c.Duration.Sample(rng)
-		l[i] = item.Item{ID: item.ID(i + 1), Arrival: t, Departure: t + d}
-		drawDemand(&l[i], dim, &buf, size)
-	}
-	return l
+	return z.lo * math.Pow(z.hi/z.lo, float64(lo)/float64(len(z.cum)-1))
 }
 
 // hotspotConfig describes multi-tenant traffic where a few hot tenants
@@ -107,7 +60,7 @@ func generateZipfian(c zipfianConfig, dim int) item.List {
 // accounting) can recover the tenant as (ID-1) mod Tenants without a side
 // table.
 type hotspotConfig struct {
-	Config
+	config
 	// Tenants is the tenant population size (>= 2).
 	Tenants int
 	// HotFrac is the fraction of tenants that are hot, in (0, 1).
@@ -134,10 +87,6 @@ func (c hotspotConfig) HotTenants() int {
 // within the hot set), otherwise to a cold tenant. dim > 1 draws vector
 // demands with independent components.
 func generateHotspot(c hotspotConfig, dim int) item.List {
-	if c.N <= 0 || c.Rate <= 0 || c.Tenants < 2 ||
-		c.HotFrac <= 0 || c.HotFrac >= 1 || c.HotShare <= 0 || c.HotShare > 1 {
-		panic(fmt.Sprintf("workload: bad hotspot config %+v", c))
-	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	hot := c.HotTenants()
 	cold := c.Tenants - hot
@@ -166,7 +115,7 @@ func generateHotspot(c hotspotConfig, dim int) item.List {
 // day/night load cycle every production allocator rides. Amplitude 0.8
 // gives a 9x peak-to-trough rate ratio.
 type diurnalConfig struct {
-	Config
+	config
 	// Amplitude is the relative modulation depth, in [0, 0.95].
 	Amplitude float64
 	// Period is the cycle length in workload time units; 0 picks one
@@ -188,9 +137,6 @@ func (c diurnalConfig) EffectivePeriod() float64 {
 // accepted with probability rate(t)/peak — the standard exact simulation
 // of an inhomogeneous Poisson process, deterministic given the seed.
 func generateDiurnal(c diurnalConfig, dim int) item.List {
-	if c.N <= 0 || c.Rate <= 0 || c.Amplitude < 0 || c.Amplitude > 0.95 {
-		panic(fmt.Sprintf("workload: bad diurnal config %+v", c))
-	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	period := c.EffectivePeriod()
 	peak := c.Rate * (1 + c.Amplitude)

@@ -12,25 +12,23 @@ import (
 
 func TestDistributionBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	dists := []Dist{
-		constantDist{V: 3},
-		uniformDist{Lo: 1, Hi: 5},
-		truncExpDist{Mean: 2, Lo: 1, Hi: 8},
-		paretoDist{Alpha: 1.5, Lo: 1, Hi: 16},
-		bimodalDist{A: constantDist{V: 1}, B: constantDist{V: 9}, PA: 0.5},
-		choiceDist{Values: []float64{0.25, 0.5, 1}},
-		choiceDist{Values: []float64{0.25, 0.5}, Weights: []float64{9, 1}},
-	}
-	for _, d := range dists {
-		lo, hi := d.Bounds()
+	for _, c := range []struct {
+		d      dist
+		lo, hi float64
+	}{
+		{constantDist{V: 3}, 3, 3},
+		{uniformDist{Lo: 1, Hi: 5}, 1, 5},
+		{paretoDist{Alpha: 1.5, Lo: 1, Hi: 16}, 1, 16},
+		{truncExpDist{Mean: 2, Lo: 1, Hi: 8}, 1, 8},
+		{bimodalDist{A: constantDist{V: 1}, B: constantDist{V: 9}, PA: 0.5}, 1, 9},
+		{choiceDist{Values: []float64{0.25, 0.5, 1}}, 0.25, 1},
+		{choiceDist{Values: []float64{0.25, 0.5}, Weights: []float64{9, 1}}, 0.25, 0.5},
+	} {
 		for i := 0; i < 2000; i++ {
-			x := d.Sample(rng)
-			if x < lo-1e-12 || x > hi+1e-12 {
-				t.Fatalf("%v sampled %g outside [%g, %g]", d, x, lo, hi)
+			x := c.d.Sample(rng)
+			if x < c.lo-1e-12 || x > c.hi+1e-12 {
+				t.Fatalf("%+v sampled %g outside [%g, %g]", c.d, x, c.lo, c.hi)
 			}
-		}
-		if d.String() == "" {
-			t.Errorf("%T has empty String", d)
 		}
 	}
 }
@@ -62,9 +60,9 @@ func TestChoiceWeights(t *testing.T) {
 }
 
 func TestGenerateDeterministicAndValid(t *testing.T) {
-	c := UniformConfig(500, 2.0, 8, 42)
-	a := Generate(c)
-	b := Generate(c)
+	c := uniformConfig(request{N: 500, Rate: 2, Mu: 8, Seed: 42})
+	a := generate(c, 1)
+	b := generate(c, 1)
 	if len(a) != 500 {
 		t.Fatalf("len = %d", len(a))
 	}
@@ -79,10 +77,11 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 			t.Fatal("arrivals must be non-decreasing")
 		}
 	}
-	if mu := a.Mu(); mu > c.MuBound()+1e-9 {
-		t.Fatalf("realized mu %g exceeds bound %g", mu, c.MuBound())
+	if mu := a.Mu(); mu > 8+1e-9 {
+		t.Fatalf("realized mu %g exceeds bound 8", mu)
 	}
-	diff := Generate(Config{N: 500, Rate: 2, Seed: 43, Size: c.Size, Duration: c.Duration})
+	c.Seed = 43
+	diff := generate(c, 1)
 	same := true
 	for i := range a {
 		if !sameItem(a[i], diff[i]) {
@@ -100,8 +99,7 @@ func sameItem(a, b item.Item) bool {
 }
 
 func TestGenerateVec(t *testing.T) {
-	c := UniformConfig(100, 2.0, 4, 7)
-	l := GenerateVec(c, 2)
+	l := generate(uniformConfig(request{N: 100, Rate: 2, Mu: 4, Seed: 7}), 2)
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +113,38 @@ func TestGenerateVec(t *testing.T) {
 	}
 }
 
+// TestPresetConfigs checks that the Poisson families whose durations lie
+// on [1, mu] generate valid instances whose realized mu stays within it.
 func TestPresetConfigs(t *testing.T) {
-	for _, c := range []Config{
-		UniformConfig(50, 1, 4, 1),
-		paretoConfig(50, 1, 4, 1),
-		BimodalConfig(50, 1, 4, 1),
-		SmallItemConfig(50, 1, 4, 1),
-	} {
-		l := Generate(c)
-		if err := l.Validate(); err != nil {
-			t.Fatalf("%v: %v", c, err)
+	for _, name := range []string{"uniform", "pareto", "bimodal", "smallitem"} {
+		l, err := FromSpec(name, 50, 1, 4, 1, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c.MuBound() != 4 {
-			t.Fatalf("%v: mu bound %g", c, c.MuBound())
+		if err := l.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if mu := l.Mu(); mu > 4+1e-9 {
+			t.Fatalf("%s: realized mu %g exceeds 4", name, mu)
+		}
+	}
+}
+
+// TestScenarioRefusesBadRequest pins that a scenario's hook refuses the
+// requests its generator cannot run, as an error, not a panic.
+func TestScenarioRefusesBadRequest(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		n    int
+		rate float64
+	}{
+		{"uniform", 0, 1},
+		{"uniform", 10, 0},
+		{"bursty", 0, 1},
+		{"bursty:factor=0.5", 10, 1},
+	} {
+		if _, err := FromSpec(c.spec, c.n, c.rate, 2, 1, 1); err == nil {
+			t.Errorf("FromSpec(%q, n=%d, rate=%g) must error", c.spec, c.n, c.rate)
 		}
 	}
 }
@@ -138,7 +155,7 @@ func TestGeneratePanicsOnBadConfig(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Generate(Config{N: 0, Rate: 1, Size: constantDist{V: 0.5}, Duration: constantDist{V: 1}})
+	generate(config{N: 0, Rate: 1, Size: constantDist{V: 0.5}, Duration: constantDist{V: 1}}, 1)
 }
 
 func TestNextFitAdversaryExactPaperNumbers(t *testing.T) {
@@ -311,7 +328,6 @@ func TestAdversaryPanics(t *testing.T) {
 		func() { BestFitRelay(1, 1, 4) },
 		func() { BestFitRelay(4, 1, 1.5) },
 		func() { FirstFitSmallItemStress(0, 1, 4) },
-		func() { GenerateVec(UniformConfig(10, 1, 2, 1), 1) },
 	} {
 		func() {
 			defer func() {
@@ -327,26 +343,26 @@ func TestAdversaryPanics(t *testing.T) {
 var _ = item.List{} // keep the import meaningful if refactors drop uses
 
 func TestGenerateBursty(t *testing.T) {
-	c := BurstyConfig{
-		Config:      UniformConfig(2000, 1, 4, 5),
+	c := burstyConfig{
+		config:      uniformConfig(request{N: 2000, Rate: 1, Mu: 4, Seed: 5}),
 		BurstFactor: 10,
 		MeanCalm:    20,
 		MeanBurst:   5,
 	}
-	l := GenerateBursty(c)
+	l := generateBursty(c)
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Burstiness shows up as a heavier tail of short inter-arrival gaps
 	// than a plain Poisson stream of the same total count and span.
-	plain := Generate(Config{N: 2000, Rate: float64(2000) / l.PackingPeriod().Length(),
-		Size: c.Size, Duration: c.Duration, Seed: 5})
+	plain := generate(config{N: 2000, Rate: float64(2000) / l.PackingPeriod().Length(),
+		Size: c.Size, Duration: c.Duration, Seed: 5}, 1)
 	burstShort := shortGapFraction(l, 0.05)
 	plainShort := shortGapFraction(plain, 0.05)
 	if burstShort <= plainShort {
 		t.Fatalf("bursty stream not burstier: %.3f vs %.3f short-gap fraction", burstShort, plainShort)
 	}
-	l2 := GenerateBursty(c)
+	l2 := generateBursty(c)
 	for i := range l {
 		if !sameItem(l[i], l2[i]) {
 			t.Fatal("bursty generation must be deterministic")
@@ -371,5 +387,5 @@ func TestGenerateBurstyPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	GenerateBursty(BurstyConfig{Config: UniformConfig(10, 1, 2, 1), BurstFactor: 0.5, MeanCalm: 1, MeanBurst: 1})
+	generateBursty(burstyConfig{config: uniformConfig(request{N: 10, Rate: 1, Mu: 2, Seed: 1}), BurstFactor: 0.5, MeanCalm: 1, MeanBurst: 1})
 }
