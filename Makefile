@@ -96,12 +96,14 @@ equivalence:
 ## -list-workloads golden, the adversarial and statistical digests), the
 ## batch-path half of the cross-engine oracle, which packs every
 ## registered scenario bit-identically on both engines, and the root
-## names audit, which fails on an exported workload name (or any other
-## internal one) that no other package uses
+## declaration audit, which type-checks both modules and fails on a
+## declaration of internal/ or cmd/ (a workload generator, a scenario
+## hook's helper) that no non-test code uses, or on an exported internal
+## name that no other package uses or reaches through a signature
 scenarios-check:
 	$(GO) test -count=1 ./internal/workload/
 	$(GO) test -count=1 -run 'TestEnginesEquivalent' ./internal/packing/
-	$(GO) test -count=1 -run 'TestInternalNamesHaveAUser' .
+	$(GO) test -count=1 -run 'TestInternal(Names|Methods)HaveAUser' .
 
 ## bench-fleet: run the large-fleet Go benchmarks once each — among them
 ## BenchmarkLargeFleetKeepAliveScaling, ns/event per policy × engine from 500
@@ -201,12 +203,16 @@ bench-wal:
 figures:
 	$(GO) run ./cmd/dbpplot
 
-## loc: the non-test Go lines added, removed and net outside bench/, from
-## BASE (default HEAD) to the working tree, untracked files included —
-## the figure a change reports (make loc BASE=main)
+## loc: the Go lines added, removed and net outside bench/, from BASE
+## (default HEAD) to the working tree, untracked files included — the
+## non-test figure a change reports, then the test files' apart, so code
+## moved into tests shows on both lines (make loc BASE=main)
 BASE ?= HEAD
 loc:
-	@{ git diff --numstat $(BASE) -- '*.go' ':!*_test.go' ':!bench/'; \
-	  git ls-files --others --exclude-standard -- '*.go' ':!*_test.go' ':!bench/' | \
-	  xargs -r wc -l | awk '$$2 != "total" {print $$1 "\t0\t" $$2}'; } | \
-	awk '{a += $$1; r += $$2} END {printf "non-test Go outside bench/: +%d -%d (net %+d)\n", a, r, a - r}'
+	@for kind in non-test test; do \
+	  if [ $$kind = test ]; then set -- '*_test.go'; else set -- '*.go' ':!*_test.go'; fi; \
+	  { git diff --numstat --no-renames $(BASE) -- "$$@" ':!bench/'; \
+	    git ls-files --others --exclude-standard -- "$$@" ':!bench/' | \
+	    xargs -r wc -l | awk '$$2 != "total" {print $$1 "\t0\t" $$2}'; } | \
+	  awk -v kind=$$kind '{a += $$1; r += $$2} END {printf "%s Go outside bench/: +%d -%d (net %+d)\n", kind, a, r, a - r}'; \
+	done

@@ -1,16 +1,23 @@
 package dbp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"dbp/internal/serve"
@@ -190,149 +197,115 @@ func exportedDecls(t *testing.T, dir string) map[string]token.Token {
 	return names
 }
 
-// forEachNonTestFile parses every non-test Go file of the module, bench/
-// included (testdata and hidden directories skipped), and hands it to fn
-// with its path.
-func forEachNonTestFile(t *testing.T, fn func(path string, file *ast.File)) {
-	t.Helper()
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		fn(path, file)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestInternalNamesHaveAUser holds internal/ to the root's rule: every
-// exported top-level name in a non-test file of an internal package is
-// used as pkg.Name by a non-test file of another package (bench/, cmd/
-// and examples/ count), or is listed in keptNames with its reason. A
-// name only its own package or its tests use is unexported.
+// TestInternalNamesHaveAUser and TestInternalMethodsHaveAUser hold
+// every declaration of internal/ and cmd/ to a user, by resolved types
+// rather than names: the first its package-level names, the second its
+// methods, both from one load of auditedDeclarations. The non-test
+// files of the root and bench/ modules are type-checked against the
+// export data `go list -export` builds (so build tags apply), and every
+// use is keyed by where the object it resolves to is declared. Each
+// package-level func, var, const and type, and each method, that a
+// non-test file of internal/ or cmd/ declares must be:
+//
+//   - used: some non-test file of either module (bench/, examples/ and
+//     the root included) uses it outside its own declaration, a type's
+//     own methods counting as its declaration; or, for a method, its
+//     receiver type implements an interface the module's code names,
+//     declares, asserts or converts to (error and interface literals
+//     included) and that interface has the method, or, for String, an
+//     operand of its type goes to a fmt function, which calls it
+//     through fmt.Stringer;
+//   - exported only for another package: an exported internal
+//     package-level name has a user in another package, or is a type
+//     reachable from one that has, as a field, parameter, result or
+//     element type of it, transitively.
+//
+// keptNames and keptMethods list, with their reasons, the few the types
+// cannot show. A declaration only tests use moves into a test file; a
+// name only its own package uses is unexported.
 func TestInternalNamesHaveAUser(t *testing.T) {
-	used := map[string]bool{} // "pkg.Name", pkg the directory under internal/
-	forEachNonTestFile(t, func(path string, file *ast.File) {
-		imported := map[string]string{} // local name -> package under internal/
-		for _, spec := range file.Imports {
-			p := strings.Trim(spec.Path.Value, `"`)
-			pkg, ok := strings.CutPrefix(p, "dbp/internal/")
-			if !ok {
-				continue
-			}
-			local := filepath.Base(p)
-			if spec.Name != nil {
-				local = spec.Name.Name
-			}
-			imported[local] = pkg
+	byName := auditedDeclarations(t)
+	var dead, lonely []string
+	for name, d := range byName {
+		switch {
+		case d.method:
+		case !d.used:
+			dead = append(dead, name)
+		case d.exported && !d.outside && keptNames[name] == "":
+			lonely = append(lonely, name)
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && imported[x.Name] != "" {
-					used[imported[x.Name]+"."+sel.Sel.Name] = true
-				}
-			}
-			return true
-		})
-	})
-	var unused []string
-	declared := map[string]bool{}
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if d.Name() == "testdata" {
-			return filepath.SkipDir
-		}
-		pkg := filepath.ToSlash(strings.TrimPrefix(path, "internal"+string(filepath.Separator)))
-		for name := range exportedDecls(t, path) {
-			key := pkg + "." + name
-			declared[key] = true
-			if !used[key] && keptNames[key] == "" {
-				unused = append(unused, key)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	slices.Sort(unused)
-	if len(unused) > 0 {
-		t.Errorf("%d exported internal names with no user in another package's non-test code (unexport them, or keep them in keptNames with a reason): %v", len(unused), unused)
+	slices.Sort(dead)
+	slices.Sort(lonely)
+	if len(dead) > 0 {
+		t.Errorf("%d package-level declarations of internal/ or cmd/ with no use in non-test code (delete them, or move a test-only tool into the tests): %v", len(dead), dead)
 	}
-	for key := range keptNames {
-		if !declared[key] || used[key] {
-			t.Errorf("keptNames lists %s, which is not declared or has a user", key)
+	if len(lonely) > 0 {
+		t.Errorf("%d exported internal names that no other package uses or reaches through a signature (unexport them, or keep them in keptNames with a reason): %v", len(lonely), lonely)
+	}
+	for name := range keptNames {
+		if d := byName[name]; d == nil || !d.exported || d.outside {
+			t.Errorf("keptNames lists %s, which is not declared, not exported, or has a user", name)
 		}
 	}
 }
 
-// keptNames are the exported internal names that no other package
-// selects, each with the reason that keeps it exported: it is named in
-// the signature of an exported name that has a user (a parameter, result
-// or field type, or an error value an exported function returns), or
-// README.md or DESIGN.md documents it as wire or WAL protocol.
+// TestInternalMethodsHaveAUser is the method half of the audit
+// TestInternalNamesHaveAUser describes.
+func TestInternalMethodsHaveAUser(t *testing.T) {
+	byName := auditedDeclarations(t)
+	var dead []string
+	for name, d := range byName {
+		if d.method && !d.used && keptMethods[name] == "" {
+			dead = append(dead, name)
+		}
+	}
+	slices.Sort(dead)
+	if len(dead) > 0 {
+		t.Errorf("%d methods of internal/ or cmd/ with no use in non-test code and no interface the module uses (delete them, move a test-only one into the tests, or keep it in keptMethods with a reason): %v", len(dead), dead)
+	}
+	for name := range keptMethods {
+		if d := byName[name]; d == nil || !d.method || d.used {
+			t.Errorf("keptMethods lists %s, which is not a declared method or has a use", name)
+		}
+	}
+}
+
+// audit caches auditedDeclarations' result, so the two audit tests
+// load and type-check the modules once.
+var audit struct {
+	sync.Mutex
+	byName map[string]*audited
+}
+
+// auditedDeclarations returns the audited declarations of the root and
+// bench/ modules keyed by name.
+func auditedDeclarations(t *testing.T) map[string]*audited {
+	t.Helper()
+	audit.Lock()
+	defer audit.Unlock()
+	if audit.byName == nil {
+		byName := map[string]*audited{}
+		for _, d := range loadDeclarations(t, ".", "bench") {
+			byName[d.name] = d
+		}
+		audit.byName = byName
+	}
+	return audit.byName
+}
+
+// keptNames are the exported internal names that no other package uses
+// and no used signature reaches, each with the reason that keeps it
+// exported: an error value a used function returns, or a value the
+// package documents as part of its API.
 var keptNames = map[string]string{
-	"analysis.BinPeriods":    "field type of Decomposition.Periods",
-	"analysis.BinSubperiods": "result of SubperiodsOf",
-	"analysis.Decomposition": "result of Decompose",
-	"analysis.LGroup":        "result of BuildLGroups",
-	"analysis.Subperiod":     "field type of BinSubperiods.Subperiods",
-
-	"bins.JobState": "field type of ServerState.Active",
-
-	"item.Kind": "field type of Step.Kind",
-	"item.Step": "result of List.Steps",
-
-	"load.HTTPTarget":      "result of NewHTTP",
-	"load.OpReport":        "field type of Report.Ops",
-	"load.PhaseReport":     "field type of Report.Phases",
-	"load.RampProbe":       "field type of RampResult.Probes",
-	"load.RampResult":      "result of RampSearch",
-	"load.ReportConfig":    "field type of Report.Config",
-	"load.Script":          "result of GenerateScript, field type of Options.Script",
-	"load.ShardSkew":       "field type of Report.ShardSkew",
-	"load.TransportConfig": "field type of ReportConfig.Transport",
-	"load.WireTarget":      "result of NewWire",
-
-	"packing.Arrival":             "parameter of Algorithm.Place",
-	"packing.EngineKind":          "field type of Options.Engine, parameter of NewStreamEngine",
 	"packing.ErrServer":           "the server index Stream.Arrive and Depart return with an error",
 	"packing.ErrSnapshotMismatch": "error RestoreStream returns",
-	"packing.Fleet":               "parameter of Algorithm.Place",
-	"packing.PolicyState":         "field type of Snapshot.PolicyState",
 
-	"serve.Departure":       "result of Dispatcher.Depart",
-	"serve.DurabilityStats": "field type of Stats.Durability",
-	"serve.ErrClosed":       "error Dispatcher.Arrive and Depart return once closed",
-	"serve.ErrDurability":   "error Dispatcher.Arrive and Depart return once a journal failed",
-	"serve.Event":           "result of Dispatcher.ShardEvents",
-	"serve.Placement":       "result of Dispatcher.Arrive",
-	"serve.ShardStats":      "field type of Stats.PerShard",
+	"serve.ErrClosed":     "error Dispatcher.Arrive and Depart return once closed",
+	"serve.ErrDurability": "error Dispatcher.Arrive and Depart return once a journal failed",
 
-	"trace.Stats": "result of Summarize",
-
-	"wal.ErrCorrupt":  "error Log.Replay and OpenStore wrap for a corrupt record",
-	"wal.FsyncPolicy": "result of ParseFsyncPolicy, field type of Options.Fsync",
-	"wal.Kind":        "field type of Record.Kind",
-	"wal.Stats":       "result of Log.Stats",
+	"wal.ErrCorrupt": "error Log.Replay and OpenStore wrap for a corrupt record",
 
 	"wire.ErrBadDim":       "error DecodeOp returns",
 	"wire.ErrBadFlags":     "error DecodeOp returns",
@@ -345,73 +318,310 @@ var keptNames = map[string]string{
 	"wire.ErrVersion":      "error Dial returns",
 
 	"workload.ErrScalarOnly": "error FromSpec returns",
-	"workload.Scenario":      "element type of Scenarios' result",
-	"workload.ScenarioKind":  "result of Scenario.Kind",
 }
 
-// TestInternalMethodsHaveAUser extends the rule to methods, by parsing
-// alone: every exported method declared in a non-test file of an
-// internal package must have its name mentioned as a selector (x.Name)
-// by some non-test file of the module (bench/, cmd/ and examples/
-// count), or be listed in keptMethods with its reason. A selector is
-// not resolved to its type, so a method whose name another type's
-// method shares passes; the check catches a name nothing calls at all.
-func TestInternalMethodsHaveAUser(t *testing.T) {
-	selected := map[string]bool{}
-	type method struct{ key, name string }
-	var declared []method
-	forEachNonTestFile(t, func(path string, file *ast.File) {
-		ast.Inspect(file, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				selected[sel.Sel.Name] = true
-			}
-			return true
-		})
-		pkg, internal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
-		if !internal {
-			return
-		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || !fn.Name.IsExported() {
-				continue
-			}
-			recv := fn.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
-			}
-			if ix, ok := recv.(*ast.IndexExpr); ok {
-				recv = ix.X
-			}
-			if id, ok := recv.(*ast.Ident); ok {
-				declared = append(declared, method{pkg + "." + id.Name + "." + fn.Name.Name, fn.Name.Name})
-			}
-		}
-	})
-	var unused []string
-	seen := map[string]bool{}
-	for _, m := range declared {
-		seen[m.key] = true
-		if !selected[m.name] && keptMethods[m.key] == "" {
-			unused = append(unused, m.key)
-		}
-	}
-	slices.Sort(unused)
-	if len(unused) > 0 {
-		t.Errorf("%d exported internal methods whose name no non-test selector mentions (delete them, move a test-only tool into the tests, or keep them in keptMethods with a reason): %v", len(unused), unused)
-	}
-	for key := range keptMethods {
-		name := key[strings.LastIndex(key, ".")+1:]
-		if !seen[key] || selected[name] {
-			t.Errorf("keptMethods lists %s, which is not declared or has a selector", key)
-		}
-	}
-}
-
-// keptMethods are the exported internal methods that no selector names,
+// keptMethods are the internal methods that nothing in the module calls,
 // each with the reason that keeps it.
 var keptMethods = map[string]string{
 	"packing.streamError.Unwrap": "errors.Is and errors.As call it",
 	"wire.OpError.Unwrap":        "errors.Is and errors.As call it",
 	"wire.Client.Ping":           "the client side of the Ping/Pong frame DESIGN.md documents",
+}
+
+// audited is one declaration the audit holds to a user,
+// and what loadDeclarations found of its users.
+type audited struct {
+	name     string     // "pkg.Name" or "pkg.Type.Method", pkg the path under internal/ (or cmd/x)
+	exported bool       // an exported package-level name of internal/
+	method   bool       // a method, not a package-level name
+	own      []ast.Node // its own declaration, and a type's methods
+	used     bool       // a use outside own, or an interface or fmt call that reaches the method
+	outside  bool       // a use in another package, or a type reachable from what one uses
+}
+
+// listedPackage is the part of `go list -json` a type check needs.
+type listedPackage struct {
+	ImportPath, Dir, Export string
+	GoFiles                 []string
+	DepOnly                 bool
+}
+
+// loadDeclarations type-checks the non-test files of each module
+// directory's own dbp packages, in dependency order (so a declaration is
+// recorded before any other package uses it), and resolves every use
+// among them. It returns the audited declarations keyed by where they
+// are declared.
+func loadDeclarations(t *testing.T, modules ...string) map[string]*audited {
+	t.Helper()
+	fset := token.NewFileSet()
+	// at keys an object by where it is declared: export data keeps the
+	// file and line of a declaration but not its column, and names the
+	// file by a path -trimpath rewrites.
+	at := func(obj types.Object) string {
+		p := fset.Position(obj.Pos())
+		return fmt.Sprintf("%s/%s:%d:%s", obj.Pkg().Path(), filepath.Base(p.Filename), p.Line, obj.Name())
+	}
+	decls := map[string]*audited{}
+	// reach marks the internal named types an outside user reaches from
+	// what it uses, through signatures, exported fields and elements.
+	reach := &typeWalker{seen: map[types.Type]bool{}, visit: func(t types.Type) bool {
+		named, ok := t.(*types.Named)
+		if !ok {
+			return true
+		}
+		if named.Obj().Pkg() == nil || !strings.HasPrefix(named.Obj().Pkg().Path(), "dbp/internal/") {
+			return false
+		}
+		if d := decls[at(named.Obj())]; d != nil {
+			d.outside = true
+		}
+		return true
+	}}
+	for _, mod := range modules {
+		pkgs, imp := listModule(t, fset, mod)
+		for _, lp := range pkgs {
+			var files []*ast.File
+			for _, name := range lp.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+			info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+			pkg, err := (&types.Config{Importer: imp}).Check(lp.ImportPath, fset, files, info)
+			if err != nil {
+				t.Fatalf("type-check %s: %v", lp.ImportPath, err)
+			}
+			if strings.HasPrefix(pkg.Path(), "dbp/internal/") || strings.HasPrefix(pkg.Path(), "dbp/cmd/") {
+				collectDecls(decls, pkg, files, info, at)
+			}
+			for id, obj := range info.Uses {
+				if obj.Pkg() == nil || !ours(obj.Pkg().Path()) {
+					continue
+				}
+				elsewhere := obj.Pkg().Path() != pkg.Path()
+				if elsewhere {
+					reach.walk(obj.Type())
+				}
+				d := decls[at(obj)]
+				if d == nil || slices.ContainsFunc(d.own, func(n ast.Node) bool { return n.Pos() <= id.Pos() && id.Pos() < n.End() }) {
+					continue
+				}
+				d.used = true
+				d.outside = d.outside || elsewhere
+			}
+			for _, m := range implemented(info) {
+				if d := decls[at(m)]; d != nil {
+					d.used = true
+				}
+			}
+		}
+	}
+	return decls
+}
+
+// listModule runs `go list -export -deps -json ./...` in a module
+// directory and returns its own dbp packages, in dependency order, with
+// an importer that reads the export data of every package they import.
+func listModule(t *testing.T, fset *token.FileSet, dir string) ([]listedPackage, types.Importer) {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json", "./...")
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v", dir, err)
+	}
+	export := map[string]string{}
+	var own []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		export[p.ImportPath] = p.Export
+		if ours(p.ImportPath) && !p.DepOnly {
+			own = append(own, p)
+		}
+	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		if export[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(export[path])
+	}
+	return own, importer.ForCompiler(fset, "gc", lookup)
+}
+
+// ours reports whether an import path is of the dbp modules.
+func ours(path string) bool { return path == "dbp" || strings.HasPrefix(path, "dbp/") }
+
+// collectDecls records the audited declarations of one package: its
+// package-level names but the blank ones, init and main, and its
+// methods, a type's methods counting as part of the type's own
+// declaration.
+func collectDecls(decls map[string]*audited, pkg *types.Package, files []*ast.File, info *types.Info, at func(types.Object) string) {
+	prefix := strings.TrimPrefix(strings.TrimPrefix(pkg.Path(), "dbp/internal/"), "dbp/")
+	internal := strings.HasPrefix(pkg.Path(), "dbp/internal/")
+	add := func(id *ast.Ident, name string, node ast.Node, toplevel bool) {
+		decls[at(info.Defs[id])] = &audited{name: prefix + "." + name, exported: toplevel && internal && id.IsExported(), method: !toplevel, own: []ast.Node{node}}
+	}
+	var methods []*ast.FuncDecl
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				switch {
+				case decl.Recv != nil:
+					methods = append(methods, decl)
+				case decl.Name.Name != "init" && (decl.Name.Name != "main" || pkg.Name() != "main"):
+					add(decl.Name, decl.Name.Name, decl, true)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(spec.Name, spec.Name.Name, spec, true)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							if id.Name != "_" {
+								add(id, id.Name, spec, true)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, m := range methods {
+		recv := info.Defs[m.Name].Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		owner := recv.(*types.Named).Obj()
+		add(m.Name, owner.Name()+"."+m.Name.Name, m, false)
+		decls[at(owner)].own = append(decls[at(owner)].own, m)
+	}
+}
+
+// implemented returns the methods of the module's named types that one
+// package's code can reach through an interface: for each interface type
+// the package names, declares, asserts or converts to, and each named
+// type of the module it mentions that implements it, that type's methods
+// of the interface's method set; and the String method of each operand a
+// call of a fmt function passes, which fmt reaches through fmt.Stringer.
+func implemented(info *types.Info) []*types.Func {
+	var ifaces []*types.Interface
+	var named []*types.Named
+	w := &typeWalker{seen: map[types.Type]bool{}, visit: func(t types.Type) bool {
+		switch t := t.(type) {
+		case *types.Named:
+			if t.Obj().Pkg() != nil && ours(t.Obj().Pkg().Path()) && !types.IsInterface(t) {
+				named = append(named, t)
+			}
+			return types.IsInterface(t)
+		case *types.Interface:
+			if t.NumMethods() > 0 {
+				ifaces = append(ifaces, t)
+			}
+		}
+		return true
+	}}
+	var found []*types.Func
+	for e, tv := range info.Types {
+		w.walk(tv.Type)
+		call, ok := e.(*ast.CallExpr)
+		if !ok {
+			continue
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+				for _, arg := range call.Args {
+					obj, _, _ := types.LookupFieldOrMethod(info.TypeOf(arg), true, nil, "String")
+					if m, ok := obj.(*types.Func); ok {
+						found = append(found, m)
+					}
+				}
+			}
+		}
+	}
+	for _, objs := range []map[*ast.Ident]types.Object{info.Defs, info.Uses} {
+		for _, obj := range objs {
+			if obj != nil {
+				w.walk(obj.Type())
+			}
+		}
+	}
+	for _, t := range named {
+		for _, iface := range ifaces {
+			if !types.Implements(t, iface) && !types.Implements(types.NewPointer(t), iface) {
+				continue
+			}
+			for i := range iface.NumMethods() {
+				obj, _, _ := types.LookupFieldOrMethod(t, true, iface.Method(i).Pkg(), iface.Method(i).Name())
+				if fn, ok := obj.(*types.Func); ok {
+					found = append(found, fn.Origin())
+				}
+			}
+		}
+	}
+	return found
+}
+
+// typeWalker visits, once each, a type and the types it is built from:
+// elements, keys, parameters and results, exported fields and interface
+// methods, type arguments and, where visit returns true for a named
+// type, its underlying type and its exported methods' signatures.
+type typeWalker struct {
+	seen  map[types.Type]bool
+	visit func(types.Type) bool
+}
+
+func (w *typeWalker) walk(t types.Type) {
+	if t == nil || w.seen[t] {
+		return
+	}
+	w.seen[t] = true
+	descend := w.visit(t)
+	switch t := t.(type) {
+	case *types.Alias:
+		w.walk(types.Unalias(t))
+	case *types.Named:
+		for i := range t.TypeArgs().Len() {
+			w.walk(t.TypeArgs().At(i))
+		}
+		if descend {
+			for i := range t.NumMethods() {
+				if t.Method(i).Exported() {
+					w.walk(t.Method(i).Type())
+				}
+			}
+			w.walk(t.Underlying())
+		}
+	case interface{ Elem() types.Type }: // pointer, slice, array, chan, map
+		if m, ok := t.(*types.Map); ok {
+			w.walk(m.Key())
+		}
+		w.walk(t.Elem())
+	case *types.Signature:
+		w.walk(t.Params())
+		w.walk(t.Results())
+	case *types.Tuple:
+		for i := range t.Len() {
+			w.walk(t.At(i).Type())
+		}
+	case *types.Struct:
+		for i := range t.NumFields() {
+			if t.Field(i).Exported() {
+				w.walk(t.Field(i).Type())
+			}
+		}
+	case *types.Interface:
+		for i := range t.NumMethods() {
+			if t.Method(i).Exported() {
+				w.walk(t.Method(i).Type())
+			}
+		}
+	}
 }

@@ -1,9 +1,6 @@
 package interval
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Set is a union of half-open intervals maintained in canonical form:
 // sorted by Lo, pairwise disjoint, non-empty, and non-touching (adjacent
@@ -62,18 +59,6 @@ func (s *Set) Overlaps(iv Interval) bool {
 		}
 	}
 	return false
-}
-
-// String renders the set as a union of intervals.
-func (s *Set) String() string {
-	if len(s.ivs) == 0 {
-		return "{}"
-	}
-	parts := make([]string, len(s.ivs))
-	for i, iv := range s.ivs {
-		parts[i] = iv.String()
-	}
-	return strings.Join(parts, " ∪ ")
 }
 
 // Span returns the measure of the union of the given intervals: the paper's

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -78,6 +79,19 @@ func TestSpan(t *testing.T) {
 	if Span(nil) != 0 {
 		t.Error("span of nothing is 0")
 	}
+}
+
+// String renders the set as a union of intervals, for the failure
+// messages of these tests.
+func (s *Set) String() string {
+	if len(s.ivs) == 0 {
+		return "{}"
+	}
+	parts := make([]string, len(s.ivs))
+	for i, iv := range s.ivs {
+		parts[i] = iv.String()
+	}
+	return strings.Join(parts, " ∪ ")
 }
 
 func TestSetString(t *testing.T) {

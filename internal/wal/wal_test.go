@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -534,17 +536,41 @@ func TestAppendZeroAlloc(t *testing.T) {
 	if err := l.AppendGroup(group); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(1000, func() {
+	if n := mallocs(1000, func() {
 		l.Append(&scalar)
 		l.Append(&vector)
 		l.Append(&depart)
 		l.Append(&tick)
 	}); n != 0 {
-		t.Fatalf("Append allocates %v allocs/op, want 0", n)
+		t.Fatalf("1000 runs of four Appends allocate %d times, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { l.AppendGroup(group) }); n != 0 {
-		t.Fatalf("AppendGroup of %d allocates %v allocs/op, want 0", len(group), n)
+	if n := mallocs(1000, func() { l.AppendGroup(group) }); n != 0 {
+		t.Fatalf("1000 AppendGroups of %d allocate %d times, want 0", len(group), n)
 	}
+}
+
+// mallocs counts the heap allocations of runs calls of f, after one
+// warm-up call, at GOMAXPROCS(1) so no other goroutine's allocation is
+// counted. Unlike testing.AllocsPerRun, whose integer quotient reads 0
+// for an allocation rarer than once per run, it misses none. f writes
+// to a file, and while it waits in a write the scheduler may hand its P
+// to another thread that runs the runtime's own goroutines: the first
+// such handoff allocates the thread, and the background scavenger the
+// GC wakes may grow the P's timer heap. A 50 ms sleep in a syscall
+// after the GC lets both happen before the count starts, so the count
+// is f's alone.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	syscall.Nanosleep(&syscall.Timespec{Nsec: 50e6}, nil)
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // BenchmarkAppend reports the per-record append cost per fsync policy,

@@ -3,6 +3,7 @@ package wire
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dbp/internal/packing"
@@ -183,17 +184,17 @@ func TestCodecZeroAlloc(t *testing.T) {
 	dst := Op{Sizes: make([]float64, 0, 8)}
 	var dr Result
 
-	if n := testing.AllocsPerRun(1000, func() {
+	if n := mallocs(1000, func() {
 		buf = AppendOp(buf[:0], &scalar)
 		buf = AppendOp(buf, &vector)
 		buf = AppendResult(buf, &res)
 	}); n != 0 {
-		t.Fatalf("encode allocates %v allocs/op, want 0", n)
+		t.Fatalf("1000 encodes allocate %d times, want 0", n)
 	}
 	enc := AppendOp(nil, &scalar)
 	encVec := AppendOp(nil, &vector)
 	encRes := AppendResult(nil, &res)
-	if n := testing.AllocsPerRun(1000, func() {
+	if n := mallocs(1000, func() {
 		if _, err := DecodeOp(enc, &dst); err != nil {
 			t.Fatal(err)
 		}
@@ -204,8 +205,25 @@ func TestCodecZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("decode allocates %v allocs/op, want 0", n)
+		t.Fatalf("1000 decodes allocate %d times, want 0", n)
 	}
+}
+
+// mallocs counts the heap allocations of runs calls of f, after one
+// warm-up call, at GOMAXPROCS(1) so no other goroutine's allocation is
+// counted. Unlike testing.AllocsPerRun, whose integer quotient reads 0
+// for an allocation rarer than once per run, it misses none.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // BenchmarkWireEncode and BenchmarkWireDecode are the codec's

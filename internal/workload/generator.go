@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"dbp/internal/item"
@@ -31,12 +30,9 @@ func uniformConfig(req request) config {
 
 // generate is the one generator loop of the Poisson families: per job,
 // the arrival gap, the duration, then the demand's d size draws (d <= 1
-// is scalar). Items are emitted in arrival order with IDs 1..N. It panics
-// on a non-positive N or Rate, which the scenario's hook refuses first.
+// is scalar). Items are emitted in arrival order with IDs 1..N. The
+// scenario's hook has refused a non-positive N or Rate.
 func generate(c config, d int) item.List {
-	if c.N <= 0 || c.Rate <= 0 {
-		panic(fmt.Sprintf("workload: bad config %+v", c))
-	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	size := func() float64 { return clampSize(c.Size.Sample(rng)) }
 	l := make(item.List, c.N)
@@ -105,12 +101,8 @@ type burstyConfig struct {
 }
 
 // generateBursty produces the MMPP instance described by the
-// configuration. It panics on a configuration the bursty scenario's hook
-// refuses first.
+// configuration, which the bursty scenario's hook has checked.
 func generateBursty(c burstyConfig) item.List {
-	if c.N <= 0 || c.Rate <= 0 || c.BurstFactor <= 1 || c.MeanCalm <= 0 || c.MeanBurst <= 0 {
-		panic(fmt.Sprintf("workload: bad bursty config %+v", c))
-	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	l := make(item.List, c.N)
 	t := 0.0
