@@ -125,7 +125,8 @@ bench-wire:
 	$(GO) test -v -run 'CodecZeroAlloc|ClientFramesCarryReadyCallers' -bench Wire -benchmem ./internal/wire/
 
 ## fuzz-short: a CI-scale smoke run of the wire codec and WAL record fuzzers,
-## of the stream-vs-reference-model fuzzer, of the one demand rule across
+## of the streaming WAL segment walker against the whole-file reader it
+## replaced, of the stream-vs-reference-model fuzzer, of the one demand rule across
 ## the four front ends (Run, RunFleet, Replay, Stream.Arrive) on boundary
 ## sizes, of the ledger's job table
 ## against a map, of the gap tree's First Fit and Last Fit queries against
@@ -139,6 +140,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzWalkSegment -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzStreamVsModel -fuzztime 5s ./internal/packing/
 	$(GO) test -run '^$$' -fuzz FuzzDemandRule -fuzztime 5s ./internal/packing/
 	$(GO) test -run '^$$' -fuzz FuzzIDTable -fuzztime 5s ./internal/bins/
@@ -149,11 +151,13 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/trace/
 
-## recover-test: the crash-injection suite — builds a real dbpserved, SIGKILLs
-## it mid-barrage at randomized points, and verifies recovery (triple-entry
-## accounting, bit-identical journal replay, restart idempotence, meta guard)
+## recover-test: the crash-injection suite under the race detector — builds a
+## real dbpserved with -race, SIGKILLs it mid-barrage at randomized points, and
+## verifies recovery (triple-entry accounting, bit-identical journal replay,
+## restart idempotence, meta guard), so the restarted daemon's parallel shard
+## recovery is race-checked in a real process
 recover-test:
-	$(GO) test -run 'CrashRecovery|DataDirConfigGuard' -count=1 -v ./cmd/dbpserved/
+	$(GO) test -race -run 'CrashRecovery|DataDirConfigGuard' -count=1 -v ./cmd/dbpserved/
 
 ## bench-bins: the ledger holds live state only — TestZeroAllocLevelChange
 ## asserts 0 allocs for a place + remove on an open bin with every index
@@ -195,10 +199,13 @@ bench-opt:
 ## bench-wal: the WAL append hot path; TestAppendZeroAlloc asserts 0 allocs/op
 ## with fsync off for Append and AppendGroup, and serve's
 ## TestGroupCommitOneFsyncPerEnvelope pins group commit: one fsync per
-## ApplyBatch envelope under fsync=always
+## ApplyBatch envelope under fsync=always; serve's BenchmarkRecover times
+## the restart alone (serve.New on a populated data directory, at 2 and 8
+## shards, closed cleanly or a crash image with a tail after its snapshot)
 bench-wal:
 	$(GO) test -run 'AppendZeroAlloc' -bench Append -benchmem ./internal/wal/
 	$(GO) test -run 'GroupCommitOneFsyncPerEnvelope' -count=1 -v ./internal/serve/
+	$(GO) test -run '^$$' -bench Recover -benchtime 20x -benchmem ./internal/serve/
 
 figures:
 	$(GO) run ./cmd/dbpplot

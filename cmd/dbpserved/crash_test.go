@@ -35,15 +35,34 @@ import (
 //     fresh packing.Stream fed the journal, float for float;
 //   - the restarted daemon accepts new traffic.
 
-// buildDaemon compiles dbpserved once per test binary.
+// buildDaemon compiles dbpserved once per test binary, with the race
+// detector when the test itself runs with it, so a restart's parallel
+// shard recovery is race-checked in a real process after SIGKILL.
 var buildDaemon = sync.OnceValues(func() (string, error) {
 	bin := filepath.Join(os.TempDir(), fmt.Sprintf("dbpserved-crashtest-%d", os.Getpid()))
-	cmd := exec.Command("go", "build", "-o", bin, ".")
+	args := []string{"build", "-o", bin}
+	if raceEnabled {
+		args = append(args, "-race")
+	}
+	cmd := exec.Command("go", append(args, ".")...)
+	daemonBin = bin
 	if out, err := cmd.CombinedOutput(); err != nil {
 		return "", fmt.Errorf("go build: %v\n%s", err, out)
 	}
 	return bin, nil
 })
+
+// daemonBin is the binary buildDaemon wrote, if it ran.
+var daemonBin string
+
+// TestMain removes the daemon binary once the tests are done.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if daemonBin != "" {
+		os.Remove(daemonBin)
+	}
+	os.Exit(code)
+}
 
 // freePort grabs an ephemeral loopback port (a benign race: the daemon
 // rebinds it an instant later).

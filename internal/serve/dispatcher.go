@@ -265,31 +265,42 @@ func New(cfg Config) (*Dispatcher, error) {
 			return nil, err
 		}
 	}
-	clockBase := 0.0
 	for i := range d.shards {
-		algo, _ := packing.ByName(cfg.Algorithm)
-		sh := &shard{
+		d.shards[i] = &shard{
 			reqs: make(chan *request, cfg.QueueDepth),
 			done: make(chan struct{}),
 		}
-		if d.store != nil {
-			sh.wal = d.store.Shard(i)
-			stream, err := recoverShard(cfg, algo, sh.wal)
+	}
+	if d.store != nil {
+		// Every shard recovers at once; the owners start only after all
+		// have, and the lowest-indexed failure is the one reported.
+		err := d.store.Each(func(i int, log *wal.Log) error {
+			algo, _ := packing.ByName(cfg.Algorithm)
+			stream, err := recoverShard(cfg, algo, log)
 			if err != nil {
-				d.store.Close()
-				return nil, fmt.Errorf("serve: recovering shard %d: %w", i, err)
+				return fmt.Errorf("serve: recovering shard %d: %w", i, err)
 			}
-			sh.stream = stream
+			d.shards[i].wal, d.shards[i].stream = log, stream
+			return nil
+		})
+		if err != nil {
+			d.store.Close()
+			return nil, err
+		}
+	}
+	clockBase := 0.0
+	for i, sh := range d.shards {
+		if sh.wal != nil {
 			sh.lastSnapEvents = int(sh.wal.Stats().SnapshotSeq)
-			if stream.Events() > 0 && stream.Now() > clockBase {
-				clockBase = stream.Now()
+			if sh.stream.Events() > 0 && sh.stream.Now() > clockBase {
+				clockBase = sh.stream.Now()
 			}
 		} else {
+			algo, _ := packing.ByName(cfg.Algorithm)
 			sh.stream = packing.NewStreamKeepAlive(algo, cfg.Capacity, cfg.Dim, cfg.KeepAlive)
 		}
 		sh.policy, sh.engine = sh.stream.Policy(), sh.stream.Engine()
 		sh.publish(i)
-		d.shards[i] = sh
 	}
 	d.clock = cfg.Clock
 	if d.clock == nil {

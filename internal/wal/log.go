@@ -114,7 +114,11 @@ type Log struct {
 	snapSeq  uint64
 	hasSnap  bool
 	snapTime int64
-	err      error // sticky: first write/sync failure fails the log
+	// snapPos is where Open found the frame of sequence snapSeq (zero
+	// if it found none): a Replay from there on starts at it instead of
+	// decoding the frames the snapshot covers a second time.
+	snapPos segPos
+	err     error // sticky: first write/sync failure fails the log
 
 	stop chan struct{} // interval syncer shutdown
 	done chan struct{}
@@ -201,12 +205,14 @@ func (l *Log) recoverSegments(segs []segInfo) error {
 		return l.createSegment(first)
 	}
 	for i := range segs {
-		last := i == len(segs)-1
-		n, bytes, err := walkSegment(&segs[i], last, nil)
+		end, mark, err := walkSegment(&segs[i], segWalk{torn: i == len(segs)-1, mark: l.snapSeq})
 		if err != nil {
 			return err
 		}
-		segs[i].records, segs[i].bytes = n, bytes
+		segs[i].records, segs[i].bytes = end.seq-segs[i].firstSeq, end.off
+		if mark.off != 0 {
+			l.snapPos = mark
+		}
 		if i > 0 {
 			if want := segs[i-1].firstSeq + segs[i-1].records; segs[i].firstSeq != want {
 				return fmt.Errorf("wal: segment chain gap: %s starts at seq %d, want %d",
@@ -238,43 +244,105 @@ func (l *Log) recoverSegments(segs []segInfo) error {
 	return nil
 }
 
+// segPos is a place in one segment file: the frame of the record with
+// sequence seq begins at byte off.
+type segPos struct {
+	seq uint64
+	off int64
+}
+
+// segWalk is one pass of walkSegment over a segment file.
+type segWalk struct {
+	// from is where the pass starts; the zero value means the first
+	// frame. The header is checked either way.
+	from segPos
+	// torn is set for the last segment in recovery: an undecodable
+	// frame there is the footprint of a crash mid-write, so the pass
+	// stops at it and the returned end is where the caller truncates.
+	// Otherwise every frame must decode.
+	torn bool
+	// mark is a sequence number whose frame position the pass reports.
+	mark uint64
+	// fn receives every record in order with its sequence number; nil
+	// checks the frames but builds no demand vector. fn returning an
+	// error aborts the walk with it.
+	fn func(seq uint64, r Record) error
+}
+
+// walkBuffer is the read buffer of one segment walk. The largest frame
+// (frameLen+maxBody bytes) fits in it, and a walk holds no more than
+// it, whatever the segment's size.
+const walkBuffer = 64 << 10
+
 // walkSegment is the one reader of a segment file: it validates the
-// header against s.firstSeq, then decodes every frame in order, handing
-// each record to fn (when non-nil) with its sequence number. With torn
-// set — recovery of the last segment — an undecodable frame is the
-// footprint of a crash mid-write: the walk stops there, and the
-// returned byte count is where the caller truncates. Otherwise every
-// frame must decode. fn returning an error aborts the walk with it.
-func walkSegment(s *segInfo, torn bool, fn func(seq uint64, r Record) error) (records uint64, validBytes int64, err error) {
-	data, err := os.ReadFile(s.path)
+// header against s.firstSeq, then streams the frames from w.from on
+// through one walkBuffer, decoding each in order. It returns the
+// position after the last valid frame and, when the pass met it, the
+// position of w.mark's frame (the zero segPos if not).
+func walkSegment(s *segInfo, w segWalk) (end, mark segPos, err error) {
+	f, err := os.Open(s.path)
 	if err != nil {
-		return 0, 0, err
+		return segPos{}, segPos{}, err
 	}
-	if len(data) < segHeaderLen || string(data[:len(segMagic)]) != segMagic {
-		return 0, 0, fmt.Errorf("wal: %s: bad segment header", filepath.Base(s.path))
+	defer f.Close()
+	r := bufio.NewReaderSize(f, walkBuffer)
+	hdr, err := r.Peek(segHeaderLen)
+	if err != nil && err != io.EOF {
+		return segPos{}, segPos{}, err
 	}
-	if seq := binary.LittleEndian.Uint64(data[len(segMagic):]); seq != s.firstSeq {
-		return 0, 0, fmt.Errorf("wal: %s: header seq %d != name", filepath.Base(s.path), seq)
+	if len(hdr) < segHeaderLen || string(hdr[:len(segMagic)]) != segMagic {
+		return segPos{}, segPos{}, fmt.Errorf("wal: %s: bad segment header", filepath.Base(s.path))
 	}
-	off := segHeaderLen
-	for off < len(data) {
-		r, n, err := decodeRecord(data[off:])
-		if err != nil {
-			if torn {
-				return records, int64(off), nil
-			}
-			return 0, 0, fmt.Errorf("wal: %s: record %d at offset %d: %w",
-				filepath.Base(s.path), records, off, err)
+	if seq := binary.LittleEndian.Uint64(hdr[len(segMagic):]); seq != s.firstSeq {
+		return segPos{}, segPos{}, fmt.Errorf("wal: %s: header seq %d != name", filepath.Base(s.path), seq)
+	}
+	at := segPos{seq: s.firstSeq, off: int64(segHeaderLen)}
+	if w.from.off > at.off {
+		if _, err := f.Seek(w.from.off, io.SeekStart); err != nil {
+			return segPos{}, segPos{}, err
 		}
-		if fn != nil {
-			if err := fn(s.firstSeq+records, r); err != nil {
-				return 0, 0, err
-			}
-		}
-		off += n
-		records++
+		r.Reset(f)
+		at = w.from
+	} else {
+		r.Discard(segHeaderLen)
 	}
-	return records, int64(off), nil
+	for {
+		// Decode the frames the buffer holds whole; a frame cut by its
+		// end is read again from its start once the buffer is refilled.
+		window, err := r.Peek(walkBuffer)
+		if err != nil && err != io.EOF {
+			return segPos{}, segPos{}, err
+		}
+		eof, used := err == io.EOF, 0
+		for {
+			if at.seq == w.mark {
+				mark = at
+			}
+			if eof && used == len(window) {
+				return at, mark, nil
+			}
+			rec, n, err := parseRecord(window[used:], w.fn != nil)
+			if err == errShortFrame && !eof {
+				break
+			}
+			if err != nil {
+				if w.torn {
+					return at, mark, nil
+				}
+				return segPos{}, segPos{}, fmt.Errorf("wal: %s: record %d at offset %d: %w",
+					filepath.Base(s.path), at.seq-s.firstSeq, at.off, err)
+			}
+			if w.fn != nil {
+				if err := w.fn(at.seq, rec); err != nil {
+					return segPos{}, segPos{}, err
+				}
+			}
+			used += n
+			at.seq++
+			at.off += int64(n)
+		}
+		r.Discard(used)
+	}
 }
 
 // createSegment starts a fresh active segment whose first record will
@@ -447,18 +515,22 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, r Record) error) error {
 		records:  l.nextSeq - l.segStart,
 		path:     filepath.Join(l.dir, fmt.Sprintf("%020d%s", l.segStart, segSuffix)),
 	})
+	w := segWalk{fn: func(seq uint64, r Record) error {
+		if seq < from {
+			return nil
+		}
+		return fn(seq, r)
+	}}
 	for i := range segs {
 		s := &segs[i]
 		if s.firstSeq+s.records <= from && s.records > 0 {
 			continue // fully below the requested tail
 		}
-		_, _, err := walkSegment(s, false, func(seq uint64, r Record) error {
-			if seq < from {
-				return nil
-			}
-			return fn(seq, r)
-		})
-		if err != nil {
+		w.from = segPos{}
+		if p := l.snapPos; p.seq <= from && s.firstSeq <= p.seq && p.seq < s.firstSeq+s.records {
+			w.from = p // the frames before p were checked by Open
+		}
+		if _, _, err := walkSegment(s, w); err != nil {
 			return err
 		}
 	}

@@ -123,12 +123,14 @@ func appendRecord(dst []byte, r *Record) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRecord parses one framed record from the front of buf,
+// parseRecord parses one framed record from the front of buf,
 // returning the record and the number of bytes consumed. It returns
 // errShortFrame when buf ends mid-frame and ErrCorrupt for anything
 // structurally invalid; a successful decode re-encodes to the exact
-// consumed bytes (the fuzzer pins this round trip).
-func decodeRecord(buf []byte) (Record, int, error) {
+// consumed bytes (the fuzzer pins this round trip). With sizes false
+// it checks the frame just the same but leaves an arrival's Sizes nil,
+// so a walk that only validates frames allocates nothing.
+func parseRecord(buf []byte, sizes bool) (Record, int, error) {
 	if len(buf) < frameLen {
 		return Record{}, 0, errShortFrame
 	}
@@ -162,7 +164,7 @@ func decodeRecord(buf []byte) (Record, int, error) {
 		if body != fixedLen+arriveExtra+8*ndim {
 			return Record{}, 0, fmt.Errorf("%w: arrive body %d for dim %d", ErrCorrupt, body, ndim)
 		}
-		if ndim > 0 {
+		if ndim > 0 && sizes {
 			r.Sizes = make([]float64, ndim)
 			for i := range r.Sizes {
 				r.Sizes[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[32+8*i:]))

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Meta pins the service configuration a data directory was written
@@ -74,15 +77,45 @@ func OpenStore(dir string, meta Meta, opts Options) (*Store, error) {
 		}
 	}
 	st := &Store{logs: make([]*Log, meta.Shards)}
-	for i := range st.logs {
+	err := eachShard(meta.Shards, func(i int) error {
 		l, err := Open(filepath.Join(dir, fmt.Sprintf("shard-%04d", i)), opts)
 		if err != nil {
-			st.Close()
-			return nil, fmt.Errorf("wal: shard %d: %w", i, err)
+			return fmt.Errorf("wal: shard %d: %w", i, err)
 		}
 		st.logs[i] = l
+		return nil
+	})
+	if err != nil {
+		st.Close()
+		return nil, err
 	}
 	return st, nil
+}
+
+// eachShard calls fn(i) for every i < n on at most GOMAXPROCS
+// goroutines and returns once every call has returned: nil, or the
+// error of the lowest i that failed, as a loop over the shards in
+// order would report.
+func eachShard(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // matchMeta returns a descriptive error for the first differing field.
@@ -104,8 +137,12 @@ func matchMeta(got, want Meta) error {
 	return nil
 }
 
-// Shard returns shard i's log.
-func (s *Store) Shard(i int) *Log { return s.logs[i] }
+// Each calls fn with every shard's log at once, on at most GOMAXPROCS
+// goroutines, and returns once every call has returned: nil, or the
+// error of the lowest-indexed shard that failed.
+func (s *Store) Each(fn func(i int, l *Log) error) error {
+	return eachShard(len(s.logs), func(i int) error { return fn(i, s.logs[i]) })
+}
 
 // Close closes every shard log, returning the first error.
 func (s *Store) Close() error {

@@ -498,7 +498,7 @@ func TestStoreObserverRoutesShards(t *testing.T) {
 	defer st.Close()
 	r := Record{Kind: KindTick, ID: 1, Time: 1, Server: -1}
 	for i := 0; i < 2; i++ {
-		if err := st.Shard(i).Append(&r); err != nil {
+		if err := st.logs[i].Append(&r); err != nil {
 			t.Fatal(err)
 		}
 		if syncs != i+1 {
