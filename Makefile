@@ -126,7 +126,8 @@ bench-wire:
 
 ## fuzz-short: a CI-scale smoke run of the wire codec and WAL record fuzzers,
 ## of the streaming WAL segment walker against the whole-file reader it
-## replaced, of the stream-vs-reference-model fuzzer, of the one demand rule across
+## replaced, of the binary snapshot codec (an accepted input re-encodes
+## byte for byte), of the stream-vs-reference-model fuzzer, of the one demand rule across
 ## the four front ends (Run, RunFleet, Replay, Stream.Arrive) on boundary
 ## sizes, of the ledger's job table
 ## against a map, of the gap tree's First Fit and Last Fit queries against
@@ -141,6 +142,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzWalkSegment -fuzztime 5s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotBinary -fuzztime 5s ./internal/packing/
 	$(GO) test -run '^$$' -fuzz FuzzStreamVsModel -fuzztime 5s ./internal/packing/
 	$(GO) test -run '^$$' -fuzz FuzzDemandRule -fuzztime 5s ./internal/packing/
 	$(GO) test -run '^$$' -fuzz FuzzIDTable -fuzztime 5s ./internal/bins/

@@ -410,8 +410,15 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 
 	d1 := startDaemon(t, bin, dataDir, "-snapshot-every", "256")
 	acks := barrage(t, d1, 10000, killAfter, 42, 1)
+	// A kill between writing a snapshot's temp file and its rename
+	// leaves the temp file; plant one, as the kill above may not have.
+	planted := filepath.Join(dataDir, "shard-0000", "snap-99999999999999999999.snap.tmp")
+	if err := os.WriteFile(planted, []byte("a snapshot cut short"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	d2 := startDaemon(t, bin, dataDir, "-snapshot-every", "256")
+	noTempFiles(t, dataDir)
 	var stats serve.Stats
 	getJSON(t, d2.base+"/v1/stats", &stats)
 	var events, acked int
@@ -430,9 +437,20 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 
 	d3 := startDaemon(t, bin, dataDir, "-snapshot-every", "256")
 	defer d3.kill(t)
+	noTempFiles(t, dataDir)
 	_, snaps3 := fetchShardState(t, d3, 3)
 	if !reflect.DeepEqual(snaps2, snaps3) {
 		t.Fatalf("restart is not idempotent: snapshots diverged across a clean drain")
+	}
+}
+
+// noTempFiles fails if any file under dataDir is a temp file: a
+// restarted daemon removes what a crash left mid-write.
+func noTempFiles(t *testing.T, dataDir string) {
+	t.Helper()
+	tmps, err := filepath.Glob(filepath.Join(dataDir, "*", "*.tmp"))
+	if err != nil || len(tmps) > 0 {
+		t.Fatalf("temp files survived the restart: %v (%v)", tmps, err)
 	}
 }
 

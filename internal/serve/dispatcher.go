@@ -338,7 +338,14 @@ func recoverShard(cfg Config, algo packing.Algorithm, log *wal.Log) (*packing.St
 	}
 	if ok {
 		var snap packing.Snapshot
-		if err := json.Unmarshal(payload, &snap); err != nil {
+		if len(payload) > 0 && payload[0] == '{' {
+			// A DBPSNAP1 file, written before snapshots were binary,
+			// holds the snapshot's JSON object.
+			err = json.Unmarshal(payload, &snap)
+		} else {
+			err = snap.UnmarshalBinary(payload)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("decoding snapshot: %w", err)
 		}
 		if uint64(snap.Events) != seq {
@@ -394,7 +401,7 @@ func (d *Dispatcher) saveShardSnapshot(sh *shard) {
 		sh.poison(fmt.Errorf("serve: shard journal out of step: stream at event %d, journal at seq %d", snap.Events, sh.wal.NextSeq()))
 		return
 	}
-	payload, err := json.Marshal(snap)
+	payload, err := snap.AppendBinary(nil)
 	if err != nil {
 		sh.poison(fmt.Errorf("serve: encoding shard snapshot: %w", err))
 		return

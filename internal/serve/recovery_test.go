@@ -172,9 +172,10 @@ func TestParallelRecoveryLowestShardError(t *testing.T) {
 }
 
 // TestRecoverWalkMemoryBounded opens a shard log whose tail segment
-// holds over 16 MiB of records, scalar and 2-dimensional: the walk
-// streams it through one fixed buffer and builds no demand vector, so
-// Open allocates well under 1 MiB in all, whatever the segment's size.
+// holds over 16 MiB of records, scalar and 2-dimensional, with no
+// snapshot, so Open walks all of it: the walk streams it through one
+// fixed buffer and builds no demand vector, so Open allocates well under
+// 1 MiB in all, whatever the segment's size.
 func TestRecoverWalkMemoryBounded(t *testing.T) {
 	for _, dim := range []int{1, 2} {
 		t.Run(fmt.Sprintf("d=%d", dim), func(t *testing.T) {
@@ -191,6 +192,12 @@ func TestRecoverWalkMemoryBounded(t *testing.T) {
 			}
 			applyOps(t, d, ops, 4096)
 			d.Close()
+			// Close's snapshot covers the whole tail, and Open would walk
+			// none of it.
+			snaps, err := filepath.Glob(filepath.Join(dir, "shard-0000", "snap-*.snap"))
+			if err != nil || len(snaps) != 1 || os.Remove(snaps[0]) != nil {
+				t.Fatalf("want Close's snapshot to remove, got %v (%v)", snaps, err)
+			}
 			segs, err := filepath.Glob(filepath.Join(dir, "shard-0000", "*.wal"))
 			if err != nil || len(segs) != 1 {
 				t.Fatalf("want one segment, got %v (%v)", segs, err)
@@ -216,7 +223,7 @@ func TestRecoverWalkMemoryBounded(t *testing.T) {
 // BenchmarkRecover times serve.New alone on a populated data directory
 // — the restart pause, in which no arrival can be placed — at 2 and 8
 // shards. The directory is either closed cleanly (the final snapshot
-// covers every event; Open still walks each tail segment) or a crash
+// covers every event, so Open walks no frame and nothing replays) or a crash
 // image copied while the dispatcher was live (each shard restores a
 // snapshot taken mid-stream, then replays the tail after it). Each
 // shard holds 60k events in 4 MiB segments, with a snapshot every 25k.

@@ -66,15 +66,26 @@ const (
 	snapPrefix     = "snap-"
 	defaultSegment = 64 << 20
 	segMagic       = "DBPWAL01"
-	snapMagic      = "DBPSNAP1"
 	segHeaderLen   = len(segMagic) + 8 // magic + firstSeq u64
+	// A snapshot file is a header, then the payload. The header is the
+	// magic, the seq the snapshot covers (u64), its time (i64), the
+	// first seq of the segment that holds seq's frame (u64), the byte
+	// offset of that frame in it (u64, 0 if unknown), the payload length
+	// (u32) and a CRC32C of the header's other bytes and the payload.
+	snapMagic     = "DBPSNAP2"
+	snapHeaderLen = len(snapMagic) + 8 + 8 + 8 + 8 + 4 + 4
+	// A snapshot file written before the offset was recorded: the magic,
+	// seq, time, payload length and a CRC32C of the payload alone. It is
+	// read, never written.
+	snapMagicV1     = "DBPSNAP1"
+	snapHeaderLenV1 = len(snapMagicV1) + 8 + 8 + 4 + 4
 )
 
 // segInfo is one closed (or active) segment on disk.
 type segInfo struct {
 	firstSeq uint64
 	records  uint64
-	bytes    int64 // including header
+	bytes    int64 // including header; the file's size until a walk checks it
 	path     string
 }
 
@@ -114,20 +125,29 @@ type Log struct {
 	snapSeq  uint64
 	hasSnap  bool
 	snapTime int64
-	// snapPos is where Open found the frame of sequence snapSeq (zero
-	// if it found none): a Replay from there on starts at it instead of
-	// decoding the frames the snapshot covers a second time.
+	// snapSeg and snapPos are the snapshot header's record of where the
+	// frame of sequence snapSeq begins: in the segment whose first seq
+	// is snapSeg, at snapPos.off (0 if unknown). Open walks from there,
+	// and a Replay from snapSeq on starts there.
+	snapSeg uint64
 	snapPos segPos
-	err     error // sticky: first write/sync failure fails the log
+	// snapPayload is the adopted snapshot's payload, read and checked by
+	// Open and held until the first LoadSnapshot.
+	snapPayload []byte
+	err         error // sticky: first write/sync failure fails the log
 
 	stop chan struct{} // interval syncer shutdown
 	done chan struct{}
 }
 
 // Open opens (or creates) the shard log in dir, recovering the segment
-// chain: every sealed segment must decode cleanly end to end, while a
-// torn frame at the tail of the last segment — the footprint of a crash
-// mid-write — is truncated away.
+// chain from the newest snapshot's frame on: every sealed segment must
+// decode cleanly from there to its end, while a torn frame at the tail
+// of the last segment — the footprint of a crash mid-write — is
+// truncated away. The frames the snapshot covers were synced before it
+// was written and are not walked; the snapshot's record of where its
+// frame lies must hold, and the journal must reach the snapshot's seq,
+// or Open refuses the log.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.Fsync == "" {
 		opts.Fsync = fsyncOff
@@ -154,8 +174,10 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// scanDir inventories segment files (sorted by first sequence) and the
-// newest valid snapshot.
+// scanDir inventories segment files (sorted by first sequence) and
+// adopts the newest valid snapshot. It removes the older snapshots and
+// any snapshot temp file: a crash between writing a new snapshot and
+// pruning the old one, or before a temp file's rename, leaves them.
 func (l *Log) scanDir() ([]segInfo, error) {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -171,22 +193,26 @@ func (l *Log) scanDir() ([]segInfo, error) {
 			if err != nil {
 				return nil, fmt.Errorf("wal: alien segment file %s", name)
 			}
-			segs = append(segs, segInfo{firstSeq: seq, path: filepath.Join(l.dir, name)})
+			info, err := e.Info()
+			if err != nil {
+				return nil, err
+			}
+			segs = append(segs, segInfo{firstSeq: seq, bytes: info.Size(), path: filepath.Join(l.dir, name)})
 		case strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix):
 			snaps = append(snaps, filepath.Join(l.dir, name))
+		case strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix+".tmp"):
+			os.Remove(filepath.Join(l.dir, name))
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
 	sort.Strings(snaps) // ascending seq: the zero-padded name sorts numerically
-	// Adopt the newest structurally valid snapshot; drop the rest (a
-	// crash between writing a new snapshot and pruning old ones leaves
-	// extras behind).
 	for i := len(snaps) - 1; i >= 0; i-- {
-		seq, tm, _, err := readSnapshotFile(snaps[i], false)
+		h, err := readSnapshotFile(snaps[i])
 		if err != nil {
 			continue
 		}
-		l.snapSeq, l.snapTime, l.hasSnap = seq, tm, true
+		l.snapSeq, l.snapTime, l.hasSnap = h.seq, h.taken, true
+		l.snapSeg, l.snapPos, l.snapPayload = h.seg, segPos{seq: h.seq, off: h.off}, h.payload
 		for j := 0; j < i; j++ {
 			os.Remove(snaps[j])
 		}
@@ -195,8 +221,13 @@ func (l *Log) scanDir() ([]segInfo, error) {
 	return segs, nil
 }
 
-// recoverSegments verifies the chain and opens the tail for append.
+// recoverSegments verifies the chain from the snapshot's frame on and
+// opens the tail for append.
 func (l *Log) recoverSegments(segs []segInfo) error {
+	start, err := l.snapshotSegment(segs)
+	if err != nil {
+		return err
+	}
 	if len(segs) == 0 {
 		first := uint64(0)
 		if l.hasSnap {
@@ -204,16 +235,22 @@ func (l *Log) recoverSegments(segs []segInfo) error {
 		}
 		return l.createSegment(first)
 	}
-	for i := range segs {
-		end, mark, err := walkSegment(&segs[i], segWalk{torn: i == len(segs)-1, mark: l.snapSeq})
+	// The segments below the snapshot's are covered by it: they stay on
+	// the books (ShardEvents reads them) but are not walked.
+	for i := 0; i < start; i++ {
+		segs[i].records = segs[i+1].firstSeq - segs[i].firstSeq
+	}
+	for i := start; i < len(segs); i++ {
+		w := segWalk{torn: i == len(segs)-1}
+		if i == start {
+			w.from = l.snapPos
+		}
+		end, err := walkSegment(&segs[i], w)
 		if err != nil {
 			return err
 		}
 		segs[i].records, segs[i].bytes = end.seq-segs[i].firstSeq, end.off
-		if mark.off != 0 {
-			l.snapPos = mark
-		}
-		if i > 0 {
+		if i > start {
 			if want := segs[i-1].firstSeq + segs[i-1].records; segs[i].firstSeq != want {
 				return fmt.Errorf("wal: segment chain gap: %s starts at seq %d, want %d",
 					filepath.Base(segs[i].path), segs[i].firstSeq, want)
@@ -221,6 +258,10 @@ func (l *Log) recoverSegments(segs []segInfo) error {
 		}
 	}
 	tail := segs[len(segs)-1]
+	if end := tail.firstSeq + tail.records; l.hasSnap && end < l.snapSeq {
+		return fmt.Errorf("wal: journal ends at seq %d, below the seq %d of its snapshot %s",
+			end, l.snapSeq, snapshotName(l.snapSeq))
+	}
 	l.sealed = segs[:len(segs)-1]
 	l.segStart = tail.firstSeq
 	l.segBytes = tail.bytes
@@ -244,6 +285,29 @@ func (l *Log) recoverSegments(segs []segInfo) error {
 	return nil
 }
 
+// snapshotSegment returns the index in segs of the segment from which
+// Open walks: the one holding the snapshot's frame, or 0 when there is
+// no snapshot or its header records no position. A recorded segment
+// that is missing, or an offset outside it, refuses the log: the
+// frames up to that offset were synced before the snapshot was
+// written, so a crash cannot have lost them.
+func (l *Log) snapshotSegment(segs []segInfo) (int, error) {
+	if !l.hasSnap || l.snapPos.off == 0 {
+		return 0, nil
+	}
+	name := snapshotName(l.snapSeq)
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].firstSeq >= l.snapSeg })
+	if i == len(segs) || segs[i].firstSeq != l.snapSeg {
+		return 0, fmt.Errorf("wal: %s: the segment %020d%s holding its seq %d is missing",
+			name, l.snapSeg, segSuffix, l.snapSeq)
+	}
+	if off := l.snapPos.off; off < int64(segHeaderLen) || off > segs[i].bytes {
+		return 0, fmt.Errorf("wal: %s: its seq %d at offset %d lies outside %s (%d bytes)",
+			name, l.snapSeq, off, filepath.Base(segs[i].path), segs[i].bytes)
+	}
+	return i, nil
+}
+
 // segPos is a place in one segment file: the frame of the record with
 // sequence seq begins at byte off.
 type segPos struct {
@@ -261,8 +325,6 @@ type segWalk struct {
 	// stops at it and the returned end is where the caller truncates.
 	// Otherwise every frame must decode.
 	torn bool
-	// mark is a sequence number whose frame position the pass reports.
-	mark uint64
 	// fn receives every record in order with its sequence number; nil
 	// checks the frames but builds no demand vector. fn returning an
 	// error aborts the walk with it.
@@ -277,29 +339,28 @@ const walkBuffer = 64 << 10
 // walkSegment is the one reader of a segment file: it validates the
 // header against s.firstSeq, then streams the frames from w.from on
 // through one walkBuffer, decoding each in order. It returns the
-// position after the last valid frame and, when the pass met it, the
-// position of w.mark's frame (the zero segPos if not).
-func walkSegment(s *segInfo, w segWalk) (end, mark segPos, err error) {
+// position after the last valid frame.
+func walkSegment(s *segInfo, w segWalk) (end segPos, err error) {
 	f, err := os.Open(s.path)
 	if err != nil {
-		return segPos{}, segPos{}, err
+		return segPos{}, err
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, walkBuffer)
 	hdr, err := r.Peek(segHeaderLen)
 	if err != nil && err != io.EOF {
-		return segPos{}, segPos{}, err
+		return segPos{}, err
 	}
 	if len(hdr) < segHeaderLen || string(hdr[:len(segMagic)]) != segMagic {
-		return segPos{}, segPos{}, fmt.Errorf("wal: %s: bad segment header", filepath.Base(s.path))
+		return segPos{}, fmt.Errorf("wal: %s: bad segment header", filepath.Base(s.path))
 	}
 	if seq := binary.LittleEndian.Uint64(hdr[len(segMagic):]); seq != s.firstSeq {
-		return segPos{}, segPos{}, fmt.Errorf("wal: %s: header seq %d != name", filepath.Base(s.path), seq)
+		return segPos{}, fmt.Errorf("wal: %s: header seq %d != name", filepath.Base(s.path), seq)
 	}
 	at := segPos{seq: s.firstSeq, off: int64(segHeaderLen)}
 	if w.from.off > at.off {
 		if _, err := f.Seek(w.from.off, io.SeekStart); err != nil {
-			return segPos{}, segPos{}, err
+			return segPos{}, err
 		}
 		r.Reset(f)
 		at = w.from
@@ -311,15 +372,12 @@ func walkSegment(s *segInfo, w segWalk) (end, mark segPos, err error) {
 		// end is read again from its start once the buffer is refilled.
 		window, err := r.Peek(walkBuffer)
 		if err != nil && err != io.EOF {
-			return segPos{}, segPos{}, err
+			return segPos{}, err
 		}
 		eof, used := err == io.EOF, 0
 		for {
-			if at.seq == w.mark {
-				mark = at
-			}
 			if eof && used == len(window) {
-				return at, mark, nil
+				return at, nil
 			}
 			rec, n, err := parseRecord(window[used:], w.fn != nil)
 			if err == errShortFrame && !eof {
@@ -327,14 +385,14 @@ func walkSegment(s *segInfo, w segWalk) (end, mark segPos, err error) {
 			}
 			if err != nil {
 				if w.torn {
-					return at, mark, nil
+					return at, nil
 				}
-				return segPos{}, segPos{}, fmt.Errorf("wal: %s: record %d at offset %d: %w",
+				return segPos{}, fmt.Errorf("wal: %s: record %d at offset %d: %w",
 					filepath.Base(s.path), at.seq-s.firstSeq, at.off, err)
 			}
 			if w.fn != nil {
 				if err := w.fn(at.seq, rec); err != nil {
-					return segPos{}, segPos{}, err
+					return segPos{}, err
 				}
 			}
 			used += n
@@ -528,9 +586,9 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, r Record) error) error {
 		}
 		w.from = segPos{}
 		if p := l.snapPos; p.seq <= from && s.firstSeq <= p.seq && p.seq < s.firstSeq+s.records {
-			w.from = p // the frames before p were checked by Open
+			w.from = p // the frames before p are the snapshot's
 		}
-		if _, _, err := walkSegment(s, w); err != nil {
+		if _, err := walkSegment(s, w); err != nil {
 			return err
 		}
 	}
@@ -543,7 +601,8 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, r Record) error) error {
 // atomic: tmp file, fsync, rename, directory fsync — a crash at any
 // point leaves either the old snapshot or the new one, never a torn
 // mix. takenUnixNano stamps the snapshot for the stats endpoint's
-// snapshot-age gauge.
+// snapshot-age gauge. When seq is the journal's end, the snapshot
+// records where its frame will begin, so Open walks only from there.
 func (l *Log) SaveSnapshot(seq uint64, takenUnixNano int64, payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -557,16 +616,21 @@ func (l *Log) SaveSnapshot(seq uint64, takenUnixNano int64, payload []byte) erro
 		return fmt.Errorf("wal: snapshot seq %d regresses below %d", seq, l.snapSeq)
 	}
 	// The snapshot must not get ahead of durable records: sync the
-	// journal up to seq first, so "snapshot covers seq" holds on disk.
+	// journal up to seq first, so "snapshot covers seq" holds on disk,
+	// and so does the position the snapshot records.
 	if err := l.w.Flush(); err != nil {
 		return l.fail(err)
 	}
 	if err := l.f.Sync(); err != nil {
 		return l.fail(err)
 	}
-	final := filepath.Join(l.dir, fmt.Sprintf("%s%020d%s", snapPrefix, seq, snapSuffix))
+	h := snapFile{seq: seq, taken: takenUnixNano, payload: payload}
+	if seq == l.nextSeq {
+		h.seg, h.off = l.segStart, l.segBytes
+	}
+	final := filepath.Join(l.dir, snapshotName(seq))
 	tmp := final + ".tmp"
-	if err := writeSnapshotFile(tmp, seq, takenUnixNano, payload); err != nil {
+	if err := writeSnapshotFile(tmp, h); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -579,8 +643,9 @@ func (l *Log) SaveSnapshot(seq uint64, takenUnixNano int64, payload []byte) erro
 	}
 	prevSeq, hadPrev := l.snapSeq, l.hasSnap
 	l.snapSeq, l.snapTime, l.hasSnap = seq, takenUnixNano, true
+	l.snapSeg, l.snapPos, l.snapPayload = h.seg, segPos{seq: seq, off: h.off}, nil
 	if hadPrev && prevSeq != seq {
-		os.Remove(filepath.Join(l.dir, fmt.Sprintf("%s%020d%s", snapPrefix, prevSeq, snapSuffix)))
+		os.Remove(filepath.Join(l.dir, snapshotName(prevSeq)))
 	}
 	// Drop sealed segments whose every record is below the snapshot.
 	kept := l.sealed[:0]
@@ -600,19 +665,27 @@ func (l *Log) SaveSnapshot(seq uint64, takenUnixNano int64, payload []byte) erro
 }
 
 // LoadSnapshot returns the newest durable snapshot's payload and the
-// sequence it covers, or ok=false when none exists.
+// sequence it covers, or ok=false when none exists. The first call
+// after Open returns the payload Open read; later ones read the file.
 func (l *Log) LoadSnapshot() (payload []byte, seq uint64, ok bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.hasSnap {
 		return nil, 0, false, nil
 	}
-	path := filepath.Join(l.dir, fmt.Sprintf("%s%020d%s", snapPrefix, l.snapSeq, snapSuffix))
-	_, _, payload, err = readSnapshotFile(path, true)
+	if payload, l.snapPayload = l.snapPayload, nil; payload != nil {
+		return payload, l.snapSeq, true, nil
+	}
+	h, err := readSnapshotFile(filepath.Join(l.dir, snapshotName(l.snapSeq)))
 	if err != nil {
 		return nil, 0, false, err
 	}
-	return payload, l.snapSeq, true, nil
+	return h.payload, l.snapSeq, true, nil
+}
+
+// snapshotName is the file name of the snapshot covering seq.
+func snapshotName(seq uint64) string {
+	return fmt.Sprintf("%s%020d%s", snapPrefix, seq, snapSuffix)
 }
 
 // Sync forces buffered appends to stable storage (used by the interval
@@ -684,24 +757,38 @@ func (l *Log) Close() error {
 	return err
 }
 
-// writeSnapshotFile writes magic, seq, timestamp, CRC-framed payload,
-// and syncs the file.
-func writeSnapshotFile(path string, seq uint64, takenUnixNano int64, payload []byte) error {
+// snapFile is the content of one snapshot file.
+type snapFile struct {
+	seq   uint64
+	taken int64
+	// seg is the first seq of the segment holding seq's frame, and off
+	// the frame's offset in it; off is 0 when unknown.
+	seg     uint64
+	off     int64
+	payload []byte
+}
+
+// writeSnapshotFile writes h as a snapshot file and syncs it.
+func writeSnapshotFile(path string, h snapFile) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	hdr := make([]byte, len(snapMagic)+8+8+4+4)
+	hdr := make([]byte, snapHeaderLen)
 	copy(hdr, snapMagic)
-	binary.LittleEndian.PutUint64(hdr[len(snapMagic):], seq)
-	binary.LittleEndian.PutUint64(hdr[len(snapMagic)+8:], uint64(takenUnixNano))
-	binary.LittleEndian.PutUint32(hdr[len(snapMagic)+16:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[len(snapMagic)+20:], crc32.Checksum(payload, castagnoli))
+	p := hdr[len(snapMagic):]
+	binary.LittleEndian.PutUint64(p, h.seq)
+	binary.LittleEndian.PutUint64(p[8:], uint64(h.taken))
+	binary.LittleEndian.PutUint64(p[16:], h.seg)
+	binary.LittleEndian.PutUint64(p[24:], uint64(h.off))
+	binary.LittleEndian.PutUint32(p[32:], uint32(len(h.payload)))
+	crc := crc32.Update(crc32.Checksum(hdr[:snapHeaderLen-4], castagnoli), castagnoli, h.payload)
+	binary.LittleEndian.PutUint32(p[36:], crc)
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return err
 	}
-	if _, err := f.Write(payload); err != nil {
+	if _, err := f.Write(h.payload); err != nil {
 		f.Close()
 		return err
 	}
@@ -712,32 +799,42 @@ func writeSnapshotFile(path string, seq uint64, takenUnixNano int64, payload []b
 	return f.Close()
 }
 
-// readSnapshotFile validates a snapshot file; withPayload selects
-// whether the payload is returned or only verified.
-func readSnapshotFile(path string, withPayload bool) (seq uint64, takenUnixNano int64, payload []byte, err error) {
+// readSnapshotFile reads and checks a snapshot file, the current format
+// or the one before it (which records no frame position).
+func readSnapshotFile(path string) (snapFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, nil, err
+		return snapFile{}, err
 	}
-	hdrLen := len(snapMagic) + 24
-	if len(data) < hdrLen || string(data[:len(snapMagic)]) != snapMagic {
-		return 0, 0, nil, fmt.Errorf("wal: %s: bad snapshot header", filepath.Base(path))
+	var h snapFile
+	var plen, hdrLen int
+	var crc, want uint32
+	switch {
+	case len(data) >= snapHeaderLen && string(data[:len(snapMagic)]) == snapMagic:
+		p := data[len(snapMagic):]
+		h = snapFile{
+			seq:   binary.LittleEndian.Uint64(p),
+			taken: int64(binary.LittleEndian.Uint64(p[8:])),
+			seg:   binary.LittleEndian.Uint64(p[16:]),
+			off:   int64(binary.LittleEndian.Uint64(p[24:])),
+		}
+		hdrLen, plen, want = snapHeaderLen, int(binary.LittleEndian.Uint32(p[32:])), binary.LittleEndian.Uint32(p[36:])
+		crc = crc32.Checksum(data[:snapHeaderLen-4], castagnoli)
+	case len(data) >= snapHeaderLenV1 && string(data[:len(snapMagicV1)]) == snapMagicV1:
+		p := data[len(snapMagicV1):]
+		h = snapFile{seq: binary.LittleEndian.Uint64(p), taken: int64(binary.LittleEndian.Uint64(p[8:]))}
+		hdrLen, plen, want = snapHeaderLenV1, int(binary.LittleEndian.Uint32(p[16:])), binary.LittleEndian.Uint32(p[20:])
+	default:
+		return snapFile{}, fmt.Errorf("wal: %s: bad snapshot header", filepath.Base(path))
 	}
-	seq = binary.LittleEndian.Uint64(data[len(snapMagic):])
-	takenUnixNano = int64(binary.LittleEndian.Uint64(data[len(snapMagic)+8:]))
-	plen := int(binary.LittleEndian.Uint32(data[len(snapMagic)+16:]))
-	crc := binary.LittleEndian.Uint32(data[len(snapMagic)+20:])
 	if len(data) != hdrLen+plen {
-		return 0, 0, nil, fmt.Errorf("wal: %s: snapshot length %d, want %d", filepath.Base(path), len(data), hdrLen+plen)
+		return snapFile{}, fmt.Errorf("wal: %s: snapshot length %d, want %d", filepath.Base(path), len(data), hdrLen+plen)
 	}
-	payload = data[hdrLen:]
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return 0, 0, nil, fmt.Errorf("wal: %s: snapshot crc mismatch", filepath.Base(path))
+	h.payload = data[hdrLen:]
+	if crc32.Update(crc, castagnoli, h.payload) != want {
+		return snapFile{}, fmt.Errorf("wal: %s: snapshot crc mismatch", filepath.Base(path))
 	}
-	if !withPayload {
-		payload = nil
-	}
-	return seq, takenUnixNano, payload, nil
+	return h, nil
 }
 
 // syncDir fsyncs a directory, making renames and creations durable.

@@ -18,8 +18,8 @@ func decodeRecord(buf []byte) (Record, int, error) { return parseRecord(buf, tru
 // walkWhole is the segment reader as it was before walkSegment
 // streamed: one os.ReadFile of the whole segment, then a decode of
 // every frame. It is kept as the reference the streaming walker is
-// held to.
-func walkWhole(s *segInfo, torn bool, fn func(seq uint64, r Record) error) (records uint64, validBytes int64, err error) {
+// held to; fn also receives each frame's offset.
+func walkWhole(s *segInfo, torn bool, fn func(seq uint64, off int64, r Record) error) (records uint64, validBytes int64, err error) {
 	data, err := os.ReadFile(s.path)
 	if err != nil {
 		return 0, 0, err
@@ -41,7 +41,7 @@ func walkWhole(s *segInfo, torn bool, fn func(seq uint64, r Record) error) (reco
 				filepath.Base(s.path), records, off, err)
 		}
 		if fn != nil {
-			if err := fn(s.firstSeq+records, r); err != nil {
+			if err := fn(s.firstSeq+records, int64(off), r); err != nil {
 				return 0, 0, err
 			}
 		}
@@ -54,6 +54,7 @@ func walkWhole(s *segInfo, torn bool, fn func(seq uint64, r Record) error) (reco
 // walked is what one walk of a segment returned.
 type walked struct {
 	recs       []Record
+	offs       []int64 // each record's frame offset
 	records    uint64
 	validBytes int64
 	err        string
@@ -77,9 +78,12 @@ func segmentFile(firstSeq uint64, recs []Record) []byte {
 // checkWalks holds walkSegment to walkWhole on the segment file at
 // path, with and without the torn-tail rule: the same records (demand
 // vectors included), record count, valid byte count and error. It also
-// checks the validate-only walk (no fn), and that a walk resumed at a
-// marked record's position yields exactly the rest of the segment.
-func checkWalks(t *testing.T, label, path string, firstSeq uint64) {
+// checks the validate-only walk (no fn), and that a walk resumed at the
+// frame of a record from the resume-th on, at the offset the reference
+// found it, yields exactly the rest of the segment: at every such
+// record, or with every false at the resume-th, the middle one and the
+// end alone.
+func checkWalks(t *testing.T, label, path string, firstSeq uint64, resume int, every bool) {
 	t.Helper()
 	s := &segInfo{firstSeq: firstSeq, path: path}
 	errText := func(err error) string {
@@ -90,18 +94,20 @@ func checkWalks(t *testing.T, label, path string, firstSeq uint64) {
 	}
 	for _, torn := range []bool{false, true} {
 		var want walked
-		n, vb, err := walkWhole(s, torn, func(_ uint64, r Record) error {
-			want.recs = append(want.recs, r)
+		n, vb, err := walkWhole(s, torn, func(_ uint64, off int64, r Record) error {
+			want.recs, want.offs = append(want.recs, r), append(want.offs, off)
 			return nil
 		})
 		want.records, want.validBytes, want.err = n, vb, errText(err)
 		if err != nil {
 			want.recs = nil
 		}
+		offs := want.offs
+		want.offs = nil
 
 		var got walked
 		next := firstSeq
-		end, _, err := walkSegment(s, segWalk{torn: torn, fn: func(seq uint64, r Record) error {
+		end, err := walkSegment(s, segWalk{torn: torn, fn: func(seq uint64, r Record) error {
 			if seq != next {
 				t.Fatalf("%s: record seq %d, want %d", label, seq, next)
 			}
@@ -118,7 +124,7 @@ func checkWalks(t *testing.T, label, path string, firstSeq uint64) {
 				label, torn, got.records, got.validBytes, got.err, want.records, want.validBytes, want.err)
 		}
 
-		end, _, err = walkSegment(s, segWalk{torn: torn})
+		end, err = walkSegment(s, segWalk{torn: torn})
 		if err != nil {
 			end = segPos{seq: firstSeq}
 		}
@@ -127,23 +133,41 @@ func checkWalks(t *testing.T, label, path string, firstSeq uint64) {
 				label, torn, end.seq-firstSeq, end.off, e, want.records, want.validBytes, want.err)
 		}
 
-		if want.err != "" || want.records == 0 {
+		if want.err != "" {
 			continue
 		}
-		for _, k := range []uint64{want.records / 2, want.records - 1, want.records} {
-			_, mark, err := walkSegment(s, segWalk{torn: torn, mark: firstSeq + k})
-			if err != nil || mark.seq != firstSeq+k || mark.off < int64(segHeaderLen) {
-				t.Fatalf("%s (torn %v): mark of record %d: %+v, %v", label, torn, k, mark, err)
+		// From each resume point: a validate-only walk ends where the
+		// reference does, and a walk that decodes starts at that record;
+		// from three of them, it yields exactly the rest of the segment.
+		errStop := errors.New("stop")
+		mid := (resume + len(offs)) / 2
+		for k := resume; k <= len(offs); k++ {
+			full := k == resume || k == mid || k == len(offs)
+			if !every && !full {
+				continue
 			}
-			var rest []Record
-			end, _, err := walkSegment(s, segWalk{torn: torn, from: mark, fn: func(_ uint64, r Record) error {
-				rest = append(rest, r)
+			from := segPos{seq: firstSeq + uint64(k), off: want.validBytes}
+			if k < len(offs) {
+				from.off = offs[k]
+			}
+			end, err := walkSegment(s, segWalk{torn: torn, from: from})
+			if err != nil || end.seq-firstSeq != want.records || end.off != want.validBytes {
+				t.Fatalf("%s (torn %v): validate-only walk resumed at record %d: to %+v, err %v; want %d records to offset %d",
+					label, torn, k, end, err, want.records, want.validBytes)
+			}
+			next := k
+			_, err = walkSegment(s, segWalk{torn: torn, from: from, fn: func(seq uint64, r Record) error {
+				if seq != firstSeq+uint64(next) || !reflect.DeepEqual(r, want.recs[next]) {
+					return fmt.Errorf("record %d differs from the reference's record %d", seq-firstSeq, next)
+				}
+				if next++; !full {
+					return errStop
+				}
 				return nil
 			}})
-			same := len(rest) == len(want.recs[k:]) && (len(rest) == 0 || reflect.DeepEqual(rest, want.recs[k:]))
-			if err != nil || end.seq-firstSeq != want.records || end.off != want.validBytes || !same {
-				t.Fatalf("%s (torn %v): walk resumed at record %d: %d records to %+v, err %v; want %d to offset %d",
-					label, torn, k, len(rest), end, err, want.records-k, want.validBytes)
+			if err != nil && err != errStop || next != len(offs) && (full || next != k+1) {
+				t.Fatalf("%s (torn %v): walk resumed at record %d yielded up to record %d, err %v",
+					label, torn, k, next, err)
 			}
 		}
 	}
@@ -193,33 +217,36 @@ func TestWalkSegmentMatchesWholeFile(t *testing.T) {
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, fmt.Sprintf("%020d%s", firstSeq, segSuffix))
-	check := func(label string, data []byte) {
+	// Every record is a resume point of the intact segment, of one cut
+	// or with garbage appended at each boundary; three are of the others.
+	check := func(label string, data []byte, every bool) {
 		t.Helper()
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		checkWalks(t, label, path, firstSeq)
+		checkWalks(t, label, path, firstSeq, 0, every)
 	}
 	clone := func() []byte { return append([]byte(nil), seg...) }
 
-	check("intact", seg)
-	check("empty file", nil)
-	check("short header", seg[:segHeaderLen-1])
-	check("header only", seg[:segHeaderLen])
+	check("intact", seg, true)
+	check("empty file", nil, true)
+	check("short header", seg[:segHeaderLen-1], true)
+	check("header only", seg[:segHeaderLen], true)
 	wrongSeq := clone()
 	binary.LittleEndian.PutUint64(wrongSeq[len(segMagic):], firstSeq+1)
-	check("header seq differs from name", wrongSeq)
+	check("header seq differs from name", wrongSeq, true)
 
 	rng := rand.New(rand.NewSource(2))
 	var cuts []int
 	for b := walkBuffer; b < len(seg); b += walkBuffer {
 		cuts = append(cuts, b-frameLen-1, b-1, b, b+1, b+frameLen)
+		check(fmt.Sprintf("cut at %d", b), seg[:b], true)
 	}
 	for range 24 {
 		cuts = append(cuts, segHeaderLen+rng.Intn(len(seg)-segHeaderLen))
 	}
 	for _, c := range cuts {
-		check(fmt.Sprintf("cut at %d", c), seg[:c])
+		check(fmt.Sprintf("cut at %d", c), seg[:c], false)
 	}
 
 	flips := []int{0, len(segMagic), segHeaderLen, segHeaderLen + 4, walkBuffer - 1, walkBuffer, len(seg) - 1}
@@ -229,12 +256,12 @@ func TestWalkSegmentMatchesWholeFile(t *testing.T) {
 	for _, p := range flips {
 		data := clone()
 		data[p] ^= 1 << rng.Intn(8)
-		check(fmt.Sprintf("bit flip at %d", p), data)
+		check(fmt.Sprintf("bit flip at %d", p), data, false)
 	}
 
 	huge := binary.LittleEndian.AppendUint32(nil, maxBody+1)
 	for _, tail := range [][]byte{{0}, make([]byte, frameLen), huge, {0x1e, 0, 0, 0, 1, 2, 3, 4, 5}} {
-		check(fmt.Sprintf("garbage %x appended", tail), append(clone(), tail...))
+		check(fmt.Sprintf("garbage %x appended", tail), append(clone(), tail...), true)
 	}
 }
 
@@ -247,7 +274,7 @@ func TestWalkSegmentAbortsOnFnError(t *testing.T) {
 	}
 	stop := errors.New("stop")
 	calls := 0
-	_, _, err := walkSegment(&segInfo{path: path}, segWalk{fn: func(seq uint64, _ Record) error {
+	_, err := walkSegment(&segInfo{path: path}, segWalk{fn: func(seq uint64, _ Record) error {
 		if calls++; seq == 4 {
 			return stop
 		}
@@ -306,7 +333,8 @@ func TestReplayFromSnapshotSkipsCoveredFrames(t *testing.T) {
 // reference on arbitrary segment bytes. With lead 0 the input is the
 // whole file; otherwise it follows a valid header and lead % 4096 tick
 // frames (30 bytes each), so the fuzzed frames can sit across the
-// 64 KiB read-buffer boundary (lead 2,184 starts them on it).
+// 64 KiB read-buffer boundary (lead 2,184 starts them on it). Every
+// fuzzed frame is a resume point.
 func FuzzWalkSegment(f *testing.F) {
 	const firstSeq = 7
 	seg := segmentFile(firstSeq, sampleRecords(12))
@@ -331,6 +359,6 @@ func FuzzWalkSegment(f *testing.F) {
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		checkWalks(t, "fuzzed segment", path, firstSeq)
+		checkWalks(t, "fuzzed segment", path, firstSeq, int(lead), true)
 	})
 }
