@@ -175,16 +175,20 @@ recover-test:
 ## the index builds only the structure its queries read (First Fit, Best
 ## Fit and d=2 vector Best Fit replays); TestBoundedRunAllocs pins a
 ## 100k-job vectorbestfit d=2 Run at half the 44,415 allocations it made
-## with a slice per server, and at 24 MB allocated (38.3 MB while it
-## copied an event per step and kept an ID -> server map)
+## with a slice per server, and at 17.3 MB allocated (38.3 MB while it
+## copied an event per step and kept an ID -> server map, 20.1 MB while
+## its Result copied every job); TestBoundedResultBytes holds the live
+## heap that Run's Result keeps beyond its list to 16 B a job
 bench-bins:
 	$(GO) test -count=1 -run 'ZeroAlloc|Bounded' ./internal/bins/ ./internal/packing/
 
 ## bench-run: the batch path — BenchmarkEventOrder (List.Steps on 100k jobs)
 ## and BenchmarkRunBatch (one packing.Run of vectorbestfit, d=2, keep-alive
 ## 0.5, at 10k and 100k jobs, and of firstfit on 100k zipfian jobs at d=1:
-## ns/event, B/op and allocs/op; the 10k-vs-100k ratio of vectorbestfit's
-## ns/event is the steady-state version of sim_vector's tail_over_head)
+## ns/event, B/op, allocs/op and retained-B/job, the live heap the last
+## Result holds beyond its list; the 10k-vs-100k ratio of vectorbestfit's
+## ns/event is the steady-state version of sim_vector's tail_over_head).
+## In CI, so a benchmark that breaks fails the build
 bench-run:
 	$(GO) test -run '^$$' -bench 'EventOrder|RunBatch' -benchtime 5x .
 

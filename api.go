@@ -26,7 +26,10 @@ type (
 	// returns the server to place it on, or nil to open one.
 	Algorithm = packing.Algorithm
 	// Result is the outcome of one packing run, with full placement
-	// history and both objectives (usage time, peak open servers).
+	// history and both objectives (usage time, peak open servers). It
+	// copies no job: its Items is the run's own list, and each server
+	// record holds its jobs' positions in it, so the list must not change
+	// while the Result is read.
 	Result = packing.Result
 	// Dispatcher drives a policy job-by-job in real time (departures
 	// unknown at arrival), as a cloud provider's front end would.

@@ -37,8 +37,8 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 	if ratio.Hi() > Theorem1Bound(jobs.Mu()) {
 		t.Fatalf("ratio %g above Theorem 1 bound", ratio.Hi())
 	}
-	if ratio.Lo() < 1-1e-9 {
-		t.Fatalf("ratio %g below 1", ratio.Lo())
+	if lo := ratio.Usage / ratio.Opt.Upper; lo < 1-1e-9 {
+		t.Fatalf("ratio %g below 1", lo)
 	}
 }
 

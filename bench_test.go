@@ -2,6 +2,7 @@ package dbp
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dbp/internal/experiments"
@@ -261,6 +262,14 @@ func batchJobs(b *testing.B, n int) item.List {
 	return jobs
 }
 
+// liveHeap returns the live heap after a GC.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
 // orderSink keeps BenchmarkEventOrder's result live.
 var orderSink []item.Step
 
@@ -283,7 +292,8 @@ func BenchmarkEventOrder(b *testing.B) {
 // bench-run). The 10k run is as long as sim_vector's head run, so the
 // ratio of the two vectorbestfit ns/event is the Go-benchmark version of
 // sim_vector's tail_over_head: about 1 when no per-event cost grows with
-// the run.
+// the run. retained-B/job is the live heap the last Result holds beyond
+// its list, read after a GC: the bytes per job a finished run keeps.
 func BenchmarkRunBatch(b *testing.B) {
 	zipfian, err := workload.FromSpec("zipfian", 100_000, 600, 10, 1, 1)
 	if err != nil {
@@ -300,6 +310,8 @@ func BenchmarkRunBatch(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			base := liveHeap()
+			var res *packing.Result
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -307,11 +319,14 @@ func BenchmarkRunBatch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := packing.Run(algo, c.jobs, c.opt); err != nil {
+				if res, err = packing.Run(algo, c.jobs, c.opt); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*len(c.jobs)*b.N), "ns/event")
+			b.StopTimer()
+			b.ReportMetric((float64(liveHeap())-float64(base))/float64(len(c.jobs)), "retained-B/job")
+			runtime.KeepAlive(res)
 		})
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"dbp"
@@ -99,7 +100,12 @@ func main() {
 		// pins what the vector engine guarantees — every vector policy
 		// packs bit-identically on the d-dimensional index and the
 		// linear reference engine.
+		var names []string // in name order, so the report reads the same every run
 		for name := range packing.Vector() {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		for _, name := range names {
 			vAlgo, err := packing.ByName(name)
 			if err != nil {
 				log.Fatal(err)

@@ -218,7 +218,9 @@ func exportedDecls(t *testing.T, dir string) map[string]token.Token {
 //   - exported only for another package: an exported internal
 //     package-level name has a user in another package, or is a type
 //     reachable from one that has, as a field, parameter, result or
-//     element type of it, transitively.
+//     element type of it, transitively; an exported method of
+//     internal/ has a user in another package, or an interface or a
+//     fmt call reaches it.
 //
 // keptNames and keptMethods list, with their reasons, the few the types
 // cannot show. A declaration only tests use moves into a test file; a
@@ -254,15 +256,23 @@ func TestInternalNamesHaveAUser(t *testing.T) {
 // TestInternalNamesHaveAUser describes.
 func TestInternalMethodsHaveAUser(t *testing.T) {
 	byName := auditedDeclarations(t)
-	var dead []string
+	var dead, lonely []string
 	for name, d := range byName {
-		if d.method && !d.used && keptMethods[name] == "" {
+		switch {
+		case !d.method || keptMethods[name] != "":
+		case !d.used:
 			dead = append(dead, name)
+		case d.exported && !d.outside && !d.iface:
+			lonely = append(lonely, name)
 		}
 	}
 	slices.Sort(dead)
+	slices.Sort(lonely)
 	if len(dead) > 0 {
 		t.Errorf("%d methods of internal/ or cmd/ with no use in non-test code and no interface the module uses (delete them, move a test-only one into the tests, or keep it in keptMethods with a reason): %v", len(dead), dead)
+	}
+	if len(lonely) > 0 {
+		t.Errorf("%d exported methods of internal/ that only their own package calls and no interface or fmt call reaches (unexport them, or keep them in keptMethods with a reason): %v", len(lonely), lonely)
 	}
 	for name := range keptMethods {
 		if d := byName[name]; d == nil || !d.method || d.used {
@@ -302,6 +312,7 @@ var keptNames = map[string]string{
 	"packing.ErrServer":           "the server index Stream.Arrive and Depart return with an error",
 	"packing.ErrSnapshotMismatch": "error RestoreStream returns",
 
+	"serve.Event":         "the JSON row of GET /v1/journal, which NewHandler documents as Placement is /v1/arrive's",
 	"serve.ErrClosed":     "error Dispatcher.Arrive and Depart return once closed",
 	"serve.ErrDurability": "error Dispatcher.Arrive and Depart return once a journal failed",
 
@@ -332,8 +343,9 @@ var keptMethods = map[string]string{
 // and what loadDeclarations found of its users.
 type audited struct {
 	name     string     // "pkg.Name" or "pkg.Type.Method", pkg the path under internal/ (or cmd/x)
-	exported bool       // an exported package-level name of internal/
+	exported bool       // an exported package-level name or method of internal/
 	method   bool       // a method, not a package-level name
+	iface    bool       // a method an interface or a fmt call reaches
 	own      []ast.Node // its own declaration, and a type's methods
 	used     bool       // a use outside own, or an interface or fmt call that reaches the method
 	outside  bool       // a use in another package, or a type reachable from what one uses
@@ -413,7 +425,7 @@ func loadDeclarations(t *testing.T, modules ...string) map[string]*audited {
 			}
 			for _, m := range implemented(info) {
 				if d := decls[at(m)]; d != nil {
-					d.used = true
+					d.used, d.iface = true, true
 				}
 			}
 		}
@@ -465,7 +477,7 @@ func collectDecls(decls map[string]*audited, pkg *types.Package, files []*ast.Fi
 	prefix := strings.TrimPrefix(strings.TrimPrefix(pkg.Path(), "dbp/internal/"), "dbp/")
 	internal := strings.HasPrefix(pkg.Path(), "dbp/internal/")
 	add := func(id *ast.Ident, name string, node ast.Node, toplevel bool) {
-		decls[at(info.Defs[id])] = &audited{name: prefix + "." + name, exported: toplevel && internal && id.IsExported(), method: !toplevel, own: []ast.Node{node}}
+		decls[at(info.Defs[id])] = &audited{name: prefix + "." + name, exported: internal && id.IsExported(), method: !toplevel, own: []ast.Node{node}}
 	}
 	var methods []*ast.FuncDecl
 	for _, f := range files {

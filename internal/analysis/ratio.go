@@ -28,17 +28,17 @@ func (r Ratio) Hi() float64 {
 	return r.Usage / r.Opt.Lower
 }
 
-// Lo returns the optimistic (under-)estimate Usage/Opt.Upper.
-func (r Ratio) Lo() float64 {
+// lo returns the optimistic (under-)estimate Usage/Opt.Upper.
+func (r Ratio) lo() float64 {
 	if r.Opt.Upper == 0 {
 		return math.NaN()
 	}
 	return r.Usage / r.Opt.Upper
 }
 
-// Value returns the exact ratio when the OPT bracket is exact, else the
+// value returns the exact ratio when the OPT bracket is exact, else the
 // bracket midpoint estimate.
-func (r Ratio) Value() float64 {
+func (r Ratio) value() float64 {
 	if r.Opt.Mid() == 0 {
 		return math.NaN()
 	}
@@ -48,10 +48,10 @@ func (r Ratio) Value() float64 {
 // String renders the measurement.
 func (r Ratio) String() string {
 	if r.Opt.Exact {
-		return fmt.Sprintf("%s: usage %.6g / OPT %.6g = %.4f (mu=%.3g)", r.Algorithm, r.Usage, r.Opt.Lower, r.Value(), r.Mu)
+		return fmt.Sprintf("%s: usage %.6g / OPT %.6g = %.4f (mu=%.3g)", r.Algorithm, r.Usage, r.Opt.Lower, r.value(), r.Mu)
 	}
 	return fmt.Sprintf("%s: usage %.6g / OPT in [%.6g, %.6g] -> ratio in [%.4f, %.4f] (mu=%.3g)",
-		r.Algorithm, r.Usage, r.Opt.Lower, r.Opt.Upper, r.Lo(), r.Hi(), r.Mu)
+		r.Algorithm, r.Usage, r.Opt.Lower, r.Opt.Upper, r.lo(), r.Hi(), r.Mu)
 }
 
 // Measure runs the algorithm on the instance and returns the measured

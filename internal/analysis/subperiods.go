@@ -62,7 +62,8 @@ type BinSubperiods struct {
 //     or the last small item of V has been selected.
 func selectSmallItems(b *packing.ServerRecord, v interval.Interval, mu float64) item.List {
 	var cands item.List
-	for _, it := range b.Items {
+	for j := range b.Pos {
+		it := b.Item(j)
 		if it.Size < smallThreshold && v.Contains(it.Arrival) {
 			cands = append(cands, it)
 		}
@@ -272,7 +273,8 @@ func VerifySubperiods(res *packing.Result, all []BinSubperiods) error {
 // by sampling at the subperiod start and every resident-set change inside.
 func verifyHighLevel(b *packing.ServerRecord, h interval.Interval) error {
 	pts := []float64{h.Lo}
-	for _, it := range b.Items {
+	for j := range b.Pos {
+		it := b.Item(j)
 		if h.Contains(it.Arrival) {
 			pts = append(pts, it.Arrival)
 		}
@@ -291,7 +293,8 @@ func verifyHighLevel(b *packing.ServerRecord, h interval.Interval) error {
 // itemSizeAt returns the size of the small item placed in b at t, or 0 if
 // there is none.
 func itemSizeAt(b *packing.ServerRecord, t float64) float64 {
-	for _, it := range b.Items {
+	for j := range b.Pos {
+		it := b.Item(j)
 		if it.Arrival == t && it.Size < smallThreshold {
 			return it.Size
 		}
@@ -304,7 +307,8 @@ func itemSizeAt(b *packing.ServerRecord, t float64) float64 {
 // items in the supplier bin at the moment p_i was placed).
 func levelJustBefore(b *packing.ServerRecord, t float64, selectedID int64) float64 {
 	var lv float64
-	for _, it := range b.Items {
+	for j := range b.Pos {
+		it := b.Item(j)
 		if !it.Interval().Contains(t) {
 			continue
 		}

@@ -200,7 +200,8 @@ func MeasureAmortizedLevel(res *packing.Result, all []BinSubperiods, groups []LG
 		for _, m := range g.Members {
 			rep.Length += m.Interval.Length()
 			// Selected item's demand over the l-subperiod.
-			for _, it := range res.Bins[g.BinIndex].Items {
+			for j := range res.Bins[g.BinIndex].Pos {
+				it := res.Bins[g.BinIndex].Item(j)
 				if it.Arrival == m.Interval.Lo && it.Size < smallThreshold {
 					ov := it.Interval().Intersect(m.Interval)
 					rep.Demand += it.Size * ov.Length()
@@ -215,7 +216,8 @@ func MeasureAmortizedLevel(res *packing.Result, all []BinSubperiods, groups []LG
 // demandOver integrates a bin's level over the window from its record.
 func demandOver(b *packing.ServerRecord, w interval.Interval) float64 {
 	var d float64
-	for _, it := range b.Items {
+	for j := range b.Pos {
+		it := b.Item(j)
 		ov := it.Interval().Intersect(w)
 		d += it.Size * ov.Length()
 	}

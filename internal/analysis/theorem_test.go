@@ -80,8 +80,8 @@ func TestFirstFitRatioBetweenBounds(t *testing.T) {
 			t.Fatalf("mu=%g: measured ratio upper estimate %g exceeds mu+4", mu, r.Hi())
 		}
 		// And the optimistic estimate should be near mu on the trap.
-		if r.Lo() < mu*0.8 {
-			t.Fatalf("mu=%g: trap only achieved ratio %g", mu, r.Lo())
+		if r.lo() < mu*0.8 {
+			t.Fatalf("mu=%g: trap only achieved ratio %g", mu, r.lo())
 		}
 	}
 }
@@ -95,11 +95,11 @@ func TestMeasureReturnsSaneBracket(t *testing.T) {
 	if r.Usage != res.TotalUsage {
 		t.Fatal("usage mismatch")
 	}
-	if r.Lo() > r.Hi() {
-		t.Fatalf("ratio bracket inverted: [%g, %g]", r.Lo(), r.Hi())
+	if r.lo() > r.Hi() {
+		t.Fatalf("ratio bracket inverted: [%g, %g]", r.lo(), r.Hi())
 	}
-	if r.Lo() < 1-1e-9 && r.Opt.Exact {
-		t.Fatalf("exact ratio below 1: %g", r.Lo())
+	if r.lo() < 1-1e-9 && r.Opt.Exact {
+		t.Fatalf("exact ratio below 1: %g", r.lo())
 	}
 	if r.String() == "" {
 		t.Fatal("empty String")

@@ -50,7 +50,8 @@ func RenderTimeline(res *packing.Result, width int) string {
 			row[c] = '.'
 		}
 		// Overlay occupied stretches from the items.
-		for _, it := range b.Items {
+		for j := range b.Pos {
+			it := b.Item(j)
 			for c := col(it.Arrival); c <= col(it.Departure-1e-12); c++ {
 				row[c] = '#'
 			}

@@ -89,9 +89,9 @@ func (b *Bin) ClosedAt() float64 {
 	return b.closedAt
 }
 
-// Usage returns |U_k|, the bin's contribution to the objective, for a
+// usage returns |U_k|, the bin's contribution to the objective, for a
 // closed bin.
-func (b *Bin) Usage() float64 { return b.ClosedAt() - b.openedAt }
+func (b *Bin) usage() float64 { return b.ClosedAt() - b.openedAt }
 
 // Level returns the current scalar level of the bin: the total size of
 // active items (first dimension for vector bins, which is the max-component
@@ -137,8 +137,8 @@ func (b *Bin) TotalGap() float64 {
 	return sum
 }
 
-// NumActive returns the number of items currently in the bin.
-func (b *Bin) NumActive() int { return len(b.resident) }
+// numActive returns the number of items currently in the bin.
+func (b *Bin) numActive() int { return len(b.resident) }
 
 // Fits reports whether the item can be placed without exceeding capacity in
 // any dimension (with Eps tolerance).
@@ -215,23 +215,23 @@ func (b *Bin) removeAt(i int, t float64) {
 	}
 }
 
-// Lingering reports whether the bin is open but empty (keep-alive mode).
-func (b *Bin) Lingering() bool { return b.IsOpen() && !math.IsNaN(b.emptySince) }
+// lingering reports whether the bin is open but empty (keep-alive mode).
+func (b *Bin) lingering() bool { return b.IsOpen() && !math.IsNaN(b.emptySince) }
 
-// EmptySince returns the time the bin last became empty; it panics if the
+// emptiedAt returns the time the bin last became empty; it panics if the
 // bin is not lingering.
-func (b *Bin) EmptySince() float64 {
-	if !b.Lingering() {
+func (b *Bin) emptiedAt() float64 {
+	if !b.lingering() {
 		panic(fmt.Sprintf("bins: bin %d is not lingering", b.Index))
 	}
 	return b.emptySince
 }
 
-// Close shuts a lingering bin at time t (>= the time it emptied). It
+// closeAt shuts a lingering bin at time t (>= the time it emptied). It
 // panics if the bin is occupied or already closed.
-func (b *Bin) Close(t float64) {
-	if !b.Lingering() {
-		panic(fmt.Sprintf("bins: Close on non-lingering bin %d", b.Index))
+func (b *Bin) closeAt(t float64) {
+	if !b.lingering() {
+		panic(fmt.Sprintf("bins: closing non-lingering bin %d", b.Index))
 	}
 	if t < b.emptySince {
 		panic(fmt.Sprintf("bins: Close(%g) before bin %d emptied at %g", t, b.Index, b.emptySince))

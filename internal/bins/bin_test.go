@@ -21,15 +21,15 @@ func TestOpenPlaceRemoveLifecycle(t *testing.T) {
 		t.Fatal("item must fit empty bin")
 	}
 	b.Place(it, 5)
-	if b.Level() != 0.6 || b.NumActive() != 1 {
-		t.Fatalf("level = %g, n = %d", b.Level(), b.NumActive())
+	if b.Level() != 0.6 || b.numActive() != 1 {
+		t.Fatalf("level = %g, n = %d", b.Level(), b.numActive())
 	}
 	b.Remove(1, 9)
 	if b.IsOpen() {
 		t.Fatal("bin must close when emptied")
 	}
-	if b.ClosedAt() != 9 || b.Usage() != 4 {
-		t.Fatalf("closedAt = %g, usage = %g", b.ClosedAt(), b.Usage())
+	if b.ClosedAt() != 9 || b.usage() != 4 {
+		t.Fatalf("closedAt = %g, usage = %g", b.ClosedAt(), b.usage())
 	}
 	if b.OpenedAt() != 5 || b.ClosedAt() != 9 {
 		t.Fatalf("usage period = [%g, %g)", b.OpenedAt(), b.ClosedAt())

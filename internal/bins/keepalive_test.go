@@ -9,25 +9,25 @@ func TestBinLingeringLifecycle(t *testing.T) {
 	b := openBin(0, 1, 1, 0)
 	b.LingerWhenEmpty = true
 	b.Place(mkItem(1, 0.5, 0, 2), 0)
-	if b.Lingering() {
+	if b.lingering() {
 		t.Fatal("occupied bin must not linger")
 	}
 	b.Remove(1, 2)
-	if !b.IsOpen() || !b.Lingering() {
+	if !b.IsOpen() || !b.lingering() {
 		t.Fatal("bin must linger open when empty")
 	}
-	if b.EmptySince() != 2 {
-		t.Fatalf("emptySince = %g", b.EmptySince())
+	if b.emptiedAt() != 2 {
+		t.Fatalf("emptySince = %g", b.emptiedAt())
 	}
 	// Reuse cancels lingering.
 	b.Place(mkItem(2, 0.5, 3, 5), 3)
-	if b.Lingering() {
+	if b.lingering() {
 		t.Fatal("reused bin must not linger")
 	}
 	b.Remove(2, 5)
-	b.Close(6)
-	if b.IsOpen() || b.ClosedAt() != 6 || b.Usage() != 6 {
-		t.Fatalf("closed at %g, usage %g", b.ClosedAt(), b.Usage())
+	b.closeAt(6)
+	if b.IsOpen() || b.ClosedAt() != 6 || b.usage() != 6 {
+		t.Fatalf("closed at %g, usage %g", b.ClosedAt(), b.usage())
 	}
 }
 
@@ -37,19 +37,19 @@ func TestBinClosePanics(t *testing.T) {
 			b := openBin(0, 1, 1, 0)
 			b.LingerWhenEmpty = true
 			b.Place(mkItem(1, 0.5, 0, 2), 0)
-			b.Close(1)
+			b.closeAt(1)
 		},
 		func() { // before emptySince
 			b := openBin(0, 1, 1, 0)
 			b.LingerWhenEmpty = true
 			b.Place(mkItem(1, 0.5, 0, 2), 0)
 			b.Remove(1, 2)
-			b.Close(1)
+			b.closeAt(1)
 		},
-		func() { // EmptySince on occupied bin
+		func() { // emptiedAt on occupied bin
 			b := openBin(0, 1, 1, 0)
 			b.Place(mkItem(1, 0.5, 0, 2), 0)
-			_ = b.EmptySince()
+			_ = b.emptiedAt()
 		},
 	}
 	for i, f := range cases {
@@ -164,7 +164,7 @@ func TestCloseExpiredSkipsRevivedEntry(t *testing.T) {
 	if n := g.CloseExpired(6); n != 0 {
 		t.Fatalf("stale entry closed %d bins at t=6", n)
 	}
-	if !b.Lingering() {
+	if !b.lingering() {
 		t.Fatal("bin must still be lingering at t=6")
 	}
 	if err := g.CheckInvariants(); err != nil {
@@ -228,7 +228,7 @@ func TestUsagePeriodOfLingeringBin(t *testing.T) {
 	}()) {
 		t.Fatal("ClosedAt must panic while lingering")
 	}
-	b.Close(5)
+	b.closeAt(5)
 	if b.OpenedAt() != 1 || b.ClosedAt() != 5 {
 		t.Fatalf("usage period = [%g, %g)", b.OpenedAt(), b.ClosedAt())
 	}

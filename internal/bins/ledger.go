@@ -135,7 +135,7 @@ func (g *Ledger) CloseExpired(now float64) int {
 	due := g.due[:0]
 	for len(g.expiries) > 0 && g.expiries[0].emptySince+g.keepAlive <= now {
 		e := g.expiries.pop()
-		if !e.bin.Lingering() || e.bin.EmptySince() != e.emptySince {
+		if !e.bin.lingering() || e.bin.emptiedAt() != e.emptySince {
 			continue // stale: the bin was revived after this entry was pushed
 		}
 		due = append(due, e)
@@ -154,10 +154,10 @@ func (g *Ledger) CloseExpired(now float64) int {
 		// Re-check liveness: a bin that emptied, revived, and emptied
 		// again at the same timestamp has two indistinguishable heap
 		// entries, and the first closure must invalidate the second.
-		if !b.Lingering() || b.EmptySince() != e.emptySince {
+		if !b.lingering() || b.emptiedAt() != e.emptySince {
 			continue
 		}
-		b.Close(e.emptySince + g.keepAlive)
+		b.closeAt(e.emptySince + g.keepAlive)
 		g.removeOpen(b)
 		g.retire(b)
 		closed++
@@ -174,8 +174,8 @@ func (g *Ledger) CloseExpired(now float64) int {
 func (g *Ledger) CloseAllLingering() {
 	kept := g.open[:0]
 	for _, b := range g.open {
-		if b.Lingering() {
-			b.Close(b.EmptySince() + g.keepAlive)
+		if b.lingering() {
+			b.closeAt(b.emptiedAt() + g.keepAlive)
 			g.retire(b)
 		} else {
 			kept = append(kept, b)
@@ -275,9 +275,9 @@ func (g *Ledger) Remove(id item.ID, t float64) (b *Bin, closed bool) {
 		g.location.get(b.resident[r.pos].ID).pos = r.pos
 	}
 	if b.IsOpen() {
-		if b.Lingering() {
+		if b.lingering() {
 			// The bin just emptied into keep-alive; schedule its closure.
-			g.expiries.push(expiryEntry{emptySince: b.EmptySince(), bin: b})
+			g.expiries.push(expiryEntry{emptySince: b.emptiedAt(), bin: b})
 		}
 		if g.index != nil {
 			g.index.refresh(b)
@@ -293,7 +293,7 @@ func (g *Ledger) Remove(id item.ID, t float64) (b *Bin, closed bool) {
 // the rest of the live state: its usage goes to the accumulator, it leaves
 // the index, and its emptied resident slice goes to the free list.
 func (g *Ledger) retire(b *Bin) {
-	g.closedUsage += b.Usage()
+	g.closedUsage += b.usage()
 	if g.index != nil {
 		g.index.remove(b)
 	}
@@ -365,7 +365,7 @@ func (g *Ledger) CheckInvariants() error {
 				return fmt.Errorf("bin %d negative level in dim %d: %g", b.Index, d, lv)
 			}
 		}
-		if b.NumActive() == 0 && !b.Lingering() {
+		if b.numActive() == 0 && !b.lingering() {
 			return fmt.Errorf("open bin %d has no items and is not lingering", b.Index)
 		}
 	}
@@ -389,12 +389,12 @@ func (g *Ledger) CheckInvariants() error {
 	// Every lingering bin must have a live closure scheduled; stale heap
 	// entries for revived bins are legal (lazy invalidation).
 	for _, b := range g.open {
-		if !b.Lingering() {
+		if !b.lingering() {
 			continue
 		}
 		scheduled := false
 		for _, e := range g.expiries {
-			if e.bin == b && e.emptySince == b.EmptySince() {
+			if e.bin == b && e.emptySince == b.emptiedAt() {
 				scheduled = true
 				break
 			}

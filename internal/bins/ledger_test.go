@@ -208,7 +208,7 @@ func TestLedgerKeepAliveInvariantsRandomized(t *testing.T) {
 		}
 		var want float64
 		for _, b := range opened {
-			want += b.Usage()
+			want += b.usage()
 		}
 		if got := g.TotalUsage(0); math.Abs(got-want) > 1e-9*(1+want) {
 			t.Fatalf("trial %d: usage %g, recomputed %g", trial, got, want)

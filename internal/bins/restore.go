@@ -58,7 +58,7 @@ func (b *Bin) State() ServerState {
 		Levels:    append([]float64(nil), b.level...),
 		Jobs:      len(b.resident),
 		OpenedAt:  b.openedAt,
-		Lingering: b.Lingering(),
+		Lingering: b.lingering(),
 	}
 	if sv.Lingering {
 		sv.EmptySince = b.emptySince
@@ -134,7 +134,7 @@ func RestoreLedger(capacity float64, dim int, keepAlive float64, indexed bool,
 				return nil, fmt.Errorf("bins: restore places job %d twice", it.ID)
 			}
 		}
-		if b.Lingering() {
+		if b.lingering() {
 			g.expiries.push(expiryEntry{emptySince: b.emptySince, bin: b})
 		}
 		if g.index != nil {

@@ -31,10 +31,10 @@ func Hourly(rate float64, unitsPerHour float64) BillingModel {
 	return BillingModel{Granularity: unitsPerHour, Rate: rate / unitsPerHour}
 }
 
-// BilledTime returns the billed time for one server running for the given
+// billedTime returns the billed time for one server running for the given
 // duration: the duration rounded up to whole quanta (or unchanged under
 // continuous billing). Zero-duration rentals are free.
-func (m BillingModel) BilledTime(runtime float64) float64 {
+func (m BillingModel) billedTime(runtime float64) float64 {
 	if runtime <= 0 {
 		return 0
 	}
@@ -74,7 +74,7 @@ func (iv Invoice) String() string {
 func Cost(res *packing.Result, m BillingModel) Invoice {
 	iv := Invoice{Model: m, Servers: res.NumBins(), UsageTime: res.TotalUsage}
 	for _, b := range res.Bins {
-		iv.BilledTime += m.BilledTime(b.Usage())
+		iv.BilledTime += m.billedTime(b.Usage())
 	}
 	iv.Total = iv.BilledTime * m.Rate
 	return iv
@@ -121,7 +121,7 @@ func CostFleet(res *packing.Result, p RatePlan) Invoice {
 	m := BillingModel{Granularity: p.Granularity}
 	iv := Invoice{Model: m, Servers: res.NumBins(), UsageTime: res.TotalUsage}
 	for _, b := range res.Bins {
-		billed := m.BilledTime(b.Usage())
+		billed := m.billedTime(b.Usage())
 		iv.BilledTime += billed
 		iv.Total += billed * p.rateFor(b.Capacity)
 	}

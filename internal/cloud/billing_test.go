@@ -15,12 +15,12 @@ func TestBilledTimeQuantization(t *testing.T) {
 		{0, 0}, {0.1, 1}, {1, 1}, {1.0001, 2}, {2.5, 3}, {3, 3},
 	}
 	for _, c := range cases {
-		if got := m.BilledTime(c.in); got != c.want {
-			t.Errorf("BilledTime(%g) = %g, want %g", c.in, got, c.want)
+		if got := m.billedTime(c.in); got != c.want {
+			t.Errorf("billedTime(%g) = %g, want %g", c.in, got, c.want)
 		}
 	}
 	cont := BillingModel{Granularity: 0, Rate: 1}
-	if got := cont.BilledTime(2.34); got != 2.34 {
+	if got := cont.billedTime(2.34); got != 2.34 {
 		t.Errorf("continuous billing must be exact, got %g", got)
 	}
 }
@@ -29,8 +29,8 @@ func TestBilledTimeExactMultipleNoOvercharge(t *testing.T) {
 	// Floating point must not push an exact 7*0.25 runtime into an 8th
 	// quantum.
 	m := BillingModel{Granularity: 0.25, Rate: 1}
-	if got := m.BilledTime(7 * 0.25); math.Abs(got-1.75) > 1e-12 {
-		t.Fatalf("BilledTime = %g, want 1.75", got)
+	if got := m.billedTime(7 * 0.25); math.Abs(got-1.75) > 1e-12 {
+		t.Fatalf("billedTime = %g, want 1.75", got)
 	}
 }
 
@@ -41,7 +41,7 @@ func TestHourly(t *testing.T) {
 		t.Fatal("granularity must be one hour in minutes")
 	}
 	// 90 minutes -> billed 120 minutes -> $1.20.
-	if got := m.BilledTime(90) * m.Rate; math.Abs(got-1.20) > 1e-12 {
+	if got := m.billedTime(90) * m.Rate; math.Abs(got-1.20) > 1e-12 {
 		t.Fatalf("cost = %g, want 1.20", got)
 	}
 }

@@ -25,9 +25,9 @@ func (iv Interval) Empty() bool { return iv.Hi <= iv.Lo }
 // Contains reports whether t lies in [Lo, Hi).
 func (iv Interval) Contains(t float64) bool { return iv.Lo <= t && t < iv.Hi }
 
-// Overlaps reports whether the two half-open intervals share any point.
+// overlaps reports whether the two half-open intervals share any point.
 // Touching endpoints ([0,1) and [1,2)) do not overlap.
-func (iv Interval) Overlaps(other Interval) bool {
+func (iv Interval) overlaps(other Interval) bool {
 	if iv.Empty() || other.Empty() {
 		return false
 	}

@@ -49,15 +49,15 @@ func TestContainsHalfOpen(t *testing.T) {
 
 func TestOverlapsTouchingIsDisjoint(t *testing.T) {
 	a, b := ival(0, 1), ival(1, 2)
-	if a.Overlaps(b) || b.Overlaps(a) {
+	if a.overlaps(b) || b.overlaps(a) {
 		t.Error("touching half-open intervals must not overlap")
 	}
 	c := ival(0.5, 1.5)
-	if !a.Overlaps(c) || !c.Overlaps(a) {
+	if !a.overlaps(c) || !c.overlaps(a) {
 		t.Error("genuinely overlapping intervals must overlap")
 	}
 	empty := Interval{}
-	if a.Overlaps(empty) || empty.Overlaps(a) {
+	if a.overlaps(empty) || empty.overlaps(a) {
 		t.Error("empty interval overlaps nothing")
 	}
 }

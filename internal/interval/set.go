@@ -54,7 +54,7 @@ func (s *Set) Measure() float64 {
 // Overlaps reports whether the set has positive-measure intersection with iv.
 func (s *Set) Overlaps(iv Interval) bool {
 	for _, x := range s.ivs {
-		if x.Overlaps(iv) {
+		if x.overlaps(iv) {
 			return true
 		}
 	}

@@ -129,7 +129,7 @@ func Run(o Options) (*Report, error) {
 	if err := o.setDefaults(); err != nil {
 		return nil, err
 	}
-	r := &runner{o: o, parts: o.Script.Partition(o.Clients)}
+	r := &runner{o: o, parts: o.Script.partition(o.Clients)}
 	r.start = time.Now()
 	r.warmupEnd = r.start.Add(o.Warmup)
 	r.measureEnd = r.warmupEnd.Add(o.Measure)

@@ -63,7 +63,7 @@ func TestScriptInvariants(t *testing.T) {
 	if jobs := checkOrder(s.ops); jobs != 500 {
 		t.Fatalf("script covers %d jobs, want 500", jobs)
 	}
-	parts := s.Partition(7)
+	parts := s.partition(7)
 	total := 0
 	for _, p := range parts {
 		checkOrder(p.ops)

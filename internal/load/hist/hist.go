@@ -79,12 +79,12 @@ func bucketMid(b int) int64 {
 	return lo + (int64(1)<<shift)/2
 }
 
-// RecordNS records one latency in nanoseconds. Negative values clamp
+// recordNS records one latency in nanoseconds. Negative values clamp
 // to zero (a clock hiccup, not data).
-func (h *Hist) RecordNS(ns int64) { h.RecordN(ns, 1) }
+func (h *Hist) recordNS(ns int64) { h.RecordN(ns, 1) }
 
 // RecordN records n latencies of ns nanoseconds each, with one round
-// of atomics: the same histogram as n calls to RecordNS(ns). n <= 0
+// of atomics: the same histogram as n calls to recordNS(ns). n <= 0
 // records nothing.
 func (h *Hist) RecordN(ns int64, n int) {
 	if n <= 0 {
@@ -111,7 +111,7 @@ func (h *Hist) RecordN(ns int64, n int) {
 }
 
 // Record records one latency as a time.Duration.
-func (h *Hist) Record(d time.Duration) { h.RecordNS(d.Nanoseconds()) }
+func (h *Hist) Record(d time.Duration) { h.recordNS(d.Nanoseconds()) }
 
 // Merge adds o's recorded values into h. Both histograms may be
 // concurrently written during the merge; h then reflects some
@@ -142,27 +142,24 @@ func (h *Hist) Merge(o *Hist) {
 	}
 }
 
-// Count returns the number of recorded values.
-func (h *Hist) Count() uint64 { return h.count.Load() }
-
-// MinNS returns the exact minimum recorded value, or 0 when empty.
-func (h *Hist) MinNS() int64 {
+// minNS returns the exact minimum recorded value, or 0 when empty.
+func (h *Hist) minNS() int64 {
 	if m := h.min.Load(); m != math.MaxInt64 {
 		return m
 	}
 	return 0
 }
 
-// MaxNS returns the exact maximum recorded value, or 0 when empty.
-func (h *Hist) MaxNS() int64 {
+// maxNS returns the exact maximum recorded value, or 0 when empty.
+func (h *Hist) maxNS() int64 {
 	if m := h.max.Load(); m >= 0 {
 		return m
 	}
 	return 0
 }
 
-// MeanNS returns the exact mean of recorded values, or 0 when empty.
-func (h *Hist) MeanNS() float64 {
+// meanNS returns the exact mean of recorded values, or 0 when empty.
+func (h *Hist) meanNS() float64 {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
@@ -170,21 +167,21 @@ func (h *Hist) MeanNS() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// Quantile returns the latency (ns) at quantile q in [0, 1]: the
+// quantile returns the latency (ns) at quantile q in [0, 1]: the
 // smallest bucket value v such that at least ceil(q*count) recorded
 // values are <= its bucket. q <= 0 returns the exact minimum, q >= 1
 // the exact maximum; interior quantiles carry the bucket's relative
 // error (<= 1/32). Returns 0 for an empty histogram.
-func (h *Hist) Quantile(q float64) int64 {
+func (h *Hist) quantile(q float64) int64 {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
 	}
 	if q <= 0 {
-		return h.MinNS()
+		return h.minNS()
 	}
 	if q >= 1 {
-		return h.MaxNS()
+		return h.maxNS()
 	}
 	rank := uint64(math.Ceil(q * float64(n)))
 	if rank < 1 {
@@ -197,16 +194,16 @@ func (h *Hist) Quantile(q float64) int64 {
 			mid := bucketMid(i)
 			// Clamp to the exact extrema: the first/last occupied
 			// bucket's midpoint can overshoot them.
-			if mx := h.MaxNS(); mid > mx {
+			if mx := h.maxNS(); mid > mx {
 				mid = mx
 			}
-			if mn := h.MinNS(); mid < mn {
+			if mn := h.minNS(); mid < mn {
 				mid = mn
 			}
 			return mid
 		}
 	}
-	return h.MaxNS() // racing writers; fall back to the exact max
+	return h.maxNS() // racing writers; fall back to the exact max
 }
 
 // Summary is the standard percentile digest of a histogram, in
@@ -226,12 +223,12 @@ type Summary struct {
 func (h *Hist) Summary() Summary {
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
 	return Summary{
-		Count:  h.Count(),
-		MeanUS: h.MeanNS() / 1e3,
-		P50US:  us(h.Quantile(0.50)),
-		P90US:  us(h.Quantile(0.90)),
-		P99US:  us(h.Quantile(0.99)),
-		P999US: us(h.Quantile(0.999)),
-		MaxUS:  us(h.MaxNS()),
+		Count:  h.count.Load(),
+		MeanUS: h.meanNS() / 1e3,
+		P50US:  us(h.quantile(0.50)),
+		P90US:  us(h.quantile(0.90)),
+		P99US:  us(h.quantile(0.99)),
+		P999US: us(h.quantile(0.999)),
+		MaxUS:  us(h.maxNS()),
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // exactQuantile returns the value at rank ceil(q*n) of the sorted
-// sample — the definition Hist.Quantile approximates.
+// sample — the definition Hist.quantile approximates.
 func exactQuantile(sorted []int64, q float64) int64 {
 	rank := int(math.Ceil(q * float64(len(sorted))))
 	if rank < 1 {
@@ -27,13 +27,13 @@ func checkQuantiles(t *testing.T, name string, sample []int64) {
 	t.Helper()
 	h := New()
 	for _, v := range sample {
-		h.RecordNS(v)
+		h.recordNS(v)
 	}
 	sorted := append([]int64(nil), sample...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
 	for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999} {
-		got := h.Quantile(q)
+		got := h.quantile(q)
 		want := exactQuantile(sorted, q)
 		relErr := math.Abs(float64(got-want)) / math.Max(float64(want), 1)
 		if relErr > 2.0/nSub {
@@ -41,18 +41,18 @@ func checkQuantiles(t *testing.T, name string, sample []int64) {
 				name, q, got, want, relErr, 2.0/nSub)
 		}
 	}
-	if h.Quantile(0) != sorted[0] || h.Quantile(1) != sorted[len(sorted)-1] {
+	if h.quantile(0) != sorted[0] || h.quantile(1) != sorted[len(sorted)-1] {
 		t.Errorf("%s: extreme quantiles %d/%d, want exact %d/%d",
-			name, h.Quantile(0), h.Quantile(1), sorted[0], sorted[len(sorted)-1])
+			name, h.quantile(0), h.quantile(1), sorted[0], sorted[len(sorted)-1])
 	}
-	if h.Count() != uint64(len(sample)) {
-		t.Errorf("%s: count %d, want %d", name, h.Count(), len(sample))
+	if h.count.Load() != uint64(len(sample)) {
+		t.Errorf("%s: count %d, want %d", name, h.count.Load(), len(sample))
 	}
 	var sum float64
 	for _, v := range sample {
 		sum += float64(v)
 	}
-	if mean := h.MeanNS(); math.Abs(mean-sum/float64(len(sample))) > 1e-6*sum {
+	if mean := h.meanNS(); math.Abs(mean-sum/float64(len(sample))) > 1e-6*sum {
 		t.Errorf("%s: mean %g, want %g", name, mean, sum/float64(len(sample)))
 	}
 }
@@ -92,7 +92,7 @@ func TestMergeAssociativity(t *testing.T) {
 	fill := func(vals []int64) *Hist {
 		h := New()
 		for _, v := range vals {
-			h.RecordNS(v)
+			h.recordNS(v)
 		}
 		return h
 	}
@@ -112,7 +112,7 @@ func TestMergeAssociativity(t *testing.T) {
 				t.Fatalf("bucket %d differs: %d vs %d", i, x.counts[i].Load(), y.counts[i].Load())
 			}
 		}
-		if x.Count() != y.Count() || x.MinNS() != y.MinNS() || x.MaxNS() != y.MaxNS() || x.MeanNS() != y.MeanNS() {
+		if x.count.Load() != y.count.Load() || x.minNS() != y.minNS() || x.maxNS() != y.maxNS() || x.meanNS() != y.meanNS() {
 			t.Fatalf("digests differ: %+v vs %+v", x.Summary(), y.Summary())
 		}
 	}
@@ -121,41 +121,41 @@ func TestMergeAssociativity(t *testing.T) {
 // TestEdges exercises zero, negative (clamped), and overflow values.
 func TestEdges(t *testing.T) {
 	h := New()
-	if h.Quantile(0.5) != 0 || h.MaxNS() != 0 || h.MinNS() != 0 || h.MeanNS() != 0 {
+	if h.quantile(0.5) != 0 || h.maxNS() != 0 || h.minNS() != 0 || h.meanNS() != 0 {
 		t.Fatal("empty histogram must read as zeros")
 	}
 	if s := h.Summary(); s.Count != 0 || s.P99US != 0 {
 		t.Fatalf("empty summary = %+v", s)
 	}
 
-	h.RecordNS(0)
-	if h.Count() != 1 || h.Quantile(0.5) != 0 || h.MaxNS() != 0 {
-		t.Fatalf("after zero: count=%d q50=%d max=%d", h.Count(), h.Quantile(0.5), h.MaxNS())
+	h.recordNS(0)
+	if h.count.Load() != 1 || h.quantile(0.5) != 0 || h.maxNS() != 0 {
+		t.Fatalf("after zero: count=%d q50=%d max=%d", h.count.Load(), h.quantile(0.5), h.maxNS())
 	}
 
-	h.RecordNS(-5) // clamps to 0
-	if h.Count() != 2 || h.MinNS() != 0 || h.Quantile(1) != 0 {
+	h.recordNS(-5) // clamps to 0
+	if h.count.Load() != 2 || h.minNS() != 0 || h.quantile(1) != 0 {
 		t.Fatal("negative value must clamp to zero")
 	}
 
 	// The largest int64 lands in the top bucket rather than panicking,
 	// and the exact max is preserved.
 	h2 := New()
-	h2.RecordNS(math.MaxInt64)
-	h2.RecordNS(math.MaxInt64 - 1)
-	if h2.Count() != 2 || h2.MaxNS() != math.MaxInt64 {
-		t.Fatalf("overflow: count=%d max=%d", h2.Count(), h2.MaxNS())
+	h2.recordNS(math.MaxInt64)
+	h2.recordNS(math.MaxInt64 - 1)
+	if h2.count.Load() != 2 || h2.maxNS() != math.MaxInt64 {
+		t.Fatalf("overflow: count=%d max=%d", h2.count.Load(), h2.maxNS())
 	}
-	if q := h2.Quantile(0.5); q <= 0 {
+	if q := h2.quantile(0.5); q <= 0 {
 		t.Fatalf("overflow quantile = %d, want positive", q)
 	}
 
 	// Exact sub-nSub buckets: small integers quantile exactly.
 	h3 := New()
 	for v := int64(1); v <= 10; v++ {
-		h3.RecordNS(v)
+		h3.recordNS(v)
 	}
-	if q := h3.Quantile(0.5); q != 5 {
+	if q := h3.quantile(0.5); q != 5 {
 		t.Fatalf("exact-bucket median = %d, want 5", q)
 	}
 }
@@ -181,7 +181,7 @@ func TestBucketMonotone(t *testing.T) {
 }
 
 // TestRecordNMatchesRecordNS holds RecordN(ns, n) to n calls of
-// RecordNS(ns): the same Summary and the same bucket counts, including
+// recordNS(ns): the same Summary and the same bucket counts, including
 // a negative (clamped) value and a zero count.
 func TestRecordNMatchesRecordNS(t *testing.T) {
 	batched, single := New(), New()
@@ -191,7 +191,7 @@ func TestRecordNMatchesRecordNS(t *testing.T) {
 	}{{1500, 64}, {7, 3}, {-20, 2}, {250_000, 1}, {90_000_000, 17}, {42, 0}} {
 		batched.RecordN(c.ns, c.n)
 		for range c.n {
-			single.RecordNS(c.ns)
+			single.recordNS(c.ns)
 		}
 		if b, s := batched.Summary(), single.Summary(); b != s {
 			t.Fatalf("after RecordN(%d, %d): Summary %+v, want %+v", c.ns, c.n, b, s)

@@ -179,7 +179,7 @@ func (r *runner) report(results []*clientResult) *Report {
 		if len(errs[k]) > 0 {
 			op.Errors = errs[k]
 		}
-		rep.Ops[opKind(k).String()] = op
+		rep.Ops[opKind(k).name()] = op
 	}
 	if o.Mode == ModeOpen {
 		rep.RequestedRate = o.Rate

@@ -30,8 +30,8 @@ const (
 	numOpKinds
 )
 
-// String names the op kind as it appears in results ("arrive"/"depart").
-func (k opKind) String() string {
+// name names the op kind as it appears in results ("arrive"/"depart").
+func (k opKind) name() string {
 	if k == opArrive {
 		return "arrive"
 	}
@@ -69,12 +69,12 @@ func scriptFromList(l item.List) *Script {
 	return s
 }
 
-// Partition splits the script into n per-client scripts by job ID
+// partition splits the script into n per-client scripts by job ID
 // (a job's arrive and depart always land on the same client, in
 // order), preserving the global relative order within each client.
 // Each client then needs no cross-client coordination to keep every
 // depart after its arrive.
-func (s *Script) Partition(n int) []*Script {
+func (s *Script) partition(n int) []*Script {
 	parts := make([]*Script, n)
 	for i := range parts {
 		parts[i] = &Script{maxID: s.maxID}

@@ -191,12 +191,14 @@ func TestBoundedRestoreAllocs(t *testing.T) {
 // TestBoundedRunAllocs pins the allocations and the bytes of one batch
 // run: 100k jobs, vectorbestfit at d=2 with keep-alive 0.5 (the
 // benchmark's sim_vector instance at seed 1, 4,333 servers). The recorder
-// lays out every server's items in one array, where it once grew a slice
-// per server and the run made 44,415 allocations; the bound is half that.
-// The run allocated 38.3 MB while it copied a 72-byte event per step and
-// kept an ID -> server map; walking (kind, list position) steps and
-// recording by list position brought it near 20 MB, and the bound is
-// 24 MB. It also checks each server's Items is capped at its length.
+// lays out every server's list positions in one array, where it once grew
+// a slice per server and the run made 44,415 allocations; the bound is
+// half that. The run allocated 38.3 MB while it copied a 72-byte event
+// per step and kept an ID -> server map; walking (kind, list position)
+// steps and recording by list position brought it to 20.1 MB (bound 24
+// MB), and keeping positions instead of a copy of every job to 14.5 MB:
+// the bound keeps the same 19 % margin, 17.3 MB. It also checks each
+// server's Pos is capped at its length.
 func TestBoundedRunAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("-short: skipping the 100k-job run")
@@ -223,7 +225,7 @@ func TestBoundedRunAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	t.Logf("%d jobs on %d servers: %d allocations, %.1f MB", len(jobs), res.NumBins(), allocs, float64(bytes)/1e6)
-	const limit, byteLimit = 44_415 / 2, 24_000_000
+	const limit, byteLimit = 44_415 / 2, 17_300_000
 	if allocs > limit {
 		t.Fatalf("Run made %d allocations, want at most %d", allocs, limit)
 	}
@@ -231,8 +233,46 @@ func TestBoundedRunAllocs(t *testing.T) {
 		t.Fatalf("Run allocated %d bytes, want at most %d", bytes, byteLimit)
 	}
 	for k, b := range res.Bins {
-		if cap(b.Items) != len(b.Items) {
-			t.Fatalf("server %d Items has cap %d, len %d", k, cap(b.Items), len(b.Items))
+		if cap(b.Pos) != len(b.Pos) {
+			t.Fatalf("server %d Pos has cap %d, len %d", k, cap(b.Pos), len(b.Pos))
 		}
+	}
+}
+
+// TestBoundedResultBytes pins the live heap a batch Result holds beyond
+// its list, read after a GC: the same 100k-job vectorbestfit d=2 run with
+// keep-alive 0.5. Each server keeps the list positions of its jobs (4
+// bytes a job) beside Server (8 bytes a job) and its 4,333 records, about
+// 15 bytes a job; a Result that kept a 56-byte copy of every job beside
+// them held about 67. The bound is 16 bytes a job.
+func TestBoundedResultBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-short: skipping the 100k-job run")
+	}
+	jobs, err := workload.FromSpec("uniform", 100_000, 1100, 10, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algo, err := packing.ByName("vectorbestfit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := live()
+	res, err := packing.Run(algo, jobs, &packing.Options{KeepAlive: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := float64(live()-base) / float64(len(jobs))
+	runtime.KeepAlive(res)
+	t.Logf("a Result of %d jobs on %d servers holds %.1f B a job beyond its list", len(jobs), res.NumBins(), held)
+	const limit = 16
+	if held > limit {
+		t.Fatalf("the Result holds %.1f B a job beyond its list, want at most %d", held, limit)
 	}
 }

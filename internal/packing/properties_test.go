@@ -70,7 +70,7 @@ func TestBinNeverOpenWhileEmpty(t *testing.T) {
 		for _, algo := range allPolicies() {
 			res := MustRun(algo, l, nil)
 			for _, b := range res.Bins {
-				cov := b.Items.Span()
+				cov := itemsOf(&b).Span()
 				if math.Abs(cov-b.Usage()) > 1e-9 {
 					t.Fatalf("%s bin %d: usage %g but items span %g", algo.Name(), b.Index, b.Usage(), cov)
 				}
@@ -90,7 +90,7 @@ func TestAnyFitNeverOpensNeedlessly(t *testing.T) {
 		for _, algo := range anyFit {
 			res := MustRun(algo, l, nil)
 			for _, b := range res.Bins {
-				first := b.Items[0]
+				first := b.Item(0)
 				t0 := first.Arrival
 				for _, other := range res.Bins {
 					if other.Index == b.Index || !other.UsagePeriod().Contains(t0) {
@@ -103,7 +103,7 @@ func TestAnyFitNeverOpensNeedlessly(t *testing.T) {
 						// arrived at t0 *after* this placement. Recompute
 						// using only items placed strictly before.
 						var lv float64
-						for _, p := range other.Items {
+						for _, p := range itemsOf(&other) {
 							if p.Arrival < t0 || (p.Arrival == t0 && p.ID < first.ID) {
 								if p.Interval().Contains(t0) {
 									lv += p.Size
@@ -129,7 +129,7 @@ func TestFirstFitLowestIndexInvariant(t *testing.T) {
 		l := randomInstance(rng, 150, 8)
 		res := MustRun(NewFirstFit(), l, nil)
 		for _, b := range res.Bins {
-			for _, p := range b.Items {
+			for _, p := range itemsOf(&b) {
 				for _, lower := range res.Bins {
 					if lower.Index >= b.Index {
 						break
@@ -138,7 +138,7 @@ func TestFirstFitLowestIndexInvariant(t *testing.T) {
 						continue
 					}
 					var lv float64
-					for _, q := range lower.Items {
+					for _, q := range itemsOf(&lower) {
 						if (q.Arrival < p.Arrival || (q.Arrival == p.Arrival && q.ID < p.ID)) && q.Interval().Contains(p.Arrival) {
 							lv += q.Size
 						}

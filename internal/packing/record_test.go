@@ -10,10 +10,19 @@ import (
 	"dbp/internal/item"
 )
 
+// itemsOf gathers the server's items, in placement order.
+func itemsOf(b *ServerRecord) item.List {
+	l := make(item.List, len(b.Pos))
+	for j := range b.Pos {
+		l[j] = b.Item(j)
+	}
+	return l
+}
+
 // residents counts the items of the server's record active at t.
 func residents(b *ServerRecord, t float64) int {
 	n := 0
-	for _, it := range b.Items {
+	for _, it := range itemsOf(b) {
 		if it.Interval().Contains(t) {
 			n++
 		}
@@ -51,19 +60,20 @@ func TestLevelAtAndItemsAtReconstruction(t *testing.T) {
 				t.Errorf("%s: %d items resident at %g, want %d", res.Algorithm, got, c.t, c.n)
 			}
 		}
-		if len(b.Items) != 2 || b.Items[0].ID != 1 {
+		if len(b.Pos) != 2 || b.Item(0).ID != 1 {
 			t.Errorf("%s: the record must list both items, the first placed first", res.Algorithm)
 		}
-		if b.Items[1].ID != 2 {
-			t.Errorf("%s: Items must list placement order", res.Algorithm)
+		if b.Item(1).ID != 2 {
+			t.Errorf("%s: Pos must list placement order", res.Algorithm)
 		}
 	}
 }
 
-// Every server's Items is its own window of the run's one item array,
+// Every server's Pos is its own window of the run's one position array,
 // capped at its length: appending to one server's record reallocates and
-// leaves the next server's items as they were, from Run and from Replay.
-func TestRecordItemsCapped(t *testing.T) {
+// leaves the next server's positions as they were, from Run and from
+// Replay. A record copies no item: it reads the Result's own list.
+func TestRecordPositionsCapped(t *testing.T) {
 	// First Fit puts items 1 and 3 on server 0, items 2 and 4 on server 1,
 	// so the two servers' placements interleave.
 	l := item.List{mk(1, 0.6, 0, 4), mk(2, 0.6, 1, 6), mk(3, 0.3, 2, 5), mk(4, 0.3, 3, 6)}
@@ -77,14 +87,19 @@ func TestRecordItemsCapped(t *testing.T) {
 			t.Fatalf("%s: %d servers, want 2", res.Algorithm, res.NumBins())
 		}
 		for k, b := range res.Bins {
-			if cap(b.Items) != len(b.Items) {
-				t.Errorf("%s: server %d Items has cap %d, len %d", res.Algorithm, k, cap(b.Items), len(b.Items))
+			if cap(b.Pos) != len(b.Pos) {
+				t.Errorf("%s: server %d Pos has cap %d, len %d", res.Algorithm, k, cap(b.Pos), len(b.Pos))
+			}
+			for j, p := range b.Pos {
+				if b.Item(j).ID != l[p].ID || &res.Items[p] != &l[p] {
+					t.Errorf("%s: server %d item %d is not the list's item at position %d", res.Algorithm, k, j, p)
+				}
 			}
 		}
-		next := slices.Clone(res.Bins[1].Items)
-		res.Bins[0].Items = append(res.Bins[0].Items, mk(5, 0.1, 7, 8))
-		if !reflect.DeepEqual(res.Bins[1].Items, next) {
-			t.Errorf("%s: appending to server 0 changed server 1's items to %v, want %v", res.Algorithm, res.Bins[1].Items, next)
+		next := slices.Clone(res.Bins[1].Pos)
+		res.Bins[0].Pos = append(res.Bins[0].Pos, 1)
+		if !reflect.DeepEqual(res.Bins[1].Pos, next) {
+			t.Errorf("%s: appending to server 0 changed server 1's positions to %v, want %v", res.Algorithm, res.Bins[1].Pos, next)
 		}
 	}
 }
@@ -116,8 +131,10 @@ func TestVerifyRejectsCorruptResults(t *testing.T) {
 		return item.Item{ID: id, Size: math.Max(a, b), Sizes: []float64{a, b}, Arrival: arr, Departure: dep}
 	}
 	vector := item.List{vec(1, 0.5, 0.2, 0, 4), vec(2, 0.3, 0.4, 1, 3)}
+	// Each run has a list of its own: a Result reads its items from the
+	// list, so a case that corrupts an item must not reach the next case.
 	good := func(l item.List, keepAlive float64) *Result {
-		res := MustRun(NewFirstFit(), l, &Options{KeepAlive: keepAlive})
+		res := MustRun(NewFirstFit(), slices.Clone(l), &Options{KeepAlive: keepAlive})
 		if err := res.Verify(); err != nil {
 			t.Fatalf("the uncorrupted result fails: %v", err)
 		}
@@ -130,17 +147,30 @@ func TestVerifyRejectsCorruptResults(t *testing.T) {
 		corrupt   func(r *Result)
 		want      string
 	}{
-		{"item in two servers", scalar, 0, func(r *Result) {
-			r.Bins[1].Items = append(r.Bins[1].Items, r.Bins[0].Items[0])
+		{"position in two servers", scalar, 0, func(r *Result) {
+			r.Bins[1].Pos = append(r.Bins[1].Pos, r.Bins[0].Pos[0])
 		}, "item 1 placed in bins 0 and 1"},
 		{"item never placed", scalar, 0, func(r *Result) {
-			r.Items = append(append(item.List(nil), r.Items...), mk(5, 0.1, 0, 1))
+			r.Items = append(r.Items, mk(5, 0.1, 0, 1))
+			r.Server = append(r.Server, 0)
 		}, "item 5 never placed"},
+		{"job in no server", scalar, 0, func(r *Result) {
+			r.Bins[0].Pos = slices.Delete(r.Bins[0].Pos, 1, 2) // item 2, inside the hull of 1 and 4
+		}, "item 2 never placed"},
+		{"position past the list", scalar, 0, func(r *Result) {
+			r.Bins[1].Pos[0] = int32(len(r.Items))
+		}, "bin 1 holds position 4, outside the 4 items"},
+		{"negative position", scalar, 0, func(r *Result) {
+			r.Bins[0].Pos[2] = -1
+		}, "bin 0 holds position -1"},
+		{"position disagrees with Server", scalar, 0, func(r *Result) {
+			r.Bins[0].Pos[2], r.Bins[1].Pos[0] = r.Bins[1].Pos[0], r.Bins[0].Pos[2] // items 4 and 3
+		}, "item 3 has server 1, but bin 0 holds it"},
 		{"over capacity, scalar", scalar, 0, func(r *Result) {
-			r.Bins[0].Items[1].Size = 0.6
+			r.Items[r.Bins[0].Pos[1]].Size = 0.6
 		}, "bin 0 over capacity in dim 0"},
 		{"over capacity, d=2", vector, 0, func(r *Result) {
-			r.Bins[0].Items[1].Sizes = []float64{0.3, 0.9}
+			r.Items[r.Bins[0].Pos[1]].Sizes = []float64{0.3, 0.9}
 		}, "bin 0 over capacity in dim 1"},
 		{"usage period off the hull", scalar, 0, func(r *Result) {
 			r.Bins[1].ClosedAt += 0.5
@@ -148,7 +178,7 @@ func TestVerifyRejectsCorruptResults(t *testing.T) {
 		{"usage period off the hull, keep-alive", scalar, 1, func(r *Result) {
 			r.Bins[0].ClosedAt = 6 // the last departure: the keep-alive is missing
 		}, "bin 0 usage period"},
-		{"assignment disagrees", scalar, 0, func(r *Result) {
+		{"Server disagrees with the records", scalar, 0, func(r *Result) {
 			r.Server[slices.IndexFunc(r.Items, func(it item.Item) bool { return it.ID == 3 })] = 0
 		}, "item 3 has server 0"},
 		{"server slice short", scalar, 0, func(r *Result) {

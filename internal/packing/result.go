@@ -13,11 +13,15 @@ import (
 // a record of every server, sufficient to reconstruct the state of every
 // server at any time (used by the analysis package to re-derive the
 // paper's proof decomposition on concrete runs), and Server, each item's
-// server by its position in Items.
+// server by its position in Items. A Result copies no item: Items is the
+// run's own list, and every record reads its items from it by position,
+// so a Result aliases its input, which must not change while the Result
+// is read.
 type Result struct {
 	Algorithm string
 	Items     item.List
-	// Bins records every server the run opened, in opening order.
+	// Bins records every server the run opened, in opening order; each
+	// holds the positions in Items of the items it served.
 	Bins []ServerRecord
 	// Server[i] is the index of the bin that served Items[i].
 	Server []int
@@ -37,28 +41,43 @@ func (r *Result) NumBins() int { return len(r.Bins) }
 
 // Verify re-checks the physical validity of the packing from the server
 // records, independently of the simulator's bookkeeping: every record at
-// its own Index, every item placed exactly once, capacity respected in
-// every server on every segment of its timeline, usage periods spanning
-// exactly their items' activity, and the recomputed objectives matching
-// the reported ones. Tests call this after every run; it is the ground
-// truth the experiments rest on.
+// its own Index, every item placed exactly once (each record's positions
+// in range, in no other record and agreeing with Server), capacity
+// respected in every server on every segment of its timeline, usage
+// periods spanning exactly their items' activity, and the recomputed
+// objectives matching the reported ones. Tests call this after every run;
+// it is the ground truth the experiments rest on.
 func (r *Result) Verify() error {
-	placed := make(map[item.ID]int)
+	if len(r.Server) != len(r.Items) {
+		return fmt.Errorf("%d server entries for %d items", len(r.Server), len(r.Items))
+	}
+	placed := make([]uint64, (len(r.Items)+63)/64) // bit i: Items[i] is in a server
+	var items item.List                            // one server's items, reused server by server
 	var usage float64
-	for k, b := range r.Bins {
+	for k := range r.Bins {
+		b := &r.Bins[k]
 		if b.Index != k {
 			return fmt.Errorf("bin at position %d has index %d", k, b.Index)
 		}
-		if len(b.Items) == 0 {
+		if len(b.Pos) == 0 {
 			return fmt.Errorf("bin %d served no items", b.Index)
 		}
 		var lo, hi = math.Inf(1), math.Inf(-1)
 		dim := 1
-		for _, it := range b.Items {
-			if prev, dup := placed[it.ID]; dup {
-				return fmt.Errorf("item %d placed in bins %d and %d", it.ID, prev, b.Index)
+		items = items[:0]
+		for _, p := range b.Pos {
+			if p < 0 || int(p) >= len(r.Items) {
+				return fmt.Errorf("bin %d holds position %d, outside the %d items", b.Index, p, len(r.Items))
 			}
-			placed[it.ID] = b.Index
+			it := &r.Items[p]
+			if placed[p/64]&(1<<(p%64)) != 0 {
+				return fmt.Errorf("item %d placed in bins %d and %d", it.ID, r.Server[p], b.Index)
+			}
+			placed[p/64] |= 1 << (p % 64)
+			if r.Server[p] != b.Index {
+				return fmt.Errorf("item %d has server %d, but bin %d holds it", it.ID, r.Server[p], b.Index)
+			}
+			items = append(items, *it)
 			lo = math.Min(lo, it.Arrival)
 			hi = math.Max(hi, it.Departure)
 			dim = max(dim, it.Dim())
@@ -70,25 +89,15 @@ func (r *Result) Verify() error {
 		if math.Abs(b.UsagePeriod().Lo-lo) > 1e-9 || math.Abs(b.UsagePeriod().Hi-wantHi) > 1e-9 {
 			return fmt.Errorf("bin %d usage period %v does not match items' hull [%g, %g)", b.Index, b.UsagePeriod(), lo, wantHi)
 		}
-		if err := checkCapacity(&b, dim); err != nil {
+		if err := checkCapacity(b, items, dim); err != nil {
 			return err
 		}
 		usage += b.Usage()
 	}
 	for i, it := range r.Items {
-		idx, ok := placed[it.ID]
-		if !ok {
+		if placed[i/64]&(1<<(i%64)) == 0 {
 			return fmt.Errorf("item %d never placed", it.ID)
 		}
-		if i < len(r.Server) && r.Server[i] != idx {
-			return fmt.Errorf("item %d has server %d, but bin %d holds it", it.ID, r.Server[i], idx)
-		}
-	}
-	if len(r.Server) != len(r.Items) {
-		return fmt.Errorf("%d server entries for %d items", len(r.Server), len(r.Items))
-	}
-	if len(placed) != len(r.Items) {
-		return fmt.Errorf("placed %d items, instance has %d", len(placed), len(r.Items))
 	}
 	if math.Abs(usage-r.TotalUsage) > 1e-6*(1+math.Abs(usage)) {
 		return fmt.Errorf("recomputed usage %g != reported %g", usage, r.TotalUsage)
@@ -98,17 +107,18 @@ func (r *Result) Verify() error {
 
 // checkCapacity sums the server's per-dimension level on every segment of
 // its items' timeline, in placement order, and reports the first segment
-// that exceeds the capacity.
-func checkCapacity(b *ServerRecord, dim int) error {
+// that exceeds the capacity. items are the server's items in placement
+// order.
+func checkCapacity(b *ServerRecord, items item.List, dim int) error {
 	var err error
 	lv := make([]float64, dim)
-	b.Items.Segments(func(t, _ float64, active []int) {
+	items.Segments(func(t, _ float64, active []int) {
 		if err != nil {
 			return
 		}
 		clear(lv)
 		for _, i := range active {
-			for d, s := range b.Items[i].SizeVec() {
+			for d, s := range items[i].SizeVec() {
 				lv[d] += s
 			}
 		}
@@ -135,7 +145,8 @@ func (r *Result) Describe() string {
 	fmt.Fprintf(&sb, "%s\n", r.String())
 	for _, b := range r.Bins {
 		fmt.Fprintf(&sb, "  bin %3d  usage %v (%.6g)  items:", b.Index, b.UsagePeriod(), b.Usage())
-		for _, it := range b.Items {
+		for j := range b.Pos {
+			it := b.Item(j)
 			fmt.Fprintf(&sb, " %d(%.3g)", it.ID, it.Size)
 		}
 		sb.WriteByte('\n')

@@ -2,6 +2,7 @@ package packing
 
 import (
 	"fmt"
+	"math"
 
 	"dbp/internal/item"
 )
@@ -85,6 +86,9 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 			return nil, badKeepAlive(opt.KeepAlive)
 		}
 		keepAlive = opt.KeepAlive
+	}
+	if len(l) > math.MaxInt32 { // a ServerRecord keeps list positions as int32
+		return nil, fmt.Errorf("packing: %d items, at most %d in one run", len(l), math.MaxInt32)
 	}
 	capacity := opt.capacity()
 	if capacityFor != nil {

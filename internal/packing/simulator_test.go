@@ -171,8 +171,8 @@ func TestForeignBinIsMisplacement(t *testing.T) {
 			t.Errorf("%s Stream.Arrive: err = %v, want ErrPolicyMisplace", kind, err)
 		}
 	}
-	if b.Level() != 0.1 || b.NumActive() != 1 {
-		t.Fatalf("the other stream's server changed: level %g, %d items", b.Level(), b.NumActive())
+	if b.Level() != 0.1 || len(b.ActiveItems()) != 1 {
+		t.Fatalf("the other stream's server changed: level %g, %d items", b.Level(), len(b.ActiveItems()))
 	}
 	if err := other.Ledger().CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -208,7 +208,7 @@ type Dispatcher struct {
 	clock   func() float64
 
 	closing  sync.Once
-	draining atomic.Bool
+	draining atomic.Bool           // set when Close begins: /healthz answers 503 from then on
 	final    atomic.Pointer[Stats] // set once by Close
 
 	store *wal.Store // nil unless Config.DataDir enabled durability
@@ -630,7 +630,7 @@ func (sh *shard) publish(si int) {
 	})
 }
 
-// ShardEvents returns shard i's journal in the exact order the shard
+// shardEvents returns shard i's journal in the exact order the shard
 // owner applied the events, read back from its write-ahead log: every
 // record the log still holds (segments a snapshot fully covers are
 // deleted, so memory stays bounded no matter how long the service
@@ -638,7 +638,7 @@ func (sh *shard) publish(si int) {
 // out. The log is readable after Close. Without durability (empty
 // Config.DataDir) a shard keeps no journal and the result is empty. An
 // unreadable log is an error, never a shortened journal.
-func (d *Dispatcher) ShardEvents(i int) ([]Event, error) {
+func (d *Dispatcher) shardEvents(i int) ([]Event, error) {
 	sh := d.shards[i]
 	if sh.wal == nil {
 		return nil, nil
@@ -717,7 +717,3 @@ func (d *Dispatcher) Close() Stats {
 	})
 	return *d.final.Load()
 }
-
-// Draining reports whether Close has begun; the health endpoint flips
-// to 503 the moment this is true.
-func (d *Dispatcher) Draining() bool { return d.draining.Load() }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -296,8 +298,10 @@ func TestDispatcherCloseConcurrent(t *testing.T) {
 	close(start)
 	final := d.Close()
 	wg.Wait()
-	if !d.Draining() {
-		t.Error("Draining() false after Close")
+	health := httptest.NewRecorder()
+	serve.NewHandler(d).ServeHTTP(health, httptest.NewRequest("GET", "/healthz", nil))
+	if health.Code != http.StatusServiceUnavailable {
+		t.Errorf("/healthz answers %d after Close, want %d", health.Code, http.StatusServiceUnavailable)
 	}
 	again := d.Close()
 	if again.UsageTime != final.UsageTime || again.Arrivals != final.Arrivals {

@@ -92,7 +92,7 @@ const maxBodyBytes = 1 << 20
 //	GET  /v1/snapshot?shard=N — shard N's full stream snapshot
 //	                   (packing.Snapshot), served by the shard owner
 //	GET  /v1/journal?shard=N  — shard N's applied-event journal
-//	                   (ShardEvents: the records its WAL still holds;
+//	                   (shardEvents: the records its WAL still holds;
 //	                   [] without durability, 500 if the log is unreadable)
 //	GET  /healthz    — liveness ("ok", or 503 once draining)
 //
@@ -202,7 +202,7 @@ func NewHandler(d *Dispatcher) http.Handler {
 		if !ok {
 			return
 		}
-		evs, err := d.ShardEvents(i)
+		evs, err := d.shardEvents(i)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -213,7 +213,7 @@ func NewHandler(d *Dispatcher) http.Handler {
 		writeJSON(w, http.StatusOK, evs)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if d.Draining() {
+		if d.draining.Load() {
 			writeError(w, ErrClosed)
 			return
 		}

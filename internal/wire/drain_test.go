@@ -1,8 +1,12 @@
 package wire
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,12 +16,17 @@ import (
 	"dbp/internal/serve"
 )
 
-// journal reads shard i's journal, failing the test if the log cannot be
-// read.
+// journal reads shard i's journal as GET /v1/journal serves it, failing
+// the test if the log cannot be read.
 func journal(t *testing.T, d *serve.Dispatcher, i int) []serve.Event {
 	t.Helper()
-	evs, err := d.ShardEvents(i)
-	if err != nil {
+	rec := httptest.NewRecorder()
+	serve.NewHandler(d).ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/v1/journal?shard=%d", i), nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/journal?shard=%d: %d %s", i, rec.Code, rec.Body)
+	}
+	var evs []serve.Event
+	if err := json.Unmarshal(rec.Body.Bytes(), &evs); err != nil {
 		t.Fatal(err)
 	}
 	return evs

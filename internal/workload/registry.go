@@ -44,8 +44,8 @@ const (
 	kindTrace
 )
 
-// String names the kind for listings.
-func (k ScenarioKind) String() string {
+// name names the kind for listings.
+func (k ScenarioKind) name() string {
 	switch k {
 	case KindStatistical:
 		return "statistical"
@@ -86,9 +86,9 @@ type request struct {
 	params map[string]string
 }
 
-// Float returns a float parameter. The value was validated at lookup
+// floatParam returns a float parameter. The value was validated at lookup
 // time; asking for an undeclared parameter is a scenario bug and panics.
-func (r request) Float(name string) float64 {
+func (r request) floatParam(name string) float64 {
 	v, err := strconv.ParseFloat(r.param(name), 64)
 	if err != nil {
 		panic(fmt.Sprintf("workload: param %q is not a float: %v", name, err))
@@ -96,8 +96,8 @@ func (r request) Float(name string) float64 {
 	return v
 }
 
-// Int returns an integer parameter.
-func (r request) Int(name string) int {
+// intParam returns an integer parameter.
+func (r request) intParam(name string) int {
 	v, err := strconv.Atoi(r.param(name))
 	if err != nil {
 		panic(fmt.Sprintf("workload: param %q is not an int: %v", name, err))
@@ -256,7 +256,7 @@ func describe() string {
 		if s.kind == kindTrace {
 			name += ":<path>"
 		}
-		fmt.Fprintf(&b, "  %-16s %-12s %s\n", name, "["+s.kind.String()+"]", s.desc)
+		fmt.Fprintf(&b, "  %-16s %-12s %s\n", name, "["+s.kind.name()+"]", s.desc)
 		for _, p := range s.params {
 			if s.kind == kindTrace && p.Name == "path" {
 				continue // the path rides in the spec itself

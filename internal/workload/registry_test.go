@@ -197,9 +197,9 @@ func TestHotspotTenantShare(t *testing.T) {
 		Tenants: 50, HotFrac: 0.1, HotShare: 0.8,
 	}
 	l := generateHotspot(c, 1)
-	hot := c.HotTenants()
+	hot := c.hotTenants()
 	if hot != 5 {
-		t.Fatalf("HotTenants() = %d, want 5", hot)
+		t.Fatalf("hotTenants() = %d, want 5", hot)
 	}
 	hotJobs := 0
 	for _, it := range l {
@@ -227,7 +227,7 @@ func TestDiurnalPeakTrough(t *testing.T) {
 		Amplitude: 0.8,
 	}
 	l := generateDiurnal(c, 1)
-	period := c.EffectivePeriod()
+	period := c.effectivePeriod()
 	peak, trough := 0, 0
 	for _, it := range l {
 		phase := math.Mod(it.Arrival, period) / period

@@ -72,9 +72,9 @@ func init() {
 		gen: func(req request) (item.List, error) {
 			c := burstyConfig{
 				config:      uniformConfig(req),
-				BurstFactor: req.Float("factor"),
-				MeanCalm:    req.Float("calm"),
-				MeanBurst:   req.Float("burst"),
+				BurstFactor: req.floatParam("factor"),
+				MeanCalm:    req.floatParam("calm"),
+				MeanBurst:   req.floatParam("burst"),
 			}
 			if req.N <= 0 || req.Rate <= 0 || c.BurstFactor <= 1 || c.MeanCalm <= 0 || c.MeanBurst <= 0 {
 				return nil, fmt.Errorf("need n, rate > 0, factor > 1, calm, burst > 0 (got n=%d rate=%g factor=%g calm=%g burst=%g)",
@@ -93,8 +93,8 @@ func init() {
 		gen: func(req request) (item.List, error) {
 			c := diurnalConfig{
 				config:    uniformConfig(req),
-				Amplitude: req.Float("amp"),
-				Period:    req.Float("period"),
+				Amplitude: req.floatParam("amp"),
+				Period:    req.floatParam("period"),
 			}
 			if req.N <= 0 || req.Rate <= 0 || c.Amplitude < 0 || c.Amplitude > 0.95 {
 				return nil, fmt.Errorf("need n, rate > 0 and amp in [0, 0.95]")
@@ -110,7 +110,7 @@ func init() {
 			{Name: "classes", Kind: paramInt, Default: "16", Doc: "number of size classes (>= 2)"},
 		},
 		gen: func(req request) (item.List, error) {
-			alpha, classes := req.Float("alpha"), req.Int("classes")
+			alpha, classes := req.floatParam("alpha"), req.intParam("classes")
 			if req.N <= 0 || req.Rate <= 0 || alpha <= 0 || classes < 2 {
 				return nil, fmt.Errorf("need n, rate > 0, alpha > 0, classes >= 2")
 			}
@@ -130,9 +130,9 @@ func init() {
 		gen: func(req request) (item.List, error) {
 			c := hotspotConfig{
 				config:   uniformConfig(req),
-				Tenants:  req.Int("tenants"),
-				HotFrac:  req.Float("hot"),
-				HotShare: req.Float("share"),
+				Tenants:  req.intParam("tenants"),
+				HotFrac:  req.floatParam("hot"),
+				HotShare: req.floatParam("share"),
 			}
 			if req.N <= 0 || req.Rate <= 0 || c.Tenants < 2 ||
 				c.HotFrac <= 0 || c.HotFrac >= 1 || c.HotShare <= 0 || c.HotShare > 1 {
@@ -159,7 +159,7 @@ func init() {
 			{Name: "wave", Kind: paramInt, Default: "12", Doc: "small items per wave; waves repeat every mu-1 time units"},
 		},
 		gen: func(req request) (item.List, error) {
-			w := req.Int("wave")
+			w := req.intParam("wave")
 			if w < 1 || req.N < 1 || req.Mu <= 1 {
 				return nil, fmt.Errorf("need wave >= 1, n >= 1, mu > 1")
 			}
@@ -198,7 +198,7 @@ func init() {
 			{Name: "rounds", Kind: paramInt, Default: "4", Doc: "relay rounds (>= 1)"},
 		},
 		gen: func(req request) (item.List, error) {
-			k, rounds := req.Int("victims"), req.Int("rounds")
+			k, rounds := req.intParam("victims"), req.intParam("rounds")
 			if k < 2 || rounds < 1 || req.Mu < 2 {
 				return nil, fmt.Errorf("need victims >= 2, rounds >= 1, mu >= 2")
 			}

@@ -69,9 +69,9 @@ type hotspotConfig struct {
 	HotShare float64
 }
 
-// HotTenants returns the number of hot tenants implied by the config
+// hotTenants returns the number of hot tenants implied by the config
 // (at least 1, at most Tenants-1).
-func (c hotspotConfig) HotTenants() int {
+func (c hotspotConfig) hotTenants() int {
 	h := int(math.Round(c.HotFrac * float64(c.Tenants)))
 	if h < 1 {
 		h = 1
@@ -88,7 +88,7 @@ func (c hotspotConfig) HotTenants() int {
 // demands with independent components.
 func generateHotspot(c hotspotConfig, dim int) item.List {
 	rng := rand.New(rand.NewSource(c.Seed))
-	hot := c.HotTenants()
+	hot := c.hotTenants()
 	cold := c.Tenants - hot
 	size := func() float64 { return clampSize(c.Size.Sample(rng)) }
 	l := make(item.List, c.N)
@@ -123,9 +123,9 @@ type diurnalConfig struct {
 	Period float64
 }
 
-// EffectivePeriod resolves Period = 0 to the automatic choice: the
+// effectivePeriod resolves Period = 0 to the automatic choice: the
 // expected arrival span N/Rate divided into four cycles.
-func (c diurnalConfig) EffectivePeriod() float64 {
+func (c diurnalConfig) effectivePeriod() float64 {
 	if c.Period > 0 {
 		return c.Period
 	}
@@ -138,7 +138,7 @@ func (c diurnalConfig) EffectivePeriod() float64 {
 // of an inhomogeneous Poisson process, deterministic given the seed.
 func generateDiurnal(c diurnalConfig, dim int) item.List {
 	rng := rand.New(rand.NewSource(c.Seed))
-	period := c.EffectivePeriod()
+	period := c.effectivePeriod()
 	peak := c.Rate * (1 + c.Amplitude)
 	size := func() float64 { return clampSize(c.Size.Sample(rng)) }
 	l := make(item.List, c.N)
