@@ -178,7 +178,10 @@ recover-test:
 ## with a slice per server, and at 17.3 MB allocated (38.3 MB while it
 ## copied an event per step and kept an ID -> server map, 20.1 MB while
 ## its Result copied every job); TestBoundedResultBytes holds the live
-## heap that Run's Result keeps beyond its list to 16 B a job
+## heap that Run's Result keeps beyond its list to 16 B a job;
+## TestBoundedVerifyAllocs holds one Verify of a 10k- and of a 100k-job
+## d=2 Result to the same 64 allocations (17,935 at 100k while it
+## allocated per server)
 bench-bins:
 	$(GO) test -count=1 -run 'ZeroAlloc|Bounded' ./internal/bins/ ./internal/packing/
 
@@ -187,10 +190,15 @@ bench-bins:
 ## 0.5, at 10k and 100k jobs, and of firstfit on 100k zipfian jobs at d=1:
 ## ns/event, B/op, allocs/op and retained-B/job, the live heap the last
 ## Result holds beyond its list; the 10k-vs-100k ratio of vectorbestfit's
-## ns/event is the steady-state version of sim_vector's tail_over_head).
+## ns/event is the steady-state version of sim_vector's tail_over_head),
+## then BenchmarkVerify (Result.Verify alone on the vectorbestfit and the
+## firstfit 100k-job Result: ns/job, B/op, allocs/op) at -cpu 1,2, since
+## Verify checks its servers on up to GOMAXPROCS goroutines and the
+## one-CPU run shows the per-server check's own cost.
 ## In CI, so a benchmark that breaks fails the build
 bench-run:
 	$(GO) test -run '^$$' -bench 'EventOrder|RunBatch' -benchtime 5x .
+	$(GO) test -run '^$$' -bench 'Verify' -benchtime 5x -cpu 1,2 .
 
 ## bench-opt: the OPT_total solver — internal/opt's
 ## TestExactSearchAllocsBounded asserts at most 32 allocations (its setup,

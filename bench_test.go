@@ -330,3 +330,44 @@ func BenchmarkRunBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkVerify is Result.Verify alone on the Results of
+// BenchmarkRunBatch's two 100k-job runs: vectorbestfit at d=2 with
+// keep-alive 0.5 (sim_vector's Result, 4,333 servers) and firstfit on
+// zipfian jobs at d=1. Verify checks chunks of servers on up to
+// GOMAXPROCS goroutines, so make bench-run runs it at -cpu 1,2: the first
+// shows a slowdown of the per-server check itself.
+func BenchmarkVerify(b *testing.B) {
+	zipfian, err := workload.FromSpec("zipfian", 100_000, 600, 10, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name, algo string
+		jobs       item.List
+		opt        *packing.Options
+	}{
+		{"vectorbestfit/n=100000", "vectorbestfit", batchJobs(b, 100_000), &packing.Options{KeepAlive: 0.5}},
+		{"firstfit/zipfian/n=100000", "firstfit", zipfian, nil},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			algo, err := AlgorithmByName(c.algo)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := packing.Run(algo, c.jobs, c.opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := res.Verify(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(c.jobs)*b.N), "ns/job")
+		})
+	}
+}

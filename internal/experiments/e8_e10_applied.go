@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"dbp/internal/analysis"
 	"dbp/internal/cloud"
+	"dbp/internal/fanout"
 	"dbp/internal/opt"
 	"dbp/internal/packing"
 	"dbp/internal/workload"
@@ -102,7 +100,10 @@ func runE9(cfg Config) []*analysis.Table {
 		means  map[string]float64
 		binsFF int
 	}
-	results := parallelMap(len(grid), func(gi int) cellResult {
+	results := make([]cellResult, len(grid))
+	// Each cell lands in its own slot, so the table is the same as a
+	// sequential run's; a cell returns no error.
+	_ = fanout.Each(len(grid), func(_, gi int) error {
 		c := grid[gi]
 		ratios := map[string][]float64{}
 		binsFF := 0
@@ -129,7 +130,8 @@ func runE9(cfg Config) []*analysis.Table {
 			}
 			means[name] = sum / float64(len(xs))
 		}
-		return cellResult{means: means, binsFF: binsFF}
+		results[gi] = cellResult{means: means, binsFF: binsFF}
+		return nil
 	})
 	eqBound, eqWorst := analysis.EqualDurationFirstFitBound(), 0.0
 	for gi, c := range grid {
@@ -200,25 +202,4 @@ func runE10(cfg Config) []*analysis.Table {
 	}
 	t.AddNote(fmt.Sprintf("sizes per dimension uniform in [0.05, 0.95]; %d seeds aggregated", len(seeds)))
 	return []*analysis.Table{t}
-}
-
-// parallelMap applies fn to every index in [0, n) on up to GOMAXPROCS
-// goroutines and returns the results in index order. fn must be safe to
-// call concurrently for distinct indices; each result lands in its own
-// slot, so a run is bit-identical to a sequential one.
-func parallelMap[T any](n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }

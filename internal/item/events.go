@@ -90,14 +90,34 @@ func (l List) Steps(arrivalsFirst bool) []Step {
 // length, or with a NaN time, is never active. An item active from -Inf
 // or until +Inf gives a segment of infinite length.
 func (l List) Segments(visit func(lo, hi float64, active []int)) {
-	arr, dep := l.sortedKeys(true)
-	var active []int
+	var s Sweep
+	s.segments(view{l: l}, visit)
+}
+
+// Sweep holds the buffers of a timeline sweep, so that a caller who
+// sweeps many short lists, as Result.Verify does server by server, sorts
+// its keys and keeps its active set in the same memory each time. The
+// zero value is ready to use; a Sweep serves one sweep at a time.
+type Sweep struct {
+	keys, tmp []key
+	active    []int
+}
+
+// Segments is List.Segments over the list of the items l[pos[j]], j <
+// len(pos), in that order: active holds indices into pos, ascending.
+func (s *Sweep) Segments(l List, pos []int32, visit func(lo, hi float64, active []int)) {
+	s.segments(view{l, pos, true}, visit)
+}
+
+func (s *Sweep) segments(v view, visit func(lo, hi float64, active []int)) {
+	arr, dep := s.sortedKeys(v, true)
+	active := s.active[:0]
 	for len(dep) > 0 {
 		// t is the head of one of the runs, so each pass consumes at least
 		// one key; lo is that head's time.
-		t, lo := dep[0].ord, l[dep[0].pos].Departure
+		t, lo := dep[0].ord, v.at(dep[0].pos).Departure
 		if len(arr) > 0 && arr[0].ord < t {
-			t, lo = arr[0].ord, l[arr[0].pos].Arrival
+			t, lo = arr[0].ord, v.at(arr[0].pos).Arrival
 		}
 		for len(dep) > 0 && dep[0].ord == t {
 			i, _ := slices.BinarySearch(active, dep[0].pos)
@@ -111,13 +131,36 @@ func (l List) Segments(visit func(lo, hi float64, active []int)) {
 		}
 		if len(active) > 0 {
 			// An active item departs later, so dep is not empty.
-			hi := l[dep[0].pos].Departure
+			hi := v.at(dep[0].pos).Departure
 			if len(arr) > 0 && arr[0].ord < dep[0].ord {
-				hi = l[arr[0].pos].Arrival
+				hi = v.at(arr[0].pos).Arrival
 			}
 			visit(lo, hi, active)
 		}
 	}
+	s.active = active
+}
+
+// view is the list a sort reads: l itself, or if sub the items l[pos[j]]
+// for j < len(pos).
+type view struct {
+	l   List
+	pos []int32
+	sub bool
+}
+
+func (v view) len() int {
+	if v.sub {
+		return len(v.pos)
+	}
+	return len(v.l)
+}
+
+func (v view) at(j int) *Item {
+	if v.sub {
+		return &v.l[v.pos[j]]
+	}
+	return &v.l[j]
 }
 
 // key is one event of the sort: its time (or its item's ID) as an
@@ -132,23 +175,34 @@ type key struct {
 // test too), each run in (time, item arrival, item ID, list position)
 // order: stable sorts by time of keys in the order of the last three.
 func (l List) sortedKeys(activeOnly bool) (arr, dep []key) {
-	keys := make([]key, 2*len(l))
-	arr = keys[:0:len(l)]
-	for i, it := range l {
-		if !activeOnly || it.Arrival < it.Departure {
+	var s Sweep
+	return s.sortedKeys(view{l: l}, activeOnly)
+}
+
+// sortedKeys is List.sortedKeys over v, in s's buffers; a key's pos is
+// an index into v.
+func (s *Sweep) sortedKeys(v view, activeOnly bool) (arr, dep []key) {
+	n := v.len()
+	if cap(s.keys) < 2*n {
+		s.keys = make([]key, 2*n)
+	}
+	keys := s.keys[:2*n]
+	arr = keys[:0:n]
+	for i := range n {
+		if it := v.at(i); !activeOnly || it.Arrival < it.Departure {
 			arr = append(arr, key{uint64(it.ID) ^ 1<<63, i})
 		}
 	}
-	sortStable(arr)
+	s.sortStable(arr)
 	for i, k := range arr {
-		arr[i].ord = OrderKey(l[k.pos].Arrival)
+		arr[i].ord = OrderKey(v.at(k.pos).Arrival)
 	}
-	sortStable(arr)
-	dep = keys[len(l) : len(l)+len(arr)]
+	s.sortStable(arr)
+	dep = keys[n : n+len(arr)]
 	for i, k := range arr {
-		dep[i] = key{OrderKey(l[k.pos].Departure), k.pos}
+		dep[i] = key{OrderKey(v.at(k.pos).Departure), k.pos}
 	}
-	sortStable(dep)
+	s.sortStable(dep)
 	return arr, dep
 }
 
@@ -158,8 +212,8 @@ func (l List) sortedKeys(activeOnly bool) (arr, dep []key) {
 const radixMin = 2048
 
 // sortStable sorts keys stably by ord. The radix sort skips a pass in
-// which every key has the same digit.
-func sortStable(keys []key) {
+// which every key has the same digit, and moves keys through s.tmp.
+func (s *Sweep) sortStable(keys []key) {
 	byOrd := func(a, b key) int { return cmp.Compare(a.ord, b.ord) }
 	if slices.IsSortedFunc(keys, byOrd) {
 		return
@@ -175,7 +229,10 @@ func sortStable(keys []key) {
 			count[d][k.ord>>(d*bits)&mask]++
 		}
 	}
-	src, dst := keys, make([]key, len(keys))
+	if cap(s.tmp) < len(keys) {
+		s.tmp = make([]key, len(keys))
+	}
+	src, dst := keys, s.tmp[:len(keys)]
 	for d := range count {
 		c, shift := &count[d], d*bits
 		if c[src[0].ord>>shift&mask] == len(src) {

@@ -443,3 +443,47 @@ func FuzzSegments(f *testing.F) {
 		checkSegments(t, segmentList(data))
 	})
 }
+
+// TestSweepMatchesSegments holds Sweep.Segments over positions of a list
+// to List.Segments of the list those positions gather, bit for bit in lo
+// and hi (a -0 too), on the segment oracle's lists and on subsets past
+// radixMin, with one Sweep reused across every call, as Result.Verify
+// reuses one for many servers.
+func TestSweepMatchesSegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var s Sweep
+	for trial := 0; trial < 500; trial++ {
+		data := make([]byte, 3*rng.Intn(60))
+		if trial%50 == 0 {
+			data = make([]byte, 3*(radixMin+rng.Intn(radixMin)))
+		}
+		rng.Read(data)
+		l := segmentList(data)
+		pos := make([]int32, 0, len(l))
+		for _, p := range rng.Perm(len(l)) {
+			if rng.Intn(4) > 0 {
+				pos = append(pos, int32(p))
+			}
+		}
+		sub := make(List, len(pos))
+		for j, p := range pos {
+			sub[j] = l[p]
+		}
+		var got, want []segment
+		s.Segments(l, pos, func(lo, hi float64, active []int) {
+			got = append(got, segment{lo, hi, slices.Clone(active)})
+		})
+		sub.Segments(func(lo, hi float64, active []int) {
+			want = append(want, segment{lo, hi, slices.Clone(active)})
+		})
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d segments, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if math.Float64bits(g.lo) != math.Float64bits(w.lo) || math.Float64bits(g.hi) != math.Float64bits(w.hi) || !slices.Equal(g.active, w.active) {
+				t.Fatalf("trial %d: segment %d = %v, want %v", trial, i, g, w)
+			}
+		}
+	}
+}

@@ -276,3 +276,44 @@ func TestBoundedResultBytes(t *testing.T) {
 		t.Fatalf("the Result holds %.1f B a job beyond its list, want at most %d", held, limit)
 	}
 }
+
+// TestBoundedVerifyAllocs pins Verify's allocations at a constant: one
+// Verify of the 10k-job and of the 100k-job vectorbestfit d=2 Result
+// (keep-alive 0.5, 3,357 and 4,333 servers), at GOMAXPROCS 1 and 2,
+// makes at most verifyAllocs (14 to 32 when written). Its workers reuse
+// one scratch each for every server; with a level slice, the sweep's keys
+// and the active set's growth per server, the two made 13,202 and 17,935.
+func TestBoundedVerifyAllocs(t *testing.T) {
+	const verifyAllocs = 64
+	for _, n := range []int{10_000, 100_000} {
+		jobs, err := workload.FromSpec("uniform", n, 1100, 10, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		algo, err := packing.ByName("vectorbestfit")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := packing.Run(algo, jobs, &packing.Options{KeepAlive: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := res.Verify()
+			runtime.ReadMemStats(&after)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := after.Mallocs - before.Mallocs
+			t.Logf("%d jobs on %d servers, GOMAXPROCS %d: Verify made %d allocations, %.2f MB", n, res.NumBins(), procs, allocs, float64(after.TotalAlloc-before.TotalAlloc)/1e6)
+			if allocs > verifyAllocs {
+				t.Errorf("%d jobs, GOMAXPROCS %d: Verify made %d allocations, want at most %d", n, procs, allocs, verifyAllocs)
+			}
+		}
+	}
+}

@@ -3,9 +3,11 @@ package packing
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"dbp/internal/bins"
+	"dbp/internal/fanout"
 	"dbp/internal/item"
 )
 
@@ -47,57 +49,46 @@ func (r *Result) NumBins() int { return len(r.Bins) }
 // periods spanning exactly their items' activity, and the recomputed
 // objectives matching the reported ones. Tests call this after every run;
 // it is the ground truth the experiments rest on.
+//
+// The servers are checked in parallel, in contiguous chunks of about
+// 4,096 items on at most GOMAXPROCS goroutines (a Result of one chunk on
+// the caller's), each worker reusing one scratch. The error is
+// the one a loop over the servers in order reports: that of the
+// lowest-indexed failing server, with the same text.
 func (r *Result) Verify() error {
 	if len(r.Server) != len(r.Items) {
 		return fmt.Errorf("%d server entries for %d items", len(r.Server), len(r.Items))
 	}
-	placed := make([]uint64, (len(r.Items)+63)/64) // bit i: Items[i] is in a server
-	var items item.List                            // one server's items, reused server by server
-	var usage float64
-	for k := range r.Bins {
-		b := &r.Bins[k]
-		if b.Index != k {
-			return fmt.Errorf("bin at position %d has index %d", k, b.Index)
-		}
-		if len(b.Pos) == 0 {
-			return fmt.Errorf("bin %d served no items", b.Index)
-		}
-		var lo, hi = math.Inf(1), math.Inf(-1)
-		dim := 1
-		items = items[:0]
-		for _, p := range b.Pos {
-			if p < 0 || int(p) >= len(r.Items) {
-				return fmt.Errorf("bin %d holds position %d, outside the %d items", b.Index, p, len(r.Items))
+	bounds := chunkBounds(r.Bins)
+	chunks := len(bounds) - 1
+	// placed[p]: Items[p] is in bin Server[p]. Only the chunk holding that
+	// bin reads or writes it before the fan-out returns.
+	placed := make([]bool, len(r.Items))
+	scratch := make([]verifyScratch, fanout.Workers(chunks))
+	err := fanout.Each(chunks, func(w, c int) error {
+		for k := bounds[c]; k < bounds[c+1]; k++ {
+			if err := r.checkServer(k, placed, &scratch[w]); err != nil {
+				return err
 			}
-			it := &r.Items[p]
-			if placed[p/64]&(1<<(p%64)) != 0 {
-				return fmt.Errorf("item %d placed in bins %d and %d", it.ID, r.Server[p], b.Index)
-			}
-			placed[p/64] |= 1 << (p % 64)
-			if r.Server[p] != b.Index {
-				return fmt.Errorf("item %d has server %d, but bin %d holds it", it.ID, r.Server[p], b.Index)
-			}
-			items = append(items, *it)
-			lo = math.Min(lo, it.Arrival)
-			hi = math.Max(hi, it.Departure)
-			dim = max(dim, it.Dim())
 		}
-		wantHi := hi + r.KeepAlive // bins linger keepAlive past their last departure
-		// Both endpoints tolerate float accumulation error; an exact Lo
-		// comparison would false-fail legitimate packings whose arrival
-		// times are not exactly representable.
-		if math.Abs(b.UsagePeriod().Lo-lo) > 1e-9 || math.Abs(b.UsagePeriod().Hi-wantHi) > 1e-9 {
-			return fmt.Errorf("bin %d usage period %v does not match items' hull [%g, %g)", b.Index, b.UsagePeriod(), lo, wantHi)
-		}
-		if err := checkCapacity(b, items, dim); err != nil {
-			return err
-		}
-		usage += b.Usage()
+		return nil
+	})
+	if m, ok := err.(*misplaced); ok && m.server < m.bin && placed[m.pos] {
+		// Every server below m.bin passed, bin m.server among them, so it
+		// holds the item too.
+		return fmt.Errorf("item %d placed in bins %d and %d", r.Items[m.pos].ID, m.server, m.bin)
+	}
+	if err != nil {
+		return err
 	}
 	for i, it := range r.Items {
-		if placed[i/64]&(1<<(i%64)) == 0 {
+		if !placed[i] {
 			return fmt.Errorf("item %d never placed", it.ID)
 		}
+	}
+	var usage float64
+	for k := range r.Bins {
+		usage += r.Bins[k].Usage()
 	}
 	if math.Abs(usage-r.TotalUsage) > 1e-6*(1+math.Abs(usage)) {
 		return fmt.Errorf("recomputed usage %g != reported %g", usage, r.TotalUsage)
@@ -105,21 +96,102 @@ func (r *Result) Verify() error {
 	return nil
 }
 
+// verifyChunk is the number of items from which Verify closes a chunk of
+// servers: a chunk is a few hundred microseconds of checking, and a
+// Result of fewer items is one chunk, checked on the caller's goroutine.
+const verifyChunk = 4096
+
+// chunkBounds cuts servers into Verify's chunks: chunk c is the servers
+// from bounds[c] to bounds[c+1], and a chunk closes once it holds
+// verifyChunk items.
+func chunkBounds(servers []ServerRecord) (bounds []int) {
+	bounds, size := []int{0}, 0
+	for k := range servers {
+		if size += len(servers[k].Pos); size >= verifyChunk && k+1 < len(servers) {
+			bounds, size = append(bounds, k+1), 0
+		}
+	}
+	return append(bounds, len(servers))
+}
+
+// verifyScratch is one Verify worker's memory, reused server by server:
+// the capacity sweep's keys and active set, and its levels.
+type verifyScratch struct {
+	sweep item.Sweep
+	level []float64
+}
+
+// misplaced is the error of a bin that holds the position pos while
+// Server[pos] names another bin, server. A loop over the servers in order
+// reports it as a double placement if server is an earlier bin and holds
+// pos too, which Verify tells only once every chunk has marked its items.
+type misplaced struct {
+	pos         int32
+	server, bin int
+	id          item.ID
+}
+
+func (m *misplaced) Error() string {
+	return fmt.Sprintf("item %d has server %d, but bin %d holds it", m.id, m.server, m.bin)
+}
+
+// checkServer checks Bins[k] and marks its items in placed.
+func (r *Result) checkServer(k int, placed []bool, s *verifyScratch) error {
+	b := &r.Bins[k]
+	if b.Index != k {
+		return fmt.Errorf("bin at position %d has index %d", k, b.Index)
+	}
+	if len(b.Pos) == 0 {
+		return fmt.Errorf("bin %d served no items", k)
+	}
+	var lo, hi = math.Inf(1), math.Inf(-1)
+	dim := 1
+	for _, p := range b.Pos {
+		if p < 0 || int(p) >= len(r.Items) {
+			return fmt.Errorf("bin %d holds position %d, outside the %d items", k, p, len(r.Items))
+		}
+		it := &r.Items[p]
+		if r.Server[p] != k {
+			return &misplaced{p, r.Server[p], k, it.ID}
+		}
+		if placed[p] {
+			return fmt.Errorf("item %d placed in bins %d and %d", it.ID, k, k)
+		}
+		placed[p] = true
+		lo = math.Min(lo, it.Arrival)
+		hi = math.Max(hi, it.Departure)
+		dim = max(dim, it.Dim())
+	}
+	wantHi := hi + r.KeepAlive // bins linger keepAlive past their last departure
+	// Both endpoints tolerate float accumulation error; an exact Lo
+	// comparison would false-fail legitimate packings whose arrival
+	// times are not exactly representable.
+	if math.Abs(b.UsagePeriod().Lo-lo) > 1e-9 || math.Abs(b.UsagePeriod().Hi-wantHi) > 1e-9 {
+		return fmt.Errorf("bin %d usage period %v does not match items' hull [%g, %g)", k, b.UsagePeriod(), lo, wantHi)
+	}
+	return s.checkCapacity(b, r.Items, dim)
+}
+
 // checkCapacity sums the server's per-dimension level on every segment of
 // its items' timeline, in placement order, and reports the first segment
-// that exceeds the capacity. items are the server's items in placement
-// order.
-func checkCapacity(b *ServerRecord, items item.List, dim int) error {
+// that exceeds the capacity.
+func (s *verifyScratch) checkCapacity(b *ServerRecord, items item.List, dim int) error {
 	var err error
-	lv := make([]float64, dim)
-	items.Segments(func(t, _ float64, active []int) {
+	lv := slices.Grow(s.level[:0], dim)[:dim]
+	s.level = lv
+	s.sweep.Segments(items, b.Pos, func(t, _ float64, active []int) {
 		if err != nil {
 			return
 		}
 		clear(lv)
-		for _, i := range active {
-			for d, s := range items[i].SizeVec() {
-				lv[d] += s
+		for _, j := range active {
+			it := &items[b.Pos[j]]
+			if len(it.Sizes) == 0 {
+				lv[0] += it.Size
+				continue
+			}
+			for d, x := range it.Sizes {
+				lv[d] += x
 			}
 		}
 		for d := range lv {

@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"dbp/internal/fanout"
 )
 
 // Meta pins the service configuration a data directory was written
@@ -77,7 +76,7 @@ func OpenStore(dir string, meta Meta, opts Options) (*Store, error) {
 		}
 	}
 	st := &Store{logs: make([]*Log, meta.Shards)}
-	err := eachShard(meta.Shards, func(i int) error {
+	err := fanout.Each(meta.Shards, func(_, i int) error {
 		l, err := Open(filepath.Join(dir, fmt.Sprintf("shard-%04d", i)), opts)
 		if err != nil {
 			return fmt.Errorf("wal: shard %d: %w", i, err)
@@ -90,32 +89,6 @@ func OpenStore(dir string, meta Meta, opts Options) (*Store, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-// eachShard calls fn(i) for every i < n on at most GOMAXPROCS
-// goroutines and returns once every call has returned: nil, or the
-// error of the lowest i that failed, as a loop over the shards in
-// order would report.
-func eachShard(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(n, runtime.GOMAXPROCS(0)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // matchMeta returns a descriptive error for the first differing field.
@@ -141,7 +114,7 @@ func matchMeta(got, want Meta) error {
 // goroutines, and returns once every call has returned: nil, or the
 // error of the lowest-indexed shard that failed.
 func (s *Store) Each(fn func(i int, l *Log) error) error {
-	return eachShard(len(s.logs), func(i int) error { return fn(i, s.logs[i]) })
+	return fanout.Each(len(s.logs), func(_, i int) error { return fn(i, s.logs[i]) })
 }
 
 // Close closes every shard log, returning the first error.
